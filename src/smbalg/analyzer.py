@@ -220,10 +220,10 @@ def check_smb_over(alg: FiniteAlgebra, sim: Partition) -> SmbReport:
     return SmbReport(verdict, sim, tuple(violations), order)
 
 
-def find_smb_congruences(alg: FiniteAlgebra, max_size: int = 10) -> list:
+def find_smb_congruences(alg: FiniteAlgebra) -> list:
     """All congruences over which the algebra is SMB; empty means not SMB."""
     designated_ops(alg)
-    lattice = congruence_lattice(alg, max_size)
+    lattice = congruence_lattice(alg)
     return [theta for theta in lattice if check_smb_over(alg, theta).verdict]
 
 

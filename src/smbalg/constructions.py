@@ -25,7 +25,7 @@ from .core import (AlgebraError, FalsificationError, FiniteAlgebra,
                    OperationTable, materialize_term, table_flags, App, Var)
 from .partitions import Partition
 from .analyzer import WEDGE, D, check_smb_over
-from .relations import congruence_lattice
+from .relations import LATTICE_SIZE_CAP, congruence_lattice
 from .pipeline import regularize
 
 
@@ -263,7 +263,9 @@ def extend_simple_type5(alg: FiniteAlgebra, w_symbol: str) -> FiniteAlgebra:
     if not table_flags(out.op("v")).wnu:
         raise FalsificationError(
             f"extension of '{alg.name}' did not produce a wnu operation")
-    lattice = congruence_lattice(out, max_size=max(10, size))
+    # a larger cap only where needed, so the usual case shares one cache entry
+    lattice = (congruence_lattice(out, size) if size > LATTICE_SIZE_CAP
+               else congruence_lattice(out))
     if len(lattice) != (1 if size == 1 else 2):
         raise FalsificationError(
             f"extension of '{alg.name}' is not simple: found "

@@ -408,11 +408,3 @@ def table_flags(table: OperationTable) -> OperationFlags:
 def classify_operation(alg: FiniteAlgebra, symbol: str) -> OperationFlags:
     return table_flags(alg.op(symbol))
 
-
-def idempotence_violation(alg: FiniteAlgebra) -> Optional[tuple]:
-    """(symbol, element) witnessing a non-idempotent operation, or None."""
-    for sym, table in alg.operations.items():
-        for x in range(alg.size):
-            if table.entries[table.index((x,) * table.arity)] != x:
-                return (sym, x)
-    return None

@@ -182,14 +182,28 @@ class Partition:
                 f"partition size mismatch: {self.size} vs {other.size}")
 
     def join(self, other: "Partition") -> "Partition":
-        """Transitive closure of the union."""
+        """Transitive closure of the union.
+
+        Union-find over the classes of self: each class of other merges
+        the classes of self it meets.
+        """
         self._check_size(other)
-        ds = DisjointSet(self.size)
-        for p in (self, other):
-            for block in p.blocks():
-                for a, b in zip(block, block[1:]):
-                    ds.union(a, b)
-        return Partition(self.size, tuple(ds.class_ids()))
+        parent = list(range(self.num_classes))
+
+        def find(c):
+            while parent[c] != c:
+                parent[c] = c = parent[parent[c]]
+            return c
+
+        meets: dict = {}
+        for c, d in zip(self.class_ids, other.class_ids):
+            r = meets.setdefault(d, c)
+            if r != c:
+                r, c = find(r), find(c)
+                if r != c:
+                    parent[max(r, c)] = min(r, c)
+        roots = [find(c) for c in range(len(parent))]
+        return Partition(self.size, tuple(roots[c] for c in self.class_ids))
 
     def meet(self, other: "Partition") -> "Partition":
         """Common refinement."""

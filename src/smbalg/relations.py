@@ -9,6 +9,16 @@ deterministic breadth-first engine used wherever witnesses must be
 replayed.  `subpower_closure_fast` is a vectorized engine without traces,
 used for the commutator's matrix sets in A^4; the two are cross-checked
 against each other in the test suite.
+
+The congruence layer follows R. Freese, "Computing congruences
+efficiently", Algebra Universalis 59 (2008) 337-343.  Principal
+congruences come from a union-find over the unary translations.
+`congruence_lattice` is a breadth-first search from 0_A that joins each
+congruence found with the distinct principal congruences only, and reads
+the upper covers of theta off those same joins: they are the minimal
+elements of {theta v Cg(a, b)} minus {theta}.  `congruence_violation`
+tests every operation and argument position at once with numpy, over the
+table of value classes.
 """
 
 from __future__ import annotations
@@ -244,29 +254,36 @@ def congruence_by_alternating_closure(alg: FiniteAlgebra, pairs: Iterable[tuple]
 
 def congruence_violation(alg: FiniteAlgebra, p: Partition) -> Optional[tuple]:
     """None when p is a congruence, else (symbol, args, args') with the two
-    argument tuples related coordinatewise but with unrelated outputs."""
+    argument tuples related coordinatewise but with unrelated outputs.
+
+    For each operation and argument position, the value classes must be
+    constant along every p-class fiber through that position.  The witness
+    is the first failing symbol in declaration order, then the
+    lexicographically least failing argument tuple, then the least failing
+    position, then the least b in the class of args[pos] whose substitution
+    there changes the value class.
+    """
     if p.size != alg.size:
         raise AlgebraError(f"partition size {p.size} does not match algebra size {alg.size}")
-    ids = p.class_ids
     n = alg.size
-    classes = p.blocks()
-    for sym, table in alg.operations.items():
-        nested = table.nested
-        for args in itertools.product(range(n), repeat=table.arity):
-            t = nested
-            for a in args:
-                t = t[a]
-            base = t
-            for pos in range(table.arity):
-                for b in classes[ids[args[pos]]]:
-                    if b == args[pos]:
-                        continue
-                    alt = args[:pos] + (b,) + args[pos + 1:]
-                    t = nested
-                    for a in alt:
-                        t = t[a]
-                    if ids[t] != ids[base]:
-                        return (sym, args, alt)
+    ids = np.asarray(p.class_ids, dtype=np.int64)
+    by_class = np.argsort(ids, kind="stable")
+    starts = np.searchsorted(ids[by_class], np.arange(p.num_classes))
+    for sym, (arity, entries) in zip(alg.operations, _op_arrays(alg)):
+        values = ids[entries].reshape((n,) * arity)
+        unstable = []          # per position: args whose fiber is not constant
+        for pos in range(arity):
+            grouped = np.take(values, by_class, axis=pos)
+            lo = np.minimum.reduceat(grouped, starts, axis=pos)
+            hi = np.maximum.reduceat(grouped, starts, axis=pos)
+            unstable.append(np.take(lo != hi, ids, axis=pos))
+        failing = np.logical_or.reduce(unstable)
+        if not failing.any():
+            continue
+        args = tuple(int(a) for a in np.unravel_index(np.argmax(failing), failing.shape))
+        pos = next(i for i in range(arity) if unstable[i][args])
+        alts = (args[:pos] + (b,) + args[pos + 1:] for b in p.block_of(args[pos]))
+        return (sym, args, next(alt for alt in alts if values[alt] != values[args]))
     return None
 
 
@@ -295,33 +312,48 @@ class CongruenceLattice:
 
 @lru_cache(maxsize=None)
 def congruence_lattice(alg: FiniteAlgebra, max_size: int = LATTICE_SIZE_CAP) -> CongruenceLattice:
-    """All congruences (principal congruences closed under join) and covers."""
+    """All congruences and the covering relation (Freese 2008).
+
+    Breadth-first search from 0_A: each congruence theta found is joined
+    with every distinct nonzero principal congruence Cg(a, b) not below
+    it.  Every congruence is a join of principals, so the search finds
+    them all with L*P joins.  The upper covers of theta are the minimal
+    elements of {theta v Cg(a, b)} minus {theta}: any congruence above
+    theta contains some theta v Cg(a, b).  Among those joins,
+    theta v Cg(a, b) lies below mu exactly when mu relates a and b, so
+    minimality needs no further joins.
+
+    Congruences are sorted from 0_A towards 1_A by (-classes, class ids),
+    and covers are sorted (i, j) index pairs.
+    """
     n = alg.size
     if n > max_size:
         raise CapExceeded(
             f"congruence lattice capped at universe size {max_size}, algebra has {n}")
-    found = {Partition.zero(n)}
+    principals: dict = {}      # distinct nonzero Cg(a, b) -> its first pair
     for a in range(n):
         for b in range(a + 1, n):
-            found.add(principal_congruence(alg, a, b))
-    # close under join
-    work = list(found)
-    while work:
-        p = work.pop()
-        for q in list(found):
-            j = p.join(q)
-            if j not in found:
-                found.add(j)
-                work.append(j)
-    ordered = sorted(found, key=lambda p: (-p.num_classes, p.class_ids))
-    covers = []
-    for i, p in enumerate(ordered):
-        for j, q in enumerate(ordered):
-            if not (p != q and p.refines(q)):
+            principals.setdefault(principal_congruence(alg, a, b), (a, b))
+    zero = Partition.zero(n)
+    members = [zero]           # in discovery order
+    found = {zero: 0}
+    upper = []                 # discovery index -> upper covers' indices
+    for theta in members:
+        steps = []             # (index of theta v Cg(a, b), a, b)
+        for pi, (a, b) in principals.items():
+            if theta.related(a, b):
                 continue
-            if any(p != r != q and p.refines(r) and r.refines(q) for r in ordered):
-                continue
-            covers.append((i, j))
+            joined = theta.join(pi)
+            if joined not in found:
+                found[joined] = len(members)
+                members.append(joined)
+            steps.append((found[joined], a, b))
+        upper.append([j for j in {s[0] for s in steps}
+                      if all(k == j for k, a, b in steps if members[j].related(a, b))])
+    ordered = sorted(members, key=lambda p: (-p.num_classes, p.class_ids))
+    rank = {p: i for i, p in enumerate(ordered)}
+    covers = sorted((rank[members[i]], rank[members[j]])
+                    for i, ups in enumerate(upper) for j in ups)
     return CongruenceLattice(tuple(ordered), tuple(covers))
 
 
@@ -612,14 +644,13 @@ def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partiti
 
 
 @lru_cache(maxsize=None)
-def commutator_oracle(alg: FiniteAlgebra, alpha: Partition, beta: Partition,
-                      max_size: int = LATTICE_SIZE_CAP) -> Partition:
+def commutator_oracle(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
     """Independent commutator: the least congruence delta for which every
     matrix in M(alpha, beta) with a delta-related top row has a
     delta-related bottom row, found by scanning the whole lattice."""
     _check_congruences(alg, alpha, beta)
     matrices = np.asarray(matrix_set(alg, alpha, beta), dtype=np.int64)
-    lattice = congruence_lattice(alg, max_size)
+    lattice = congruence_lattice(alg)
 
     def satisfies(delta: Partition) -> bool:
         ids = np.asarray(delta.class_ids, dtype=np.int64)

@@ -1,14 +1,17 @@
 import itertools
+import random
 
 import pytest
 
-from smbalg import (App, Partition, PreconditionError, Var, check_cgvsim,
+from smbalg import (App, Partition, PreconditionError, Var, affine_block,
+                    check_cgvsim,
                     check_identity, check_quasiidentity, check_regular,
                     check_regular_base, check_smb_over, check_undersim,
                     cgvsim_below, commutator_below_sim, congruence_lattice,
-                    eval_term, find_smb_congruences, join_membership_chain,
-                    alternating_chain_fold, principal_congruence, recovered_sim,
-                    smb_axioms, taylor_check, verify_cg_d3)
+                    eval_term, find_smb_congruences, glue_smb,
+                    join_membership_chain, alternating_chain_fold,
+                    principal_congruence, random_semilattice, recovered_sim,
+                    regularize, smb_axioms, taylor_check, verify_cg_d3)
 from smbalg.analyzer import BASE_IDENTITY_NAMES
 
 
@@ -31,6 +34,18 @@ def test_find_smb_congruences(e3, b2, s2, e3_sim):
     assert find_smb_congruences(e3) == [e3_sim]
     assert Partition.zero(2) in find_smb_congruences(s2)
     assert find_smb_congruences(b2) == [Partition.one(2)]
+
+
+def test_one_lattice_per_algebra():
+    """check-smb, regularize and con on one algebra compute its lattice once."""
+    tree = random_semilattice(3, random.Random(20221))
+    blocks = {c: affine_block(s) for c, s in enumerate((2, 3, 2))}
+    alg = glue_smb(tree, blocks, {0: 1, 1: 3, 2: 5}, name="glued7_once")
+    misses = congruence_lattice.cache_info().misses
+    assert find_smb_congruences(alg)
+    regularize(alg)
+    congruence_lattice(alg)
+    assert congruence_lattice.cache_info().misses == misses + 1
 
 
 def test_check_regular_examples(e3, b2, n4, e3_sim, n4_sim):

@@ -1,15 +1,18 @@
 import itertools
+import random
 
 import pytest
 
 from smbalg import (AlgebraError, FiniteAlgebra, OperationTable, Partition,
                     PreconditionError, all_partitions, all_subuniverses,
                     commutator, commutator_oracle, compose_relations,
-                    congruence_generated, congruence_lattice, d_rel,
+                    congruence_generated, congruence_lattice,
+                    congruence_violation, d_rel,
                     eval_term, generate_subpower,
                     is_abelian, is_congruence, matrix_set,
                     principal_congruence,
                     product_algebra, push_partition, quotient_algebra,
+                    random_algebra, random_semilattice,
                     subalgebra, unary_polynomials)
 from smbalg.relations import (congruence_by_alternating_closure,
                               subpower_closure_fast)
@@ -143,10 +146,77 @@ def test_congruence_lattice_examples(e3, b2):
     assert len(congruence_lattice(one)) == 1
 
 
-def test_congruence_lattice_brute(e3, n4):
-    for alg in (e3, n4):
-        brute = {p for p in all_partitions(alg.size) if is_congruence(alg, p)}
-        assert set(congruence_lattice(alg).congruences) == brute
+def definitional_covers(congruences) -> tuple:
+    """(i, j) with congruences[i] < congruences[j] and nothing strictly
+    between, in index order."""
+    below = [[p < q for q in congruences] for p in congruences]
+    idx = range(len(congruences))
+    return tuple((i, j) for i in idx for j in idx if below[i][j]
+                 and not any(below[i][k] and below[k][j] for k in idx))
+
+
+def test_congruence_lattice_brute(e3, n4, corpus):
+    """Members are exactly the partitions that are congruences, in the
+    lattice's order, and covers are the definitional ones."""
+    algebras = [e3, n4] + [e.algebra for e in corpus]
+    algebras += [random_algebra(1 + seed % 6, {"wedge": 2, "d": 3}, seed)
+                 for seed in range(24)]
+    algebras += [random_semilattice(n, random.Random(n)) for n in range(1, 7)]
+    for alg in algebras:
+        lat = congruence_lattice(alg)
+        brute = [p for p in all_partitions(alg.size) if is_congruence(alg, p)]
+        assert list(lat.congruences) == sorted(
+            brute, key=lambda p: (-p.num_classes, p.class_ids)), alg.name
+        assert lat.covers == definitional_covers(lat.congruences), alg.name
+
+
+def test_tree_semilattice_lattice_size():
+    # the congruences are the partitions into connected subtrees, one for
+    # each set of cut edges
+    for n in range(1, 11):
+        for seed in range(2):
+            tree = random_semilattice(n, random.Random(100 * n + seed))
+            assert len(congruence_lattice(tree)) == 2 ** (n - 1)
+
+
+def scan_violation(alg, p):
+    """Reference congruence test: the row-by-row scan, returning the first
+    (symbol, args, args') in symbol, argument tuple, position and class
+    order."""
+    ids = p.class_ids
+    classes = p.blocks()
+    for sym, table in alg.operations.items():
+        nested = table.nested
+        for args in itertools.product(range(alg.size), repeat=table.arity):
+            t = nested
+            for a in args:
+                t = t[a]
+            base = t
+            for pos in range(table.arity):
+                for b in classes[ids[args[pos]]]:
+                    if b == args[pos]:
+                        continue
+                    alt = args[:pos] + (b,) + args[pos + 1:]
+                    t = nested
+                    for a in alt:
+                        t = t[a]
+                    if ids[t] != ids[base]:
+                        return (sym, args, alt)
+    return None
+
+
+def test_congruence_violation_matches_scan(corpus):
+    signatures = ({"f": 1, "wedge": 2, "d": 3}, {"d": 3, "g": 2, "f": 1})
+    algebras = [random_algebra(1 + seed % 5, signatures[seed % 2], seed)
+                for seed in range(30)]
+    algebras += [e.algebra for e in corpus if e.algebra.size <= 5]
+    outcomes = set()
+    for alg in algebras:
+        for p in all_partitions(alg.size):
+            expected = scan_violation(alg, p)
+            assert congruence_violation(alg, p) == expected, (alg.name, p)
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_join_example(e3, e3_sim):
