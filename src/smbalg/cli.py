@@ -15,8 +15,7 @@ import sys
 from .core import (AlgebraError, CapExceeded, FalsificationError,
                    FiniteAlgebra, PreconditionError)
 from .partitions import Partition
-from .relations import (commutator, congruence_lattice, congruence_violation,
-                        principal_congruence)
+from .relations import commutator, congruence_lattice, principal_congruence
 from .analyzer import (check_cgvsim, check_regular, check_regular_base,
                        check_smb_over, check_undersim, commutator_below_sim,
                        find_smb_congruences, taylor_check, verify_cg_d3,
@@ -147,12 +146,6 @@ def _cmd_commutator(args) -> int:
     alg = _load(args.file)
     p = Partition.parse(args.p1, alg.size)
     q = Partition.parse(args.p2, alg.size)
-    for part in (p, q):
-        bad = congruence_violation(alg, part)
-        if bad is not None:
-            raise PreconditionError(
-                f"{part} is not a congruence: operation '{bad[0]}' separates "
-                f"{bad[1]} and {bad[2]}")
     result = commutator(alg, p, q)
     _emit(args, _partition_payload(result), [str(result)])
     return 0

@@ -8,7 +8,17 @@ Two closure engines live here.  `generate_subpower` is the traced,
 deterministic breadth-first engine used wherever witnesses must be
 replayed.  `subpower_closure_fast` is a vectorized engine without traces,
 used for the commutator's matrix sets in A^4; the two are cross-checked
-against each other in the test suite.
+against each other in the test suite.  It closes in semi-naive rounds and
+evaluates each round by numpy broadcasting: for every operation, the
+argument columns lie along their own axes of one array of argument
+combinations, cut into blocks of at most `chunk` combinations.  Its
+output order is the generators sorted, then each round's new tuples
+ascending.
+
+The commutator [alpha, beta] is computed by construction as the least
+congruence satisfying the term condition on M(alpha, beta), by a fixpoint
+over class-id masks of the matrix array; `commutator_oracle` finds it
+instead by scanning the congruence lattice.
 
 The congruence layer follows R. Freese, "Computing congruences
 efficiently", Algebra Universalis 59 (2008) 337-343.  Principal
@@ -521,13 +531,73 @@ def _op_arrays(alg: FiniteAlgebra) -> list:
             for t in alg.operations.values()]
 
 
+def _blocks(bounds: list, chunk: int):
+    """Split the product of the index ranges `bounds` into boxes of at most
+    `chunk` combinations.
+
+    The longest run of trailing ranges whose product fits in `chunk` stays
+    whole; the range before it is cut into slices, and any ranges before
+    that are walked one index at a time.  Usually the trailing ranges fit,
+    so only the leading argument's slice is split.
+    """
+    if any(lo == hi for lo, hi in bounds):
+        return
+    cut = len(bounds)
+    inner = 1
+    while cut and inner * (bounds[cut - 1][1] - bounds[cut - 1][0]) <= chunk:
+        cut -= 1
+        inner *= bounds[cut][1] - bounds[cut][0]
+    if cut == 0:
+        yield bounds
+        return
+    cut -= 1
+    step = chunk // inner
+    lo, hi = bounds[cut]
+    for head in itertools.product(*(range(a, b) for a, b in bounds[:cut])):
+        for start in range(lo, hi, step):
+            yield ([(h, h + 1) for h in head] + [(start, min(start + step, hi))]
+                   + bounds[cut + 1:])
+
+
+def _apply_block(tables: np.ndarray, columns: np.ndarray, box: list,
+                 n: int) -> np.ndarray:
+    """Keys of op(x_1, .., x_k) for x_i over the element rows in box[i].
+
+    `tables[c]` is the operation table times the weight of coordinate c.
+    Argument i's column is laid along axis i, so the table index `acc`
+    broadcasts up to the full box only at its last step.  Returns the keys
+    flattened.
+    """
+    arity = len(box)
+    key = 0
+    for table, col in zip(tables, columns):
+        acc = 0
+        for i, (lo, hi) in enumerate(box):
+            shape = [1] * arity
+            shape[i] = hi - lo
+            acc = acc * n + col[lo:hi].reshape(shape)
+        key += table[acc]
+    return key.ravel()
+
+
 def subpower_closure_fast(alg: FiniteAlgebra, power: int,
                           generators: Sequence[tuple],
                           chunk: int = 1 << 20) -> np.ndarray:
     """Vectorized closure of a generated subset of A^power, no traces.
 
-    Returns an (m, power) int array.  Element order is deterministic but
-    differs from the breadth-first order of `generate_subpower`.
+    Returns an (m, power) int array.  A tuple's key is its base-n value.
+    The closure runs in semi-naive rounds: for each operation and each
+    argument position `pos`, the arguments before `pos` range over the
+    elements known before the round, argument `pos` over those found in the
+    last round, and the arguments after `pos` over all of them, so every
+    combination is evaluated once.  A combination's key is summed one
+    coordinate at a time, from a table index built by broadcasting the
+    argument columns against each other.  `chunk` bounds the combinations
+    evaluated at once, and with them the size of the temporary arrays.
+
+    Element order: the generators sorted, then each round's new keys in
+    ascending order.  It differs from the breadth-first order of
+    `generate_subpower`.
     """
     n = alg.size
     space = n ** power
@@ -539,62 +609,33 @@ def subpower_closure_fast(alg: FiniteAlgebra, power: int,
     gen = np.asarray(sorted(set(tuple(g) for g in generators)), dtype=np.int64)
     if gen.ndim != 2 or gen.shape[1] != power:
         raise AlgebraError("generators must be tuples of length `power`")
+    if gen.min() < 0 or gen.max() >= n:
+        raise AlgebraError(f"generators have entries outside 0..{n - 1}")
     visited[gen @ weights] = True
     elements = gen
-    new = gen
-    ops = _op_arrays(alg)
+    new_count = len(gen)
+    ops = [(arity, weights[:, None] * table) for arity, table in _op_arrays(alg)]
 
-    while len(new):
-        old_count = len(elements) - len(new)
-        fresh_keys = []
-        for arity, table in ops:
+    while new_count:
+        total = len(elements)
+        old = total - new_count
+        columns = np.ascontiguousarray(elements.T)
+        fresh = []
+        for arity, tables in ops:
             for pos in range(arity):
-                # first occurrence of a new element at `pos`
-                ranges = []
-                for i in range(arity):
-                    if i < pos:
-                        ranges.append(np.arange(old_count))
-                    elif i == pos:
-                        ranges.append(np.arange(old_count, len(elements)))
-                    else:
-                        ranges.append(np.arange(len(elements)))
-                sizes = [len(r) for r in ranges]
-                total = 1
-                for s in sizes:
-                    total *= s
-                if total == 0:
-                    continue
-                for start in range(0, total, chunk):
-                    stop = min(start + chunk, total)
-                    flat = np.arange(start, stop, dtype=np.int64)
-                    idx_cols = []
-                    rem = flat
-                    for s in reversed(sizes):
-                        idx_cols.append(rem % s)
-                        rem = rem // s
-                    idx_cols.reverse()
-                    acc = None
-                    for r, col in zip(ranges, idx_cols):
-                        coords = elements[r[col]]
-                        acc = coords if acc is None else acc * n + coords
-                    keys = table[acc] @ weights
-                    mask = ~visited[keys]
-                    if mask.any():
-                        fresh_keys.append(np.unique(keys[mask]))
-        if not fresh_keys:
+                bounds = ([(0, old)] * pos + [(old, total)]
+                          + [(0, total)] * (arity - 1 - pos))
+                for box in _blocks(bounds, chunk):
+                    keys = _apply_block(tables, columns, box, n)
+                    keys = keys[~visited[keys]]
+                    if len(keys):
+                        fresh.append(np.unique(keys))
+        if not fresh:
             break
-        keys = np.unique(np.concatenate(fresh_keys))
-        keys = keys[~visited[keys]]
-        if not len(keys):
-            break
+        keys = np.unique(np.concatenate(fresh))
         visited[keys] = True
-        coords = np.empty((len(keys), power), dtype=np.int64)
-        rem = keys
-        for c in range(power - 1, -1, -1):
-            coords[:, c] = rem % n
-            rem = rem // n
-        new = coords
-        elements = np.concatenate([elements, coords])
+        elements = np.concatenate([elements, keys[:, None] // weights % n])
+        new_count = len(keys)
     return elements
 
 
@@ -625,17 +666,25 @@ def _check_congruences(alg: FiniteAlgebra, *parts: Partition):
 def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
     """The binary commutator [alpha, beta], via 2x2 matrix generation.
 
-    The congruence generated by the bottom rows of all matrices in
-    M(alpha, beta) whose top row is constant.  Guaranteed to lie below
-    alpha meet beta; a violation of that bound is raised loudly.
+    The least congruence delta such that every matrix in M(alpha, beta)
+    with a delta-related top row has a delta-related bottom row, which is
+    the term condition itself.  It is the least fixpoint of
+    delta <- Cg(delta u {(m21, m22) : m11 delta m12}) from 0_A; the first
+    step is the congruence generated by the bottom rows of the matrices
+    with a constant top row.  Guaranteed to lie below alpha meet beta; a
+    violation of that bound is raised loudly.
     """
     _check_congruences(alg, alpha, beta)
-    matrices = matrix_set(alg, alpha, beta)
-    pairs = set()
-    for m11, m12, m21, m22 in matrices:
-        if m11 == m12:
-            pairs.add((m21, m22))
-    result = congruence_generated(alg, sorted(pairs))
+    matrices = np.asarray(matrix_set(alg, alpha, beta), dtype=np.int64)
+    result = Partition.zero(alg.size)
+    pairs = np.empty((0, 2), dtype=np.int64)
+    while True:
+        ids = np.asarray(result.class_ids, dtype=np.int64)[matrices]
+        grow = (ids[:, 0] == ids[:, 1]) & (ids[:, 2] != ids[:, 3])
+        if not grow.any():
+            break
+        pairs = np.concatenate([pairs, matrices[grow, 2:]])
+        result = congruence_generated(alg, pairs.tolist())
     if not result.refines(alpha.meet(beta)):
         raise FalsificationError(
             f"commutator bound failed on {alg.name}: [{alpha}, {beta}] = {result} "

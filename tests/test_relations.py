@@ -8,31 +8,38 @@ from smbalg import (AlgebraError, FiniteAlgebra, OperationTable, Partition,
                     commutator, commutator_oracle, compose_relations,
                     congruence_generated, congruence_lattice,
                     congruence_violation, d_rel,
-                    eval_term, generate_subpower,
+                    eval_term, generate_subpower, glue_layout, glue_smb,
                     is_abelian, is_congruence, matrix_set,
                     principal_congruence,
                     product_algebra, push_partition, quotient_algebra,
-                    random_algebra, random_semilattice,
+                    random_algebra, random_semilattice, regularize,
                     subalgebra, unary_polynomials)
 from smbalg.relations import (congruence_by_alternating_closure,
                               subpower_closure_fast)
 from smbalg.constructions import affine_block
 
 
-def brute_subpower(alg, k, generators):
-    """Reference closure: keep applying every operation to every argument
-    combination until nothing new appears."""
-    current = set(tuple(g) for g in generators)
+def closure_in_rounds(alg, k, generators):
+    """Reference closure in the element order of `subpower_closure_fast`:
+    the generators sorted, then in each round every operation is applied
+    to every argument combination and the new tuples come sorted."""
+    elements = sorted(set(tuple(g) for g in generators))
     while True:
+        current = set(elements)
         new = set()
         for table in alg.operations.values():
-            for args in itertools.product(sorted(current), repeat=table.arity):
+            for args in itertools.product(elements, repeat=table.arity):
                 out = tuple(table.apply(*(a[c] for a in args)) for c in range(k))
                 if out not in current:
                     new.add(out)
         if not new:
-            return current
-        current |= new
+            return elements
+        elements += sorted(new)
+
+
+def brute_subpower(alg, k, generators):
+    """Reference closure as a set."""
+    return set(closure_in_rounds(alg, k, generators))
 
 
 def test_generate_subpower_examples(e3, b2):
@@ -101,6 +108,58 @@ def test_fast_closure_chunked(e3):
     tiny = set(map(tuple, subpower_closure_fast(e3, 4, gens, chunk=5).tolist()))
     assert whole == tiny
     assert whole == generate_subpower(e3, 4, gens).as_set()
+
+
+def test_fast_closure_differential(e3):
+    # seeded random algebras: the set must match the traced engine for a
+    # tiny chunk (many blocks) and the default one, and the element order
+    # must be the documented one (generators sorted, then each round's new
+    # tuples ascending)
+    rng = random.Random(303)
+    cases = [(n, arity, power) for arity in (1, 2, 3) for power in (1, 2, 3, 4)
+             for n in (2, 3) if n ** (power * arity) <= 3 ** 8]
+    for n, arity, power in cases:
+        for _ in range(6):
+            sig = {"f": arity, "g": rng.randrange(1, arity + 1)}
+            alg = random_algebra(n, sig, rng.randrange(1 << 30))
+            gens = [tuple(rng.randrange(n) for _ in range(power))
+                    for _ in range(rng.randrange(1, 4))]
+            traced = generate_subpower(alg, power, gens).as_set()
+            ordered = closure_in_rounds(alg, power, gens)
+            for chunk in (3, 1 << 20):
+                fast = subpower_closure_fast(alg, power, gens, chunk=chunk)
+                assert fast.shape == (len(traced), power)
+                assert list(map(tuple, fast.tolist())) == ordered
+                assert set(ordered) == traced
+    for bad in ([(0, 3)], [(0, -1)], [(0,)], []):
+        with pytest.raises(AlgebraError):
+            subpower_closure_fast(e3, 2, bad)
+
+
+def regularized_glued(seed, block_sizes):
+    """A regularized glued algebra over a random tree with one affine block
+    of each given size, and its sim."""
+    rng = random.Random(seed)
+    sl = random_semilattice(len(block_sizes), rng)
+    blocks = {c: affine_block(s) for c, s in enumerate(block_sizes)}
+    offsets = [sum(block_sizes[:c]) for c in range(len(block_sizes))]
+    reps = {c: offsets[c] + rng.randrange(s) for c, s in enumerate(block_sizes)}
+    sim = glue_layout(sl, blocks)
+    return regularize(glue_smb(sl, blocks, reps), sim), sim
+
+
+def test_matrix_set_matches_traced():
+    # M(sim, 1_A) of a regularized glued algebra of size 5, against the
+    # traced engine
+    alg, sim = regularized_glued(3, (3, 2))
+    one = Partition.one(alg.size)
+    gens = sorted({(a, a, b, b) for a, b in sim.pairs()}
+                  | {(c, d, c, d) for c, d in one.pairs()})
+    mats = matrix_set(alg, sim, one)
+    assert len(mats) == len(set(mats))
+    assert set(mats) == generate_subpower(alg, 4, gens).as_set()
+    tiny = subpower_closure_fast(alg, 4, gens, chunk=7)
+    assert tuple(map(tuple, tiny.tolist())) == mats
 
 
 def test_principal_congruence_examples(e3):
@@ -364,6 +423,23 @@ def test_commutator_oracle_spot(e3, s2, e3_sim):
     assert commutator_oracle(e3, one3, one3) == commutator(e3, one3, one3)
     one2 = Partition.one(2)
     assert commutator_oracle(s2, one2, one2) == commutator(s2, one2, one2)
+
+
+@pytest.mark.parametrize("block_sizes", [(2, 2, 1), (2, 2, 2)])
+def test_commutator_oracle_glued(block_sizes):
+    # past n = 4: regularized glued algebras of sizes 5 and 6, every ordered
+    # pair drawn from 0_A, sim, 1_A and the distinct principal congruences
+    alg, sim = regularized_glued(5, block_sizes)
+    n = alg.size
+    args = [Partition.zero(n), sim, Partition.one(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        cg = principal_congruence(alg, a, b)
+        if cg not in args:
+            args.append(cg)
+    assert len(args) > 6
+    for p in args:
+        for q in args:
+            assert commutator(alg, p, q) == commutator_oracle(alg, p, q), (p, q)
 
 
 def test_commutator_is_order_sensitive(e3, e3_sim):
