@@ -6,7 +6,7 @@ from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
                    check_identity, check_quasiidentity, classify_operation,
                    eval_term, materialize_term, substitute, table_flags,
                    term_variables)
-from .partitions import Partition, all_partitions, join_partitions, meet_partitions
+from .partitions import Partition, all_partitions
 from .relations import (CongruenceLattice, GeneratedSet, commutator,
                         commutator_oracle, compose_relations,
                         congruence_generated, congruence_lattice,

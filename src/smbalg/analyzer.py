@@ -3,11 +3,16 @@
 An SMB algebra is an idempotent algebra with designated operations
 `wedge` (binary) and `d` (ternary) together with a congruence `sim` such
 that the quotient is a wedge-semilattice while on each sim-class wedge is
-the second projection and d is Mal'cev.  This module recognizes that
-structure, checks regularity and its twelve-identity equational base,
-verifies the principal-congruence decomposition Cg(a,b) = D o D o D with
-six-step polynomial witnesses, and runs the congruence/commutator
-biconditionals that hold in the regular case.
+the second projection and d is Mal'cev.  The wedge half of that condition
+is checked in one place, `wedge_conditions`, over the m x m table of
+sim-classes of wedge at class representatives; `check_smb_over` adds
+idempotence, the congruence test and the Mal'cev condition, and the
+pipeline, the gluing construction and the circ class order reuse it.
+
+Besides recognition, the module checks regularity and its twelve-identity
+equational base, verifies the principal-congruence decomposition
+Cg(a,b) = D o D o D with six-step polynomial witnesses, and runs the
+congruence/commutator biconditionals that hold in the regular case.
 
 The biconditional checkers compute both sides independently and raise
 FalsificationError when they disagree, so the test suite doubles as a
@@ -21,13 +26,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
                    Identity, OperationTable, PreconditionError, Quasiidentity,
-                   Term, Var, Verdict, check_identity, eval_term, substitute)
+                   Term, Var, Verdict, check_identity, eval_term,
+                   idempotence_violation, substitute)
 from .partitions import Partition
-from .relations import (GeneratedSet, compose_relations, congruence_violation,
-                        d_rel, polynomial_image_pairs, principal_congruence,
-                        quotient_algebra, commutator, congruence_lattice)
+from .relations import (GeneratedSet, _check_congruences, compose_relations,
+                        congruence_violation, d_rel, polynomial_image_pairs,
+                        principal_congruence, quotient_algebra, commutator,
+                        congruence_lattice)
 
 WEDGE = "wedge"
 D = "d"
@@ -104,10 +113,7 @@ class RegularityReport:
     def as_dict(self) -> dict:
         return {
             "verdict": self.holds,
-            "conditions": {
-                name: {"holds": v.holds,
-                       "witness": None if v.witness is None else list(v.witness)}
-                for name, v in self.conditions.items()},
+            "conditions": {name: v.as_dict() for name, v in self.conditions.items()},
         }
 
 
@@ -124,10 +130,7 @@ class BaseReport:
     def as_dict(self) -> dict:
         return {
             "verdict": self.holds,
-            "identities": {
-                name: {"holds": v.holds,
-                       "witness": None if v.witness is None else list(v.witness)}
-                for name, v in self.verdicts.items()},
+            "identities": {name: v.as_dict() for name, v in self.verdicts.items()},
             "sim": None if self.recovered_sim is None else str(self.recovered_sim),
         }
 
@@ -146,85 +149,125 @@ def designated_ops(alg: FiniteAlgebra) -> Tuple[OperationTable, OperationTable]:
 # ---------------------------------------------------------------------------
 # SMB recognition
 
+def wedge_conditions(wedge: OperationTable, sim: Partition) -> Tuple[list, list, ClassOrder]:
+    """The wedge half of the SMB condition over sim: (mod_sim, second_proj, order).
+
+    All of it is read off the m x m class table q[i, j] = [rep_i wedge
+    rep_j], rep_i the least element of class i, and the n x n table of
+    wedge.  mod_sim lists the Idem-, Comm- and Assoc-mod-sim failures of q
+    in index order, with witnesses at the representatives; they describe
+    the quotient only when wedge is compatible with sim, which the caller
+    checks.  second_proj lists ("SecondProj", (a, b)) for a ~ b with
+    a wedge b != b, class by class.  order relates classes i <= j when
+    q[i, j] = i; it is the order of the quotient semilattice when both
+    lists are empty and wedge is compatible with sim.
+    """
+    n = sim.size
+    ids = np.asarray(sim.class_ids, dtype=np.int64)
+    blocks = sim.blocks()
+    reps = [blk[0] for blk in blocks]
+    table = np.asarray(wedge.entries, dtype=np.int64).reshape(n, n)
+    q = ids[table[np.ix_(reps, reps)]]
+    c = np.arange(len(reps))
+    assoc = q[q[:, :, None], c] != q[c[:, None, None], q]
+    mod_sim = ([("Idem-mod-sim", (reps[i],)) for i in np.flatnonzero(q.diagonal() != c).tolist()]
+               + [("Comm-mod-sim", (reps[i], reps[j])) for i, j in np.argwhere(q != q.T).tolist()]
+               + [("Assoc-mod-sim", (reps[i], reps[j], reps[k]))
+                  for i, j, k in np.argwhere(assoc).tolist()])
+    same = ids[:, None] == ids
+    second_proj = [("SecondProj", (a, b))
+                   for a, b in _by_class(np.argwhere(same & (table != np.arange(n))), ids)]
+    order = ClassOrder(tuple(blocks), frozenset(map(tuple, np.argwhere(q == c[:, None]).tolist())))
+    return mod_sim, second_proj, order
+
+
+def _by_class(pairs: np.ndarray, ids: np.ndarray) -> list:
+    """Index pairs (a, b) from np.argwhere, stably regrouped by the class of a."""
+    return pairs[np.argsort(ids[pairs[:, 0]], kind="stable")].tolist()
+
+
+def _sim_conditions(wedge: OperationTable, d: OperationTable,
+                    sim: Partition) -> Tuple[list, list, ClassOrder]:
+    """(mod_sim, per_class, order): wedge_conditions plus the Mal'cev
+    failures ("Malcev", (x, y, y)) and ("Malcev", (y, y, x)) of d on each
+    class; per_class lists the SecondProj and then the Malcev failures of
+    each class in turn."""
+    mod_sim, second_proj, order = wedge_conditions(wedge, sim)
+    n = sim.size
+    ids = np.asarray(sim.class_ids, dtype=np.int64)
+    x = np.arange(n)[:, None]
+    y = np.arange(n)
+    dt = np.asarray(d.entries, dtype=np.int64).reshape(n, n, n)
+    dyy, yyx = dt[x, y, y], dt[y, y, x]          # d(x, y, y) and d(y, y, x) at [x, y]
+    malcev = []
+    for a, b in _by_class(np.argwhere((ids[:, None] == ids) & ((dyy != x) | (yyx != x))), ids):
+        if dyy[a, b] != a:
+            malcev.append(("Malcev", (a, b, b)))
+        if yyx[a, b] != a:
+            malcev.append(("Malcev", (b, b, a)))
+    per_class = sorted(second_proj + malcev, key=lambda v: sim.class_ids[v[1][0]])
+    return mod_sim, per_class, order
+
+
+def _idempotence_violations(alg: FiniteAlgebra) -> list:
+    out = []
+    for sym, table in alg.operations.items():
+        x = idempotence_violation(table)
+        if x is not None:
+            out.append(("Idempotence", (sym, x)))
+    return out
+
+
 def check_smb_over(alg: FiniteAlgebra, sim: Partition) -> SmbReport:
     """Check the SMB conditions for one candidate congruence.
 
-    Violations carry the exact failing tuples:
-      Idempotence   (symbol, element)
-      Congruence    (symbol, args, args')
+    Violations carry the exact failing tuples, in this order:
+      Idempotence   (symbol, least failing element), per operation
+      Congruence    (symbol, args, args'); replaces the mod-sim checks
       Idem/Comm/Assoc-mod-sim   representative tuples at class level
       SecondProj    (a, b) in one class with wedge(a, b) != b
       Malcev        the failing d-argument triple inside one class
+    SecondProj and Malcev are listed class by class.
     """
     wedge, d = designated_ops(alg)
     if sim.size != alg.size:
         raise AlgebraError(
             f"partition size {sim.size} does not match algebra size {alg.size}")
-    violations = []
-
-    for sym, table in alg.operations.items():
-        for x in range(alg.size):
-            if table.entries[table.index((x,) * table.arity)] != x:
-                violations.append(("Idempotence", (sym, x)))
-                break
-
-    cong_ok = True
     bad = congruence_violation(alg, sim)
-    if bad is not None:
-        cong_ok = False
-        violations.append(("Congruence", bad))
-
-    ids = sim.class_ids
-    blocks = sim.blocks()
-    order = None
-    if cong_ok:
-        reps = [blk[0] for blk in blocks]
-        m = len(reps)
-
-        def qw(i, j):
-            return ids[wedge.entries[wedge.index((reps[i], reps[j]))]]
-
-        for i in range(m):
-            if qw(i, i) != i:
-                violations.append(("Idem-mod-sim", (reps[i],)))
-        for i in range(m):
-            for j in range(m):
-                if qw(i, j) != qw(j, i):
-                    violations.append(("Comm-mod-sim", (reps[i], reps[j])))
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if qw(qw(i, j), k) != qw(i, qw(j, k)):
-                        violations.append(("Assoc-mod-sim", (reps[i], reps[j], reps[k])))
-
-    for blk in blocks:
-        for a in blk:
-            for b in blk:
-                if wedge.entries[wedge.index((a, b))] != b:
-                    violations.append(("SecondProj", (a, b)))
-        for x in blk:
-            for y in blk:
-                if d.entries[d.index((x, y, y))] != x:
-                    violations.append(("Malcev", (x, y, y)))
-                if d.entries[d.index((y, y, x))] != x:
-                    violations.append(("Malcev", (y, y, x)))
-
+    mod_sim, per_class, order = _sim_conditions(wedge, d, sim)
+    violations = (_idempotence_violations(alg)
+                  + ([("Congruence", bad)] if bad is not None else mod_sim) + per_class)
     verdict = not violations
-    if verdict:
-        m = len(blocks)
-        reps = [blk[0] for blk in blocks]
-        leq = frozenset(
-            (i, j) for i in range(m) for j in range(m)
-            if ids[wedge.entries[wedge.index((reps[i], reps[j]))]] == i)
-        order = ClassOrder(tuple(blocks), leq)
-    return SmbReport(verdict, sim, tuple(violations), order)
+    return SmbReport(verdict, sim, tuple(violations), order if verdict else None)
+
+
+def _check_smb(alg: FiniteAlgebra, sim: Partition) -> SmbReport:
+    """check_smb_over, raising PreconditionError when the verdict fails."""
+    report = check_smb_over(alg, sim)
+    if not report.verdict:
+        rule, witness = report.violations[0]
+        raise PreconditionError(
+            f"'{alg.name}' is not SMB over {sim}: {rule} fails at {witness}")
+    return report
 
 
 def find_smb_congruences(alg: FiniteAlgebra) -> list:
-    """All congruences over which the algebra is SMB; empty means not SMB."""
-    designated_ops(alg)
+    """All congruences over which the algebra is SMB; empty means not SMB.
+
+    Lattice members are congruences by construction and idempotence does
+    not depend on sim, so only the per-sim conditions of check_smb_over
+    are tested for each member.
+    """
+    wedge, d = designated_ops(alg)
     lattice = congruence_lattice(alg)
-    return [theta for theta in lattice if check_smb_over(alg, theta).verdict]
+    if _idempotence_violations(alg):
+        return []
+    out = []
+    for theta in lattice:
+        mod_sim, per_class, _ = _sim_conditions(wedge, d, theta)
+        if not mod_sim and not per_class:
+            out.append(theta)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +281,7 @@ def check_regular(alg: FiniteAlgebra, sim: Partition) -> RegularityReport:
     (iii) d(x,y,z) = d((y^z)^x, (x^z)^y, (x^y)^z) as an identity,
     (iv)  (x^y)^y = x^y as an identity.
     """
-    report = check_smb_over(alg, sim)
-    if not report.verdict:
-        rule, witness = report.violations[0]
-        raise PreconditionError(
-            f"'{alg.name}' is not SMB over {sim}: {rule} fails at {witness}")
+    report = _check_smb(alg, sim)
     wedge, d = designated_ops(alg)
     ids = sim.class_ids
     n = alg.size
@@ -375,9 +414,7 @@ class TaylorReport:
 
     def as_dict(self) -> dict:
         return {"verdict": self.holds,
-                "checks": {label: {"holds": v.holds,
-                                   "witness": None if v.witness is None else list(v.witness)}
-                           for label, v in self.checks}}
+                "checks": {label: v.as_dict() for label, v in self.checks}}
 
 
 def taylor_check(alg: FiniteAlgebra) -> TaylorReport:
@@ -508,9 +545,7 @@ def join_membership_chain(alg: FiniteAlgebra, sim: Partition,
     """Is (c, d) in Cg(a,b) join sim, with an explicit alternating chain
     c = c0 ~ d0, c1 ~ d1, ..., ck ~ dk = d whose links {d_{i-1}, c_i} are
     unary polynomial images of {a, b}."""
-    bad = congruence_violation(alg, sim)
-    if bad is not None:
-        raise PreconditionError(f"sim is not a congruence: {bad}")
+    _check_congruences(alg, sim)
     cg = principal_congruence(alg, a, b)
     member = cg.join(sim).related(c, d)
 
@@ -676,13 +711,8 @@ def alternating_chain_fold(alg: FiniteAlgebra, sim: Partition, theta: Partition,
     if len(chain) < 2 or len(chain) % 2 != 0:
         raise AlgebraError("chain must list c0, d0, ..., ck, dk")
     wedge, _ = designated_ops(alg)
-    smb = check_smb_over(alg, sim)
-    if not smb.verdict:
-        raise PreconditionError(
-            f"'{alg.name}' is not SMB over {sim}: {smb.violations[0]}")
-    bad = congruence_violation(alg, theta)
-    if bad is not None:
-        raise PreconditionError(f"theta is not a congruence: {bad}")
+    _check_smb(alg, sim)
+    _check_congruences(alg, theta)
     cs = tuple(chain[0::2])
     ds = tuple(chain[1::2])
     for ci, di in zip(cs, ds):

@@ -30,7 +30,11 @@ BUILTINS = {"e3": example_e3, "b2": example_b2, "s2": example_s2, "n4": example_
 
 def _load(path: str) -> FiniteAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise AlgebraError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_algebra(text)
 
 
 def _emit(args, payload: dict, lines):

@@ -24,7 +24,7 @@ from typing import Dict, Iterator, Mapping, Optional
 from .core import (AlgebraError, FalsificationError, FiniteAlgebra,
                    OperationTable, materialize_term, table_flags, App, Var)
 from .partitions import Partition
-from .analyzer import WEDGE, D, check_smb_over
+from .analyzer import WEDGE, D, check_smb_over, wedge_conditions
 from .relations import LATTICE_SIZE_CAP, congruence_lattice
 from .pipeline import regularize
 
@@ -76,25 +76,6 @@ def affine_block(size: int) -> FiniteAlgebra:
 # ---------------------------------------------------------------------------
 # Gluing
 
-def _validate_semilattice(alg: FiniteAlgebra) -> OperationTable:
-    wedge = alg.op(WEDGE)
-    if wedge.arity != 2:
-        raise AlgebraError("the semilattice operation must be binary")
-    n = alg.size
-    e = wedge.entries
-    for x in range(n):
-        if e[x * n + x] != x:
-            raise AlgebraError(f"not a semilattice: wedge({x},{x}) != {x}")
-        for y in range(n):
-            if e[x * n + y] != e[y * n + x]:
-                raise AlgebraError(f"not a semilattice: wedge not commutative at ({x},{y})")
-            for z in range(n):
-                if e[e[x * n + y] * n + z] != e[x * n + e[y * n + z]]:
-                    raise AlgebraError(
-                        f"not a semilattice: wedge not associative at ({x},{y},{z})")
-    return wedge
-
-
 def glue_layout(semilattice: FiniteAlgebra,
                 blocks: Mapping[int, FiniteAlgebra]) -> Partition:
     """The block partition of the glued universe (blocks are laid out in
@@ -118,8 +99,14 @@ def glue_smb(semilattice: FiniteAlgebra,
     element, and any in-block choice keeps the output SMB (a nonsingleton
     block below another class makes it non-regular).
     """
-    sl_wedge = _validate_semilattice(semilattice)
+    sl_wedge = semilattice.op(WEDGE)
+    if sl_wedge.arity != 2:
+        raise AlgebraError("the semilattice operation must be binary")
     m = semilattice.size
+    not_semilattice, _, _ = wedge_conditions(sl_wedge, Partition.zero(m))
+    if not_semilattice:
+        rule, witness = not_semilattice[0]
+        raise AlgebraError(f"not a semilattice: {rule} fails at {witness}")
     if set(blocks) != set(range(m)):
         raise AlgebraError("blocks must be indexed by the semilattice elements")
     offsets = []

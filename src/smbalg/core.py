@@ -312,6 +312,10 @@ class Verdict:
     def __bool__(self):
         return self.holds
 
+    def as_dict(self) -> dict:
+        return {"holds": self.holds,
+                "witness": None if self.witness is None else list(self.witness)}
+
 
 def _var_count(variables: frozenset) -> int:
     return max(variables) + 1 if variables else 0
@@ -350,6 +354,12 @@ def check_quasiidentity(alg: FiniteAlgebra, quasi: Quasiidentity) -> Verdict:
 # ---------------------------------------------------------------------------
 # Operation classification
 
+def idempotence_violation(table: OperationTable) -> Optional[int]:
+    """The least x with table(x, ..., x) != x, or None when idempotent."""
+    step = sum(table.size ** i for i in range(table.arity))   # index of (1, ..., 1)
+    return next((x for x in range(table.size) if table.entries[x * step] != x), None)
+
+
 @dataclass(frozen=True)
 class OperationFlags:
     idempotent: bool
@@ -365,7 +375,7 @@ def table_flags(table: OperationTable) -> OperationFlags:
     k = table.arity
     entries = table.entries
 
-    idem = all(entries[table.index((x,) * k)] == x for x in range(n))
+    idem = idempotence_violation(table) is None
 
     # weak near-unanimity: idempotent and all one-dissident patterns agree
     wnu = idem

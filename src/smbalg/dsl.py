@@ -51,7 +51,7 @@ def _tokenize(text: str, line: int = 1):
             col = pos + 1
             if tok.startswith("@"):
                 tokens.append(("const", int(tok[1:]), lineno, col))
-            elif tok.isdigit():
+            elif tok.isdecimal():
                 tokens.append(("int", int(tok), lineno, col))
             elif tok[0].isalpha() or tok[0] == "_":
                 tokens.append(("name", tok, lineno, col))
@@ -209,7 +209,7 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         if collecting is not None:
             sym, arity, entries, header_line = collecting
             need = size ** arity
-            if all(t.isdigit() for t in tokens):
+            if all(t.isdecimal() for t in tokens):
                 for col, t in enumerate(tokens):
                     v = int(t)
                     if v >= size:
@@ -237,13 +237,13 @@ def parse_algebra(text: str) -> FiniteAlgebra:
                 raise ParseError(lineno, 1, "'size' before 'algebra'")
             if size is not None:
                 raise ParseError(lineno, 1, "duplicate 'size' line")
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
                 raise ParseError(lineno, 1, "usage: size N with N >= 1")
             size = int(tokens[1])
         elif head == "op":
             if size is None:
                 raise ParseError(lineno, 1, "'op' before 'size'")
-            if len(tokens) != 3 or not tokens[2].isdigit():
+            if len(tokens) != 3 or not tokens[2].isdecimal():
                 raise ParseError(lineno, 1, "usage: op NAME ARITY")
             sym, arity = tokens[1], int(tokens[2])
             if arity < 1:
@@ -265,15 +265,14 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             if sym in symbols:
                 raise ParseError(lineno, 1, f"duplicate operation symbol '{sym}'")
             signature = {s: t.arity for s, t in ops}
-            try:
-                term = _TermParser(_tokenize(term_text, lineno), signature).term()
-            except ParseError:
-                raise
             partial = FiniteAlgebra(name or "partial", size, ops)
             try:
+                term = _TermParser(_tokenize(term_text, lineno), signature).term()
                 table = materialize_term(partial, term, arity)
             except AlgebraError as exc:
                 raise ParseError(lineno, 1, f"bad derive term: {exc}") from None
+            except RecursionError:
+                raise ParseError(lineno, 1, "derive term is nested too deeply") from None
             symbols.add(sym)
             ops.append((sym, table))
         else:

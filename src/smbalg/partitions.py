@@ -219,14 +219,6 @@ class Partition:
         return [list(b) for b in self.blocks()]
 
 
-def join_partitions(p: Partition, q: Partition) -> Partition:
-    return p.join(q)
-
-
-def meet_partitions(p: Partition, q: Partition) -> Partition:
-    return p.meet(q)
-
-
 def all_partitions(n: int):
     """Every partition of {0..n-1}, in a deterministic order."""
     if n == 1:

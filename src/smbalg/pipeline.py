@@ -8,6 +8,11 @@ candidate (y o x) o y which is a semilattice modulo sim and the second
 projection on classes, and the regularization transform that upgrades an
 SMB algebra to a regular one on the same universe.
 
+The semilattice-term conclusion and the circ class order are checked by
+the analyzer's single SMB routine, `wedge_conditions`, after a
+compatibility test of the binary table with sim by `congruence_violation`
+on the one-operation algebra of that table.
+
 Factorial-fold compositions are never performed literally: for a self-map
 f of a finite set, f composed with itself |A|! times is the unique
 idempotent element of the monogenic semigroup generated by f, and that
@@ -21,11 +26,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .core import (AlgebraError, FalsificationError, FiniteAlgebra,
-                   OperationTable, PreconditionError, table_flags)
+                   OperationTable, PreconditionError, idempotence_violation,
+                   table_flags)
 from .partitions import Partition
-from .analyzer import (ClassOrder, SmbReport, WEDGE, D, check_regular_base,
-                       check_smb_over, find_smb_congruences, recovered_sim)
-from .relations import congruence_lattice, congruence_violation, is_abelian
+from .analyzer import (ClassOrder, SmbReport, WEDGE, D, _check_smb,
+                       check_regular_base, find_smb_congruences,
+                       wedge_conditions)
+from .relations import (_check_congruences, congruence_lattice,
+                        congruence_violation, is_abelian)
 
 ITERATION_ENTRY_CAP = 1_000_000
 
@@ -201,30 +209,20 @@ def class_order_from_circ(alg: FiniteAlgebra, circ: OperationTable,
     with sim; otherwise the comparison would depend on the representatives
     chosen, which is surfaced as RepresentativeInconsistency.
     """
-    bad = congruence_violation(alg, sim)
-    if bad is not None:
-        raise PreconditionError(f"sim is not a congruence: {bad}")
+    _check_congruences(alg, sim)
     if circ.size != alg.size:
         raise AlgebraError("circ table size does not match the algebra")
+    bad = congruence_violation(FiniteAlgebra("circ", alg.size, {"circ": circ}), sim)
+    if bad is not None:
+        raise RepresentativeInconsistency(
+            f"circ is not compatible with sim: it separates {bad[1]} and {bad[2]}")
+    # [x] <= [y] iff (y o x) ~ x: the order read off the transposed circ
     n = alg.size
-    ids = sim.class_ids
-    for a in range(n):
-        for b in range(n):
-            if ids[a] != ids[b]:
-                continue
-            for x in range(n):
-                if (ids[circ.entries[a * n + x]] != ids[circ.entries[b * n + x]]
-                        or ids[circ.entries[x * n + a]] != ids[circ.entries[x * n + b]]):
-                    raise RepresentativeInconsistency(
-                        f"circ is not compatible with sim at representatives "
-                        f"{a} ~ {b} against {x}")
-
-    blocks = sim.blocks()
-    m = len(blocks)
-    reps = [blk[0] for blk in blocks]
-    leq = frozenset((i, j) for i in range(m) for j in range(m)
-                    if ids[circ.entries[reps[j] * n + reps[i]]] == i)
-    order = ClassOrder(tuple(blocks), leq)
+    transposed = OperationTable(2, n, [circ.entries[y * n + x]
+                                       for x in range(n) for y in range(n)])
+    _, _, order = wedge_conditions(transposed, sim)
+    leq = order.leq
+    m = len(order.classes)
 
     reflexive = all((i, i) in leq for i in range(m))
     antisymmetric = all(not ((i, j) in leq and (j, i) in leq)
@@ -265,68 +263,17 @@ def run_pipeline(alg: FiniteAlgebra, w_symbol: str) -> PipelineResult:
             cand[x * n + y] = special.entries[special.entries[y * n + x] * n + y]
     wedge_candidate = OperationTable(2, n, cand)
 
-    def idem(t):
-        return all(t.entries[t.index((x,) * t.arity)] == x for x in range(n))
-
     diagnostics = {
-        "circ": {"idempotent": idem(circ)},
-        "iterated_wnu": {"idempotent": idem(iterated),
+        "circ": {"idempotent": idempotence_violation(circ) is None},
+        "iterated_wnu": {"idempotent": idempotence_violation(iterated) is None,
                          "wnu": table_flags(iterated).wnu,
                          "fixpoint": iterated == alg.op(w_symbol)},
-        "circ_special": {"idempotent": idem(special),
+        "circ_special": {"idempotent": idempotence_violation(special) is None,
                          "absorbing": True},   # construction verified it
-        "wedge_candidate": {"idempotent": idem(wedge_candidate)},
+        "wedge_candidate": {"idempotent": idempotence_violation(wedge_candidate) is None},
     }
     return PipelineResult(circ, iterated, circ_iter, special, wedge_candidate,
                           diagnostics)
-
-
-def _wedge_conclusion(size: int, table: OperationTable, sim: Partition) -> SmbReport:
-    """Check that `table` is a semilattice modulo sim and the second
-    projection on every sim-class; reported in SmbReport form."""
-    ids = sim.class_ids
-    blocks = sim.blocks()
-    reps = [blk[0] for blk in blocks]
-    m = len(blocks)
-    n = size
-    violations = []
-
-    for a in range(n):
-        for b in range(n):
-            if ids[a] != ids[b]:
-                continue
-            for x in range(n):
-                if ids[table.entries[a * n + x]] != ids[table.entries[b * n + x]] \
-                        or ids[table.entries[x * n + a]] != ids[table.entries[x * n + b]]:
-                    violations.append(("Congruence", (WEDGE, (a, x), (b, x))))
-    def qw(i, j):
-        return ids[table.entries[reps[i] * n + reps[j]]]
-
-    if not violations:
-        for i in range(m):
-            if qw(i, i) != i:
-                violations.append(("Idem-mod-sim", (reps[i],)))
-        for i in range(m):
-            for j in range(m):
-                if qw(i, j) != qw(j, i):
-                    violations.append(("Comm-mod-sim", (reps[i], reps[j])))
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if qw(qw(i, j), k) != qw(i, qw(j, k)):
-                        violations.append(("Assoc-mod-sim", (reps[i], reps[j], reps[k])))
-    for blk in blocks:
-        for a in blk:
-            for b in blk:
-                if table.entries[a * n + b] != b:
-                    violations.append(("SecondProj", (a, b)))
-
-    verdict = not violations
-    order = None
-    if verdict:
-        leq = frozenset((i, j) for i in range(m) for j in range(m) if qw(i, j) == i)
-        order = ClassOrder(tuple(blocks), leq)
-    return SmbReport(verdict, sim, tuple(violations), order)
 
 
 @dataclass(frozen=True)
@@ -348,9 +295,7 @@ def semilattice_term(alg: FiniteAlgebra, w_symbol: str,
     FalsificationError; with hypotheses not established the failure is
     only reported.
     """
-    bad = congruence_violation(alg, sim)
-    if bad is not None:
-        raise PreconditionError(f"sim is not a congruence: {bad}")
+    _check_congruences(alg, sim)
     result = run_pipeline(alg, w_symbol)
 
     lattice = congruence_lattice(alg)
@@ -364,7 +309,12 @@ def semilattice_term(alg: FiniteAlgebra, w_symbol: str,
     }
     established = all(hypotheses.values())
 
-    report = _wedge_conclusion(alg.size, result.wedge_candidate, sim)
+    table = result.wedge_candidate
+    bad = congruence_violation(FiniteAlgebra(f"{alg.name}_wedge", alg.size, {WEDGE: table}), sim)
+    mod_sim, second_proj, order = wedge_conditions(table, sim)
+    violations = ([("Congruence", bad)] if bad is not None else mod_sim) + second_proj
+    report = SmbReport(not violations, sim, tuple(violations),
+                       None if violations else order)
     if established and not report.verdict:
         raise FalsificationError(
             f"semilattice-term conclusion fails on '{alg.name}' although the "
@@ -391,10 +341,7 @@ def regularize(alg: FiniteAlgebra, sim: Optional[Partition] = None) -> FiniteAlg
             raise PreconditionError(f"'{alg.name}' is not an SMB algebra")
         sim = sims[0]
     else:
-        smb = check_smb_over(alg, sim)
-        if not smb.verdict:
-            raise PreconditionError(
-                f"'{alg.name}' is not SMB over {sim}: {smb.violations[0]}")
+        _check_smb(alg, sim)
 
     wedge, d = alg.op(WEDGE), alg.op(D)
     n = alg.size

@@ -376,11 +376,7 @@ def quotient_algebra(alg: FiniteAlgebra, theta: Partition) -> Tuple[FiniteAlgebr
     theta is verified to be a congruence; induced tables are computed via
     representatives, which the congruence property makes well defined.
     """
-    bad = congruence_violation(alg, theta)
-    if bad is not None:
-        sym, t1, t2 = bad
-        raise PreconditionError(
-            f"partition is not a congruence: operation '{sym}' separates {t1} and {t2}")
+    _check_congruences(alg, theta)
     ids = theta.class_ids
     reps = [block[0] for block in theta.blocks()]
     m = theta.num_classes
@@ -640,17 +636,19 @@ def subpower_closure_fast(alg: FiniteAlgebra, power: int,
 
 
 @lru_cache(maxsize=None)
-def matrix_set(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> tuple:
-    """M(alpha, beta): tuples (m11, m12, m21, m22) read as 2x2 matrices,
+def matrix_set(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> np.ndarray:
+    """M(alpha, beta): rows (m11, m12, m21, m22) read as 2x2 matrices,
     generated from alpha-pairs duplicated as rows and beta-pairs duplicated
-    as columns."""
+    as columns.  The closure's (m, 4) int64 array, made read-only since it
+    is cached."""
     gens = set()
     for a, b in alpha.pairs():
         gens.add((a, a, b, b))
     for c, d in beta.pairs():
         gens.add((c, d, c, d))
     closed = subpower_closure_fast(alg, 4, sorted(gens))
-    return tuple(map(tuple, closed.tolist()))
+    closed.setflags(write=False)
+    return closed
 
 
 def _check_congruences(alg: FiniteAlgebra, *parts: Partition):
@@ -675,7 +673,7 @@ def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partiti
     violation of that bound is raised loudly.
     """
     _check_congruences(alg, alpha, beta)
-    matrices = np.asarray(matrix_set(alg, alpha, beta), dtype=np.int64)
+    matrices = matrix_set(alg, alpha, beta)
     result = Partition.zero(alg.size)
     pairs = np.empty((0, 2), dtype=np.int64)
     while True:
@@ -698,7 +696,7 @@ def commutator_oracle(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> 
     matrix in M(alpha, beta) with a delta-related top row has a
     delta-related bottom row, found by scanning the whole lattice."""
     _check_congruences(alg, alpha, beta)
-    matrices = np.asarray(matrix_set(alg, alpha, beta), dtype=np.int64)
+    matrices = matrix_set(alg, alpha, beta)
     lattice = congruence_lattice(alg)
 
     def satisfies(delta: Partition) -> bool:

@@ -3,16 +3,18 @@ import random
 
 import pytest
 
-from smbalg import (App, Partition, PreconditionError, Var, affine_block,
-                    check_cgvsim,
+from smbalg import (App, ClassOrder, FiniteAlgebra, OperationTable, Partition,
+                    PreconditionError, SmbReport, Var, affine_block,
+                    all_partitions, check_cgvsim,
                     check_identity, check_quasiidentity, check_regular,
                     check_regular_base, check_smb_over, check_undersim,
                     cgvsim_below, commutator_below_sim, congruence_lattice,
-                    eval_term, find_smb_congruences, glue_smb,
-                    join_membership_chain, alternating_chain_fold,
+                    congruence_violation, eval_term, find_smb_congruences,
+                    glue_smb, join_membership_chain, alternating_chain_fold,
                     principal_congruence, random_semilattice, recovered_sim,
                     regularize, smb_axioms, taylor_check, verify_cg_d3)
 from smbalg.analyzer import BASE_IDENTITY_NAMES
+from smbalg.constructions import random_algebra
 
 
 def test_check_smb_over_examples(e3, b2, e3_sim):
@@ -21,6 +23,88 @@ def test_check_smb_over_examples(e3, b2, e3_sim):
     report = check_smb_over(e3, Partition.zero(3))
     assert not report.verdict
     assert ("Comm-mod-sim", (0, 1)) in report.violations
+
+
+def scan_smb_over(alg, sim):
+    """Reference: the SMB check as a scan over classes and block pairs."""
+    wedge, d = alg.op("wedge"), alg.op("d")
+    violations = []
+    for sym, table in alg.operations.items():
+        for x in range(alg.size):
+            if table.entries[table.index((x,) * table.arity)] != x:
+                violations.append(("Idempotence", (sym, x)))
+                break
+    bad = congruence_violation(alg, sim)
+    if bad is not None:
+        violations.append(("Congruence", bad))
+    ids = sim.class_ids
+    blocks = sim.blocks()
+    reps = [blk[0] for blk in blocks]
+    m = len(reps)
+
+    def qw(i, j):
+        return ids[wedge.entries[wedge.index((reps[i], reps[j]))]]
+
+    if bad is None:
+        for i in range(m):
+            if qw(i, i) != i:
+                violations.append(("Idem-mod-sim", (reps[i],)))
+        for i in range(m):
+            for j in range(m):
+                if qw(i, j) != qw(j, i):
+                    violations.append(("Comm-mod-sim", (reps[i], reps[j])))
+        for i in range(m):
+            for j in range(m):
+                for k in range(m):
+                    if qw(qw(i, j), k) != qw(i, qw(j, k)):
+                        violations.append(("Assoc-mod-sim", (reps[i], reps[j], reps[k])))
+    for blk in blocks:
+        for a in blk:
+            for b in blk:
+                if wedge.entries[wedge.index((a, b))] != b:
+                    violations.append(("SecondProj", (a, b)))
+        for x in blk:
+            for y in blk:
+                if d.entries[d.index((x, y, y))] != x:
+                    violations.append(("Malcev", (x, y, y)))
+                if d.entries[d.index((y, y, x))] != x:
+                    violations.append(("Malcev", (y, y, x)))
+    order = None
+    if not violations:
+        order = ClassOrder(tuple(blocks), frozenset(
+            (i, j) for i in range(m) for j in range(m) if qw(i, j) == i))
+    return SmbReport(not violations, sim, tuple(violations), order)
+
+
+def _idempotent_diagonal(alg):
+    ops = {}
+    for sym, table in alg.operations.items():
+        entries = list(table.entries)
+        for x in range(alg.size):
+            entries[table.index((x,) * table.arity)] = x
+        ops[sym] = OperationTable(table.arity, alg.size, entries)
+    return FiniteAlgebra(f"{alg.name}_idem", alg.size, ops)
+
+
+def test_check_smb_over_matches_scan(corpus):
+    # every partition of random {wedge/2, d/3} algebras (half of them with
+    # an idempotent diagonal) and of the corpus, against the scan above
+    algebras = [random_algebra(1 + seed % 5, {"wedge": 2, "d": 3}, seed)
+                for seed in range(60)]
+    algebras = [_idempotent_diagonal(a) if i % 2 else a for i, a in enumerate(algebras)]
+    algebras += [e.algebra for e in corpus
+                 if e.algebra.size <= 6 and e.algebra.has_op("wedge", 2)
+                 and e.algebra.has_op("d", 3)]
+    verdicts = set()
+    for alg in algebras:
+        for sim in all_partitions(alg.size):
+            expected = scan_smb_over(alg, sim)
+            assert check_smb_over(alg, sim) == expected, (alg.name, sim)
+            verdicts.add(expected.verdict)
+        lattice = congruence_lattice(alg)
+        assert find_smb_congruences(alg) == [
+            theta for theta in lattice if scan_smb_over(alg, theta).verdict], alg.name
+    assert verdicts == {True, False}
 
 
 def test_class_order_from_smb(e3, e3_sim):

@@ -144,3 +144,30 @@ def test_json_output_deterministic(e3_file, capsys):
     first = capsys.readouterr().out
     main(["verify-base", e3_file, "--json"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("text", [
+    "algebra x\nsize ²\nop f 1\n0 1\n",          # a superscript two
+    "algebra x\nsize 2\nop f 1\n0 ¹\n",          # a superscript one
+])
+def test_non_decimal_digits_exit(tmp_path, capsys, text):
+    bad = tmp_path / "digits.alg"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["check-smb", str(bad)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_non_utf8_file_exit(tmp_path, capsys):
+    bad = tmp_path / "latin1.alg"
+    bad.write_bytes("algebra café\nsize 1\nop f 1\n0\n".encode("latin-1"))
+    assert main(["check-smb", str(bad)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_deeply_nested_derive_exit(tmp_path, capsys):
+    depth = 3000
+    term = "f(" * depth + "x" + ")" * depth
+    bad = tmp_path / "deep.alg"
+    bad.write_text(f"algebra x\nsize 2\nop f 1\n1 0\nderive g 1 = {term}\n")
+    assert main(["check-smb", str(bad)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smbalg import (OperationTable, Partition,
-                    PreconditionError, RepresentativeInconsistency,
+from smbalg import (FalsificationError, FiniteAlgebra, OperationTable, Partition,
+                    PipelineResult, PreconditionError,
+                    RepresentativeInconsistency, all_partitions,
                     check_regular_base, circ_table, class_order_from_circ,
                     classify_operation, idempotent_power, iterate_wnu,
                     literal_power, regularize, run_pipeline, semilattice_term,
                     special_circ)
+from smbalg import pipeline
 from smbalg.constructions import random_algebra, trivial_algebra
 
 
@@ -112,6 +114,126 @@ def test_class_order_representative_inconsistency(e3, e3_sim):
     bad = OperationTable(2, 3, [0, 0, 0, 2, 2, 2, 0, 1, 2])
     with pytest.raises(RepresentativeInconsistency):
         class_order_from_circ(e3, bad, e3_sim)
+
+
+def _projection_algebra(n):
+    """x p y = y: every partition is a congruence and is compatible with p."""
+    return FiniteAlgebra(f"proj{n}", n, {"p": OperationTable(
+        2, n, [y for x in range(n) for y in range(n)])})
+
+
+def _random_tables(corpus, seed):
+    """Random binary tables, half with an idempotent diagonal, plus the
+    wedge tables of the SMB corpus algebras with n <= 5."""
+    rng = random.Random(seed)
+    tables = []
+    for i in range(40):
+        n = rng.randrange(1, 5)
+        entries = [rng.randrange(n) for _ in range(n * n)]
+        if i % 2:
+            for x in range(n):
+                entries[x * n + x] = x
+        tables.append(OperationTable(2, n, entries))
+    return tables + [e.algebra.op("wedge") for e in corpus
+                     if e.has("smb") and e.algebra.size <= 5]
+
+
+def _compatible(table, sim):
+    n = table.size
+    ids = sim.class_ids
+    return all(ids[table.entries[a * n + x]] == ids[table.entries[b * n + x]]
+               and ids[table.entries[x * n + a]] == ids[table.entries[x * n + b]]
+               for a in range(n) for b in range(n) if ids[a] == ids[b]
+               for x in range(n))
+
+
+def scan_wedge_conclusion(table, sim):
+    """Reference: (verdict, violations, order leq) of the semilattice-term
+    conclusion as a scan; the compatibility failure is one Congruence tag."""
+    n = table.size
+    ids = sim.class_ids
+    blocks = sim.blocks()
+    reps = [blk[0] for blk in blocks]
+    m = len(blocks)
+
+    def qw(i, j):
+        return ids[table.entries[reps[i] * n + reps[j]]]
+
+    violations = []
+    if not _compatible(table, sim):
+        violations.append("Congruence")
+    else:
+        for i in range(m):
+            if qw(i, i) != i:
+                violations.append(("Idem-mod-sim", (reps[i],)))
+        for i in range(m):
+            for j in range(m):
+                if qw(i, j) != qw(j, i):
+                    violations.append(("Comm-mod-sim", (reps[i], reps[j])))
+        for i in range(m):
+            for j in range(m):
+                for k in range(m):
+                    if qw(qw(i, j), k) != qw(i, qw(j, k)):
+                        violations.append(("Assoc-mod-sim", (reps[i], reps[j], reps[k])))
+    for blk in blocks:
+        for a in blk:
+            for b in blk:
+                if table.entries[a * n + b] != b:
+                    violations.append(("SecondProj", (a, b)))
+    leq = None
+    if not violations:
+        leq = frozenset((i, j) for i in range(m) for j in range(m) if qw(i, j) == i)
+    return not violations, violations, leq
+
+
+def test_semilattice_term_conclusion_matches_scan(corpus, monkeypatch):
+    # semilattice_term over the projection algebra, with the pipeline's
+    # wedge candidate replaced by each table
+    verdicts = set()
+    for table in _random_tables(corpus, 41):
+        n = table.size
+        alg = _projection_algebra(n)
+        proj = alg.op("p")
+        fake = PipelineResult(proj, proj, proj, proj, table, {})
+        monkeypatch.setattr(pipeline, "run_pipeline", lambda a, w: fake)
+        for sim in all_partitions(n):
+            verdict, violations, leq = scan_wedge_conclusion(table, sim)
+            verdicts.add(verdict)
+            try:
+                res = semilattice_term(alg, "p", sim)
+            except FalsificationError:
+                assert not verdict, (table.entries, sim)
+                continue
+            report = res.report
+            assert res.conclusion_holds == report.verdict == verdict, (table.entries, sim)
+            got = [v if v[0] != "Congruence" else "Congruence" for v in report.violations]
+            assert got == violations, (table.entries, sim)
+            assert (report.class_order and report.class_order.leq) == leq
+    assert verdicts == {True, False}
+
+
+def test_class_order_from_circ_matches_scan(corpus):
+    # RepresentativeInconsistency exactly when the scan finds circ
+    # incompatible with sim; otherwise [i] <= [j] iff (rep_j o rep_i) ~ rep_i
+    raised = set()
+    for circ in _random_tables(corpus, 43):
+        n = circ.size
+        alg = _projection_algebra(n)
+        for sim in all_partitions(n):
+            compatible = _compatible(circ, sim)
+            raised.add(not compatible)
+            if not compatible:
+                with pytest.raises(RepresentativeInconsistency):
+                    class_order_from_circ(alg, circ, sim)
+                continue
+            order, _ = class_order_from_circ(alg, circ, sim)
+            ids = sim.class_ids
+            reps = [blk[0] for blk in sim.blocks()]
+            m = len(reps)
+            assert order.leq == frozenset(
+                (i, j) for i in range(m) for j in range(m)
+                if ids[circ.entries[reps[j] * n + reps[i]]] == i)
+    assert raised == {True, False}
 
 
 def test_semilattice_term_examples(e3, b2, e3_sim):

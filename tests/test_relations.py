@@ -155,11 +155,11 @@ def test_matrix_set_matches_traced():
     one = Partition.one(alg.size)
     gens = sorted({(a, a, b, b) for a, b in sim.pairs()}
                   | {(c, d, c, d) for c, d in one.pairs()})
-    mats = matrix_set(alg, sim, one)
+    mats = list(map(tuple, matrix_set(alg, sim, one).tolist()))
     assert len(mats) == len(set(mats))
     assert set(mats) == generate_subpower(alg, 4, gens).as_set()
     tiny = subpower_closure_fast(alg, 4, gens, chunk=7)
-    assert tuple(map(tuple, tiny.tolist())) == mats
+    assert list(map(tuple, tiny.tolist())) == mats
 
 
 def test_principal_congruence_examples(e3):
@@ -396,7 +396,7 @@ def test_matrix_commutator_examples(e3, s2, b2, e3_sim):
 
 def test_matrix_set_structure(e3, e3_sim):
     mats = matrix_set(e3, e3_sim, e3_sim)
-    for m11, m12, m21, m22 in mats:
+    for m11, m12, m21, m22 in map(tuple, mats.tolist()):
         assert e3_sim.related(m11, m12) and e3_sim.related(m21, m22)
         assert e3_sim.related(m11, m21) and e3_sim.related(m12, m22)
 
