@@ -4,16 +4,17 @@ Subuniverse generation with derivation traces, principal congruences and
 congruence lattices, quotients, products and subalgebras, the D-relation,
 unary polynomials, and the binary commutator.
 
-Two closure engines live here.  `generate_subpower` is the traced,
-deterministic breadth-first engine used wherever witnesses must be
-replayed.  `subpower_closure_fast` is a vectorized engine without traces,
-used for the commutator's matrix sets in A^4; the two are cross-checked
-against each other in the test suite.  It closes in semi-naive rounds and
-evaluates each round by numpy broadcasting: for every operation, the
-argument columns lie along their own axes of one array of argument
-combinations, cut into blocks of at most `chunk` combinations.  Its
-output order is the generators sorted, then each round's new tuples
-ascending.
+One evaluation kernel, `_apply_block`, closes subsets of finite powers,
+with two element orders.  For every operation, the argument columns lie
+along their own axes of one array of argument combinations, cut into
+blocks of at most `chunk` combinations by `_blocks`.
+`generate_subpower` keeps the breadth-first order of processing one
+element at a time and records a derivation trace per element; it is used
+wherever witnesses must be replayed.  `subpower_closure_fast` keeps no
+traces and closes in semi-naive rounds, in the order: the generators
+sorted, then each round's new tuples ascending; it gives the
+commutator's matrix sets in A^4 and generated subuniverses.  The test
+suite checks each order against a plain Python loop.
 
 The commutator [alpha, beta] is computed by construction as the least
 congruence satisfying the term condition on M(alpha, beta), by a fixpoint
@@ -46,6 +47,7 @@ from .partitions import DisjointSet, Partition
 
 POL1_SIZE_CAP = 8
 LATTICE_SIZE_CAP = 10
+SUBUNIVERSE_SIZE_CAP = 12
 FAST_CLOSURE_SPACE_CAP = 6_000_000
 
 
@@ -80,23 +82,6 @@ class GeneratedSet:
     def as_set(self) -> frozenset:
         return frozenset(self.elements)
 
-    def replay(self, alg: FiniteAlgebra, i: int) -> tuple:
-        """Recompute element i from its trace (generators return themselves)."""
-        step = self.trace[i]
-        if step is None:
-            return self.elements[i]
-        sym, parents = step
-        table = alg.op(sym)
-        nested = table.nested
-        cols = []
-        parent_elems = [self.replay(alg, p) for p in parents]
-        for c in range(self.power):
-            t = nested
-            for pe in parent_elems:
-                t = t[pe[c]]
-            cols.append(t)
-        return tuple(cols)
-
     def term_for(self, i: int, leaf_terms: dict) -> Term:
         """A term over the generators witnessing element i.
 
@@ -124,64 +109,111 @@ class GeneratedSet:
         return build(i)
 
 
-def generate_subpower(alg: FiniteAlgebra, k: int,
-                      generators: Sequence[tuple]) -> GeneratedSet:
+def generate_subpower(alg: FiniteAlgebra, k: int, generators: Sequence[tuple],
+                      chunk: int = 1 << 20) -> GeneratedSet:
     """Least subset of A^k containing `generators`, closed under all
     operations applied coordinatewise.
 
-    Deterministic: generators in the given order (duplicates dropped),
-    then breadth-first discovery, operations tried in declaration order.
+    Element order: the generators in the given order (duplicates dropped),
+    then breadth-first discovery.  Element `cur` is processed against the
+    argument tuples pre + (cur,) + post in which every index in pre is
+    below cur and every index in post is at most cur: operations in
+    declaration order, then the position `pos` of cur, then pre + post in
+    lexicographic order.  Each result not seen before is appended, with
+    the trace (symbol, pre + (cur,) + post).
+
+    Results found while processing cur get indices past all those that
+    cur's argument tuples use, so the elements known but not yet processed
+    form one frontier and are processed together.  For each operation and
+    `pos`, the box of argument tuples is evaluated by the broadcast kernel
+    of `subpower_closure_fast`, in blocks of at most `chunk` combinations,
+    and masked to pre < cur and post <= cur.  The boxes are in
+    lexicographic order already, so a new tuple is kept at its first
+    occurrence under a stable sort by cur of the candidates gathered
+    operation by operation and `pos` by `pos`.  A tuple's key is its
+    base-n value, so n**k must fit in int64.
     """
     if k < 1:
         raise AlgebraError(f"power must be >= 1, got {k}")
     n = alg.size
+    if n ** k > 1 << 63:
+        raise CapExceeded(f"A^{k} has {n ** k} tuples, beyond the int64 key range")
     elements: list = []
-    trace: list = []
-    index: dict = {}
+    seen: set = set()
     for g in generators:
         g = tuple(g)
         if len(g) != k:
             raise AlgebraError(f"generator {g} does not have length {k}")
         if any(not 0 <= x < n for x in g):
             raise AlgebraError(f"generator {g} has entries outside 0..{n - 1}")
-        if g not in index:
-            index[g] = len(elements)
+        if g not in seen:
+            seen.add(g)
             elements.append(g)
-            trace.append(None)
     if not elements:
         raise AlgebraError("at least one generator is required")
+    trace: list = [None] * len(elements)
 
-    ops = [(sym, t.arity, t.nested) for sym, t in alg.operations.items()]
-    rng_k = range(k)
+    weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    rows = np.asarray(elements, dtype=np.int64)
+    known = np.sort(rows @ weights)
+    plans = [(sym, arity, pos, weights[:, None] * table)
+             for sym, (arity, table) in zip(alg.operations, _op_arrays(alg))
+             for pos in range(arity)]
+    width = max((arity for _, arity, _, _ in plans), default=1)
 
-    processed = 0
-    while processed < len(elements):
-        cur = processed          # combinations containing element `cur` and
-        processed += 1           # otherwise only elements with smaller index
-        for sym, arity, nested in ops:
-            for pos in range(arity):
-                for pre in itertools.product(range(cur), repeat=pos):
-                    for post in itertools.product(range(cur + 1), repeat=arity - 1 - pos):
-                        arg_idx = pre + (cur,) + post
-                        args = [elements[j] for j in arg_idx]
-                        out = []
-                        for c in rng_k:
-                            t = nested
-                            for a in args:
-                                t = t[a[c]]
-                            out.append(t)
-                        tup = tuple(out)
-                        if tup not in index:
-                            index[tup] = len(elements)
-                            elements.append(tup)
-                            trace.append((sym, arg_idx))
+    lo = 0
+    while lo < len(rows):
+        hi = len(rows)
+        columns = np.ascontiguousarray(rows.T)
+        keys, curs, plan_ids, args = [], [], [], []
+        for s, (sym, arity, pos, tables) in enumerate(plans):
+            bounds = [(0, hi)] * pos + [(lo, hi)] + [(0, hi)] * (arity - 1 - pos)
+            for box in _blocks(bounds, chunk):
+                shape = [b - a for a, b in box]
+                axes = [np.arange(a, b).reshape([-1] + [1] * (arity - 1 - i))
+                        for i, (a, b) in enumerate(box)]
+                valid = np.ones(shape, dtype=bool)
+                for i, ax in enumerate(axes):
+                    if i != pos:
+                        valid &= ax < axes[pos] if i < pos else ax <= axes[pos]
+                flat = np.flatnonzero(valid)
+                box_keys = _apply_block(tables, columns, box, n)[flat]
+                at = np.minimum(np.searchsorted(known, box_keys), len(known) - 1)
+                fresh = known[at] != box_keys
+                if not fresh.any():
+                    continue
+                idx = np.full((int(fresh.sum()), width), -1, dtype=np.int64)
+                idx[:, :arity] = np.stack(np.unravel_index(flat[fresh], shape), axis=1)
+                idx[:, :arity] += [a for a, _ in box]
+                keys.append(box_keys[fresh])
+                curs.append(idx[:, pos])
+                plan_ids.append(np.full(len(idx), s))
+                args.append(idx)
+        lo = hi
+        if not keys:
+            continue
+        # gathered plan by plan, each box in lexicographic order, so a stable
+        # sort by cur puts the candidates in processing order
+        found, cur = np.concatenate(keys), np.concatenate(curs)
+        order = np.argsort(cur, kind="stable")
+        _, first = np.unique(found[order], return_index=True)
+        chosen = order[np.sort(first)]
+        new = found[chosen]
+        plan = np.concatenate(plan_ids)[chosen]
+        for s, arg in zip(plan.tolist(), np.concatenate(args)[chosen].tolist()):
+            sym, arity = plans[s][:2]
+            trace.append((sym, tuple(arg[:arity])))
+        new_rows = new[:, None] // weights % n
+        elements.extend(map(tuple, new_rows.tolist()))
+        rows = np.concatenate([rows, new_rows])
+        known = np.sort(np.concatenate([known, new]))
     return GeneratedSet(k, tuple(elements), tuple(trace))
 
 
 def generate_subuniverse(alg: FiniteAlgebra, generators: Iterable[int]) -> tuple:
     """Subuniverse of A generated by a set of elements, as a sorted tuple."""
-    gen = generate_subpower(alg, 1, [(g,) for g in generators])
-    return tuple(sorted(t[0] for t in gen.elements))
+    closed = subpower_closure_fast(alg, 1, [(g,) for g in generators])
+    return tuple(sorted(closed[:, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +440,17 @@ def push_partition(theta: Partition, class_map: Sequence[int], quotient_size: in
 
 
 def all_subuniverses(alg: FiniteAlgebra) -> list:
-    """Every nonempty subuniverse, each as a sorted tuple of elements."""
-    out = set()
+    """Every nonempty subuniverse, each as a sorted tuple of elements.
+
+    Closes each of the 2^n - 1 nonempty subsets, so the universe size is
+    capped at SUBUNIVERSE_SIZE_CAP.
+    """
     n = alg.size
+    if n > SUBUNIVERSE_SIZE_CAP:
+        raise CapExceeded(
+            f"subuniverse enumeration capped at universe size {SUBUNIVERSE_SIZE_CAP}, "
+            f"algebra has {n}")
+    out = set()
     for r in range(1, n + 1):
         for subset in itertools.combinations(range(n), r):
             out.add(generate_subuniverse(alg, subset))

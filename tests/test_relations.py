@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -14,7 +15,8 @@ from smbalg import (AlgebraError, FiniteAlgebra, OperationTable, Partition,
                     product_algebra, push_partition, quotient_algebra,
                     random_algebra, random_semilattice, regularize,
                     subalgebra, unary_polynomials)
-from smbalg.relations import (congruence_by_alternating_closure,
+from smbalg import relations
+from smbalg.relations import (GeneratedSet, congruence_by_alternating_closure,
                               subpower_closure_fast)
 from smbalg.constructions import affine_block
 
@@ -67,6 +69,136 @@ def test_generate_subpower_validation(e3):
         generate_subpower(e3, 2, [(0,)])
 
 
+def bfs_subpower(alg, k, generators):
+    """Reference traced closure: the generators in order (duplicates
+    dropped), then each element `cur` in turn against every argument tuple
+    pre + (cur,) + post with pre below cur and post at most cur, one
+    combination at a time.  Returns (elements, trace)."""
+    elements, trace, index = [], [], {}
+    for g in generators:
+        g = tuple(g)
+        if g not in index:
+            index[g] = len(elements)
+            elements.append(g)
+            trace.append(None)
+    ops = [(sym, t.arity, t.nested) for sym, t in alg.operations.items()]
+    processed = 0
+    while processed < len(elements):
+        cur = processed
+        processed += 1
+        for sym, arity, nested in ops:
+            for pos in range(arity):
+                for pre in itertools.product(range(cur), repeat=pos):
+                    for post in itertools.product(range(cur + 1), repeat=arity - 1 - pos):
+                        arg_idx = pre + (cur,) + post
+                        args = [elements[j] for j in arg_idx]
+                        out = []
+                        for c in range(k):
+                            t = nested
+                            for a in args:
+                                t = t[a[c]]
+                            out.append(t)
+                        tup = tuple(out)
+                        if tup not in index:
+                            index[tup] = len(elements)
+                            elements.append(tup)
+                            trace.append((sym, arg_idx))
+    return tuple(elements), tuple(trace)
+
+
+def replay(alg, gen):
+    """Every element of `gen` recomputed from its trace, in index order; a
+    parent must come before its child."""
+    out = []
+    for elem, step in zip(gen.elements, gen.trace):
+        if step is None:
+            out.append(elem)
+            continue
+        sym, parents = step
+        assert all(p < len(out) for p in parents)
+        table = alg.op(sym)
+        out.append(tuple(table.apply(*(out[p][c] for p in parents))
+                         for c in range(gen.power)))
+    return out
+
+
+def assert_matches_bfs(gen, alg, k, generators):
+    assert (gen.elements, gen.trace) == bfs_subpower(alg, k, generators)
+    assert replay(alg, gen) == list(gen.elements)
+
+
+def random_closure_cases():
+    """Seeded random algebras with operations of arity 1-3, powers 1-4 and
+    1-4 generators drawn from a pool of three, so duplicates occur."""
+    rng = random.Random(505)
+    for arity in (1, 2, 3):
+        for power in (1, 2, 3, 4):
+            for n in (2, 3):
+                if n ** (power * arity) > 3 ** 8:
+                    continue
+                for _ in range(4):
+                    sig = {"f": arity, "g": rng.randrange(1, arity + 1)}
+                    alg = random_algebra(n, sig, rng.randrange(1 << 30))
+                    pool = [tuple(rng.randrange(n) for _ in range(power))
+                            for _ in range(3)]
+                    gens = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
+                    yield alg, power, gens
+
+
+def test_generate_subpower_matches_bfs(b2):
+    # elements and traces equal tuple for tuple, with blocks of at most 7
+    # combinations (the cut path of `_blocks`) and with the default bound;
+    # the last case has keys up to 2**63 - 1
+    cases = list(random_closure_cases())
+    assert len(cases) > 50
+    wide = [(1,) * 63, (0,) * 63, (1, 0) * 31 + (1,), (0, 1) * 31 + (0,)]
+    cases.append((b2, 63, wide))
+    for alg, k, gens in cases:
+        for chunk in (7, 1 << 20):
+            assert_matches_bfs(generate_subpower(alg, k, gens, chunk=chunk), alg, k, gens)
+
+
+def test_generate_subpower_order_is_checked():
+    # a copy that orders the candidates of one `cur` by key, not by
+    # operation, position and place in the box, must fail the differential
+    # test above
+    source = inspect.getsource(relations.generate_subpower)
+    broken = source.replace('np.argsort(cur, kind="stable")', "np.lexsort((found, cur))")
+    assert broken != source
+    namespace = dict(vars(relations))
+    exec(broken, namespace)
+    mismatches = sum(
+        (namespace["generate_subpower"](alg, k, gens, chunk=7).elements
+         != bfs_subpower(alg, k, gens)[0])
+        for alg, k, gens in random_closure_cases())
+    assert mismatches > 0
+
+
+def test_corpus_closures_match_bfs(corpus):
+    # d_rel and polynomial_image_pairs for every pair a < b, and the unary
+    # polynomials with their terms on the SMB entries: the reference loop
+    # evaluates about |Pol1(A)|**3 argument tuples, and the type-5
+    # extensions (629 unary polynomials at size 5) and random signatures
+    # have far larger polynomial clones than any SMB entry
+    from smbalg import Const, Var, polynomial_image_pairs
+    for entry in corpus:
+        alg = entry.algebra
+        n = alg.size
+        diag = [(c, c) for c in range(n)]
+        for a, b in itertools.combinations(range(n), 2):
+            assert_matches_bfs(d_rel(alg, a, b), alg, 2, [(a, b), (b, a)] + diag)
+            assert_matches_bfs(polynomial_image_pairs(alg, a, b), alg, 2, [(a, b)] + diag)
+        if not entry.has("smb"):
+            continue
+        gens = [tuple(range(n))] + [(c,) * n for c in range(n)]
+        ref = GeneratedSet(n, *bfs_subpower(alg, n, gens))
+        leaves = {0: Var(0)}
+        for c in range(n):
+            leaves.setdefault(ref.index[(c,) * n], Const(c))
+        assert unary_polynomials(alg) == tuple(
+            (elem, ref.term_for(i, leaves)) for i, elem in enumerate(ref.elements))
+
+
 def test_trace_replay(corpus):
     from smbalg import polynomial_image_pairs
     for entry in corpus:
@@ -76,8 +208,7 @@ def test_trace_replay(corpus):
         for gen in (d_rel(alg, 0, alg.size - 1),
                     polynomial_image_pairs(alg, 0, alg.size - 1),
                     d_rel(alg, 0, alg.size // 2)):
-            for i in range(len(gen.elements)):
-                assert gen.replay(alg, i) == gen.elements[i]
+            assert replay(alg, gen) == list(gen.elements)
 
 
 def test_size_caps():
@@ -86,6 +217,12 @@ def test_size_caps():
         congruence_lattice(chain_semilattice(11))
     with pytest.raises(CapExceeded, match="polynomial"):
         unary_polynomials(chain_semilattice(9))
+    with pytest.raises(CapExceeded, match="subuniverse"):
+        all_subuniverses(chain_semilattice(relations.SUBUNIVERSE_SIZE_CAP + 1))
+    # keys are base-n integers: 2**64 tuples do not fit in int64, and the
+    # cap is checked before the generators are read
+    with pytest.raises(CapExceeded, match="int64"):
+        generate_subpower(chain_semilattice(2), 64, [(0,) * 64])
 
 
 def test_fast_closure_matches_traced(e3, b2, corpus):
