@@ -5,7 +5,7 @@ from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
                    PreconditionError, Quasiidentity, Term, Var, Verdict,
                    check_identity, check_quasiidentity, classify_operation,
                    eval_term, materialize_term, substitute, table_flags,
-                   term_variables)
+                   term_table, term_variables)
 from .partitions import Partition, all_partitions
 from .relations import (CongruenceLattice, GeneratedSet, commutator,
                         commutator_oracle, compose_relations,

@@ -21,7 +21,6 @@ falsification harness rather than assuming the mathematics.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
@@ -30,8 +29,8 @@ import numpy as np
 
 from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
                    Identity, OperationTable, PreconditionError, Quasiidentity,
-                   Term, Var, Verdict, check_identity, eval_term,
-                   idempotence_violation, substitute)
+                   Term, Var, Verdict, check_identity, eval_term, first_failure,
+                   idempotence_violation, substitute, term_table)
 from .partitions import Partition
 from .relations import (GeneratedSet, _check_congruences, compose_relations,
                         congruence_violation, d_rel, polynomial_image_pairs,
@@ -166,7 +165,7 @@ def wedge_conditions(wedge: OperationTable, sim: Partition) -> Tuple[list, list,
     ids = np.asarray(sim.class_ids, dtype=np.int64)
     blocks = sim.blocks()
     reps = [blk[0] for blk in blocks]
-    table = np.asarray(wedge.entries, dtype=np.int64).reshape(n, n)
+    table = wedge.array.reshape(n, n)
     q = ids[table[np.ix_(reps, reps)]]
     c = np.arange(len(reps))
     assoc = q[q[:, :, None], c] != q[c[:, None, None], q]
@@ -197,7 +196,7 @@ def _sim_conditions(wedge: OperationTable, d: OperationTable,
     ids = np.asarray(sim.class_ids, dtype=np.int64)
     x = np.arange(n)[:, None]
     y = np.arange(n)
-    dt = np.asarray(d.entries, dtype=np.int64).reshape(n, n, n)
+    dt = d.array.reshape(n, n, n)
     dyy, yyx = dt[x, y, y], dt[y, y, x]          # d(x, y, y) and d(y, y, x) at [x, y]
     malcev = []
     for a, b in _by_class(np.argwhere((ids[:, None] == ids) & ((dyy != x) | (yyx != x))), ids):
@@ -282,29 +281,18 @@ def check_regular(alg: FiniteAlgebra, sim: Partition) -> RegularityReport:
     (iv)  (x^y)^y = x^y as an identity.
     """
     report = _check_smb(alg, sim)
-    wedge, d = designated_ops(alg)
-    ids = sim.class_ids
+    wedge = alg.op(WEDGE)
+    ids = np.asarray(sim.class_ids, dtype=np.int64)
     n = alg.size
 
-    cond_i = Verdict(True)
-    for args in itertools.product(range(n), repeat=3):
-        a, b, c = args
-        left = d.entries[d.index(args)]
-        right = wedge.entries[wedge.index(
-            (wedge.entries[wedge.index((a, b))], c))]
-        if ids[left] != ids[right]:
-            cond_i = Verdict(False, args)
-            break
-
+    cond_i = first_failure(ids[term_table(alg, _d(_x, _y, _z), 3)]
+                           != ids[term_table(alg, _w(_w(_x, _y), _z), 3)])
     order = report.class_order
-    cond_ii = Verdict(True)
-    for a in range(n):
-        for b in range(n):
-            if order.le(ids[b], ids[a]) and wedge.entries[wedge.index((a, b))] != b:
-                cond_ii = Verdict(False, (a, b))
-                break
-        if not cond_ii.holds:
-            break
+    m = len(order.classes)
+    leq = np.array([[order.le(i, j) for j in range(m)] for i in range(m)])
+    # [b] <= [a] forces a wedge b = b
+    cond_ii = first_failure(leq[ids[None, :], ids[:, None]]
+                            & (wedge.array.reshape(n, n) != np.arange(n)))
 
     cond_iii = check_identity(alg, Identity(
         _d(_x, _y, _z),
@@ -343,22 +331,14 @@ def recovered_sim(alg: FiniteAlgebra) -> Partition:
     if the relation is not transitive."""
     wedge, _ = designated_ops(alg)
     n = alg.size
-    ids = list(range(n))
-
-    def rel(a, b):
-        return (wedge.entries[wedge.index((a, b))] == b
-                and wedge.entries[wedge.index((b, a))] == a)
-
-    related = [[rel(a, b) for b in range(n)] for a in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if related[a][b] and related[b][c] and not related[a][c]:
-                    raise FalsificationError(
-                        f"wedge-derived relation on '{alg.name}' is not transitive "
-                        f"at ({a}, {b}, {c})")
-    pairs = [(a, b) for a in range(n) for b in range(n) if related[a][b]]
-    return Partition.from_pairs(n, pairs)
+    table = wedge.array.reshape(n, n)
+    related = (table == np.arange(n)) & (table.T == np.arange(n)[:, None])
+    intransitive = first_failure(related[:, :, None] & related[None] & ~related[:, None, :])
+    if not intransitive.holds:
+        raise FalsificationError(
+            f"wedge-derived relation on '{alg.name}' is not transitive "
+            f"at {intransitive.witness}")
+    return Partition.from_pairs(n, np.argwhere(related).tolist())
 
 
 @lru_cache(maxsize=None)

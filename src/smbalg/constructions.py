@@ -21,12 +21,17 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional
 
+import numpy as np
+
 from .core import (AlgebraError, FalsificationError, FiniteAlgebra,
-                   OperationTable, materialize_term, table_flags, App, Var)
+                   OperationTable, materialize_term, table_flags, term_table,
+                   App, Var)
 from .partitions import Partition
 from .analyzer import WEDGE, D, check_smb_over, wedge_conditions
 from .relations import LATTICE_SIZE_CAP, congruence_lattice
 from .pipeline import regularize
+
+_MEET3 = App(WEDGE, (App(WEDGE, (Var(0), Var(1))), Var(2)))     # (x ^ y) ^ z
 
 
 def trivial_algebra() -> FiniteAlgebra:
@@ -109,62 +114,33 @@ def glue_smb(semilattice: FiniteAlgebra,
         raise AlgebraError(f"not a semilattice: {rule} fails at {witness}")
     if set(blocks) != set(range(m)):
         raise AlgebraError("blocks must be indexed by the semilattice elements")
-    offsets = []
-    total = 0
-    for c in range(m):
-        offsets.append(total)
-        total += blocks[c].size
-    class_of = []
-    for c in range(m):
-        class_of.extend([c] * blocks[c].size)
-
+    sizes = [blocks[c].size for c in range(m)]
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
     if reps is None:
         reps = {c: offsets[c] for c in range(m)}
-    rep = [0] * m
     for c in range(m):
         if c not in reps:
             raise AlgebraError(f"no representative given for class {c}")
-        r = reps[c]
-        if not (offsets[c] <= r < offsets[c] + blocks[c].size):
-            raise AlgebraError(f"representative {r} is not in block {c}")
-        rep[c] = r
-
-    block_d = []
+        if not offsets[c] <= reps[c] < offsets[c] + sizes[c]:
+            raise AlgebraError(f"representative {reps[c]} is not in block {c}")
     for c in range(m):
-        table = blocks[c].op(D)
-        if not table_flags(table).malcev:
+        if not table_flags(blocks[c].op(D)).malcev:
             raise AlgebraError(f"block {c} operation d is not Mal'cev")
-        block_d.append(table)
 
-    n = total
-    wedge_entries = [0] * (n * n)
-    for a in range(n):
-        ca = class_of[a]
-        for b in range(n):
-            cb = class_of[b]
-            if ca == cb:
-                wedge_entries[a * n + b] = b
-            else:
-                meet = sl_wedge.entries[ca * m + cb]
-                wedge_entries[a * n + b] = rep[meet]
-
-    d_entries = [0] * (n * n * n)
-    for a in range(n):
-        ca = class_of[a]
-        for b in range(n):
-            cb = class_of[b]
-            for c in range(n):
-                idx = (a * n + b) * n + c
-                if ca == cb == class_of[c]:
-                    off = offsets[ca]
-                    d_entries[idx] = off + block_d[ca].apply(a - off, b - off, c - off)
-                else:
-                    ab = wedge_entries[a * n + b]
-                    d_entries[idx] = wedge_entries[ab * n + c]
+    n = sum(sizes)
+    class_of = np.repeat(np.arange(m), sizes)
+    rep = np.array([reps[c] for c in range(m)])
+    meets = rep[sl_wedge.array.reshape(m, m)[class_of[:, None], class_of]]
+    wedge = OperationTable(2, n, np.where(class_of[:, None] == class_of,
+                                          np.arange(n), meets).ravel().tolist())
+    d = term_table(FiniteAlgebra("glued", n, {WEDGE: wedge}), _MEET3, 3)
+    for c, off in enumerate(offsets):
+        inside = slice(off, off + sizes[c])
+        d[inside, inside, inside] = off + blocks[c].op(D).array.reshape((sizes[c],) * 3)
 
     out = FiniteAlgebra(name or f"glued{n}", n, {
-        WEDGE: OperationTable(2, n, wedge_entries),
-        D: OperationTable(3, n, d_entries),
+        WEDGE: wedge,
+        D: OperationTable(3, n, d.ravel().tolist()),
     })
     sim = glue_layout(semilattice, blocks)
     report = check_smb_over(out, sim)
@@ -308,11 +284,8 @@ def random_semilattice(size: int, rng: random.Random,
             bs = set(anc[b])
             wedge.append(next(x for x in anc[a] if x in bs))
     table = OperationTable(2, size, wedge)
-    e = table.entries
-    d = [e[e[x * size + y] * size + z]
-         for x in range(size) for y in range(size) for z in range(size)]
-    return FiniteAlgebra(name or f"tree{size}", size,
-                         {WEDGE: table, D: OperationTable(3, size, d)})
+    d = materialize_term(FiniteAlgebra("tree", size, {WEDGE: table}), _MEET3, 3)
+    return FiniteAlgebra(name or f"tree{size}", size, {WEDGE: table, D: d})
 
 
 # ---------------------------------------------------------------------------

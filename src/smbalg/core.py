@@ -3,6 +3,17 @@
 Every value here is immutable after construction and every operation is a
 pure function, so results can be cached and evaluated in parallel without
 any shared mutable state.
+
+Terms have two evaluators, which validate symbols, arities, literals and
+variables node by node in one place, `_checked`.  `term_table` is the
+numpy kernel: `_compile` lists the distinct subterms children first, and
+each is evaluated once over all n**nvars assignments by broadcasting
+(variable i is an index range along axis i), in boxes of at most
+`BLOCK_SIZE` assignments cut by `_blocks` and visited in lexicographic
+order.  Identities, quasi-identities, `materialize_term` and the operation
+flags run on it.  `eval_term` is the pure-Python pointwise evaluator, for
+callers that evaluate many different terms at a few points each, such as
+the replay of witness chains.
 """
 
 from __future__ import annotations
@@ -10,6 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
+
+BLOCK_SIZE = 1 << 20                # combinations a numpy kernel evaluates at once
+FAST_CLOSURE_SPACE_CAP = 6_000_000  # largest table a term or a closure may fill
+MAX_VARIABLES = 32                  # one array axis per variable; numpy 1.x has 32
 
 
 class AlgebraError(ValueError):
@@ -41,7 +58,7 @@ class OperationTable:
     convention is used in files and in memory.
     """
 
-    __slots__ = ("arity", "size", "entries", "_nested")
+    __slots__ = ("arity", "size", "entries", "_nested", "_array")
 
     def __init__(self, arity: int, size: int, entries: Sequence[int]):
         if arity < 1:
@@ -59,6 +76,7 @@ class OperationTable:
         self.size = size
         self.entries = entries
         self._nested = None
+        self._array = None
 
     def index(self, args: Sequence[int]) -> int:
         n = self.size
@@ -89,6 +107,15 @@ class OperationTable:
                 level = tuple(level[i:i + n] for i in range(0, len(level), n))
             self._nested = level
         return self._nested
+
+    @property
+    def array(self) -> np.ndarray:
+        """Entries as a read-only flat int64 array (numpy lookup)."""
+        if self._array is None:
+            array = np.asarray(self.entries, dtype=np.int64)
+            array.flags.writeable = False
+            self._array = array
+        return self._array
 
     def rows(self):
         """Entries chunked into rows of length `size` (last argument fastest)."""
@@ -220,45 +247,171 @@ def substitute(term: Term, mapping: Mapping[int, Term]) -> Term:
     return App(term.symbol, tuple(substitute(a, mapping) for a in term.args))
 
 
+def _checked(alg: FiniteAlgebra, t: Term, nvars: int) -> Optional[OperationTable]:
+    """Validate one term node for an assignment of length `nvars`; returns
+    the table of an application and None for a leaf."""
+    if isinstance(t, App):
+        table = alg.op(t.symbol)
+        if len(t.args) != table.arity:
+            raise AlgebraError(
+                f"operation '{t.symbol}' of arity {table.arity} applied to "
+                f"{len(t.args)} arguments")
+        return table
+    if isinstance(t, Var):
+        if not 0 <= t.index < nvars:
+            raise AlgebraError(
+                f"assignment of length {nvars} does not cover variable {t.index}")
+    elif isinstance(t, Const):
+        if not 0 <= t.value < alg.size:
+            raise AlgebraError(f"element literal {t.value} out of range 0..{alg.size - 1}")
+    else:
+        raise AlgebraError(f"not a term node: {t!r}")
+    return None
+
+
 def eval_term(alg: FiniteAlgebra, term: Term, assignment: Sequence[int]) -> int:
     """Evaluate `term` in `alg` under an assignment of elements to variables.
 
-    Shared subterms (DAG nodes) are evaluated once per call.
+    Pointwise and pure Python; shared subterms (DAG nodes) are evaluated
+    once per call.
     """
     memo: dict = {}
+    n = alg.size
+    nvars = len(assignment)
 
     def ev(t):
         key = id(t)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if isinstance(t, Var):
-            if t.index >= len(assignment) or t.index < 0:
-                raise AlgebraError(
-                    f"assignment of length {len(assignment)} does not cover variable {t.index}")
-            val = assignment[t.index]
-            if not 0 <= val < alg.size:
-                raise AlgebraError(f"assigned element {val} out of range 0..{alg.size - 1}")
-        elif isinstance(t, Const):
-            if not 0 <= t.value < alg.size:
-                raise AlgebraError(f"element literal {t.value} out of range 0..{alg.size - 1}")
-            val = t.value
-        elif isinstance(t, App):
-            table = alg.op(t.symbol)
-            if len(t.args) != table.arity:
-                raise AlgebraError(
-                    f"operation '{t.symbol}' of arity {table.arity} applied to {len(t.args)} arguments")
-            n = table.size
+        table = _checked(alg, t, nvars)
+        if table is not None:
             idx = 0
             for sub in t.args:
                 idx = idx * n + ev(sub)
             val = table.entries[idx]
+        elif isinstance(t, Var):
+            val = assignment[t.index]
+            if not 0 <= val < n:
+                raise AlgebraError(f"assigned element {val} out of range 0..{n - 1}")
         else:
-            raise AlgebraError(f"not a term node: {t!r}")
+            val = t.value
         memo[key] = val
         return val
 
     return ev(term)
+
+
+def _compile(alg: FiniteAlgebra, terms: Sequence[Term], nvars: int) -> tuple:
+    """Validate `terms` for an assignment of length `nvars` and list their
+    distinct subterms, children first.
+
+    Returns (steps, roots).  A step is a Var or Const leaf, or (table,
+    child step indices) for an application; equal subterms share one step,
+    and roots[i] is the step of terms[i].  Nodes are validated in the
+    order eval_term meets them.
+    """
+    steps: list = []
+    slots: dict = {}           # structural key -> step index
+    memo: dict = {}            # id(node) -> step index
+
+    def visit(t):
+        slot = memo.get(id(t))
+        if slot is None:
+            table = _checked(alg, t, nvars)
+            if table is None:
+                key = step = t
+            else:
+                children = tuple([visit(a) for a in t.args])
+                key, step = (t.symbol, children), (table, children)
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(steps)
+                steps.append(step)
+            memo[id(t)] = slot
+        return slot
+
+    return steps, [visit(t) for t in terms]
+
+
+def _blocks(bounds: list, chunk: int):
+    """Split the product of the index ranges `bounds` into boxes of at most
+    `chunk` combinations, in lexicographic order.
+
+    The longest run of trailing ranges whose product fits in `chunk` stays
+    whole; the range before it is cut into slices, and any ranges before
+    that are walked one index at a time.  Usually the trailing ranges fit,
+    so only the leading argument's slice is split.
+    """
+    if any(lo == hi for lo, hi in bounds):
+        return
+    cut = len(bounds)
+    inner = 1
+    while cut and inner * (bounds[cut - 1][1] - bounds[cut - 1][0]) <= chunk:
+        cut -= 1
+        inner *= bounds[cut][1] - bounds[cut][0]
+    if cut == 0:
+        yield bounds
+        return
+    cut -= 1
+    step = chunk // inner
+    lo, hi = bounds[cut]
+    for head in itertools.product(*(range(a, b) for a, b in bounds[:cut])):
+        for start in range(lo, hi, step):
+            yield ([(h, h + 1) for h in head] + [(start, min(start + step, hi))]
+                   + bounds[cut + 1:])
+
+
+def _term_boxes(alg: FiniteAlgebra, terms: Sequence[Term], nvars: int):
+    """Yield (box, values) for the boxes of all n**nvars assignments in
+    lexicographic order; values[i] holds terms[i] over the box, with
+    nvars axes (length one along a variable the term does not use) or
+    none for a constant.
+
+    Variable i is its index range laid along axis i, so an application's
+    table index `acc * n + child` broadcasts only over the axes its
+    arguments use.
+    """
+    if nvars > MAX_VARIABLES:
+        raise CapExceeded(f"{nvars} variables are beyond the cap of {MAX_VARIABLES}")
+    steps, roots = _compile(alg, terms, nvars)
+    n = alg.size
+    for box in _blocks([(0, n)] * nvars, BLOCK_SIZE):
+        values = []
+        for step in steps:
+            if isinstance(step, Var):
+                lo, hi = box[step.index]
+                axis = [1] * nvars
+                axis[step.index] = hi - lo
+                val = np.arange(lo, hi).reshape(axis)
+            elif isinstance(step, Const):
+                val = np.int64(step.value)
+            else:
+                table, (first, *rest) = step
+                acc = values[first]
+                for c in rest:
+                    acc = acc * n + values[c]
+                val = table.array[acc]
+            values.append(val)
+        yield box, [values[r] for r in roots]
+
+
+def term_table(alg: FiniteAlgebra, term: Term, nvars: int) -> np.ndarray:
+    """The values of `term` at all n**nvars assignments, as an int64 array
+    of shape (n,) * nvars indexed by the assignment.
+
+    Raises CapExceeded before any work when the table would have more than
+    FAST_CLOSURE_SPACE_CAP entries or MAX_VARIABLES axes.
+    """
+    n = alg.size
+    if nvars > MAX_VARIABLES or n ** nvars > FAST_CLOSURE_SPACE_CAP:
+        raise CapExceeded(
+            f"a table of {nvars} variables over {n} elements is beyond the cap "
+            f"of {FAST_CLOSURE_SPACE_CAP} entries and {MAX_VARIABLES} variables")
+    out = np.empty((n,) * nvars, dtype=np.int64)
+    for box, (values,) in _term_boxes(alg, [term], nvars):
+        out[tuple(slice(lo, hi) for lo, hi in box)] = values
+    return out
 
 
 def materialize_term(alg: FiniteAlgebra, term: Term, arity: int) -> OperationTable:
@@ -273,9 +426,7 @@ def materialize_term(alg: FiniteAlgebra, term: Term, arity: int) -> OperationTab
     if vs and max(vs) >= arity:
         raise AlgebraError(
             f"term uses variable {max(vs)} but is materialized at arity {arity}")
-    entries = [eval_term(alg, term, args)
-               for args in itertools.product(range(alg.size), repeat=arity)]
-    return OperationTable(arity, alg.size, entries)
+    return OperationTable(arity, alg.size, term_table(alg, term, arity).ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -317,37 +468,36 @@ class Verdict:
                 "witness": None if self.witness is None else list(self.witness)}
 
 
-def _var_count(variables: frozenset) -> int:
-    return max(variables) + 1 if variables else 0
+def first_failure(bad: np.ndarray, box: Optional[Sequence] = None) -> Verdict:
+    """Holds when `bad` has no True entry, else fails at the first one in C
+    order, shifted by the lower corner of `box` when given.  An axis of
+    length one stands for a whole range on which `bad` is constant."""
+    if not bad.any():
+        return Verdict(True)
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    lows = [0] * bad.ndim if box is None else [lo for lo, _ in box]
+    return Verdict(False, tuple(int(i) + lo for i, lo in zip(at, lows)))
 
 
 def check_identity(alg: FiniteAlgebra, ident: Identity) -> Verdict:
     """Exhaustively test an identity; on failure the witness is the
     lexicographically least failing assignment."""
-    nvars = _var_count(ident.variables())
-    if nvars == 0:
-        ok = eval_term(alg, ident.lhs, ()) == eval_term(alg, ident.rhs, ())
-        return Verdict(ok, None if ok else ())
-    for args in itertools.product(range(alg.size), repeat=nvars):
-        if eval_term(alg, ident.lhs, args) != eval_term(alg, ident.rhs, args):
-            return Verdict(False, args)
-    return Verdict(True)
+    return check_quasiidentity(alg, Quasiidentity((), ident))
 
 
 def check_quasiidentity(alg: FiniteAlgebra, quasi: Quasiidentity) -> Verdict:
     """Like check_identity, with premises filtering the assignments."""
-    nvars = _var_count(quasi.variables())
-    for args in itertools.product(range(alg.size), repeat=max(nvars, 0)):
-        ok = True
-        for prem in quasi.premises:
-            if eval_term(alg, prem.lhs, args) != eval_term(alg, prem.rhs, args):
-                ok = False
-                break
-        if not ok:
-            continue
-        concl = quasi.conclusion
-        if eval_term(alg, concl.lhs, args) != eval_term(alg, concl.rhs, args):
-            return Verdict(False, args)
+    variables = quasi.variables()
+    nvars = max(variables) + 1 if variables else 0
+    idents = (*quasi.premises, quasi.conclusion)
+    terms = [t for ident in idents for t in (ident.lhs, ident.rhs)]
+    for box, values in _term_boxes(alg, terms, nvars):
+        bad = values[-2] != values[-1]
+        for lhs, rhs in zip(values[:-2:2], values[1:-2:2]):
+            bad = bad & (lhs == rhs)
+        verdict = first_failure(bad, box)
+        if not verdict.holds:
+            return verdict
     return Verdict(True)
 
 
@@ -371,47 +521,26 @@ class OperationFlags:
 
 def table_flags(table: OperationTable) -> OperationFlags:
     """Exhaustive truth values of the defining identity sets for one table."""
-    n = table.size
     k = table.arity
-    entries = table.entries
+    alg = FiniteAlgebra("table", table.size, {"w": table})
+    x, y = Var(0), Var(1)
+
+    def holds(lhs: Term, rhs: Term) -> bool:
+        return check_identity(alg, Identity(lhs, rhs)).holds
+
+    def w(*args: Term) -> Term:
+        return App("w", args)
+
+    def dissident(pos: int) -> Term:      # w(x, ..., x) with y at pos
+        return w(*(y if i == pos else x for i in range(k)))
 
     idem = idempotence_violation(table) is None
-
     # weak near-unanimity: idempotent and all one-dissident patterns agree
-    wnu = idem
-    if wnu and k >= 2:
-        for x in range(n):
-            for y in range(n):
-                base = [x] * k
-                base[0] = y
-                v0 = entries[table.index(base)]
-                for pos in range(1, k):
-                    args = [x] * k
-                    args[pos] = y
-                    if entries[table.index(args)] != v0:
-                        wnu = False
-                        break
-                if not wnu:
-                    break
-            if not wnu:
-                break
-
-    special = wnu
-    if special:
-        # x o y := w(x, ..., x, y); require x o (x o y) = x o y
-        for x in range(n):
-            row = [entries[table.index((x,) * (k - 1) + (y,))] for y in range(n)]
-            if any(row[row[y]] != row[y] for y in range(n)):
-                special = False
-                break
-
-    malcev = k == 3 and all(
-        entries[table.index((x, y, y))] == x and entries[table.index((y, y, x))] == x
-        for x in range(n) for y in range(n))
-
-    second_proj = k == 2 and all(
-        entries[table.index((x, y))] == y for x in range(n) for y in range(n))
-
+    wnu = idem and all(holds(dissident(0), dissident(pos)) for pos in range(1, k))
+    # x o y := w(x, ..., x, y); special when x o (x o y) = x o y
+    special = wnu and holds(w(*[x] * (k - 1), dissident(k - 1)), dissident(k - 1))
+    malcev = k == 3 and holds(w(x, y, y), x) and holds(w(y, y, x), x)
+    second_proj = k == 2 and holds(w(x, y), y)
     return OperationFlags(idem, wnu, special, malcev, second_proj)
 
 

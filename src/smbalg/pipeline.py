@@ -25,17 +25,22 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .core import (AlgebraError, FalsificationError, FiniteAlgebra,
-                   OperationTable, PreconditionError, idempotence_violation,
-                   table_flags)
+import numpy as np
+
+from .core import (AlgebraError, App, FalsificationError, FiniteAlgebra,
+                   Identity, OperationTable, PreconditionError, Term, Var,
+                   check_identity, first_failure, idempotence_violation,
+                   materialize_term, table_flags)
 from .partitions import Partition
 from .analyzer import (ClassOrder, SmbReport, WEDGE, D, _check_smb,
                        check_regular_base, find_smb_congruences,
-                       wedge_conditions)
+                       regular_base_identities, wedge_conditions)
 from .relations import (_check_congruences, congruence_lattice,
                         congruence_violation, is_abelian)
 
 ITERATION_ENTRY_CAP = 1_000_000
+
+_x, _y = Var(0), Var(1)
 
 
 class RepresentativeInconsistency(AlgebraError):
@@ -92,16 +97,15 @@ def _require_wnu(alg: FiniteAlgebra, w_symbol: str) -> OperationTable:
     return table
 
 
+def _term_op(ops: dict, term: Term, arity: int) -> OperationTable:
+    """The table of `term` over the operations `ops` (symbol -> table)."""
+    n = next(iter(ops.values())).size
+    return materialize_term(FiniteAlgebra("terms", n, ops), term, arity)
+
+
 def _circ_of(table: OperationTable) -> OperationTable:
     """x o y = w(x, ..., x, y) for a wnu table w."""
-    n = table.size
-    k = table.arity
-    entries = []
-    for x in range(n):
-        prefix = (x,) * (k - 1)
-        for y in range(n):
-            entries.append(table.entries[table.index(prefix + (y,))])
-    return OperationTable(2, n, entries)
+    return _term_op({"w": table}, App("w", (_x,) * (table.arity - 1) + (_y,)), 2)
 
 
 def circ_table(alg: FiniteAlgebra, w_symbol: str) -> OperationTable:
@@ -124,28 +128,12 @@ def iterate_wnu(alg: FiniteAlgebra, w_symbol: str,
         raise AlgebraError(
             f"iterating an arity-{k} table on {n} elements needs {n ** k} "
             f"entries, above the cap {max_entries}")
+    xs = tuple(Var(i) for i in range(k))
+    m = App("w", xs)
+    step = App("w", tuple(App("o", (m, x)) for x in xs))
     current = table
-    # argument tuples enumerated once, reused across iterations
-    args_list = []
-    for idx in range(n ** k):
-        rem, args = idx, []
-        for _ in range(k):
-            args.append(rem % n)
-            rem //= n
-        args.reverse()
-        args_list.append(tuple(args))
     for _ in range(1, n):
-        circ = _circ_of(current)
-        centries = circ.entries
-        entries = current.entries
-        new = []
-        for idx, args in enumerate(args_list):
-            m = entries[idx]
-            inner = 0
-            for a in args:
-                inner = inner * n + centries[m * n + a]
-            new.append(entries[inner])
-        new_table = OperationTable(k, n, new)
+        new_table = _term_op({"w": current, "o": _circ_of(current)}, step, k)
         if not table_flags(new_table).wnu:
             raise FalsificationError(
                 f"iterating the wnu '{w_symbol}' on '{alg.name}' lost the "
@@ -168,19 +156,12 @@ def special_circ(alg: FiniteAlgebra, w_symbol: str) -> OperationTable:
 
 def _special_of_circ(circ: OperationTable) -> OperationTable:
     n = circ.size
-    entries = [0] * (n * n)
-    for x in range(n):
-        row = circ.entries[x * n:(x + 1) * n]
-        h = idempotent_power(row)
-        for y in range(n):
-            entries[x * n + y] = h[y]
-    out = OperationTable(2, n, entries)
-    for x in range(n):
-        for y in range(n):
-            xy = out.entries[x * n + y]
-            if out.entries[x * n + xy] != xy:
-                raise FalsificationError(
-                    f"special circ is not absorbing at ({x}, {y})")
+    out = OperationTable(2, n, [v for row in circ.rows() for v in idempotent_power(row)])
+    xy = App("o", (_x, _y))
+    absorbing = check_identity(FiniteAlgebra("special", n, {"o": out}),
+                               Identity(App("o", (_x, xy)), xy))
+    if not absorbing.holds:
+        raise FalsificationError(f"special circ is not absorbing at {absorbing.witness}")
     return out
 
 
@@ -217,19 +198,13 @@ def class_order_from_circ(alg: FiniteAlgebra, circ: OperationTable,
         raise RepresentativeInconsistency(
             f"circ is not compatible with sim: it separates {bad[1]} and {bad[2]}")
     # [x] <= [y] iff (y o x) ~ x: the order read off the transposed circ
-    n = alg.size
-    transposed = OperationTable(2, n, [circ.entries[y * n + x]
-                                       for x in range(n) for y in range(n)])
+    transposed = _term_op({"o": circ}, App("o", (_y, _x)), 2)
     _, _, order = wedge_conditions(transposed, sim)
-    leq = order.leq
     m = len(order.classes)
-
-    reflexive = all((i, i) in leq for i in range(m))
-    antisymmetric = all(not ((i, j) in leq and (j, i) in leq)
-                        for i in range(m) for j in range(m) if i != j)
-    transitive = all((i, k) in leq
-                     for i in range(m) for j in range(m) for k in range(m)
-                     if (i, j) in leq and (j, k) in leq)
+    leq = np.array([[order.le(i, j) for j in range(m)] for i in range(m)])
+    reflexive = bool(leq.diagonal().all())
+    antisymmetric = not (leq & leq.T & ~np.eye(m, dtype=bool)).any()
+    transitive = not (leq[:, :, None] & leq[None] & ~leq[:, None, :]).any()
     diag = OrderDiagnostics(
         reflexive, antisymmetric, transitive,
         order.least() is not None, order.greatest() is not None,
@@ -256,12 +231,7 @@ def run_pipeline(alg: FiniteAlgebra, w_symbol: str) -> PipelineResult:
     iterated = iterate_wnu(alg, w_symbol)
     circ_iter = _circ_of(iterated)
     special = _special_of_circ(circ_iter)
-    n = alg.size
-    cand = [0] * (n * n)
-    for x in range(n):
-        for y in range(n):
-            cand[x * n + y] = special.entries[special.entries[y * n + x] * n + y]
-    wedge_candidate = OperationTable(2, n, cand)
+    wedge_candidate = _term_op({"o": special}, App("o", (App("o", (_y, _x)), _y)), 2)
 
     diagnostics = {
         "circ": {"idempotent": idempotence_violation(circ) is None},
@@ -343,28 +313,14 @@ def regularize(alg: FiniteAlgebra, sim: Optional[Partition] = None) -> FiniteAlg
     else:
         _check_smb(alg, sim)
 
-    wedge, d = alg.op(WEDGE), alg.op(D)
+    d = alg.op(D)
     n = alg.size
-    new_wedge = [0] * (n * n)
-    for y in range(n):
-        h = idempotent_power([wedge.entries[t * n + y] for t in range(n)])
-        for x in range(n):
-            new_wedge[x * n + y] = h[x]
-
-    def w2(a, b):
-        return new_wedge[a * n + b]
-
-    new_d = []
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                u = w2(w2(y, z), x)
-                v = w2(w2(x, z), y)
-                w_ = w2(w2(x, y), z)
-                new_d.append(d.entries[(u * n + v) * n + w_])
+    columns = [idempotent_power(col) for col in zip(*alg.op(WEDGE).rows())]
+    new_wedge = OperationTable(2, n, [v for row in zip(*columns) for v in row])
+    regiii = regular_base_identities()["Regiii"][0].rhs
     out = FiniteAlgebra(f"{alg.name}_reg", n, {
-        WEDGE: OperationTable(2, n, new_wedge),
-        D: OperationTable(3, n, new_d),
+        WEDGE: new_wedge,
+        D: _term_op({WEDGE: new_wedge, D: d}, regiii, 3),
     })
 
     base = check_regular_base(out)
@@ -377,15 +333,12 @@ def regularize(alg: FiniteAlgebra, sim: Optional[Partition] = None) -> FiniteAlg
         raise FalsificationError(
             f"regularization of '{alg.name}' changed sim: {sim} became "
             f"{base.recovered_sim}")
-    dn = d.entries
-    dn_new = out.op(D).entries
-    for blk in sim.blocks():
-        for a in blk:
-            for b in blk:
-                for c in blk:
-                    idx = (a * n + b) * n + c
-                    if dn[idx] != dn_new[idx]:
-                        raise FalsificationError(
-                            f"regularization of '{alg.name}' changed d on the "
-                            f"block triple ({a},{b},{c})")
+    ids = np.asarray(sim.class_ids, dtype=np.int64)
+    x, y, z = np.ix_(ids, ids, ids)
+    changed = first_failure((x == y) & (y == z)
+                            & (d.array != out.op(D).array).reshape(n, n, n))
+    if not changed.holds:
+        raise FalsificationError(
+            f"regularization of '{alg.name}' changed d on the block triple "
+            f"{changed.witness}")
     return out

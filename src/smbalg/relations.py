@@ -7,7 +7,8 @@ unary polynomials, and the binary commutator.
 One evaluation kernel, `_apply_block`, closes subsets of finite powers,
 with two element orders.  For every operation, the argument columns lie
 along their own axes of one array of argument combinations, cut into
-blocks of at most `chunk` combinations by `_blocks`.
+blocks of at most `chunk` combinations by `_blocks`, which the term
+kernel of `core` shares.
 `generate_subpower` keeps the breadth-first order of processing one
 element at a time and records a derivation trace per element; it is used
 wherever witnesses must be replayed.  `subpower_closure_fast` keeps no
@@ -41,14 +42,14 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
-                   FiniteAlgebra, OperationTable, PreconditionError, Term, Var)
+from .core import (BLOCK_SIZE, FAST_CLOSURE_SPACE_CAP, AlgebraError, App,
+                   CapExceeded, Const, FalsificationError, FiniteAlgebra,
+                   OperationTable, PreconditionError, Term, Var, _blocks)
 from .partitions import DisjointSet, Partition
 
 POL1_SIZE_CAP = 8
 LATTICE_SIZE_CAP = 10
 SUBUNIVERSE_SIZE_CAP = 12
-FAST_CLOSURE_SPACE_CAP = 6_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +111,7 @@ class GeneratedSet:
 
 
 def generate_subpower(alg: FiniteAlgebra, k: int, generators: Sequence[tuple],
-                      chunk: int = 1 << 20) -> GeneratedSet:
+                      chunk: int = BLOCK_SIZE) -> GeneratedSet:
     """Least subset of A^k containing `generators`, closed under all
     operations applied coordinatewise.
 
@@ -156,9 +157,8 @@ def generate_subpower(alg: FiniteAlgebra, k: int, generators: Sequence[tuple],
     weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     rows = np.asarray(elements, dtype=np.int64)
     known = np.sort(rows @ weights)
-    plans = [(sym, arity, pos, weights[:, None] * table)
-             for sym, (arity, table) in zip(alg.operations, _op_arrays(alg))
-             for pos in range(arity)]
+    plans = [(sym, t.arity, pos, weights[:, None] * t.array)
+             for sym, t in alg.operations.items() for pos in range(t.arity)]
     width = max((arity for _, arity, _, _ in plans), default=1)
 
     lo = 0
@@ -311,8 +311,9 @@ def congruence_violation(alg: FiniteAlgebra, p: Partition) -> Optional[tuple]:
     ids = np.asarray(p.class_ids, dtype=np.int64)
     by_class = np.argsort(ids, kind="stable")
     starts = np.searchsorted(ids[by_class], np.arange(p.num_classes))
-    for sym, (arity, entries) in zip(alg.operations, _op_arrays(alg)):
-        values = ids[entries].reshape((n,) * arity)
+    for sym, table in alg.operations.items():
+        arity = table.arity
+        values = ids[table.array].reshape((n,) * arity)
         unstable = []          # per position: args whose fiber is not constant
         for pos in range(arity):
             grouped = np.take(values, by_class, axis=pos)
@@ -562,39 +563,6 @@ def unary_polynomials(alg: FiniteAlgebra, max_size: int = POL1_SIZE_CAP) -> tupl
 # ---------------------------------------------------------------------------
 # Fast (untraced) closure and the commutator
 
-def _op_arrays(alg: FiniteAlgebra) -> list:
-    return [(t.arity, np.asarray(t.entries, dtype=np.int64))
-            for t in alg.operations.values()]
-
-
-def _blocks(bounds: list, chunk: int):
-    """Split the product of the index ranges `bounds` into boxes of at most
-    `chunk` combinations.
-
-    The longest run of trailing ranges whose product fits in `chunk` stays
-    whole; the range before it is cut into slices, and any ranges before
-    that are walked one index at a time.  Usually the trailing ranges fit,
-    so only the leading argument's slice is split.
-    """
-    if any(lo == hi for lo, hi in bounds):
-        return
-    cut = len(bounds)
-    inner = 1
-    while cut and inner * (bounds[cut - 1][1] - bounds[cut - 1][0]) <= chunk:
-        cut -= 1
-        inner *= bounds[cut][1] - bounds[cut][0]
-    if cut == 0:
-        yield bounds
-        return
-    cut -= 1
-    step = chunk // inner
-    lo, hi = bounds[cut]
-    for head in itertools.product(*(range(a, b) for a, b in bounds[:cut])):
-        for start in range(lo, hi, step):
-            yield ([(h, h + 1) for h in head] + [(start, min(start + step, hi))]
-                   + bounds[cut + 1:])
-
-
 def _apply_block(tables: np.ndarray, columns: np.ndarray, box: list,
                  n: int) -> np.ndarray:
     """Keys of op(x_1, .., x_k) for x_i over the element rows in box[i].
@@ -618,7 +586,7 @@ def _apply_block(tables: np.ndarray, columns: np.ndarray, box: list,
 
 def subpower_closure_fast(alg: FiniteAlgebra, power: int,
                           generators: Sequence[tuple],
-                          chunk: int = 1 << 20) -> np.ndarray:
+                          chunk: int = BLOCK_SIZE) -> np.ndarray:
     """Vectorized closure of a generated subset of A^power, no traces.
 
     Returns an (m, power) int array.  A tuple's key is its base-n value.
@@ -650,7 +618,7 @@ def subpower_closure_fast(alg: FiniteAlgebra, power: int,
     visited[gen @ weights] = True
     elements = gen
     new_count = len(gen)
-    ops = [(arity, weights[:, None] * table) for arity, table in _op_arrays(alg)]
+    ops = [(t.arity, weights[:, None] * t.array) for t in alg.operations.values()]
 
     while new_count:
         total = len(elements)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -171,3 +172,17 @@ def test_deeply_nested_derive_exit(tmp_path, capsys):
     bad.write_text(f"algebra x\nsize 2\nop f 1\n1 0\nderive g 1 = {term}\n")
     assert main(["check-smb", str(bad)]) == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arity", [3, 10 ** 9])
+def test_large_derive_exit(tmp_path, capsys, arity):
+    # the derived table would have 3000**arity entries: refused before any work
+    n = 3000
+    big = tmp_path / "big.alg"
+    big.write_text(f"algebra big\nsize {n}\nop f 1\n"
+                   + " ".join(str((i + 1) % n) for i in range(n))
+                   + f"\nderive g {arity} = f(x0)\n")
+    start = time.perf_counter()
+    assert main(["con", str(big)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "beyond the cap" in capsys.readouterr().err
