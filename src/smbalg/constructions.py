@@ -28,7 +28,7 @@ from .core import (AlgebraError, FalsificationError, FiniteAlgebra,
                    App, Var)
 from .partitions import Partition
 from .analyzer import WEDGE, D, check_smb_over, wedge_conditions
-from .relations import LATTICE_SIZE_CAP, congruence_lattice
+from .relations import principal_congruence
 from .pipeline import regularize
 
 _MEET3 = App(WEDGE, (App(WEDGE, (Var(0), Var(1))), Var(2)))     # (x ^ y) ^ z
@@ -226,13 +226,12 @@ def extend_simple_type5(alg: FiniteAlgebra, w_symbol: str) -> FiniteAlgebra:
     if not table_flags(out.op("v")).wnu:
         raise FalsificationError(
             f"extension of '{alg.name}' did not produce a wnu operation")
-    # a larger cap only where needed, so the usual case shares one cache entry
-    lattice = (congruence_lattice(out, size) if size > LATTICE_SIZE_CAP
-               else congruence_lattice(out))
-    if len(lattice) != (1 if size == 1 else 2):
-        raise FalsificationError(
-            f"extension of '{alg.name}' is not simple: found "
-            f"{len(lattice)} congruences")
+    # simple: every principal congruence is 1_A (size >= 4, so 0_A != 1_A)
+    for a, b in itertools.combinations(range(size), 2):
+        cg = principal_congruence(out, a, b)
+        if not cg.is_one:
+            raise FalsificationError(
+                f"extension of '{alg.name}' is not simple: Cg({a}, {b}) = {cg}")
     return out
 
 

@@ -38,7 +38,8 @@ class PreconditionError(AlgebraError):
 
 
 class CapExceeded(RuntimeError):
-    """A configurable size cap would be exceeded (never silently truncated)."""
+    """A size cap would be exceeded; raised before the work starts, never
+    by silent truncation."""
 
 
 class FalsificationError(RuntimeError):
@@ -99,7 +100,7 @@ class OperationTable:
 
     @property
     def nested(self):
-        """Entries as nested tuples, one level per argument (hot-loop lookup)."""
+        """Entries as nested tuples, one level per argument."""
         if self._nested is None:
             level = self.entries
             for _ in range(self.arity - 1):
@@ -118,7 +119,7 @@ class OperationTable:
         return self._array
 
     def rows(self):
-        """Entries chunked into rows of length `size` (last argument fastest)."""
+        """Entries cut into rows of length `size` (last argument fastest)."""
         n = self.size
         return [self.entries[i:i + n] for i in range(0, len(self.entries), n)]
 
@@ -140,10 +141,13 @@ class FiniteAlgebra:
 
     Operations are kept in declaration order.  The name takes no part in
     equality; two algebras are equal when they have the same size and the
-    same symbol-to-table mapping.
+    same symbol-to-table mapping.  Equality and hashing read one content
+    key, the size plus each table's arity and bytes sorted by symbol, built
+    once per object together with its hash, so cache lookups with a fresh
+    parse of the same algebra never walk the tables.
     """
 
-    __slots__ = ("name", "size", "operations", "_hash")
+    __slots__ = ("name", "size", "operations", "_key", "_hash")
 
     def __init__(self, name: str, size: int,
                  operations: Union[Mapping[str, OperationTable],
@@ -167,6 +171,7 @@ class FiniteAlgebra:
         self.name = name
         self.size = size
         self.operations = ops
+        self._key = None
         self._hash = None
 
     def op(self, symbol: str) -> OperationTable:
@@ -184,15 +189,19 @@ class FiniteAlgebra:
     def rename(self, name: str) -> "FiniteAlgebra":
         return FiniteAlgebra(name, self.size, self.operations)
 
+    def _content(self) -> tuple:
+        if self._key is None:
+            self._key = (self.size, tuple(sorted(
+                (sym, t.arity, t.array.tobytes()) for sym, t in self.operations.items())))
+            self._hash = hash(self._key)
+        return self._key
+
     def __eq__(self, other):
-        return (isinstance(other, FiniteAlgebra)
-                and self.size == other.size
-                and self.operations == other.operations)
+        return self is other or (isinstance(other, FiniteAlgebra)
+                                 and self._content() == other._content())
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.size, tuple(sorted(
-                (sym, t.arity, t.entries) for sym, t in self.operations.items()))))
+        self._content()
         return self._hash
 
     def __repr__(self):
@@ -334,11 +343,11 @@ def _compile(alg: FiniteAlgebra, terms: Sequence[Term], nvars: int) -> tuple:
     return steps, [visit(t) for t in terms]
 
 
-def _blocks(bounds: list, chunk: int):
+def _blocks(bounds: list):
     """Split the product of the index ranges `bounds` into boxes of at most
-    `chunk` combinations, in lexicographic order.
+    BLOCK_SIZE combinations, in lexicographic order.
 
-    The longest run of trailing ranges whose product fits in `chunk` stays
+    The longest run of trailing ranges whose product fits in a box stays
     whole; the range before it is cut into slices, and any ranges before
     that are walked one index at a time.  Usually the trailing ranges fit,
     so only the leading argument's slice is split.
@@ -347,14 +356,14 @@ def _blocks(bounds: list, chunk: int):
         return
     cut = len(bounds)
     inner = 1
-    while cut and inner * (bounds[cut - 1][1] - bounds[cut - 1][0]) <= chunk:
+    while cut and inner * (bounds[cut - 1][1] - bounds[cut - 1][0]) <= BLOCK_SIZE:
         cut -= 1
         inner *= bounds[cut][1] - bounds[cut][0]
     if cut == 0:
         yield bounds
         return
     cut -= 1
-    step = chunk // inner
+    step = BLOCK_SIZE // inner
     lo, hi = bounds[cut]
     for head in itertools.product(*(range(a, b) for a, b in bounds[:cut])):
         for start in range(lo, hi, step):
@@ -376,7 +385,7 @@ def _term_boxes(alg: FiniteAlgebra, terms: Sequence[Term], nvars: int):
         raise CapExceeded(f"{nvars} variables are beyond the cap of {MAX_VARIABLES}")
     steps, roots = _compile(alg, terms, nvars)
     n = alg.size
-    for box in _blocks([(0, n)] * nvars, BLOCK_SIZE):
+    for box in _blocks([(0, n)] * nvars):
         values = []
         for step in steps:
             if isinstance(step, Var):

@@ -105,8 +105,8 @@ class Partition:
         """Parse the `0 1 | 2` text form; every element must be listed once."""
         ids = [-1] * n
         nclasses = 0
-        for chunk in text.split("|"):
-            members = chunk.split()
+        for part in text.split("|"):
+            members = part.split()
             if not members:
                 raise AlgebraError(f"empty class in partition text {text!r}")
             for tok in members:

@@ -27,10 +27,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (AlgebraError, App, FalsificationError, FiniteAlgebra,
-                   Identity, OperationTable, PreconditionError, Term, Var,
-                   check_identity, first_failure, idempotence_violation,
-                   materialize_term, table_flags)
+from .core import (AlgebraError, App, CapExceeded, FalsificationError,
+                   FiniteAlgebra, Identity, OperationTable, PreconditionError,
+                   Term, Var, check_identity, first_failure,
+                   idempotence_violation, materialize_term, table_flags)
 from .partitions import Partition
 from .analyzer import (ClassOrder, SmbReport, WEDGE, D, _check_smb,
                        check_regular_base, find_smb_congruences,
@@ -125,7 +125,7 @@ def iterate_wnu(alg: FiniteAlgebra, w_symbol: str,
     n = alg.size
     k = table.arity
     if n ** k > max_entries:
-        raise AlgebraError(
+        raise CapExceeded(
             f"iterating an arity-{k} table on {n} elements needs {n ** k} "
             f"entries, above the cap {max_entries}")
     xs = tuple(Var(i) for i in range(k))

@@ -7,8 +7,8 @@ unary polynomials, and the binary commutator.
 One evaluation kernel, `_apply_block`, closes subsets of finite powers,
 with two element orders.  For every operation, the argument columns lie
 along their own axes of one array of argument combinations, cut into
-blocks of at most `chunk` combinations by `_blocks`, which the term
-kernel of `core` shares.
+blocks of at most `core.BLOCK_SIZE` combinations by `_blocks`, which the
+term kernel of `core` shares.
 `generate_subpower` keeps the breadth-first order of processing one
 element at a time and records a derivation trace per element; it is used
 wherever witnesses must be replayed.  `subpower_closure_fast` keeps no
@@ -42,9 +42,9 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (BLOCK_SIZE, FAST_CLOSURE_SPACE_CAP, AlgebraError, App,
-                   CapExceeded, Const, FalsificationError, FiniteAlgebra,
-                   OperationTable, PreconditionError, Term, Var, _blocks)
+from .core import (FAST_CLOSURE_SPACE_CAP, AlgebraError, App, CapExceeded,
+                   Const, FalsificationError, FiniteAlgebra, OperationTable,
+                   PreconditionError, Term, Var, _blocks)
 from .partitions import DisjointSet, Partition
 
 POL1_SIZE_CAP = 8
@@ -110,8 +110,8 @@ class GeneratedSet:
         return build(i)
 
 
-def generate_subpower(alg: FiniteAlgebra, k: int, generators: Sequence[tuple],
-                      chunk: int = BLOCK_SIZE) -> GeneratedSet:
+def generate_subpower(alg: FiniteAlgebra, k: int,
+                      generators: Sequence[tuple]) -> GeneratedSet:
     """Least subset of A^k containing `generators`, closed under all
     operations applied coordinatewise.
 
@@ -127,8 +127,8 @@ def generate_subpower(alg: FiniteAlgebra, k: int, generators: Sequence[tuple],
     cur's argument tuples use, so the elements known but not yet processed
     form one frontier and are processed together.  For each operation and
     `pos`, the box of argument tuples is evaluated by the broadcast kernel
-    of `subpower_closure_fast`, in blocks of at most `chunk` combinations,
-    and masked to pre < cur and post <= cur.  The boxes are in
+    of `subpower_closure_fast`, in blocks of at most `core.BLOCK_SIZE`
+    combinations, and masked to pre < cur and post <= cur.  The boxes are in
     lexicographic order already, so a new tuple is kept at its first
     occurrence under a stable sort by cur of the candidates gathered
     operation by operation and `pos` by `pos`.  A tuple's key is its
@@ -168,7 +168,7 @@ def generate_subpower(alg: FiniteAlgebra, k: int, generators: Sequence[tuple],
         keys, curs, plan_ids, args = [], [], [], []
         for s, (sym, arity, pos, tables) in enumerate(plans):
             bounds = [(0, hi)] * pos + [(lo, hi)] + [(0, hi)] * (arity - 1 - pos)
-            for box in _blocks(bounds, chunk):
+            for box in _blocks(bounds):
                 shape = [b - a for a, b in box]
                 axes = [np.arange(a, b).reshape([-1] + [1] * (arity - 1 - i))
                         for i, (a, b) in enumerate(box)]
@@ -221,25 +221,16 @@ def generate_subuniverse(alg: FiniteAlgebra, generators: Iterable[int]) -> tuple
 
 @lru_cache(maxsize=None)
 def _translations(alg: FiniteAlgebra) -> tuple:
-    """All unary translations f(c1,..,x,..,ck) of the basic operations."""
+    """All unary translations f(c1,..,x,..,ck) of the basic operations,
+    except the identity map, as sorted distinct tuples."""
     n = alg.size
-    out = []
+    out = set()
     for table in alg.operations.values():
-        arity = table.arity
-        nested = table.nested
-        for pos in range(arity):
-            for consts in itertools.product(range(n), repeat=arity - 1):
-                row = []
-                for x in range(n):
-                    args = consts[:pos] + (x,) + consts[pos:]
-                    t = nested
-                    for a in args:
-                        t = t[a]
-                    row.append(t)
-                tmap = tuple(row)
-                if tmap != tuple(range(n)):
-                    out.append(tmap)
-    return tuple(sorted(set(out)))
+        values = table.array.reshape((n,) * table.arity)
+        for pos in range(table.arity):
+            out.update(map(tuple, np.moveaxis(values, pos, -1).reshape(-1, n).tolist()))
+    out.discard(tuple(range(n)))
+    return tuple(sorted(out))
 
 
 def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> Partition:
@@ -403,6 +394,14 @@ def congruence_lattice(alg: FiniteAlgebra, max_size: int = LATTICE_SIZE_CAP) -> 
 # ---------------------------------------------------------------------------
 # Quotients, subalgebras, products
 
+def _restricted(alg: FiniteAlgebra, table: OperationTable,
+                elements: Sequence[int]) -> np.ndarray:
+    """The values of `table` at all argument tuples over `elements`, as a
+    (len(elements),) * arity array in lexicographic order."""
+    values = table.array.reshape((alg.size,) * table.arity)
+    return values[np.ix_(*[elements] * table.arity)]
+
+
 def quotient_algebra(alg: FiniteAlgebra, theta: Partition) -> Tuple[FiniteAlgebra, tuple]:
     """The algebra on theta-classes, plus the element -> class-id map.
 
@@ -410,20 +409,13 @@ def quotient_algebra(alg: FiniteAlgebra, theta: Partition) -> Tuple[FiniteAlgebr
     representatives, which the congruence property makes well defined.
     """
     _check_congruences(alg, theta)
-    ids = theta.class_ids
+    ids = np.asarray(theta.class_ids)
     reps = [block[0] for block in theta.blocks()]
     m = theta.num_classes
-    ops = {}
-    for sym, table in alg.operations.items():
-        nested = table.nested
-        entries = []
-        for args in itertools.product(range(m), repeat=table.arity):
-            t = nested
-            for c in args:
-                t = t[reps[c]]
-            entries.append(ids[t])
-        ops[sym] = OperationTable(table.arity, m, entries)
-    return FiniteAlgebra(f"{alg.name}_mod", m, ops), tuple(ids)
+    ops = {sym: OperationTable(table.arity, m,
+                               ids[_restricted(alg, table, reps)].ravel().tolist())
+           for sym, table in alg.operations.items()}
+    return FiniteAlgebra(f"{alg.name}_mod", m, ops), tuple(theta.class_ids)
 
 
 def push_partition(theta: Partition, class_map: Sequence[int], quotient_size: int,
@@ -461,20 +453,18 @@ def all_subuniverses(alg: FiniteAlgebra) -> list:
 def subalgebra(alg: FiniteAlgebra, subuniverse: Sequence[int]) -> FiniteAlgebra:
     """Restrict to a subuniverse, relabelling elements by their sorted position."""
     sub = tuple(sorted(subuniverse))
-    pos = {x: i for i, x in enumerate(sub)}
+    pos = np.full(alg.size, -1)
+    pos[list(sub)] = np.arange(len(sub))
     ops = {}
     for sym, table in alg.operations.items():
-        nested = table.nested
-        entries = []
-        for args in itertools.product(sub, repeat=table.arity):
-            t = nested
-            for a in args:
-                t = t[a]
-            if t not in pos:
-                raise AlgebraError(
-                    f"{sub} is not closed under '{sym}' at {args} (value {t})")
-            entries.append(pos[t])
-        ops[sym] = OperationTable(table.arity, len(sub), entries)
+        values = _restricted(alg, table, sub)
+        mapped = pos[values]
+        if (mapped < 0).any():
+            at = np.unravel_index(np.argmin(mapped), mapped.shape)
+            args = tuple(sub[i] for i in at)
+            raise AlgebraError(
+                f"{sub} is not closed under '{sym}' at {args} (value {values[at]})")
+        ops[sym] = OperationTable(table.arity, len(sub), mapped.ravel().tolist())
     return FiniteAlgebra(f"{alg.name}_sub", len(sub), ops)
 
 
@@ -484,27 +474,20 @@ def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
         raise AlgebraError("product factors must share their signature")
     ops = {}
     nb = b.size
+    pairs = np.arange(a.size * nb)
     for sym, ta in a.operations.items():
         tb = b.operations[sym]
         if ta.arity != tb.arity:
             raise AlgebraError(f"arity mismatch for '{sym}' in product")
-        na_nested, nb_nested = ta.nested, tb.nested
-        entries = []
-        for args in itertools.product(range(a.size * nb), repeat=ta.arity):
-            t1 = na_nested
-            t2 = nb_nested
-            for e in args:
-                t1 = t1[e // nb]
-                t2 = t2[e % nb]
-            entries.append(t1 * nb + t2)
-        ops[sym] = OperationTable(ta.arity, a.size * nb, entries)
+        values = (_restricted(a, ta, pairs // nb) * nb
+                  + _restricted(b, tb, pairs % nb))
+        ops[sym] = OperationTable(ta.arity, a.size * nb, values.ravel().tolist())
     return FiniteAlgebra(f"{a.name}x{b.name}", a.size * b.size, ops)
 
 
 # ---------------------------------------------------------------------------
 # D-relations and relation composition
 
-@lru_cache(maxsize=None)
 def d_rel(alg: FiniteAlgebra, a: int, b: int) -> GeneratedSet:
     """D_{a,b}: the subuniverse of A^2 generated by (a,b), (b,a) and the
     diagonal.  Always reflexive and symmetric."""
@@ -512,7 +495,6 @@ def d_rel(alg: FiniteAlgebra, a: int, b: int) -> GeneratedSet:
     return generate_subpower(alg, 2, gens)
 
 
-@lru_cache(maxsize=None)
 def polynomial_image_pairs(alg: FiniteAlgebra, a: int, b: int) -> GeneratedSet:
     """{(p(a), p(b)) : p a unary polynomial}, as the subuniverse of A^2
     generated by (a,b) and the diagonal."""
@@ -535,7 +517,6 @@ def compose_relations(r: Iterable[tuple], s: Iterable[tuple]) -> frozenset:
 # ---------------------------------------------------------------------------
 # Unary polynomials
 
-@lru_cache(maxsize=None)
 def unary_polynomials(alg: FiniteAlgebra, max_size: int = POL1_SIZE_CAP) -> tuple:
     """All unary polynomial operations, each with one witnessing term.
 
@@ -585,8 +566,7 @@ def _apply_block(tables: np.ndarray, columns: np.ndarray, box: list,
 
 
 def subpower_closure_fast(alg: FiniteAlgebra, power: int,
-                          generators: Sequence[tuple],
-                          chunk: int = BLOCK_SIZE) -> np.ndarray:
+                          generators: Sequence[tuple]) -> np.ndarray:
     """Vectorized closure of a generated subset of A^power, no traces.
 
     Returns an (m, power) int array.  A tuple's key is its base-n value.
@@ -596,8 +576,9 @@ def subpower_closure_fast(alg: FiniteAlgebra, power: int,
     last round, and the arguments after `pos` over all of them, so every
     combination is evaluated once.  A combination's key is summed one
     coordinate at a time, from a table index built by broadcasting the
-    argument columns against each other.  `chunk` bounds the combinations
-    evaluated at once, and with them the size of the temporary arrays.
+    argument columns against each other.  `core.BLOCK_SIZE` bounds the
+    combinations evaluated at once, and with them the size of the
+    temporary arrays.
 
     Element order: the generators sorted, then each round's new keys in
     ascending order.  It differs from the breadth-first order of
@@ -629,7 +610,7 @@ def subpower_closure_fast(alg: FiniteAlgebra, power: int,
             for pos in range(arity):
                 bounds = ([(0, old)] * pos + [(old, total)]
                           + [(0, total)] * (arity - 1 - pos))
-                for box in _blocks(bounds, chunk):
+                for box in _blocks(bounds):
                     keys = _apply_block(tables, columns, box, n)
                     keys = keys[~visited[keys]]
                     if len(keys):
@@ -643,20 +624,16 @@ def subpower_closure_fast(alg: FiniteAlgebra, power: int,
     return elements
 
 
-@lru_cache(maxsize=None)
 def matrix_set(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> np.ndarray:
     """M(alpha, beta): rows (m11, m12, m21, m22) read as 2x2 matrices,
     generated from alpha-pairs duplicated as rows and beta-pairs duplicated
-    as columns.  The closure's (m, 4) int64 array, made read-only since it
-    is cached."""
+    as columns.  The closure's (m, 4) int64 array."""
     gens = set()
     for a, b in alpha.pairs():
         gens.add((a, a, b, b))
     for c, d in beta.pairs():
         gens.add((c, d, c, d))
-    closed = subpower_closure_fast(alg, 4, sorted(gens))
-    closed.setflags(write=False)
-    return closed
+    return subpower_closure_fast(alg, 4, sorted(gens))
 
 
 def _check_congruences(alg: FiniteAlgebra, *parts: Partition):
@@ -698,7 +675,6 @@ def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partiti
     return result
 
 
-@lru_cache(maxsize=None)
 def commutator_oracle(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
     """Independent commutator: the least congruence delta for which every
     matrix in M(alpha, beta) with a delta-related top row has a

@@ -90,6 +90,14 @@ def test_extension_examples(b2):
     assert v.apply(s, top, 0) == zero
 
 
+def test_extension_above_lattice_cap():
+    # size 11 is above the default lattice cap, yet the extension is
+    # checked simple from its principal congruences alone
+    ext = extend_simple_type5(chain_semilattice(8), "d")
+    assert ext.size == 11
+    assert len(congruence_lattice(ext, max_size=11)) == 2
+
+
 def test_extension_rejects_bad_input(n4, s2):
     with pytest.raises(AlgebraError, match="not a wnu"):
         extend_simple_type5(n4, "d")

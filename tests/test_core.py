@@ -40,6 +40,60 @@ def test_algebra_validation():
         alg.op("g")
 
 
+ONE_ALGEBRA = """algebra {name}
+size 3
+{ops}
+"""
+OPS = {"f": "op f 1\n1 2 0", "g": "op g 2\n0 1 2\n1 1 2\n2 2 2"}
+
+
+def test_content_key():
+    # equality and hash ignore the algebra name and the declaration order;
+    # any entry, symbol or (on one element) arity tells algebras apart
+    from smbalg.dsl import parse_algebra
+    first = parse_algebra(ONE_ALGEBRA.format(name="a", ops=OPS["f"] + "\n" + OPS["g"]))
+    second = parse_algebra(ONE_ALGEBRA.format(name="b", ops=OPS["g"] + "\n" + OPS["f"]))
+    assert list(first.operations) != list(second.operations)
+    assert first == second and hash(first) == hash(second)
+    changed = parse_algebra(ONE_ALGEBRA.format(
+        name="a", ops=OPS["f"].replace("1 2 0", "1 2 1") + "\n" + OPS["g"]))
+    assert changed != first
+    renamed = FiniteAlgebra("a", 3, {"h": first.op("f"), "g": first.op("g")})
+    assert renamed != first
+    binary = FiniteAlgebra("p", 1, {"f": OperationTable(2, 1, [0])})
+    ternary = FiniteAlgebra("p", 1, {"f": OperationTable(3, 1, [0])})
+    assert binary != ternary
+    assert first != first.op("f")
+
+
+def test_fresh_parse_hits_the_lattice_cache():
+    from smbalg import congruence_lattice
+    from smbalg.dsl import parse_algebra
+    text = ONE_ALGEBRA.format(name="cached", ops=OPS["g"])
+    lattice = congruence_lattice(parse_algebra(text))
+    hits = congruence_lattice.cache_info().hits
+    assert congruence_lattice(parse_algebra(text)) is lattice
+    assert congruence_lattice.cache_info().hits == hits + 1
+
+
+def test_cached_functions():
+    # every module-level cache in smbalg; a new one needs a measured reason
+    import importlib
+    import pkgutil
+    import smbalg
+    modules = [importlib.import_module(f"smbalg.{info.name}")
+               for info in pkgutil.iter_modules(smbalg.__path__)]
+    cached = {f"{mod.__name__}.{name}" for mod in modules
+              for name, val in vars(mod).items()
+              if hasattr(val, "cache_info") and val.__module__ == mod.__name__}
+    assert cached == {"smbalg.relations._translations",
+                      "smbalg.relations.principal_congruence",
+                      "smbalg.relations.congruence_lattice",
+                      "smbalg.relations.commutator",
+                      "smbalg.analyzer.check_regular_base",
+                      "smbalg.analyzer._regular_context"}
+
+
 def test_eval_term_examples(e3):
     assert eval_term(e3, D(x, y, z), (0, 1, 0)) == 1
     assert eval_term(e3, D(x, x, y), (0, 2)) == 2

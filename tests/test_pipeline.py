@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smbalg import (FalsificationError, FiniteAlgebra, OperationTable, Partition,
+from smbalg import (CapExceeded, FalsificationError, FiniteAlgebra, OperationTable, Partition,
                     PipelineResult, PreconditionError,
                     RepresentativeInconsistency, all_partitions,
                     check_regular_base, circ_table, class_order_from_circ,
@@ -40,6 +40,11 @@ def test_iterate_wnu_examples(e3, b2):
     assert iterate_wnu(b2, "d") == b2.op("d")
     one = trivial_algebra()
     assert iterate_wnu(one, "d").entries == (0,)
+
+
+def test_iterate_wnu_entry_cap(e3):
+    with pytest.raises(CapExceeded, match="above the cap 10"):
+        iterate_wnu(e3, "d", max_entries=10)
 
 
 def test_iterate_wnu_pointwise_oracle(e3):

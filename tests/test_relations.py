@@ -15,7 +15,7 @@ from smbalg import (AlgebraError, FiniteAlgebra, OperationTable, Partition,
                     product_algebra, push_partition, quotient_algebra,
                     random_algebra, random_semilattice, regularize,
                     subalgebra, unary_polynomials)
-from smbalg import relations
+from smbalg import core, relations
 from smbalg.relations import (GeneratedSet, congruence_by_alternating_closure,
                               subpower_closure_fast)
 from smbalg.constructions import affine_block
@@ -145,7 +145,7 @@ def random_closure_cases():
                     yield alg, power, gens
 
 
-def test_generate_subpower_matches_bfs(b2):
+def test_generate_subpower_matches_bfs(b2, monkeypatch):
     # elements and traces equal tuple for tuple, with blocks of at most 7
     # combinations (the cut path of `_blocks`) and with the default bound;
     # the last case has keys up to 2**63 - 1
@@ -154,11 +154,12 @@ def test_generate_subpower_matches_bfs(b2):
     wide = [(1,) * 63, (0,) * 63, (1, 0) * 31 + (1,), (0, 1) * 31 + (0,)]
     cases.append((b2, 63, wide))
     for alg, k, gens in cases:
-        for chunk in (7, 1 << 20):
-            assert_matches_bfs(generate_subpower(alg, k, gens, chunk=chunk), alg, k, gens)
+        for block in (7, 1 << 20):
+            monkeypatch.setattr(core, "BLOCK_SIZE", block)
+            assert_matches_bfs(generate_subpower(alg, k, gens), alg, k, gens)
 
 
-def test_generate_subpower_order_is_checked():
+def test_generate_subpower_order_is_checked(monkeypatch):
     # a copy that orders the candidates of one `cur` by key, not by
     # operation, position and place in the box, must fail the differential
     # test above
@@ -167,8 +168,9 @@ def test_generate_subpower_order_is_checked():
     assert broken != source
     namespace = dict(vars(relations))
     exec(broken, namespace)
+    monkeypatch.setattr(core, "BLOCK_SIZE", 7)
     mismatches = sum(
-        (namespace["generate_subpower"](alg, k, gens, chunk=7).elements
+        (namespace["generate_subpower"](alg, k, gens).elements
          != bfs_subpower(alg, k, gens)[0])
         for alg, k, gens in random_closure_cases())
     assert mismatches > 0
@@ -237,19 +239,22 @@ def test_fast_closure_matches_traced(e3, b2, corpus):
         assert fast == slow
 
 
-def test_fast_closure_chunked(e3):
-    # a tiny chunk forces the block-splitting path through many partial reads
+def test_fast_closure_chunked(e3, monkeypatch):
+    # a tiny block bound forces the block-splitting path through many
+    # partial reads
     gens = [(a, a, b, b) for a in range(3) for b in range(3)] + \
            [(0, 1, 0, 1), (1, 0, 1, 0)]
     whole = set(map(tuple, subpower_closure_fast(e3, 4, gens).tolist()))
-    tiny = set(map(tuple, subpower_closure_fast(e3, 4, gens, chunk=5).tolist()))
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "BLOCK_SIZE", 5)
+        tiny = set(map(tuple, subpower_closure_fast(e3, 4, gens).tolist()))
     assert whole == tiny
     assert whole == generate_subpower(e3, 4, gens).as_set()
 
 
-def test_fast_closure_differential(e3):
+def test_fast_closure_differential(e3, monkeypatch):
     # seeded random algebras: the set must match the traced engine for a
-    # tiny chunk (many blocks) and the default one, and the element order
+    # tiny block bound (many blocks) and the default one, and the element order
     # must be the documented one (generators sorted, then each round's new
     # tuples ascending)
     rng = random.Random(303)
@@ -263,8 +268,9 @@ def test_fast_closure_differential(e3):
                     for _ in range(rng.randrange(1, 4))]
             traced = generate_subpower(alg, power, gens).as_set()
             ordered = closure_in_rounds(alg, power, gens)
-            for chunk in (3, 1 << 20):
-                fast = subpower_closure_fast(alg, power, gens, chunk=chunk)
+            for block in (3, 1 << 20):
+                monkeypatch.setattr(core, "BLOCK_SIZE", block)
+                fast = subpower_closure_fast(alg, power, gens)
                 assert fast.shape == (len(traced), power)
                 assert list(map(tuple, fast.tolist())) == ordered
                 assert set(ordered) == traced
@@ -285,7 +291,7 @@ def regularized_glued(seed, block_sizes):
     return regularize(glue_smb(sl, blocks, reps), sim), sim
 
 
-def test_matrix_set_matches_traced():
+def test_matrix_set_matches_traced(monkeypatch):
     # M(sim, 1_A) of a regularized glued algebra of size 5, against the
     # traced engine
     alg, sim = regularized_glued(3, (3, 2))
@@ -295,7 +301,8 @@ def test_matrix_set_matches_traced():
     mats = list(map(tuple, matrix_set(alg, sim, one).tolist()))
     assert len(mats) == len(set(mats))
     assert set(mats) == generate_subpower(alg, 4, gens).as_set()
-    tiny = subpower_closure_fast(alg, 4, gens, chunk=7)
+    monkeypatch.setattr(core, "BLOCK_SIZE", 7)
+    tiny = subpower_closure_fast(alg, 4, gens)
     assert list(map(tuple, tiny.tolist())) == mats
 
 
@@ -516,6 +523,131 @@ def test_subalgebras_and_products(e3, b2, s2, n4):
     prod = product_algebra(s2, s2)
     assert prod.size == 4
     assert prod.op("wedge").apply(1 * 2 + 0, 0 * 2 + 1) == 0  # (1,0)^(0,1) = (0,0)
+
+
+# Reference table builders: the per-tuple loops over `nested` that the
+# numpy versions in `relations` replaced.
+
+def loop_translations(alg):
+    n = alg.size
+    out = []
+    for table in alg.operations.values():
+        arity = table.arity
+        nested = table.nested
+        for pos in range(arity):
+            for consts in itertools.product(range(n), repeat=arity - 1):
+                row = []
+                for x in range(n):
+                    args = consts[:pos] + (x,) + consts[pos:]
+                    t = nested
+                    for a in args:
+                        t = t[a]
+                    row.append(t)
+                tmap = tuple(row)
+                if tmap != tuple(range(n)):
+                    out.append(tmap)
+    return tuple(sorted(set(out)))
+
+
+def loop_quotient(alg, theta):
+    ids = theta.class_ids
+    reps = [block[0] for block in theta.blocks()]
+    m = theta.num_classes
+    ops = {}
+    for sym, table in alg.operations.items():
+        nested = table.nested
+        entries = []
+        for args in itertools.product(range(m), repeat=table.arity):
+            t = nested
+            for c in args:
+                t = t[reps[c]]
+            entries.append(ids[t])
+        ops[sym] = OperationTable(table.arity, m, entries)
+    return FiniteAlgebra(f"{alg.name}_mod", m, ops), tuple(ids)
+
+
+def loop_subalgebra(alg, subuniverse):
+    sub = tuple(sorted(subuniverse))
+    pos = {x: i for i, x in enumerate(sub)}
+    ops = {}
+    for sym, table in alg.operations.items():
+        nested = table.nested
+        entries = []
+        for args in itertools.product(sub, repeat=table.arity):
+            t = nested
+            for a in args:
+                t = t[a]
+            if t not in pos:
+                raise AlgebraError(
+                    f"{sub} is not closed under '{sym}' at {args} (value {t})")
+            entries.append(pos[t])
+        ops[sym] = OperationTable(table.arity, len(sub), entries)
+    return FiniteAlgebra(f"{alg.name}_sub", len(sub), ops)
+
+
+def loop_product(a, b):
+    ops = {}
+    nb = b.size
+    for sym, ta in a.operations.items():
+        tb = b.operations[sym]
+        na_nested, nb_nested = ta.nested, tb.nested
+        entries = []
+        for args in itertools.product(range(a.size * nb), repeat=ta.arity):
+            t1 = na_nested
+            t2 = nb_nested
+            for e in args:
+                t1 = t1[e // nb]
+                t2 = t2[e % nb]
+            entries.append(t1 * nb + t2)
+        ops[sym] = OperationTable(ta.arity, a.size * nb, entries)
+    return FiniteAlgebra(f"{a.name}x{b.name}", a.size * b.size, ops)
+
+
+def same_algebra(left, right):
+    """Equal name, size, declaration order and entries."""
+    assert (left.name, left.size) == (right.name, right.size)
+    assert [(s, t.arity, t.entries) for s, t in left.operations.items()] == \
+        [(s, t.arity, t.entries) for s, t in right.operations.items()]
+
+
+def builder_cases(corpus):
+    """Corpus entries of size <= 6, then seeded random algebras with n <= 5
+    and operations of arity 1 to 3 in two signatures."""
+    algebras = [e.algebra for e in corpus if e.algebra.size <= 6]
+    rng = random.Random(707)
+    for n in range(1, 6):
+        for sig in ({"f": 1, "g": 2}, {"h": 3, "f": 1}, {"g": 2, "h": 3}):
+            for _ in range(3):
+                algebras.append(random_algebra(n, sig, rng.randrange(1 << 30)))
+    return algebras
+
+
+def test_table_builders_match_loops(corpus):
+    # every congruence quotient, every subset (closed or not, so the first
+    # failing argument tuple is compared too) and products of equal
+    # signatures, against the reference loops
+    algebras = builder_cases(corpus)
+    for alg in algebras:
+        assert relations._translations(alg) == loop_translations(alg)
+        for theta in congruence_lattice(alg):
+            quot, cmap = quotient_algebra(alg, theta)
+            ref_quot, ref_cmap = loop_quotient(alg, theta)
+            same_algebra(quot, ref_quot)
+            assert cmap == ref_cmap
+        for r in range(1, alg.size + 1):
+            for subset in itertools.combinations(range(alg.size), r):
+                try:
+                    expected = loop_subalgebra(alg, subset[::-1])
+                except AlgebraError as exc:
+                    with pytest.raises(AlgebraError) as got:
+                        subalgebra(alg, subset[::-1])
+                    assert str(got.value) == str(exc)
+                else:
+                    same_algebra(subalgebra(alg, subset[::-1]), expected)
+    signature = lambda alg: {s: t.arity for s, t in alg.operations.items()}
+    for left, right in itertools.product(algebras, repeat=2):
+        if signature(left) == signature(right) and left.size * right.size <= 12:
+            same_algebra(product_algebra(left, right), loop_product(left, right))
 
 
 def test_matrix_commutator_examples(e3, s2, b2, e3_sim):
