@@ -342,9 +342,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to `main` and reused by every later call in the
+# process: building the argparse tree costs about as much as a small op
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -111,11 +111,15 @@ class OperationTable:
 
     @property
     def array(self) -> np.ndarray:
-        """Entries as a read-only flat int64 array (numpy lookup)."""
+        """Entries as a read-only flat int64 array (numpy lookup).
+
+        A view over one `bytes` buffer, its `base`, which is also the
+        table's part of the `FiniteAlgebra` content key, so the values are
+        stored once.
+        """
         if self._array is None:
-            array = np.asarray(self.entries, dtype=np.int64)
-            array.flags.writeable = False
-            self._array = array
+            self._array = np.frombuffer(
+                np.asarray(self.entries, dtype=np.int64).tobytes(), dtype=np.int64)
         return self._array
 
     def rows(self):
@@ -142,9 +146,10 @@ class FiniteAlgebra:
     Operations are kept in declaration order.  The name takes no part in
     equality; two algebras are equal when they have the same size and the
     same symbol-to-table mapping.  Equality and hashing read one content
-    key, the size plus each table's arity and bytes sorted by symbol, built
-    once per object together with its hash, so cache lookups with a fresh
-    parse of the same algebra never walk the tables.
+    key, the size plus each table's arity and the bytes its `array` views,
+    sorted by symbol, built once per object together with its hash, so
+    cache lookups with a fresh parse of the same algebra never walk the
+    tables.
     """
 
     __slots__ = ("name", "size", "operations", "_key", "_hash")
@@ -192,7 +197,7 @@ class FiniteAlgebra:
     def _content(self) -> tuple:
         if self._key is None:
             self._key = (self.size, tuple(sorted(
-                (sym, t.arity, t.array.tobytes()) for sym, t in self.operations.items())))
+                (sym, t.arity, t.array.base) for sym, t in self.operations.items())))
             self._hash = hash(self._key)
         return self._key
 

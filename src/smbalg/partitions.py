@@ -36,8 +36,12 @@ class DisjointSet:
         self.parent[rb] = ra
         return True
 
-    def class_ids(self) -> list:
-        return [self.find(x) for x in range(len(self.parent))]
+    def partition(self) -> "Partition":
+        """The classes as a Partition, numbered in canonical order."""
+        first: dict = {}
+        ids = tuple(first.setdefault(self.find(x), len(first))
+                    for x in range(len(self.parent)))
+        return Partition._from_canonical(len(ids), ids)
 
 
 def _canonical(ids: Sequence[int]) -> tuple:
@@ -66,15 +70,28 @@ class Partition:
 
     # -- constructors ------------------------------------------------------
 
+    @classmethod
+    def _from_canonical(cls, size: int, class_ids: tuple) -> "Partition":
+        """A partition from a nonempty tuple of class ids that is canonical
+        by construction, without the checks and the re-canonicalization
+        that the public constructor applies to any other input.  A size
+        below 1 goes to the public constructor, which rejects it."""
+        if size < 1:
+            return cls(size, class_ids)
+        p = object.__new__(cls)
+        object.__setattr__(p, "size", size)
+        object.__setattr__(p, "class_ids", class_ids)
+        return p
+
     @staticmethod
     def zero(n: int) -> "Partition":
         """The identity partition: all classes singletons."""
-        return Partition(n, tuple(range(n)))
+        return Partition._from_canonical(n, tuple(range(n)))
 
     @staticmethod
     def one(n: int) -> "Partition":
         """The single-class partition."""
-        return Partition(n, (0,) * n)
+        return Partition._from_canonical(n, (0,) * n)
 
     @staticmethod
     def from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -98,7 +115,7 @@ class Partition:
             if not (0 <= a < n and 0 <= b < n):
                 raise AlgebraError(f"pair ({a}, {b}) out of range 0..{n - 1}")
             ds.union(a, b)
-        return Partition(n, tuple(ds.class_ids()))
+        return ds.partition()
 
     @staticmethod
     def parse(text: str, n: int) -> "Partition":
@@ -185,7 +202,9 @@ class Partition:
         """Transitive closure of the union.
 
         Union-find over the classes of self: each class of other merges
-        the classes of self it meets.
+        the classes of self it meets.  Each merged class keeps the least
+        class id of self in it, so numbering the roots in increasing order
+        gives canonical class ids.
         """
         self._check_size(other)
         parent = list(range(self.num_classes))
@@ -202,8 +221,10 @@ class Partition:
                 r, c = find(r), find(c)
                 if r != c:
                     parent[max(r, c)] = min(r, c)
-        roots = [find(c) for c in range(len(parent))]
-        return Partition(self.size, tuple(roots[c] for c in self.class_ids))
+        first: dict = {}
+        roots = [first.setdefault(find(c), len(first)) for c in range(len(parent))]
+        return Partition._from_canonical(
+            self.size, tuple(roots[c] for c in self.class_ids))
 
     def meet(self, other: "Partition") -> "Partition":
         """Common refinement."""

@@ -18,9 +18,12 @@ commutator's matrix sets in A^4 and generated subuniverses.  The test
 suite checks each order against a plain Python loop.
 
 The commutator [alpha, beta] is computed by construction as the least
-congruence satisfying the term condition on M(alpha, beta), by a fixpoint
-over class-id masks of the matrix array; `commutator_oracle` finds it
-instead by scanning the congruence lattice.
+congruence satisfying the term condition, by a fixpoint over class-id
+masks of the matrix array.  It closes the matrices M(S, beta) of a
+symmetric generating set S of alpha, which have the same term condition
+as M(alpha, beta) and are far fewer; `matrix_set` and `commutator_oracle`
+keep the full M(alpha, beta), and the oracle finds the commutator instead
+by scanning the congruence lattice.
 
 The congruence layer follows R. Freese, "Computing congruences
 efficiently", Algebra Universalis 59 (2008) 337-343.  Principal
@@ -255,7 +258,7 @@ def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> Partitio
             ma, mb = m[a], m[b]
             if ds.find(ma) != ds.find(mb):
                 queue.append((ma, mb))
-    return Partition(n, tuple(ds.class_ids()))
+    return ds.partition()
 
 
 @lru_cache(maxsize=None)
@@ -624,16 +627,27 @@ def subpower_closure_fast(alg: FiniteAlgebra, power: int,
     return elements
 
 
+def _matrix_closure(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
+                    beta: Partition) -> np.ndarray:
+    """Closure in A^4 of the rows (a, a, b, b) for each given alpha-pair
+    and (c, d, c, d) for every beta-pair, as an (m, 4) int64 array."""
+    gens = {(a, a, b, b) for a, b in alpha_pairs}
+    gens.update((c, d, c, d) for c, d in beta.pairs())
+    return subpower_closure_fast(alg, 4, sorted(gens))
+
+
 def matrix_set(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> np.ndarray:
     """M(alpha, beta): rows (m11, m12, m21, m22) read as 2x2 matrices,
     generated from alpha-pairs duplicated as rows and beta-pairs duplicated
     as columns.  The closure's (m, 4) int64 array."""
-    gens = set()
-    for a, b in alpha.pairs():
-        gens.add((a, a, b, b))
-    for c, d in beta.pairs():
-        gens.add((c, d, c, d))
-    return subpower_closure_fast(alg, 4, sorted(gens))
+    return _matrix_closure(alg, alpha.pairs(), beta)
+
+
+def _spanning_pairs(p: Partition) -> list:
+    """A symmetric generating set of p: (b0, x) and (x, b0) for each member
+    x of a class other than its least element b0."""
+    return [pair for block in p.blocks() for x in block[1:]
+            for pair in ((block[0], x), (x, block[0]))]
 
 
 def _check_congruences(alg: FiniteAlgebra, *parts: Partition):
@@ -645,29 +659,42 @@ def _check_congruences(alg: FiniteAlgebra, *parts: Partition):
                 f"operation '{bad[0]}' separates {bad[1]} and {bad[2]}")
 
 
-@lru_cache(maxsize=None)
-def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
-    """The binary commutator [alpha, beta], via 2x2 matrix generation.
-
-    The least congruence delta such that every matrix in M(alpha, beta)
-    with a delta-related top row has a delta-related bottom row, which is
-    the term condition itself.  It is the least fixpoint of
-    delta <- Cg(delta u {(m21, m22) : m11 delta m12}) from 0_A; the first
-    step is the congruence generated by the bottom rows of the matrices
-    with a constant top row.  Guaranteed to lie below alpha meet beta; a
-    violation of that bound is raised loudly.
-    """
-    _check_congruences(alg, alpha, beta)
-    matrices = matrix_set(alg, alpha, beta)
+def _term_condition_fixpoint(alg: FiniteAlgebra, matrices: np.ndarray) -> Partition:
+    """The least congruence delta such that every row of `matrices` with a
+    delta-related top row has a delta-related bottom row: the least fixpoint
+    of delta <- Cg(delta u {(m21, m22) : m11 delta m12}) from 0_A."""
     result = Partition.zero(alg.size)
     pairs = np.empty((0, 2), dtype=np.int64)
     while True:
         ids = np.asarray(result.class_ids, dtype=np.int64)[matrices]
         grow = (ids[:, 0] == ids[:, 1]) & (ids[:, 2] != ids[:, 3])
         if not grow.any():
-            break
+            return result
         pairs = np.concatenate([pairs, matrices[grow, 2:]])
         result = congruence_generated(alg, pairs.tolist())
+
+
+@lru_cache(maxsize=None)
+def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
+    """The binary commutator [alpha, beta], via 2x2 matrix generation.
+
+    The least congruence delta such that every matrix with a delta-related
+    top row has a delta-related bottom row, which is the term condition
+    itself, found by `_term_condition_fixpoint`; the first step is the
+    congruence generated by the bottom rows of the matrices with a
+    constant top row.  The matrices are M(S, beta), generated from a
+    symmetric generating set S of alpha (`_spanning_pairs`) duplicated as
+    rows and from every beta-pair duplicated as columns; they have the same
+    term condition as M(alpha, beta):
+      {(a, b) : t(a,c) delta t(a,d) <=> t(b,c) delta t(b,d) for all t, c beta d}
+      is a congruence, and the condition on M(S, beta) puts S, so alpha, in it.
+    S must be symmetric and beta must stay whole, because the term condition
+    is not symmetric.  Guaranteed to lie below alpha meet beta; a violation
+    of that bound is raised loudly.
+    """
+    _check_congruences(alg, alpha, beta)
+    matrices = _matrix_closure(alg, _spanning_pairs(alpha), beta)
+    result = _term_condition_fixpoint(alg, matrices)
     if not result.refines(alpha.meet(beta)):
         raise FalsificationError(
             f"commutator bound failed on {alg.name}: [{alpha}, {beta}] = {result} "

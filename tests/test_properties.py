@@ -3,9 +3,11 @@
 import itertools
 import random
 
-from smbalg import (App, Var, check_identity, check_quasiidentity, eval_term,
+from smbalg import (App, Partition, Var, all_partitions, check_identity,
+                    check_quasiidentity, congruence_generated, eval_term,
                     find_smb_congruences, materialize_term, random_algebra,
                     smb_axioms, term_variables)
+from smbalg.partitions import _canonical
 from conftest import random_term_all_vars
 
 
@@ -84,3 +86,20 @@ def test_axioms_hold_exactly_on_detected_n2_slice():
         assert axioms == bool(find_smb_congruences(alg))
         count += 1
     assert count == 586
+
+
+def test_trusted_partitions_are_canonical():
+    # join, zero, one, from_pairs and congruence_generated skip the
+    # re-canonicalization of the public constructor, so their class ids
+    # must already be in canonical form
+    rng = random.Random(11)
+    parts = list(all_partitions(4))
+    made = [p.join(q) for p, q in itertools.product(parts, repeat=2)]
+    made += [Partition.zero(4), Partition.one(4)]
+    alg = random_algebra(5, {"f": 2}, 7)
+    for _ in range(50):
+        pairs = [(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(4))]
+        made += [Partition.from_pairs(5, pairs), congruence_generated(alg, pairs)]
+    for p in made:
+        assert p.class_ids == _canonical(p.class_ids)
+        assert all(type(c) is int for c in p.class_ids)

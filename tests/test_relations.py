@@ -711,6 +711,37 @@ def test_commutator_oracle_glued(block_sizes):
             assert commutator(alg, p, q) == commutator_oracle(alg, p, q), (p, q)
 
 
+def matrix_fixpoint(alg, alpha_pairs, beta_pairs):
+    """The term-condition fixpoint over the closure of (a, a, b, b) for the
+    given alpha-pairs and (c, d, c, d) for the given beta-pairs."""
+    gens = sorted({(a, a, b, b) for a, b in alpha_pairs}
+                  | {(c, d, c, d) for c, d in beta_pairs})
+    return relations._term_condition_fixpoint(alg, subpower_closure_fast(alg, 4, gens))
+
+
+def test_commutator_differential(e3, n4):
+    # the commutator closes M(S, beta) for a symmetric spanning set S of
+    # alpha; on every ordered pair of lattice members it must equal the
+    # oracle over the full M(alpha, beta).  Two broken copies, closed the
+    # same way, must each be caught: one that also spans beta, and one that
+    # drops S^-1.  The second agrees on every pair of these glued algebras;
+    # e3 and n4 catch it.
+    algebras = [regularized_glued(seed, sizes)[0] for seed, sizes in
+                [(0, (2, 2, 1)), (0, (3, 2)), (1, (4, 2)), (1, (3, 3))]] + [e3, n4]
+    caught = {"spanning beta": 0, "one direction": 0}
+    for alg in algebras:
+        diagonal = [(c, c) for c in range(alg.size)]
+        for alpha, beta in itertools.product(congruence_lattice(alg), repeat=2):
+            want = commutator_oracle(alg, alpha, beta)
+            assert commutator(alg, alpha, beta) == want, (alg.name, alpha, beta)
+            spanning = relations._spanning_pairs(alpha)
+            beta_spanning = relations._spanning_pairs(beta) + diagonal
+            caught["spanning beta"] += matrix_fixpoint(alg, spanning, beta_spanning) != want
+            one_way = [(a, b) for a, b in spanning if a < b]
+            caught["one direction"] += matrix_fixpoint(alg, one_way, beta.pairs()) != want
+    assert all(caught.values()), caught
+
+
 def test_commutator_is_order_sensitive(e3, e3_sim):
     # the two argument orders genuinely differ here, so the engine must not
     # symmetrize; both values are confirmed by the independent oracle
