@@ -20,9 +20,9 @@ from .analyzer import (BaseReport, ClassOrder, RegularityReport, SmbReport,
                        TaylorReport, check_cgvsim, check_regular,
                        check_regular_base, check_smb_over, check_undersim,
                        cgvsim_below, commutator_below_sim,
-                       find_smb_congruences, join_membership_chain,
-                       alternating_chain_fold, recovered_sim, smb_axioms,
-                       taylor_check, verify_cg_d3)
+                       count_biconditional, find_smb_congruences,
+                       join_membership_chain, alternating_chain_fold,
+                       recovered_sim, smb_axioms, taylor_check, verify_cg_d3)
 from .pipeline import (PipelineResult, RepresentativeInconsistency,
                        circ_table, class_order_from_circ, idempotent_power,
                        iterate_wnu, literal_power, regularize, run_pipeline,

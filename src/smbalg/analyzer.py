@@ -16,7 +16,11 @@ congruence/commutator biconditionals that hold in the regular case.
 
 The biconditional checkers compute both sides independently and raise
 FalsificationError when they disagree, so the test suite doubles as a
-falsification harness rather than assuming the mathematics.
+falsification harness rather than assuming the mathematics.  The sweeps
+over all of A^4 (`count_biconditional`) group the tuples by the values
+each law reads; every disagreement check still runs, once per distinct
+input, and a disagreement is re-raised by the pointwise checker at the
+lexicographically least failing tuple.
 """
 
 from __future__ import annotations
@@ -668,6 +672,104 @@ def commutator_below_sim(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> 
             f"commutator biconditional fails at ({a},{b},{c},{d}) on "
             f"'{alg.name}': commutator side {left}, quotient side {right}")
     return left
+
+
+# ---------------------------------------------------------------------------
+# The biconditionals over all of A^4, one evaluation per distinct input
+
+BICONDITIONALS = {"cgvsim": check_cgvsim, "undersim": check_undersim,
+                  "commutator": commutator_below_sim}
+
+
+def _pair_groups(n: int, key) -> dict:
+    """key(a, b) -> [(a, b) first in lexicographic order, number of pairs],
+    over all pairs of {0..n-1}, in order of first appearance."""
+    groups: dict = {}
+    for a in range(n):
+        for b in range(n):
+            group = groups.setdefault(key(a, b), [(a, b), 0])
+            group[1] += 1
+    return groups
+
+
+def _relation_rows(parts) -> np.ndarray:
+    """One row per partition: its relation matrix, flattened, as int64."""
+    ids = np.array([p.class_ids for p in parts], dtype=np.int64)
+    return (ids[:, :, None] == ids[:, None, :]).reshape(len(parts), -1).astype(np.int64)
+
+
+def _disagreement(alg: FiniteAlgebra, which: str, tup: tuple):
+    """Re-run the pointwise checker at the least failing tuple; it raises
+    its own FalsificationError, and if it does not, raise one here."""
+    BICONDITIONALS[which](alg, *tup)
+    raise FalsificationError(
+        f"grouped {which} sweep disagrees at {tup} on '{alg.name}', "
+        f"but the pointwise check holds there")
+
+
+def count_biconditional(alg: FiniteAlgebra, which: str) -> int:
+    """How many tuples (a, b, c, d) of A^4 satisfy the biconditional
+    `which` ("cgvsim", "undersim" or "commutator"), with both sides
+    compared on every tuple, as the pointwise checkers in BICONDITIONALS do.
+
+    Each side reads (a, b) and (c, d) only through a few values, so pairs
+    are grouped by exactly those values and each distinct input is
+    evaluated once.  cgvsim reads Cg(a,b) and then c and d: per distinct
+    Cg, both sides are n x n masks over (c, d).  undersim and commutator
+    read Cg_A(a,b) and Cg_Q([a],[b]) in the quotient Q = A/sim, and group
+    by the pair of both, never by Cg_A alone, since the quotient side is
+    what is under test: both sides are K x K masks over pairs of keys.
+    Groups keep the order of first appearance, so the lexicographically
+    least failing tuple pairs first members of groups; at a disagreement
+    the pointwise checker runs on it and raises its FalsificationError.
+    """
+    if which not in BICONDITIONALS:
+        raise AlgebraError(f"unknown biconditional {which!r}")
+    sim, quot, cmap = _regular_context(alg)
+    n = alg.size
+    if which == "cgvsim":
+        groups = _pair_groups(n, lambda a, b: principal_congruence(alg, a, b))
+        wedge = alg.op(WEDGE).array.reshape(n, n)
+        true = 0
+        for cg, (first, count) in groups.items():
+            ids = np.asarray(cg.class_ids, dtype=np.int64)
+            joined = np.asarray(cg.join(sim).class_ids, dtype=np.int64)
+            left = joined[:, None] == joined
+            # (c, d^c) and (d, c^d) in Cg(a,b), at [c, d]
+            right = (ids[:, None] == ids[wedge.T]) & (ids == ids[wedge])
+            bad = np.argwhere(left != right)
+            if len(bad):
+                _disagreement(alg, which, first + tuple(bad[0].tolist()))
+            true += count * int(left.sum())
+        return true
+
+    groups = _pair_groups(n, lambda a, b: (
+        principal_congruence(alg, a, b),
+        principal_congruence(quot, cmap[a], cmap[b])))
+    keys = list(groups)
+    firsts = [first for first, _ in groups.values()]
+    weights = np.array([count for _, count in groups.values()], dtype=np.int64)
+    m = quot.size
+    in_q = _relation_rows([q for _, q in keys]) * ~np.eye(m, dtype=bool).ravel()
+    right = in_q @ in_q.T == 0                 # Cg_Q meet Cg_Q is 0_Q
+    if which == "undersim":
+        in_a = _relation_rows([p for p, _ in keys])
+        outside_sim = 1 - _relation_rows([sim])[0]
+        left = (in_a * outside_sim) @ in_a.T == 0    # Cg meet Cg below sim
+    else:
+        # compared pair by pair in the order of their least tuples, so a
+        # commutator that raises for a later pair cannot hide a disagreement
+        left = np.empty_like(right)
+        for i, (p, _) in enumerate(keys):
+            for j, (q, _) in enumerate(keys):
+                left[i, j] = commutator(alg, p, q).refines(sim)
+                if left[i, j] != right[i, j]:
+                    _disagreement(alg, which, firsts[i] + firsts[j])
+    bad = np.argwhere(left != right)
+    if len(bad):
+        i, j = bad[0].tolist()
+        _disagreement(alg, which, firsts[i] + firsts[j])
+    return int(weights @ left.astype(np.int64) @ weights)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from smbalg import (App, Const, Var, build_corpus, example_b2, example_e3,
-                    example_n4, example_s2, Partition, term_variables)
+from smbalg import (App, Const, Var, affine_block, build_corpus, example_b2,
+                    example_e3, example_n4, example_s2, glue_layout, glue_smb,
+                    Partition, random_semilattice, regularize, term_variables)
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +66,15 @@ def random_term_all_vars(rng, signature, nvars, depth):
         if v not in term_variables(t):
             t = App("wedge", (t, Var(v)))
     return t
+
+
+def regularized_glued(seed, block_sizes):
+    """A regularized glued algebra over a random tree with one affine block
+    of each given size, and its sim."""
+    rng = random.Random(seed)
+    sl = random_semilattice(len(block_sizes), rng)
+    blocks = {c: affine_block(s) for c, s in enumerate(block_sizes)}
+    offsets = [sum(block_sizes[:c]) for c in range(len(block_sizes))]
+    reps = {c: offsets[c] + rng.randrange(s) for c, s in enumerate(block_sizes)}
+    sim = glue_layout(sl, blocks)
+    return regularize(glue_smb(sl, blocks, reps), sim), sim

@@ -1,20 +1,25 @@
 import itertools
 import random
+import re
 
 import pytest
 
-from smbalg import (App, ClassOrder, FiniteAlgebra, OperationTable, Partition,
-                    PreconditionError, SmbReport, Var, affine_block,
-                    all_partitions, check_cgvsim,
+from smbalg import (AlgebraError, App, ClassOrder, FalsificationError,
+                    FiniteAlgebra, OperationTable, Partition, PreconditionError,
+                    SmbReport, Var, affine_block, all_partitions, analyzer,
+                    check_cgvsim,
                     check_identity, check_quasiidentity, check_regular,
                     check_regular_base, check_smb_over, check_undersim,
                     cgvsim_below, commutator_below_sim, congruence_lattice,
-                    congruence_violation, eval_term, find_smb_congruences,
+                    congruence_violation, count_biconditional, eval_term,
+                    find_smb_congruences,
                     glue_smb, join_membership_chain, alternating_chain_fold,
                     principal_congruence, random_semilattice, recovered_sim,
                     regularize, smb_axioms, taylor_check, verify_cg_d3)
 from smbalg.analyzer import BASE_IDENTITY_NAMES
 from smbalg.constructions import random_algebra
+
+from conftest import regularized_glued
 
 
 def test_check_smb_over_examples(e3, b2, e3_sim):
@@ -263,6 +268,118 @@ def test_commutator_below_sim_examples(e3):
     assert commutator_below_sim(e3, 0, 1, 0, 1) is True
     assert commutator_below_sim(e3, 0, 0, 0, 2) is True
     assert commutator_below_sim(e3, 0, 2, 0, 2) is False
+
+
+POINTWISE = {"cgvsim": check_cgvsim, "undersim": check_undersim,
+             "commutator": commutator_below_sim}
+
+
+def pointwise_count(alg, which):
+    """Reference: the pointwise checker on every tuple of A^4, in
+    lexicographic order, so the first FalsificationError is raised at the
+    lexicographically least failing tuple."""
+    checker = POINTWISE[which]
+    return sum(checker(alg, *t) for t in itertools.product(range(alg.size), repeat=4))
+
+
+# seeded regularized glued algebras of sizes 5 to 8
+GLUED_SWEEP = ((11, (2, 2, 1)), (12, (3, 2)), (13, (2, 2, 2)), (14, (3, 2, 1)),
+               (15, (2, 2, 2, 1)), (16, (3, 3, 1)), (17, (2, 3, 3)),
+               (18, (3, 2, 2, 1)))
+
+
+def test_count_biconditional_matches_pointwise(corpus, e3):
+    glued = [regularized_glued(seed, sizes)[0] for seed, sizes in GLUED_SWEEP]
+    assert {alg.size for alg in glued} == {5, 6, 7, 8}
+    algebras = ([e.algebra for e in corpus if e.has("regular")] + [e3] + glued
+                + [random_semilattice(n, random.Random(n)) for n in range(1, 9)])
+    for alg in algebras:
+        laws = ("cgvsim", "undersim") + (("commutator",) if alg.size <= 5 else ())
+        for which in laws:
+            assert count_biconditional(alg, which) == pointwise_count(alg, which), \
+                (alg.name, which)
+
+
+def assert_same_first_failure(alg, which):
+    with pytest.raises(FalsificationError) as grouped:
+        count_biconditional(alg, which)
+    with pytest.raises(FalsificationError) as pointwise:
+        pointwise_count(alg, which)
+    assert str(grouped.value) == str(pointwise.value)
+
+
+def break_context(monkeypatch, alg, shift_quotient=False, zero_sim=False):
+    """Replace the regular context of `alg` by a broken copy: the class map
+    composed with a cyclic shift of Q, or sim replaced by 0_A."""
+    sim, quot, cmap = analyzer._regular_context(alg)
+    if shift_quotient:
+        cmap = tuple((c + 1) % quot.size for c in cmap)
+    if zero_sim:
+        sim = Partition.zero(alg.size)
+    monkeypatch.setattr(analyzer, "_regular_context", lambda _: (sim, quot, cmap))
+
+
+@pytest.mark.parametrize("which", ["undersim", "commutator"])
+@pytest.mark.parametrize("alg", [
+    random_semilattice(4, random.Random(4)),
+    regularized_glued(15, (2, 2, 2, 1))[0],
+], ids=["tree4", "glued7"])
+def test_count_biconditional_permuted_quotient(monkeypatch, alg, which):
+    break_context(monkeypatch, alg, shift_quotient=True)
+    assert_same_first_failure(alg, which)
+
+
+@pytest.mark.parametrize("which", ["undersim", "commutator"])
+@pytest.mark.parametrize("broken", [
+    lambda x, y: True,
+    # only pairs that are never the first of their Cg_A group
+    lambda x, y: x > y,
+], ids=["all", "descending"])
+def test_count_biconditional_zero_quotient_congruences(monkeypatch, e3, which, broken):
+    # Cg_Q(x, y) is replaced by 0_Q
+    _, quot, _ = analyzer._regular_context(e3)
+    real = analyzer.principal_congruence
+    monkeypatch.setattr(analyzer, "principal_congruence", lambda alg, a, b: (
+        Partition.zero(alg.size) if alg is quot and broken(a, b) else real(alg, a, b)))
+    assert_same_first_failure(e3, which)
+
+
+def test_count_biconditional_commutator_stops_at_first_failure(monkeypatch):
+    # as a per-tuple loop would, no commutator is computed for a pair of
+    # inputs that first appears after the least failing tuple
+    alg = random_semilattice(4, random.Random(4))
+    break_context(monkeypatch, alg, shift_quotient=True)
+    real = analyzer.commutator
+    seen = []
+    monkeypatch.setattr(analyzer, "commutator",
+                        lambda alg, p, q: seen.append((p, q)) or real(alg, p, q))
+    with pytest.raises(FalsificationError) as info:
+        count_biconditional(alg, "commutator")
+    failing = tuple(map(int, re.search(r"at \((\d+),(\d+),(\d+),(\d+)\)",
+                                       str(info.value)).groups()))
+    first = {}
+    for pair in itertools.product(range(alg.size), repeat=2):
+        first.setdefault(principal_congruence(alg, *pair), pair)
+    assert seen and all(first[p] + first[q] <= failing for p, q in seen)
+
+
+def test_count_biconditional_zero_sim(monkeypatch, e3):
+    # cgvsim reads no quotient; joining with 0_A instead of sim breaks it
+    break_context(monkeypatch, e3, zero_sim=True)
+    assert_same_first_failure(e3, "cgvsim")
+
+
+def test_count_biconditional_raises_without_pointwise(monkeypatch, e3):
+    # a disagreement the pointwise checker does not confirm still raises
+    break_context(monkeypatch, e3, zero_sim=True)
+    monkeypatch.setitem(analyzer.BICONDITIONALS, "cgvsim", lambda *args: True)
+    with pytest.raises(FalsificationError, match="pointwise check holds"):
+        count_biconditional(e3, "cgvsim")
+
+
+def test_count_biconditional_unknown_law(e3):
+    with pytest.raises(AlgebraError, match="unknown biconditional"):
+        count_biconditional(e3, "taylor")
 
 
 def test_alternating_chain_fold_trivial(e3, e3_sim):

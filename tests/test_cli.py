@@ -83,8 +83,22 @@ def test_verify_sweeps(e3_file, capsys):
         assert main(["verify", which, e3_file]) == 0, which
 
 
+def test_verify_sweep_payloads(e3_file, capsys):
+    # the counts the per-tuple loop over all 81 tuples gave
+    for which, true in (("cgvsim", 61), ("undersim", 65), ("commutator", 65)):
+        assert main(["verify", which, e3_file, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"verdict": True, "tuples": 81, "true": true}, which
+
+
 def test_verify_needs_regular(n4_file, capsys):
     assert main(["verify", "cg-d3", n4_file]) == 2
+
+
+@pytest.mark.parametrize("which", ["cgvsim", "undersim", "commutator"])
+def test_verify_sweeps_need_regular(n4_file, capsys, which):
+    assert main(["verify", which, n4_file]) == 2
+    assert "error: 'n4' does not satisfy the regular base" in capsys.readouterr().err
 
 
 def test_regularize_command(n4_file, tmp_path, capsys):

@@ -8,17 +8,17 @@ from smbalg import (AlgebraError, FiniteAlgebra, OperationTable, Partition,
                     PreconditionError, all_partitions, all_subuniverses,
                     commutator, commutator_oracle, compose_relations,
                     congruence_generated, congruence_lattice,
-                    congruence_violation, d_rel,
-                    eval_term, generate_subpower, glue_layout, glue_smb,
-                    is_abelian, is_congruence, matrix_set,
-                    principal_congruence,
-                    product_algebra, push_partition, quotient_algebra,
-                    random_algebra, random_semilattice, regularize,
+                    congruence_violation, d_rel, eval_term,
+                    generate_subpower, is_abelian, is_congruence, matrix_set,
+                    principal_congruence, product_algebra, push_partition,
+                    quotient_algebra, random_algebra, random_semilattice,
                     subalgebra, unary_polynomials)
 from smbalg import core, relations
 from smbalg.relations import (GeneratedSet, congruence_by_alternating_closure,
                               subpower_closure_fast)
 from smbalg.constructions import affine_block
+
+from conftest import regularized_glued
 
 
 def closure_in_rounds(alg, k, generators):
@@ -277,18 +277,6 @@ def test_fast_closure_differential(e3, monkeypatch):
     for bad in ([(0, 3)], [(0, -1)], [(0,)], []):
         with pytest.raises(AlgebraError):
             subpower_closure_fast(e3, 2, bad)
-
-
-def regularized_glued(seed, block_sizes):
-    """A regularized glued algebra over a random tree with one affine block
-    of each given size, and its sim."""
-    rng = random.Random(seed)
-    sl = random_semilattice(len(block_sizes), rng)
-    blocks = {c: affine_block(s) for c, s in enumerate(block_sizes)}
-    offsets = [sum(block_sizes[:c]) for c in range(len(block_sizes))]
-    reps = {c: offsets[c] + rng.randrange(s) for c, s in enumerate(block_sizes)}
-    sim = glue_layout(sl, blocks)
-    return regularize(glue_smb(sl, blocks, reps), sim), sim
 
 
 def test_matrix_set_matches_traced(monkeypatch):
