@@ -25,7 +25,10 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 BLOCK_SIZE = 1 << 20                # combinations a numpy kernel evaluates at once
-FAST_CLOSURE_SPACE_CAP = 6_000_000  # largest table a term or a closure may fill
+# Largest table a term may fill and largest A^4 a matrix closure may span;
+# a subpower closure of a power no larger finds known tuples in a bitmap over
+# it, and above it by binary search in the sorted known keys.
+FAST_CLOSURE_SPACE_CAP = 6_000_000
 MAX_VARIABLES = 32                  # one array axis per variable; numpy 1.x has 32
 
 

@@ -4,18 +4,18 @@ Subuniverse generation with derivation traces, principal congruences and
 congruence lattices, quotients, products and subalgebras, the D-relation,
 unary polynomials, and the binary commutator.
 
-One evaluation kernel, `_apply_block`, closes subsets of finite powers,
-with two element orders.  For every operation, the argument columns lie
-along their own axes of one array of argument combinations, cut into
-blocks of at most `core.BLOCK_SIZE` combinations by `_blocks`, which the
-term kernel of `core` shares.
-`generate_subpower` keeps the breadth-first order of processing one
-element at a time and records a derivation trace per element; it is used
-wherever witnesses must be replayed.  `subpower_closure_fast` keeps no
-traces and closes in semi-naive rounds, in the order: the generators
-sorted, then each round's new tuples ascending; it gives the
-commutator's matrix sets in A^4 and generated subuniverses.  The test
-suite checks each order against a plain Python loop.
+One closure engine, `_subpower_closure`, closes subsets of finite
+powers in semi-naive rounds and records for each new tuple the first
+argument combination that produced it.  For every operation, the argument
+columns lie along their own axes of one array of argument combinations,
+cut into blocks of at most `core.BLOCK_SIZE` combinations by `_blocks`,
+which the term kernel of `core` shares, and evaluated by `_apply_block`.
+`generate_subpower` turns its rows and traces into a `GeneratedSet`,
+used wherever witnesses must be replayed (D-relations, polynomial image
+pairs, unary polynomials); the commutator's matrix sets in A^4 and
+generated subuniverses take its int64 rows directly.  The element order
+is documented at `generate_subpower`, and the test suite checks it,
+trace for trace, against a plain Python loop.
 
 The commutator [alpha, beta] is computed by construction as the least
 congruence satisfying the term condition, by a fixpoint over class-id
@@ -56,7 +56,7 @@ SUBUNIVERSE_SIZE_CAP = 12
 
 
 # ---------------------------------------------------------------------------
-# Traced subpower generation
+# Subpower closure
 
 @dataclass(frozen=True)
 class GeneratedSet:
@@ -67,7 +67,7 @@ class GeneratedSet:
     trace from the generators reproduces the element.
     """
     power: int
-    elements: tuple            # tuples of length `power`, in discovery order
+    elements: tuple            # tuples of length `power`, in closure order
     trace: tuple               # parallel to elements
 
     def __post_init__(self):
@@ -113,110 +113,150 @@ class GeneratedSet:
         return build(i)
 
 
-def generate_subpower(alg: FiniteAlgebra, k: int,
-                      generators: Sequence[tuple]) -> GeneratedSet:
+def _apply_block(tables: np.ndarray, columns: np.ndarray, box: list,
+                 n: int) -> np.ndarray:
+    """Keys of op(x_1, .., x_k) for x_i over the element rows in box[i].
+
+    `tables[c]` is the operation table times the weight of coordinate c.
+    Argument i's column is laid along axis i, so the table index `acc`
+    broadcasts up to the full box only at its last step.  Returns the keys
+    flattened.
+    """
+    arity = len(box)
+    key = 0
+    for table, col in zip(tables, columns):
+        acc = 0
+        for i, (lo, hi) in enumerate(box):
+            shape = [1] * arity
+            shape[i] = hi - lo
+            acc = acc * n + col[lo:hi].reshape(shape)
+        key += table[acc]
+    return key.ravel()
+
+
+def _subpower_closure(alg: FiniteAlgebra, k: int, generators) -> tuple:
     """Least subset of A^k containing `generators`, closed under all
-    operations applied coordinatewise.
+    operations applied coordinatewise, in semi-naive rounds.
 
-    Element order: the generators in the given order (duplicates dropped),
-    then breadth-first discovery.  Element `cur` is processed against the
-    argument tuples pre + (cur,) + post in which every index in pre is
-    below cur and every index in post is at most cur: operations in
-    declaration order, then the position `pos` of cur, then pre + post in
-    lexicographic order.  Each result not seen before is appended, with
-    the trace (symbol, pre + (cur,) + post).
+    Returns (rows, boxes, box_of, flat): the elements as an (m, k) int64
+    array in the order of `generate_subpower`; the boxes evaluated that
+    produced new tuples, as (operation number, box); and for each element
+    the number of the box holding the first combination that produced it
+    (-1 for a generator) and that combination's flat index in the box.
 
-    Results found while processing cur get indices past all those that
-    cur's argument tuples use, so the elements known but not yet processed
-    form one frontier and are processed together.  For each operation and
-    `pos`, the box of argument tuples is evaluated by the broadcast kernel
-    of `subpower_closure_fast`, in blocks of at most `core.BLOCK_SIZE`
-    combinations, and masked to pre < cur and post <= cur.  The boxes are in
-    lexicographic order already, so a new tuple is kept at its first
-    occurrence under a stable sort by cur of the candidates gathered
-    operation by operation and `pos` by `pos`.  A tuple's key is its
-    base-n value, so n**k must fit in int64.
+    A tuple's key is its base-n value, so n**k must fit in int64.  Keys
+    already known are found in a `visited` bitmap over A^k when n**k is at
+    most FAST_CLOSURE_SPACE_CAP, and by binary search in the sorted known
+    keys above it.
     """
     if k < 1:
         raise AlgebraError(f"power must be >= 1, got {k}")
     n = alg.size
-    if n ** k > 1 << 63:
-        raise CapExceeded(f"A^{k} has {n ** k} tuples, beyond the int64 key range")
-    elements: list = []
-    seen: set = set()
-    for g in generators:
-        g = tuple(g)
-        if len(g) != k:
-            raise AlgebraError(f"generator {g} does not have length {k}")
-        if any(not 0 <= x < n for x in g):
-            raise AlgebraError(f"generator {g} has entries outside 0..{n - 1}")
-        if g not in seen:
-            seen.add(g)
-            elements.append(g)
-    if not elements:
+    space = n ** k
+    if space > 1 << 63:
+        raise CapExceeded(f"A^{k} has {space} tuples, beyond the int64 key range")
+    try:
+        gens = np.asarray(generators)
+    except ValueError:
+        raise AlgebraError(f"generators must be tuples of {k} integers") from None
+    if not len(gens):
         raise AlgebraError("at least one generator is required")
-    trace: list = [None] * len(elements)
+    if gens.ndim != 2 or gens.shape[1] != k or gens.dtype.kind not in "iu":
+        raise AlgebraError(f"generators must be tuples of {k} integers")
+    gens = gens.astype(np.int64, copy=False)
+    if gens.min() < 0 or gens.max() >= n:
+        raise AlgebraError(f"generators have entries outside 0..{n - 1}")
 
     weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    rows = np.asarray(elements, dtype=np.int64)
-    known = np.sort(rows @ weights)
-    plans = [(sym, t.arity, pos, weights[:, None] * t.array)
-             for sym, t in alg.operations.items() for pos in range(t.arity)]
-    width = max((arity for _, arity, _, _ in plans), default=1)
+    known, first = np.unique(gens @ weights, return_index=True)
+    rows = gens[np.sort(first)]
+    if space <= FAST_CLOSURE_SPACE_CAP:
+        visited = np.zeros(space, dtype=bool)
+        visited[known] = True
+    else:
+        visited = None
 
-    lo = 0
-    while lo < len(rows):
-        hi = len(rows)
+    def unseen(keys):
+        if visited is not None:
+            return ~visited[keys]
+        return known[np.minimum(np.searchsorted(known, keys), len(known) - 1)] != keys
+
+    ops = [(t.arity, weights[:, None] * t.array) for t in alg.operations.values()]
+    boxes: list = []
+    box_of = [np.full(len(rows), -1)]
+    flat = [np.zeros(len(rows), dtype=np.int64)]
+    old, total = 0, len(rows)
+    while True:
         columns = np.ascontiguousarray(rows.T)
-        keys, curs, plan_ids, args = [], [], [], []
-        for s, (sym, arity, pos, tables) in enumerate(plans):
-            bounds = [(0, hi)] * pos + [(lo, hi)] + [(0, hi)] * (arity - 1 - pos)
-            for box in _blocks(bounds):
-                shape = [b - a for a, b in box]
-                axes = [np.arange(a, b).reshape([-1] + [1] * (arity - 1 - i))
-                        for i, (a, b) in enumerate(box)]
-                valid = np.ones(shape, dtype=bool)
-                for i, ax in enumerate(axes):
-                    if i != pos:
-                        valid &= ax < axes[pos] if i < pos else ax <= axes[pos]
-                flat = np.flatnonzero(valid)
-                box_keys = _apply_block(tables, columns, box, n)[flat]
-                at = np.minimum(np.searchsorted(known, box_keys), len(known) - 1)
-                fresh = known[at] != box_keys
-                if not fresh.any():
-                    continue
-                idx = np.full((int(fresh.sum()), width), -1, dtype=np.int64)
-                idx[:, :arity] = np.stack(np.unravel_index(flat[fresh], shape), axis=1)
-                idx[:, :arity] += [a for a, _ in box]
-                keys.append(box_keys[fresh])
-                curs.append(idx[:, pos])
-                plan_ids.append(np.full(len(idx), s))
-                args.append(idx)
-        lo = hi
-        if not keys:
+        found, found_at, counts = [], [], []
+        for o, (arity, tables) in enumerate(ops):
+            for pos in range(arity):
+                bounds = ([(0, old)] * pos + [(old, total)]
+                          + [(0, total)] * (arity - 1 - pos))
+                for box in _blocks(bounds):
+                    keys = _apply_block(tables, columns, box, n)
+                    at = unseen(keys).nonzero()[0]
+                    keys = keys[at]      # lets the whole box go before the next
+                    if not len(at):
+                        continue
+                    keys, first = np.unique(keys, return_index=True)
+                    if visited is not None:
+                        visited[keys] = True
+                    found.append(keys)
+                    found_at.append(at[first])
+                    counts.append(len(keys))
+                    boxes.append((o, box))
+        if not found:
+            break
+        # boxes were gathered in processing order, so the first occurrence
+        # of a key carries its first producing combination
+        keys, first = np.unique(np.concatenate(found), return_index=True)
+        box_ids = np.arange(len(boxes) - len(counts), len(boxes))
+        box_of.append(np.repeat(box_ids, counts)[first])
+        flat.append(np.concatenate(found_at)[first])
+        rows = np.concatenate([rows, keys[:, None] // weights % n])
+        if visited is None:
+            known = np.sort(np.concatenate([known, keys]))
+        old, total = total, len(rows)
+    return rows, boxes, np.concatenate(box_of), np.concatenate(flat)
+
+
+def generate_subpower(alg: FiniteAlgebra, k: int,
+                      generators: Sequence[tuple]) -> GeneratedSet:
+    """Least subset of A^k containing `generators`, closed under all
+    operations applied coordinatewise, with a derivation trace per element.
+
+    Element order: the generators in the given order (duplicates dropped),
+    then each semi-naive round's new tuples in ascending order.  A round
+    takes each operation in declaration order and each argument position
+    `pos`, with the arguments before `pos` from earlier rounds, at `pos`
+    from the last round and after `pos` from any round, so every argument
+    combination is evaluated once.  The combinations of one operation and
+    `pos` are taken in lexicographic order of their element indices, in
+    blocks of at most `core.BLOCK_SIZE` evaluated at once by numpy
+    broadcasting; a new tuple's trace is (symbol, argument indices) of the
+    first combination that produced it.
+    """
+    rows, boxes, box_of, flat = _subpower_closure(alg, k, generators)
+    symbols = list(alg.operations)
+    trace = []
+    for b, at in zip(box_of.tolist(), flat.tolist()):
+        if b < 0:
+            trace.append(None)
             continue
-        # gathered plan by plan, each box in lexicographic order, so a stable
-        # sort by cur puts the candidates in processing order
-        found, cur = np.concatenate(keys), np.concatenate(curs)
-        order = np.argsort(cur, kind="stable")
-        _, first = np.unique(found[order], return_index=True)
-        chosen = order[np.sort(first)]
-        new = found[chosen]
-        plan = np.concatenate(plan_ids)[chosen]
-        for s, arg in zip(plan.tolist(), np.concatenate(args)[chosen].tolist()):
-            sym, arity = plans[s][:2]
-            trace.append((sym, tuple(arg[:arity])))
-        new_rows = new[:, None] // weights % n
-        elements.extend(map(tuple, new_rows.tolist()))
-        rows = np.concatenate([rows, new_rows])
-        known = np.sort(np.concatenate([known, new]))
-    return GeneratedSet(k, tuple(elements), tuple(trace))
+        o, box = boxes[b]
+        args = []
+        for lo, hi in reversed(box):
+            at, i = divmod(at, hi - lo)
+            args.append(lo + i)
+        trace.append((symbols[o], tuple(reversed(args))))
+    return GeneratedSet(k, tuple(map(tuple, rows.tolist())), tuple(trace))
 
 
 def generate_subuniverse(alg: FiniteAlgebra, generators: Iterable[int]) -> tuple:
     """Subuniverse of A generated by a set of elements, as a sorted tuple."""
-    closed = subpower_closure_fast(alg, 1, [(g,) for g in generators])
-    return tuple(sorted(closed[:, 0].tolist()))
+    rows = _subpower_closure(alg, 1, [(g,) for g in generators])[0]
+    return tuple(sorted(rows[:, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +560,18 @@ def compose_relations(r: Iterable[tuple], s: Iterable[tuple]) -> frozenset:
 # ---------------------------------------------------------------------------
 # Unary polynomials
 
-def unary_polynomials(alg: FiniteAlgebra, max_size: int = POL1_SIZE_CAP) -> tuple:
+def unary_polynomials(alg: FiniteAlgebra) -> tuple:
     """All unary polynomial operations, each with one witnessing term.
 
     Computed as the subuniverse of the function power A^A generated by the
     identity map and the constant maps.  Returns ((values, term), ...) in
-    deterministic discovery order; `values` is the map as a tuple.
+    the element order of `generate_subpower`; `values` is the map as a
+    tuple.
     """
     n = alg.size
-    if n > max_size:
+    if n > POL1_SIZE_CAP:
         raise CapExceeded(
-            f"unary polynomial enumeration capped at universe size {max_size}, "
+            f"unary polynomial enumeration capped at universe size {POL1_SIZE_CAP}, "
             f"algebra has {n}")
     identity = tuple(range(n))
     gens = [identity] + [(c,) * n for c in range(n)]
@@ -545,95 +586,19 @@ def unary_polynomials(alg: FiniteAlgebra, max_size: int = POL1_SIZE_CAP) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# Fast (untraced) closure and the commutator
-
-def _apply_block(tables: np.ndarray, columns: np.ndarray, box: list,
-                 n: int) -> np.ndarray:
-    """Keys of op(x_1, .., x_k) for x_i over the element rows in box[i].
-
-    `tables[c]` is the operation table times the weight of coordinate c.
-    Argument i's column is laid along axis i, so the table index `acc`
-    broadcasts up to the full box only at its last step.  Returns the keys
-    flattened.
-    """
-    arity = len(box)
-    key = 0
-    for table, col in zip(tables, columns):
-        acc = 0
-        for i, (lo, hi) in enumerate(box):
-            shape = [1] * arity
-            shape[i] = hi - lo
-            acc = acc * n + col[lo:hi].reshape(shape)
-        key += table[acc]
-    return key.ravel()
-
-
-def subpower_closure_fast(alg: FiniteAlgebra, power: int,
-                          generators: Sequence[tuple]) -> np.ndarray:
-    """Vectorized closure of a generated subset of A^power, no traces.
-
-    Returns an (m, power) int array.  A tuple's key is its base-n value.
-    The closure runs in semi-naive rounds: for each operation and each
-    argument position `pos`, the arguments before `pos` range over the
-    elements known before the round, argument `pos` over those found in the
-    last round, and the arguments after `pos` over all of them, so every
-    combination is evaluated once.  A combination's key is summed one
-    coordinate at a time, from a table index built by broadcasting the
-    argument columns against each other.  `core.BLOCK_SIZE` bounds the
-    combinations evaluated at once, and with them the size of the
-    temporary arrays.
-
-    Element order: the generators sorted, then each round's new keys in
-    ascending order.  It differs from the breadth-first order of
-    `generate_subpower`.
-    """
-    n = alg.size
-    space = n ** power
-    if space > FAST_CLOSURE_SPACE_CAP:
-        raise CapExceeded(f"A^{power} has {space} tuples, beyond the closure cap")
-    weights = n ** np.arange(power - 1, -1, -1, dtype=np.int64)
-    visited = np.zeros(space, dtype=bool)
-
-    gen = np.asarray(sorted(set(tuple(g) for g in generators)), dtype=np.int64)
-    if gen.ndim != 2 or gen.shape[1] != power:
-        raise AlgebraError("generators must be tuples of length `power`")
-    if gen.min() < 0 or gen.max() >= n:
-        raise AlgebraError(f"generators have entries outside 0..{n - 1}")
-    visited[gen @ weights] = True
-    elements = gen
-    new_count = len(gen)
-    ops = [(t.arity, weights[:, None] * t.array) for t in alg.operations.values()]
-
-    while new_count:
-        total = len(elements)
-        old = total - new_count
-        columns = np.ascontiguousarray(elements.T)
-        fresh = []
-        for arity, tables in ops:
-            for pos in range(arity):
-                bounds = ([(0, old)] * pos + [(old, total)]
-                          + [(0, total)] * (arity - 1 - pos))
-                for box in _blocks(bounds):
-                    keys = _apply_block(tables, columns, box, n)
-                    keys = keys[~visited[keys]]
-                    if len(keys):
-                        fresh.append(np.unique(keys))
-        if not fresh:
-            break
-        keys = np.unique(np.concatenate(fresh))
-        visited[keys] = True
-        elements = np.concatenate([elements, keys[:, None] // weights % n])
-        new_count = len(keys)
-    return elements
-
+# The commutator
 
 def _matrix_closure(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
                     beta: Partition) -> np.ndarray:
     """Closure in A^4 of the rows (a, a, b, b) for each given alpha-pair
-    and (c, d, c, d) for every beta-pair, as an (m, 4) int64 array."""
-    gens = {(a, a, b, b) for a, b in alpha_pairs}
-    gens.update((c, d, c, d) for c, d in beta.pairs())
-    return subpower_closure_fast(alg, 4, sorted(gens))
+    and (c, d, c, d) for every beta-pair, as an (m, 4) int64 array.  A^4
+    must fit in FAST_CLOSURE_SPACE_CAP, which is checked first."""
+    n = alg.size
+    if n ** 4 > FAST_CLOSURE_SPACE_CAP:
+        raise CapExceeded(f"A^4 has {n ** 4} tuples, beyond the closure cap")
+    gens = [(a, a, b, b) for a, b in alpha_pairs]
+    gens += [(c, d, c, d) for c, d in beta.pairs()]
+    return _subpower_closure(alg, 4, gens)[0]
 
 
 def matrix_set(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> np.ndarray:

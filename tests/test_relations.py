@@ -14,34 +14,59 @@ from smbalg import (AlgebraError, FiniteAlgebra, OperationTable, Partition,
                     quotient_algebra, random_algebra, random_semilattice,
                     subalgebra, unary_polynomials)
 from smbalg import core, relations
-from smbalg.relations import (GeneratedSet, congruence_by_alternating_closure,
-                              subpower_closure_fast)
+from smbalg.relations import GeneratedSet, congruence_by_alternating_closure
 from smbalg.constructions import affine_block
 
 from conftest import regularized_glued
 
 
 def closure_in_rounds(alg, k, generators):
-    """Reference closure in the element order of `subpower_closure_fast`:
-    the generators sorted, then in each round every operation is applied
-    to every argument combination and the new tuples come sorted."""
-    elements = sorted(set(tuple(g) for g in generators))
-    while True:
-        current = set(elements)
-        new = set()
-        for table in alg.operations.values():
-            for args in itertools.product(elements, repeat=table.arity):
-                out = tuple(table.apply(*(a[c] for a in args)) for c in range(k))
-                if out not in current:
-                    new.add(out)
-        if not new:
-            return elements
-        elements += sorted(new)
+    """Reference traced closure in the element order of `generate_subpower`:
+    the generators in order (duplicates dropped), then rounds.  A round
+    applies each operation, at each position pos, to every argument tuple
+    with the arguments before pos from earlier rounds, at pos from the last
+    round and after pos from any round, one combination at a time in
+    lexicographic order, so each combination is evaluated once; its new
+    tuples come sorted, each traced to the first combination producing it.
+    Returns (elements, trace)."""
+    elements, trace, index = [], [], {}
+    for g in generators:
+        g = tuple(g)
+        if g not in index:
+            index[g] = len(elements)
+            elements.append(g)
+            trace.append(None)
+    ops = [(sym, t.arity, t.nested) for sym, t in alg.operations.items()]
+    old, total = 0, len(elements)
+    while old < total:
+        new = {}
+        for sym, arity, nested in ops:
+            for pos in range(arity):
+                ranges = ([range(old)] * pos + [range(old, total)]
+                          + [range(total)] * (arity - 1 - pos))
+                combos = zip(itertools.product(*ranges),
+                             itertools.product(*[elements[r.start:r.stop] for r in ranges]))
+                for arg_idx, args in combos:
+                    out = []
+                    for coordinate in zip(*args):
+                        t = nested
+                        for a in coordinate:
+                            t = t[a]
+                        out.append(t)
+                    tup = tuple(out)
+                    if tup not in index and tup not in new:
+                        new[tup] = (sym, arg_idx)
+        for tup in sorted(new):
+            index[tup] = len(elements)
+            elements.append(tup)
+            trace.append(new[tup])
+        old, total = total, len(elements)
+    return tuple(elements), tuple(trace)
 
 
 def brute_subpower(alg, k, generators):
     """Reference closure as a set."""
-    return set(closure_in_rounds(alg, k, generators))
+    return set(closure_in_rounds(alg, k, generators)[0])
 
 
 def test_generate_subpower_examples(e3, b2):
@@ -61,49 +86,11 @@ def test_generate_subpower_examples(e3, b2):
 
 
 def test_generate_subpower_validation(e3):
-    with pytest.raises(AlgebraError):
-        generate_subpower(e3, 2, [])
-    with pytest.raises(AlgebraError):
-        generate_subpower(e3, 2, [(0, 3)])
-    with pytest.raises(AlgebraError):
-        generate_subpower(e3, 2, [(0,)])
-
-
-def bfs_subpower(alg, k, generators):
-    """Reference traced closure: the generators in order (duplicates
-    dropped), then each element `cur` in turn against every argument tuple
-    pre + (cur,) + post with pre below cur and post at most cur, one
-    combination at a time.  Returns (elements, trace)."""
-    elements, trace, index = [], [], {}
-    for g in generators:
-        g = tuple(g)
-        if g not in index:
-            index[g] = len(elements)
-            elements.append(g)
-            trace.append(None)
-    ops = [(sym, t.arity, t.nested) for sym, t in alg.operations.items()]
-    processed = 0
-    while processed < len(elements):
-        cur = processed
-        processed += 1
-        for sym, arity, nested in ops:
-            for pos in range(arity):
-                for pre in itertools.product(range(cur), repeat=pos):
-                    for post in itertools.product(range(cur + 1), repeat=arity - 1 - pos):
-                        arg_idx = pre + (cur,) + post
-                        args = [elements[j] for j in arg_idx]
-                        out = []
-                        for c in range(k):
-                            t = nested
-                            for a in args:
-                                t = t[a[c]]
-                            out.append(t)
-                        tup = tuple(out)
-                        if tup not in index:
-                            index[tup] = len(elements)
-                            elements.append(tup)
-                            trace.append((sym, arg_idx))
-    return tuple(elements), tuple(trace)
+    for bad in ([], [(0, 3)], [(0, -1)], [(0,)], [(0, 1), (0,)], [(0.5, 1)]):
+        with pytest.raises(AlgebraError):
+            generate_subpower(e3, 2, bad)
+    with pytest.raises(AlgebraError, match="power"):
+        generate_subpower(e3, 0, [()])
 
 
 def replay(alg, gen):
@@ -122,8 +109,8 @@ def replay(alg, gen):
     return out
 
 
-def assert_matches_bfs(gen, alg, k, generators):
-    assert (gen.elements, gen.trace) == bfs_subpower(alg, k, generators)
+def assert_matches_rounds(gen, alg, k, generators):
+    assert (gen.elements, gen.trace) == closure_in_rounds(alg, k, generators)
     assert replay(alg, gen) == list(gen.elements)
 
 
@@ -145,34 +132,67 @@ def random_closure_cases():
                     yield alg, power, gens
 
 
-def test_generate_subpower_matches_bfs(b2, monkeypatch):
-    # elements and traces equal tuple for tuple, with blocks of at most 7
-    # combinations (the cut path of `_blocks`) and with the default bound;
-    # the last case has keys up to 2**63 - 1
+def assert_closes_like_rounds(monkeypatch, alg, k, gens, blocks):
+    """Elements and traces equal the reference tuple for tuple, and every
+    trace replays, for each block bound with the visited bitmap and with
+    the sorted keys (the cap patched to 0)."""
+    want = closure_in_rounds(alg, k, gens)
+    caps = (relations.FAST_CLOSURE_SPACE_CAP, 0)
+    with monkeypatch.context() as patch:
+        for block, cap in itertools.product(blocks, caps):
+            patch.setattr(core, "BLOCK_SIZE", block)
+            patch.setattr(relations, "FAST_CLOSURE_SPACE_CAP", cap)
+            gen = generate_subpower(alg, k, gens)
+            assert (gen.elements, gen.trace) == want, (alg.name, k, gens, block, cap)
+            assert replay(alg, gen) == list(gen.elements)
+    return want
+
+
+def test_generate_subpower_matches_rounds(e3, b2, monkeypatch):
+    # blocks of at most 5 or 7 combinations take the cut path of `_blocks`;
+    # the power-63 case has keys up to 2**63 - 1
     cases = list(random_closure_cases())
     assert len(cases) > 50
     wide = [(1,) * 63, (0,) * 63, (1, 0) * 31 + (1,), (0, 1) * 31 + (0,)]
-    cases.append((b2, 63, wide))
+    diag3 = [(c, c) for c in range(3)]
+    cases += [
+        (b2, 63, wide),
+        (e3, 2, [(0, 1), (1, 0)] + diag3),
+        (b2, 2, [(0, 1), (0, 0), (1, 1)]),
+        (e3, 4, [(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 0, 1), (2, 2, 2, 2),
+                 (0, 0, 0, 0), (1, 1, 1, 1)]),
+        (e3, 4, ([(a, a, b, b) for a in range(3) for b in range(3)]
+                 + [(0, 1, 0, 1), (1, 0, 1, 0)])),
+    ]
     for alg, k, gens in cases:
-        for block in (7, 1 << 20):
-            monkeypatch.setattr(core, "BLOCK_SIZE", block)
-            assert_matches_bfs(generate_subpower(alg, k, gens), alg, k, gens)
+        assert_closes_like_rounds(monkeypatch, alg, k, gens, (5, 7, 1 << 20))
+    # M(sim, 1_A) of a regularized glued algebra of size 5 (59 matrices, a
+    # ternary operation: blocks of 5 would take 2 s a run); the commutator's
+    # matrix path closes the same set without traces
+    alg, sim = regularized_glued(3, (3, 2))
+    gens = ([(a, a, b, b) for a, b in sim.pairs()]
+            + [(c, d, c, d) for c in range(5) for d in range(5)])
+    want = assert_closes_like_rounds(monkeypatch, alg, 4, gens, (7, 1 << 20))
+    mats = matrix_set(alg, sim, Partition.one(alg.size))
+    assert sorted(map(tuple, mats.tolist())) == sorted(want[0])
 
 
 def test_generate_subpower_order_is_checked(monkeypatch):
-    # a copy that orders the candidates of one `cur` by key, not by
-    # operation, position and place in the box, must fail the differential
-    # test above
-    source = inspect.getsource(relations.generate_subpower)
-    broken = source.replace('np.argsort(cur, kind="stable")', "np.lexsort((found, cur))")
+    # a copy that traces a tuple to the last combination producing it within
+    # a box, not the first, must fail the differential test above
+    source = inspect.getsource(relations._subpower_closure)
+    broken = source.replace(
+        "keys, first = np.unique(keys, return_index=True)",
+        "keys, first = np.unique(keys[::-1], return_index=True); "
+        "first = len(at) - 1 - first")
     assert broken != source
     namespace = dict(vars(relations))
     exec(broken, namespace)
-    monkeypatch.setattr(core, "BLOCK_SIZE", 7)
-    mismatches = sum(
-        (namespace["generate_subpower"](alg, k, gens).elements
-         != bfs_subpower(alg, k, gens)[0])
-        for alg, k, gens in random_closure_cases())
+    exec(inspect.getsource(relations.generate_subpower), namespace)
+    mismatches = 0
+    for alg, k, gens in random_closure_cases():
+        gen = namespace["generate_subpower"](alg, k, gens)
+        mismatches += (gen.elements, gen.trace) != closure_in_rounds(alg, k, gens)
     assert mismatches > 0
 
 
@@ -188,12 +208,12 @@ def test_corpus_closures_match_bfs(corpus):
         n = alg.size
         diag = [(c, c) for c in range(n)]
         for a, b in itertools.combinations(range(n), 2):
-            assert_matches_bfs(d_rel(alg, a, b), alg, 2, [(a, b), (b, a)] + diag)
-            assert_matches_bfs(polynomial_image_pairs(alg, a, b), alg, 2, [(a, b)] + diag)
+            assert_matches_rounds(d_rel(alg, a, b), alg, 2, [(a, b), (b, a)] + diag)
+            assert_matches_rounds(polynomial_image_pairs(alg, a, b), alg, 2, [(a, b)] + diag)
         if not entry.has("smb"):
             continue
         gens = [tuple(range(n))] + [(c,) * n for c in range(n)]
-        ref = GeneratedSet(n, *bfs_subpower(alg, n, gens))
+        ref = GeneratedSet(n, *closure_in_rounds(alg, n, gens))
         leaves = {0: Var(0)}
         for c in range(n):
             leaves.setdefault(ref.index[(c,) * n], Const(c))
@@ -225,73 +245,10 @@ def test_size_caps():
     # cap is checked before the generators are read
     with pytest.raises(CapExceeded, match="int64"):
         generate_subpower(chain_semilattice(2), 64, [(0,) * 64])
-
-
-def test_fast_closure_matches_traced(e3, b2, corpus):
-    for alg, k, gens in [
-        (e3, 2, [(0, 1), (1, 0), (0, 0), (1, 1), (2, 2)]),
-        (b2, 2, [(0, 1), (0, 0), (1, 1)]),
-        (e3, 4, [(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 0, 1), (2, 2, 2, 2),
-                 (0, 0, 0, 0), (1, 1, 1, 1)]),
-    ]:
-        fast = set(map(tuple, subpower_closure_fast(alg, k, gens).tolist()))
-        slow = generate_subpower(alg, k, gens).as_set()
-        assert fast == slow
-
-
-def test_fast_closure_chunked(e3, monkeypatch):
-    # a tiny block bound forces the block-splitting path through many
-    # partial reads
-    gens = [(a, a, b, b) for a in range(3) for b in range(3)] + \
-           [(0, 1, 0, 1), (1, 0, 1, 0)]
-    whole = set(map(tuple, subpower_closure_fast(e3, 4, gens).tolist()))
-    with monkeypatch.context() as patch:
-        patch.setattr(core, "BLOCK_SIZE", 5)
-        tiny = set(map(tuple, subpower_closure_fast(e3, 4, gens).tolist()))
-    assert whole == tiny
-    assert whole == generate_subpower(e3, 4, gens).as_set()
-
-
-def test_fast_closure_differential(e3, monkeypatch):
-    # seeded random algebras: the set must match the traced engine for a
-    # tiny block bound (many blocks) and the default one, and the element order
-    # must be the documented one (generators sorted, then each round's new
-    # tuples ascending)
-    rng = random.Random(303)
-    cases = [(n, arity, power) for arity in (1, 2, 3) for power in (1, 2, 3, 4)
-             for n in (2, 3) if n ** (power * arity) <= 3 ** 8]
-    for n, arity, power in cases:
-        for _ in range(6):
-            sig = {"f": arity, "g": rng.randrange(1, arity + 1)}
-            alg = random_algebra(n, sig, rng.randrange(1 << 30))
-            gens = [tuple(rng.randrange(n) for _ in range(power))
-                    for _ in range(rng.randrange(1, 4))]
-            traced = generate_subpower(alg, power, gens).as_set()
-            ordered = closure_in_rounds(alg, power, gens)
-            for block in (3, 1 << 20):
-                monkeypatch.setattr(core, "BLOCK_SIZE", block)
-                fast = subpower_closure_fast(alg, power, gens)
-                assert fast.shape == (len(traced), power)
-                assert list(map(tuple, fast.tolist())) == ordered
-                assert set(ordered) == traced
-    for bad in ([(0, 3)], [(0, -1)], [(0,)], []):
-        with pytest.raises(AlgebraError):
-            subpower_closure_fast(e3, 2, bad)
-
-
-def test_matrix_set_matches_traced(monkeypatch):
-    # M(sim, 1_A) of a regularized glued algebra of size 5, against the
-    # traced engine
-    alg, sim = regularized_glued(3, (3, 2))
-    one = Partition.one(alg.size)
-    gens = sorted({(a, a, b, b) for a, b in sim.pairs()}
-                  | {(c, d, c, d) for c, d in one.pairs()})
-    mats = list(map(tuple, matrix_set(alg, sim, one).tolist()))
-    assert len(mats) == len(set(mats))
-    assert set(mats) == generate_subpower(alg, 4, gens).as_set()
-    monkeypatch.setattr(core, "BLOCK_SIZE", 7)
-    tiny = subpower_closure_fast(alg, 4, gens)
-    assert list(map(tuple, tiny.tolist())) == mats
+    # matrix sets span A^4: 50**4 tuples are refused before the closure runs
+    one = Partition.one(50)
+    with pytest.raises(CapExceeded, match="closure cap"):
+        commutator(chain_semilattice(50), one, one)
 
 
 def test_principal_congruence_examples(e3):
@@ -704,7 +661,8 @@ def matrix_fixpoint(alg, alpha_pairs, beta_pairs):
     given alpha-pairs and (c, d, c, d) for the given beta-pairs."""
     gens = sorted({(a, a, b, b) for a, b in alpha_pairs}
                   | {(c, d, c, d) for c, d in beta_pairs})
-    return relations._term_condition_fixpoint(alg, subpower_closure_fast(alg, 4, gens))
+    matrices = relations._subpower_closure(alg, 4, gens)[0]
+    return relations._term_condition_fixpoint(alg, matrices)
 
 
 def test_commutator_differential(e3, n4):
