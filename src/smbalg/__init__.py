@@ -8,11 +8,10 @@ from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
                    term_table, term_variables)
 from .partitions import Partition, all_partitions
 from .relations import (CongruenceLattice, GeneratedSet, commutator,
-                        commutator_oracle, compose_relations,
-                        congruence_generated, congruence_lattice,
-                        congruence_violation, d_rel, generate_subpower,
-                        generate_subuniverse, is_abelian, is_congruence,
-                        matrix_set, polynomial_image_pairs,
+                        compose_relations, congruence_generated,
+                        congruence_lattice, congruence_violation, d_rel,
+                        generate_subpower, generate_subuniverse, is_abelian,
+                        is_congruence, matrix_set, polynomial_image_pairs,
                         principal_congruence, product_algebra, push_partition,
                         quotient_algebra, subalgebra, all_subuniverses,
                         unary_polynomials)
@@ -25,7 +24,7 @@ from .analyzer import (BaseReport, ClassOrder, RegularityReport, SmbReport,
                        recovered_sim, smb_axioms, taylor_check, verify_cg_d3)
 from .pipeline import (PipelineResult, RepresentativeInconsistency,
                        circ_table, class_order_from_circ, idempotent_power,
-                       iterate_wnu, literal_power, regularize, run_pipeline,
+                       iterate_wnu, regularize, run_pipeline,
                        semilattice_term, special_circ)
 from .constructions import (CorpusEntry, CorpusSpec, affine_block,
                             build_corpus, chain_semilattice, example_b2,

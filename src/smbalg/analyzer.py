@@ -8,6 +8,12 @@ is checked in one place, `wedge_conditions`, over the m x m table of
 sim-classes of wedge at class representatives; `check_smb_over` adds
 idempotence, the congruence test and the Mal'cev condition, and the
 pipeline, the gluing construction and the circ class order reuse it.
+With wedge fixed, sim is unique: it is the relation
+R = {(a, b) : a^b = b and b^a = a} read off the wedge table
+(`_wedge_relation`), so recognition (`find_smb_congruences`) and the
+regular base (`recovered_sim`) check R and never build the congruence
+lattice.  The lattice scan over every congruence stays as an independent
+oracle in `smbalg.oracles`, for the tests.
 
 Besides recognition, the module checks regularity and its twelve-identity
 equational base, verifies the principal-congruence decomposition
@@ -38,8 +44,7 @@ from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
 from .partitions import Partition
 from .relations import (GeneratedSet, _check_congruences, compose_relations,
                         congruence_violation, d_rel, polynomial_image_pairs,
-                        principal_congruence, quotient_algebra, commutator,
-                        congruence_lattice)
+                        principal_congruence, quotient_algebra, commutator)
 
 WEDGE = "wedge"
 D = "d"
@@ -254,23 +259,41 @@ def _check_smb(alg: FiniteAlgebra, sim: Partition) -> SmbReport:
     return report
 
 
-def find_smb_congruences(alg: FiniteAlgebra) -> list:
-    """All congruences over which the algebra is SMB; empty means not SMB.
+def _wedge_relation(wedge: OperationTable) -> Tuple[Verdict, Optional[Partition]]:
+    """R = {(a, b) : a^b = b and b^a = a}, symmetric by definition and
+    reflexive when wedge is idempotent.  Returns (transitive, R): when R
+    is not transitive, the Verdict fails at the least (a, b, c) with a R b,
+    b R c and not a R c, and R is None."""
+    n = wedge.size
+    table = wedge.array.reshape(n, n)
+    related = (table == np.arange(n)) & (table.T == np.arange(n)[:, None])
+    transitive = first_failure(related[:, :, None] & related[None] & ~related[:, None, :])
+    if not transitive.holds:
+        return transitive, None
+    return transitive, Partition.from_pairs(n, np.argwhere(related).tolist())
 
-    Lattice members are congruences by construction and idempotence does
-    not depend on sim, so only the per-sim conditions of check_smb_over
-    are tested for each member.
+
+def find_smb_congruences(alg: FiniteAlgebra) -> list:
+    """The congruences over which the algebra is SMB: [] (not SMB) or [R].
+
+    With wedge fixed there is at most one such congruence, and it is
+    R = {(a, b) : a^b = b and b^a = a}.  If a ~ b, second projection on the
+    block gives (a, b) in R.  If (a, b) is in R, then [a]^[b] = [b] and
+    [b]^[a] = [a] in the semilattice A/~, so [a] = [b] by commutativity.
+    Four exact checks therefore decide, in this order: every operation is
+    idempotent, R is transitive, R is a congruence, and the per-sim
+    conditions of check_smb_over hold over R.  The congruence lattice is
+    never built; `oracles.smb_congruences_by_lattice` keeps the scan over
+    every member as the independent reference.
     """
     wedge, d = designated_ops(alg)
-    lattice = congruence_lattice(alg)
     if _idempotence_violations(alg):
         return []
-    out = []
-    for theta in lattice:
-        mod_sim, per_class, _ = _sim_conditions(wedge, d, theta)
-        if not mod_sim and not per_class:
-            out.append(theta)
-    return out
+    _, sim = _wedge_relation(wedge)
+    if sim is None or congruence_violation(alg, sim) is not None:
+        return []
+    mod_sim, per_class, _ = _sim_conditions(wedge, d, sim)
+    return [] if mod_sim or per_class else [sim]
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +353,20 @@ def regular_base_identities() -> dict:
 
 
 def recovered_sim(alg: FiniteAlgebra) -> Partition:
-    """The relation x ~ y iff x^y = y and y^x = x, which is the SMB
-    congruence whenever the regular base holds.  Raises FalsificationError
-    if the relation is not transitive."""
+    """The relation x ~ y iff x^y = y and y^x = x (`_wedge_relation`).
+
+    It is the only congruence over which the algebra can be SMB with this
+    wedge (see find_smb_congruences), so check_regular_base reads sim off
+    the table with it once the base identities hold, and then confirms SMB
+    and regularity over it.  The base identities make it transitive, so
+    an intransitive relation raises FalsificationError."""
     wedge, _ = designated_ops(alg)
-    n = alg.size
-    table = wedge.array.reshape(n, n)
-    related = (table == np.arange(n)) & (table.T == np.arange(n)[:, None])
-    intransitive = first_failure(related[:, :, None] & related[None] & ~related[:, None, :])
-    if not intransitive.holds:
+    transitive, sim = _wedge_relation(wedge)
+    if sim is None:
         raise FalsificationError(
             f"wedge-derived relation on '{alg.name}' is not transitive "
-            f"at {intransitive.witness}")
-    return Partition.from_pairs(n, np.argwhere(related).tolist())
+            f"at {transitive.witness}")
+    return sim
 
 
 @lru_cache(maxsize=None)

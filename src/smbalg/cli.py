@@ -79,13 +79,8 @@ def _cmd_check_regular(args) -> int:
                      "violations": [{"rule": "NotSmb", "witness": []}]},
               ["not an SMB algebra"])
         return 1
-    chosen = None
-    for sim in sims:
-        report = check_regular(alg, sim)
-        chosen = (sim, report)
-        if report.holds:
-            break
-    sim, report = chosen
+    sim, = sims
+    report = check_regular(alg, sim)
     payload = report.as_dict()
     payload["sim"] = str(sim)
     lines = [f"regular over {sim}: {'holds' if report.holds else 'fails'}"]

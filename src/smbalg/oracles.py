@@ -1,0 +1,110 @@
+"""Independent oracles for the falsification harness; not part of the API.
+
+Each function here computes, by a slower and more literal route, a result
+that the library computes by a fast one.  The tests compare the two, so
+these stay free of the shortcuts they check, and nothing in the library
+calls them.  `smbalg` does not re-export them; import them from
+`smbalg.oracles`.
+
+  smb_congruences_by_lattice      every congruence of the lattice over which
+                                  the algebra is SMB, against
+                                  `analyzer.find_smb_congruences`
+  congruence_by_alternating_closure   subpower closure in A^2 alternated with
+                                  equivalence closure, against
+                                  `relations.congruence_generated`
+  commutator_oracle               the least congruence passing the term
+                                  condition on the full M(alpha, beta), by a
+                                  lattice scan, against `relations.commutator`
+  literal_power                   literal composition, against
+                                  `pipeline.idempotent_power`
+
+The lattice-based oracles are bounded by `relations.LATTICE_SIZE_CAP`.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .core import AlgebraError, FalsificationError, FiniteAlgebra
+from .partitions import Partition
+from .analyzer import _idempotence_violations, _sim_conditions, designated_ops
+from .relations import (_check_congruences, congruence_lattice,
+                        generate_subpower, matrix_set)
+
+
+def smb_congruences_by_lattice(alg: FiniteAlgebra) -> list:
+    """All congruences over which the algebra is SMB; empty means not SMB.
+
+    Lattice members are congruences by construction and idempotence does
+    not depend on sim, so only the per-sim conditions of check_smb_over
+    are tested for each member.
+    """
+    wedge, d = designated_ops(alg)
+    lattice = congruence_lattice(alg)
+    if _idempotence_violations(alg):
+        return []
+    out = []
+    for theta in lattice:
+        mod_sim, per_class, _ = _sim_conditions(wedge, d, theta)
+        if not mod_sim and not per_class:
+            out.append(theta)
+    return out
+
+
+def congruence_by_alternating_closure(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> Partition:
+    """Alternate subpower closure of the relation in A^2 with
+    reflexive-symmetric-transitive closure until stable."""
+    n = alg.size
+    relation = set((c, c) for c in range(n))
+    for a, b in pairs:
+        relation.add((a, b))
+        relation.add((b, a))
+    while True:
+        closed = generate_subpower(alg, 2, sorted(relation)).as_set()
+        part = Partition.from_pairs(n, closed)
+        new_rel = set(part.pairs())
+        if new_rel == relation:
+            return part
+        relation = new_rel
+
+
+def commutator_oracle(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
+    """Independent commutator: the least congruence delta for which every
+    matrix in M(alpha, beta) with a delta-related top row has a
+    delta-related bottom row, found by scanning the whole lattice."""
+    _check_congruences(alg, alpha, beta)
+    matrices = matrix_set(alg, alpha, beta)
+    lattice = congruence_lattice(alg)
+
+    def satisfies(delta: Partition) -> bool:
+        ids = np.asarray(delta.class_ids, dtype=np.int64)
+        top = ids[matrices[:, 0]] == ids[matrices[:, 1]]
+        bottom = ids[matrices[:, 2]] == ids[matrices[:, 3]]
+        return not bool(np.any(top & ~bottom))
+
+    candidates = [delta for delta in lattice if satisfies(delta)]
+    if not candidates:
+        raise FalsificationError(
+            f"no congruence of {alg.name} satisfies the term condition for "
+            f"({alpha}, {beta}); 1_A should always work")
+    least = candidates[0]
+    for delta in candidates[1:]:
+        least = least.meet(delta)
+    if not satisfies(least):
+        raise FalsificationError(
+            "congruences satisfying the term condition are not meet closed "
+            f"on {alg.name} for ({alpha}, {beta})")
+    return least
+
+
+def literal_power(f: Sequence[int], times: int) -> tuple:
+    """f composed with itself `times` times, one composition at a time."""
+    if times < 1:
+        raise AlgebraError("need at least one composition")
+    f = tuple(f)
+    g = f
+    for _ in range(times - 1):
+        g = tuple(f[x] for x in g)
+    return g

@@ -16,11 +16,13 @@ on the one-operation algebra of that table.
 Factorial-fold compositions are never performed literally: for a self-map
 f of a finite set, f composed with itself |A|! times is the unique
 idempotent element of the monogenic semigroup generated by f, and that
-idempotent is computed by fast exponentiation.
+idempotent is computed by fast exponentiation (checked in the tests
+against `oracles.literal_power`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -35,8 +37,8 @@ from .partitions import Partition
 from .analyzer import (ClassOrder, SmbReport, WEDGE, D, _check_smb,
                        check_regular_base, find_smb_congruences,
                        regular_base_identities, wedge_conditions)
-from .relations import (_check_congruences, congruence_lattice,
-                        congruence_violation, is_abelian)
+from .relations import (_check_congruences, congruence_violation, is_abelian,
+                        principal_congruence)
 
 ITERATION_ENTRY_CAP = 1_000_000
 
@@ -71,17 +73,6 @@ def idempotent_power(f: Sequence[int]) -> tuple:
     if tuple(result[x] for x in result) != result:
         raise FalsificationError("factorial power of a self-map is not idempotent")
     return result
-
-
-def literal_power(f: Sequence[int], times: int) -> tuple:
-    """f composed with itself `times` times, one composition at a time."""
-    if times < 1:
-        raise AlgebraError("need at least one composition")
-    f = tuple(f)
-    g = f
-    for _ in range(times - 1):
-        g = tuple(f[x] for x in g)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +259,13 @@ def semilattice_term(alg: FiniteAlgebra, w_symbol: str,
     _check_congruences(alg, sim)
     result = run_pipeline(alg, w_symbol)
 
-    lattice = congruence_lattice(alg)
-    maximal = (not sim.is_one) and not any(
-        sim < theta < Partition.one(alg.size) for theta in lattice)
+    # a congruence above sim relates two classes, so it contains their
+    # representatives' Cg joined with sim: sim is maximal iff each such
+    # join is 1_A
+    reps = [blk[0] for blk in sim.blocks()]
+    maximal = (not sim.is_one) and all(
+        sim.join(principal_congruence(alg, a, b)).is_one
+        for a, b in itertools.combinations(reps, 2))
     _, diag = class_order_from_circ(alg, result.circ_iterated, sim)
     hypotheses = {
         "sim_abelian": is_abelian(alg, sim),

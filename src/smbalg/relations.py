@@ -21,9 +21,9 @@ The commutator [alpha, beta] is computed by construction as the least
 congruence satisfying the term condition, by a fixpoint over class-id
 masks of the matrix array.  It closes the matrices M(S, beta) of a
 symmetric generating set S of alpha, which have the same term condition
-as M(alpha, beta) and are far fewer; `matrix_set` and `commutator_oracle`
-keep the full M(alpha, beta), and the oracle finds the commutator instead
-by scanning the congruence lattice.
+as M(alpha, beta) and are far fewer; `matrix_set` keeps the full
+M(alpha, beta), which `oracles.commutator_oracle` scans the congruence
+lattice against.
 
 The congruence layer follows R. Freese, "Computing congruences
 efficiently", Algebra Universalis 59 (2008) 337-343.  Principal
@@ -33,7 +33,10 @@ congruence found with the distinct principal congruences only, and reads
 the upper covers of theta off those same joins: they are the minimal
 elements of {theta v Cg(a, b)} minus {theta}.  `congruence_violation`
 tests every operation and argument position at once with numpy, over the
-table of value classes.
+table of value classes.  Of the library, only the `con` command builds the
+lattice; the independent oracles that the tests compare against this
+module (the alternating-closure congruence generator and the lattice-scan
+commutator) live in `smbalg.oracles`.
 """
 
 from __future__ import annotations
@@ -305,27 +308,6 @@ def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> Partitio
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
     """Least congruence of `alg` containing (a, b)."""
     return congruence_generated(alg, [(a, b)])
-
-
-def congruence_by_alternating_closure(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> Partition:
-    """Reference implementation: alternate subpower closure of the relation
-    in A^2 with reflexive-symmetric-transitive closure until stable.
-
-    Slower than `congruence_generated`; kept as an independent oracle and
-    exercised against it in the tests.
-    """
-    n = alg.size
-    relation = set((c, c) for c in range(n))
-    for a, b in pairs:
-        relation.add((a, b))
-        relation.add((b, a))
-    while True:
-        closed = generate_subpower(alg, 2, sorted(relation)).as_set()
-        part = Partition.from_pairs(n, closed)
-        new_rel = set(part.pairs())
-        if new_rel == relation:
-            return part
-        relation = new_rel
 
 
 def congruence_violation(alg: FiniteAlgebra, p: Partition) -> Optional[tuple]:
@@ -665,35 +647,6 @@ def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partiti
             f"commutator bound failed on {alg.name}: [{alpha}, {beta}] = {result} "
             f"is not below the meet")
     return result
-
-
-def commutator_oracle(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
-    """Independent commutator: the least congruence delta for which every
-    matrix in M(alpha, beta) with a delta-related top row has a
-    delta-related bottom row, found by scanning the whole lattice."""
-    _check_congruences(alg, alpha, beta)
-    matrices = matrix_set(alg, alpha, beta)
-    lattice = congruence_lattice(alg)
-
-    def satisfies(delta: Partition) -> bool:
-        ids = np.asarray(delta.class_ids, dtype=np.int64)
-        top = ids[matrices[:, 0]] == ids[matrices[:, 1]]
-        bottom = ids[matrices[:, 2]] == ids[matrices[:, 3]]
-        return not bool(np.any(top & ~bottom))
-
-    candidates = [delta for delta in lattice if satisfies(delta)]
-    if not candidates:
-        raise FalsificationError(
-            f"no congruence of {alg.name} satisfies the term condition for "
-            f"({alpha}, {beta}); 1_A should always work")
-    least = candidates[0]
-    for delta in candidates[1:]:
-        least = least.meet(delta)
-    if not satisfies(least):
-        raise FalsificationError(
-            "congruences satisfying the term condition are not meet closed "
-            f"on {alg.name} for ({alpha}, {beta})")
-    return least
 
 
 def is_abelian(alg: FiniteAlgebra, alpha: Partition) -> bool:

@@ -13,14 +13,16 @@ import pytest
 from smbalg import (FalsificationError, Partition, check_regular,
                     check_regular_base, check_smb_over, check_cgvsim,
                     check_undersim, classify_operation, commutator,
-                    commutator_below_sim, commutator_oracle,
-                    congruence_lattice, exhaustive_enumerate,
-                    find_smb_congruences, idempotent_power, is_abelian,
-                    literal_power, product_algebra, push_partition,
-                    quotient_algebra, random_algebra, regularize,
-                    all_subuniverses, subalgebra, semilattice_term,
-                    special_circ, unary_polynomials, verify_cg_d3)
+                    commutator_below_sim, congruence_lattice,
+                    exhaustive_enumerate, find_smb_congruences,
+                    idempotent_power, is_abelian, product_algebra,
+                    push_partition, quotient_algebra, random_algebra,
+                    regularize, all_subuniverses, subalgebra,
+                    semilattice_term, special_circ, unary_polynomials,
+                    verify_cg_d3)
 from smbalg.constructions import build_corpus, example_e3
+from smbalg.oracles import (commutator_oracle, literal_power,
+                            smb_congruences_by_lattice)
 
 CORPUS = build_corpus()
 SIGNATURE = {"wedge": 2, "d": 3}
@@ -36,8 +38,17 @@ def _report(label, failures, extra=""):
 
 
 def _regular_by_definition(alg):
-    sims = find_smb_congruences(alg)
+    sims = smb_congruences_by_lattice(alg)
     return any(check_regular(alg, sim).holds for sim in sims)
+
+
+def _smb_detected(alg, label, failures):
+    """SMB by the lattice scan; a disagreeing find_smb_congruences is a
+    failure of its own."""
+    sims = smb_congruences_by_lattice(alg)
+    if find_smb_congruences(alg) != sims:
+        failures.append(label + ("find_smb_congruences differs from the scan",))
+    return bool(sims)
 
 
 def test_criterion_1_equational_base_correctness():
@@ -94,7 +105,9 @@ def test_criterion_2_cg_equals_d3_with_six_chains():
 
 
 def test_criterion_3_hsp_closure():
-    """Quotients, subalgebras and capped products of SMB algebras stay SMB."""
+    """Quotients, subalgebras and capped products of SMB algebras stay SMB,
+    by the lattice scan, and find_smb_congruences agrees with the scan on
+    each of them."""
     smb = [e for e in CORPUS if e.has("smb")]
     failures = []
     for entry in smb:
@@ -104,18 +117,21 @@ def test_criterion_3_hsp_closure():
             witness = push_partition(theta, cmap, quot.size, sim.join(theta))
             if not check_smb_over(quot, witness).verdict:
                 failures.append((entry.name, "quotient-witness", str(theta)))
-            if not find_smb_congruences(quot):
-                failures.append((entry.name, "quotient-detect", str(theta)))
+            label = (entry.name, "quotient-detect", str(theta))
+            if not _smb_detected(quot, label, failures):
+                failures.append(label)
         for sub in all_subuniverses(alg):
-            if not find_smb_congruences(subalgebra(alg, sub)):
-                failures.append((entry.name, "subalgebra", sub))
+            label = (entry.name, "subalgebra", sub)
+            if not _smb_detected(subalgebra(alg, sub), label, failures):
+                failures.append(label)
     for i, left in enumerate(smb):
         for right in smb[i:]:
             if left.algebra.size * right.algebra.size > 10:
                 continue
             prod = product_algebra(left.algebra, right.algebra)
-            if not find_smb_congruences(prod):
-                failures.append((left.name, right.name, "product"))
+            label = (left.name, right.name, "product")
+            if not _smb_detected(prod, label, failures):
+                failures.append(label)
     _report("3 HSP closure (quotients, subalgebras, capped products)", failures)
 
 

@@ -17,7 +17,10 @@ from smbalg import (AlgebraError, App, ClassOrder, FalsificationError,
                     principal_congruence, random_semilattice, recovered_sim,
                     regularize, smb_axioms, taylor_check, verify_cg_d3)
 from smbalg.analyzer import BASE_IDENTITY_NAMES
+from smbalg.cli import main
 from smbalg.constructions import random_algebra
+from smbalg.dsl import format_algebra
+from smbalg.oracles import smb_congruences_by_lattice
 
 from conftest import regularized_glued
 
@@ -91,25 +94,89 @@ def _idempotent_diagonal(alg):
     return FiniteAlgebra(f"{alg.name}_idem", alg.size, ops)
 
 
-def test_check_smb_over_matches_scan(corpus):
+def _table_algebra(name, n, wedge, d):
+    """{wedge/2, d/3} on n elements from the functions wedge(a, b) and d(a, b, c)."""
+    pairs = itertools.product(range(n), repeat=2)
+    triples = itertools.product(range(n), repeat=3)
+    return FiniteAlgebra(name, n, {
+        "wedge": OperationTable(2, n, [wedge(a, b) for a, b in pairs]),
+        "d": OperationTable(3, n, [d(a, b, c) for a, b, c in triples])})
+
+
+# idempotent, with 0 R 1 and 1 R 2 but 0 ^ 2 = 0: R is not transitive
+INTRANSITIVE = _table_algebra(
+    "intransitive3", 3, lambda a, b: a if (a, b) == (0, 2) else b,
+    lambda a, b, c: a)
+# SMB over 0 1 | 2 by every check except the congruence test: d(0, 0, 2) = 0
+# and d(1, 0, 2) = 2 separate the class of 0 from the class of 2
+NOT_CONGRUENCE = _table_algebra(
+    "notcongruence3", 3, lambda a, b: b if 2 not in (a, b) else 2,
+    lambda a, b, c: ((a + b + c) % 2 if 2 not in (a, b, c)
+                     else 0 if (a, b, c) == (0, 0, 2) else 2))
+
+
+def _expected_exit(alg):
+    """Where find_smb_congruences must stop, from independent scans:
+    "idempotence", "transitivity", "congruence", "conditions" or "smb"."""
+    if any(table.entries[table.index((x,) * table.arity)] != x
+           for table in alg.operations.values() for x in range(alg.size)):
+        return "idempotence"
+    n = alg.size
+    w = alg.op("wedge")
+    rel = {(a, b) for a in range(n) for b in range(n)
+           if w.apply(a, b) == b and w.apply(b, a) == a}
+    if any((a, c) not in rel for a, b in rel for b2, c in rel if b == b2):
+        return "transitivity"
+    sim = Partition.from_pairs(n, rel)
+    if sim not in congruence_lattice(alg):
+        return "congruence"
+    return "smb" if scan_smb_over(alg, sim).verdict else "conditions"
+
+
+def test_check_smb_over_matches_scan(corpus, monkeypatch):
     # every partition of random {wedge/2, d/3} algebras (half of them with
-    # an idempotent diagonal) and of the corpus, against the scan above
+    # an idempotent diagonal), of the corpus and of the two tables above,
+    # against the scan above; find_smb_congruences against the scan over
+    # the lattice, stopping at the expected check, and every check is the
+    # last one reached on some input
     algebras = [random_algebra(1 + seed % 5, {"wedge": 2, "d": 3}, seed)
                 for seed in range(60)]
     algebras = [_idempotent_diagonal(a) if i % 2 else a for i, a in enumerate(algebras)]
     algebras += [e.algebra for e in corpus
                  if e.algebra.size <= 6 and e.algebra.has_op("wedge", 2)
                  and e.algebra.has_op("d", 3)]
+    algebras += [INTRANSITIVE, NOT_CONGRUENCE]
+    reached = []
+    for name in ("_wedge_relation", "congruence_violation", "_sim_conditions"):
+        def spy(*args, _name=name, _f=getattr(analyzer, name)):
+            reached.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(analyzer, name, spy)
+    last_check = {(): "idempotence", ("_wedge_relation",): "transitivity",
+                  ("_wedge_relation", "congruence_violation"): "congruence",
+                  ("_wedge_relation", "congruence_violation", "_sim_conditions"):
+                  "conditions"}
     verdicts = set()
+    exits = set()
     for alg in algebras:
         for sim in all_partitions(alg.size):
             expected = scan_smb_over(alg, sim)
             assert check_smb_over(alg, sim) == expected, (alg.name, sim)
             verdicts.add(expected.verdict)
         lattice = congruence_lattice(alg)
-        assert find_smb_congruences(alg) == [
+        reached.clear()
+        found = find_smb_congruences(alg)
+        path = tuple(reached)
+        assert found == [
             theta for theta in lattice if scan_smb_over(alg, theta).verdict], alg.name
+        assert found == smb_congruences_by_lattice(alg), alg.name
+        stop = "smb" if found else last_check.get(path)
+        assert stop == _expected_exit(alg), (alg.name, path)
+        exits.add(stop)
     assert verdicts == {True, False}
+    assert exits == {"idempotence", "transitivity", "congruence", "conditions", "smb"}
+    assert _expected_exit(INTRANSITIVE) == "transitivity"
+    assert _expected_exit(NOT_CONGRUENCE) == "congruence"
 
 
 def test_class_order_from_smb(e3, e3_sim):
@@ -121,20 +188,25 @@ def test_class_order_from_smb(e3, e3_sim):
 
 def test_find_smb_congruences(e3, b2, s2, e3_sim):
     assert find_smb_congruences(e3) == [e3_sim]
-    assert Partition.zero(2) in find_smb_congruences(s2)
+    assert find_smb_congruences(s2) == [Partition.zero(2)]
     assert find_smb_congruences(b2) == [Partition.one(2)]
 
 
-def test_one_lattice_per_algebra():
-    """check-smb, regularize and con on one algebra compute its lattice once."""
+def test_one_lattice_per_algebra(tmp_path, capsys):
+    """Recognition and regularization build no congruence lattice; con
+    builds it once."""
     tree = random_semilattice(3, random.Random(20221))
     blocks = {c: affine_block(s) for c, s in enumerate((2, 3, 2))}
     alg = glue_smb(tree, blocks, {0: 1, 1: 3, 2: 5}, name="glued7_once")
     misses = congruence_lattice.cache_info().misses
     assert find_smb_congruences(alg)
     regularize(alg)
-    congruence_lattice(alg)
+    assert congruence_lattice.cache_info().misses == misses
+    path = tmp_path / "glued7_once.alg"
+    path.write_text(format_algebra(alg), encoding="utf-8")
+    assert main(["con", str(path), "--json"]) == 0
     assert congruence_lattice.cache_info().misses == misses + 1
+    capsys.readouterr()
 
 
 def test_check_regular_examples(e3, b2, n4, e3_sim, n4_sim):

@@ -1,9 +1,11 @@
 import json
+import random
 import time
 
 import pytest
 
-from smbalg import parse_algebra
+from smbalg import (affine_block, format_algebra, glue_layout, glue_smb,
+                    parse_algebra, random_semilattice)
 from smbalg.cli import main
 
 
@@ -200,3 +202,27 @@ def test_large_derive_exit(tmp_path, capsys, arity):
     assert main(["con", str(big)]) == 2
     assert time.perf_counter() - start < 1.0
     assert "beyond the cap" in capsys.readouterr().err
+
+
+def test_recognition_beyond_the_lattice_cap(tmp_path, capsys):
+    # n = 12 is above LATTICE_SIZE_CAP: check-smb, regularize and
+    # check-regular answer from the wedge table, while con still refuses
+    rng = random.Random(12)
+    tree = random_semilattice(4, rng)
+    blocks = {c: affine_block(3) for c in range(4)}
+    alg = glue_smb(tree, blocks, {c: 3 * c + 2 for c in range(4)}, name="glued12")
+    sim = glue_layout(tree, blocks)
+    path, reg = tmp_path / "glued12.alg", tmp_path / "glued12_reg.alg"
+    path.write_text(format_algebra(alg), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check-smb", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] and payload["sims"] == [str(sim)]
+    assert main(["check-regular", str(path)]) == 1
+    assert main(["regularize", str(path), "-o", str(reg)]) == 0
+    capsys.readouterr()
+    assert main(["check-regular", str(reg), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] and payload["sim"] == str(sim)
+    assert main(["con", str(path)]) == 2
+    assert "congruence lattice capped at universe size 10" in capsys.readouterr().err

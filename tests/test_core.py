@@ -94,6 +94,19 @@ def test_cached_functions():
                       "smbalg.analyzer._regular_context"}
 
 
+def test_oracles_stay_apart():
+    # the independent references live in smbalg.oracles and are not
+    # re-exported, so library code cannot reach them through smbalg
+    import smbalg
+    from smbalg import oracles
+    defined = {name for name, val in vars(oracles).items()
+               if getattr(val, "__module__", None) == oracles.__name__}
+    assert defined == {"smb_congruences_by_lattice",
+                       "congruence_by_alternating_closure",
+                       "commutator_oracle", "literal_power"}
+    assert not defined & set(vars(smbalg))
+
+
 def test_eval_term_examples(e3):
     assert eval_term(e3, D(x, y, z), (0, 1, 0)) == 1
     assert eval_term(e3, D(x, x, y), (0, 2)) == 2

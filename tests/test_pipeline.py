@@ -10,10 +10,11 @@ from smbalg import (CapExceeded, FalsificationError, FiniteAlgebra, OperationTab
                     PipelineResult, PreconditionError,
                     RepresentativeInconsistency, all_partitions,
                     check_regular_base, circ_table, class_order_from_circ,
-                    classify_operation, idempotent_power, iterate_wnu,
-                    literal_power, regularize, run_pipeline, semilattice_term,
+                    classify_operation, congruence_lattice, idempotent_power,
+                    iterate_wnu, regularize, run_pipeline, semilattice_term,
                     special_circ)
 from smbalg import pipeline
+from smbalg.oracles import literal_power
 from smbalg.constructions import random_algebra, trivial_algebra
 
 
@@ -249,6 +250,29 @@ def test_semilattice_term_examples(e3, b2, e3_sim):
     res2 = semilattice_term(b2, "d", Partition.one(2))
     assert res2.table.entries == (0, 1, 0, 1)
     assert res2.conclusion_holds
+
+
+def test_sim_maximal_matches_lattice(corpus):
+    # semilattice_term tests maximality of sim with principal congruences;
+    # compare it with the lattice test on every corpus entry it accepts,
+    # over the entry's sim and over every other congruence
+    seen = set()
+    for entry in corpus:
+        alg = entry.algebra
+        if entry.sim is None or not alg.has_op("d", 3) \
+                or not classify_operation(alg, "d").wnu:
+            continue
+        lattice = congruence_lattice(alg)
+        for sim in (entry.sim,) + lattice.congruences:
+            try:
+                res = semilattice_term(alg, "d", sim)
+            except FalsificationError:
+                continue
+            maximal = not sim.is_one and not any(
+                sim < theta < Partition.one(alg.size) for theta in lattice)
+            assert res.hypotheses["sim_maximal"] == maximal, (entry.name, sim)
+            seen.add((sim == entry.sim, maximal))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_run_pipeline_diagnostics(e3):
