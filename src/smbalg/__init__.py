@@ -8,8 +8,8 @@ from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
                    term_table, term_variables)
 from .partitions import Partition, all_partitions
 from .relations import (CongruenceLattice, GeneratedSet, commutator,
-                        compose_relations, congruence_generated,
-                        congruence_lattice, congruence_violation, d_rel,
+                        congruence_generated, congruence_lattice,
+                        congruence_violation, d_rel,
                         generate_subpower, generate_subuniverse, is_abelian,
                         is_congruence, matrix_set, polynomial_image_pairs,
                         principal_congruence, product_algebra, push_partition,

@@ -42,9 +42,9 @@ from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
                    Term, Var, Verdict, check_identity, eval_term, first_failure,
                    idempotence_violation, substitute, term_table)
 from .partitions import Partition
-from .relations import (GeneratedSet, _check_congruences, compose_relations,
-                        congruence_violation, d_rel, polynomial_image_pairs,
-                        principal_congruence, quotient_algebra, commutator)
+from .relations import (GeneratedSet, _check_congruences, congruence_violation,
+                        d_rel, polynomial_image_pairs, principal_congruence,
+                        quotient_algebra, commutator)
 
 WEDGE = "wedge"
 D = "d"
@@ -306,15 +306,22 @@ def check_regular(alg: FiniteAlgebra, sim: Partition) -> RegularityReport:
     (ii)  comparable classes absorb: [a] >= [b] forces a wedge b = b,
     (iii) d(x,y,z) = d((y^z)^x, (x^z)^y, (x^y)^z) as an identity,
     (iv)  (x^y)^y = x^y as an identity.
+
+    Raises PreconditionError when the algebra is not SMB over sim.
     """
-    report = _check_smb(alg, sim)
+    return _regular_conditions(alg, sim, _check_smb(alg, sim).class_order)
+
+
+def _regular_conditions(alg: FiniteAlgebra, sim: Partition,
+                        order: ClassOrder) -> RegularityReport:
+    """check_regular's four conditions over a sim already checked SMB,
+    with the class order from its SmbReport."""
     wedge = alg.op(WEDGE)
     ids = np.asarray(sim.class_ids, dtype=np.int64)
     n = alg.size
 
     cond_i = first_failure(ids[term_table(alg, _d(_x, _y, _z), 3)]
                            != ids[term_table(alg, _w(_w(_x, _y), _z), 3)])
-    order = report.class_order
     m = len(order.classes)
     leq = np.array([[order.le(i, j) for j in range(m)] for i in range(m)])
     # [b] <= [a] forces a wedge b = b
@@ -391,7 +398,7 @@ def check_regular_base(alg: FiniteAlgebra) -> BaseReport:
             raise FalsificationError(
                 f"base identities hold on '{alg.name}' but SMB fails over the "
                 f"recovered sim: {smb.violations[0]}")
-        reg = check_regular(alg, sim)
+        reg = _regular_conditions(alg, sim, smb.class_order)
         if not reg.holds:
             bad = [k for k, v in reg.conditions.items() if not v.holds]
             raise FalsificationError(
@@ -473,68 +480,75 @@ def _d_rel_leaf_terms(dset: GeneratedSet, a: int, b: int) -> dict:
     return leaves
 
 
+def _d_pair_steps(alg: FiniteAlgebra, q: Term, a: int, b: int,
+                  u: int, v: int, c: int, d: int) -> tuple:
+    """The two chain steps of the D-pair (u, v) = (q(a, b), q(b, a)):
+    q(a, x) from u to mid = q(a, a) and q(x, a) from mid to v, each
+    replayed at a and at b.  (c, d) is the first chain through the pair,
+    named when a step fails to replay."""
+    mid = eval_term(alg, q, (a, a))
+    steps = (ChainStep(substitute(q, {0: Const(a), 1: Var(0)}), u, mid),
+             ChainStep(substitute(q, {1: Const(a)}), mid, v))
+    for step in steps:
+        images = {eval_term(alg, step.poly, (a,)), eval_term(alg, step.poly, (b,))}
+        if images != {step.lo, step.hi}:
+            raise FalsificationError(
+                f"witness chain for ({c},{d}) does not replay: step "
+                f"{step.lo}-{step.hi} has polynomial images {sorted(images)}")
+    return steps
+
+
 def verify_cg_d3(alg: FiniteAlgebra, a: int, b: int) -> CgD3Result:
     """Confirm Cg(a,b) = D_{a,b} composed with itself three times, and build
     a six-step polynomial chain for every related pair.
 
-    Requires the regular base; inequality of the two sides, or a chain that
-    fails to replay, raises FalsificationError.
+    D is held as an n x n boolean matrix, D^2 and D^3 are boolean matrix
+    products, and D^3 must equal the relation of Cg(a,b).  The chain for
+    (c, d) runs c D e2 D e4 D d, with one rule for every pair: e4 is the
+    least element with D^2[c, e4] and D[e4, d], and e2 the least with
+    D[c, e2] and D[e2, e4].  Each link (u, v) is a D-pair, with a term q
+    over the generators (a, b) and (b, a), and gives two steps (see
+    `_d_pair_steps`).  The steps of a D-pair are built and replayed with
+    `eval_term` once, when the first chain uses the pair; every later
+    chain through it shares the same two ChainStep objects.
+
+    Requires the regular base; inequality of the two sides, or a step
+    that fails to replay, raises FalsificationError.
     """
     _regular_context(alg)
     cg = principal_congruence(alg, a, b)
     dset = d_rel(alg, a, b)
-    dpairs = dset.as_set()
-    d3 = compose_relations(compose_relations(dpairs, dpairs), dpairs)
-    cg_rel = frozenset(cg.pairs())
-    if cg_rel != d3:
+    n = alg.size
+    dm = np.zeros((n, n), dtype=bool)
+    rows = np.array(dset.elements, dtype=np.int64)
+    dm[rows[:, 0], rows[:, 1]] = True
+    d2 = dm @ dm
+    d3 = d2 @ dm
+    ids = np.asarray(cg.class_ids, dtype=np.int64)
+    in_cg = ids[:, None] == ids
+    if not np.array_equal(in_cg, d3):
+        diff = [tuple(p) for p in np.argwhere(in_cg != d3)[:4].tolist()]
         raise FalsificationError(
             f"Cg({a},{b}) and the triple D-composition differ on '{alg.name}': "
-            f"symmetric difference {sorted(cg_rel ^ d3)[:4]}")
+            f"symmetric difference {diff}")
 
-    succ: dict = {}
-    for u, v in dset.elements:
-        succ.setdefault(u, []).append(v)
+    e4 = np.argmax(d2[:, :, None] & dm[None, :, :], axis=1)      # at [c, d]
+    e2 = np.argmax(dm[:, None, :] & dm.T[e4], axis=2)            # D[c, e2] & D[e2, e4]
+    cs, ds = np.nonzero(in_cg)
     leaves = _d_rel_leaf_terms(dset, a, b)
-    term_cache: dict = {}
-
-    def binary_term(u, v):
-        if (u, v) not in term_cache:
-            term_cache[(u, v)] = dset.term_for(dset.index[(u, v)], leaves)
-        return term_cache[(u, v)]
-
-    def midpoints(c, d):
-        if (c, d) in dset.index:
-            return c, c
-        for e4 in succ.get(c, ()):
-            if (e4, d) in dset.index:
-                return c, e4
-        for e2 in succ.get(c, ()):
-            for e4 in succ.get(e2, ()):
-                if (e4, d) in dset.index:
-                    return e2, e4
-        raise FalsificationError(
-            f"({c},{d}) in the composed relation has no 3-step decomposition")
-
+    pair_steps: dict = {}
     chains = {}
-    for c, dd in sorted(cg_rel):
-        e2, e4 = midpoints(c, dd)
-        evens = (c, e2, e4, dd)
-        steps = []
-        for i in range(3):
-            q = binary_term(evens[i], evens[i + 1])
-            mid = eval_term(alg, q, (a, a))
-            left = substitute(q, {0: Const(a), 1: Var(0)})
-            right = substitute(q, {1: Const(a)})
-            steps.append(ChainStep(left, evens[i], mid))
-            steps.append(ChainStep(right, mid, evens[i + 1]))
-        for step in steps:
-            images = {eval_term(alg, step.poly, (a,)), eval_term(alg, step.poly, (b,))}
-            if images != {step.lo, step.hi}:
-                raise FalsificationError(
-                    f"witness chain for ({c},{dd}) does not replay: step "
-                    f"{step.lo}-{step.hi} has polynomial images {sorted(images)}")
-        chains[(c, dd)] = tuple(steps)
-    return CgD3Result(a, b, cg, d3, chains)
+    for c, m2, m4, d in zip(cs.tolist(), e2[cs, ds].tolist(),
+                            e4[cs, ds].tolist(), ds.tolist()):
+        evens = (c, m2, m4, d)
+        chain = ()
+        for u, v in zip(evens, evens[1:]):
+            if (u, v) not in pair_steps:
+                q = dset.term_for(dset.index[(u, v)], leaves)
+                pair_steps[(u, v)] = _d_pair_steps(alg, q, a, b, u, v, c, d)
+            chain += pair_steps[(u, v)]
+        chains[(c, d)] = chain
+    return CgD3Result(a, b, cg, frozenset(map(tuple, np.argwhere(d3).tolist())), chains)
 
 
 # ---------------------------------------------------------------------------

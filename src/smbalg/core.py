@@ -12,8 +12,9 @@ each is evaluated once over all n**nvars assignments by broadcasting
 `BLOCK_SIZE` assignments cut by `_blocks` and visited in lexicographic
 order.  Identities, quasi-identities, `materialize_term` and the operation
 flags run on it.  `eval_term` is the pure-Python pointwise evaluator, for
-callers that evaluate many different terms at a few points each, such as
-the replay of witness chains.
+callers that evaluate many different terms at a few points each: the
+witness chains of `analyzer.verify_cg_d3` replay the two steps of each
+distinct D-pair once, at a and at b, and share them between chains.
 """
 
 from __future__ import annotations

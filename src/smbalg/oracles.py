@@ -17,6 +17,9 @@ calls them.  `smbalg` does not re-export them; import them from
                                   lattice scan, against `relations.commutator`
   literal_power                   literal composition, against
                                   `pipeline.idempotent_power`
+  compose_relations               set-based composition of binary relations,
+                                  against the boolean matrix products in
+                                  `analyzer.verify_cg_d3`
 
 The lattice-based oracles are bounded by `relations.LATTICE_SIZE_CAP`.
 """
@@ -97,6 +100,18 @@ def commutator_oracle(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> 
             "congruences satisfying the term condition are not meet closed "
             f"on {alg.name} for ({alpha}, {beta})")
     return least
+
+
+def compose_relations(r: Iterable[tuple], s: Iterable[tuple]) -> frozenset:
+    """{(x, z) : exists y with (x,y) in r and (y,z) in s}."""
+    by_mid: dict = {}
+    for y, z in s:
+        by_mid.setdefault(y, []).append(z)
+    out = set()
+    for x, y in r:
+        for z in by_mid.get(y, ()):
+            out.add((x, z))
+    return frozenset(out)
 
 
 def literal_power(f: Sequence[int], times: int) -> tuple:

@@ -511,7 +511,7 @@ def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# D-relations and relation composition
+# D-relations and polynomial image pairs
 
 def d_rel(alg: FiniteAlgebra, a: int, b: int) -> GeneratedSet:
     """D_{a,b}: the subuniverse of A^2 generated by (a,b), (b,a) and the
@@ -525,18 +525,6 @@ def polynomial_image_pairs(alg: FiniteAlgebra, a: int, b: int) -> GeneratedSet:
     generated by (a,b) and the diagonal."""
     gens = [(a, b)] + [(c, c) for c in range(alg.size)]
     return generate_subpower(alg, 2, gens)
-
-
-def compose_relations(r: Iterable[tuple], s: Iterable[tuple]) -> frozenset:
-    """{(x, z) : exists y with (x,y) in r and (y,z) in s}."""
-    by_mid: dict = {}
-    for y, z in s:
-        by_mid.setdefault(y, []).append(z)
-    out = set()
-    for x, y in r:
-        for z in by_mid.get(y, ()):
-            out.add((x, z))
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from smbalg import (AlgebraError, App, ClassOrder, FalsificationError,
                     check_identity, check_quasiidentity, check_regular,
                     check_regular_base, check_smb_over, check_undersim,
                     cgvsim_below, commutator_below_sim, congruence_lattice,
-                    congruence_violation, count_biconditional, eval_term,
+                    congruence_violation, count_biconditional, core, d_rel,
+                    eval_term,
                     find_smb_congruences,
                     glue_smb, join_membership_chain, alternating_chain_fold,
                     principal_congruence, random_semilattice, recovered_sim,
@@ -20,7 +21,8 @@ from smbalg.analyzer import BASE_IDENTITY_NAMES
 from smbalg.cli import main
 from smbalg.constructions import random_algebra
 from smbalg.dsl import format_algebra
-from smbalg.oracles import smb_congruences_by_lattice
+from smbalg.oracles import compose_relations, smb_congruences_by_lattice
+from smbalg.relations import GeneratedSet
 
 from conftest import regularized_glued
 
@@ -265,17 +267,71 @@ def test_verify_cg_d3_examples(e3, e3_sim):
         assert c == d and len(steps) == 6
 
 
-def test_verify_cg_d3_chain_replay(e3):
-    a, b = 0, 2
-    res = verify_cg_d3(e3, a, b)
-    for (c, d), steps in res.chains.items():
-        assert len(steps) == 6
-        assert steps[0].lo == c and steps[-1].hi == d
-        for s1, s2 in zip(steps, steps[1:]):
-            assert s1.hi == s2.lo
-        for step in steps:
-            images = {eval_term(e3, step.poly, (a,)), eval_term(e3, step.poly, (b,))}
-            assert images == {step.lo, step.hi}
+def regular_pairs(corpus, max_size=None):
+    """(alg, a, b) for each regular corpus entry, of size at most max_size
+    when it is given, and each a <= b."""
+    for entry in corpus:
+        alg = entry.algebra
+        if entry.has("regular") and (max_size is None or alg.size <= max_size):
+            for a in range(alg.size):
+                for b in range(a, alg.size):
+                    yield alg, a, b
+
+
+def test_verify_cg_d3_chain_replay(corpus):
+    # each chain links c to d through D-pairs at the least midpoints, each
+    # step replays at a and b, and a D-pair's steps are shared by its chains
+    for alg, a, b in regular_pairs(corpus, 6):
+        res = verify_cg_d3(alg, a, b)
+        dpairs = d_rel(alg, a, b).as_set()
+        d2 = compose_relations(dpairs, dpairs)
+        shared = {}
+        for (c, d), steps in res.chains.items():
+            assert len(steps) == 6
+            assert steps[0].lo == c and steps[-1].hi == d
+            for s1, s2 in zip(steps, steps[1:]):
+                assert s1.hi == s2.lo
+            e4 = min(e for e in range(alg.size) if (c, e) in d2 and (e, d) in dpairs)
+            e2 = min(e for e in range(alg.size) if (c, e) in dpairs and (e, e4) in dpairs)
+            assert (steps[1].hi, steps[3].hi) == (e2, e4), (alg.name, a, b, c, d)
+            for left, right in zip(steps[0::2], steps[1::2]):
+                assert (left.lo, right.hi) in dpairs
+                first = shared.setdefault((left.lo, right.hi), (left, right))
+                assert first[0] is left and first[1] is right
+            for step in steps:
+                images = {eval_term(alg, step.poly, (a,)), eval_term(alg, step.poly, (b,))}
+                assert images == {step.lo, step.hi}, (alg.name, a, b, c, d)
+
+
+def test_verify_cg_d3_relation_matches_composition(corpus):
+    for alg, a, b in regular_pairs(corpus):
+        dpairs = d_rel(alg, a, b).as_set()
+        d3 = compose_relations(compose_relations(dpairs, dpairs), dpairs)
+        assert verify_cg_d3(alg, a, b).relation == d3, (alg.name, a, b)
+
+
+def test_verify_cg_d3_rejects_wrong_mid(e3, monkeypatch):
+    # left step q(x, a) in place of q(a, x): its images are {mid, v}, not {u, mid}
+    def swapped(term, mapping):
+        if mapping.get(1) == Var(0):
+            mapping = {1: mapping[0]}
+        return core.substitute(term, mapping)
+
+    monkeypatch.setattr(analyzer, "substitute", swapped)
+    with pytest.raises(FalsificationError, match="does not replay"):
+        verify_cg_d3(e3, 0, 1)
+
+
+def test_verify_cg_d3_rejects_dropped_d_pair(e3, monkeypatch):
+    # D_{0,1} on e3 is its five generators; without (1, 0), D^3 misses (1, 0)
+    full = d_rel(e3, 0, 1)
+    assert all(t is None for t in full.trace)
+    keep = [i for i, pair in enumerate(full.elements) if pair != (1, 0)]
+    dropped = GeneratedSet(2, tuple(full.elements[i] for i in keep),
+                           tuple(full.trace[i] for i in keep))
+    monkeypatch.setattr(analyzer, "d_rel", lambda alg, a, b: dropped)
+    with pytest.raises(FalsificationError, match=re.escape("symmetric difference [(1, 0)]")):
+        verify_cg_d3(e3, 0, 1)
 
 
 def test_verify_cg_d3_needs_regular(n4):

@@ -91,6 +91,9 @@ def test_verify_sweep_payloads(e3_file, capsys):
         assert main(["verify", which, e3_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"verdict": True, "tuples": 81, "true": true}, which
+    # one chain per pair of Cg(a, b), summed over a <= b
+    assert main(["verify", "cg-d3", e3_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"verdict": True, "pairs": 32}
 
 
 def test_verify_needs_regular(n4_file, capsys):

@@ -103,7 +103,8 @@ def test_oracles_stay_apart():
                if getattr(val, "__module__", None) == oracles.__name__}
     assert defined == {"smb_congruences_by_lattice",
                        "congruence_by_alternating_closure",
-                       "commutator_oracle", "literal_power"}
+                       "commutator_oracle", "literal_power",
+                       "compose_relations"}
     assert not defined & set(vars(smbalg))
 
 

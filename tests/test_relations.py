@@ -6,15 +6,15 @@ import pytest
 
 from smbalg import (AlgebraError, FiniteAlgebra, OperationTable, Partition,
                     PreconditionError, all_partitions, all_subuniverses,
-                    commutator, compose_relations,
-                    congruence_generated, congruence_lattice,
+                    commutator, congruence_generated, congruence_lattice,
                     congruence_violation, d_rel, eval_term,
                     generate_subpower, is_abelian, is_congruence, matrix_set,
                     principal_congruence, product_algebra, push_partition,
                     quotient_algebra, random_algebra, random_semilattice,
                     subalgebra, unary_polynomials)
 from smbalg import core, relations
-from smbalg.oracles import commutator_oracle, congruence_by_alternating_closure
+from smbalg.oracles import (commutator_oracle, compose_relations,
+                            congruence_by_alternating_closure)
 from smbalg.relations import GeneratedSet
 from smbalg.constructions import affine_block
 
