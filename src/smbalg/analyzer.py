@@ -286,14 +286,22 @@ def find_smb_congruences(alg: FiniteAlgebra) -> list:
     never built; `oracles.smb_congruences_by_lattice` keeps the scan over
     every member as the independent reference.
     """
+    sim, _ = _smb_congruence(alg)
+    return [] if sim is None else [sim]
+
+
+def _smb_congruence(alg: FiniteAlgebra) -> Tuple[Optional[Partition], Optional[ClassOrder]]:
+    """find_smb_congruences' four checks: (R, the class order of A/R) when
+    the algebra is SMB over R, else (None, None).  The order is the one
+    check_smb_over would report over R."""
     wedge, d = designated_ops(alg)
     if _idempotence_violations(alg):
-        return []
+        return None, None
     _, sim = _wedge_relation(wedge)
     if sim is None or congruence_violation(alg, sim) is not None:
-        return []
-    mod_sim, per_class, _ = _sim_conditions(wedge, d, sim)
-    return [] if mod_sim or per_class else [sim]
+        return None, None
+    mod_sim, per_class, order = _sim_conditions(wedge, d, sim)
+    return (None, None) if mod_sim or per_class else (sim, order)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from .core import (AlgebraError, CapExceeded, FalsificationError,
                    FiniteAlgebra, PreconditionError)
 from .partitions import Partition
 from .relations import commutator, congruence_lattice, principal_congruence
-from .analyzer import (check_regular, check_regular_base, check_smb_over,
-                       count_biconditional, find_smb_congruences,
+from .analyzer import (_regular_conditions, _smb_congruence, check_regular_base,
+                       check_smb_over, count_biconditional, find_smb_congruences,
                        taylor_check, verify_cg_d3, BASE_IDENTITY_NAMES)
 from .pipeline import regularize, run_pipeline, semilattice_term
 from .constructions import (example_b2, example_e3, example_n4, example_s2,
@@ -73,14 +73,13 @@ def _cmd_check_smb(args) -> int:
 
 def _cmd_check_regular(args) -> int:
     alg = _load(args.file)
-    sims = find_smb_congruences(alg)
-    if not sims:
+    sim, order = _smb_congruence(alg)
+    if sim is None:
         _emit(args, {"verdict": False, "sim": None,
                      "violations": [{"rule": "NotSmb", "witness": []}]},
               ["not an SMB algebra"])
         return 1
-    sim, = sims
-    report = check_regular(alg, sim)
+    report = _regular_conditions(alg, sim, order)
     payload = report.as_dict()
     payload["sim"] = str(sim)
     lines = [f"regular over {sim}: {'holds' if report.holds else 'fails'}"]

@@ -27,11 +27,14 @@ lattice against.
 
 The congruence layer follows R. Freese, "Computing congruences
 efficiently", Algebra Universalis 59 (2008) 337-343.  Principal
-congruences come from a union-find over the unary translations.
-`congruence_lattice` is a breadth-first search from 0_A that joins each
-congruence found with the distinct principal congruences only, and reads
-the upper covers of theta off those same joins: they are the minimal
-elements of {theta v Cg(a, b)} minus {theta}.  `congruence_violation`
+congruences come from a quick-find union over the unary translations: a
+flat list of class labels, relabelled whole on each merge, so the inner
+loop over translations reads two labels per map.  In a finite algebra
+every congruence is a join of join-irreducible ones, and those are
+principal, so `congruence_lattice` is a breadth-first search from 0_A
+that joins each congruence found with the join-irreducible principals
+only, and reads the upper covers of theta off those same joins: they are
+the minimal elements of {theta v J} minus {theta}.  `congruence_violation`
 tests every operation and argument position at once with numpy, over the
 table of value classes.  Of the library, only the `con` command builds the
 lattice; the independent oracles that the tests compare against this
@@ -51,7 +54,7 @@ import numpy as np
 from .core import (FAST_CLOSURE_SPACE_CAP, AlgebraError, App, CapExceeded,
                    Const, FalsificationError, FiniteAlgebra, OperationTable,
                    PreconditionError, Term, Var, _blocks)
-from .partitions import DisjointSet, Partition
+from .partitions import Partition
 
 POL1_SIZE_CAP = 8
 LATTICE_SIZE_CAP = 10
@@ -282,26 +285,30 @@ def _translations(alg: FiniteAlgebra) -> tuple:
 def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> Partition:
     """Least congruence containing the given pairs.
 
-    Union-find over the one-step images: whenever two elements merge, all
-    their images under unary translations are queued to merge as well.
+    Quick-find over the one-step images: `label[x]` names the class of x,
+    and merging two classes relabels one of them in a single pass over the
+    list.  Whenever two classes merge, the images of the merged pair under
+    every unary translation are queued to merge as well, unless they
+    already carry one label.
     """
     n = alg.size
     maps = _translations(alg)
-    ds = DisjointSet(n)
+    label = list(range(n))
     queue = [(a, b) for a, b in pairs]
     for a, b in queue:
         if not (0 <= a < n and 0 <= b < n):
             raise AlgebraError(f"pair ({a}, {b}) out of range 0..{n - 1}")
     while queue:
         a, b = queue.pop()
-        if ds.find(a) == ds.find(b):
+        keep, drop = label[a], label[b]
+        if keep == drop:
             continue
-        ds.union(a, b)
+        label = [keep if c == drop else c for c in label]
         for m in maps:
             ma, mb = m[a], m[b]
-            if ds.find(ma) != ds.find(mb):
+            if label[ma] != label[mb]:
                 queue.append((ma, mb))
-    return ds.partition()
+    return Partition(n, tuple(label))
 
 
 @lru_cache(maxsize=None)
@@ -369,18 +376,37 @@ class CongruenceLattice:
         return self.congruences.index(p)
 
 
+def _join_irreducibles(principals: dict) -> dict:
+    """The join-irreducible members of {Cg(a, b) -> (a, b)}, in its order.
+
+    Every congruence strictly below a principal p is a join of principals
+    strictly below p, so p is join-irreducible exactly when the join of
+    the principals strictly below it is not p itself."""
+    out = {}
+    for p, pair in principals.items():
+        below = Partition.zero(p.size)
+        for q in principals:
+            if q is not p and q.refines(p):
+                below = below.join(q)
+        if below != p:
+            out[p] = pair
+    return out
+
+
 @lru_cache(maxsize=None)
 def congruence_lattice(alg: FiniteAlgebra, max_size: int = LATTICE_SIZE_CAP) -> CongruenceLattice:
     """All congruences and the covering relation (Freese 2008).
 
     Breadth-first search from 0_A: each congruence theta found is joined
-    with every distinct nonzero principal congruence Cg(a, b) not below
-    it.  Every congruence is a join of principals, so the search finds
-    them all with L*P joins.  The upper covers of theta are the minimal
-    elements of {theta v Cg(a, b)} minus {theta}: any congruence above
-    theta contains some theta v Cg(a, b).  Among those joins,
-    theta v Cg(a, b) lies below mu exactly when mu relates a and b, so
-    minimality needs no further joins.
+    with every join-irreducible congruence J not below it.  In a finite
+    algebra the join-irreducibles are principal (`_join_irreducibles`
+    picks them from the distinct nonzero Cg(a, b)), and every congruence
+    is the join of those below it, so the search finds every member.  The
+    upper covers of theta are the minimal elements of {theta v J} minus
+    {theta}: for mu > theta some join-irreducible J <= mu is not below
+    theta, and then theta < theta v J <= mu.  With (a, b) the first pair
+    of J = Cg(a, b), theta v J lies below mu exactly when mu relates a and
+    b, so minimality needs no further joins.
 
     Congruences are sorted from 0_A towards 1_A by (-classes, class ids),
     and covers are sorted (i, j) index pairs.
@@ -393,16 +419,17 @@ def congruence_lattice(alg: FiniteAlgebra, max_size: int = LATTICE_SIZE_CAP) -> 
     for a in range(n):
         for b in range(a + 1, n):
             principals.setdefault(principal_congruence(alg, a, b), (a, b))
+    irreducibles = _join_irreducibles(principals)
     zero = Partition.zero(n)
     members = [zero]           # in discovery order
     found = {zero: 0}
     upper = []                 # discovery index -> upper covers' indices
     for theta in members:
-        steps = []             # (index of theta v Cg(a, b), a, b)
-        for pi, (a, b) in principals.items():
+        steps = []             # (index of theta v J, a, b) with J = Cg(a, b)
+        for ji, (a, b) in irreducibles.items():
             if theta.related(a, b):
                 continue
-            joined = theta.join(pi)
+            joined = theta.join(ji)
             if joined not in found:
                 found[joined] = len(members)
                 members.append(joined)

@@ -68,13 +68,18 @@ def random_term_all_vars(rng, signature, nvars, depth):
     return t
 
 
-def regularized_glued(seed, block_sizes):
-    """A regularized glued algebra over a random tree with one affine block
-    of each given size, and its sim."""
+def glued(seed, block_sizes):
+    """A glued SMB algebra over a random tree with one affine block of each
+    given size, and its sim."""
     rng = random.Random(seed)
     sl = random_semilattice(len(block_sizes), rng)
     blocks = {c: affine_block(s) for c, s in enumerate(block_sizes)}
     offsets = [sum(block_sizes[:c]) for c in range(len(block_sizes))]
     reps = {c: offsets[c] + rng.randrange(s) for c, s in enumerate(block_sizes)}
-    sim = glue_layout(sl, blocks)
-    return regularize(glue_smb(sl, blocks, reps), sim), sim
+    return glue_smb(sl, blocks, reps), glue_layout(sl, blocks)
+
+
+def regularized_glued(seed, block_sizes):
+    """The regularized `glued` algebra, and its sim."""
+    alg, sim = glued(seed, block_sizes)
+    return regularize(alg, sim), sim

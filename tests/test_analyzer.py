@@ -226,6 +226,31 @@ def test_check_regular_precondition(e3):
         check_regular(e3, Partition.zero(3))
 
 
+def test_check_regular_command_checks_smb_once(corpus, e3, tmp_path, monkeypatch,
+                                               capsys):
+    """check-regular takes the class order from recognition: it is the
+    order check_smb_over reports over the same sim, so the report is
+    check_regular's, and the command runs no second SMB check."""
+    for entry in corpus:
+        alg = entry.algebra
+        if not (alg.has_op("wedge", 2) and alg.has_op("d", 3)):
+            continue
+        sim, order = analyzer._smb_congruence(alg)
+        assert find_smb_congruences(alg) == ([] if sim is None else [sim]), alg.name
+        if sim is not None:
+            assert order == check_smb_over(alg, sim).class_order, alg.name
+            assert analyzer._regular_conditions(alg, sim, order) == \
+                check_regular(alg, sim), alg.name
+    calls = []
+    monkeypatch.setattr(analyzer, "check_smb_over",
+                        lambda *args: calls.append(args) or check_smb_over(*args))
+    path = tmp_path / "e3.alg"
+    path.write_text(format_algebra(e3), encoding="utf-8")
+    assert main(["check-regular", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
 def test_regular_base_reports(e3, n4, e3_sim):
     base = check_regular_base(e3)
     assert base.holds and base.recovered_sim == e3_sim

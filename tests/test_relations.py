@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from smbalg import (AlgebraError, FiniteAlgebra, OperationTable, Partition,
-                    PreconditionError, all_partitions, all_subuniverses,
+from smbalg import (AlgebraError, CapExceeded, FiniteAlgebra, OperationTable,
+                    Partition, PreconditionError, all_partitions, all_subuniverses,
                     commutator, congruence_generated, congruence_lattice,
                     congruence_violation, d_rel, eval_term,
                     generate_subpower, is_abelian, is_congruence, matrix_set,
@@ -16,9 +16,11 @@ from smbalg import core, relations
 from smbalg.oracles import (commutator_oracle, compose_relations,
                             congruence_by_alternating_closure)
 from smbalg.relations import GeneratedSet
-from smbalg.constructions import affine_block
+from smbalg.constructions import (affine_block, example_b2, example_e3,
+                                  example_s2)
+from smbalg.pipeline import regularize
 
-from conftest import regularized_glued
+from conftest import glued, regularized_glued
 
 
 def closure_in_rounds(alg, k, generators):
@@ -276,14 +278,25 @@ def test_principal_congruence_oracle(corpus):
 
 
 def test_alternating_closure_agrees(corpus):
-    for entry in corpus:
-        alg = entry.algebra
-        if alg.size > 4:
-            continue
-        for a in range(alg.size):
-            for b in range(a + 1, alg.size):
+    """The quick-find translation closure against the alternating subpower
+    closure: every pair of the corpus and of random {wedge, d} algebras up
+    to size 6, and random sets of several pairs, since merges now happen
+    in another order."""
+    algebras = [e.algebra for e in corpus]
+    algebras += [random_algebra(1 + seed % 6, {"wedge": 2, "d": 3}, seed)
+                 for seed in range(24)]
+    rng = random.Random(13)
+    for alg in algebras:
+        n = alg.size
+        for a in range(n):
+            for b in range(a + 1, n):
                 assert congruence_by_alternating_closure(alg, [(a, b)]) == \
-                    principal_congruence(alg, a, b)
+                    principal_congruence(alg, a, b), (alg.name, a, b)
+        for _ in range(3):
+            pairs = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randrange(2, 5))]
+            assert congruence_by_alternating_closure(alg, pairs) == \
+                congruence_generated(alg, pairs), (alg.name, pairs)
 
 
 def test_congruence_lattice_examples(e3, b2):
@@ -304,14 +317,19 @@ def definitional_covers(congruences) -> tuple:
                  and not any(below[i][k] and below[k][j] for k in idx))
 
 
-def test_congruence_lattice_brute(e3, n4, corpus):
-    """Members are exactly the partitions that are congruences, in the
-    lattice's order, and covers are the definitional ones."""
+def brute_force_algebras(e3, n4, corpus):
+    """Algebras of size at most 8 whose congruences all_partitions can list."""
     algebras = [e3, n4] + [e.algebra for e in corpus]
     algebras += [random_algebra(1 + seed % 6, {"wedge": 2, "d": 3}, seed)
                  for seed in range(24)]
     algebras += [random_semilattice(n, random.Random(n)) for n in range(1, 7)]
-    for alg in algebras:
+    return algebras
+
+
+def test_congruence_lattice_brute(e3, n4, corpus):
+    """Members are exactly the partitions that are congruences, in the
+    lattice's order, and covers are the definitional ones."""
+    for alg in brute_force_algebras(e3, n4, corpus):
         lat = congruence_lattice(alg)
         brute = [p for p in all_partitions(alg.size) if is_congruence(alg, p)]
         assert list(lat.congruences) == sorted(
@@ -319,13 +337,128 @@ def test_congruence_lattice_brute(e3, n4, corpus):
         assert lat.covers == definitional_covers(lat.congruences), alg.name
 
 
+def lattice_by_all_principals(alg, max_size=relations.LATTICE_SIZE_CAP):
+    """Reference congruence lattice: the breadth-first search from 0_A that
+    joins each congruence found with every distinct nonzero principal
+    congruence, not only the join-irreducible ones."""
+    n = alg.size
+    if n > max_size:
+        raise CapExceeded(
+            f"congruence lattice capped at universe size {max_size}, algebra has {n}")
+    principals: dict = {}      # distinct nonzero Cg(a, b) -> its first pair
+    for a in range(n):
+        for b in range(a + 1, n):
+            principals.setdefault(principal_congruence(alg, a, b), (a, b))
+    zero = Partition.zero(n)
+    members = [zero]           # in discovery order
+    found = {zero: 0}
+    upper = []                 # discovery index -> upper covers' indices
+    for theta in members:
+        steps = []             # (index of theta v Cg(a, b), a, b)
+        for pi, (a, b) in principals.items():
+            if theta.related(a, b):
+                continue
+            joined = theta.join(pi)
+            if joined not in found:
+                found[joined] = len(members)
+                members.append(joined)
+            steps.append((found[joined], a, b))
+        upper.append([j for j in {s[0] for s in steps}
+                      if all(k == j for k, a, b in steps if members[j].related(a, b))])
+    ordered = sorted(members, key=lambda p: (-p.num_classes, p.class_ids))
+    rank = {p: i for i, p in enumerate(ordered)}
+    covers = sorted((rank[members[i]], rank[members[j]])
+                    for i, ups in enumerate(upper) for j in ups)
+    return relations.CongruenceLattice(tuple(ordered), tuple(covers))
+
+
+def recognize_shapes():
+    """The shapes `con` meets in the benchmark's recognize ladder: products
+    of small SMB algebras and glued algebras of sizes 6 to 10, each plain
+    and regularized over its sim."""
+    rng = random.Random(5)
+
+    def tree(k):
+        return random_semilattice(k, rng), Partition.zero(k)
+
+    factors = [(tree(3), tree(3)),
+               ((example_b2(), Partition.one(2)), tree(3)),
+               ((example_s2(), Partition.zero(2)), tree(4)),
+               ((example_e3(), Partition(3, (0, 0, 1))), glued(5, (2, 1)))]
+    shapes = []
+    for (a, sim_a), (b, sim_b) in factors:
+        sim = Partition(a.size * b.size, tuple(
+            (sim_a.class_ids[e // b.size], sim_b.class_ids[e % b.size])
+            for e in range(a.size * b.size)))
+        shapes.append((product_algebra(a, b), sim))
+    shapes += [glued(seed, sizes) for seed, sizes in enumerate(
+        [(3, 3), (2, 3, 2), (3, 2, 3), (2, 2, 3, 2), (3, 2, 3, 2)])]
+    return [alg for shape, sim in shapes for alg in (shape, regularize(shape, sim))]
+
+
+def differential_algebras(e3, n4, corpus):
+    """The brute-force set, trees up to size 12 and the recognize shapes."""
+    trees = [random_semilattice(n, random.Random(1000 + n)) for n in range(1, 13)]
+    return brute_force_algebras(e3, n4, corpus) + trees + recognize_shapes()
+
+
+def assert_lattice_is_reference(alg):
+    lat = relations.congruence_lattice.__wrapped__(alg, alg.size)
+    ref = lattice_by_all_principals(alg, alg.size)
+    assert lat.congruences == ref.congruences, alg.name
+    assert lat.covers == ref.covers, alg.name
+
+
+def test_congruence_lattice_matches_all_principals(e3, n4, corpus):
+    """The search over join-irreducible principals finds the members and
+    covers that the search over every principal finds (uncached, so the
+    mutation test below sees its own results)."""
+    for alg in differential_algebras(e3, n4, corpus):
+        assert_lattice_is_reference(alg)
+
+
+def test_join_irreducible_filter_is_exact(e3, n4, corpus, monkeypatch):
+    """The principals the search keeps are the lattice members with exactly
+    one lower cover, and dropping any one of them is caught by the
+    differential test."""
+    for alg in brute_force_algebras(e3, n4, corpus):
+        n = alg.size
+        principals = {}
+        for a in range(n):
+            for b in range(a + 1, n):
+                principals.setdefault(principal_congruence(alg, a, b), (a, b))
+        members = congruence_lattice(alg).congruences
+        lower = [0] * len(members)
+        for _, j in definitional_covers(members):
+            lower[j] += 1
+        irreducible = {members[j] for j, k in enumerate(lower) if k == 1}
+        assert set(relations._join_irreducibles(principals)) == irreducible, alg.name
+
+    keep = relations._join_irreducibles
+
+    def drop_last(principals):
+        out = keep(principals)
+        if out:
+            out.popitem()
+        return out
+
+    monkeypatch.setattr(relations, "_join_irreducibles", drop_last)
+    for alg in differential_algebras(e3, n4, corpus):
+        try:
+            assert_lattice_is_reference(alg)
+        except AssertionError:
+            break
+    else:
+        pytest.fail("dropping a join-irreducible principal went unnoticed")
+
+
 def test_tree_semilattice_lattice_size():
     # the congruences are the partitions into connected subtrees, one for
     # each set of cut edges
-    for n in range(1, 11):
+    for n in range(1, 13):
         for seed in range(2):
             tree = random_semilattice(n, random.Random(100 * n + seed))
-            assert len(congruence_lattice(tree)) == 2 ** (n - 1)
+            assert len(congruence_lattice(tree, max_size=n)) == 2 ** (n - 1)
 
 
 def scan_violation(alg, p):
