@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
                    Identity, OperationTable, PreconditionError, Quasiidentity,
-                   Term, Var, Verdict, check_identity, eval_term, first_failure,
+                   Term, Var, Verdict, _term_boxes, check_identity, first_failure,
                    idempotence_violation, substitute, term_table)
 from .partitions import Partition
 from .relations import (GeneratedSet, _check_congruences, congruence_violation,
@@ -488,22 +488,35 @@ def _d_rel_leaf_terms(dset: GeneratedSet, a: int, b: int) -> dict:
     return leaves
 
 
-def _d_pair_steps(alg: FiniteAlgebra, q: Term, a: int, b: int,
-                  u: int, v: int, c: int, d: int) -> tuple:
-    """The two chain steps of the D-pair (u, v) = (q(a, b), q(b, a)):
-    q(a, x) from u to mid = q(a, a) and q(x, a) from mid to v, each
-    replayed at a and at b.  (c, d) is the first chain through the pair,
-    named when a step fails to replay."""
-    mid = eval_term(alg, q, (a, a))
-    steps = (ChainStep(substitute(q, {0: Const(a), 1: Var(0)}), u, mid),
-             ChainStep(substitute(q, {1: Const(a)}), mid, v))
-    for step in steps:
-        images = {eval_term(alg, step.poly, (a,)), eval_term(alg, step.poly, (b,))}
-        if images != {step.lo, step.hi}:
-            raise FalsificationError(
-                f"witness chain for ({c},{d}) does not replay: step "
-                f"{step.lo}-{step.hi} has polynomial images {sorted(images)}")
-    return steps
+def _d_pair_steps(alg: FiniteAlgebra, dset: GeneratedSet, a: int, b: int,
+                  links: dict) -> dict:
+    """The two chain steps of each D-pair (u, v) = (q(a, b), q(b, a)) in
+    `links`: q(a, x) from u to mid = q(a, a) and q(x, a) from mid to v.
+
+    Every step polynomial is evaluated in one pass of the term kernel and
+    replayed at a and at b; links[(u, v)] is the first chain (c, d) through
+    the pair, named when one of its steps fails to replay."""
+    leaves = _d_rel_leaf_terms(dset, a, b)
+    polys = []
+    for pair in links:
+        q = dset.term_for(dset.index[pair], leaves)
+        polys += [substitute(q, {0: Const(a), 1: Var(0)}), substitute(q, {1: Const(a)})]
+    images = np.empty((len(polys), alg.size), dtype=np.int64)
+    (_, values), = _term_boxes(alg, polys, 1)
+    for i, val in enumerate(values):
+        images[i] = val
+    at = images[:, [a, b]].tolist()
+    out = {}
+    for i, ((u, v), (c, d)) in enumerate(links.items()):
+        mid = at[2 * i][0]
+        steps = (ChainStep(polys[2 * i], u, mid), ChainStep(polys[2 * i + 1], mid, v))
+        for step, replay in zip(steps, at[2 * i:2 * i + 2]):
+            if set(replay) != {step.lo, step.hi}:
+                raise FalsificationError(
+                    f"witness chain for ({c},{d}) does not replay: step "
+                    f"{step.lo}-{step.hi} has polynomial images {sorted(set(replay))}")
+        out[(u, v)] = steps
+    return out
 
 
 def verify_cg_d3(alg: FiniteAlgebra, a: int, b: int) -> CgD3Result:
@@ -516,9 +529,9 @@ def verify_cg_d3(alg: FiniteAlgebra, a: int, b: int) -> CgD3Result:
     least element with D^2[c, e4] and D[e4, d], and e2 the least with
     D[c, e2] and D[e2, e4].  Each link (u, v) is a D-pair, with a term q
     over the generators (a, b) and (b, a), and gives two steps (see
-    `_d_pair_steps`).  The steps of a D-pair are built and replayed with
-    `eval_term` once, when the first chain uses the pair; every later
-    chain through it shares the same two ChainStep objects.
+    `_d_pair_steps`).  The steps of all distinct D-pairs the chains use
+    are built and replayed together, in one term-kernel pass, and every
+    chain through a D-pair shares the same two ChainStep objects.
 
     Requires the regular base; inequality of the two sides, or a step
     that fails to replay, raises FalsificationError.
@@ -543,19 +556,15 @@ def verify_cg_d3(alg: FiniteAlgebra, a: int, b: int) -> CgD3Result:
     e4 = np.argmax(d2[:, :, None] & dm[None, :, :], axis=1)      # at [c, d]
     e2 = np.argmax(dm[:, None, :] & dm.T[e4], axis=2)            # D[c, e2] & D[e2, e4]
     cs, ds = np.nonzero(in_cg)
-    leaves = _d_rel_leaf_terms(dset, a, b)
-    pair_steps: dict = {}
-    chains = {}
+    links: dict = {}           # D-pair -> first chain through it
+    walks = {}
     for c, m2, m4, d in zip(cs.tolist(), e2[cs, ds].tolist(),
                             e4[cs, ds].tolist(), ds.tolist()):
-        evens = (c, m2, m4, d)
-        chain = ()
-        for u, v in zip(evens, evens[1:]):
-            if (u, v) not in pair_steps:
-                q = dset.term_for(dset.index[(u, v)], leaves)
-                pair_steps[(u, v)] = _d_pair_steps(alg, q, a, b, u, v, c, d)
-            chain += pair_steps[(u, v)]
-        chains[(c, d)] = chain
+        walk = walks[(c, d)] = ((c, m2), (m2, m4), (m4, d))
+        for pair in walk:
+            links.setdefault(pair, (c, d))
+    steps = _d_pair_steps(alg, dset, a, b, links)
+    chains = {cd: steps[p1] + steps[p2] + steps[p3] for cd, (p1, p2, p3) in walks.items()}
     return CgD3Result(a, b, cg, frozenset(map(tuple, np.argwhere(d3).tolist())), chains)
 
 

@@ -121,13 +121,17 @@ def _cmd_regularize(args) -> int:
 def _cmd_con(args) -> int:
     alg = _load(args.file)
     lattice = congruence_lattice(alg)
-    payload = {"congruences": [str(p) for p in lattice.congruences],
+    names = [str(p) for p in lattice.congruences]
+    payload = {"congruences": names,
                "classes": [p.json_classes() for p in lattice.congruences],
                "covers": [list(c) for c in lattice.covers]}
-    lines = [f"{len(lattice)} congruence(s)"]
-    lines += [f"  [{i}] {p}" for i, p in enumerate(lattice.congruences)]
-    lines += [f"  cover: [{i}] < [{j}]" for i, j in lattice.covers]
-    _emit(args, payload, lines)
+
+    def lines():               # formatted only when printed, not under --json
+        yield f"{len(lattice)} congruence(s)"
+        yield from (f"  [{i}] {name}" for i, name in enumerate(names))
+        yield from (f"  cover: [{i}] < [{j}]" for i, j in lattice.covers)
+
+    _emit(args, payload, lines())
     return 0
 
 

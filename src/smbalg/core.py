@@ -4,17 +4,16 @@ Every value here is immutable after construction and every operation is a
 pure function, so results can be cached and evaluated in parallel without
 any shared mutable state.
 
-Terms have two evaluators, which validate symbols, arities, literals and
-variables node by node in one place, `_checked`.  `term_table` is the
-numpy kernel: `_compile` lists the distinct subterms children first, and
-each is evaluated once over all n**nvars assignments by broadcasting
-(variable i is an index range along axis i), in boxes of at most
-`BLOCK_SIZE` assignments cut by `_blocks` and visited in lexicographic
-order.  Identities, quasi-identities, `materialize_term` and the operation
-flags run on it.  `eval_term` is the pure-Python pointwise evaluator, for
-callers that evaluate many different terms at a few points each: the
-witness chains of `analyzer.verify_cg_d3` replay the two steps of each
-distinct D-pair once, at a and at b, and share them between chains.
+Terms have one evaluator, the numpy kernel `term_table`: `_compile`
+validates symbols, arities, literals and variables and lists the distinct
+subterms children first, and each is evaluated once over all n**nvars
+assignments by broadcasting (variable i is an index range along axis i),
+in boxes of at most `BLOCK_SIZE` assignments cut by `_blocks` and visited
+in lexicographic order.  Identities, quasi-identities, `materialize_term`,
+the operation flags and the witness chains of `analyzer.verify_cg_d3`
+(many one-variable polynomials in a single `_term_boxes` pass) run on it.
+The pointwise pure-Python evaluator is the tests' reference for it and
+lives in `smbalg.oracles`.
 """
 
 from __future__ import annotations
@@ -265,69 +264,15 @@ def substitute(term: Term, mapping: Mapping[int, Term]) -> Term:
     return App(term.symbol, tuple(substitute(a, mapping) for a in term.args))
 
 
-def _checked(alg: FiniteAlgebra, t: Term, nvars: int) -> Optional[OperationTable]:
-    """Validate one term node for an assignment of length `nvars`; returns
-    the table of an application and None for a leaf."""
-    if isinstance(t, App):
-        table = alg.op(t.symbol)
-        if len(t.args) != table.arity:
-            raise AlgebraError(
-                f"operation '{t.symbol}' of arity {table.arity} applied to "
-                f"{len(t.args)} arguments")
-        return table
-    if isinstance(t, Var):
-        if not 0 <= t.index < nvars:
-            raise AlgebraError(
-                f"assignment of length {nvars} does not cover variable {t.index}")
-    elif isinstance(t, Const):
-        if not 0 <= t.value < alg.size:
-            raise AlgebraError(f"element literal {t.value} out of range 0..{alg.size - 1}")
-    else:
-        raise AlgebraError(f"not a term node: {t!r}")
-    return None
-
-
-def eval_term(alg: FiniteAlgebra, term: Term, assignment: Sequence[int]) -> int:
-    """Evaluate `term` in `alg` under an assignment of elements to variables.
-
-    Pointwise and pure Python; shared subterms (DAG nodes) are evaluated
-    once per call.
-    """
-    memo: dict = {}
-    n = alg.size
-    nvars = len(assignment)
-
-    def ev(t):
-        key = id(t)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        table = _checked(alg, t, nvars)
-        if table is not None:
-            idx = 0
-            for sub in t.args:
-                idx = idx * n + ev(sub)
-            val = table.entries[idx]
-        elif isinstance(t, Var):
-            val = assignment[t.index]
-            if not 0 <= val < n:
-                raise AlgebraError(f"assigned element {val} out of range 0..{n - 1}")
-        else:
-            val = t.value
-        memo[key] = val
-        return val
-
-    return ev(term)
-
-
 def _compile(alg: FiniteAlgebra, terms: Sequence[Term], nvars: int) -> tuple:
     """Validate `terms` for an assignment of length `nvars` and list their
     distinct subterms, children first.
 
     Returns (steps, roots).  A step is a Var or Const leaf, or (table,
     child step indices) for an application; equal subterms share one step,
-    and roots[i] is the step of terms[i].  Nodes are validated in the
-    order eval_term meets them.
+    and roots[i] is the step of terms[i].  Each node is validated when it
+    is first met, an application before its arguments, depth first and
+    left to right: symbol and arity, a variable's index, a literal's range.
     """
     steps: list = []
     slots: dict = {}           # structural key -> step index
@@ -336,12 +281,26 @@ def _compile(alg: FiniteAlgebra, terms: Sequence[Term], nvars: int) -> tuple:
     def visit(t):
         slot = memo.get(id(t))
         if slot is None:
-            table = _checked(alg, t, nvars)
-            if table is None:
-                key = step = t
-            else:
+            if isinstance(t, App):
+                table = alg.op(t.symbol)
+                if len(t.args) != table.arity:
+                    raise AlgebraError(
+                        f"operation '{t.symbol}' of arity {table.arity} applied to "
+                        f"{len(t.args)} arguments")
                 children = tuple([visit(a) for a in t.args])
                 key, step = (t.symbol, children), (table, children)
+            else:
+                if isinstance(t, Var):
+                    if not 0 <= t.index < nvars:
+                        raise AlgebraError(
+                            f"assignment of length {nvars} does not cover variable {t.index}")
+                elif isinstance(t, Const):
+                    if not 0 <= t.value < alg.size:
+                        raise AlgebraError(
+                            f"element literal {t.value} out of range 0..{alg.size - 1}")
+                else:
+                    raise AlgebraError(f"not a term node: {t!r}")
+                key = step = t
             slot = slots.get(key)
             if slot is None:
                 slot = slots[key] = len(steps)

@@ -20,6 +20,10 @@ calls them.  `smbalg` does not re-export them; import them from
   compose_relations               set-based composition of binary relations,
                                   against the boolean matrix products in
                                   `analyzer.verify_cg_d3`
+  eval_term                       pointwise evaluation of a term, node by
+                                  node, against the numpy kernel
+                                  `core.term_table` and the chain replay of
+                                  `analyzer.verify_cg_d3`
 
 The lattice-based oracles are bounded by `relations.LATTICE_SIZE_CAP`.
 """
@@ -30,7 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AlgebraError, FalsificationError, FiniteAlgebra
+from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
+                   Term, Var)
 from .partitions import Partition
 from .analyzer import _idempotence_violations, _sim_conditions, designated_ops
 from .relations import (_check_congruences, congruence_lattice,
@@ -123,3 +128,45 @@ def literal_power(f: Sequence[int], times: int) -> tuple:
     for _ in range(times - 1):
         g = tuple(f[x] for x in g)
     return g
+
+
+def eval_term(alg: FiniteAlgebra, term: Term, assignment: Sequence[int]) -> int:
+    """Evaluate `term` in `alg` under an assignment of elements to variables.
+
+    Pointwise and pure Python, validating each node as it is met; shared
+    subterms (DAG nodes) are evaluated once per call.
+    """
+    memo: dict = {}
+    n = alg.size
+
+    def ev(t):
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit
+        if isinstance(t, App):
+            table = alg.op(t.symbol)
+            if len(t.args) != table.arity:
+                raise AlgebraError(
+                    f"operation '{t.symbol}' of arity {table.arity} applied to "
+                    f"{len(t.args)} arguments")
+            idx = 0
+            for sub in t.args:
+                idx = idx * n + ev(sub)
+            val = table.entries[idx]
+        elif isinstance(t, Var):
+            if not 0 <= t.index < len(assignment):
+                raise AlgebraError(f"assignment of length {len(assignment)} "
+                                   f"does not cover variable {t.index}")
+            val = assignment[t.index]
+            if not 0 <= val < n:
+                raise AlgebraError(f"assigned element {val} out of range 0..{n - 1}")
+        elif isinstance(t, Const):
+            if not 0 <= t.value < n:
+                raise AlgebraError(f"element literal {t.value} out of range 0..{n - 1}")
+            val = t.value
+        else:
+            raise AlgebraError(f"not a term node: {t!r}")
+        memo[id(t)] = val
+        return val
+
+    return ev(term)

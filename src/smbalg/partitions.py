@@ -14,36 +14,6 @@ from typing import Iterable, Sequence
 from .core import AlgebraError
 
 
-class DisjointSet:
-    """Array-based union-find with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-    def partition(self) -> "Partition":
-        """The classes as a Partition, numbered in canonical order."""
-        first: dict = {}
-        ids = tuple(first.setdefault(self.find(x), len(first))
-                    for x in range(len(self.parent)))
-        return Partition._from_canonical(len(ids), ids)
-
-
 def _canonical(ids: Sequence[int]) -> tuple:
     remap: dict = {}
     out = []
@@ -109,13 +79,19 @@ class Partition:
 
     @staticmethod
     def from_pairs(n: int, pairs: Iterable[tuple]) -> "Partition":
-        """Least equivalence relation containing the given pairs."""
-        ds = DisjointSet(n)
+        """Least equivalence relation containing the given pairs.
+
+        Quick-find: `label[x]` names the class of x, and merging two
+        classes relabels one of them in a single pass over the list.
+        """
+        label = list(range(n))
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise AlgebraError(f"pair ({a}, {b}) out of range 0..{n - 1}")
-            ds.union(a, b)
-        return ds.partition()
+            keep, drop = label[a], label[b]
+            if keep != drop:
+                label = [keep if c == drop else c for c in label]
+        return Partition(n, tuple(label))
 
     @staticmethod
     def parse(text: str, n: int) -> "Partition":

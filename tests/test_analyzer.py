@@ -12,7 +12,6 @@ from smbalg import (AlgebraError, App, ClassOrder, FalsificationError,
                     check_regular_base, check_smb_over, check_undersim,
                     cgvsim_below, commutator_below_sim, congruence_lattice,
                     congruence_violation, count_biconditional, core, d_rel,
-                    eval_term,
                     find_smb_congruences,
                     glue_smb, join_membership_chain, alternating_chain_fold,
                     principal_congruence, random_semilattice, recovered_sim,
@@ -21,7 +20,7 @@ from smbalg.analyzer import BASE_IDENTITY_NAMES
 from smbalg.cli import main
 from smbalg.constructions import random_algebra
 from smbalg.dsl import format_algebra
-from smbalg.oracles import compose_relations, smb_congruences_by_lattice
+from smbalg.oracles import compose_relations, eval_term, smb_congruences_by_lattice
 from smbalg.relations import GeneratedSet
 
 from conftest import regularized_glued
@@ -343,6 +342,17 @@ def test_verify_cg_d3_rejects_wrong_mid(e3, monkeypatch):
         return core.substitute(term, mapping)
 
     monkeypatch.setattr(analyzer, "substitute", swapped)
+    with pytest.raises(FalsificationError, match="does not replay"):
+        verify_cg_d3(e3, 0, 1)
+
+
+def test_verify_cg_d3_rejects_wrong_kernel_value(e3, monkeypatch):
+    # the kernel misreports one step polynomial: the first D-pair's q(a, x)
+    def off_by_one(alg, terms, nvars):
+        for box, values in core._term_boxes(alg, terms, nvars):
+            yield box, [(values[0] + 1) % alg.size, *values[1:]]
+
+    monkeypatch.setattr(analyzer, "_term_boxes", off_by_one)
     with pytest.raises(FalsificationError, match="does not replay"):
         verify_cg_d3(e3, 0, 1)
 

@@ -28,6 +28,9 @@ def test_zero_one_blocks():
     assert Partition.zero(3).blocks() == [(0,), (1,), (2,)]
     assert Partition.one(3).blocks() == [(0, 1, 2)]
     assert Partition.from_blocks(3, [[2], [0, 1]]) == Partition(3, (0, 0, 1))
+    assert Partition.from_pairs(5, [(3, 1), (4, 3), (2, 0)]).class_ids == (0, 1, 0, 1, 1)
+    with pytest.raises(AlgebraError, match=r"pair \(0, 3\) out of range 0..2"):
+        Partition.from_pairs(3, [(1, 2), (0, 3)])
 
 
 def test_join_meet_examples():

@@ -4,9 +4,10 @@ import itertools
 import random
 
 from smbalg import (App, Partition, Var, all_partitions, check_identity,
-                    check_quasiidentity, congruence_generated, eval_term,
+                    check_quasiidentity, congruence_generated,
                     find_smb_congruences, materialize_term, random_algebra,
                     smb_axioms, term_variables)
+from smbalg.oracles import eval_term
 from smbalg.partitions import _canonical
 from conftest import random_term_all_vars
 

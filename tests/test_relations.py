@@ -7,14 +7,14 @@ import pytest
 from smbalg import (AlgebraError, CapExceeded, FiniteAlgebra, OperationTable,
                     Partition, PreconditionError, all_partitions, all_subuniverses,
                     commutator, congruence_generated, congruence_lattice,
-                    congruence_violation, d_rel, eval_term,
+                    congruence_violation, d_rel,
                     generate_subpower, is_abelian, is_congruence, matrix_set,
                     principal_congruence, product_algebra, push_partition,
                     quotient_algebra, random_algebra, random_semilattice,
                     subalgebra, unary_polynomials)
 from smbalg import core, relations
 from smbalg.oracles import (commutator_oracle, compose_relations,
-                            congruence_by_alternating_closure)
+                            congruence_by_alternating_closure, eval_term)
 from smbalg.relations import GeneratedSet
 from smbalg.constructions import (affine_block, example_b2, example_e3,
                                   example_s2)
