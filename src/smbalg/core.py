@@ -73,9 +73,10 @@ class OperationTable:
         expected = size ** arity
         if len(entries) != expected:
             raise AlgebraError(f"expected {expected} entries, got {len(entries)}")
-        for v in entries:
-            if not isinstance(v, int) or not 0 <= v < size:
-                raise AlgebraError(f"table entry {v!r} out of range 0..{size - 1}")
+        if not (all(map(isinstance, entries, itertools.repeat(int)))
+                and frozenset(range(size)).issuperset(entries)):
+            bad = next(v for v in entries if not isinstance(v, int) or not 0 <= v < size)
+            raise AlgebraError(f"table entry {bad!r} out of range 0..{size - 1}")
         self.arity = arity
         self.size = size
         self.entries = entries

@@ -21,9 +21,17 @@ The commutator [alpha, beta] is computed by construction as the least
 congruence satisfying the term condition, by a fixpoint over class-id
 masks of the matrix array.  It closes the matrices M(S, beta) of a
 symmetric generating set S of alpha, which have the same term condition
-as M(alpha, beta) and are far fewer; `matrix_set` keeps the full
-M(alpha, beta), which `oracles.commutator_oracle` scans the congruence
-lattice against.
+as M(alpha, beta) and are far fewer.  It closes them over orbit
+representatives of the Klein four-group of row and column swaps: S and
+beta are symmetric, so the generator set is invariant under the swaps,
+and the operations act coordinatewise, so they commute with them; hence
+M(S, beta) is invariant too, and a round needs the first argument of its
+combinations only from the least tuple of each orbit, provided it adds
+the whole orbit of each new tuple (see `_subpower_closure`).  The closure
+refuses generators that are not invariant.  `matrix_set` keeps the full
+M(alpha, beta) in the plain rounds, so `oracles.commutator_oracle`, which
+scans the congruence lattice against it, shares neither reduction with
+`commutator`.
 
 The congruence layer follows R. Freese, "Computing congruences
 efficiently", Algebra Universalis 59 (2008) 337-343.  Principal
@@ -119,9 +127,10 @@ class GeneratedSet:
         return build(i)
 
 
-def _apply_block(tables: np.ndarray, columns: np.ndarray, box: list,
-                 n: int) -> np.ndarray:
-    """Keys of op(x_1, .., x_k) for x_i over the element rows in box[i].
+def _apply_block(tables: np.ndarray, heads: np.ndarray, columns: np.ndarray,
+                 box: list, n: int) -> np.ndarray:
+    """Keys of op(x_1, .., x_k) for x_1 over the rows in box[0] of `heads`
+    and x_i, i > 1, over the element rows in box[i].
 
     `tables[c]` is the operation table times the weight of coordinate c.
     Argument i's column is laid along axis i, so the table index `acc`
@@ -130,17 +139,37 @@ def _apply_block(tables: np.ndarray, columns: np.ndarray, box: list,
     """
     arity = len(box)
     key = 0
-    for table, col in zip(tables, columns):
+    for table, head, col in zip(tables, heads, columns):
         acc = 0
         for i, (lo, hi) in enumerate(box):
             shape = [1] * arity
             shape[i] = hi - lo
-            acc = acc * n + col[lo:hi].reshape(shape)
+            acc = acc * n + (col if i else head)[lo:hi].reshape(shape)
         key += table[acc]
     return key.ravel()
 
 
-def _subpower_closure(alg: FiniteAlgebra, k: int, generators) -> tuple:
+def _orbit_weights(weights: np.ndarray, symmetries) -> np.ndarray:
+    """(|G|, k) int64 weights for the group G of coordinate permutations of
+    A^k generated by `symmetries`, identity first: column g of
+    `rows @ result.T` holds the keys of the rows with coordinates permuted
+    by g, where p sends (x_0, .., x_{k-1}) to (x_p[0], .., x_p[k-1]) and
+    `weights` gives the keys of the rows themselves."""
+    group = [tuple(range(len(weights)))]
+    for s in symmetries:
+        if sorted(s) != list(group[0]):
+            raise AlgebraError(f"symmetry {s} is not a permutation of "
+                               f"range({len(weights)})")
+    for p in group:              # grows while it is walked, until closed
+        for s in symmetries:
+            q = tuple(map(p.__getitem__, s))
+            if q not in group:
+                group.append(q)
+    return weights[np.array(group).argsort(1)]
+
+
+def _subpower_closure(alg: FiniteAlgebra, k: int, generators,
+                      symmetries=()) -> tuple:
     """Least subset of A^k containing `generators`, closed under all
     operations applied coordinatewise, in semi-naive rounds.
 
@@ -154,6 +183,19 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, generators) -> tuple:
     already known are found in a `visited` bitmap over A^k when n**k is at
     most FAST_CLOSURE_SPACE_CAP, and by binary search in the sorted known
     keys above it.
+
+    `symmetries` are coordinate permutations (see `_orbit_weights`) that
+    must map the generator set onto itself, else AlgebraError before any
+    work.  Operations act coordinatewise, so they commute with every g in
+    the group G the permutations generate, and the closure is G-invariant.
+    Each box's new tuples are then closed under G at once, so the earlier
+    and the new tuples of every round stay G-invariant, and argument 0
+    runs over orbit representatives only (the tuples whose key is least in
+    their orbit).  Nothing is lost: any combination is g^-1 of one whose
+    argument 0 is a representative, with every argument in the same range
+    (earlier or new), and its value is g^-1 of that one's value.  No traces
+    are kept then (boxes, box_of and flat are empty), and each round's new
+    tuples come in ascending key order.
     """
     if k < 1:
         raise AlgebraError(f"power must be >= 1, got {k}")
@@ -187,44 +229,70 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, generators) -> tuple:
             return ~visited[keys]
         return known[np.minimum(np.searchsorted(known, keys), len(known) - 1)] != keys
 
+    def least(new):
+        """Indices of the rows of `new` that are least in their G-orbit."""
+        images = new @ orbit.T
+        return (images.min(1) == images[:, 0]).nonzero()[0]
+
+    traced = not symmetries
+    if traced:
+        heads = range(len(rows))
+    else:
+        orbit = _orbit_weights(weights, symmetries)
+        if unseen((rows @ orbit.T).ravel()).any():
+            raise AlgebraError(
+                f"generators are not invariant under the symmetries {symmetries}")
+        heads = least(rows)
     ops = [(t.arity, weights[:, None] * t.array) for t in alg.operations.values()]
     boxes: list = []
-    box_of = [np.full(len(rows), -1)]
-    flat = [np.zeros(len(rows), dtype=np.int64)]
-    old, total = 0, len(rows)
+    box_of = [np.full(len(rows), -1)] if traced else []
+    flat = [np.zeros(len(rows), dtype=np.int64)] if traced else []
+    old, total, heads_old = 0, len(rows), 0
     while True:
         columns = np.ascontiguousarray(rows.T)
+        head_columns = columns if traced else columns[:, heads]
         found, found_at, counts = [], [], []
         for o, (arity, tables) in enumerate(ops):
             for pos in range(arity):
                 bounds = ([(0, old)] * pos + [(old, total)]
                           + [(0, total)] * (arity - 1 - pos))
+                bounds[0] = (0, heads_old) if pos else (heads_old, len(heads))
                 for box in _blocks(bounds):
-                    keys = _apply_block(tables, columns, box, n)
+                    keys = _apply_block(tables, head_columns, columns, box, n)
                     at = unseen(keys).nonzero()[0]
                     keys = keys[at]      # lets the whole box go before the next
                     if not len(at):
                         continue
                     keys, first = np.unique(keys, return_index=True)
+                    if traced:
+                        found_at.append(at[first])
+                        counts.append(len(keys))
+                        boxes.append((o, box))
+                    else:        # whole orbits, so later boxes see them as known
+                        images = (keys[:, None] // weights % n) @ orbit.T
+                        # return_index, since plain np.unique imports numpy.ma
+                        keys = np.unique(images, return_index=True)[0]
                     if visited is not None:
                         visited[keys] = True
                     found.append(keys)
-                    found_at.append(at[first])
-                    counts.append(len(keys))
-                    boxes.append((o, box))
         if not found:
             break
         # boxes were gathered in processing order, so the first occurrence
         # of a key carries its first producing combination
         keys, first = np.unique(np.concatenate(found), return_index=True)
-        box_ids = np.arange(len(boxes) - len(counts), len(boxes))
-        box_of.append(np.repeat(box_ids, counts)[first])
-        flat.append(np.concatenate(found_at)[first])
-        rows = np.concatenate([rows, keys[:, None] // weights % n])
+        if traced:
+            box_ids = np.arange(len(boxes) - len(counts), len(boxes))
+            box_of.append(np.repeat(box_ids, counts)[first])
+            flat.append(np.concatenate(found_at)[first])
+        new = keys[:, None] // weights % n
+        old, total, heads_old = total, total + len(new), len(heads)
+        heads = range(total) if traced else np.concatenate([heads, old + least(new)])
+        rows = np.concatenate([rows, new])
         if visited is None:
             known = np.sort(np.concatenate([known, keys]))
-        old, total = total, len(rows)
-    return rows, boxes, np.concatenate(box_of), np.concatenate(flat)
+    if traced:
+        box_of, flat = np.concatenate(box_of), np.concatenate(flat)
+    return rows, boxes, box_of, flat
 
 
 def generate_subpower(alg: FiniteAlgebra, k: int,
@@ -585,23 +653,39 @@ def unary_polynomials(alg: FiniteAlgebra) -> tuple:
 # ---------------------------------------------------------------------------
 # The commutator
 
+# The Klein four-group on A^4 read as 2x2 matrices (m11, m12, m21, m22):
+# swap the rows, swap the columns, or both.
+_KLEIN_FOUR = ((2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0))
+
+
 def _matrix_closure(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
-                    beta: Partition) -> np.ndarray:
+                    beta: Partition, symmetries=()) -> np.ndarray:
     """Closure in A^4 of the rows (a, a, b, b) for each given alpha-pair
     and (c, d, c, d) for every beta-pair, as an (m, 4) int64 array.  A^4
-    must fit in FAST_CLOSURE_SPACE_CAP, which is checked first."""
+    must fit in FAST_CLOSURE_SPACE_CAP, which is checked first.
+
+    With `symmetries` = _KLEIN_FOUR the closure runs over orbit
+    representatives.  That is exact when the alpha-pairs are symmetric:
+    the row swap maps (a, a, b, b) to (b, b, a, a) and fixes (c, d, c, d),
+    the column swap fixes (a, a, b, b) and maps (c, d, c, d) to
+    (d, c, d, c), and beta is symmetric, so the generator set is invariant,
+    and so is its closure, since operations act coordinatewise.  A
+    one-directional pair set is refused with AlgebraError, never closed as
+    the orbits of its generators."""
     n = alg.size
     if n ** 4 > FAST_CLOSURE_SPACE_CAP:
         raise CapExceeded(f"A^4 has {n ** 4} tuples, beyond the closure cap")
     gens = [(a, a, b, b) for a, b in alpha_pairs]
     gens += [(c, d, c, d) for c, d in beta.pairs()]
-    return _subpower_closure(alg, 4, gens)[0]
+    return _subpower_closure(alg, 4, gens, symmetries)[0]
 
 
 def matrix_set(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> np.ndarray:
     """M(alpha, beta): rows (m11, m12, m21, m22) read as 2x2 matrices,
     generated from alpha-pairs duplicated as rows and beta-pairs duplicated
-    as columns.  The closure's (m, 4) int64 array."""
+    as columns.  The closure's (m, 4) int64 array, closed by the plain
+    semi-naive rounds: `oracles.commutator_oracle` reads it, and so stays
+    independent of the orbit reduction that `commutator` uses."""
     return _matrix_closure(alg, alpha.pairs(), beta)
 
 
@@ -651,11 +735,15 @@ def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partiti
       {(a, b) : t(a,c) delta t(a,d) <=> t(b,c) delta t(b,d) for all t, c beta d}
       is a congruence, and the condition on M(S, beta) puts S, so alpha, in it.
     S must be symmetric and beta must stay whole, because the term condition
-    is not symmetric.  Guaranteed to lie below alpha meet beta; a violation
-    of that bound is raised loudly.
+    is not symmetric.  As S and beta are symmetric, M(S, beta) is invariant
+    under swapping the rows or the columns of every matrix, so
+    `_matrix_closure` closes it over _KLEIN_FOUR orbit representatives: the
+    same set, with about a third of the argument combinations evaluated.
+    Guaranteed to lie below alpha meet beta; a violation of that bound is
+    raised loudly.
     """
     _check_congruences(alg, alpha, beta)
-    matrices = _matrix_closure(alg, _spanning_pairs(alpha), beta)
+    matrices = _matrix_closure(alg, _spanning_pairs(alpha), beta, _KLEIN_FOUR)
     result = _term_condition_fixpoint(alg, matrices)
     if not result.refines(alpha.meet(beta)):
         raise FalsificationError(

@@ -128,6 +128,27 @@ def test_library_never_reaches_the_oracles():
     assert offences == []
 
 
+def test_one_closure_loop():
+    # the boxes of every subpower closure, traced or orbit-reduced, are
+    # evaluated in the one round loop of relations._subpower_closure
+    import smbalg
+
+    def calls(tree):
+        return sum(isinstance(node, ast.Call) and "_apply_block" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(tree))
+
+    total, callers = 0, []
+    for path in sorted(Path(smbalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        total += calls(tree)
+        callers += [(path.stem, func.name) for func in ast.walk(tree)
+                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and calls(func)]
+    # a call inside a nested function would list the nested one too
+    assert (total, callers) == (1, [("relations", "_subpower_closure")])
+
+
 def test_eval_term_examples(e3):
     assert eval_term(e3, D(x, y, z), (0, 1, 0)) == 1
     assert eval_term(e3, D(x, x, y), (0, 2)) == 2

@@ -170,8 +170,8 @@ def test_generate_subpower_matches_rounds(e3, b2, monkeypatch):
     for alg, k, gens in cases:
         assert_closes_like_rounds(monkeypatch, alg, k, gens, (5, 7, 1 << 20))
     # M(sim, 1_A) of a regularized glued algebra of size 5 (59 matrices, a
-    # ternary operation: blocks of 5 would take 2 s a run); the commutator's
-    # matrix path closes the same set without traces
+    # ternary operation: blocks of 5 would take 2 s a run); `matrix_set`
+    # closes the same set in the same plain rounds and keeps only the rows
     alg, sim = regularized_glued(3, (3, 2))
     gens = ([(a, a, b, b) for a, b in sim.pairs()]
             + [(c, d, c, d) for c in range(5) for d in range(5)])
@@ -197,6 +197,100 @@ def test_generate_subpower_order_is_checked(monkeypatch):
         gen = namespace["generate_subpower"](alg, k, gens)
         mismatches += (gen.elements, gen.trace) != closure_in_rounds(alg, k, gens)
     assert mismatches > 0
+
+
+def klein_closed(gens):
+    """The tuples of `gens` in A^4 with their images under the Klein
+    four-group, sorted."""
+    group = ((0, 1, 2, 3),) + relations._KLEIN_FOUR
+    return sorted({tuple(g[i] for i in p) for g in gens for p in group})
+
+
+def symmetric_closure_cases():
+    """Klein-invariant generator sets in A^4: seeded random algebras with
+    unary, binary and ternary operations, not idempotent in general; then
+    the generators that `commutator` closes on the regularized glued
+    algebras of the commutator ladder, for every ordered pair of sim, 1_A
+    and three principal congruences."""
+    rng = random.Random(1515)
+    for sig in ({"u": 1}, {"b": 2}, {"t": 3}, {"u": 1, "b": 2},
+                {"u": 1, "b": 2, "t": 3}):
+        for n in (2, 3):
+            for _ in range(3):
+                alg = random_algebra(n, sig, rng.randrange(1 << 30))
+                gens = [tuple(rng.randrange(n) for _ in range(4))
+                        for _ in range(rng.randrange(1, 4))]
+                yield alg, klein_closed(gens)
+    for sizes in ((2, 1, 1), (2, 2, 1), (2, 2, 2)):
+        alg, sim = regularized_glued(3, sizes)
+        n = alg.size
+        args = [sim, Partition.one(n)]
+        for a, b in itertools.combinations(range(n), 2):
+            cg = principal_congruence(alg, a, b)
+            if cg not in args and len(args) < 5:
+                args.append(cg)
+        for alpha, beta in itertools.product(args, repeat=2):
+            yield alg, ([(a, a, b, b) for a, b in relations._spanning_pairs(alpha)]
+                        + [(c, d, c, d) for c, d in beta.pairs()])
+
+
+def symmetric_mismatches(closure, symmetries, cases):
+    """How many cases `closure` with `symmetries` gets wrong: other rows
+    than the plain closure (as a set, or with repeats), or a refusal."""
+    bad = 0
+    for alg, gens in cases:
+        want = set(map(tuple, relations._subpower_closure(alg, 4, gens)[0].tolist()))
+        try:
+            got = closure(alg, 4, gens, symmetries)[0].tolist()
+        except AlgebraError:
+            bad += 1
+            continue
+        bad += len(got) != len(want) or set(map(tuple, got)) != want
+    return bad
+
+
+def test_symmetric_closure_matches_plain(monkeypatch):
+    # over Klein-orbit representatives, with the visited bitmap and with the
+    # sorted keys (the cap patched to 0), the closure is the plain one
+    cases = list(symmetric_closure_cases())
+    closure = relations._subpower_closure
+    assert symmetric_mismatches(closure, relations._KLEIN_FOUR, cases) == 0
+    monkeypatch.setattr(relations, "FAST_CLOSURE_SPACE_CAP", 0)
+    assert symmetric_mismatches(closure, relations._KLEIN_FOUR, cases[:30]) == 0
+
+
+def test_symmetric_closure_is_checked():
+    # two broken copies must each fail the test above: one that leaves a
+    # box's new tuples unclosed under the group, and one that takes the
+    # transpose (m11, m21, m12, m22) for the column swap
+    source = inspect.getsource(relations._subpower_closure)
+    line = "keys = np.unique(images, return_index=True)[0]"
+    broken = source.replace(line, "pass")
+    assert broken != source
+    namespace = dict(vars(relations))
+    exec(broken, namespace)
+    cases = list(symmetric_closure_cases())
+    assert symmetric_mismatches(namespace["_subpower_closure"],
+                                relations._KLEIN_FOUR, cases) > 0
+    row_swap, column_swap, both = relations._KLEIN_FOUR
+    transpose = (row_swap, (0, 2, 1, 3), both)
+    assert symmetric_mismatches(relations._subpower_closure, transpose, cases) > 0
+
+
+def test_symmetric_closure_refuses_non_invariant_generators(e3, e3_sim):
+    # the one-direction spanning set of test_commutator_differential is not
+    # closed under the row swap: refused before any work, never closed as
+    # the orbits of its generators
+    one_way = [(a, b) for a, b in relations._spanning_pairs(e3_sim) if a < b]
+    gens = ([(a, a, b, b) for a, b in one_way]
+            + [(c, d, c, d) for c, d in e3_sim.pairs()])
+    with pytest.raises(AlgebraError, match="not invariant"):
+        relations._subpower_closure(e3, 4, gens, relations._KLEIN_FOUR)
+    with pytest.raises(AlgebraError, match="not invariant"):
+        relations._matrix_closure(e3, one_way, e3_sim, relations._KLEIN_FOUR)
+    for bad in ((0, 1, 2, 2), (0, 1, 2), (1, 2, 3, 4)):
+        with pytest.raises(AlgebraError, match="permutation"):
+            relations._subpower_closure(e3, 4, klein_closed(gens), (bad,))
 
 
 def test_corpus_closures_match_bfs(corpus):
@@ -747,6 +841,23 @@ def test_matrix_set_structure(e3, e3_sim):
     for m11, m12, m21, m22 in map(tuple, mats.tolist()):
         assert e3_sim.related(m11, m12) and e3_sim.related(m21, m22)
         assert e3_sim.related(m11, m21) and e3_sim.related(m12, m22)
+
+
+def test_only_commutator_closes_over_orbits(e3, e3_sim, monkeypatch):
+    # matrix_set, which the oracle reads, stays on the plain rounds, so the
+    # oracle shares no orbit map with the commutator it checks
+    seen = []
+    closure = relations._subpower_closure
+
+    def spy(alg, k, gens, symmetries=()):
+        seen.append(symmetries)
+        return closure(alg, k, gens, symmetries)
+
+    monkeypatch.setattr(relations, "_subpower_closure", spy)
+    matrix_set(e3, e3_sim, e3_sim)
+    commutator_oracle(e3, e3_sim, e3_sim)
+    commutator.__wrapped__(e3, e3_sim, e3_sim)
+    assert seen == [(), (), relations._KLEIN_FOUR]
 
 
 def test_commutator_below_meet(corpus):
