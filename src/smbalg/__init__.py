@@ -13,8 +13,7 @@ from .relations import (CongruenceLattice, GeneratedSet, commutator,
                         generate_subpower, generate_subuniverse, is_abelian,
                         is_congruence, matrix_set, polynomial_image_pairs,
                         principal_congruence, product_algebra, push_partition,
-                        quotient_algebra, subalgebra, all_subuniverses,
-                        unary_polynomials)
+                        quotient_algebra, subalgebra)
 from .analyzer import (BaseReport, ClassOrder, RegularityReport, SmbReport,
                        TaylorReport, check_cgvsim, check_regular,
                        check_regular_base, check_smb_over, check_undersim,

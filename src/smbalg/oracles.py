@@ -1,10 +1,11 @@
 """Independent oracles for the falsification harness; not part of the API.
 
-Each function here computes, by a slower and more literal route, a result
-that the library computes by a fast one.  The tests compare the two, so
-these stay free of the shortcuts they check, and nothing in the library
-calls them.  `smbalg` does not re-export them; import them from
-`smbalg.oracles`.
+Each function here but the last two computes, by a slower and more
+literal route, a result that the library computes by a fast one.  The
+tests compare the two, so these stay free of the shortcuts they check,
+and nothing in the library calls them.  The last two are enumerations
+that only the tests and the acceptance criteria use.  `smbalg` does not
+re-export any of them; import them from `smbalg.oracles`.
 
   smb_congruences_by_lattice      every congruence of the lattice over which
                                   the algebra is SMB, against
@@ -24,22 +25,33 @@ calls them.  `smbalg` does not re-export them; import them from
                                   node, against the numpy kernel
                                   `core.term_table` and the chain replay of
                                   `analyzer.verify_cg_d3`
+  unary_polynomials               every unary polynomial with a witnessing
+                                  term, as the subuniverse of A^A generated
+                                  by the identity and the constant maps
+  all_subuniverses                every nonempty subuniverse, by closing
+                                  each of the 2^n - 1 nonempty subsets
 
-The lattice-based oracles are bounded by `relations.LATTICE_SIZE_CAP`.
+The lattice-based oracles are bounded by `relations.LATTICE_SIZE_CAP`, the
+two enumerations by POL1_SIZE_CAP and SUBUNIVERSE_SIZE_CAP, which bound n
+only: a size-5 algebra can have 629 unary polynomials.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
-                   Term, Var)
+from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
+                   FiniteAlgebra, Term, Var)
 from .partitions import Partition
 from .analyzer import _idempotence_violations, _sim_conditions, designated_ops
 from .relations import (_check_congruences, congruence_lattice,
-                        generate_subpower, matrix_set)
+                        generate_subpower, generate_subuniverse, matrix_set)
+
+POL1_SIZE_CAP = 8
+SUBUNIVERSE_SIZE_CAP = 12
 
 
 def smb_congruences_by_lattice(alg: FiniteAlgebra) -> list:
@@ -170,3 +182,46 @@ def eval_term(alg: FiniteAlgebra, term: Term, assignment: Sequence[int]) -> int:
         return val
 
     return ev(term)
+
+
+def unary_polynomials(alg: FiniteAlgebra) -> tuple:
+    """All unary polynomial operations, each with one witnessing term.
+
+    Computed as the subuniverse of the function power A^A generated by the
+    identity map and the constant maps.  Returns ((values, term), ...) in
+    the element order of `generate_subpower`; `values` is the map as a
+    tuple.
+    """
+    n = alg.size
+    if n > POL1_SIZE_CAP:
+        raise CapExceeded(
+            f"unary polynomial enumeration capped at universe size {POL1_SIZE_CAP}, "
+            f"algebra has {n}")
+    identity = tuple(range(n))
+    gens = [identity] + [(c,) * n for c in range(n)]
+    gen_set = generate_subpower(alg, n, gens)
+    leaf_terms = {0: Var(0)}
+    for c in range(n):
+        idx = gen_set.index[(c,) * n]
+        if idx != 0:
+            leaf_terms.setdefault(idx, Const(c))
+    return tuple((elem, gen_set.term_for(i, leaf_terms))
+                 for i, elem in enumerate(gen_set.elements))
+
+
+def all_subuniverses(alg: FiniteAlgebra) -> list:
+    """Every nonempty subuniverse, each as a sorted tuple of elements.
+
+    Closes each of the 2^n - 1 nonempty subsets, so the universe size is
+    capped at SUBUNIVERSE_SIZE_CAP.
+    """
+    n = alg.size
+    if n > SUBUNIVERSE_SIZE_CAP:
+        raise CapExceeded(
+            f"subuniverse enumeration capped at universe size {SUBUNIVERSE_SIZE_CAP}, "
+            f"algebra has {n}")
+    out = set()
+    for r in range(1, n + 1):
+        for subset in itertools.combinations(range(n), r):
+            out.add(generate_subuniverse(alg, subset))
+    return sorted(out, key=lambda s: (len(s), s))

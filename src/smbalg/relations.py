@@ -2,7 +2,7 @@
 
 Subuniverse generation with derivation traces, principal congruences and
 congruence lattices, quotients, products and subalgebras, the D-relation,
-unary polynomials, and the binary commutator.
+and the binary commutator.
 
 One closure engine, `_subpower_closure`, closes subsets of finite
 powers in semi-naive rounds and records for each new tuple the first
@@ -12,26 +12,27 @@ cut into blocks of at most `core.BLOCK_SIZE` combinations by `_blocks`,
 which the term kernel of `core` shares, and evaluated by `_apply_block`.
 `generate_subpower` turns its rows and traces into a `GeneratedSet`,
 used wherever witnesses must be replayed (D-relations, polynomial image
-pairs, unary polynomials); the commutator's matrix sets in A^4 and
-generated subuniverses take its int64 rows directly.  The element order
-is documented at `generate_subpower`, and the test suite checks it,
-trace for trace, against a plain Python loop.
+pairs, and `oracles.unary_polynomials`); the commutator's matrix sets in
+A^4 and generated subuniverses take its int64 rows directly.  The element
+order is documented at `generate_subpower`, and the test suite checks
+it, trace for trace, against a plain Python loop.
 
 The commutator [alpha, beta] is computed by construction as the least
 congruence satisfying the term condition, by a fixpoint over class-id
 masks of the matrix array.  It closes the matrices M(S, beta) of a
 symmetric generating set S of alpha, which have the same term condition
-as M(alpha, beta) and are far fewer.  It closes them over orbit
-representatives of the Klein four-group of row and column swaps: S and
-beta are symmetric, so the generator set is invariant under the swaps,
-and the operations act coordinatewise, so they commute with them; hence
-M(S, beta) is invariant too, and a round needs the first argument of its
-combinations only from the least tuple of each orbit, provided it adds
-the whole orbit of each new tuple (see `_subpower_closure`).  The closure
-refuses generators that are not invariant.  `matrix_set` keeps the full
-M(alpha, beta) in the plain rounds, so `oracles.commutator_oracle`, which
-scans the congruence lattice against it, shares neither reduction with
-`commutator`.
+as M(alpha, beta) and are far fewer; S is one star per alpha-class, each
+centred where its one-step translation image is smallest.  It closes them
+over orbit representatives of the Klein four-group of row and column
+swaps: S and beta are symmetric, so the generator set is invariant under
+the swaps, and the operations act coordinatewise, so they commute with
+them; hence M(S, beta) is invariant too, and a round needs the first
+argument of its combinations only from the least tuple of each orbit,
+provided it adds the whole orbit of each new tuple (see
+`_subpower_closure`).  The closure refuses generators that are not
+invariant.  `matrix_set` keeps the full M(alpha, beta) in the plain
+rounds, so `oracles.commutator_oracle`, which scans the congruence
+lattice against it, shares neither reduction with `commutator`.
 
 The congruence layer follows R. Freese, "Computing congruences
 efficiently", Algebra Universalis 59 (2008) 337-343.  Principal
@@ -52,7 +53,6 @@ commutator) live in `smbalg.oracles`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
@@ -60,13 +60,11 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (FAST_CLOSURE_SPACE_CAP, AlgebraError, App, CapExceeded,
-                   Const, FalsificationError, FiniteAlgebra, OperationTable,
-                   PreconditionError, Term, Var, _blocks)
+                   FalsificationError, FiniteAlgebra, OperationTable,
+                   PreconditionError, Term, _blocks)
 from .partitions import Partition
 
-POL1_SIZE_CAP = 8
 LATTICE_SIZE_CAP = 10
-SUBUNIVERSE_SIZE_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +147,25 @@ def _apply_block(tables: np.ndarray, heads: np.ndarray, columns: np.ndarray,
     return key.ravel()
 
 
-def _orbit_weights(weights: np.ndarray, symmetries) -> np.ndarray:
-    """(|G|, k) int64 weights for the group G of coordinate permutations of
-    A^k generated by `symmetries`, identity first: column g of
-    `rows @ result.T` holds the keys of the rows with coordinates permuted
-    by g, where p sends (x_0, .., x_{k-1}) to (x_p[0], .., x_p[k-1]) and
-    `weights` gives the keys of the rows themselves."""
-    group = [tuple(range(len(weights)))]
+def _permutation_group(symmetries, k: int) -> tuple:
+    """The group G of coordinate permutations of A^k generated by
+    `symmetries`, identity first, as one tuple per g holding the inverse of
+    g.  With `weights` the keys of the unit rows and `orbit` the array of
+    `weights` indexed by the result, column g of `rows @ orbit.T` holds the
+    keys of the rows with coordinates permuted by g, where p sends
+    (x_0, .., x_{k-1}) to (x_p[0], .., x_p[k-1]).  AlgebraError if a
+    symmetry is not a permutation of range(k)."""
+    group = [tuple(range(k))]
     for s in symmetries:
         if sorted(s) != list(group[0]):
-            raise AlgebraError(f"symmetry {s} is not a permutation of "
-                               f"range({len(weights)})")
+            raise AlgebraError(
+                f"symmetry {s} is not a permutation of range({k})")
     for p in group:              # grows while it is walked, until closed
         for s in symmetries:
             q = tuple(map(p.__getitem__, s))
             if q not in group:
                 group.append(q)
-    return weights[np.array(group).argsort(1)]
+    return tuple(tuple(sorted(range(k), key=p.__getitem__)) for p in group)
 
 
 def _subpower_closure(alg: FiniteAlgebra, k: int, generators,
@@ -184,10 +184,11 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, generators,
     most FAST_CLOSURE_SPACE_CAP, and by binary search in the sorted known
     keys above it.
 
-    `symmetries` are coordinate permutations (see `_orbit_weights`) that
-    must map the generator set onto itself, else AlgebraError before any
-    work.  Operations act coordinatewise, so they commute with every g in
-    the group G the permutations generate, and the closure is G-invariant.
+    `symmetries` are coordinate permutations (see `_permutation_group`;
+    the group of _KLEIN_FOUR is built once, at import) that must map the
+    generator set onto itself, else AlgebraError before any work.
+    Operations act coordinatewise, so they commute with every g in the
+    group G the permutations generate, and the closure is G-invariant.
     Each box's new tuples are then closed under G at once, so the earlier
     and the new tuples of every round stay G-invariant, and argument 0
     runs over orbit representatives only (the tuples whose key is least in
@@ -238,7 +239,9 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, generators,
     if traced:
         heads = range(len(rows))
     else:
-        orbit = _orbit_weights(weights, symmetries)
+        group = (_KLEIN_GROUP if k == 4 and symmetries == _KLEIN_FOUR
+                 else _permutation_group(symmetries, k))
+        orbit = weights[np.array(group)]
         if unseen((rows @ orbit.T).ravel()).any():
             raise AlgebraError(
                 f"generators are not invariant under the symmetries {symmetries}")
@@ -552,24 +555,6 @@ def push_partition(theta: Partition, class_map: Sequence[int], quotient_size: in
     return Partition(quotient_size, tuple(ids))
 
 
-def all_subuniverses(alg: FiniteAlgebra) -> list:
-    """Every nonempty subuniverse, each as a sorted tuple of elements.
-
-    Closes each of the 2^n - 1 nonempty subsets, so the universe size is
-    capped at SUBUNIVERSE_SIZE_CAP.
-    """
-    n = alg.size
-    if n > SUBUNIVERSE_SIZE_CAP:
-        raise CapExceeded(
-            f"subuniverse enumeration capped at universe size {SUBUNIVERSE_SIZE_CAP}, "
-            f"algebra has {n}")
-    out = set()
-    for r in range(1, n + 1):
-        for subset in itertools.combinations(range(n), r):
-            out.add(generate_subuniverse(alg, subset))
-    return sorted(out, key=lambda s: (len(s), s))
-
-
 def subalgebra(alg: FiniteAlgebra, subuniverse: Sequence[int]) -> FiniteAlgebra:
     """Restrict to a subuniverse, relabelling elements by their sorted position."""
     sub = tuple(sorted(subuniverse))
@@ -623,39 +608,12 @@ def polynomial_image_pairs(alg: FiniteAlgebra, a: int, b: int) -> GeneratedSet:
 
 
 # ---------------------------------------------------------------------------
-# Unary polynomials
-
-def unary_polynomials(alg: FiniteAlgebra) -> tuple:
-    """All unary polynomial operations, each with one witnessing term.
-
-    Computed as the subuniverse of the function power A^A generated by the
-    identity map and the constant maps.  Returns ((values, term), ...) in
-    the element order of `generate_subpower`; `values` is the map as a
-    tuple.
-    """
-    n = alg.size
-    if n > POL1_SIZE_CAP:
-        raise CapExceeded(
-            f"unary polynomial enumeration capped at universe size {POL1_SIZE_CAP}, "
-            f"algebra has {n}")
-    identity = tuple(range(n))
-    gens = [identity] + [(c,) * n for c in range(n)]
-    gen_set = generate_subpower(alg, n, gens)
-    leaf_terms = {0: Var(0)}
-    for c in range(n):
-        idx = gen_set.index[(c,) * n]
-        if idx != 0:
-            leaf_terms.setdefault(idx, Const(c))
-    return tuple((elem, gen_set.term_for(i, leaf_terms))
-                 for i, elem in enumerate(gen_set.elements))
-
-
-# ---------------------------------------------------------------------------
 # The commutator
 
 # The Klein four-group on A^4 read as 2x2 matrices (m11, m12, m21, m22):
 # swap the rows, swap the columns, or both.
 _KLEIN_FOUR = ((2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0))
+_KLEIN_GROUP = _permutation_group(_KLEIN_FOUR, 4)
 
 
 def _matrix_closure(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
@@ -689,11 +647,35 @@ def matrix_set(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> np.ndar
     return _matrix_closure(alg, alpha.pairs(), beta)
 
 
-def _spanning_pairs(p: Partition) -> list:
-    """A symmetric generating set of p: (b0, x) and (x, b0) for each member
-    x of a class other than its least element b0."""
-    return [pair for block in p.blocks() for x in block[1:]
-            for pair in ((block[0], x), (x, block[0]))]
+def _spanning_pairs(alg: FiniteAlgebra, p: Partition) -> list:
+    """A symmetric generating set S of the congruence p: a star (b0, x) and
+    (x, b0) for each member x of a class other than its centre b0.
+
+    Every centre gives a set that generates p, so the choice changes only
+    how much `commutator` closes, never its result.  The centre of a class
+    of 3 or more members is the one whose pairs (f(b0), f(x)), for x in the
+    class and f the identity or a unary translation (`_translations`), are
+    fewest, the least label on ties; a 2-element class has one star
+    whatever its centre.  That count tracks |M(S, beta)|: the (m11, m21)
+    projection of M(S, beta) is the closure of the projected generators,
+    S and the diagonal, so it is the tolerance Sg^{A^2}(Delta u S), and the
+    count is that tolerance after one step.
+    """
+    n = alg.size
+    maps = None
+    out = []
+    for block in p.blocks():
+        centre = block[0]
+        if len(block) > 2:
+            if maps is None:
+                maps = np.array((tuple(range(n)),) + _translations(alg))
+            images = maps[:, block]                       # (maps, members)
+            keys = images.T[:, :, None] * n + images      # by centre
+            keys = np.sort(keys.reshape(len(block), -1), axis=1)
+            centre = block[int((np.diff(keys, axis=1) != 0).sum(1).argmin())]
+        out += [pair for x in block if x != centre
+                for pair in ((centre, x), (x, centre))]
+    return out
 
 
 def _check_congruences(alg: FiniteAlgebra, *parts: Partition):
@@ -735,7 +717,12 @@ def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partiti
       {(a, b) : t(a,c) delta t(a,d) <=> t(b,c) delta t(b,d) for all t, c beta d}
       is a congruence, and the condition on M(S, beta) puts S, so alpha, in it.
     S must be symmetric and beta must stay whole, because the term condition
-    is not symmetric.  As S and beta are symmetric, M(S, beta) is invariant
+    is not symmetric.  S is one star per alpha-class, centred on the member
+    whose pairs reach the fewest pairs under one unary translation; any
+    centre generates alpha, so every centre gives the same result, and the
+    (m11, m21) projection of M(S, beta) is the tolerance generated by S and
+    the diagonal, so a centre with a smaller one-step count tends to close
+    fewer matrices.  As S and beta are symmetric, M(S, beta) is invariant
     under swapping the rows or the columns of every matrix, so
     `_matrix_closure` closes it over _KLEIN_FOUR orbit representatives: the
     same set, with about a third of the argument combinations evaluated.
@@ -743,7 +730,8 @@ def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partiti
     raised loudly.
     """
     _check_congruences(alg, alpha, beta)
-    matrices = _matrix_closure(alg, _spanning_pairs(alpha), beta, _KLEIN_FOUR)
+    pairs = _spanning_pairs(alg, alpha)
+    matrices = _matrix_closure(alg, pairs, beta, _KLEIN_FOUR)
     result = _term_condition_fixpoint(alg, matrices)
     if not result.refines(alpha.meet(beta)):
         raise FalsificationError(

@@ -17,12 +17,12 @@ from smbalg import (FalsificationError, Partition, check_regular,
                     exhaustive_enumerate, find_smb_congruences,
                     idempotent_power, is_abelian, product_algebra,
                     push_partition, quotient_algebra, random_algebra,
-                    regularize, all_subuniverses, subalgebra,
-                    semilattice_term, special_circ, unary_polynomials,
-                    verify_cg_d3)
+                    regularize, subalgebra, semilattice_term,
+                    special_circ, verify_cg_d3)
 from smbalg.constructions import build_corpus, example_e3
-from smbalg.oracles import (commutator_oracle, literal_power,
-                            smb_congruences_by_lattice)
+from smbalg.oracles import (all_subuniverses, commutator_oracle,
+                            literal_power, smb_congruences_by_lattice,
+                            unary_polynomials)
 
 CORPUS = build_corpus()
 SIGNATURE = {"wedge": 2, "d": 3}

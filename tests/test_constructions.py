@@ -8,7 +8,8 @@ from smbalg import (AlgebraError, CorpusSpec, FiniteAlgebra, OperationTable,
                     classify_operation, congruence_lattice,
                     exhaustive_enumerate, extend_simple_type5, glue_layout,
                     glue_smb, random_algebra, random_semilattice,
-                    trivial_algebra, unary_polynomials)
+                    trivial_algebra)
+from smbalg.oracles import unary_polynomials
 
 
 def test_example_e3_facts(e3, e3_sim):

@@ -107,7 +107,8 @@ def test_oracles_stay_apart():
     assert defined == {"smb_congruences_by_lattice",
                        "congruence_by_alternating_closure",
                        "commutator_oracle", "literal_power",
-                       "compose_relations", "eval_term"}
+                       "compose_relations", "eval_term",
+                       "unary_polynomials", "all_subuniverses"}
     assert not defined & set(vars(smbalg))
 
 

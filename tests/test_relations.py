@@ -2,19 +2,22 @@ import inspect
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from smbalg import (AlgebraError, CapExceeded, FiniteAlgebra, OperationTable,
-                    Partition, PreconditionError, all_partitions, all_subuniverses,
+                    Partition, PreconditionError, all_partitions,
                     commutator, congruence_generated, congruence_lattice,
                     congruence_violation, d_rel,
                     generate_subpower, is_abelian, is_congruence, matrix_set,
                     principal_congruence, product_algebra, push_partition,
                     quotient_algebra, random_algebra, random_semilattice,
-                    subalgebra, unary_polynomials)
-from smbalg import core, relations
-from smbalg.oracles import (commutator_oracle, compose_relations,
-                            congruence_by_alternating_closure, eval_term)
+                    subalgebra)
+from smbalg import core, oracles, relations
+from smbalg.oracles import (all_subuniverses, commutator_oracle,
+                            compose_relations,
+                            congruence_by_alternating_closure, eval_term,
+                            unary_polynomials)
 from smbalg.relations import GeneratedSet
 from smbalg.constructions import (affine_block, example_b2, example_e3,
                                   example_s2)
@@ -230,7 +233,8 @@ def symmetric_closure_cases():
             if cg not in args and len(args) < 5:
                 args.append(cg)
         for alpha, beta in itertools.product(args, repeat=2):
-            yield alg, ([(a, a, b, b) for a, b in relations._spanning_pairs(alpha)]
+            spanning = relations._spanning_pairs(alg, alpha)
+            yield alg, ([(a, a, b, b) for a, b in spanning]
                         + [(c, d, c, d) for c, d in beta.pairs()])
 
 
@@ -281,7 +285,7 @@ def test_symmetric_closure_refuses_non_invariant_generators(e3, e3_sim):
     # the one-direction spanning set of test_commutator_differential is not
     # closed under the row swap: refused before any work, never closed as
     # the orbits of its generators
-    one_way = [(a, b) for a, b in relations._spanning_pairs(e3_sim) if a < b]
+    one_way = [(a, b) for a, b in relations._spanning_pairs(e3, e3_sim) if a < b]
     gens = ([(a, a, b, b) for a, b in one_way]
             + [(c, d, c, d) for c, d in e3_sim.pairs()])
     with pytest.raises(AlgebraError, match="not invariant"):
@@ -337,7 +341,7 @@ def test_size_caps():
     with pytest.raises(CapExceeded, match="polynomial"):
         unary_polynomials(chain_semilattice(9))
     with pytest.raises(CapExceeded, match="subuniverse"):
-        all_subuniverses(chain_semilattice(relations.SUBUNIVERSE_SIZE_CAP + 1))
+        all_subuniverses(chain_semilattice(oracles.SUBUNIVERSE_SIZE_CAP + 1))
     # keys are base-n integers: 2**64 tuples do not fit in int64, and the
     # cap is checked before the generators are read
     with pytest.raises(CapExceeded, match="int64"):
@@ -901,6 +905,67 @@ def test_commutator_oracle_glued(block_sizes):
             assert commutator(alg, p, q) == commutator_oracle(alg, p, q), (p, q)
 
 
+def relabelled(alg, perm):
+    """The isomorphic copy of `alg` in which element x is called perm[x]."""
+    n = alg.size
+    inv = sorted(range(n), key=perm.__getitem__)
+    ops = {}
+    for sym, table in alg.operations.items():
+        values = table.array.reshape((n,) * table.arity)[
+            tuple(np.ix_(*[inv] * table.arity))]
+        ops[sym] = OperationTable(table.arity, n,
+                                  np.asarray(perm)[values].ravel().tolist())
+    return FiniteAlgebra(f"{alg.name}_relabelled", n, ops)
+
+
+def test_spanning_pairs_generate_alpha(corpus):
+    # one star per class: symmetric, 2 (|C| - 1) distinct pairs inside each
+    # class C, every pair through one centre, and generating alpha itself
+    cases = [(entry.algebra, p) for entry in corpus if entry.algebra.size <= 6
+             for p in congruence_lattice(entry.algebra)]
+    for sizes in ((2, 2, 2), (3, 3), (4, 2)):
+        alg = regularized_glued(3, sizes)[0]
+        cases += [(alg, p) for p in congruence_lattice(alg)]
+    assert sum(max(map(len, p.blocks())) > 2 for _, p in cases) > 20
+    for alg, p in cases:
+        pairs = relations._spanning_pairs(alg, p)
+        assert len(pairs) == len(set(pairs)) == sum(2 * (len(c) - 1) for c in p.blocks())
+        assert set(pairs) == {(b, a) for a, b in pairs}
+        for block in p.blocks():
+            inside = [pair for pair in pairs if pair[0] in block]
+            assert all(p.related(a, b) and a != b for a, b in inside)
+            if len(block) > 1:
+                assert set(block).intersection(*map(set, inside))
+        assert congruence_generated(alg, pairs) == p
+
+
+def test_spanning_pairs_centre_keeps_closure_small():
+    # on three relabellings of one algebra, the chosen stars close to no
+    # more matrices (beta = 1_A) than the least-label stars, for every
+    # alpha; for alpha = 1_A, to the fewest over all centres
+    base = regularized_glued(3, (2, 2, 2))[0]
+    n = base.size
+    one = Partition.one(n)
+
+    def closed(alg, pairs):
+        return len(relations._matrix_closure(alg, pairs, one, relations._KLEIN_FOUR))
+
+    def star(block, centre):
+        return [pair for x in block if x != centre
+                for pair in ((centre, x), (x, centre))]
+
+    rng = random.Random(1616)
+    for _ in range(3):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        alg = relabelled(base, perm)
+        for alpha in congruence_lattice(alg):
+            least = [pair for block in alpha.blocks() for pair in star(block, block[0])]
+            assert closed(alg, relations._spanning_pairs(alg, alpha)) <= closed(alg, least)
+        chosen = closed(alg, relations._spanning_pairs(alg, one))
+        assert chosen == min(closed(alg, star(range(n), c)) for c in range(n))
+
+
 def matrix_fixpoint(alg, alpha_pairs, beta_pairs):
     """The term-condition fixpoint over the closure of (a, a, b, b) for the
     given alpha-pairs and (c, d, c, d) for the given beta-pairs."""
@@ -925,8 +990,8 @@ def test_commutator_differential(e3, n4):
         for alpha, beta in itertools.product(congruence_lattice(alg), repeat=2):
             want = commutator_oracle(alg, alpha, beta)
             assert commutator(alg, alpha, beta) == want, (alg.name, alpha, beta)
-            spanning = relations._spanning_pairs(alpha)
-            beta_spanning = relations._spanning_pairs(beta) + diagonal
+            spanning = relations._spanning_pairs(alg, alpha)
+            beta_spanning = relations._spanning_pairs(alg, beta) + diagonal
             caught["spanning beta"] += matrix_fixpoint(alg, spanning, beta_spanning) != want
             one_way = [(a, b) for a, b in spanning if a < b]
             caught["one direction"] += matrix_fixpoint(alg, one_way, beta.pairs()) != want
