@@ -40,11 +40,11 @@ import numpy as np
 from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
                    Identity, OperationTable, PreconditionError, Quasiidentity,
                    Term, Var, Verdict, _term_boxes, check_identity, first_failure,
-                   idempotence_violation, substitute, term_table)
+                   idempotence_violation, term_table)
 from .partitions import Partition
-from .relations import (GeneratedSet, _check_congruences, congruence_violation,
-                        d_rel, polynomial_image_pairs, principal_congruence,
-                        quotient_algebra, commutator)
+from .relations import (GeneratedSet, _check_congruences, _commutator,
+                        congruence_violation, d_rel, polynomial_image_pairs,
+                        principal_congruence, quotient_algebra)
 
 WEDGE = "wedge"
 D = "d"
@@ -238,9 +238,6 @@ def check_smb_over(alg: FiniteAlgebra, sim: Partition) -> SmbReport:
     SecondProj and Malcev are listed class by class.
     """
     wedge, d = designated_ops(alg)
-    if sim.size != alg.size:
-        raise AlgebraError(
-            f"partition size {sim.size} does not match algebra size {alg.size}")
     bad = congruence_violation(alg, sim)
     mod_sim, per_class, order = _sim_conditions(wedge, d, sim)
     violations = (_idempotence_violations(alg)
@@ -281,27 +278,28 @@ def find_smb_congruences(alg: FiniteAlgebra) -> list:
     block gives (a, b) in R.  If (a, b) is in R, then [a]^[b] = [b] and
     [b]^[a] = [a] in the semilattice A/~, so [a] = [b] by commutativity.
     Four exact checks therefore decide, in this order: every operation is
-    idempotent, R is transitive, R is a congruence, and the per-sim
-    conditions of check_smb_over hold over R.  The congruence lattice is
+    idempotent, R is transitive, and then check_smb_over over R: R is a
+    congruence, and the per-sim conditions hold.  The congruence lattice is
     never built; `oracles.smb_congruences_by_lattice` keeps the scan over
     every member as the independent reference.
     """
-    sim, _ = _smb_congruence(alg)
-    return [] if sim is None else [sim]
+    report = _smb_congruence(alg)
+    return [] if report is None else [report.sim]
 
 
-def _smb_congruence(alg: FiniteAlgebra) -> Tuple[Optional[Partition], Optional[ClassOrder]]:
-    """find_smb_congruences' four checks: (R, the class order of A/R) when
-    the algebra is SMB over R, else (None, None).  The order is the one
-    check_smb_over would report over R."""
-    wedge, d = designated_ops(alg)
+def _smb_congruence(alg: FiniteAlgebra) -> Optional[SmbReport]:
+    """find_smb_congruences' four checks: the report of check_smb_over
+    over R when the algebra is SMB over R, else None.  Idempotence and the
+    transitivity of R are checked first, so R exists when check_smb_over
+    runs; it ends at the congruence test or the per-sim conditions."""
+    wedge, _ = designated_ops(alg)
     if _idempotence_violations(alg):
-        return None, None
+        return None
     _, sim = _wedge_relation(wedge)
-    if sim is None or congruence_violation(alg, sim) is not None:
-        return None, None
-    mod_sim, per_class, order = _sim_conditions(wedge, d, sim)
-    return (None, None) if mod_sim or per_class else (sim, order)
+    if sim is None:
+        return None
+    report = check_smb_over(alg, sim)
+    return report if report.verdict else None
 
 
 # ---------------------------------------------------------------------------
@@ -472,35 +470,23 @@ class CgD3Result:
     chains: dict               # (c, d) -> tuple of 6 ChainStep
 
 
-def _d_rel_leaf_terms(dset: GeneratedSet, a: int, b: int) -> dict:
-    leaves = {}
-    for i, elem in enumerate(dset.elements):
-        if dset.trace[i] is not None:
-            continue
-        if elem == (a, b) and not any(isinstance(t, Var) and t.index == 0
-                                      for t in leaves.values()):
-            leaves[i] = Var(0)
-        elif elem == (b, a) and not any(isinstance(t, Var) and t.index == 1
-                                        for t in leaves.values()):
-            leaves[i] = Var(1)
-        else:
-            leaves[i] = Const(elem[0])
-    return leaves
-
-
 def _d_pair_steps(alg: FiniteAlgebra, dset: GeneratedSet, a: int, b: int,
                   links: dict) -> dict:
     """The two chain steps of each D-pair (u, v) = (q(a, b), q(b, a)) in
     `links`: q(a, x) from u to mid = q(a, a) and q(x, a) from mid to v.
 
+    The step polynomials come straight from two term builders of `dset`:
+    one reads the generator (a, b) as a and (b, a) as x, the other (a, b)
+    as x and (b, a) as a; when a = b the (a, b) entry, written last, wins.
     Every step polynomial is evaluated in one pass of the term kernel and
     replayed at a and at b; links[(u, v)] is the first chain (c, d) through
     the pair, named when one of its steps fails to replay."""
-    leaves = _d_rel_leaf_terms(dset, a, b)
+    left = dset.terms({(b, a): Var(0), (a, b): Const(a)})
+    right = dset.terms({(b, a): Const(a), (a, b): Var(0)})
     polys = []
     for pair in links:
-        q = dset.term_for(dset.index[pair], leaves)
-        polys += [substitute(q, {0: Const(a), 1: Var(0)}), substitute(q, {1: Const(a)})]
+        i = dset.index[pair]
+        polys += [left(i), right(i)]
     images = np.empty((len(polys), alg.size), dtype=np.int64)
     (_, values), = _term_boxes(alg, polys, 1)
     for i, val in enumerate(values):
@@ -627,20 +613,15 @@ def join_membership_chain(alg: FiniteAlgebra, sim: Partition,
         node = u
     edges.reverse()
 
-    leaves = {}
-    for i, elem in enumerate(pg.elements):
-        if pg.trace[i] is None:
-            leaves[i] = Var(0) if elem == (a, b) else Const(elem[0])
-
+    term = pg.terms({(a, b): Var(0)})
     cs, ds, steps = [c], [], []
     current = c
     for u, v, kind, oriented in edges:
         if kind == "sim":
             current = v
         else:
-            term = pg.term_for(pg.index[oriented], leaves)
             ds.append(current)
-            steps.append((term, (current, v)))
+            steps.append((term(pg.index[oriented]), (current, v)))
             cs.append(v)
             current = v
     ds.append(current)
@@ -717,8 +698,8 @@ def commutator_below_sim(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> 
     """[Cg(a,b), Cg(c,d)] below sim iff the quotient commutator vanishes;
     the quotient side uses that commutator equals meet there."""
     sim, quot, cmap = _regular_context(alg)
-    comm = commutator(alg, principal_congruence(alg, a, b),
-                      principal_congruence(alg, c, d))
+    comm = _commutator(alg, principal_congruence(alg, a, b),
+                       principal_congruence(alg, c, d))
     left = comm.refines(sim)
     right = principal_congruence(quot, cmap[a], cmap[b]).meet(
         principal_congruence(quot, cmap[c], cmap[d])).is_zero
@@ -817,7 +798,7 @@ def count_biconditional(alg: FiniteAlgebra, which: str) -> int:
         left = np.empty_like(right)
         for i, (p, _) in enumerate(keys):
             for j, (q, _) in enumerate(keys):
-                left[i, j] = commutator(alg, p, q).refines(sim)
+                left[i, j] = _commutator(alg, p, q).refines(sim)
                 if left[i, j] != right[i, j]:
                     _disagreement(alg, which, firsts[i] + firsts[j])
     bad = np.argwhere(left != right)

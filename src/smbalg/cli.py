@@ -73,13 +73,14 @@ def _cmd_check_smb(args) -> int:
 
 def _cmd_check_regular(args) -> int:
     alg = _load(args.file)
-    sim, order = _smb_congruence(alg)
-    if sim is None:
+    smb = _smb_congruence(alg)
+    if smb is None:
         _emit(args, {"verdict": False, "sim": None,
                      "violations": [{"rule": "NotSmb", "witness": []}]},
               ["not an SMB algebra"])
         return 1
-    report = _regular_conditions(alg, sim, order)
+    sim = smb.sim
+    report = _regular_conditions(alg, sim, smb.class_order)
     payload = report.as_dict()
     payload["sim"] = str(sim)
     lines = [f"regular over {sim}: {'holds' if report.holds else 'fails'}"]

@@ -200,13 +200,8 @@ def unary_polynomials(alg: FiniteAlgebra) -> tuple:
     identity = tuple(range(n))
     gens = [identity] + [(c,) * n for c in range(n)]
     gen_set = generate_subpower(alg, n, gens)
-    leaf_terms = {0: Var(0)}
-    for c in range(n):
-        idx = gen_set.index[(c,) * n]
-        if idx != 0:
-            leaf_terms.setdefault(idx, Const(c))
-    return tuple((elem, gen_set.term_for(i, leaf_terms))
-                 for i, elem in enumerate(gen_set.elements))
+    term = gen_set.terms({identity: Var(0)})
+    return tuple((elem, term(i)) for i, elem in enumerate(gen_set.elements))
 
 
 def all_subuniverses(alg: FiniteAlgebra) -> list:

@@ -24,6 +24,21 @@ def _canonical(ids: Sequence[int]) -> tuple:
     return tuple(out)
 
 
+def _merged(label: list, pairs: Iterable[tuple]) -> list:
+    """Quick-find: `label[x]` names the class of x, and merging the classes
+    of a pair relabels one of them in a single pass over the list.  Returns
+    the labels after every pair is merged; AlgebraError names the first
+    pair out of range."""
+    n = len(label)
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise AlgebraError(f"pair ({a}, {b}) out of range 0..{n - 1}")
+        keep, drop = label[a], label[b]
+        if keep != drop:
+            label = [keep if c == drop else c for c in label]
+    return label
+
+
 @dataclass(frozen=True)
 class Partition:
     size: int
@@ -79,19 +94,9 @@ class Partition:
 
     @staticmethod
     def from_pairs(n: int, pairs: Iterable[tuple]) -> "Partition":
-        """Least equivalence relation containing the given pairs.
-
-        Quick-find: `label[x]` names the class of x, and merging two
-        classes relabels one of them in a single pass over the list.
-        """
-        label = list(range(n))
-        for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise AlgebraError(f"pair ({a}, {b}) out of range 0..{n - 1}")
-            keep, drop = label[a], label[b]
-            if keep != drop:
-                label = [keep if c == drop else c for c in label]
-        return Partition(n, tuple(label))
+        """Least equivalence relation containing the given pairs: the
+        quick-find `_merged` from the zero partition."""
+        return Partition(n, tuple(_merged(list(range(n)), pairs)))
 
     @staticmethod
     def parse(text: str, n: int) -> "Partition":
@@ -175,32 +180,13 @@ class Partition:
                 f"partition size mismatch: {self.size} vs {other.size}")
 
     def join(self, other: "Partition") -> "Partition":
-        """Transitive closure of the union.
-
-        Union-find over the classes of self: each class of other merges
-        the classes of self it meets.  Each merged class keeps the least
-        class id of self in it, so numbering the roots in increasing order
-        gives canonical class ids.
-        """
+        """Transitive closure of the union: the quick-find `_merged` from
+        the classes of self, merging each class of other into its first
+        member's class."""
         self._check_size(other)
-        parent = list(range(self.num_classes))
-
-        def find(c):
-            while parent[c] != c:
-                parent[c] = c = parent[parent[c]]
-            return c
-
-        meets: dict = {}
-        for c, d in zip(self.class_ids, other.class_ids):
-            r = meets.setdefault(d, c)
-            if r != c:
-                r, c = find(r), find(c)
-                if r != c:
-                    parent[max(r, c)] = min(r, c)
         first: dict = {}
-        roots = [first.setdefault(find(c), len(first)) for c in range(len(parent))]
-        return Partition._from_canonical(
-            self.size, tuple(roots[c] for c in self.class_ids))
+        pairs = ((first.setdefault(d, x), x) for x, d in enumerate(other.class_ids))
+        return Partition(self.size, tuple(_merged(list(self.class_ids), pairs)))
 
     def meet(self, other: "Partition") -> "Partition":
         """Common refinement."""

@@ -104,8 +104,7 @@ def circ_table(alg: FiniteAlgebra, w_symbol: str) -> OperationTable:
     return _circ_of(_require_wnu(alg, w_symbol))
 
 
-def iterate_wnu(alg: FiniteAlgebra, w_symbol: str,
-                max_entries: int = ITERATION_ENTRY_CAP) -> OperationTable:
+def iterate_wnu(alg: FiniteAlgebra, w_symbol: str) -> OperationTable:
     """The |A|-th iterate of w under
     w_{i+1}(xs) = w_i(w_i(xs) o x_1, ..., w_i(xs) o x_n).
 
@@ -115,10 +114,10 @@ def iterate_wnu(alg: FiniteAlgebra, w_symbol: str,
     table = _require_wnu(alg, w_symbol)
     n = alg.size
     k = table.arity
-    if n ** k > max_entries:
+    if n ** k > ITERATION_ENTRY_CAP:
         raise CapExceeded(
             f"iterating an arity-{k} table on {n} elements needs {n ** k} "
-            f"entries, above the cap {max_entries}")
+            f"entries, above the cap {ITERATION_ENTRY_CAP}")
     xs = tuple(Var(i) for i in range(k))
     m = App("w", xs)
     step = App("w", tuple(App("o", (m, x)) for x in xs))

@@ -12,8 +12,9 @@ cut into blocks of at most `core.BLOCK_SIZE` combinations by `_blocks`,
 which the term kernel of `core` shares, and evaluated by `_apply_block`.
 `generate_subpower` turns its rows and traces into a `GeneratedSet`,
 used wherever witnesses must be replayed (D-relations, polynomial image
-pairs, and `oracles.unary_polynomials`); the commutator's matrix sets in
-A^4 and generated subuniverses take its int64 rows directly.  The element
+pairs, and `oracles.unary_polynomials`); its `terms` builder is the one
+place a trace becomes a term.  The commutator's matrix sets in A^4 and
+generated subuniverses take the int64 rows directly.  The element
 order is documented at `generate_subpower`, and the test suite checks
 it, trace for trace, against a plain Python loop.
 
@@ -23,14 +24,16 @@ masks of the matrix array.  It closes the matrices M(S, beta) of a
 symmetric generating set S of alpha, which have the same term condition
 as M(alpha, beta) and are far fewer; S is one star per alpha-class, each
 centred where its one-step translation image is smallest.  It closes them
-over orbit representatives of the Klein four-group of row and column
-swaps: S and beta are symmetric, so the generator set is invariant under
-the swaps, and the operations act coordinatewise, so they commute with
-them; hence M(S, beta) is invariant too, and a round needs the first
-argument of its combinations only from the least tuple of each orbit,
-provided it adds the whole orbit of each new tuple (see
+over orbit representatives of the fixed Klein four-group `_KLEIN_GROUP`
+of row and column swaps: S and beta are symmetric, so the generator set
+is invariant under the swaps, and the operations act coordinatewise, so
+they commute with them; hence M(S, beta) is invariant too, and a round
+needs the first argument of its combinations only from the least tuple
+of each orbit, provided it adds the whole orbit of each new tuple (see
 `_subpower_closure`).  The closure refuses generators that are not
-invariant.  `matrix_set` keeps the full M(alpha, beta) in the plain
+invariant.  The public `commutator` checks its arguments are congruences;
+the library's own callers pass congruences it built to the cached
+`_commutator`.  `matrix_set` keeps the full M(alpha, beta) in the plain
 rounds, so `oracles.commutator_oracle`, which scans the congruence
 lattice against it, shares neither reduction with `commutator`.
 
@@ -60,8 +63,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (FAST_CLOSURE_SPACE_CAP, AlgebraError, App, CapExceeded,
-                   FalsificationError, FiniteAlgebra, OperationTable,
-                   PreconditionError, Term, _blocks)
+                   Const, FalsificationError, FiniteAlgebra, OperationTable,
+                   PreconditionError, _blocks)
 from .partitions import Partition
 
 LATTICE_SIZE_CAP = 10
@@ -98,11 +101,14 @@ class GeneratedSet:
     def as_set(self) -> frozenset:
         return frozenset(self.elements)
 
-    def term_for(self, i: int, leaf_terms: dict) -> Term:
-        """A term over the generators witnessing element i.
+    def terms(self, variables: dict):
+        """The witness-term builder of this set: a function from element
+        index to a term over the generators, read along the trace.
 
-        `leaf_terms` maps generator element index to a Term; derived
-        elements become applications along the trace.
+        A generator that is a key of `variables` becomes that key's term;
+        any other generator must be a constant tuple (c, .., c) and becomes
+        Const(c).  Derived elements become applications.  All calls to one
+        builder share a memo, so equal subterms are one object.
         """
         memo: dict = {}
 
@@ -110,19 +116,21 @@ class GeneratedSet:
             if j in memo:
                 return memo[j]
             step = self.trace[j]
-            if step is None:
-                try:
-                    t = leaf_terms[j]
-                except KeyError:
-                    raise AlgebraError(
-                        f"no leaf term supplied for generator index {j}") from None
-            else:
+            if step is not None:
                 sym, parents = step
                 t = App(sym, tuple(build(p) for p in parents))
+            else:
+                elem = self.elements[j]
+                t = variables.get(elem)
+                if t is None:
+                    if len(set(elem)) != 1:
+                        raise AlgebraError(
+                            f"no leaf term supplied for generator index {j}")
+                    t = Const(elem[0])
             memo[j] = t
             return t
 
-        return build(i)
+        return build
 
 
 def _apply_block(tables: np.ndarray, heads: np.ndarray, columns: np.ndarray,
@@ -147,29 +155,8 @@ def _apply_block(tables: np.ndarray, heads: np.ndarray, columns: np.ndarray,
     return key.ravel()
 
 
-def _permutation_group(symmetries, k: int) -> tuple:
-    """The group G of coordinate permutations of A^k generated by
-    `symmetries`, identity first, as one tuple per g holding the inverse of
-    g.  With `weights` the keys of the unit rows and `orbit` the array of
-    `weights` indexed by the result, column g of `rows @ orbit.T` holds the
-    keys of the rows with coordinates permuted by g, where p sends
-    (x_0, .., x_{k-1}) to (x_p[0], .., x_p[k-1]).  AlgebraError if a
-    symmetry is not a permutation of range(k)."""
-    group = [tuple(range(k))]
-    for s in symmetries:
-        if sorted(s) != list(group[0]):
-            raise AlgebraError(
-                f"symmetry {s} is not a permutation of range({k})")
-    for p in group:              # grows while it is walked, until closed
-        for s in symmetries:
-            q = tuple(map(p.__getitem__, s))
-            if q not in group:
-                group.append(q)
-    return tuple(tuple(sorted(range(k), key=p.__getitem__)) for p in group)
-
-
 def _subpower_closure(alg: FiniteAlgebra, k: int, generators,
-                      symmetries=()) -> tuple:
+                      group=()) -> tuple:
     """Least subset of A^k containing `generators`, closed under all
     operations applied coordinatewise, in semi-naive rounds.
 
@@ -184,19 +171,20 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, generators,
     most FAST_CLOSURE_SPACE_CAP, and by binary search in the sorted known
     keys above it.
 
-    `symmetries` are coordinate permutations (see `_permutation_group`;
-    the group of _KLEIN_FOUR is built once, at import) that must map the
-    generator set onto itself, else AlgebraError before any work.
-    Operations act coordinatewise, so they commute with every g in the
-    group G the permutations generate, and the closure is G-invariant.
-    Each box's new tuples are then closed under G at once, so the earlier
-    and the new tuples of every round stay G-invariant, and argument 0
-    runs over orbit representatives only (the tuples whose key is least in
-    their orbit).  Nothing is lost: any combination is g^-1 of one whose
-    argument 0 is a representative, with every argument in the same range
-    (earlier or new), and its value is g^-1 of that one's value.  No traces
-    are kept then (boxes, box_of and flat are empty), and each round's new
-    tuples come in ascending key order.
+    `group` is a closed group G of coordinate permutations, identity
+    first (in practice `_KLEIN_GROUP`): g moves coordinate c to position
+    g[c], so column g of `rows @ weights[group].T` holds the keys of the
+    images under g.  G must map the generator set onto itself, else
+    AlgebraError before any work.  Operations act coordinatewise, so they
+    commute with every g in G, and the closure is G-invariant.  Each box's
+    new tuples are then closed under G at once, so the earlier and the new
+    tuples of every round stay G-invariant, and argument 0 runs over orbit
+    representatives only (the tuples whose key is least in their orbit).
+    Nothing is lost: any combination is g^-1 of one whose argument 0 is a
+    representative, with every argument in the same range (earlier or
+    new), and its value is g^-1 of that one's value.  No traces are kept
+    then (boxes, box_of and flat are empty), and each round's new tuples
+    come in ascending key order.
     """
     if k < 1:
         raise AlgebraError(f"power must be >= 1, got {k}")
@@ -235,16 +223,13 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, generators,
         images = new @ orbit.T
         return (images.min(1) == images[:, 0]).nonzero()[0]
 
-    traced = not symmetries
+    traced = not group
     if traced:
         heads = range(len(rows))
     else:
-        group = (_KLEIN_GROUP if k == 4 and symmetries == _KLEIN_FOUR
-                 else _permutation_group(symmetries, k))
         orbit = weights[np.array(group)]
         if unseen((rows @ orbit.T).ravel()).any():
-            raise AlgebraError(
-                f"generators are not invariant under the symmetries {symmetries}")
+            raise AlgebraError(f"generators are not invariant under the group {group}")
         heads = least(rows)
     ops = [(t.arity, weights[:, None] * t.array) for t in alg.operations.values()]
     boxes: list = []
@@ -611,18 +596,18 @@ def polynomial_image_pairs(alg: FiniteAlgebra, a: int, b: int) -> GeneratedSet:
 # The commutator
 
 # The Klein four-group on A^4 read as 2x2 matrices (m11, m12, m21, m22):
-# swap the rows, swap the columns, or both.
-_KLEIN_FOUR = ((2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0))
-_KLEIN_GROUP = _permutation_group(_KLEIN_FOUR, 4)
+# the identity, swap the rows, swap the columns, or both.  Each element is
+# an involution, so it is its own inverse.
+_KLEIN_GROUP = ((0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0))
 
 
 def _matrix_closure(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
-                    beta: Partition, symmetries=()) -> np.ndarray:
+                    beta: Partition, group=()) -> np.ndarray:
     """Closure in A^4 of the rows (a, a, b, b) for each given alpha-pair
     and (c, d, c, d) for every beta-pair, as an (m, 4) int64 array.  A^4
     must fit in FAST_CLOSURE_SPACE_CAP, which is checked first.
 
-    With `symmetries` = _KLEIN_FOUR the closure runs over orbit
+    With `group` = _KLEIN_GROUP the closure runs over orbit
     representatives.  That is exact when the alpha-pairs are symmetric:
     the row swap maps (a, a, b, b) to (b, b, a, a) and fixes (c, d, c, d),
     the column swap fixes (a, a, b, b) and maps (c, d, c, d) to
@@ -635,7 +620,7 @@ def _matrix_closure(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
         raise CapExceeded(f"A^4 has {n ** 4} tuples, beyond the closure cap")
     gens = [(a, a, b, b) for a, b in alpha_pairs]
     gens += [(c, d, c, d) for c, d in beta.pairs()]
-    return _subpower_closure(alg, 4, gens, symmetries)[0]
+    return _subpower_closure(alg, 4, gens, group)[0]
 
 
 def matrix_set(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> np.ndarray:
@@ -702,7 +687,6 @@ def _term_condition_fixpoint(alg: FiniteAlgebra, matrices: np.ndarray) -> Partit
         result = congruence_generated(alg, pairs.tolist())
 
 
-@lru_cache(maxsize=None)
 def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
     """The binary commutator [alpha, beta], via 2x2 matrix generation.
 
@@ -723,15 +707,24 @@ def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partiti
     (m11, m21) projection of M(S, beta) is the tolerance generated by S and
     the diagonal, so a centre with a smaller one-step count tends to close
     fewer matrices.  As S and beta are symmetric, M(S, beta) is invariant
-    under swapping the rows or the columns of every matrix, so
-    `_matrix_closure` closes it over _KLEIN_FOUR orbit representatives: the
-    same set, with about a third of the argument combinations evaluated.
+    under the fixed Klein group of row and column swaps of every matrix, so
+    `_matrix_closure` closes it over _KLEIN_GROUP orbit representatives:
+    the same set, with about a third of the argument combinations evaluated.
     Guaranteed to lie below alpha meet beta; a violation of that bound is
     raised loudly.
+
+    alpha and beta are checked to be congruences first; the library's own
+    callers, which pass congruences it built, call the cached `_commutator`.
     """
     _check_congruences(alg, alpha, beta)
+    return _commutator(alg, alpha, beta)
+
+
+@lru_cache(maxsize=None)
+def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
+    """`commutator` for two partitions known to be congruences."""
     pairs = _spanning_pairs(alg, alpha)
-    matrices = _matrix_closure(alg, pairs, beta, _KLEIN_FOUR)
+    matrices = _matrix_closure(alg, pairs, beta, _KLEIN_GROUP)
     result = _term_condition_fixpoint(alg, matrices)
     if not result.refines(alpha.meet(beta)):
         raise FalsificationError(

@@ -83,3 +83,19 @@ def regularized_glued(seed, block_sizes):
     """The regularized `glued` algebra, and its sim."""
     alg, sim = glued(seed, block_sizes)
     return regularize(alg, sim), sim
+
+
+def reference_term(gset, i, leaf_terms):
+    """Reference witness term of element i of a GeneratedSet, read along its
+    trace from `leaf_terms`, a map from generator index to term, with a
+    fresh memo per call."""
+    memo = {}
+
+    def build(j):
+        if j not in memo:
+            step = gset.trace[j]
+            memo[j] = (leaf_terms[j] if step is None else
+                       App(step[0], tuple(build(p) for p in step[1])))
+        return memo[j]
+
+    return build(i)

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from smbalg import (AlgebraError, App, ClassOrder, FalsificationError,
+from smbalg import (AlgebraError, App, ClassOrder, Const, FalsificationError,
                     FiniteAlgebra, OperationTable, Partition, PreconditionError,
                     SmbReport, Var, affine_block, all_partitions, analyzer,
                     check_cgvsim,
@@ -21,9 +21,10 @@ from smbalg.cli import main
 from smbalg.constructions import random_algebra
 from smbalg.dsl import format_algebra
 from smbalg.oracles import compose_relations, eval_term, smb_congruences_by_lattice
+from smbalg import relations
 from smbalg.relations import GeneratedSet
 
-from conftest import regularized_glued
+from conftest import reference_term, regularized_glued
 
 
 def test_check_smb_over_examples(e3, b2, e3_sim):
@@ -147,16 +148,27 @@ def test_check_smb_over_matches_scan(corpus, monkeypatch):
                  if e.algebra.size <= 6 and e.algebra.has_op("wedge", 2)
                  and e.algebra.has_op("d", 3)]
     algebras += [INTRANSITIVE, NOT_CONGRUENCE]
+    # the congruence and conditions exits end inside check_smb_over over R,
+    # told apart by its first violation
     reached = []
-    for name in ("_wedge_relation", "congruence_violation", "_sim_conditions"):
-        def spy(*args, _name=name, _f=getattr(analyzer, name)):
-            reached.append(_name)
-            return _f(*args)
-        monkeypatch.setattr(analyzer, name, spy)
-    last_check = {(): "idempotence", ("_wedge_relation",): "transitivity",
-                  ("_wedge_relation", "congruence_violation"): "congruence",
-                  ("_wedge_relation", "congruence_violation", "_sim_conditions"):
-                  "conditions"}
+    real_relation, real_check = analyzer._wedge_relation, analyzer.check_smb_over
+
+    def relation_spy(*args):
+        reached.append("_wedge_relation")
+        return real_relation(*args)
+
+    def check_spy(*args):
+        report = real_check(*args)
+        rules = [rule for rule, _ in report.violations]
+        reached.append("congruence" if rules[:1] == ["Congruence"]
+                       else "conditions" if rules else "smb")
+        return report
+
+    monkeypatch.setattr(analyzer, "_wedge_relation", relation_spy)
+    monkeypatch.setattr(analyzer, "check_smb_over", check_spy)
+    last_check = {(): "idempotence", ("_wedge_relation",): "transitivity"}
+    for stop in ("congruence", "conditions", "smb"):
+        last_check[("_wedge_relation", stop)] = stop
     verdicts = set()
     exits = set()
     for alg in algebras:
@@ -171,7 +183,8 @@ def test_check_smb_over_matches_scan(corpus, monkeypatch):
         assert found == [
             theta for theta in lattice if scan_smb_over(alg, theta).verdict], alg.name
         assert found == smb_congruences_by_lattice(alg), alg.name
-        stop = "smb" if found else last_check.get(path)
+        stop = last_check.get(path)
+        assert (stop == "smb") == bool(found), (alg.name, path)
         assert stop == _expected_exit(alg), (alg.name, path)
         exits.add(stop)
     assert verdicts == {True, False}
@@ -227,19 +240,20 @@ def test_check_regular_precondition(e3):
 
 def test_check_regular_command_checks_smb_once(corpus, e3, tmp_path, monkeypatch,
                                                capsys):
-    """check-regular takes the class order from recognition: it is the
-    order check_smb_over reports over the same sim, so the report is
-    check_regular's, and the command runs no second SMB check."""
+    """check-regular takes sim and the class order from recognition, which
+    returns the report of check_smb_over over R, so the regularity report
+    is check_regular's, and the command runs check_smb_over once."""
     for entry in corpus:
         alg = entry.algebra
         if not (alg.has_op("wedge", 2) and alg.has_op("d", 3)):
             continue
-        sim, order = analyzer._smb_congruence(alg)
-        assert find_smb_congruences(alg) == ([] if sim is None else [sim]), alg.name
-        if sim is not None:
-            assert order == check_smb_over(alg, sim).class_order, alg.name
-            assert analyzer._regular_conditions(alg, sim, order) == \
-                check_regular(alg, sim), alg.name
+        report = analyzer._smb_congruence(alg)
+        assert find_smb_congruences(alg) == ([] if report is None else [report.sim]), \
+            alg.name
+        if report is not None:
+            assert report == check_smb_over(alg, report.sim), alg.name
+            assert analyzer._regular_conditions(alg, report.sim, report.class_order) == \
+                check_regular(alg, report.sim), alg.name
     calls = []
     monkeypatch.setattr(analyzer, "check_smb_over",
                         lambda *args: calls.append(args) or check_smb_over(*args))
@@ -247,7 +261,7 @@ def test_check_regular_command_checks_smb_once(corpus, e3, tmp_path, monkeypatch
     path.write_text(format_algebra(e3), encoding="utf-8")
     assert main(["check-regular", str(path), "--json"]) == 0
     capsys.readouterr()
-    assert calls == []
+    assert calls == [(e3, Partition(3, (0, 0, 1)))]
 
 
 def test_regular_base_reports(e3, n4, e3_sim):
@@ -334,14 +348,66 @@ def test_verify_cg_d3_relation_matches_composition(corpus):
         assert verify_cg_d3(alg, a, b).relation == d3, (alg.name, a, b)
 
 
-def test_verify_cg_d3_rejects_wrong_mid(e3, monkeypatch):
-    # left step q(x, a) in place of q(a, x): its images are {mid, v}, not {u, mid}
-    def swapped(term, mapping):
-        if mapping.get(1) == Var(0):
-            mapping = {1: mapping[0]}
-        return core.substitute(term, mapping)
+def reference_d_leaves(dset, a, b):
+    """Index-keyed leaves of a D-relation: the first generator (a, b) as
+    Var(0), the first (b, a) as Var(1), any other (c, c) as Const(c)."""
+    leaves = {}
+    for i, elem in enumerate(dset.elements):
+        if dset.trace[i] is not None:
+            continue
+        if elem == (a, b) and Var(0) not in leaves.values():
+            leaves[i] = Var(0)
+        elif elem == (b, a) and Var(1) not in leaves.values():
+            leaves[i] = Var(1)
+        else:
+            leaves[i] = Const(elem[0])
+    return leaves
 
-    monkeypatch.setattr(analyzer, "substitute", swapped)
+
+def test_terms_match_substituted_reference(corpus):
+    # the step polynomials q(a, x) and q(x, a) of verify_cg_d3, for every
+    # element of every D-relation of the regular corpus, against the term
+    # over Var(0) = (a, b) and Var(1) = (b, a) with the variables
+    # substituted; each builder's subterms are one object across its calls
+    elements = repeated = 0
+    for alg, a, b in regular_pairs(corpus):
+        dset = d_rel(alg, a, b)
+        leaves = reference_d_leaves(dset, a, b)
+        links = {pair: pair for pair in dset.elements}      # each D-pair its own chain
+        steps = analyzer._d_pair_steps(alg, dset, a, b, links)
+        polys = [tuple(step.poly for step in steps[elem]) for elem in dset.elements]
+        for i, (left, right) in enumerate(polys):
+            q = reference_term(dset, i, leaves)
+            assert left == core.substitute(q, {0: Const(a), 1: Var(0)}), (alg.name, a, b, i)
+            assert right == core.substitute(q, {1: Const(a)}), (alg.name, a, b, i)
+            if dset.trace[i] is not None:
+                parents = dset.trace[i][1]
+                for side in (0, 1):
+                    assert all(arg is polys[p][side]
+                               for arg, p in zip(polys[i][side].args, parents))
+                repeated += len(set(parents)) < len(parents)
+        elements += len(dset)
+    assert elements == 3693 and repeated > 0
+
+
+def test_terms_refuse_unnamed_generators(e3):
+    # a generator that is neither named nor constant has no leaf term
+    dset = d_rel(e3, 0, 2)
+    assert dset.terms({(0, 2): Var(0), (2, 0): Var(1)})(0) == Var(0)
+    with pytest.raises(AlgebraError, match="no leaf term supplied for generator index 1"):
+        dset.terms({(0, 2): Var(0)})(1)
+
+
+def test_verify_cg_d3_rejects_wrong_mid(e3, monkeypatch):
+    # the two builders swapped, so the left step is q(x, a) in place of
+    # q(a, x): its images are {mid, v}, not {u, mid}
+    real = GeneratedSet.terms
+
+    def swapped(self, variables):
+        keys = list(variables)
+        return real(self, dict(zip(keys, reversed([variables[k] for k in keys]))))
+
+    monkeypatch.setattr(GeneratedSet, "terms", swapped)
     with pytest.raises(FalsificationError, match="does not replay"):
         verify_cg_d3(e3, 0, 1)
 
@@ -512,9 +578,9 @@ def test_count_biconditional_commutator_stops_at_first_failure(monkeypatch):
     # inputs that first appears after the least failing tuple
     alg = random_semilattice(4, random.Random(4))
     break_context(monkeypatch, alg, shift_quotient=True)
-    real = analyzer.commutator
+    real = analyzer._commutator
     seen = []
-    monkeypatch.setattr(analyzer, "commutator",
+    monkeypatch.setattr(analyzer, "_commutator",
                         lambda alg, p, q: seen.append((p, q)) or real(alg, p, q))
     with pytest.raises(FalsificationError) as info:
         count_biconditional(alg, "commutator")
@@ -524,6 +590,20 @@ def test_count_biconditional_commutator_stops_at_first_failure(monkeypatch):
     for pair in itertools.product(range(alg.size), repeat=2):
         first.setdefault(principal_congruence(alg, *pair), pair)
     assert seen and all(first[p] + first[q] <= failing for p, q in seen)
+
+
+def test_count_biconditional_checks_no_congruence(monkeypatch):
+    # the commutator law passes the principal congruences the library built
+    # to the cached _commutator, so it re-checks none of them
+    alg = regularized_glued(15, (2, 2, 2, 1))[0]
+    analyzer._regular_context(alg)
+    calls = []
+    for mod in (analyzer, relations):
+        real = mod.congruence_violation
+        monkeypatch.setattr(mod, "congruence_violation",
+                            lambda *args, _real=real: calls.append(args) or _real(*args))
+    assert count_biconditional(alg, "commutator") == pointwise_count(alg, "commutator")
+    assert calls == []
 
 
 def test_count_biconditional_zero_sim(monkeypatch, e3):

@@ -92,7 +92,7 @@ def test_cached_functions():
     assert cached == {"smbalg.relations._translations",
                       "smbalg.relations.principal_congruence",
                       "smbalg.relations.congruence_lattice",
-                      "smbalg.relations.commutator",
+                      "smbalg.relations._commutator",
                       "smbalg.analyzer.check_regular_base",
                       "smbalg.analyzer._regular_context"}
 

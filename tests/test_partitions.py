@@ -43,6 +43,21 @@ def test_join_meet_examples():
         p.join(Partition.zero(4))
 
 
+def test_join_is_transitive_closure_of_union():
+    # on all 52 x 52 pairs of partitions of {0..4}, against Warshall's
+    # closure of the union of the two relations as sets of pairs
+    parts = list(all_partitions(5))
+    for p in parts:
+        for q in parts:
+            rel = set(p.pairs()) | set(q.pairs())
+            for k in range(5):
+                for i in range(5):
+                    for j in range(5):
+                        if (i, k) in rel and (k, j) in rel:
+                            rel.add((i, j))
+            assert set(p.join(q).pairs()) == rel, (p, q)
+
+
 def test_refines():
     p = Partition(4, (0, 0, 1, 2))
     q = Partition(4, (0, 0, 1, 1))

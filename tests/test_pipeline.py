@@ -43,9 +43,10 @@ def test_iterate_wnu_examples(e3, b2):
     assert iterate_wnu(one, "d").entries == (0,)
 
 
-def test_iterate_wnu_entry_cap(e3):
+def test_iterate_wnu_entry_cap(e3, monkeypatch):
+    monkeypatch.setattr(pipeline, "ITERATION_ENTRY_CAP", 10)
     with pytest.raises(CapExceeded, match="above the cap 10"):
-        iterate_wnu(e3, "d", max_entries=10)
+        iterate_wnu(e3, "d")
 
 
 def test_iterate_wnu_pointwise_oracle(e3):

@@ -23,7 +23,7 @@ from smbalg.constructions import (affine_block, example_b2, example_e3,
                                   example_s2)
 from smbalg.pipeline import regularize
 
-from conftest import glued, regularized_glued
+from conftest import glued, reference_term, regularized_glued
 
 
 def closure_in_rounds(alg, k, generators):
@@ -205,8 +205,7 @@ def test_generate_subpower_order_is_checked(monkeypatch):
 def klein_closed(gens):
     """The tuples of `gens` in A^4 with their images under the Klein
     four-group, sorted."""
-    group = ((0, 1, 2, 3),) + relations._KLEIN_FOUR
-    return sorted({tuple(g[i] for i in p) for g in gens for p in group})
+    return sorted({tuple(g[i] for i in p) for g in gens for p in relations._KLEIN_GROUP})
 
 
 def symmetric_closure_cases():
@@ -238,14 +237,14 @@ def symmetric_closure_cases():
                         + [(c, d, c, d) for c, d in beta.pairs()])
 
 
-def symmetric_mismatches(closure, symmetries, cases):
-    """How many cases `closure` with `symmetries` gets wrong: other rows
-    than the plain closure (as a set, or with repeats), or a refusal."""
+def symmetric_mismatches(closure, group, cases):
+    """How many cases `closure` over `group` gets wrong: other rows than
+    the plain closure (as a set, or with repeats), or a refusal."""
     bad = 0
     for alg, gens in cases:
         want = set(map(tuple, relations._subpower_closure(alg, 4, gens)[0].tolist()))
         try:
-            got = closure(alg, 4, gens, symmetries)[0].tolist()
+            got = closure(alg, 4, gens, group)[0].tolist()
         except AlgebraError:
             bad += 1
             continue
@@ -258,9 +257,9 @@ def test_symmetric_closure_matches_plain(monkeypatch):
     # sorted keys (the cap patched to 0), the closure is the plain one
     cases = list(symmetric_closure_cases())
     closure = relations._subpower_closure
-    assert symmetric_mismatches(closure, relations._KLEIN_FOUR, cases) == 0
+    assert symmetric_mismatches(closure, relations._KLEIN_GROUP, cases) == 0
     monkeypatch.setattr(relations, "FAST_CLOSURE_SPACE_CAP", 0)
-    assert symmetric_mismatches(closure, relations._KLEIN_FOUR, cases[:30]) == 0
+    assert symmetric_mismatches(closure, relations._KLEIN_GROUP, cases[:30]) == 0
 
 
 def test_symmetric_closure_is_checked():
@@ -275,9 +274,9 @@ def test_symmetric_closure_is_checked():
     exec(broken, namespace)
     cases = list(symmetric_closure_cases())
     assert symmetric_mismatches(namespace["_subpower_closure"],
-                                relations._KLEIN_FOUR, cases) > 0
-    row_swap, column_swap, both = relations._KLEIN_FOUR
-    transpose = (row_swap, (0, 2, 1, 3), both)
+                                relations._KLEIN_GROUP, cases) > 0
+    identity, row_swap, column_swap, both = relations._KLEIN_GROUP
+    transpose = (identity, row_swap, (0, 2, 1, 3), both)
     assert symmetric_mismatches(relations._subpower_closure, transpose, cases) > 0
 
 
@@ -289,12 +288,32 @@ def test_symmetric_closure_refuses_non_invariant_generators(e3, e3_sim):
     gens = ([(a, a, b, b) for a, b in one_way]
             + [(c, d, c, d) for c, d in e3_sim.pairs()])
     with pytest.raises(AlgebraError, match="not invariant"):
-        relations._subpower_closure(e3, 4, gens, relations._KLEIN_FOUR)
+        relations._subpower_closure(e3, 4, gens, relations._KLEIN_GROUP)
     with pytest.raises(AlgebraError, match="not invariant"):
-        relations._matrix_closure(e3, one_way, e3_sim, relations._KLEIN_FOUR)
-    for bad in ((0, 1, 2, 2), (0, 1, 2), (1, 2, 3, 4)):
-        with pytest.raises(AlgebraError, match="permutation"):
-            relations._subpower_closure(e3, 4, klein_closed(gens), (bad,))
+        relations._matrix_closure(e3, one_way, e3_sim, relations._KLEIN_GROUP)
+
+
+def test_klein_group_is_a_permutation_group():
+    # the identity first, closed under composition, and generated by the
+    # row swap and the column swap of (m11, m12, m21, m22)
+    group = relations._KLEIN_GROUP
+    identity = (0, 1, 2, 3)
+    assert group[0] == identity and len(set(group)) == 4
+    assert all(sorted(g) == list(identity) for g in group)
+
+    def compose(p, q):
+        return tuple(p[i] for i in q)
+
+    assert all(compose(p, q) in group for p in group for q in group)
+    row_swap, column_swap = (2, 3, 0, 1), (1, 0, 3, 2)
+    generated = {identity}
+    while True:
+        grown = generated | {compose(g, s) for g in generated
+                             for s in (row_swap, column_swap)}
+        if grown == generated:
+            break
+        generated = grown
+    assert generated == set(group)
 
 
 def test_corpus_closures_match_bfs(corpus):
@@ -319,7 +338,7 @@ def test_corpus_closures_match_bfs(corpus):
         for c in range(n):
             leaves.setdefault(ref.index[(c,) * n], Const(c))
         assert unary_polynomials(alg) == tuple(
-            (elem, ref.term_for(i, leaves)) for i, elem in enumerate(ref.elements))
+            (elem, reference_term(ref, i, leaves)) for i, elem in enumerate(ref.elements))
 
 
 def test_trace_replay(corpus):
@@ -853,15 +872,15 @@ def test_only_commutator_closes_over_orbits(e3, e3_sim, monkeypatch):
     seen = []
     closure = relations._subpower_closure
 
-    def spy(alg, k, gens, symmetries=()):
-        seen.append(symmetries)
-        return closure(alg, k, gens, symmetries)
+    def spy(alg, k, gens, group=()):
+        seen.append(group)
+        return closure(alg, k, gens, group)
 
     monkeypatch.setattr(relations, "_subpower_closure", spy)
     matrix_set(e3, e3_sim, e3_sim)
     commutator_oracle(e3, e3_sim, e3_sim)
-    commutator.__wrapped__(e3, e3_sim, e3_sim)
-    assert seen == [(), (), relations._KLEIN_FOUR]
+    relations._commutator.__wrapped__(e3, e3_sim, e3_sim)
+    assert seen == [(), (), relations._KLEIN_GROUP]
 
 
 def test_commutator_below_meet(corpus):
@@ -876,7 +895,9 @@ def test_commutator_below_meet(corpus):
 
 
 def test_commutator_rejects_non_congruence(e3):
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=(
+            r"^partition 0 \| 1 2 is not a congruence of e3: operation '\w+' "
+            r"separates \(.*\) and \(.*\)$")):
         commutator(e3, Partition(3, (0, 1, 1)), Partition.one(3))
 
 
@@ -948,7 +969,7 @@ def test_spanning_pairs_centre_keeps_closure_small():
     one = Partition.one(n)
 
     def closed(alg, pairs):
-        return len(relations._matrix_closure(alg, pairs, one, relations._KLEIN_FOUR))
+        return len(relations._matrix_closure(alg, pairs, one, relations._KLEIN_GROUP))
 
     def star(block, centre):
         return [pair for x in block if x != centre
