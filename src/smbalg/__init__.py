@@ -9,7 +9,7 @@ from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
 from .partitions import Partition, all_partitions
 from .relations import (CongruenceLattice, GeneratedSet, commutator,
                         congruence_generated, congruence_lattice,
-                        congruence_violation, d_rel,
+                        congruence_violation, d_rel, d_rels,
                         generate_subpower, generate_subuniverse, is_abelian,
                         is_congruence, matrix_set, polynomial_image_pairs,
                         principal_congruence, product_algebra, push_partition,
@@ -20,7 +20,8 @@ from .analyzer import (BaseReport, ClassOrder, RegularityReport, SmbReport,
                        cgvsim_below, commutator_below_sim,
                        count_biconditional, find_smb_congruences,
                        join_membership_chain, alternating_chain_fold,
-                       recovered_sim, smb_axioms, taylor_check, verify_cg_d3)
+                       recovered_sim, smb_axioms, taylor_check, verify_cg_d3,
+                       verify_cg_d3_pairs)
 from .pipeline import (PipelineResult, RepresentativeInconsistency,
                        circ_table, class_order_from_circ, idempotent_power,
                        iterate_wnu, regularize, run_pipeline,

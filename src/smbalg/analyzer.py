@@ -17,8 +17,10 @@ oracle in `smbalg.oracles`, for the tests.
 
 Besides recognition, the module checks regularity and its twelve-identity
 equational base, verifies the principal-congruence decomposition
-Cg(a,b) = D o D o D with six-step polynomial witnesses, and runs the
-congruence/commutator biconditionals that hold in the regular case.
+Cg(a,b) = D o D o D with six-step polynomial witnesses (for many generator
+pairs in one pass: one lane closure, batched matrix products and one
+term-kernel replay), and runs the congruence/commutator biconditionals
+that hold in the regular case.
 
 The biconditional checkers compute both sides independently and raise
 FalsificationError when they disagree, so the test suite doubles as a
@@ -37,13 +39,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import core
 from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
                    Identity, OperationTable, PreconditionError, Quasiidentity,
                    Term, Var, Verdict, _term_boxes, check_identity, first_failure,
                    idempotence_violation, term_table)
 from .partitions import Partition
 from .relations import (GeneratedSet, _check_congruences, _commutator,
-                        congruence_violation, d_rel, polynomial_image_pairs,
+                        congruence_violation, d_rels, polynomial_image_pairs,
                         principal_congruence, quotient_algebra)
 
 WEDGE = "wedge"
@@ -470,88 +473,144 @@ class CgD3Result:
     chains: dict               # (c, d) -> tuple of 6 ChainStep
 
 
-def _d_pair_steps(alg: FiniteAlgebra, dset: GeneratedSet, a: int, b: int,
-                  links: dict) -> dict:
-    """The two chain steps of each D-pair (u, v) = (q(a, b), q(b, a)) in
-    `links`: q(a, x) from u to mid = q(a, a) and q(x, a) from mid to v.
+def _d_pair_steps(alg: FiniteAlgebra, lanes: list) -> list:
+    """For each (dset, a, b, links) of `lanes`, the two chain steps of each
+    D-pair (u, v) = (q(a, b), q(b, a)) in `links`: q(a, x) from u to
+    mid = q(a, a) and q(x, a) from mid to v.
 
     The step polynomials come straight from two term builders of `dset`:
     one reads the generator (a, b) as a and (b, a) as x, the other (a, b)
     as x and (b, a) as a; when a = b the (a, b) entry, written last, wins.
-    Every step polynomial is evaluated in one pass of the term kernel and
-    replayed at a and at b; links[(u, v)] is the first chain (c, d) through
-    the pair, named when one of its steps fails to replay."""
-    left = dset.terms({(b, a): Var(0), (a, b): Const(a)})
-    right = dset.terms({(b, a): Const(a), (a, b): Var(0)})
-    polys = []
-    for pair in links:
-        i = dset.index[pair]
-        polys += [left(i), right(i)]
+    The step polynomials of all lanes are evaluated in one pass of the term
+    kernel and replayed at their lane's a and b; links[(u, v)] is the first
+    chain (c, d) through the pair, named when one of its steps fails to
+    replay.  The first failing step in lane, link and step order raises."""
+    polys, points, ends, named = [], [], [], []
+    for dset, a, b, links in lanes:
+        left = dset.terms({(b, a): Var(0), (a, b): Const(a)})
+        right = dset.terms({(b, a): Const(a), (a, b): Var(0)})
+        for pair, chain in links.items():
+            i = dset.index[pair]
+            polys += [left(i), right(i)]
+            points.append((a, b))
+            ends.append(pair)
+            named.append(chain)
     images = np.empty((len(polys), alg.size), dtype=np.int64)
     (_, values), = _term_boxes(alg, polys, 1)
     for i, val in enumerate(values):
         images[i] = val
-    at = images[:, [a, b]].tolist()
-    out = {}
-    for i, ((u, v), (c, d)) in enumerate(links.items()):
-        mid = at[2 * i][0]
-        steps = (ChainStep(polys[2 * i], u, mid), ChainStep(polys[2 * i + 1], mid, v))
-        for step, replay in zip(steps, at[2 * i:2 * i + 2]):
-            if set(replay) != {step.lo, step.hi}:
-                raise FalsificationError(
-                    f"witness chain for ({c},{d}) does not replay: step "
-                    f"{step.lo}-{step.hi} has polynomial images {sorted(set(replay))}")
-        out[(u, v)] = steps
+    points = np.array(points, dtype=np.int64).reshape(-1, 2).repeat(2, axis=0)
+    at = np.take_along_axis(images, points, axis=1)   # each poly at its a and b
+    u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    mid = at[0::2, 0]
+    lo = np.stack([u, mid], axis=1).ravel()           # the left step, then the right
+    hi = np.stack([mid, v], axis=1).ravel()
+    ok = ((at[:, 0] == lo) & (at[:, 1] == hi)) | ((at[:, 0] == hi) & (at[:, 1] == lo))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        c, d = named[i // 2]
+        raise FalsificationError(
+            f"witness chain for ({c},{d}) does not replay: step "
+            f"{int(lo[i])}-{int(hi[i])} has polynomial images {sorted(set(at[i].tolist()))}")
+    mids, steps = iter(mid.tolist()), iter(polys)
+    return [{pair: (ChainStep(next(steps), pair[0], m), ChainStep(next(steps), m, pair[1]))
+             for pair, m in zip(links, mids)} for _, _, _, links in lanes]
+
+
+def _midpoints(dm: np.ndarray, d2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(e2, e4) for a stack of D matrices `dm` and their squares `d2`:
+    e4[l, c, d] is the least e with D^2[c, e] and D[e, d], and e2[l, c, d]
+    the least e with D[c, e] and D[e, e4], in D = dm[l] (0 where there is
+    none).  Taken by argmax over the (lane, c) rows, a chunk of rows at a
+    time, so no chunk holds more than `core.BLOCK_SIZE` booleans unless
+    one row alone does."""
+    lanes, n, _ = dm.shape
+    dm_rows, d2_rows = dm.reshape(-1, n), d2.reshape(-1, n)
+    dm_t = dm.transpose(0, 2, 1)
+    e2, e4 = np.empty((2, lanes * n, n), dtype=np.intp)
+    step = max(1, core.BLOCK_SIZE // (n * n))
+    for lo in range(0, lanes * n, step):
+        hi = min(lo + step, lanes * n)
+        lane = np.arange(lo, hi) // n
+        e4[lo:hi] = np.argmax(d2_rows[lo:hi, :, None] & dm[lane], axis=1)
+        e2[lo:hi] = np.argmax(dm_rows[lo:hi, None, :] & dm_t[lane[:, None], e4[lo:hi]],
+                              axis=2)
+    return e2.reshape(lanes, n, n), e4.reshape(lanes, n, n)
+
+
+def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
+    """For each generator pair (a, b) of `pairs`, in order, confirm
+    Cg(a,b) = D_{a,b} composed with itself three times, and build a
+    six-step polynomial chain for every related pair; one `CgD3Result`
+    per pair.
+
+    The D-relations come from one lane closure (`d_rels`).  Each D is an
+    n x n boolean matrix; D^2 and D^3 are batched boolean matrix products
+    over the stack of all pairs, and every D^3 must equal the relation of
+    Cg(a,b).  The chain for (c, d) runs c D e2 D e4 D d, with one rule for
+    every pair: e4 is the least element with D^2[c, e4] and D[e4, d], and
+    e2 the least with D[c, e2] and D[e2, e4] (`_midpoints`, batched).  Each
+    link (u, v) is a D-pair, with a term q over the generators (a, b) and
+    (b, a), and gives two steps (see `_d_pair_steps`).  The steps of the
+    distinct D-pairs the chains of each generator pair use are built and
+    replayed for all pairs together, in one term-kernel pass, and every
+    chain through a D-pair shares the same two ChainStep objects.
+
+    Requires the regular base; inequality of the two sides, or a step that
+    fails to replay, raises FalsificationError for the first failing
+    generator pair, and within one pair the inequality first.
+    """
+    _regular_context(alg)
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    n = alg.size
+    cgs = [principal_congruence(alg, a, b) for a, b in pairs]
+    dsets = d_rels(alg, pairs)
+    rows = np.array([elem for dset in dsets for elem in dset.elements], dtype=np.int64)
+    lane = np.repeat(np.arange(len(pairs)), [len(dset) for dset in dsets])
+    dm = np.zeros((len(pairs), n, n), dtype=bool)
+    dm[lane, rows[:, 0], rows[:, 1]] = True
+    d2 = dm @ dm
+    d3 = d2 @ dm
+    ids = np.array([cg.class_ids for cg in cgs], dtype=np.int64)
+    in_cg = ids[:, :, None] == ids[:, None, :]
+    differ = (in_cg != d3).any(axis=(1, 2))
+    held = int(np.argmax(differ)) if differ.any() else len(pairs)   # pairs before a failure
+
+    e2, e4 = _midpoints(dm[:held], d2[:held])
+    lanes, walks = [], []
+    for l in range(held):
+        cs, ds = np.nonzero(in_cg[l])
+        links: dict = {}       # D-pair -> first chain through it
+        walk = {}
+        for c, m2, m4, d in zip(cs.tolist(), e2[l, cs, ds].tolist(),
+                                e4[l, cs, ds].tolist(), ds.tolist()):
+            chain = walk[(c, d)] = ((c, m2), (m2, m4), (m4, d))
+            for pair in chain:
+                links.setdefault(pair, (c, d))
+        a, b = pairs[l]
+        lanes.append((dsets[l], a, b, links))
+        walks.append(walk)
+    steps = _d_pair_steps(alg, lanes)         # raises for an earlier pair first
+    if held < len(pairs):
+        a, b = pairs[held]
+        diff = [tuple(p) for p in np.argwhere(in_cg[held] != d3[held])[:4].tolist()]
+        raise FalsificationError(
+            f"Cg({a},{b}) and the triple D-composition differ on '{alg.name}': "
+            f"symmetric difference {diff}")
+    out = []
+    for (a, b), cg, relation, walk, step in zip(pairs, cgs, d3, walks, steps):
+        chains = {cd: step[p1] + step[p2] + step[p3] for cd, (p1, p2, p3) in walk.items()}
+        out.append(CgD3Result(a, b, cg, frozenset(map(tuple, np.argwhere(relation).tolist())),
+                              chains))
     return out
 
 
 def verify_cg_d3(alg: FiniteAlgebra, a: int, b: int) -> CgD3Result:
-    """Confirm Cg(a,b) = D_{a,b} composed with itself three times, and build
-    a six-step polynomial chain for every related pair.
-
-    D is held as an n x n boolean matrix, D^2 and D^3 are boolean matrix
-    products, and D^3 must equal the relation of Cg(a,b).  The chain for
-    (c, d) runs c D e2 D e4 D d, with one rule for every pair: e4 is the
-    least element with D^2[c, e4] and D[e4, d], and e2 the least with
-    D[c, e2] and D[e2, e4].  Each link (u, v) is a D-pair, with a term q
-    over the generators (a, b) and (b, a), and gives two steps (see
-    `_d_pair_steps`).  The steps of all distinct D-pairs the chains use
-    are built and replayed together, in one term-kernel pass, and every
-    chain through a D-pair shares the same two ChainStep objects.
-
-    Requires the regular base; inequality of the two sides, or a step
-    that fails to replay, raises FalsificationError.
-    """
-    _regular_context(alg)
-    cg = principal_congruence(alg, a, b)
-    dset = d_rel(alg, a, b)
-    n = alg.size
-    dm = np.zeros((n, n), dtype=bool)
-    rows = np.array(dset.elements, dtype=np.int64)
-    dm[rows[:, 0], rows[:, 1]] = True
-    d2 = dm @ dm
-    d3 = d2 @ dm
-    ids = np.asarray(cg.class_ids, dtype=np.int64)
-    in_cg = ids[:, None] == ids
-    if not np.array_equal(in_cg, d3):
-        diff = [tuple(p) for p in np.argwhere(in_cg != d3)[:4].tolist()]
-        raise FalsificationError(
-            f"Cg({a},{b}) and the triple D-composition differ on '{alg.name}': "
-            f"symmetric difference {diff}")
-
-    e4 = np.argmax(d2[:, :, None] & dm[None, :, :], axis=1)      # at [c, d]
-    e2 = np.argmax(dm[:, None, :] & dm.T[e4], axis=2)            # D[c, e2] & D[e2, e4]
-    cs, ds = np.nonzero(in_cg)
-    links: dict = {}           # D-pair -> first chain through it
-    walks = {}
-    for c, m2, m4, d in zip(cs.tolist(), e2[cs, ds].tolist(),
-                            e4[cs, ds].tolist(), ds.tolist()):
-        walk = walks[(c, d)] = ((c, m2), (m2, m4), (m4, d))
-        for pair in walk:
-            links.setdefault(pair, (c, d))
-    steps = _d_pair_steps(alg, dset, a, b, links)
-    chains = {cd: steps[p1] + steps[p2] + steps[p3] for cd, (p1, p2, p3) in walks.items()}
-    return CgD3Result(a, b, cg, frozenset(map(tuple, np.argwhere(d3).tolist())), chains)
+    """Confirm Cg(a,b) = D o D o D for one generator pair: the one-pair
+    call of `verify_cg_d3_pairs`."""
+    return verify_cg_d3_pairs(alg, [(a, b)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ subterms children first, and each is evaluated once over all n**nvars
 assignments by broadcasting (variable i is an index range along axis i),
 in boxes of at most `BLOCK_SIZE` assignments cut by `_blocks` and visited
 in lexicographic order.  Identities, quasi-identities, `materialize_term`,
-the operation flags and the witness chains of `analyzer.verify_cg_d3`
-(many one-variable polynomials in a single `_term_boxes` pass) run on it.
+the operation flags and the witness chains of `analyzer.verify_cg_d3_pairs`
+(the one-variable polynomials of all generator pairs in a single
+`_term_boxes` pass) run on it.
 The pointwise pure-Python evaluator is the tests' reference for it and
 lives in `smbalg.oracles`.
 """

@@ -20,11 +20,11 @@ re-export any of them; import them from `smbalg.oracles`.
                                   `pipeline.idempotent_power`
   compose_relations               set-based composition of binary relations,
                                   against the boolean matrix products in
-                                  `analyzer.verify_cg_d3`
+                                  `analyzer.verify_cg_d3_pairs`
   eval_term                       pointwise evaluation of a term, node by
                                   node, against the numpy kernel
                                   `core.term_table` and the chain replay of
-                                  `analyzer.verify_cg_d3`
+                                  `analyzer.verify_cg_d3_pairs`
   unary_polynomials               every unary polynomial with a witnessing
                                   term, as the subuniverse of A^A generated
                                   by the identity and the constant maps

@@ -6,14 +6,18 @@ and the binary commutator.
 
 One closure engine, `_subpower_closure`, closes subsets of finite
 powers in semi-naive rounds and records for each new tuple the first
-argument combination that produced it.  For every operation, the argument
+argument combination that produced it.  It takes a sequence of generator
+sets, its lanes, and closes each on its own in the one round loop, so the
+fixed work of a call (set-up, sorting the new keys, round bookkeeping) is
+paid once for many small closures.  For every operation, the argument
 columns lie along their own axes of one array of argument combinations,
 cut into blocks of at most `core.BLOCK_SIZE` combinations by `_blocks`,
 which the term kernel of `core` shares, and evaluated by `_apply_block`.
-`generate_subpower` turns its rows and traces into a `GeneratedSet`,
-used wherever witnesses must be replayed (D-relations, polynomial image
-pairs, and `oracles.unary_polynomials`); its `terms` builder is the one
-place a trace becomes a term.  The commutator's matrix sets in A^4 and
+`generate_subpower` turns the rows and traces of one lane into a
+`GeneratedSet`, and `d_rels` those of one lane per generator pair; these
+sets are used wherever witnesses must be replayed (D-relations,
+polynomial image pairs, and `oracles.unary_polynomials`), and their
+`terms` builder is the one place a trace becomes a term.  The commutator's matrix sets in A^4 and
 generated subuniverses take the int64 rows directly.  The element
 order is documented at `generate_subpower`, and the test suite checks
 it, trace for trace, against a plain Python loop.
@@ -56,6 +60,7 @@ commutator) live in `smbalg.oracles`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
@@ -155,67 +160,90 @@ def _apply_block(tables: np.ndarray, heads: np.ndarray, columns: np.ndarray,
     return key.ravel()
 
 
-def _subpower_closure(alg: FiniteAlgebra, k: int, generators,
-                      group=()) -> tuple:
-    """Least subset of A^k containing `generators`, closed under all
-    operations applied coordinatewise, in semi-naive rounds.
+def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
+                      group=()) -> list:
+    """Least subsets of A^k containing each generator set of `lanes`,
+    closed under all operations applied coordinatewise: every lane closed
+    on its own, all in one loop of semi-naive rounds.
 
-    Returns (rows, boxes, box_of, flat): the elements as an (m, k) int64
-    array in the order of `generate_subpower`; the boxes evaluated that
-    produced new tuples, as (operation number, box); and for each element
-    the number of the box holding the first combination that produced it
-    (-1 for a generator) and that combination's flat index in the box.
+    Returns one (rows, boxes, box_of, flat) per lane: its elements as an
+    (m, k) int64 array in the order of `generate_subpower`; the boxes
+    evaluated that produced new tuples, as (operation number, box), one
+    list that all lanes share; and for each element the number of the box
+    holding the first combination that produced it (-1 for a generator)
+    and that combination's flat index in the box.  Each lane's elements
+    and traces are those it has when closed alone.
 
-    A tuple's key is its base-n value, so n**k must fit in int64.  Keys
-    already known are found in a `visited` bitmap over A^k when n**k is at
-    most FAST_CLOSURE_SPACE_CAP, and by binary search in the sorted known
-    keys above it.
+    A tuple's key in lane l is l * n**k plus its base-n value, so
+    len(lanes) * n**k must fit in int64, which is checked before any work.
+    Keys already known are found in one `visited` bitmap when there are at
+    most FAST_CLOSURE_SPACE_CAP keys, and by binary search in the sorted
+    known keys above it.  Each round lays every lane's rows out in one
+    contiguous run, so a lane's argument combinations are a product of
+    index ranges, cut into boxes by `_blocks` and evaluated by
+    `_apply_block`.  A box's keys are filtered against the known ones at
+    once; the new keys of all lanes are sorted together once per operation
+    and argument position, and once per round.
 
     `group` is a closed group G of coordinate permutations, identity
-    first (in practice `_KLEIN_GROUP`): g moves coordinate c to position
-    g[c], so column g of `rows @ weights[group].T` holds the keys of the
-    images under g.  G must map the generator set onto itself, else
-    AlgebraError before any work.  Operations act coordinatewise, so they
-    commute with every g in G, and the closure is G-invariant.  Each box's
-    new tuples are then closed under G at once, so the earlier and the new
-    tuples of every round stay G-invariant, and argument 0 runs over orbit
-    representatives only (the tuples whose key is least in their orbit).
-    Nothing is lost: any combination is g^-1 of one whose argument 0 is a
-    representative, with every argument in the same range (earlier or
-    new), and its value is g^-1 of that one's value.  No traces are kept
-    then (boxes, box_of and flat are empty), and each round's new tuples
-    come in ascending key order.
+    first (in practice `_KLEIN_GROUP`), and takes one lane only: g moves
+    coordinate c to position g[c], so column g of `rows @ weights[group].T`
+    holds the keys of the images under g.  G must map the generator set
+    onto itself, else AlgebraError before any work.  Operations act
+    coordinatewise, so they commute with every g in G, and the closure is
+    G-invariant.  Each box's new tuples are then closed under G at once, so
+    the earlier and the new tuples of every round stay G-invariant, and
+    argument 0 runs over orbit representatives only (the tuples whose key
+    is least in their orbit).  Nothing is lost: any combination is g^-1 of
+    one whose argument 0 is a representative, with every argument in the
+    same range (earlier or new), and its value is g^-1 of that one's value.
+    No traces are kept then (boxes, box_of and flat are empty), and each
+    round's new tuples come in ascending key order.
     """
     if k < 1:
         raise AlgebraError(f"power must be >= 1, got {k}")
     n = alg.size
     space = n ** k
-    if space > 1 << 63:
-        raise CapExceeded(f"A^{k} has {space} tuples, beyond the int64 key range")
-    try:
-        gens = np.asarray(generators)
-    except ValueError:
-        raise AlgebraError(f"generators must be tuples of {k} integers") from None
-    if not len(gens):
-        raise AlgebraError("at least one generator is required")
-    if gens.ndim != 2 or gens.shape[1] != k or gens.dtype.kind not in "iu":
-        raise AlgebraError(f"generators must be tuples of {k} integers")
-    gens = gens.astype(np.int64, copy=False)
+    if len(lanes) * space > 1 << 63:
+        raise CapExceeded(f"{len(lanes)} lane(s) of A^{k} hold {len(lanes) * space} "
+                          f"tuples, beyond the int64 key range")
+    if group and len(lanes) != 1:
+        raise AlgebraError("a closure under a group takes exactly one lane")
+    if not len(lanes):
+        return []
+    gens = []
+    for lane in lanes:
+        try:
+            lane = np.asarray(lane)
+        except ValueError:
+            raise AlgebraError(f"generators must be tuples of {k} integers") from None
+        if not len(lane):
+            raise AlgebraError("at least one generator is required")
+        if lane.ndim != 2 or lane.shape[1] != k or lane.dtype.kind not in "iu":
+            raise AlgebraError(f"generators must be tuples of {k} integers")
+        gens.append(lane)
+    offsets = [lane * space for lane in range(len(gens))]
+    ends = offsets[1:]                   # where each lane's keys end
+    sizes = [len(lane) for lane in gens]
+    gens = np.concatenate(gens).astype(np.int64, copy=False)
     if gens.min() < 0 or gens.max() >= n:
         raise AlgebraError(f"generators have entries outside 0..{n - 1}")
 
     weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    known, first = np.unique(gens @ weights, return_index=True)
-    rows = gens[np.sort(first)]
-    if space <= FAST_CLOSURE_SPACE_CAP:
-        visited = np.zeros(space, dtype=bool)
+    keys = gens @ weights
+    if ends:
+        keys += np.repeat(np.array(offsets), sizes)
+    known, first = np.unique(keys, return_index=True)
+    if len(offsets) * space <= FAST_CLOSURE_SPACE_CAP:
+        visited = np.zeros(len(offsets) * space, dtype=bool)
         visited[known] = True
     else:
         visited = None
 
-    def unseen(keys):
+    def unseen(keys, off):
         if visited is not None:
-            return ~visited[keys]
+            return ~visited[off:off + space][keys]
+        keys = keys + off
         return known[np.minimum(np.searchsorted(known, keys), len(known) - 1)] != keys
 
     def least(new):
@@ -223,64 +251,122 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, generators,
         images = new @ orbit.T
         return (images.min(1) == images[:, 0]).nonzero()[0]
 
+    def lane_bounds(keys):
+        """Where each lane's run starts and ends in the sorted `keys`."""
+        return [0, *(np.searchsorted(keys, ends).tolist() if ends else []), len(keys)]
+
     traced = not group
+    first.sort()
+    new, cut = gens[first], lane_bounds(known)   # lane-major, like the lanes
+    parts = [[] for _ in offsets]        # per lane: its rows, round by round
+    old, total = [0] * len(offsets), [0] * len(offsets)
     if traced:
-        heads = range(len(rows))
+        box_of, flat = [np.full(len(new), -1)], [np.zeros(len(new), dtype=np.int64)]
+        lane_of = [np.repeat(np.arange(len(offsets)), sizes)[first]]
     else:
         orbit = weights[np.array(group)]
-        if unseen((rows @ orbit.T).ravel()).any():
+        if unseen((new @ orbit.T).ravel(), 0).any():
             raise AlgebraError(f"generators are not invariant under the group {group}")
-        heads = least(rows)
+        heads, heads_old = least(new), 0
     ops = [(t.arity, weights[:, None] * t.array) for t in alg.operations.values()]
     boxes: list = []
-    box_of = [np.full(len(rows), -1)] if traced else []
-    flat = [np.zeros(len(rows), dtype=np.int64)] if traced else []
-    old, total, heads_old = 0, len(rows), 0
     while True:
+        for lane, (lo, hi) in enumerate(zip(cut, cut[1:])):
+            old[lane] = total[lane]
+            if hi > lo:
+                parts[lane].append(new[lo:hi])
+                total[lane] += hi - lo
+        rows = np.concatenate([chunk for part in parts for chunk in part])
         columns = np.ascontiguousarray(rows.T)
-        head_columns = columns if traced else columns[:, heads]
-        found, found_at, counts = [], [], []
+        spans = []             # (lane, its head columns, its columns) if it grew
+        start = 0
+        for lane, size in enumerate(total):
+            if size > old[lane]:
+                lane_columns = columns[:, start:start + size]
+                spans.append((lane, lane_columns if traced else lane_columns[:, heads],
+                              lane_columns))
+            start += size
+        found, found_box, found_at = [], [], []
         for o, (arity, tables) in enumerate(ops):
             for pos in range(arity):
-                bounds = ([(0, old)] * pos + [(old, total)]
-                          + [(0, total)] * (arity - 1 - pos))
-                bounds[0] = (0, heads_old) if pos else (heads_old, len(heads))
-                for box in _blocks(bounds):
-                    keys = _apply_block(tables, head_columns, columns, box, n)
-                    at = unseen(keys).nonzero()[0]
-                    keys = keys[at]      # lets the whole box go before the next
-                    if not len(at):
-                        continue
+                got, got_at, counts = [], [], []
+                for lane, head_columns, lane_columns in spans:
+                    bounds = ([(0, old[lane])] * pos + [(old[lane], total[lane])]
+                              + [(0, total[lane])] * (arity - 1 - pos))
+                    if not traced:
+                        bounds[0] = (0, heads_old) if pos else (heads_old, len(heads))
+                    for box in _blocks(bounds):
+                        keys = _apply_block(tables, head_columns, lane_columns, box, n)
+                        at = unseen(keys, offsets[lane]).nonzero()[0]
+                        keys = keys[at]      # lets the whole box go before the next
+                        if not len(at):
+                            continue
+                        if traced:
+                            keys += offsets[lane]
+                            got.append(keys)
+                            got_at.append(at)
+                            counts.append(len(at))
+                            boxes.append((o, box))
+                        else:    # whole orbits, so later boxes see them as known
+                            keys = np.unique(keys, return_index=True)[0]
+                            images = (keys[:, None] // weights % n) @ orbit.T
+                            # return_index, since plain np.unique imports numpy.ma
+                            keys = np.unique(images, return_index=True)[0]
+                            found.append(keys)
+                        if visited is not None:
+                            visited[keys] = True
+                if counts:
+                    # boxes were gathered in processing order, so the first
+                    # occurrence of a key carries its first producing combination
+                    keys, at = np.concatenate(got), np.concatenate(got_at)
                     keys, first = np.unique(keys, return_index=True)
-                    if traced:
-                        found_at.append(at[first])
-                        counts.append(len(keys))
-                        boxes.append((o, box))
-                    else:        # whole orbits, so later boxes see them as known
-                        images = (keys[:, None] // weights % n) @ orbit.T
-                        # return_index, since plain np.unique imports numpy.ma
-                        keys = np.unique(images, return_index=True)[0]
-                    if visited is not None:
-                        visited[keys] = True
+                    box_ids = np.arange(len(boxes) - len(counts), len(boxes))
+                    found_box.append(np.repeat(box_ids, counts)[first])
+                    found_at.append(at[first])
                     found.append(keys)
         if not found:
             break
-        # boxes were gathered in processing order, so the first occurrence
-        # of a key carries its first producing combination
         keys, first = np.unique(np.concatenate(found), return_index=True)
+        new, cut = keys[:, None] // weights % n, lane_bounds(keys)
         if traced:
-            box_ids = np.arange(len(boxes) - len(counts), len(boxes))
-            box_of.append(np.repeat(box_ids, counts)[first])
+            box_of.append(np.concatenate(found_box)[first])
             flat.append(np.concatenate(found_at)[first])
-        new = keys[:, None] // weights % n
-        old, total, heads_old = total, total + len(new), len(heads)
-        heads = range(total) if traced else np.concatenate([heads, old + least(new)])
-        rows = np.concatenate([rows, new])
+            lane_of.append(np.repeat(np.arange(len(offsets)),
+                                     [hi - lo for lo, hi in zip(cut, cut[1:])]))
+        else:
+            heads_old = len(heads)
+            heads = np.concatenate([heads, total[0] + least(new)])
         if visited is None:
             known = np.sort(np.concatenate([known, keys]))
-    if traced:
-        box_of, flat = np.concatenate(box_of), np.concatenate(flat)
-    return rows, boxes, box_of, flat
+    if not traced:
+        return [(rows, boxes, [], [])]
+    # each lane's elements in discovery order: generators, then its rounds
+    order = np.argsort(np.concatenate(lane_of), kind="stable")
+    box_of, flat = np.concatenate(box_of)[order], np.concatenate(flat)[order]
+    cut = [0, *itertools.accumulate(total)]
+    return [(rows[lo:hi], boxes, box_of[lo:hi], flat[lo:hi])
+            for lo, hi in zip(cut, cut[1:])]
+
+
+def _generated_sets(alg: FiniteAlgebra, k: int, lanes: Sequence) -> list:
+    """One traced `GeneratedSet` per generator set of `lanes`, all closed
+    together by `_subpower_closure`."""
+    symbols = list(alg.operations)
+    out = []
+    for rows, boxes, box_of, flat in _subpower_closure(alg, k, lanes):
+        trace = []
+        for b, at in zip(box_of.tolist(), flat.tolist()):
+            if b < 0:
+                trace.append(None)
+                continue
+            o, box = boxes[b]
+            args = []
+            for lo, hi in reversed(box):
+                at, i = divmod(at, hi - lo)
+                args.append(lo + i)
+            trace.append((symbols[o], tuple(reversed(args))))
+        out.append(GeneratedSet(k, tuple(map(tuple, rows.tolist())), tuple(trace)))
+    return out
 
 
 def generate_subpower(alg: FiniteAlgebra, k: int,
@@ -297,27 +383,16 @@ def generate_subpower(alg: FiniteAlgebra, k: int,
     `pos` are taken in lexicographic order of their element indices, in
     blocks of at most `core.BLOCK_SIZE` evaluated at once by numpy
     broadcasting; a new tuple's trace is (symbol, argument indices) of the
-    first combination that produced it.
+    first combination that produced it.  The set is one lane of
+    `_subpower_closure`; `d_rels` closes many lanes at once, each in this
+    same order.
     """
-    rows, boxes, box_of, flat = _subpower_closure(alg, k, generators)
-    symbols = list(alg.operations)
-    trace = []
-    for b, at in zip(box_of.tolist(), flat.tolist()):
-        if b < 0:
-            trace.append(None)
-            continue
-        o, box = boxes[b]
-        args = []
-        for lo, hi in reversed(box):
-            at, i = divmod(at, hi - lo)
-            args.append(lo + i)
-        trace.append((symbols[o], tuple(reversed(args))))
-    return GeneratedSet(k, tuple(map(tuple, rows.tolist())), tuple(trace))
+    return _generated_sets(alg, k, [generators])[0]
 
 
 def generate_subuniverse(alg: FiniteAlgebra, generators: Iterable[int]) -> tuple:
     """Subuniverse of A generated by a set of elements, as a sorted tuple."""
-    rows = _subpower_closure(alg, 1, [(g,) for g in generators])[0]
+    rows = _subpower_closure(alg, 1, [[(g,) for g in generators]])[0][0]
     return tuple(sorted(rows[:, 0].tolist()))
 
 
@@ -578,11 +653,18 @@ def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
 # ---------------------------------------------------------------------------
 # D-relations and polynomial image pairs
 
+def d_rels(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> list:
+    """D_{a,b} for each (a, b) of `pairs`, in order: the subuniverse of A^2
+    generated by (a,b), (b,a) and the diagonal, always reflexive and
+    symmetric.  Each is one lane of a single `_subpower_closure`, with the
+    elements and traces `generate_subpower` gives it alone."""
+    diagonal = [(c, c) for c in range(alg.size)]
+    return _generated_sets(alg, 2, [[(a, b), (b, a)] + diagonal for a, b in pairs])
+
+
 def d_rel(alg: FiniteAlgebra, a: int, b: int) -> GeneratedSet:
-    """D_{a,b}: the subuniverse of A^2 generated by (a,b), (b,a) and the
-    diagonal.  Always reflexive and symmetric."""
-    gens = [(a, b), (b, a)] + [(c, c) for c in range(alg.size)]
-    return generate_subpower(alg, 2, gens)
+    """D_{a,b}, the one-pair call of `d_rels`."""
+    return d_rels(alg, [(a, b)])[0]
 
 
 def polynomial_image_pairs(alg: FiniteAlgebra, a: int, b: int) -> GeneratedSet:
@@ -620,7 +702,7 @@ def _matrix_closure(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
         raise CapExceeded(f"A^4 has {n ** 4} tuples, beyond the closure cap")
     gens = [(a, a, b, b) for a, b in alpha_pairs]
     gens += [(c, d, c, d) for c, d in beta.pairs()]
-    return _subpower_closure(alg, 4, gens, group)[0]
+    return _subpower_closure(alg, 4, [gens], group)[0][0]
 
 
 def matrix_set(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> np.ndarray:

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
 from smbalg import (AlgebraError, App, ClassOrder, Const, FalsificationError,
@@ -374,7 +375,7 @@ def test_terms_match_substituted_reference(corpus):
         dset = d_rel(alg, a, b)
         leaves = reference_d_leaves(dset, a, b)
         links = {pair: pair for pair in dset.elements}      # each D-pair its own chain
-        steps = analyzer._d_pair_steps(alg, dset, a, b, links)
+        steps, = analyzer._d_pair_steps(alg, [(dset, a, b, links)])
         polys = [tuple(step.poly for step in steps[elem]) for elem in dset.elements]
         for i, (left, right) in enumerate(polys):
             q = reference_term(dset, i, leaves)
@@ -430,9 +431,110 @@ def test_verify_cg_d3_rejects_dropped_d_pair(e3, monkeypatch):
     keep = [i for i, pair in enumerate(full.elements) if pair != (1, 0)]
     dropped = GeneratedSet(2, tuple(full.elements[i] for i in keep),
                            tuple(full.trace[i] for i in keep))
-    monkeypatch.setattr(analyzer, "d_rel", lambda alg, a, b: dropped)
+    monkeypatch.setattr(analyzer, "d_rels", lambda alg, pairs: [dropped])
     with pytest.raises(FalsificationError, match=re.escape("symmetric difference [(1, 0)]")):
         verify_cg_d3(e3, 0, 1)
+
+
+def regularized_shapes():
+    """Three regularized glued algebras, of sizes 5, 6 and 7."""
+    return [regularized_glued(seed, sizes)[0]
+            for seed, sizes in ((3, (3, 2)), (5, (2, 2, 2)), (7, (3, 2, 2)))]
+
+
+def test_verify_cg_d3_pairs_match_one_pair_calls(corpus):
+    # all a <= b in one call, against one call per pair: the same relation,
+    # congruence and chains, pair for pair
+    algebras = [e.algebra for e in corpus if e.has("regular")] + regularized_shapes()
+    total = 0
+    for alg in algebras:
+        n = alg.size
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+        results = analyzer.verify_cg_d3_pairs(alg, pairs)
+        assert len(results) == len(pairs)
+        for (a, b), res in zip(pairs, results):
+            one = verify_cg_d3(alg, a, b)
+            assert (res.a, res.b, res.cg, res.relation) == (one.a, one.b, one.cg, one.relation)
+            assert res.chains == one.chains, (alg.name, a, b)
+            total += len(res.chains)
+    assert total > 1000
+    assert analyzer.verify_cg_d3_pairs(algebras[0], []) == []
+
+
+def test_midpoints_chunked_match_unchunked(corpus, monkeypatch):
+    # the least midpoints of every D-relation stack, in chunks of at most
+    # one (pair, c) row or a few rows, equal those of one whole chunk and
+    # the per-pair rule of the chain replay test
+    for alg in [e.algebra for e in corpus if e.has("regular")][:6] + regularized_shapes()[:1]:
+        n = alg.size
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+        dm = np.zeros((len(pairs), n, n), dtype=bool)
+        for l, dset in enumerate(analyzer.d_rels(alg, pairs)):
+            for u, v in dset.elements:
+                dm[l, u, v] = True
+        d2 = dm @ dm
+        whole = analyzer._midpoints(dm, d2)
+        for block in (1, n * n, 3 * n * n + 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "BLOCK_SIZE", block)
+                chunked = analyzer._midpoints(dm, d2)
+            assert all(np.array_equal(x, y) for x, y in zip(whole, chunked)), (alg.name, block)
+        e2, e4 = whole
+        for l, c, d in zip(*np.nonzero(d2 @ dm)):
+            m4 = min(e for e in range(n) if d2[l, c, e] and dm[l, e, d])
+            m2 = min(e for e in range(n) if dm[l, c, e] and dm[l, e, m4])
+            assert (e2[l, c, d], e4[l, c, d]) == (m2, m4)
+
+
+def break_pairs(monkeypatch, cg_at=(), replay_at=()):
+    """Patch `analyzer.d_rels`: the D-relation D_{a,b} at each index in
+    `cg_at` loses its generator (b, a), so its D^3 misses it, and the two step
+    builders of each index in `replay_at` swap their variables, so its
+    first step does not replay."""
+    real, terms = analyzer.d_rels, GeneratedSet.terms
+    swapped = []
+
+    def d_rels(alg, pairs):
+        out = real(alg, pairs)
+        for i in cg_at:
+            a, b = pairs[i]
+            keep = [j for j, pair in enumerate(out[i].elements) if pair != (b, a)]
+            out[i] = GeneratedSet(2, tuple(out[i].elements[j] for j in keep),
+                                  tuple(out[i].trace[j] for j in keep))
+        swapped.extend(out[i] for i in replay_at)
+        return out
+
+    def swap(self, variables):
+        if any(self is dset for dset in swapped):
+            keys = list(variables)
+            variables = dict(zip(keys, reversed([variables[k] for k in keys])))
+        return terms(self, variables)
+
+    monkeypatch.setattr(analyzer, "d_rels", d_rels)
+    monkeypatch.setattr(GeneratedSet, "terms", swap)
+
+
+def test_verify_cg_d3_pairs_error_order(e3, monkeypatch):
+    # the first failing pair in the given order raises, and within one
+    # pair the D^3 check comes before the replay, as in a loop of one-pair
+    # calls; a D-relation whose D^3 fails never has its traces read
+    pairs = [(0, 1), (0, 2)]
+    cases = [
+        ([1], [0], "witness chain for (0,1) does not replay: step 0-0 has "
+                   "polynomial images [0, 1]"),
+        ([0], [1], "Cg(0,1) and the triple D-composition differ on 'e3': "
+                   "symmetric difference [(1, 0)]"),
+        ([1], [1], "Cg(0,2) and the triple D-composition differ on 'e3': "
+                   "symmetric difference [(1, 0), (2, 0)]"),
+        ([], [1], "witness chain for (0,1) does not replay: step 0-0 has "
+                  "polynomial images [0, 2]"),
+    ]
+    for cg_at, replay_at, message in cases:
+        with monkeypatch.context() as patch:
+            break_pairs(patch, cg_at, replay_at)
+            with pytest.raises(FalsificationError, match=re.escape(message)):
+                analyzer.verify_cg_d3_pairs(e3, pairs)
+    assert len(analyzer.verify_cg_d3_pairs(e3, pairs)) == 2
 
 
 def test_verify_cg_d3_needs_regular(n4):

@@ -194,12 +194,94 @@ def test_generate_subpower_order_is_checked(monkeypatch):
     assert broken != source
     namespace = dict(vars(relations))
     exec(broken, namespace)
+    exec(inspect.getsource(relations._generated_sets), namespace)
     exec(inspect.getsource(relations.generate_subpower), namespace)
     mismatches = 0
     for alg, k, gens in random_closure_cases():
         gen = namespace["generate_subpower"](alg, k, gens)
         mismatches += (gen.elements, gen.trace) != closure_in_rounds(alg, k, gens)
     assert mismatches > 0
+
+
+def lane_cases():
+    """Seeded random algebras with unary, binary and ternary operations,
+    k = 1-3, each with 2-5 lanes: of different sizes, with duplicate
+    generators, and one lane that is already closed (the closure of
+    another lane's generators, given in reverse order)."""
+    rng = random.Random(1818)
+    for sig in ({"u": 1}, {"b": 2}, {"t": 3}, {"u": 1, "b": 2, "t": 3}):
+        for k in (1, 2, 3):
+            for n in (2, 3):
+                alg = random_algebra(n, sig, rng.randrange(1 << 30))
+                pool = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(4)]
+                lanes = [[rng.choice(pool) for _ in range(rng.randrange(1, 6))]
+                         for _ in range(rng.randrange(2, 6))]
+                closed = closure_in_rounds(alg, k, lanes[0])[0]
+                lanes.insert(rng.randrange(len(lanes) + 1), list(reversed(closed)))
+                yield alg, k, lanes
+
+
+def assert_lanes_close_alone(alg, k, lanes):
+    """Every lane of one `_subpower_closure` has the elements and traces of
+    the reference closure of that lane alone, and its traces replay."""
+    got = relations._generated_sets(alg, k, lanes)
+    assert len(got) == len(lanes)
+    for gens, gen in zip(lanes, got):
+        assert (gen.elements, gen.trace) == closure_in_rounds(alg, k, gens), (alg.name, k, gens)
+        assert replay(alg, gen) == list(gen.elements)
+
+
+def test_lanes_close_like_each_lane_alone(monkeypatch):
+    # with the visited bitmap and with the sorted keys (the cap patched to
+    # 0), in whole boxes and in boxes of at most 5 combinations
+    cases = list(lane_cases())
+    assert len(cases) == 24 and any(len(set(map(tuple, lane))) < len(lane)
+                                    for _, _, lanes in cases for lane in lanes)
+    for block, cap in itertools.product((5, 1 << 20), (relations.FAST_CLOSURE_SPACE_CAP, 0)):
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "BLOCK_SIZE", block)
+            patch.setattr(relations, "FAST_CLOSURE_SPACE_CAP", cap)
+            for alg, k, lanes in cases:
+                assert_lanes_close_alone(alg, k, lanes)
+
+
+def test_d_rels_are_lanes(corpus):
+    # every D-relation of a corpus entry from one lane closure, in the
+    # order of the pairs given, against the reference closure of each
+    for entry in corpus:
+        alg = entry.algebra
+        if alg.size > 5:
+            continue
+        n = alg.size
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        diag = [(c, c) for c in range(n)]
+        for (a, b), gen in zip(pairs, relations.d_rels(alg, pairs)):
+            want = closure_in_rounds(alg, 2, [(a, b), (b, a)] + diag)
+            assert (gen.elements, gen.trace) == want, (alg.name, a, b)
+    assert relations.d_rels(corpus[0].algebra, []) == []
+
+
+def test_lane_keys_fit_int64(b2):
+    # lane l's keys are l * n**k plus the tuple's value: three lanes of
+    # 2**62 tuples do not fit in int64, refused before the generators are
+    # read; two lanes do
+    from smbalg import chain_semilattice
+    chain = chain_semilattice(2)
+    with pytest.raises(CapExceeded, match="int64"):
+        relations._subpower_closure(chain, 62, [[(0,) * 62], [(1,) * 62], "not read"])
+    wide = [(1, 0) * 31, (0, 1) * 31]
+    lanes = [wide, [(0,) * 62, (1,) * 62]]
+    assert_lanes_close_alone(b2, 62, lanes)
+
+
+def test_lane_validation(e3):
+    with pytest.raises(AlgebraError, match="at least one generator"):
+        relations._subpower_closure(e3, 2, [[(0, 1)], []])
+    with pytest.raises(AlgebraError, match="tuples of 2 integers"):
+        relations._subpower_closure(e3, 2, [[(0, 1)], [(0,)]])
+    with pytest.raises(AlgebraError, match="outside"):
+        relations._subpower_closure(e3, 2, [[(0, 1)], [(0, 3)]])
+    assert relations._subpower_closure(e3, 2, []) == []
 
 
 def klein_closed(gens):
@@ -242,9 +324,9 @@ def symmetric_mismatches(closure, group, cases):
     the plain closure (as a set, or with repeats), or a refusal."""
     bad = 0
     for alg, gens in cases:
-        want = set(map(tuple, relations._subpower_closure(alg, 4, gens)[0].tolist()))
+        want = set(map(tuple, relations._subpower_closure(alg, 4, [gens])[0][0].tolist()))
         try:
-            got = closure(alg, 4, gens, group)[0].tolist()
+            got = closure(alg, 4, [gens], group)[0][0].tolist()
         except AlgebraError:
             bad += 1
             continue
@@ -288,9 +370,30 @@ def test_symmetric_closure_refuses_non_invariant_generators(e3, e3_sim):
     gens = ([(a, a, b, b) for a, b in one_way]
             + [(c, d, c, d) for c, d in e3_sim.pairs()])
     with pytest.raises(AlgebraError, match="not invariant"):
-        relations._subpower_closure(e3, 4, gens, relations._KLEIN_GROUP)
+        relations._subpower_closure(e3, 4, [gens], relations._KLEIN_GROUP)
     with pytest.raises(AlgebraError, match="not invariant"):
         relations._matrix_closure(e3, one_way, e3_sim, relations._KLEIN_GROUP)
+
+
+def test_klein_path_keeps_the_plain_order():
+    # one lane over orbit representatives: each round's new tuples are the
+    # plain round's, G-closed and ascending, so the rows come out row for
+    # row as in the plain rounds (checked against the reference loop
+    # above), with no traces
+    for alg, gens in symmetric_closure_cases():
+        (rows, boxes, box_of, flat), = relations._subpower_closure(
+            alg, 4, [gens], relations._KLEIN_GROUP)
+        assert rows.tolist() == relations._subpower_closure(alg, 4, [gens])[0][0].tolist()
+        assert (boxes, box_of, flat) == ([], [], [])
+
+
+def test_group_closure_takes_one_lane(e3, e3_sim):
+    gens = ([(a, a, b, b) for a, b in relations._spanning_pairs(e3, e3_sim)]
+            + [(c, d, c, d) for c, d in e3_sim.pairs()])
+    with pytest.raises(AlgebraError, match="exactly one lane"):
+        relations._subpower_closure(e3, 4, [gens, gens], relations._KLEIN_GROUP)
+    with pytest.raises(AlgebraError, match="exactly one lane"):
+        relations._subpower_closure(e3, 4, [], relations._KLEIN_GROUP)
 
 
 def test_klein_group_is_a_permutation_group():
@@ -992,7 +1095,7 @@ def matrix_fixpoint(alg, alpha_pairs, beta_pairs):
     given alpha-pairs and (c, d, c, d) for the given beta-pairs."""
     gens = sorted({(a, a, b, b) for a, b in alpha_pairs}
                   | {(c, d, c, d) for c, d in beta_pairs})
-    matrices = relations._subpower_closure(alg, 4, gens)[0]
+    matrices = relations._subpower_closure(alg, 4, [gens])[0][0]
     return relations._term_condition_fixpoint(alg, matrices)
 
 
