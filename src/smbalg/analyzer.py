@@ -128,10 +128,6 @@ class RegularityReport:
         }
 
 
-BASE_IDENTITY_NAMES = ("Idem1", "Idem2", "Comm", "Assoc1", "Assoc2", "Mal",
-                       "Regi1", "Regi2", "Regii1", "Regii2", "Regiii", "Regiv")
-
-
 @dataclass(frozen=True)
 class BaseReport:
     verdicts: dict             # identity name -> Verdict
@@ -324,7 +320,8 @@ def check_regular(alg: FiniteAlgebra, sim: Partition) -> RegularityReport:
 def _regular_conditions(alg: FiniteAlgebra, sim: Partition,
                         order: ClassOrder) -> RegularityReport:
     """check_regular's four conditions over a sim already checked SMB,
-    with the class order from its SmbReport."""
+    with the class order from its SmbReport; (iii) and (iv) are Regiii and
+    Regiv of the base."""
     wedge = alg.op(WEDGE)
     ids = np.asarray(sim.class_ids, dtype=np.int64)
     n = alg.size
@@ -337,35 +334,37 @@ def _regular_conditions(alg: FiniteAlgebra, sim: Partition,
     cond_ii = first_failure(leq[ids[None, :], ids[:, None]]
                             & (wedge.array.reshape(n, n) != np.arange(n)))
 
-    cond_iii = check_identity(alg, Identity(
-        _d(_x, _y, _z),
-        _d(_w(_w(_y, _z), _x), _w(_w(_x, _z), _y), _w(_w(_x, _y), _z))))
-    cond_iv = check_identity(alg, Identity(_w(_w(_x, _y), _y), _w(_x, _y)))
+    cond_iii = check_identity(alg, _REGULAR_BASE["Regiii"][0])
+    cond_iv = check_identity(alg, _REGULAR_BASE["Regiv"][0])
 
     conditions = {"i": cond_i, "ii": cond_ii, "iii": cond_iii, "iv": cond_iv}
     return RegularityReport(all(v.holds for v in conditions.values()), conditions)
 
 
+_REGULAR_BASE = {
+    "Idem1": (Identity(_w(_x, _x), _x),),
+    "Idem2": (Identity(_d(_x, _x, _x), _x),),
+    "Comm": (Identity(_w(_w(_x, _y), _w(_y, _x)), _w(_y, _x)),),
+    "Assoc1": (Identity(_w(_w(_x, _w(_y, _z)), _w(_w(_x, _y), _z)), _w(_w(_x, _y), _z)),),
+    "Assoc2": (Identity(_w(_w(_w(_x, _y), _z), _w(_x, _w(_y, _z))), _w(_x, _w(_y, _z))),),
+    "Mal": (Identity(_d(_w(_x, _y), _w(_y, _x), _w(_y, _x)), _w(_x, _y)),
+            Identity(_d(_w(_y, _x), _w(_y, _x), _w(_x, _y)), _w(_x, _y))),
+    "Regi1": (Identity(_w(_w(_w(_x, _y), _z), _d(_x, _y, _z)), _d(_x, _y, _z)),),
+    "Regi2": (Identity(_w(_d(_x, _y, _z), _w(_w(_x, _y), _z)), _w(_w(_x, _y), _z)),),
+    "Regii1": (Identity(_w(_x, _w(_x, _y)), _w(_x, _y)),),
+    "Regii2": (Identity(_w(_x, _w(_y, _x)), _w(_y, _x)),),
+    "Regiii": (Identity(_d(_x, _y, _z),
+                        _d(_w(_w(_y, _z), _x), _w(_w(_x, _z), _y), _w(_w(_x, _y), _z))),),
+    "Regiv": (Identity(_w(_w(_x, _y), _y), _w(_x, _y)),),
+}
+BASE_IDENTITY_NAMES = tuple(_REGULAR_BASE)
+
+
 def regular_base_identities() -> dict:
-    """The twelve-identity equational base, by name.  Each entry is a tuple
-    of identities that must all hold (Mal bundles two)."""
-    x, y, z = _x, _y, _z
-    return {
-        "Idem1": (Identity(_w(x, x), x),),
-        "Idem2": (Identity(_d(x, x, x), x),),
-        "Comm": (Identity(_w(_w(x, y), _w(y, x)), _w(y, x)),),
-        "Assoc1": (Identity(_w(_w(x, _w(y, z)), _w(_w(x, y), z)), _w(_w(x, y), z)),),
-        "Assoc2": (Identity(_w(_w(_w(x, y), z), _w(x, _w(y, z))), _w(x, _w(y, z))),),
-        "Mal": (Identity(_d(_w(x, y), _w(y, x), _w(y, x)), _w(x, y)),
-                Identity(_d(_w(y, x), _w(y, x), _w(x, y)), _w(x, y))),
-        "Regi1": (Identity(_w(_w(_w(x, y), z), _d(x, y, z)), _d(x, y, z)),),
-        "Regi2": (Identity(_w(_d(x, y, z), _w(_w(x, y), z)), _w(_w(x, y), z)),),
-        "Regii1": (Identity(_w(x, _w(x, y)), _w(x, y)),),
-        "Regii2": (Identity(_w(x, _w(y, x)), _w(y, x)),),
-        "Regiii": (Identity(_d(x, y, z),
-                            _d(_w(_w(y, z), x), _w(_w(x, z), y), _w(_w(x, y), z))),),
-        "Regiv": (Identity(_w(_w(x, y), y), _w(x, y)),),
-    }
+    """The twelve-identity equational base, by name, as a copy of the one
+    built at import.  Each entry is a tuple of identities that must all
+    hold (Mal bundles two)."""
+    return dict(_REGULAR_BASE)
 
 
 def recovered_sim(alg: FiniteAlgebra) -> Partition:
@@ -391,7 +390,7 @@ def check_regular_base(alg: FiniteAlgebra) -> BaseReport:
     from the tables and confirm the algebra really is regular SMB over it."""
     designated_ops(alg)
     verdicts = {}
-    for name, idents in regular_base_identities().items():
+    for name, idents in _REGULAR_BASE.items():
         verdict = Verdict(True)
         for ident in idents:
             verdict = check_identity(alg, ident)
@@ -573,8 +572,7 @@ def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
     dm[lane, rows[:, 0], rows[:, 1]] = True
     d2 = dm @ dm
     d3 = d2 @ dm
-    ids = np.array([cg.class_ids for cg in cgs], dtype=np.int64)
-    in_cg = ids[:, :, None] == ids[:, None, :]
+    in_cg = _relation_rows(cgs).reshape(len(pairs), n, n)
     differ = (in_cg != d3).any(axis=(1, 2))
     held = int(np.argmax(differ)) if differ.any() else len(pairs)   # pairs before a failure
 

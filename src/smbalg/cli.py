@@ -17,7 +17,7 @@ from .partitions import Partition
 from .relations import commutator, congruence_lattice, principal_congruence
 from .analyzer import (_regular_conditions, _smb_congruence, check_regular_base,
                        check_smb_over, count_biconditional, find_smb_congruences,
-                       taylor_check, verify_cg_d3_pairs, BASE_IDENTITY_NAMES)
+                       taylor_check, verify_cg_d3_pairs)
 from .pipeline import regularize, run_pipeline, semilattice_term
 from .constructions import (example_b2, example_e3, example_n4, example_s2,
                             extend_simple_type5, build_corpus, CorpusSpec)
@@ -95,13 +95,8 @@ def _cmd_verify_base(args) -> int:
     alg = _load(args.file)
     report = check_regular_base(alg)
     payload = report.as_dict()
-    lines = []
-    for name in BASE_IDENTITY_NAMES:
-        verdict = report.verdicts[name]
-        if verdict.holds:
-            lines.append(f"{name} holds")
-        else:
-            lines.append(f"{name} fails at {tuple(verdict.witness)}")
+    lines = [f"{name} {'holds' if v.holds else f'fails at {tuple(v.witness)}'}"
+             for name, v in report.verdicts.items()]
     if report.holds:
         lines.append(f"recovered sim: {report.recovered_sim}")
     _emit(args, payload, lines)

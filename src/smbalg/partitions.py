@@ -55,28 +55,15 @@ class Partition:
 
     # -- constructors ------------------------------------------------------
 
-    @classmethod
-    def _from_canonical(cls, size: int, class_ids: tuple) -> "Partition":
-        """A partition from a nonempty tuple of class ids that is canonical
-        by construction, without the checks and the re-canonicalization
-        that the public constructor applies to any other input.  A size
-        below 1 goes to the public constructor, which rejects it."""
-        if size < 1:
-            return cls(size, class_ids)
-        p = object.__new__(cls)
-        object.__setattr__(p, "size", size)
-        object.__setattr__(p, "class_ids", class_ids)
-        return p
-
     @staticmethod
     def zero(n: int) -> "Partition":
         """The identity partition: all classes singletons."""
-        return Partition._from_canonical(n, tuple(range(n)))
+        return Partition(n, tuple(range(n)))
 
     @staticmethod
     def one(n: int) -> "Partition":
         """The single-class partition."""
-        return Partition._from_canonical(n, (0,) * n)
+        return Partition(n, (0,) * n)
 
     @staticmethod
     def from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> "Partition":

@@ -6,14 +6,15 @@ and the binary commutator.
 
 One closure engine, `_subpower_closure`, closes subsets of finite
 powers in semi-naive rounds and records for each new tuple the first
-argument combination that produced it.  It takes a sequence of generator
+argument combination that produced it, as a step row of operation number
+and argument indices.  It takes a sequence of generator
 sets, its lanes, and closes each on its own in the one round loop, so the
 fixed work of a call (set-up, sorting the new keys, round bookkeeping) is
 paid once for many small closures.  For every operation, the argument
 columns lie along their own axes of one array of argument combinations,
 cut into blocks of at most `core.BLOCK_SIZE` combinations by `_blocks`,
 which the term kernel of `core` shares, and evaluated by `_apply_block`.
-`generate_subpower` turns the rows and traces of one lane into a
+`generate_subpower` turns the rows and steps of one lane into a
 `GeneratedSet`, and `d_rels` those of one lane per generator pair; these
 sets are used wherever witnesses must be replayed (D-relations,
 polynomial image pairs, and `oracles.unary_polynomials`), and their
@@ -60,7 +61,6 @@ commutator) live in `smbalg.oracles`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
@@ -166,13 +166,13 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     closed under all operations applied coordinatewise: every lane closed
     on its own, all in one loop of semi-naive rounds.
 
-    Returns one (rows, boxes, box_of, flat) per lane: its elements as an
-    (m, k) int64 array in the order of `generate_subpower`; the boxes
-    evaluated that produced new tuples, as (operation number, box), one
-    list that all lanes share; and for each element the number of the box
-    holding the first combination that produced it (-1 for a generator)
-    and that combination's flat index in the box.  Each lane's elements
-    and traces are those it has when closed alone.
+    Returns one (rows, steps) per lane: its elements as an (m, k) int64
+    array in the order of `generate_subpower`, and their derivation steps
+    as an (m, 1 + max arity) int64 array.  Row i of `steps` holds the
+    operation number (in `alg.operations` order) of the first argument
+    combination that produced element i, then that combination's argument
+    indices into the lane's rows, padded with -1; a generator's row is all
+    -1.  Each lane's elements and steps are those it has when closed alone.
 
     A tuple's key in lane l is l * n**k plus its base-n value, so
     len(lanes) * n**k must fit in int64, which is checked before any work.
@@ -183,7 +183,9 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     index ranges, cut into boxes by `_blocks` and evaluated by
     `_apply_block`.  A box's keys are filtered against the known ones at
     once; the new keys of all lanes are sorted together once per operation
-    and argument position, and once per round.
+    and argument position, where a key's first occurrence gives its step,
+    its flat index unravelled against its box (last argument fastest), and
+    once per round, where each lane takes its slice of rows and steps.
 
     `group` is a closed group G of coordinate permutations, identity
     first (in practice `_KLEIN_GROUP`), and takes one lane only: g moves
@@ -197,8 +199,8 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     is least in their orbit).  Nothing is lost: any combination is g^-1 of
     one whose argument 0 is a representative, with every argument in the
     same range (earlier or new), and its value is g^-1 of that one's value.
-    No traces are kept then (boxes, box_of and flat are empty), and each
-    round's new tuples come in ascending key order.
+    No steps are kept then (`steps` is None), and each round's new tuples
+    come in ascending key order.
     """
     if k < 1:
         raise AlgebraError(f"power must be >= 1, got {k}")
@@ -258,23 +260,24 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     traced = not group
     first.sort()
     new, cut = gens[first], lane_bounds(known)   # lane-major, like the lanes
+    ops = [(t.arity, weights[:, None] * t.array) for t in alg.operations.values()]
+    width = 1 + max((arity for arity, _ in ops), default=0)
     parts = [[] for _ in offsets]        # per lane: its rows, round by round
+    traces = [[] for _ in offsets]       # per lane: its steps, round by round
     old, total = [0] * len(offsets), [0] * len(offsets)
-    if traced:
-        box_of, flat = [np.full(len(new), -1)], [np.zeros(len(new), dtype=np.int64)]
-        lane_of = [np.repeat(np.arange(len(offsets)), sizes)[first]]
-    else:
+    steps = np.full((len(new), width), -1, dtype=np.int64)    # the generators'
+    if not traced:
         orbit = weights[np.array(group)]
         if unseen((new @ orbit.T).ravel(), 0).any():
             raise AlgebraError(f"generators are not invariant under the group {group}")
         heads, heads_old = least(new), 0
-    ops = [(t.arity, weights[:, None] * t.array) for t in alg.operations.values()]
-    boxes: list = []
     while True:
         for lane, (lo, hi) in enumerate(zip(cut, cut[1:])):
             old[lane] = total[lane]
             if hi > lo:
                 parts[lane].append(new[lo:hi])
+                if traced:
+                    traces[lane].append(steps[lo:hi])
                 total[lane] += hi - lo
         rows = np.concatenate([chunk for part in parts for chunk in part])
         columns = np.ascontiguousarray(rows.T)
@@ -286,10 +289,10 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
                 spans.append((lane, lane_columns if traced else lane_columns[:, heads],
                               lane_columns))
             start += size
-        found, found_box, found_at = [], [], []
+        found, found_steps = [], []
         for o, (arity, tables) in enumerate(ops):
             for pos in range(arity):
-                got, got_at, counts = [], [], []
+                got, got_at, got_box = [], [], []
                 for lane, head_columns, lane_columns in spans:
                     bounds = ([(0, old[lane])] * pos + [(old[lane], total[lane])]
                               + [(0, total[lane])] * (arity - 1 - pos))
@@ -305,8 +308,7 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
                             keys += offsets[lane]
                             got.append(keys)
                             got_at.append(at)
-                            counts.append(len(at))
-                            boxes.append((o, box))
+                            got_box.append(box)
                         else:    # whole orbits, so later boxes see them as known
                             keys = np.unique(keys, return_index=True)[0]
                             images = (keys[:, None] // weights % n) @ orbit.T
@@ -315,58 +317,42 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
                             found.append(keys)
                         if visited is not None:
                             visited[keys] = True
-                if counts:
+                if got:
                     # boxes were gathered in processing order, so the first
                     # occurrence of a key carries its first producing combination
-                    keys, at = np.concatenate(got), np.concatenate(got_at)
-                    keys, first = np.unique(keys, return_index=True)
-                    box_ids = np.arange(len(boxes) - len(counts), len(boxes))
-                    found_box.append(np.repeat(box_ids, counts)[first])
-                    found_at.append(at[first])
+                    keys, first = np.unique(np.concatenate(got), return_index=True)
+                    at = np.concatenate(got_at)[first]
+                    box = np.repeat(got_box, [len(g) for g in got], axis=0)[first]
+                    step = np.full((len(keys), width), -1, dtype=np.int64)
+                    step[:, 0] = o
+                    for i in reversed(range(arity)):   # box[:, i] is (lo, hi)
+                        at, step[:, 1 + i] = np.divmod(at, box[:, i, 1] - box[:, i, 0])
+                    step[:, 1:1 + arity] += box[:, :, 0]
                     found.append(keys)
+                    found_steps.append(step)
         if not found:
             break
         keys, first = np.unique(np.concatenate(found), return_index=True)
         new, cut = keys[:, None] // weights % n, lane_bounds(keys)
         if traced:
-            box_of.append(np.concatenate(found_box)[first])
-            flat.append(np.concatenate(found_at)[first])
-            lane_of.append(np.repeat(np.arange(len(offsets)),
-                                     [hi - lo for lo, hi in zip(cut, cut[1:])]))
+            steps = np.concatenate(found_steps)[first]
         else:
             heads_old = len(heads)
             heads = np.concatenate([heads, total[0] + least(new)])
         if visited is None:
             known = np.sort(np.concatenate([known, keys]))
-    if not traced:
-        return [(rows, boxes, [], [])]
-    # each lane's elements in discovery order: generators, then its rounds
-    order = np.argsort(np.concatenate(lane_of), kind="stable")
-    box_of, flat = np.concatenate(box_of)[order], np.concatenate(flat)[order]
-    cut = [0, *itertools.accumulate(total)]
-    return [(rows[lo:hi], boxes, box_of[lo:hi], flat[lo:hi])
-            for lo, hi in zip(cut, cut[1:])]
+    return [(np.concatenate(part), np.concatenate(trace) if traced else None)
+            for part, trace in zip(parts, traces)]
 
 
 def _generated_sets(alg: FiniteAlgebra, k: int, lanes: Sequence) -> list:
     """One traced `GeneratedSet` per generator set of `lanes`, all closed
-    together by `_subpower_closure`."""
+    together by `_subpower_closure`, with the -1 padding of the steps cut."""
     symbols = list(alg.operations)
-    out = []
-    for rows, boxes, box_of, flat in _subpower_closure(alg, k, lanes):
-        trace = []
-        for b, at in zip(box_of.tolist(), flat.tolist()):
-            if b < 0:
-                trace.append(None)
-                continue
-            o, box = boxes[b]
-            args = []
-            for lo, hi in reversed(box):
-                at, i = divmod(at, hi - lo)
-                args.append(lo + i)
-            trace.append((symbols[o], tuple(reversed(args))))
-        out.append(GeneratedSet(k, tuple(map(tuple, rows.tolist())), tuple(trace)))
-    return out
+    return [GeneratedSet(k, tuple(map(tuple, rows.tolist())),
+                         tuple(None if o < 0 else (symbols[o], tuple(a for a in args if a >= 0))
+                               for o, *args in steps.tolist()))
+            for rows, steps in _subpower_closure(alg, k, lanes)]
 
 
 def generate_subpower(alg: FiniteAlgebra, k: int,
@@ -757,16 +743,15 @@ def _check_congruences(alg: FiniteAlgebra, *parts: Partition):
 def _term_condition_fixpoint(alg: FiniteAlgebra, matrices: np.ndarray) -> Partition:
     """The least congruence delta such that every row of `matrices` with a
     delta-related top row has a delta-related bottom row: the least fixpoint
-    of delta <- Cg(delta u {(m21, m22) : m11 delta m12}) from 0_A."""
+    of delta <- Cg(delta u {(m21, m22) : m11 delta m12}) from 0_A, grown by
+    joins, since the join of two congruences in Eq(A) is a congruence."""
     result = Partition.zero(alg.size)
-    pairs = np.empty((0, 2), dtype=np.int64)
     while True:
         ids = np.asarray(result.class_ids, dtype=np.int64)[matrices]
         grow = (ids[:, 0] == ids[:, 1]) & (ids[:, 2] != ids[:, 3])
         if not grow.any():
             return result
-        pairs = np.concatenate([pairs, matrices[grow, 2:]])
-        result = congruence_generated(alg, pairs.tolist())
+        result = result.join(congruence_generated(alg, matrices[grow, 2:].tolist()))
 
 
 def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:

@@ -4,7 +4,11 @@ byte-identical to the recorded sha256 digests.
 The inputs are every corpus entry with n <= 6 and three seeded random
 {wedge/2, d/3} algebras; the non-SMB inputs pin the failing witnesses.
 Each key is "<algebra>/<command>" and each value "<exit code>:<sha256 of
-stdout>".  `pipeline d` runs only where d is a wnu.
+stdout>", with the work directory in stdout read as WORKDIR.  `pipeline d`
+runs only where d is a wnu.  The SMB entries also run `cg` on 0 and n-1,
+`commutator` on (1_A, 1_A) and (sim, 1_A), `regularize`, whose written
+file has its own key "<algebra>/regularize-file" (the sha256 of the file,
+or "missing"), and `verify cg-d3|cgvsim|undersim|commutator`.
 
 The digests in golden_cli.json were recorded from a known-good build with
 
@@ -20,8 +24,8 @@ import io
 import json
 import pathlib
 
-from smbalg import (build_corpus, classify_operation, format_algebra,
-                    random_algebra)
+from smbalg import (Partition, build_corpus, classify_operation,
+                    format_algebra, random_algebra)
 from smbalg.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
@@ -33,33 +37,59 @@ COMMANDS = {
     "con": ["con", "FILE"],
 }
 PIPELINE = {"pipeline-d": ["pipeline", "FILE", "d"]}
+SMB_COMMANDS = {
+    "cg": ["cg", "FILE", "0", "LAST"],
+    "commutator-1A-1A": ["commutator", "FILE", "ONE", "ONE"],
+    "commutator-sim-1A": ["commutator", "FILE", "SIM", "ONE"],
+    "regularize": ["regularize", "FILE", "-o", "OUT"],
+    "verify-cg-d3": ["verify", "cg-d3", "FILE"],
+    "verify-cgvsim": ["verify", "cgvsim", "FILE"],
+    "verify-undersim": ["verify", "undersim", "FILE"],
+    "verify-commutator": ["verify", "commutator", "FILE"],
+}
 
 
-def golden_algebras() -> list:
-    algs = [e.algebra for e in build_corpus() if e.algebra.size <= 6]
-    algs += [random_algebra(n, {"wedge": 2, "d": 3}, seed)
-             for n, seed in ((4, 1), (5, 2), (6, 3))]
-    return algs
+def golden_inputs() -> list:
+    """(algebra, sim) per input, with sim None unless the entry is SMB."""
+    inputs = [(e.algebra, e.sim if e.has("smb") else None)
+              for e in build_corpus() if e.algebra.size <= 6]
+    inputs += [(random_algebra(n, {"wedge": 2, "d": 3}, seed), None)
+               for n, seed in ((4, 1), (5, 2), (6, 3))]
+    return inputs
 
 
-def _run(argv) -> str:
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run(argv, workdir: pathlib.Path) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv + ["--json"])
-    return f"{code}:{hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+    return f"{code}:{_digest(out.getvalue().replace(str(workdir), 'WORKDIR'))}"
 
 
 def cli_digests(workdir: pathlib.Path) -> dict:
     digests = {}
-    for alg in golden_algebras():
+    for alg, sim in golden_inputs():
         path = workdir / f"{alg.name}.alg"
+        output = workdir / f"{alg.name}.regularized.alg"
         path.write_text(format_algebra(alg), encoding="utf-8")
         commands = dict(COMMANDS)
         if alg.has_op("d") and classify_operation(alg, "d").wnu:
             commands.update(PIPELINE)
+        words = {"FILE": str(path), "OUT": str(output)}
+        if sim is not None:
+            commands.update(SMB_COMMANDS)
+            words.update(LAST=str(alg.size - 1), SIM=str(sim),
+                         ONE=str(Partition.one(alg.size)))
         for label, argv in commands.items():
-            digests[f"{alg.name}/{label}"] = _run(
-                [str(path) if a == "FILE" else a for a in argv])
+            digests[f"{alg.name}/{label}"] = _run([words.get(a, a) for a in argv],
+                                                  workdir)
+        if sim is not None:
+            digests[f"{alg.name}/regularize-file"] = (
+                _digest(output.read_text(encoding="utf-8")) if output.exists()
+                else "missing")
     return digests
 
 

@@ -90,9 +90,9 @@ def test_axioms_hold_exactly_on_detected_n2_slice():
 
 
 def test_trusted_partitions_are_canonical():
-    # zero and one skip the re-canonicalization of the public constructor,
-    # and join, from_pairs and congruence_generated relabel by quick-find,
-    # so the class ids of all of them must come out in canonical form
+    # join, from_pairs and congruence_generated relabel by quick-find, and
+    # zero and one go through the public constructor like them; the class
+    # ids of all of them must come out in canonical form, as plain ints
     rng = random.Random(11)
     parts = list(all_partitions(4))
     made = [p.join(q) for p, q in itertools.product(parts, repeat=2)]

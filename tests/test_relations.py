@@ -183,24 +183,28 @@ def test_generate_subpower_matches_rounds(e3, b2, monkeypatch):
     assert sorted(map(tuple, mats.tolist())) == sorted(want[0])
 
 
-def test_generate_subpower_order_is_checked(monkeypatch):
-    # a copy that traces a tuple to the last combination producing it within
-    # a box, not the first, must fail the differential test above
+def test_generate_subpower_order_is_checked():
+    # two broken copies must each fail the differential test above: one that
+    # traces a tuple to the last combination producing it for an operation
+    # and position, not the first, and one that unravels a combination's
+    # flat index with the first argument fastest, not the last
     source = inspect.getsource(relations._subpower_closure)
-    broken = source.replace(
-        "keys, first = np.unique(keys, return_index=True)",
-        "keys, first = np.unique(keys[::-1], return_index=True); "
-        "first = len(at) - 1 - first")
-    assert broken != source
-    namespace = dict(vars(relations))
-    exec(broken, namespace)
-    exec(inspect.getsource(relations._generated_sets), namespace)
-    exec(inspect.getsource(relations.generate_subpower), namespace)
-    mismatches = 0
-    for alg, k, gens in random_closure_cases():
-        gen = namespace["generate_subpower"](alg, k, gens)
-        mismatches += (gen.elements, gen.trace) != closure_in_rounds(alg, k, gens)
-    assert mismatches > 0
+    for line, mutant in [
+            ("keys, first = np.unique(np.concatenate(got), return_index=True)",
+             "keys, first = np.unique(np.concatenate(got)[::-1], return_index=True); "
+             "first = sum(map(len, got)) - 1 - first"),
+            ("for i in reversed(range(arity)):", "for i in range(arity):")]:
+        broken = source.replace(line, mutant)
+        assert broken != source
+        namespace = dict(vars(relations))
+        exec(broken, namespace)
+        exec(inspect.getsource(relations._generated_sets), namespace)
+        exec(inspect.getsource(relations.generate_subpower), namespace)
+        mismatches = 0
+        for alg, k, gens in random_closure_cases():
+            gen = namespace["generate_subpower"](alg, k, gens)
+            mismatches += (gen.elements, gen.trace) != closure_in_rounds(alg, k, gens)
+        assert mismatches > 0, line
 
 
 def lane_cases():
@@ -243,6 +247,44 @@ def test_lanes_close_like_each_lane_alone(monkeypatch):
             patch.setattr(relations, "FAST_CLOSURE_SPACE_CAP", cap)
             for alg, k, lanes in cases:
                 assert_lanes_close_alone(alg, k, lanes)
+
+
+def assert_steps_derive_rows(alg, k, lanes):
+    """The raw (rows, steps) of every lane: a generator's step row is all
+    -1, and any other row holds an operation number, exactly `arity`
+    argument indices below the row's own index, then -1 padding, and the
+    operation applied to those rows gives the row."""
+    tables = list(alg.operations.values())
+    width = 1 + max(t.arity for t in tables)
+    out = relations._subpower_closure(alg, k, lanes)
+    assert len(out) == len(lanes)
+    for gens, (rows, steps) in zip(lanes, out):
+        assert steps.shape == (len(rows), width) and steps.dtype == np.int64
+        rows, generators = rows.tolist(), 0
+        for i, (o, *args) in enumerate(steps.tolist()):
+            if o < 0:
+                assert args == [-1] * (width - 1)
+                generators += 1
+                continue
+            arity = tables[o].arity
+            assert all(0 <= a < i for a in args[:arity])
+            assert args[arity:] == [-1] * (width - 1 - arity)
+            assert rows[i] == [tables[o].apply(*(rows[a][c] for a in args[:arity]))
+                               for c in range(k)], (alg.name, k, gens, i)
+        assert generators == len(set(map(tuple, gens)))
+
+
+def test_steps_derive_their_rows(monkeypatch):
+    # with the visited bitmap and with the sorted keys (the cap patched to
+    # 0), in whole boxes and in boxes of at most 5 combinations
+    cases = list(lane_cases())
+    cases += [(alg, k, [gens]) for alg, k, gens in random_closure_cases()]
+    for block, cap in itertools.product((5, 1 << 20), (relations.FAST_CLOSURE_SPACE_CAP, 0)):
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "BLOCK_SIZE", block)
+            patch.setattr(relations, "FAST_CLOSURE_SPACE_CAP", cap)
+            for alg, k, lanes in cases:
+                assert_steps_derive_rows(alg, k, lanes)
 
 
 def test_d_rels_are_lanes(corpus):
@@ -381,10 +423,9 @@ def test_klein_path_keeps_the_plain_order():
     # row as in the plain rounds (checked against the reference loop
     # above), with no traces
     for alg, gens in symmetric_closure_cases():
-        (rows, boxes, box_of, flat), = relations._subpower_closure(
-            alg, 4, [gens], relations._KLEIN_GROUP)
+        (rows, steps), = relations._subpower_closure(alg, 4, [gens], relations._KLEIN_GROUP)
         assert rows.tolist() == relations._subpower_closure(alg, 4, [gens])[0][0].tolist()
-        assert (boxes, box_of, flat) == ([], [], [])
+        assert steps is None
 
 
 def test_group_closure_takes_one_lane(e3, e3_sim):
