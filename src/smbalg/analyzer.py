@@ -614,6 +614,13 @@ def verify_cg_d3(alg: FiniteAlgebra, a: int, b: int) -> CgD3Result:
 # ---------------------------------------------------------------------------
 # Join membership chains
 
+def _check_elements(alg: FiniteAlgebra, *elements: int):
+    n = alg.size
+    for x in elements:
+        if not 0 <= x < n:
+            raise AlgebraError(f"element {x} out of range 0..{n - 1}")
+
+
 @dataclass(frozen=True)
 class JoinChain:
     member: bool
@@ -627,6 +634,7 @@ def join_membership_chain(alg: FiniteAlgebra, sim: Partition,
     """Is (c, d) in Cg(a,b) join sim, with an explicit alternating chain
     c = c0 ~ d0, c1 ~ d1, ..., ck ~ dk = d whose links {d_{i-1}, c_i} are
     unary polynomial images of {a, b}."""
+    _check_elements(alg, a, b, c, d)
     _check_congruences(alg, sim)
     cg = principal_congruence(alg, a, b)
     member = cg.join(sim).related(c, d)
@@ -692,6 +700,7 @@ def cgvsim_below(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> Tuple[in
     Built by left-nested wedge folds over the chain; all three properties
     are verified and a violation raises FalsificationError.
     """
+    _check_elements(alg, a, b, c, d)
     sim, _, _ = _regular_context(alg)
     chain = join_membership_chain(alg, sim, a, b, c, d)
     if not chain.member:
@@ -701,15 +710,15 @@ def cgvsim_below(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> Tuple[in
 
     e = chain.cs[0]
     for cl in chain.cs[1:]:
-        e = wedge.entries[wedge.index((cl, e))]
+        e = wedge.apply(cl, e)
     f = chain.ds[-1]
     for dl in reversed(chain.ds[:-1]):
-        f = wedge.entries[wedge.index((dl, f))]
+        f = wedge.apply(dl, f)
 
     cg = principal_congruence(alg, a, b)
     ids = sim.class_ids
-    wcd = wedge.entries[wedge.index((c, d))]
-    below = ids[wedge.entries[wedge.index((e, wcd))]] == ids[e]
+    wcd = wedge.apply(c, d)
+    below = ids[wedge.apply(e, wcd)] == ids[e]
     if not (cg.related(c, e) and cg.related(d, f) and sim.related(e, f) and below):
         raise FalsificationError(
             f"fold witnesses (e,f)=({e},{f}) violate the lowering properties "
@@ -723,12 +732,13 @@ def check_cgvsim(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> bool:
     Both sides are computed independently; disagreement raises
     FalsificationError.
     """
+    _check_elements(alg, a, b, c, d)
     sim, _, _ = _regular_context(alg)
     wedge = alg.op(WEDGE)
     cg = principal_congruence(alg, a, b)
     left = cg.join(sim).related(c, d)
-    right = (cg.related(c, wedge.entries[wedge.index((d, c))])
-             and cg.related(d, wedge.entries[wedge.index((c, d))]))
+    right = (cg.related(c, wedge.apply(d, c))
+             and cg.related(d, wedge.apply(c, d)))
     if left != right:
         raise FalsificationError(
             f"join-membership biconditional fails at ({a},{b},{c},{d}) on "
@@ -885,6 +895,7 @@ def alternating_chain_fold(alg: FiniteAlgebra, sim: Partition, theta: Partition,
     """
     if len(chain) < 2 or len(chain) % 2 != 0:
         raise AlgebraError("chain must list c0, d0, ..., ck, dk")
+    _check_elements(alg, *chain)
     wedge, _ = designated_ops(alg)
     _check_smb(alg, sim)
     _check_congruences(alg, theta)
@@ -899,7 +910,7 @@ def alternating_chain_fold(alg: FiniteAlgebra, sim: Partition, theta: Partition,
 
     e = cs[0]
     for cl in cs[1:]:
-        e = wedge.entries[wedge.index((e, cl))]
+        e = wedge.apply(e, cl)
 
     def theta_classes_over(u):
         return {theta.class_ids[x] for x in sim.block_of(u)}
@@ -911,8 +922,8 @@ def alternating_chain_fold(alg: FiniteAlgebra, sim: Partition, theta: Partition,
     if not theta_classes_over(ds[-1]) <= over_e:
         failures.append("end-class-system")
     ids = sim.class_ids
-    meet_cd = wedge.entries[wedge.index((cs[0], ds[-1]))]
-    if ids[wedge.entries[wedge.index((e, meet_cd))]] != ids[e]:
+    meet_cd = wedge.apply(cs[0], ds[-1])
+    if ids[wedge.apply(e, meet_cd)] != ids[e]:
         failures.append("class-bound")
     return FoldResult(e, not failures, tuple(failures))
 

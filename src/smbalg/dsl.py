@@ -209,13 +209,13 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         if collecting is not None:
             sym, arity, entries, header_line = collecting
             need = size ** arity
-            if all(t.isdecimal() for t in tokens):
-                for col, t in enumerate(tokens):
-                    v = int(t)
-                    if v >= size:
-                        raise ParseError(lineno, col + 1,
-                                         f"entry {v} out of range 0..{size - 1}")
-                    entries.append(v)
+            if all(map(str.isdecimal, tokens)):
+                values = list(map(int, tokens))
+                if max(values) >= size:
+                    col = next(c for c, v in enumerate(values) if v >= size)
+                    raise ParseError(lineno, col + 1,
+                                     f"entry {values[col]} out of range 0..{size - 1}")
+                entries += values
                 if len(entries) > need:
                     raise ParseError(lineno, 1,
                                      f"expected {need} entries, got {len(entries)}")

@@ -510,8 +510,7 @@ def _join_irreducibles(principals: dict) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def congruence_lattice(alg: FiniteAlgebra, max_size: int = LATTICE_SIZE_CAP) -> CongruenceLattice:
+def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     """All congruences and the covering relation (Freese 2008).
 
     Breadth-first search from 0_A: each congruence theta found is joined
@@ -529,13 +528,13 @@ def congruence_lattice(alg: FiniteAlgebra, max_size: int = LATTICE_SIZE_CAP) -> 
     and covers are sorted (i, j) index pairs.
     """
     n = alg.size
-    if n > max_size:
+    if n > LATTICE_SIZE_CAP:
         raise CapExceeded(
-            f"congruence lattice capped at universe size {max_size}, algebra has {n}")
+            f"congruence lattice capped at universe size {LATTICE_SIZE_CAP}, algebra has {n}")
     principals: dict = {}      # distinct nonzero Cg(a, b) -> its first pair
     for a in range(n):
         for b in range(a + 1, n):
-            principals.setdefault(principal_congruence(alg, a, b), (a, b))
+            principals.setdefault(congruence_generated(alg, [(a, b)]), (a, b))
     irreducibles = _join_irreducibles(principals)
     zero = Partition.zero(n)
     members = [zero]           # in discovery order

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -207,20 +208,28 @@ def test_find_smb_congruences(e3, b2, s2, e3_sim):
     assert find_smb_congruences(b2) == [Partition.one(2)]
 
 
-def test_one_lattice_per_algebra(tmp_path, capsys):
+def test_one_lattice_per_algebra(tmp_path, capsys, monkeypatch):
     """Recognition and regularization build no congruence lattice; con
     builds it once."""
+    builds = []
+
+    def spy(alg):
+        builds.append(alg.name)
+        return congruence_lattice(alg)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("smbalg") and \
+                getattr(mod, "congruence_lattice", None) is congruence_lattice:
+            monkeypatch.setattr(mod, "congruence_lattice", spy)
     tree = random_semilattice(3, random.Random(20221))
     blocks = {c: affine_block(s) for c, s in enumerate((2, 3, 2))}
     alg = glue_smb(tree, blocks, {0: 1, 1: 3, 2: 5}, name="glued7_once")
-    misses = congruence_lattice.cache_info().misses
-    assert find_smb_congruences(alg)
-    regularize(alg)
-    assert congruence_lattice.cache_info().misses == misses
     path = tmp_path / "glued7_once.alg"
     path.write_text(format_algebra(alg), encoding="utf-8")
+    assert main(["check-smb", str(path), "--json"]) == 0
+    assert main(["regularize", str(path), "-o", str(tmp_path / "reg.alg")]) == 0
+    assert builds == []
     assert main(["con", str(path), "--json"]) == 0
-    assert congruence_lattice.cache_info().misses == misses + 1
+    assert builds == ["glued7_once"]
     capsys.readouterr()
 
 
@@ -587,6 +596,19 @@ def test_check_cgvsim_examples(e3):
     assert check_cgvsim(e3, 0, 1, 1, 0) is True
     assert check_cgvsim(e3, 0, 1, 2, 2) is True
     assert check_cgvsim(e3, 0, 0, 0, 2) is False
+
+
+@pytest.mark.parametrize("bad", [-1, 3])      # -1 and n, e3 has 3 elements
+@pytest.mark.parametrize("call", [
+    lambda alg, sim, x: check_cgvsim(alg, 0, 1, x, 0),
+    lambda alg, sim, x: cgvsim_below(alg, 0, 1, 0, x),
+    lambda alg, sim, x: join_membership_chain(alg, sim, 0, 1, x, 0),
+    lambda alg, sim, x: alternating_chain_fold(alg, sim, Partition.one(3), [0, 1, x, 0]),
+], ids=["check_cgvsim", "cgvsim_below", "join_membership_chain",
+        "alternating_chain_fold"])
+def test_element_out_of_range(e3, e3_sim, call, bad):
+    with pytest.raises(AlgebraError, match=rf"element {bad} out of range 0\.\.2"):
+        call(e3, e3_sim, bad)
 
 
 def test_check_undersim_examples(e3):

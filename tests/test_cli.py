@@ -5,7 +5,7 @@ import time
 import pytest
 
 from smbalg import (affine_block, format_algebra, glue_layout, glue_smb,
-                    parse_algebra, random_semilattice)
+                    parse_algebra, principal_congruence, random_semilattice)
 from smbalg.cli import main
 
 
@@ -70,6 +70,23 @@ def test_con_command(e3_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["congruences"] == ["0 | 1 | 2", "0 1 | 2", "0 1 2"]
     assert payload["covers"] == [[0, 1], [1, 2]]
+
+
+def test_con_keeps_no_state(tmp_path, capsys):
+    """con leaves the principal-congruence cache alone, and a second run
+    on the same file prints the same JSON."""
+    alg = glue_smb(random_semilattice(3, random.Random(2022)),
+                   {c: affine_block(s) for c, s in enumerate((2, 2, 3))},
+                   {0: 1, 1: 3, 2: 5}, name="glued7_stateless")
+    path = tmp_path / "glued7_stateless.alg"
+    path.write_text(format_algebra(alg), encoding="utf-8")
+    before = principal_congruence.cache_info()
+    assert main(["con", str(path), "--json"]) == 0
+    first = capsys.readouterr().out
+    assert principal_congruence.cache_info() == before
+    assert main(["con", str(path), "--json"]) == 0
+    assert capsys.readouterr().out == first
+    assert len(json.loads(first)["congruences"]) > 2
 
 
 def test_commutator_command(e3_file, capsys):

@@ -69,14 +69,14 @@ def test_content_key():
     assert first != first.op("f")
 
 
-def test_fresh_parse_hits_the_lattice_cache():
-    from smbalg import congruence_lattice
+def test_fresh_parse_hits_the_principal_cache():
+    from smbalg import principal_congruence
     from smbalg.dsl import parse_algebra
     text = ONE_ALGEBRA.format(name="cached", ops=OPS["g"])
-    lattice = congruence_lattice(parse_algebra(text))
-    hits = congruence_lattice.cache_info().hits
-    assert congruence_lattice(parse_algebra(text)) is lattice
-    assert congruence_lattice.cache_info().hits == hits + 1
+    cg = principal_congruence(parse_algebra(text), 0, 1)
+    hits = principal_congruence.cache_info().hits
+    assert principal_congruence(parse_algebra(text), 0, 1) is cg
+    assert principal_congruence.cache_info().hits == hits + 1
 
 
 def test_cached_functions():
@@ -91,7 +91,6 @@ def test_cached_functions():
               if hasattr(val, "cache_info") and val.__module__ == mod.__name__}
     assert cached == {"smbalg.relations._translations",
                       "smbalg.relations.principal_congruence",
-                      "smbalg.relations.congruence_lattice",
                       "smbalg.relations._commutator",
                       "smbalg.analyzer.check_regular_base",
                       "smbalg.analyzer._regular_context"}

@@ -42,6 +42,11 @@ def test_parse_errors_carry_position():
         parse_algebra("algebra a\nsize 2\nop f 1\n0 2\n")
     assert err.value.line == 4
     assert "out of range" in err.value.reason
+    # the first entry out of range, on a continuation line of the table
+    with pytest.raises(ParseError) as err:
+        parse_algebra("algebra a\nsize 2\nop f 2\n0 1\n1 3 4\n")
+    assert (err.value.line, err.value.col) == (5, 2)
+    assert err.value.reason == "entry 3 out of range 0..1"
     with pytest.raises(ParseError, match="duplicate operation"):
         parse_algebra("algebra a\nsize 1\nop f 1\n0\nop f 1\n0\n")
     with pytest.raises(ParseError, match="unknown directive"):

@@ -497,10 +497,14 @@ def test_trace_replay(corpus):
             assert replay(alg, gen) == list(gen.elements)
 
 
-def test_size_caps():
+def test_size_caps(monkeypatch):
     from smbalg import CapExceeded, chain_semilattice
-    with pytest.raises(CapExceeded, match="lattice"):
-        congruence_lattice(chain_semilattice(11))
+    generated = []
+    with monkeypatch.context() as mp:
+        mp.setattr(relations, "congruence_generated", lambda *a: generated.append(a))
+        with pytest.raises(CapExceeded, match="capped at universe size 10, algebra has 11"):
+            congruence_lattice(chain_semilattice(11))
+    assert generated == []     # the cap is checked before any principal
     with pytest.raises(CapExceeded, match="polynomial"):
         unary_polynomials(chain_semilattice(9))
     with pytest.raises(CapExceeded, match="subuniverse"):
@@ -598,14 +602,14 @@ def test_congruence_lattice_brute(e3, n4, corpus):
         assert lat.covers == definitional_covers(lat.congruences), alg.name
 
 
-def lattice_by_all_principals(alg, max_size=relations.LATTICE_SIZE_CAP):
+def lattice_by_all_principals(alg):
     """Reference congruence lattice: the breadth-first search from 0_A that
     joins each congruence found with every distinct nonzero principal
     congruence, not only the join-irreducible ones."""
     n = alg.size
-    if n > max_size:
-        raise CapExceeded(
-            f"congruence lattice capped at universe size {max_size}, algebra has {n}")
+    if n > relations.LATTICE_SIZE_CAP:
+        raise CapExceeded(f"congruence lattice capped at universe size "
+                          f"{relations.LATTICE_SIZE_CAP}, algebra has {n}")
     principals: dict = {}      # distinct nonzero Cg(a, b) -> its first pair
     for a in range(n):
         for b in range(a + 1, n):
@@ -664,16 +668,17 @@ def differential_algebras(e3, n4, corpus):
 
 
 def assert_lattice_is_reference(alg):
-    lat = relations.congruence_lattice.__wrapped__(alg, alg.size)
-    ref = lattice_by_all_principals(alg, alg.size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relations, "LATTICE_SIZE_CAP", alg.size)
+        lat = congruence_lattice(alg)
+        ref = lattice_by_all_principals(alg)
     assert lat.congruences == ref.congruences, alg.name
     assert lat.covers == ref.covers, alg.name
 
 
 def test_congruence_lattice_matches_all_principals(e3, n4, corpus):
     """The search over join-irreducible principals finds the members and
-    covers that the search over every principal finds (uncached, so the
-    mutation test below sees its own results)."""
+    covers that the search over every principal finds."""
     for alg in differential_algebras(e3, n4, corpus):
         assert_lattice_is_reference(alg)
 
@@ -713,13 +718,14 @@ def test_join_irreducible_filter_is_exact(e3, n4, corpus, monkeypatch):
         pytest.fail("dropping a join-irreducible principal went unnoticed")
 
 
-def test_tree_semilattice_lattice_size():
+def test_tree_semilattice_lattice_size(monkeypatch):
     # the congruences are the partitions into connected subtrees, one for
     # each set of cut edges
+    monkeypatch.setattr(relations, "LATTICE_SIZE_CAP", 12)
     for n in range(1, 13):
         for seed in range(2):
             tree = random_semilattice(n, random.Random(100 * n + seed))
-            assert len(congruence_lattice(tree, max_size=n)) == 2 ** (n - 1)
+            assert len(congruence_lattice(tree)) == 2 ** (n - 1)
 
 
 def scan_violation(alg, p):
