@@ -13,7 +13,7 @@ import sys
 
 from .core import (AlgebraError, CapExceeded, FalsificationError,
                    FiniteAlgebra, PreconditionError)
-from .partitions import Partition
+from .partitions import Partition, parse_element
 from .relations import commutator, congruence_lattice, principal_congruence
 from .analyzer import (_regular_conditions, _smb_congruence, check_regular_base,
                        check_smb_over, count_biconditional, find_smb_congruences,
@@ -133,7 +133,8 @@ def _cmd_con(args) -> int:
 
 def _cmd_cg(args) -> int:
     alg = _load(args.file)
-    p = principal_congruence(alg, args.a, args.b)
+    a, b = (parse_element(x, "cg arguments") for x in (args.a, args.b))
+    p = principal_congruence(alg, a, b)
     _emit(args, _partition_payload(p), [str(p)])
     return 0
 
@@ -283,8 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cg", parents=[common], help="principal congruence")
     p.add_argument("file")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p.add_argument("a")
+    p.add_argument("b")
     p.set_defaults(func=_cmd_cg)
 
     p = sub.add_parser("verify", parents=[common],

@@ -313,22 +313,28 @@ def _compile(alg: FiniteAlgebra, terms: Sequence[Term], nvars: int) -> tuple:
     return steps, [visit(t) for t in terms]
 
 
-def _blocks(bounds: list):
+def _blocks(bounds: list, width: int = 1):
     """Split the product of the index ranges `bounds` into boxes of at most
     BLOCK_SIZE combinations, in lexicographic order.
 
     The longest run of trailing ranges whose product fits in a box stays
     whole; the range before it is cut into slices, and any ranges before
     that are walked one index at a time.  Usually the trailing ranges fit,
-    so only the leading argument's slice is split.
+    so only the leading argument's slice is split.  A kernel that holds
+    `width` values for each combination of the leading ranges charges the
+    last range as at least `width` long; a box keeps one leading
+    combination even where that alone is over BLOCK_SIZE.
     """
     if any(lo == hi for lo, hi in bounds):
         return
+    sizes = [hi - lo for lo, hi in bounds]
+    if sizes:
+        sizes[-1] = max(sizes[-1], width)
     cut = len(bounds)
     inner = 1
-    while cut and inner * (bounds[cut - 1][1] - bounds[cut - 1][0]) <= BLOCK_SIZE:
+    while cut and inner * sizes[cut - 1] <= BLOCK_SIZE:
         cut -= 1
-        inner *= bounds[cut][1] - bounds[cut][0]
+        inner *= sizes[cut]
     if cut == 0:
         yield bounds
         return

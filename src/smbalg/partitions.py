@@ -14,6 +14,14 @@ from typing import Iterable, Sequence
 from .core import AlgebraError
 
 
+def parse_element(token: str, where: str) -> int:
+    """An element written in decimal digits, as `.alg` files write it; any
+    other spelling `int` takes (a sign, `_`, spaces) is a bad element."""
+    if not token.isdecimal():
+        raise AlgebraError(f"bad element {token!r} in {where}")
+    return int(token)
+
+
 def _canonical(ids: Sequence[int]) -> tuple:
     remap: dict = {}
     out = []
@@ -95,10 +103,7 @@ class Partition:
             if not members:
                 raise AlgebraError(f"empty class in partition text {text!r}")
             for tok in members:
-                try:
-                    x = int(tok)
-                except ValueError:
-                    raise AlgebraError(f"bad element {tok!r} in partition text") from None
+                x = parse_element(tok, "partition text")
                 if not 0 <= x < n:
                     raise AlgebraError(f"element {x} out of range 0..{n - 1}")
                 if ids[x] != -1:

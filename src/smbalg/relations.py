@@ -10,10 +10,13 @@ argument combination that produced it, as a step row of operation number
 and argument indices.  It takes a sequence of generator
 sets, its lanes, and closes each on its own in the one round loop, so the
 fixed work of a call (set-up, sorting the new keys, round bookkeeping) is
-paid once for many small closures.  For every operation, the argument
-columns lie along their own axes of one array of argument combinations,
-cut into blocks of at most `core.BLOCK_SIZE` combinations by `_blocks`,
-which the term kernel of `core` shares, and evaluated by `_apply_block`.
+paid once for many small closures.  Each operation's table, weighted per
+coordinate, is laid out once per call as rows of n values, one row per
+combination of the leading arguments.  The argument combinations of a
+round are cut into boxes by `_blocks`, which the term kernel of `core`
+shares, so that neither the gathered rows nor the keys of a box exceed
+`core.BLOCK_SIZE`; `_apply_block` evaluates a box by gathering one row per
+leading combination and coordinate and indexing it by the last argument.
 `generate_subpower` turns the rows and steps of one lane into a
 `GeneratedSet`, and `d_rels` those of one lane per generator pair; these
 sets are used wherever witnesses must be replayed (D-relations,
@@ -140,23 +143,29 @@ class GeneratedSet:
 
 def _apply_block(tables: np.ndarray, heads: np.ndarray, columns: np.ndarray,
                  box: list, n: int) -> np.ndarray:
-    """Keys of op(x_1, .., x_k) for x_1 over the rows in box[0] of `heads`
-    and x_i, i > 1, over the element rows in box[i].
+    """Keys of op(x_1, .., x_r) for x_1 over the rows in box[0] of `heads`
+    and x_i, i > 1, over the element rows in box[i], in lexicographic
+    order of the combination (last argument fastest).
 
-    `tables[c]` is the operation table times the weight of coordinate c.
-    Argument i's column is laid along axis i, so the table index `acc`
-    broadcasts up to the full box only at its last step.  Returns the keys
-    flattened.
+    `tables[c]` is the operation table times the weight of coordinate c,
+    laid out as n**(r-1) rows of n values, one row per combination of the
+    leading arguments.  For each coordinate the leading arguments' columns
+    pick one row per leading combination, the last argument's column
+    indexes into those rows, and the k coordinates are summed.  A box
+    with L leading combinations gathers k * n * L row values, which
+    `_subpower_closure` keeps within BLOCK_SIZE along with its keys.
     """
-    arity = len(box)
+    *lead, (lo, hi) = box
+    if lead:        # (k, leading combinations): the row each one picks
+        at = heads[:, lead[0][0]:lead[0][1]]
+        for a, b in lead[1:]:
+            at = (at[:, :, None] * n + columns[:, None, a:b]).reshape(len(columns), -1)
+        last = columns[:, lo:hi]
+    else:
+        at, last = np.zeros((len(heads), 1), dtype=np.int64), heads[:, lo:hi]
     key = 0
-    for table, head, col in zip(tables, heads, columns):
-        acc = 0
-        for i, (lo, hi) in enumerate(box):
-            shape = [1] * arity
-            shape[i] = hi - lo
-            acc = acc * n + (col if i else head)[lo:hi].reshape(shape)
-        key += table[acc]
+    for table, row, col in zip(tables, at, last):
+        key += table[row][:, col]
     return key.ravel()
 
 
@@ -181,11 +190,18 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     known keys above it.  Each round lays every lane's rows out in one
     contiguous run, so a lane's argument combinations are a product of
     index ranges, cut into boxes by `_blocks` and evaluated by
-    `_apply_block`.  A box's keys are filtered against the known ones at
-    once; the new keys of all lanes are sorted together once per operation
-    and argument position, where a key's first occurrence gives its step,
-    its flat index unravelled against its box (last argument fastest), and
-    once per round, where each lane takes its slice of rows and steps.
+    `_apply_block`.  Each operation's weighted tables are laid out once per
+    call as (k, n**(r-1), n): for coordinate c, one row of n values per
+    combination of the r - 1 leading arguments.  A box gathers k * n row
+    values per leading combination, more than its keys when the last range
+    is shorter than k * n, so `_blocks` charges the last range as at least
+    k * n long and keeps both within BLOCK_SIZE.  A box's keys come in
+    lexicographic order of the combination, last argument fastest, and are
+    filtered against the known ones at once.  The new keys of all lanes are
+    sorted together once per operation and argument position, where a
+    key's first occurrence gives its step, its flat index unravelled
+    against its box, and once per round, where each lane takes its slice
+    of rows and steps.
 
     `group` is a closed group G of coordinate permutations, identity
     first (in practice `_KLEIN_GROUP`), and takes one lane only: g moves
@@ -260,7 +276,8 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     traced = not group
     first.sort()
     new, cut = gens[first], lane_bounds(known)   # lane-major, like the lanes
-    ops = [(t.arity, weights[:, None] * t.array) for t in alg.operations.values()]
+    ops = [(t.arity, (weights[:, None] * t.array).reshape(k, -1, n))
+           for t in alg.operations.values()]
     width = 1 + max((arity for arity, _ in ops), default=0)
     parts = [[] for _ in offsets]        # per lane: its rows, round by round
     traces = [[] for _ in offsets]       # per lane: its steps, round by round
@@ -298,7 +315,7 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
                               + [(0, total[lane])] * (arity - 1 - pos))
                     if not traced:
                         bounds[0] = (0, heads_old) if pos else (heads_old, len(heads))
-                    for box in _blocks(bounds):
+                    for box in _blocks(bounds, k * n):
                         keys = _apply_block(tables, head_columns, lane_columns, box, n)
                         at = unseen(keys, offsets[lane]).nonzero()[0]
                         keys = keys[at]      # lets the whole box go before the next
@@ -367,11 +384,10 @@ def generate_subpower(alg: FiniteAlgebra, k: int,
     from the last round and after `pos` from any round, so every argument
     combination is evaluated once.  The combinations of one operation and
     `pos` are taken in lexicographic order of their element indices, in
-    blocks of at most `core.BLOCK_SIZE` evaluated at once by numpy
-    broadcasting; a new tuple's trace is (symbol, argument indices) of the
-    first combination that produced it.  The set is one lane of
-    `_subpower_closure`; `d_rels` closes many lanes at once, each in this
-    same order.
+    boxes of at most `core.BLOCK_SIZE` evaluated at once by numpy; a new
+    tuple's trace is (symbol, argument indices) of the first combination
+    that produced it.  The set is one lane of `_subpower_closure`;
+    `d_rels` closes many lanes at once, each in this same order.
     """
     return _generated_sets(alg, k, [generators])[0]
 

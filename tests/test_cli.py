@@ -194,6 +194,17 @@ def test_non_decimal_digits_exit(tmp_path, capsys, text):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cg", "{file}", "1_0", "1"],                   # int() reads it as 10
+    ["cg", "{file}", "0", "+1"],
+    ["commutator", "{file}", "+0 1 | 2", "0 1 2"],
+    ["check-smb", "{file}", "--sim", "0 1_0 | 2"],
+])
+def test_non_decimal_elements_exit(e3_file, capsys, argv):
+    assert main([a.format(file=e3_file) for a in argv]) == 2
+    assert "bad element" in capsys.readouterr().err
+
+
 def test_non_utf8_file_exit(tmp_path, capsys):
     bad = tmp_path / "latin1.alg"
     bad.write_bytes("algebra café\nsize 1\nop f 1\n0\n".encode("latin-1"))

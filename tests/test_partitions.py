@@ -24,6 +24,14 @@ def test_parse_and_format():
         Partition.parse("0 1 | 3", 3)
 
 
+@pytest.mark.parametrize("text", ["+0 1 | 2", "0 1_0 | 2", "0 1 | 2\u00b2", "0 -1 | 2"])
+def test_parse_takes_decimal_elements_only(text):
+    # `int` would take a sign, `_` and more, but `.alg` files and the CLI
+    # write elements in decimal digits only
+    with pytest.raises(AlgebraError, match="bad element .* in partition text"):
+        Partition.parse(text, 11)
+
+
 def test_zero_one_blocks():
     assert Partition.zero(3).blocks() == [(0,), (1,), (2,)]
     assert Partition.one(3).blocks() == [(0, 1, 2)]

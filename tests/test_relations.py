@@ -207,6 +207,105 @@ def test_generate_subpower_order_is_checked():
         assert mismatches > 0, line
 
 
+def kernel_cases():
+    """Seeded random tables of arity 1-3 for k = 1, 2 and 4, each with k
+    element columns of 4-8 rows, argument 0 over a sorted subset of those
+    rows that leaves out row 0 (so never a prefix, as the orbit
+    representatives under `_KLEIN_GROUP`), and index ranges that start
+    past 0: (table, k, n, head columns, columns, bounds)."""
+    rng = random.Random(2323)
+    for arity, k, n in itertools.product((1, 2, 3), (1, 2, 4), (2, 3, 5)):
+        for _ in range(2):
+            table = OperationTable(arity, n, [rng.randrange(n) for _ in range(n ** arity)])
+            rows = rng.randrange(4, 9)
+            columns = np.array([[rng.randrange(n) for _ in range(rows)] for _ in range(k)],
+                               dtype=np.int64)
+            heads = sorted(rng.sample(range(1, rows), rng.randrange(2, rows)))
+            bounds = []
+            for size in [len(heads)] + [rows] * (arity - 1):
+                lo = rng.randrange(1, size)
+                bounds.append((lo, rng.randrange(lo + 1, size + 1)))
+            yield table, k, n, columns[:, heads], columns, bounds
+
+
+def kernel_reference(table, k, n, heads, columns, bounds):
+    """The keys of the box `bounds`, one combination at a time in
+    lexicographic order: argument 0 from `heads`, the others from
+    `columns`, coordinate c weighted by n**(k - 1 - c)."""
+    keys = []
+    for combo in itertools.product(*(range(lo, hi) for lo, hi in bounds)):
+        args = [heads[:, combo[0]]] + [columns[:, i] for i in combo[1:]]
+        keys.append(sum(n ** (k - 1 - c) * table.apply(*(int(a[c]) for a in args))
+                        for c in range(k)))
+    return keys
+
+
+def kernel_mismatches(kernel, monkeypatch):
+    """Cases where the keys of `kernel` over the boxes that `_blocks` cuts
+    (each table laid out as `_subpower_closure` lays it out), taken in
+    box order, differ from the reference; with whole boxes and with boxes
+    of at most 6 combinations."""
+    bad = cut = 0
+    for block in (6, 1 << 20):
+        monkeypatch.setattr(core, "BLOCK_SIZE", block)
+        for table, k, n, heads, columns, bounds in kernel_cases():
+            weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+            tables = (weights[:, None] * table.array).reshape(k, -1, n)
+            boxes = list(core._blocks(bounds, k * n))
+            cut += len(boxes) > 1
+            got = [key for box in boxes
+                   for key in kernel(tables, heads, columns, box, n).tolist()]
+            bad += got != kernel_reference(table, k, n, heads, columns, bounds)
+    assert cut > 0
+    return bad
+
+
+def test_apply_block_matches_loop(monkeypatch):
+    assert kernel_mismatches(relations._apply_block, monkeypatch) == 0
+
+
+def test_apply_block_order_is_checked(monkeypatch):
+    # a broken copy that returns the keys with the last argument slowest
+    # must fail the test above
+    source = inspect.getsource(relations._apply_block)
+    broken = source.replace("return key.ravel()", "return key.T.ravel()")
+    assert broken != source
+    namespace = dict(vars(relations))
+    exec(broken, namespace)
+    assert kernel_mismatches(namespace["_apply_block"], monkeypatch) > 0
+
+
+def test_boxes_keep_rows_and_keys_within_block_size(monkeypatch):
+    # under a small BLOCK_SIZE, on closures whose semi-naive last range is
+    # at times shorter than n, no kernel call gathers more than BLOCK_SIZE
+    # row values (k * n per leading combination) or keys, and the closures
+    # stay exact: the traced D_{0,4} in A^2 and the Klein-orbit closure of
+    # M(Cg(0, 1), 1_A) in A^4, on a regularized glued algebra of size 5
+    alg, _ = regularized_glued(3, (2, 2, 1))
+    n, block = alg.size, 64
+    gens = [(0, 4), (4, 0)] + [(c, c) for c in range(n)]
+    pairs = relations._spanning_pairs(alg, principal_congruence(alg, 0, 1))
+    plain = relations._matrix_closure(alg, pairs, Partition.one(n)).tolist()
+    kernel, calls = relations._apply_block, []
+
+    def spy(tables, heads, columns, box, n):
+        lead = int(np.prod([hi - lo for lo, hi in box[:-1]]))
+        last = box[-1][1] - box[-1][0]
+        calls.append((lead * len(tables) * n, lead * last, last < n))
+        return kernel(tables, heads, columns, box, n)
+
+    monkeypatch.setattr(core, "BLOCK_SIZE", block)
+    monkeypatch.setattr(relations, "_apply_block", spy)
+    assert_matches_rounds(generate_subpower(alg, 2, gens), alg, 2, gens)
+    traced = len(calls)
+    assert relations._matrix_closure(alg, pairs, Partition.one(n),
+                                     relations._KLEIN_GROUP).tolist() == plain
+    assert any(short for _, _, short in calls[:traced])
+    assert any(short for _, _, short in calls[traced:])
+    assert max(values for values, _, _ in calls) <= block
+    assert max(keys for _, keys, _ in calls) <= block
+
+
 def lane_cases():
     """Seeded random algebras with unary, binary and ternary operations,
     k = 1-3, each with 2-5 lanes: of different sizes, with duplicate
