@@ -68,37 +68,33 @@ def _d(a: Term, b: Term, c: Term) -> Term:
 
 @dataclass(frozen=True)
 class ClassOrder:
-    """A partial order on sim-classes; classes are tuples sorted by least
-    element and leq holds index pairs (i, j) meaning classes[i] <= classes[j]."""
+    """A relation on sim-classes, the order of the quotient semilattice
+    when it comes from an SMB check.  classes are tuples sorted by least
+    element; leq is the m x m boolean matrix as a tuple of row tuples,
+    leq[i][j] meaning classes[i] <= classes[j].  The queries read leq as
+    given, so they also answer on relations that are not orders."""
     classes: tuple
-    leq: frozenset
+    leq: tuple
 
     def le(self, i: int, j: int) -> bool:
-        return (i, j) in self.leq
+        return self.leq[i][j]
 
     def least(self) -> Optional[int]:
-        for i in range(len(self.classes)):
-            if all((i, j) in self.leq for j in range(len(self.classes))):
-                return i
-        return None
+        """The first class below every class, or None."""
+        return next(iter(np.flatnonzero(np.array(self.leq).all(axis=1)).tolist()), None)
 
     def greatest(self) -> Optional[int]:
-        for j in range(len(self.classes)):
-            if all((i, j) in self.leq for i in range(len(self.classes))):
-                return j
-        return None
-
-    def glb(self, i: int, j: int) -> Optional[int]:
-        lower = [k for k in range(len(self.classes))
-                 if (k, i) in self.leq and (k, j) in self.leq]
-        for k in lower:
-            if all((m, k) in self.leq for m in lower):
-                return k
-        return None
+        """The first class above every class, or None."""
+        return next(iter(np.flatnonzero(np.array(self.leq).all(axis=0)).tolist()), None)
 
     def glb_closed(self) -> bool:
+        """Every pair i, j has a glb: a lower bound k with l <= k for every
+        lower bound l of i and j."""
         m = len(self.classes)
-        return all(self.glb(i, j) is not None for i in range(m) for j in range(m))
+        leq = np.array(self.leq, dtype=bool).reshape(m, m)
+        lower = (leq[:, :, None] & leq[:, None, :]).reshape(m, m * m).T   # [(i, j), l]
+        strays = lower.astype(np.int64) @ ~leq     # [(i, j), k]: lower bounds l, not l <= k
+        return bool((lower & (strays == 0)).any(axis=1).all())
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ def wedge_conditions(wedge: OperationTable, sim: Partition) -> Tuple[list, list,
     same = ids[:, None] == ids
     second_proj = [("SecondProj", (a, b))
                    for a, b in _by_class(np.argwhere(same & (table != np.arange(n))), ids)]
-    order = ClassOrder(tuple(blocks), frozenset(map(tuple, np.argwhere(q == c[:, None]).tolist())))
+    order = ClassOrder(tuple(blocks), tuple(map(tuple, (q == c[:, None]).tolist())))
     return mod_sim, second_proj, order
 
 
@@ -328,8 +324,7 @@ def _regular_conditions(alg: FiniteAlgebra, sim: Partition,
 
     cond_i = first_failure(ids[term_table(alg, _d(_x, _y, _z), 3)]
                            != ids[term_table(alg, _w(_w(_x, _y), _z), 3)])
-    m = len(order.classes)
-    leq = np.array([[order.le(i, j) for j in range(m)] for i in range(m)])
+    leq = np.array(order.leq)
     # [b] <= [a] forces a wedge b = b
     cond_ii = first_failure(leq[ids[None, :], ids[:, None]]
                             & (wedge.array.reshape(n, n) != np.arange(n)))
@@ -387,7 +382,12 @@ def recovered_sim(alg: FiniteAlgebra) -> Partition:
 @lru_cache(maxsize=None)
 def check_regular_base(alg: FiniteAlgebra) -> BaseReport:
     """Verify the twelve base identities; when they all hold, recover sim
-    from the tables and confirm the algebra really is regular SMB over it."""
+    from the tables and confirm the algebra really is regular SMB over it.
+
+    The identities speak of wedge and d only.  When SMB fails over the
+    recovered sim in another operation alone (one that is not idempotent
+    or not compatible with sim), PreconditionError names the rule; a
+    failure of the {wedge, d} reduct raises FalsificationError."""
     designated_ops(alg)
     verdicts = {}
     for name, idents in _REGULAR_BASE.items():
@@ -403,6 +403,12 @@ def check_regular_base(alg: FiniteAlgebra) -> BaseReport:
         sim = recovered_sim(alg)
         smb = check_smb_over(alg, sim)
         if not smb.verdict:
+            reduct = FiniteAlgebra(alg.name, alg.size, {WEDGE: alg.op(WEDGE), D: alg.op(D)})
+            if check_smb_over(reduct, sim).verdict:
+                raise PreconditionError(
+                    f"base identities hold on '{alg.name}' but an operation other than "
+                    f"'{WEDGE}' and '{D}' breaks SMB over the recovered sim {sim}: "
+                    f"{smb.violations[0]}")
             raise FalsificationError(
                 f"base identities hold on '{alg.name}' but SMB fails over the "
                 f"recovered sim: {smb.violations[0]}")

@@ -60,7 +60,8 @@ class OperationTable:
 
     Index convention: row major with the last argument varying fastest,
     so index(x1, ..., xk) = ((x1*n + x2)*n + ...)*n + xk.  The same
-    convention is used in files and in memory.
+    convention is used in files and in memory.  entries may be a sequence
+    of ints or an integer numpy array.
     """
 
     __slots__ = ("arity", "size", "entries", "_nested", "_array")
@@ -70,6 +71,8 @@ class OperationTable:
             raise AlgebraError(f"operation arity must be >= 1, got {arity}")
         if size < 1:
             raise AlgebraError(f"algebra size must be >= 1, got {size}")
+        if isinstance(entries, np.ndarray) and entries.dtype.kind in "iu":
+            entries = entries.tolist()
         entries = tuple(entries)
         expected = size ** arity
         if len(entries) != expected:

@@ -188,10 +188,11 @@ def class_order_from_circ(alg: FiniteAlgebra, circ: OperationTable,
         raise RepresentativeInconsistency(
             f"circ is not compatible with sim: it separates {bad[1]} and {bad[2]}")
     # [x] <= [y] iff (y o x) ~ x: the order read off the transposed circ
-    transposed = _term_op({"o": circ}, App("o", (_y, _x)), 2)
+    n = alg.size
+    transposed = OperationTable(2, n, circ.array.reshape(n, n).T.ravel())
     _, _, order = wedge_conditions(transposed, sim)
     m = len(order.classes)
-    leq = np.array([[order.le(i, j) for j in range(m)] for i in range(m)])
+    leq = np.array(order.leq)
     reflexive = bool(leq.diagonal().all())
     antisymmetric = not (leq & leq.T & ~np.eye(m, dtype=bool)).any()
     transitive = not (leq[:, :, None] & leq[None] & ~leq[:, None, :]).any()
@@ -292,7 +293,8 @@ def semilattice_term(alg: FiniteAlgebra, w_symbol: str,
 
 def regularize(alg: FiniteAlgebra, sim: Optional[Partition] = None) -> FiniteAlgebra:
     """Replace wedge and d by term operations making the algebra regular,
-    over the same universe and the same sim.
+    over the same universe and the same sim; any other operations are kept
+    as they are, after wedge and d.
 
     wedge'(x, y) applies the unique idempotent power of t -> t wedge y to
     x, and d' is d composed with the three wedge'-folds
@@ -315,6 +317,7 @@ def regularize(alg: FiniteAlgebra, sim: Optional[Partition] = None) -> FiniteAlg
     out = FiniteAlgebra(f"{alg.name}_reg", n, {
         WEDGE: new_wedge,
         D: _term_op({WEDGE: new_wedge, D: d}, regiii, 3),
+        **{sym: table for sym, table in alg.operations.items() if sym not in (WEDGE, D)},
     })
 
     base = check_regular_base(out)

@@ -605,6 +605,11 @@ def quotient_algebra(alg: FiniteAlgebra, theta: Partition) -> Tuple[FiniteAlgebr
 def push_partition(theta: Partition, class_map: Sequence[int], quotient_size: int,
                    p: Partition) -> Partition:
     """Image of a partition p >= theta under the quotient map."""
+    if not p.size == theta.size == len(class_map):
+        raise AlgebraError(f"partitions of {theta.size} and {p.size} elements "
+                           f"with a class map of length {len(class_map)}")
+    if not all(0 <= c < quotient_size for c in class_map):
+        raise AlgebraError(f"class map leaves the range 0..{quotient_size - 1}")
     ids = [0] * quotient_size
     seen = [False] * quotient_size
     for x in range(p.size):
@@ -619,6 +624,8 @@ def push_partition(theta: Partition, class_map: Sequence[int], quotient_size: in
 def subalgebra(alg: FiniteAlgebra, subuniverse: Sequence[int]) -> FiniteAlgebra:
     """Restrict to a subuniverse, relabelling elements by their sorted position."""
     sub = tuple(sorted(subuniverse))
+    if len(set(sub)) < len(sub) or not all(0 <= x < alg.size for x in sub):
+        raise AlgebraError(f"subuniverse {sub} is not a set of elements 0..{alg.size - 1}")
     pos = np.full(alg.size, -1)
     pos[list(sub)] = np.arange(len(sub))
     ops = {}

@@ -83,8 +83,8 @@ def scan_smb_over(alg, sim):
                     violations.append(("Malcev", (y, y, x)))
     order = None
     if not violations:
-        order = ClassOrder(tuple(blocks), frozenset(
-            (i, j) for i in range(m) for j in range(m) if qw(i, j) == i))
+        order = ClassOrder(tuple(blocks), tuple(
+            tuple(qw(i, j) == i for j in range(m)) for i in range(m)))
     return SmbReport(not violations, sim, tuple(violations), order)
 
 
@@ -202,6 +202,41 @@ def test_class_order_from_smb(e3, e3_sim):
     assert order.least() == 1 and order.greatest() == 0
 
 
+def _order_queries_loop(m, pairs):
+    """Reference: (least, greatest, glb_closed) of the relation `pairs`
+    on range(m) by the loop definitions."""
+    least = next((i for i in range(m) if all((i, j) in pairs for j in range(m))), None)
+    greatest = next((j for j in range(m) if all((i, j) in pairs for i in range(m))), None)
+
+    def glb(i, j):
+        lower = [k for k in range(m) if (k, i) in pairs and (k, j) in pairs]
+        return next((k for k in lower if all((l, k) in pairs for l in lower)), None)
+
+    closed = all(glb(i, j) is not None for i in range(m) for j in range(m))
+    return least, greatest, closed
+
+
+def test_class_order_queries_match_loops():
+    # random relations, and random preorders (reflexive-transitive
+    # closures), which are glb-closed often enough to test both answers
+    rng = random.Random(24)
+    seen = set()
+    for trial in range(1500):
+        m = rng.randint(1, 6)
+        leq = np.array([[rng.random() < 0.5 for _ in range(m)] for _ in range(m)])
+        if trial % 2:
+            leq |= np.eye(m, dtype=bool)
+            for k in range(m):
+                leq |= leq[:, k, None] & leq[k]
+        pairs = {(i, j) for i, j in np.argwhere(leq).tolist()}
+        order = ClassOrder(tuple((i,) for i in range(m)), tuple(map(tuple, leq.tolist())))
+        assert all(order.le(i, j) == ((i, j) in pairs) for i in range(m) for j in range(m))
+        expected = _order_queries_loop(m, pairs)
+        assert (order.least(), order.greatest(), order.glb_closed()) == expected, leq
+        seen.add(expected[2])
+    assert seen == {True, False}
+
+
 def test_find_smb_congruences(e3, b2, s2, e3_sim):
     assert find_smb_congruences(e3) == [e3_sim]
     assert find_smb_congruences(s2) == [Partition.zero(2)]
@@ -288,6 +323,29 @@ def test_regular_base_reports(e3, n4, e3_sim):
     one = trivial_algebra()
     b1 = check_regular_base(one)
     assert b1.holds and b1.recovered_sim.is_one
+
+
+def _with_op(alg, sym, arity, entries):
+    return FiniteAlgebra(alg.name, alg.size,
+                         {**alg.operations, sym: OperationTable(arity, alg.size, entries)})
+
+
+def test_regular_base_other_operations(e3, e3_sim, monkeypatch):
+    # the base speaks of wedge and d only: another operation that is not
+    # compatible with sim, or not idempotent, is a precondition failure
+    for alg, rule in ((_with_op(e3, "f", 2, [0, 2, 0, 2, 1, 1, 0, 1, 2]), "Congruence"),
+                      (_with_op(e3, "g", 1, [1, 1, 2]), "Idempotence")):
+        with pytest.raises(PreconditionError, match=f"other than 'wedge' and 'd'.*{rule}"):
+            check_regular_base(alg)
+    # a compatible idempotent one changes nothing
+    base = check_regular_base(_with_op(e3, "f", 2, [0, 0, 0, 1, 1, 1, 2, 2, 2]))
+    assert base.holds and base.recovered_sim == e3_sim
+    # a {wedge, d} reduct that fails SMB is still a falsification
+    failing = SmbReport(False, e3_sim, (("Malcev", (0, 1, 1)),), None)
+    monkeypatch.setattr(analyzer, "check_smb_over", lambda alg, sim: failing)
+    for alg in (e3, _with_op(e3, "f", 2, [0, 2, 0, 2, 1, 1, 0, 1, 2])):
+        with pytest.raises(FalsificationError, match="SMB fails over the recovered sim"):
+            check_regular_base.__wrapped__(alg)
 
 
 def test_recovered_sim_matches_block_partition(corpus):

@@ -129,6 +129,30 @@ def test_regularize_command(n4_file, tmp_path, capsys):
     assert main(["verify-base", str(out_path)]) == 0
 
 
+def test_other_operations(e3_file, tmp_path, capsys):
+    # e3 with a binary f that is not compatible with sim: the base holds,
+    # so every base-dependent command refuses the input with exit 2
+    text = open(e3_file, encoding="utf-8").read()
+    bad = tmp_path / "e3x.alg"
+    bad.write_text(text + "op f 2\n0 2 0\n2 1 1\n0 1 2\n", encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["verify-base"], ["verify", "cg-d3"], ["verify", "cgvsim"],
+                 ["verify", "undersim"], ["verify", "commutator"]):
+        assert main(argv + [str(bad)]) == 2, argv
+        err = capsys.readouterr().err
+        assert "('Congruence', ('f', (0, 0), (1, 0)))" in err and "falsification" not in err
+    assert main(["check-smb", str(bad)]) == 1
+    # with f the first projection, regularize keeps f after wedge and d
+    proj = tmp_path / "e3p.alg"
+    proj.write_text(text + "op f 2\n0 0 0\n1 1 1\n2 2 2\n", encoding="utf-8")
+    plain, kept = tmp_path / "e3_reg.alg", tmp_path / "e3p_reg.alg"
+    assert main(["regularize", e3_file, "-o", str(plain)]) == 0
+    assert main(["regularize", str(proj), "-o", str(kept)]) == 0
+    assert kept.read_text(encoding="utf-8") == \
+        plain.read_text(encoding="utf-8") + "op f 2\n0 0 0\n1 1 1\n2 2 2\n"
+    assert main(["verify-base", str(kept)]) == 0
+
+
 def test_pipeline_command(e3_file, capsys):
     assert main(["pipeline", e3_file, "d", "--sim", "0 1 | 2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

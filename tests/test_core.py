@@ -3,6 +3,7 @@ import itertools
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from smbalg import (AlgebraError, App, Const, FiniteAlgebra, Identity,
@@ -30,6 +31,18 @@ def test_table_validation():
         OperationTable(1, 2, [0, 2])
     with pytest.raises(AlgebraError):
         OperationTable(0, 2, [])
+
+
+def test_table_from_integer_array():
+    # integer arrays are read as their Python ints; other arrays are not
+    for dtype in (np.int64, np.int32, np.uint8):
+        t = OperationTable(2, 2, np.array([0, 1, 0, 1], dtype=dtype))
+        assert t == OperationTable(2, 2, [0, 1, 0, 1])
+        assert all(type(v) is int for v in t.entries) and t.index((1, 0)) == 2
+    with pytest.raises(AlgebraError, match=r"table entry 2 out of range 0\.\.1"):
+        OperationTable(1, 2, np.array([0, 2]))
+    with pytest.raises(AlgebraError, match="out of range"):
+        OperationTable(1, 2, np.array([0.0, 1.0]))
 
 
 def test_algebra_validation():

@@ -189,7 +189,7 @@ def scan_wedge_conclusion(table, sim):
                     violations.append(("SecondProj", (a, b)))
     leq = None
     if not violations:
-        leq = frozenset((i, j) for i in range(m) for j in range(m) if qw(i, j) == i)
+        leq = tuple(tuple(qw(i, j) == i for j in range(m)) for i in range(m))
     return not violations, violations, leq
 
 
@@ -237,9 +237,9 @@ def test_class_order_from_circ_matches_scan(corpus):
             ids = sim.class_ids
             reps = [blk[0] for blk in sim.blocks()]
             m = len(reps)
-            assert order.leq == frozenset(
-                (i, j) for i in range(m) for j in range(m)
-                if ids[circ.entries[reps[j] * n + reps[i]]] == i)
+            assert order.leq == tuple(
+                tuple(ids[circ.entries[reps[j] * n + reps[i]]] == i for j in range(m))
+                for i in range(m))
     assert raised == {True, False}
 
 

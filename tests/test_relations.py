@@ -893,6 +893,12 @@ def test_push_partition(e3, e3_sim):
     _, cmap = quotient_algebra(e3, e3_sim)
     assert push_partition(e3_sim, cmap, 2, Partition.one(3)).is_one
     assert push_partition(e3_sim, cmap, 2, e3_sim).is_zero
+    # a class map or partition of the wrong size, or a map outside the
+    # quotient, is refused before any work
+    for args in ((cmap[:2], 2, e3_sim), (cmap, 2, Partition.one(4)),
+                 ((0, 0, 2), 2, Partition.one(3)), ((0, 0, -1), 2, Partition.one(3))):
+        with pytest.raises(AlgebraError):
+            push_partition(e3_sim, *args)
 
 
 def test_d_rel_examples(e3, b2):
@@ -965,6 +971,9 @@ def test_subalgebras_and_products(e3, b2, s2, n4):
     assert subalgebra(e3, (0, 1)) == b2
     with pytest.raises(AlgebraError, match="closed"):
         subalgebra(n4, (0, 2))  # wedge(0, 2) = 3 falls outside
+    for bad in ([-1, 0], [0, 0, 2], [0, 5]):
+        with pytest.raises(AlgebraError, match="not a set of elements 0..2"):
+            subalgebra(e3, bad)
     prod = product_algebra(s2, s2)
     assert prod.size == 4
     assert prod.op("wedge").apply(1 * 2 + 0, 0 * 2 + 1) == 0  # (1,0)^(0,1) = (0,0)
