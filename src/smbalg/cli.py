@@ -177,7 +177,7 @@ def _cmd_pipeline(args) -> int:
     result = run_pipeline(alg, args.w)
 
     def table_payload(t):
-        return {"arity": t.arity, "size": t.size, "entries": list(t.entries)}
+        return {"arity": t.arity, "size": t.size, "entries": t.array.tolist()}
 
     payload = {"stages": {
         "circ": table_payload(result.circ),

@@ -132,7 +132,7 @@ def glue_smb(semilattice: FiniteAlgebra,
     rep = np.array([reps[c] for c in range(m)])
     meets = rep[sl_wedge.array.reshape(m, m)[class_of[:, None], class_of]]
     wedge = OperationTable(2, n, np.where(class_of[:, None] == class_of,
-                                          np.arange(n), meets).ravel().tolist())
+                                          np.arange(n), meets).ravel())
     d = term_table(FiniteAlgebra("glued", n, {WEDGE: wedge}), _MEET3, 3)
     for c, off in enumerate(offsets):
         inside = slice(off, off + sizes[c])
@@ -140,7 +140,7 @@ def glue_smb(semilattice: FiniteAlgebra,
 
     out = FiniteAlgebra(name or f"glued{n}", n, {
         WEDGE: wedge,
-        D: OperationTable(3, n, d.ravel().tolist()),
+        D: OperationTable(3, n, d.ravel()),
     })
     sim = glue_layout(semilattice, blocks)
     report = check_smb_over(out, sim)

@@ -21,16 +21,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 BLOCK_SIZE = 1 << 20                # combinations a numpy kernel evaluates at once
-# Largest table a term may fill and largest A^4 a matrix closure may span;
-# a subpower closure of a power no larger finds known tuples in a bitmap over
-# it, and above it by binary search in the sorted known keys.
+# Largest table a term may fill and largest A^4 a matrix closure may span; a
+# subpower closure of a power no larger finds known tuples in a bitmap, else by
+# binary search in the sorted keys.  All three read it here, at call time.
 FAST_CLOSURE_SPACE_CAP = 6_000_000
 MAX_VARIABLES = 32                  # one array axis per variable; numpy 1.x has 32
+_INTEGER = (int, np.integer)        # what a table entry may be; bool is an int
 
 
 class AlgebraError(ValueError):
@@ -56,36 +58,55 @@ class FalsificationError(RuntimeError):
 
 
 class OperationTable:
-    """A k-ary operation on {0, ..., n-1} stored as one flat tuple.
+    """A k-ary operation on {0, ..., n-1} stored once, as a flat int64 array.
 
     Index convention: row major with the last argument varying fastest,
     so index(x1, ..., xk) = ((x1*n + x2)*n + ...)*n + xk.  The same
     convention is used in files and in memory.  entries may be a sequence
-    of ints or an integer numpy array.
+    of integers (ints, bools, numpy integer scalars) or a 1-d integer array.
+
+    `array` is read-only and views one `bytes` buffer, its `base`, which
+    equality and hashing read; `entries`, the values as a tuple of Python
+    ints for pure-Python loops, is made from it on first read.
     """
 
-    __slots__ = ("arity", "size", "entries", "_nested", "_array")
+    __slots__ = ("arity", "size", "array", "_entries")
 
     def __init__(self, arity: int, size: int, entries: Sequence[int]):
         if arity < 1:
             raise AlgebraError(f"operation arity must be >= 1, got {arity}")
         if size < 1:
             raise AlgebraError(f"algebra size must be >= 1, got {size}")
-        if isinstance(entries, np.ndarray) and entries.dtype.kind in "iu":
-            entries = entries.tolist()
-        entries = tuple(entries)
+        integers = (isinstance(entries, np.ndarray) and entries.ndim == 1
+                    and entries.dtype.kind in "iu")
+        if not integers:
+            entries = tuple(entries)
         expected = size ** arity
         if len(entries) != expected:
             raise AlgebraError(f"expected {expected} entries, got {len(entries)}")
-        if not (all(map(isinstance, entries, itertools.repeat(int)))
-                and frozenset(range(size)).issuperset(entries)):
-            bad = next(v for v in entries if not isinstance(v, int) or not 0 <= v < size)
+        if integers:
+            valid = entries.min() >= 0 and entries.max() < size
+        else:
+            valid = (all(map(isinstance, entries, itertools.repeat(_INTEGER)))
+                     and frozenset(range(size)).issuperset(entries))
+        if not valid:
+            bad = next(v for v in entries
+                       if not isinstance(v, _INTEGER) or not 0 <= v < size)
+            if isinstance(bad, (np.generic, np.ndarray)):
+                bad = bad.tolist()
             raise AlgebraError(f"table entry {bad!r} out of range 0..{size - 1}")
         self.arity = arity
         self.size = size
-        self.entries = entries
-        self._nested = None
-        self._array = None
+        self.array = np.frombuffer(
+            np.asarray(entries, dtype=np.int64).tobytes(), dtype=np.int64)
+        self._entries = None
+
+    @property
+    def entries(self) -> tuple:
+        """The values as a tuple of Python ints, made from `array` once."""
+        if self._entries is None:
+            self._entries = tuple(self.array.tolist())
+        return self._entries
 
     def index(self, args: Sequence[int]) -> int:
         n = self.size
@@ -106,30 +127,6 @@ class OperationTable:
             idx = idx * n + a
         return self.entries[idx]
 
-    @property
-    def nested(self):
-        """Entries as nested tuples, one level per argument."""
-        if self._nested is None:
-            level = self.entries
-            for _ in range(self.arity - 1):
-                n = self.size
-                level = tuple(level[i:i + n] for i in range(0, len(level), n))
-            self._nested = level
-        return self._nested
-
-    @property
-    def array(self) -> np.ndarray:
-        """Entries as a read-only flat int64 array (numpy lookup).
-
-        A view over one `bytes` buffer, its `base`, which is also the
-        table's part of the `FiniteAlgebra` content key, so the values are
-        stored once.
-        """
-        if self._array is None:
-            self._array = np.frombuffer(
-                np.asarray(self.entries, dtype=np.int64).tobytes(), dtype=np.int64)
-        return self._array
-
     def rows(self):
         """Entries cut into rows of length `size` (last argument fastest)."""
         n = self.size
@@ -139,10 +136,10 @@ class OperationTable:
         return (isinstance(other, OperationTable)
                 and self.arity == other.arity
                 and self.size == other.size
-                and self.entries == other.entries)
+                and self.array.base == other.array.base)
 
     def __hash__(self):
-        return hash((self.arity, self.size, self.entries))
+        return hash((self.arity, self.size, self.array.base))
 
     def __repr__(self):
         return f"OperationTable(arity={self.arity}, size={self.size})"
@@ -151,13 +148,13 @@ class OperationTable:
 class FiniteAlgebra:
     """A finite algebra: universe {0..n-1} plus named finitary operations.
 
-    Operations are kept in declaration order.  The name takes no part in
-    equality; two algebras are equal when they have the same size and the
-    same symbol-to-table mapping.  Equality and hashing read one content
-    key, the size plus each table's arity and the bytes its `array` views,
-    sorted by symbol, built once per object together with its hash, so
-    cache lookups with a fresh parse of the same algebra never walk the
-    tables.
+    Operations are kept in declaration order, in a read-only mapping.  The
+    name takes no part in equality; two algebras are equal when they have
+    the same size and the same symbol-to-table mapping.  Equality and
+    hashing read one content key, the size plus the (symbol, table) pairs
+    sorted by symbol, built once per object together with its hash; a
+    table compares and hashes by the bytes of its `array`, so cache
+    lookups with a fresh parse of the same algebra never walk the tables.
     """
 
     __slots__ = ("name", "size", "operations", "_key", "_hash")
@@ -183,7 +180,7 @@ class FiniteAlgebra:
             ops[sym] = table
         self.name = name
         self.size = size
-        self.operations = ops
+        self.operations = MappingProxyType(ops)
         self._key = None
         self._hash = None
 
@@ -204,8 +201,7 @@ class FiniteAlgebra:
 
     def _content(self) -> tuple:
         if self._key is None:
-            self._key = (self.size, tuple(sorted(
-                (sym, t.arity, t.array.base) for sym, t in self.operations.items())))
+            self._key = (self.size, tuple(sorted(self.operations.items())))
             self._hash = hash(self._key)
         return self._key
 
@@ -414,7 +410,7 @@ def materialize_term(alg: FiniteAlgebra, term: Term, arity: int) -> OperationTab
     if vs and max(vs) >= arity:
         raise AlgebraError(
             f"term uses variable {max(vs)} but is materialized at arity {arity}")
-    return OperationTable(arity, alg.size, term_table(alg, term, arity).ravel().tolist())
+    return OperationTable(arity, alg.size, term_table(alg, term, arity).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +491,8 @@ def check_quasiidentity(alg: FiniteAlgebra, quasi: Quasiidentity) -> Verdict:
 def idempotence_violation(table: OperationTable) -> Optional[int]:
     """The least x with table(x, ..., x) != x, or None when idempotent."""
     step = sum(table.size ** i for i in range(table.arity))   # index of (1, ..., 1)
-    return next((x for x in range(table.size) if table.entries[x * step] != x), None)
+    bad = np.flatnonzero(table.array[::step] != np.arange(table.size))
+    return int(bad[0]) if len(bad) else None
 
 
 @dataclass(frozen=True)

@@ -311,8 +311,8 @@ def regularize(alg: FiniteAlgebra, sim: Optional[Partition] = None) -> FiniteAlg
 
     d = alg.op(D)
     n = alg.size
-    columns = [idempotent_power(col) for col in zip(*alg.op(WEDGE).rows())]
-    new_wedge = OperationTable(2, n, [v for row in zip(*columns) for v in row])
+    columns = [idempotent_power(col) for col in alg.op(WEDGE).array.reshape(n, n).T.tolist()]
+    new_wedge = OperationTable(2, n, np.array(columns).T.ravel())
     regiii = regular_base_identities()["Regiii"][0].rhs
     out = FiniteAlgebra(f"{alg.name}_reg", n, {
         WEDGE: new_wedge,

@@ -70,9 +70,9 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (FAST_CLOSURE_SPACE_CAP, AlgebraError, App, CapExceeded,
-                   Const, FalsificationError, FiniteAlgebra, OperationTable,
-                   PreconditionError, _blocks)
+from . import core
+from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
+                   FiniteAlgebra, OperationTable, PreconditionError, _blocks)
 from .partitions import Partition
 
 LATTICE_SIZE_CAP = 10
@@ -186,7 +186,7 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     A tuple's key in lane l is l * n**k plus its base-n value, so
     len(lanes) * n**k must fit in int64, which is checked before any work.
     Keys already known are found in one `visited` bitmap when there are at
-    most FAST_CLOSURE_SPACE_CAP keys, and by binary search in the sorted
+    most core.FAST_CLOSURE_SPACE_CAP keys, and by binary search in the sorted
     known keys above it.  Each round lays every lane's rows out in one
     contiguous run, so a lane's argument combinations are a product of
     index ranges, cut into boxes by `_blocks` and evaluated by
@@ -252,7 +252,7 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     if ends:
         keys += np.repeat(np.array(offsets), sizes)
     known, first = np.unique(keys, return_index=True)
-    if len(offsets) * space <= FAST_CLOSURE_SPACE_CAP:
+    if len(offsets) * space <= core.FAST_CLOSURE_SPACE_CAP:
         visited = np.zeros(len(offsets) * space, dtype=bool)
         visited[known] = True
     else:
@@ -596,8 +596,7 @@ def quotient_algebra(alg: FiniteAlgebra, theta: Partition) -> Tuple[FiniteAlgebr
     ids = np.asarray(theta.class_ids)
     reps = [block[0] for block in theta.blocks()]
     m = theta.num_classes
-    ops = {sym: OperationTable(table.arity, m,
-                               ids[_restricted(alg, table, reps)].ravel().tolist())
+    ops = {sym: OperationTable(table.arity, m, ids[_restricted(alg, table, reps)].ravel())
            for sym, table in alg.operations.items()}
     return FiniteAlgebra(f"{alg.name}_mod", m, ops), tuple(theta.class_ids)
 
@@ -637,7 +636,7 @@ def subalgebra(alg: FiniteAlgebra, subuniverse: Sequence[int]) -> FiniteAlgebra:
             args = tuple(sub[i] for i in at)
             raise AlgebraError(
                 f"{sub} is not closed under '{sym}' at {args} (value {values[at]})")
-        ops[sym] = OperationTable(table.arity, len(sub), mapped.ravel().tolist())
+        ops[sym] = OperationTable(table.arity, len(sub), mapped.ravel())
     return FiniteAlgebra(f"{alg.name}_sub", len(sub), ops)
 
 
@@ -654,7 +653,7 @@ def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
             raise AlgebraError(f"arity mismatch for '{sym}' in product")
         values = (_restricted(a, ta, pairs // nb) * nb
                   + _restricted(b, tb, pairs % nb))
-        ops[sym] = OperationTable(ta.arity, a.size * nb, values.ravel().tolist())
+        ops[sym] = OperationTable(ta.arity, a.size * nb, values.ravel())
     return FiniteAlgebra(f"{a.name}x{b.name}", a.size * b.size, ops)
 
 
@@ -695,7 +694,7 @@ def _matrix_closure(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
                     beta: Partition, group=()) -> np.ndarray:
     """Closure in A^4 of the rows (a, a, b, b) for each given alpha-pair
     and (c, d, c, d) for every beta-pair, as an (m, 4) int64 array.  A^4
-    must fit in FAST_CLOSURE_SPACE_CAP, which is checked first.
+    must fit in core.FAST_CLOSURE_SPACE_CAP, which is checked first.
 
     With `group` = _KLEIN_GROUP the closure runs over orbit
     representatives.  That is exact when the alpha-pairs are symmetric:
@@ -706,7 +705,7 @@ def _matrix_closure(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
     one-directional pair set is refused with AlgebraError, never closed as
     the orbits of its generators."""
     n = alg.size
-    if n ** 4 > FAST_CLOSURE_SPACE_CAP:
+    if n ** 4 > core.FAST_CLOSURE_SPACE_CAP:
         raise CapExceeded(f"A^4 has {n ** 4} tuples, beyond the closure cap")
     gens = [(a, a, b, b) for a, b in alpha_pairs]
     gens += [(c, d, c, d) for c, d in beta.pairs()]

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -132,7 +133,7 @@ def test_regularize_command(n4_file, tmp_path, capsys):
 def test_other_operations(e3_file, tmp_path, capsys):
     # e3 with a binary f that is not compatible with sim: the base holds,
     # so every base-dependent command refuses the input with exit 2
-    text = open(e3_file, encoding="utf-8").read()
+    text = Path(e3_file).read_text(encoding="utf-8")
     bad = tmp_path / "e3x.alg"
     bad.write_text(text + "op f 2\n0 2 0\n2 1 1\n0 1 2\n", encoding="utf-8")
     capsys.readouterr()

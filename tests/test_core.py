@@ -31,6 +31,18 @@ def test_table_validation():
         OperationTable(1, 2, [0, 2])
     with pytest.raises(AlgebraError):
         OperationTable(0, 2, [])
+    # any sequence of integers: a generator, bools, numpy integer scalars;
+    # entries are Python ints whatever came in
+    for entries in ((v % 2 for v in range(4)), [False, True, False, True],
+                    [np.int64(0), np.int64(1), np.uint8(0), np.int32(1)]):
+        t = OperationTable(2, 2, entries)
+        assert t.entries == (0, 1, 0, 1) and all(type(v) is int for v in t.entries)
+    # the first entry that is no integer in range is named as a Python value
+    for entries, bad in (([0, 1.0], "1.0"), ([0, "1"], "'1'"), ([0, None], "None"),
+                         ([0, -1], "-1"), ([2 ** 70, 0], str(2 ** 70)),
+                         ([0, np.True_], "True"), ([5, "x"], "5")):
+        with pytest.raises(AlgebraError, match=rf"^table entry {bad} out of range 0\.\.1$"):
+            OperationTable(1, 2, entries)
 
 
 def test_table_from_integer_array():
@@ -41,8 +53,22 @@ def test_table_from_integer_array():
         assert all(type(v) is int for v in t.entries) and t.index((1, 0)) == 2
     with pytest.raises(AlgebraError, match=r"table entry 2 out of range 0\.\.1"):
         OperationTable(1, 2, np.array([0, 2]))
-    with pytest.raises(AlgebraError, match="out of range"):
-        OperationTable(1, 2, np.array([0.0, 1.0]))
+    for array, bad in ((np.array([0.0, 1.0]), "0.0"), (np.array([False, True]), "False"),
+                       (np.array([0, 2 ** 63 + 1], dtype=np.uint64), str(2 ** 63 + 1)),
+                       (np.array([[0], [1]]), r"\[0\]")):
+        with pytest.raises(AlgebraError, match=rf"^table entry {bad} out of range 0\.\.1$"):
+            OperationTable(1, 2, array)
+    # one read-only int64 buffer; equal tables hash and compare equal
+    # however they were built, and so do algebras built from them
+    t = OperationTable(2, 3, np.array([0, 1, 2] * 3, dtype=np.int32))
+    assert t.array.dtype == np.int64 and type(t.array.base) is bytes
+    assert not t.array.flags.writeable
+    with pytest.raises(ValueError):
+        t.array[0] = 1
+    u = OperationTable(2, 3, [0, 1, 2] * 3)
+    assert t == u and hash(t) == hash(u) and t != OperationTable(1, 9, [0, 1, 2] * 3)
+    assert FiniteAlgebra("a", 3, {"f": t}) == FiniteAlgebra("b", 3, {"f": u})
+    assert hash(FiniteAlgebra("a", 3, {"f": t})) == hash(FiniteAlgebra("b", 3, {"f": u}))
 
 
 def test_algebra_validation():
@@ -54,6 +80,20 @@ def test_algebra_validation():
     alg = FiniteAlgebra("a", 2, {"f": t})
     with pytest.raises(AlgebraError, match="unknown operation"):
         alg.op("g")
+
+
+def test_operations_are_read_only():
+    # the content key is built once, so the mapping it reads cannot change
+    t = OperationTable(1, 2, [0, 1])
+    ops = {"f": t}
+    alg = FiniteAlgebra("a", 2, ops)
+    ops["f"] = OperationTable(1, 2, [1, 0])
+    assert alg.op("f") is t
+    with pytest.raises(TypeError):
+        alg.operations["f"] = OperationTable(1, 2, [1, 0])
+    with pytest.raises(TypeError):
+        del alg.operations["f"]
+    assert alg.rename("b") == alg and dict(alg.operations) == {"f": t}
 
 
 ONE_ALGEBRA = """algebra {name}

@@ -26,6 +26,11 @@ from smbalg.pipeline import regularize
 from conftest import glued, reference_term, regularized_glued
 
 
+def nested_lists(table):
+    """The table's values as nested lists, one level per argument."""
+    return table.array.reshape((table.size,) * table.arity).tolist()
+
+
 def closure_in_rounds(alg, k, generators):
     """Reference traced closure in the element order of `generate_subpower`:
     the generators in order (duplicates dropped), then rounds.  A round
@@ -42,7 +47,7 @@ def closure_in_rounds(alg, k, generators):
             index[g] = len(elements)
             elements.append(g)
             trace.append(None)
-    ops = [(sym, t.arity, t.nested) for sym, t in alg.operations.items()]
+    ops = [(sym, t.arity, nested_lists(t)) for sym, t in alg.operations.items()]
     old, total = 0, len(elements)
     while old < total:
         new = {}
@@ -143,11 +148,11 @@ def assert_closes_like_rounds(monkeypatch, alg, k, gens, blocks):
     trace replays, for each block bound with the visited bitmap and with
     the sorted keys (the cap patched to 0)."""
     want = closure_in_rounds(alg, k, gens)
-    caps = (relations.FAST_CLOSURE_SPACE_CAP, 0)
+    caps = (core.FAST_CLOSURE_SPACE_CAP, 0)
     with monkeypatch.context() as patch:
         for block, cap in itertools.product(blocks, caps):
             patch.setattr(core, "BLOCK_SIZE", block)
-            patch.setattr(relations, "FAST_CLOSURE_SPACE_CAP", cap)
+            patch.setattr(core, "FAST_CLOSURE_SPACE_CAP", cap)
             gen = generate_subpower(alg, k, gens)
             assert (gen.elements, gen.trace) == want, (alg.name, k, gens, block, cap)
             assert replay(alg, gen) == list(gen.elements)
@@ -340,10 +345,10 @@ def test_lanes_close_like_each_lane_alone(monkeypatch):
     cases = list(lane_cases())
     assert len(cases) == 24 and any(len(set(map(tuple, lane))) < len(lane)
                                     for _, _, lanes in cases for lane in lanes)
-    for block, cap in itertools.product((5, 1 << 20), (relations.FAST_CLOSURE_SPACE_CAP, 0)):
+    for block, cap in itertools.product((5, 1 << 20), (core.FAST_CLOSURE_SPACE_CAP, 0)):
         with monkeypatch.context() as patch:
             patch.setattr(core, "BLOCK_SIZE", block)
-            patch.setattr(relations, "FAST_CLOSURE_SPACE_CAP", cap)
+            patch.setattr(core, "FAST_CLOSURE_SPACE_CAP", cap)
             for alg, k, lanes in cases:
                 assert_lanes_close_alone(alg, k, lanes)
 
@@ -378,10 +383,10 @@ def test_steps_derive_their_rows(monkeypatch):
     # 0), in whole boxes and in boxes of at most 5 combinations
     cases = list(lane_cases())
     cases += [(alg, k, [gens]) for alg, k, gens in random_closure_cases()]
-    for block, cap in itertools.product((5, 1 << 20), (relations.FAST_CLOSURE_SPACE_CAP, 0)):
+    for block, cap in itertools.product((5, 1 << 20), (core.FAST_CLOSURE_SPACE_CAP, 0)):
         with monkeypatch.context() as patch:
             patch.setattr(core, "BLOCK_SIZE", block)
-            patch.setattr(relations, "FAST_CLOSURE_SPACE_CAP", cap)
+            patch.setattr(core, "FAST_CLOSURE_SPACE_CAP", cap)
             for alg, k, lanes in cases:
                 assert_steps_derive_rows(alg, k, lanes)
 
@@ -481,7 +486,7 @@ def test_symmetric_closure_matches_plain(monkeypatch):
     cases = list(symmetric_closure_cases())
     closure = relations._subpower_closure
     assert symmetric_mismatches(closure, relations._KLEIN_GROUP, cases) == 0
-    monkeypatch.setattr(relations, "FAST_CLOSURE_SPACE_CAP", 0)
+    monkeypatch.setattr(core, "FAST_CLOSURE_SPACE_CAP", 0)
     assert symmetric_mismatches(closure, relations._KLEIN_GROUP, cases[:30]) == 0
 
 
@@ -616,6 +621,17 @@ def test_size_caps(monkeypatch):
     one = Partition.one(50)
     with pytest.raises(CapExceeded, match="closure cap"):
         commutator(chain_semilattice(50), one, one)
+
+
+def test_closure_cap_is_read_from_core(monkeypatch, e3):
+    # one cap, core's, read at call time, bounds the matrix closure too:
+    # patched to 0 it refuses the commutator of a three-element algebra
+    monkeypatch.setattr(relations, "_commutator", relations._commutator.__wrapped__)
+    one = Partition.one(3)
+    assert commutator(e3, one, one).is_one
+    monkeypatch.setattr(core, "FAST_CLOSURE_SPACE_CAP", 0)
+    with pytest.raises(CapExceeded, match="closure cap"):
+        commutator(e3, one, one)
 
 
 def test_principal_congruence_examples(e3):
@@ -834,7 +850,7 @@ def scan_violation(alg, p):
     ids = p.class_ids
     classes = p.blocks()
     for sym, table in alg.operations.items():
-        nested = table.nested
+        nested = nested_lists(table)
         for args in itertools.product(range(alg.size), repeat=table.arity):
             t = nested
             for a in args:
@@ -979,7 +995,7 @@ def test_subalgebras_and_products(e3, b2, s2, n4):
     assert prod.op("wedge").apply(1 * 2 + 0, 0 * 2 + 1) == 0  # (1,0)^(0,1) = (0,0)
 
 
-# Reference table builders: the per-tuple loops over `nested` that the
+# Reference table builders: the per-tuple loops over `nested_lists` that the
 # numpy versions in `relations` replaced.
 
 def loop_translations(alg):
@@ -987,7 +1003,7 @@ def loop_translations(alg):
     out = []
     for table in alg.operations.values():
         arity = table.arity
-        nested = table.nested
+        nested = nested_lists(table)
         for pos in range(arity):
             for consts in itertools.product(range(n), repeat=arity - 1):
                 row = []
@@ -1009,7 +1025,7 @@ def loop_quotient(alg, theta):
     m = theta.num_classes
     ops = {}
     for sym, table in alg.operations.items():
-        nested = table.nested
+        nested = nested_lists(table)
         entries = []
         for args in itertools.product(range(m), repeat=table.arity):
             t = nested
@@ -1025,7 +1041,7 @@ def loop_subalgebra(alg, subuniverse):
     pos = {x: i for i, x in enumerate(sub)}
     ops = {}
     for sym, table in alg.operations.items():
-        nested = table.nested
+        nested = nested_lists(table)
         entries = []
         for args in itertools.product(sub, repeat=table.arity):
             t = nested
@@ -1044,7 +1060,7 @@ def loop_product(a, b):
     nb = b.size
     for sym, ta in a.operations.items():
         tb = b.operations[sym]
-        na_nested, nb_nested = ta.nested, tb.nested
+        na_nested, nb_nested = nested_lists(ta), nested_lists(tb)
         entries = []
         for args in itertools.product(range(a.size * nb), repeat=ta.arity):
             t1 = na_nested
