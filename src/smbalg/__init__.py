@@ -10,8 +10,8 @@ from .partitions import Partition, all_partitions
 from .relations import (CongruenceLattice, GeneratedSet, commutator,
                         congruence_generated, congruence_lattice,
                         congruence_violation, d_rel, d_rels,
-                        generate_subpower, generate_subuniverse, is_abelian,
-                        is_congruence, matrix_set, polynomial_image_pairs,
+                        generate_subpower, is_abelian, is_congruence,
+                        matrix_set, polynomial_image_pairs,
                         principal_congruence, product_algebra, push_partition,
                         quotient_algebra, subalgebra)
 from .analyzer import (BaseReport, ClassOrder, RegularityReport, SmbReport,

@@ -45,9 +45,9 @@ from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
                    Term, Var, Verdict, _term_boxes, check_identity, first_failure,
                    idempotence_violation, term_table)
 from .partitions import Partition
-from .relations import (GeneratedSet, _check_congruences, _commutator,
-                        congruence_violation, d_rels, polynomial_image_pairs,
-                        principal_congruence, quotient_algebra)
+from .relations import (_check_congruences, _commutator, congruence_violation,
+                        d_rels, polynomial_image_pairs, principal_congruence,
+                        quotient_algebra)
 
 WEDGE = "wedge"
 D = "d"
@@ -479,9 +479,9 @@ class CgD3Result:
 
 
 def _d_pair_steps(alg: FiniteAlgebra, lanes: list) -> list:
-    """For each (dset, a, b, links) of `lanes`, the two chain steps of each
-    D-pair (u, v) = (q(a, b), q(b, a)) in `links`: q(a, x) from u to
-    mid = q(a, a) and q(x, a) from mid to v.
+    """For each (dset, index, a, b, links) of `lanes`, the two chain steps
+    of each D-pair (u, v) = (q(a, b), q(b, a)) = dset.rows[index[u, v]] in
+    `links`: q(a, x) from u to mid = q(a, a) and q(x, a) from mid to v.
 
     The step polynomials come straight from two term builders of `dset`:
     one reads the generator (a, b) as a and (b, a) as x, the other (a, b)
@@ -491,11 +491,11 @@ def _d_pair_steps(alg: FiniteAlgebra, lanes: list) -> list:
     chain (c, d) through the pair, named when one of its steps fails to
     replay.  The first failing step in lane, link and step order raises."""
     polys, points, ends, named = [], [], [], []
-    for dset, a, b, links in lanes:
+    for dset, index, a, b, links in lanes:
         left = dset.terms({(b, a): Var(0), (a, b): Const(a)})
         right = dset.terms({(b, a): Const(a), (a, b): Var(0)})
         for pair, chain in links.items():
-            i = dset.index[pair]
+            i = int(index[pair])
             polys += [left(i), right(i)]
             points.append((a, b))
             ends.append(pair)
@@ -519,7 +519,7 @@ def _d_pair_steps(alg: FiniteAlgebra, lanes: list) -> list:
             f"{int(lo[i])}-{int(hi[i])} has polynomial images {sorted(set(at[i].tolist()))}")
     mids, steps = iter(mid.tolist()), iter(polys)
     return [{pair: (ChainStep(next(steps), pair[0], m), ChainStep(next(steps), m, pair[1]))
-             for pair, m in zip(links, mids)} for _, _, _, links in lanes]
+             for pair, m in zip(links, mids)} for *_, links in lanes]
 
 
 def _midpoints(dm: np.ndarray, d2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -550,12 +550,13 @@ def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
     per pair.
 
     The D-relations come from one lane closure (`d_rels`).  Each D is an
-    n x n boolean matrix; D^2 and D^3 are batched boolean matrix products
-    over the stack of all pairs, and every D^3 must equal the relation of
-    Cg(a,b).  The chain for (c, d) runs c D e2 D e4 D d, with one rule for
-    every pair: e4 is the least element with D^2[c, e4] and D[e4, d], and
-    e2 the least with D[c, e2] and D[e2, e4] (`_midpoints`, batched).  Each
-    link (u, v) is a D-pair, with a term q over the generators (a, b) and
+    n x n array of indices into its rows, -1 off D, read as a boolean
+    matrix; D^2 and D^3 are batched boolean matrix products over the
+    stack of all pairs, and every D^3 must equal the relation of Cg(a,b).
+    The chain for (c, d) runs c D e2 D e4 D d, with one rule for every
+    pair: e4 is the least element with D^2[c, e4] and D[e4, d], and e2 the
+    least with D[c, e2] and D[e2, e4] (`_midpoints`, batched).  Each link
+    (u, v) is a D-pair, with a term q over the generators (a, b) and
     (b, a), and gives two steps (see `_d_pair_steps`).  The steps of the
     distinct D-pairs the chains of each generator pair use are built and
     replayed for all pairs together, in one term-kernel pass, and every
@@ -572,10 +573,10 @@ def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
     n = alg.size
     cgs = [principal_congruence(alg, a, b) for a, b in pairs]
     dsets = d_rels(alg, pairs)
-    rows = np.array([elem for dset in dsets for elem in dset.elements], dtype=np.int64)
-    lane = np.repeat(np.arange(len(pairs)), [len(dset) for dset in dsets])
-    dm = np.zeros((len(pairs), n, n), dtype=bool)
-    dm[lane, rows[:, 0], rows[:, 1]] = True
+    index = np.full((len(pairs), n, n), -1, dtype=np.int64)
+    for l, dset in enumerate(dsets):
+        index[l, dset.rows[:, 0], dset.rows[:, 1]] = np.arange(len(dset))
+    dm = index >= 0
     d2 = dm @ dm
     d3 = d2 @ dm
     in_cg = _relation_rows(cgs).reshape(len(pairs), n, n)
@@ -594,7 +595,7 @@ def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
             for pair in chain:
                 links.setdefault(pair, (c, d))
         a, b = pairs[l]
-        lanes.append((dsets[l], a, b, links))
+        lanes.append((dsets[l], index[l], a, b, links))
         walks.append(walk)
     steps = _d_pair_steps(alg, lanes)         # raises for an earlier pair first
     if held < len(pairs):
@@ -647,10 +648,12 @@ def join_membership_chain(alg: FiniteAlgebra, sim: Partition,
 
     pg = polynomial_image_pairs(alg, a, b)
     n = alg.size
+    index = np.full((n, n), -1, dtype=np.int64)     # of (u, v) in pg.rows, or -1
+    index[pg.rows[:, 0], pg.rows[:, 1]] = np.arange(len(pg))
     poly_adj: dict = {u: [] for u in range(n)}
-    for u, v in pg.elements:
+    for u, v in pg.rows.tolist():
         poly_adj[u].append((v, (u, v)))
-        if (v, u) not in pg.index:
+        if index[v, u] < 0:
             poly_adj[v].append((u, (u, v)))
 
     prev: dict = {c: None}
@@ -692,7 +695,7 @@ def join_membership_chain(alg: FiniteAlgebra, sim: Partition,
             current = v
         else:
             ds.append(current)
-            steps.append((term(pg.index[oriented]), (current, v)))
+            steps.append((term(int(index[oriented])), (current, v)))
             cs.append(v)
             current = v
     ds.append(current)

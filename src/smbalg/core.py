@@ -57,7 +57,21 @@ class FalsificationError(RuntimeError):
     """
 
 
-class OperationTable:
+class _Frozen:
+    """Attributes are set in `__init__` or on a lazy first read, through
+    object.__setattr__; any other assignment or deletion raises, so the
+    content key a cache files an object under stays true."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class OperationTable(_Frozen):
     """A k-ary operation on {0, ..., n-1} stored once, as a flat int64 array.
 
     Index convention: row major with the last argument varying fastest,
@@ -95,17 +109,17 @@ class OperationTable:
             if isinstance(bad, (np.generic, np.ndarray)):
                 bad = bad.tolist()
             raise AlgebraError(f"table entry {bad!r} out of range 0..{size - 1}")
-        self.arity = arity
-        self.size = size
-        self.array = np.frombuffer(
-            np.asarray(entries, dtype=np.int64).tobytes(), dtype=np.int64)
-        self._entries = None
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "array", np.frombuffer(
+            np.asarray(entries, dtype=np.int64).tobytes(), dtype=np.int64))
+        object.__setattr__(self, "_entries", None)
 
     @property
     def entries(self) -> tuple:
         """The values as a tuple of Python ints, made from `array` once."""
         if self._entries is None:
-            self._entries = tuple(self.array.tolist())
+            object.__setattr__(self, "_entries", tuple(self.array.tolist()))
         return self._entries
 
     def index(self, args: Sequence[int]) -> int:
@@ -145,7 +159,7 @@ class OperationTable:
         return f"OperationTable(arity={self.arity}, size={self.size})"
 
 
-class FiniteAlgebra:
+class FiniteAlgebra(_Frozen):
     """A finite algebra: universe {0..n-1} plus named finitary operations.
 
     Operations are kept in declaration order, in a read-only mapping.  The
@@ -178,11 +192,11 @@ class FiniteAlgebra:
                 raise AlgebraError(
                     f"operation '{sym}' is over size {table.size}, algebra has size {size}")
             ops[sym] = table
-        self.name = name
-        self.size = size
-        self.operations = MappingProxyType(ops)
-        self._key = None
-        self._hash = None
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "operations", MappingProxyType(ops))
+        object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_hash", None)
 
     def op(self, symbol: str) -> OperationTable:
         try:
@@ -201,8 +215,9 @@ class FiniteAlgebra:
 
     def _content(self) -> tuple:
         if self._key is None:
-            self._key = (self.size, tuple(sorted(self.operations.items())))
-            self._hash = hash(self._key)
+            key = (self.size, tuple(sorted(self.operations.items())))
+            object.__setattr__(self, "_key", key)
+            object.__setattr__(self, "_hash", hash(key))
         return self._key
 
     def __eq__(self, other):

@@ -1,9 +1,9 @@
 """Independent oracles for the falsification harness; not part of the API.
 
-Each function here but the last two computes, by a slower and more
+Each function here but the last three computes, by a slower and more
 literal route, a result that the library computes by a fast one.  The
 tests compare the two, so these stay free of the shortcuts they check,
-and nothing in the library calls them.  The last two are enumerations
+and nothing in the library calls them.  The last three are enumerations
 that only the tests and the acceptance criteria use.  `smbalg` does not
 re-export any of them; import them from `smbalg.oracles`.
 
@@ -28,7 +28,8 @@ re-export any of them; import them from `smbalg.oracles`.
   unary_polynomials               every unary polynomial with a witnessing
                                   term, as the subuniverse of A^A generated
                                   by the identity and the constant maps
-  all_subuniverses                every nonempty subuniverse, by closing
+  generate_subuniverse,           the subuniverse generated by a set of
+  all_subuniverses                elements, and every nonempty one, by closing
                                   each of the 2^n - 1 nonempty subsets
 
 The lattice-based oracles are bounded by `relations.LATTICE_SIZE_CAP`, the
@@ -47,8 +48,8 @@ from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
                    FiniteAlgebra, Term, Var)
 from .partitions import Partition
 from .analyzer import _idempotence_violations, _sim_conditions, designated_ops
-from .relations import (_check_congruences, congruence_lattice,
-                        generate_subpower, generate_subuniverse, matrix_set)
+from .relations import (_check_congruences, _subpower_closure,
+                        congruence_lattice, generate_subpower, matrix_set)
 
 POL1_SIZE_CAP = 8
 SUBUNIVERSE_SIZE_CAP = 12
@@ -82,7 +83,7 @@ def congruence_by_alternating_closure(alg: FiniteAlgebra, pairs: Iterable[tuple]
         relation.add((a, b))
         relation.add((b, a))
     while True:
-        closed = generate_subpower(alg, 2, sorted(relation)).as_set()
+        closed = generate_subpower(alg, 2, sorted(relation)).rows.tolist()
         part = Partition.from_pairs(n, closed)
         new_rel = set(part.pairs())
         if new_rel == relation:
@@ -201,7 +202,13 @@ def unary_polynomials(alg: FiniteAlgebra) -> tuple:
     gens = [identity] + [(c,) * n for c in range(n)]
     gen_set = generate_subpower(alg, n, gens)
     term = gen_set.terms({identity: Var(0)})
-    return tuple((elem, term(i)) for i, elem in enumerate(gen_set.elements))
+    return tuple((tuple(elem), term(i)) for i, elem in enumerate(gen_set.rows.tolist()))
+
+
+def generate_subuniverse(alg: FiniteAlgebra, generators: Iterable[int]) -> tuple:
+    """Subuniverse of A generated by a set of elements, as a sorted tuple."""
+    rows = _subpower_closure(alg, 1, [[(g,) for g in generators]])[0][0]
+    return tuple(sorted(rows[:, 0].tolist()))
 
 
 def all_subuniverses(alg: FiniteAlgebra) -> list:

@@ -17,14 +17,15 @@ round are cut into boxes by `_blocks`, which the term kernel of `core`
 shares, so that neither the gathered rows nor the keys of a box exceed
 `core.BLOCK_SIZE`; `_apply_block` evaluates a box by gathering one row per
 leading combination and coordinate and indexing it by the last argument.
-`generate_subpower` turns the rows and steps of one lane into a
-`GeneratedSet`, and `d_rels` those of one lane per generator pair; these
-sets are used wherever witnesses must be replayed (D-relations,
+`generate_subpower` wraps the rows and steps of one lane, as they come,
+in a `GeneratedSet`, and `d_rels` those of one lane per generator pair;
+these sets are used wherever witnesses must be replayed (D-relations,
 polynomial image pairs, and `oracles.unary_polynomials`), and their
-`terms` builder is the one place a trace becomes a term.  The commutator's matrix sets in A^4 and
-generated subuniverses take the int64 rows directly.  The element
-order is documented at `generate_subpower`, and the test suite checks
-it, trace for trace, against a plain Python loop.
+`terms` builder is the one place a trace becomes a term.  A caller that
+looks elements up builds its own index over the rows.  The commutator's
+matrix sets in A^4 and `oracles.generate_subuniverse` take the int64 rows
+directly.  The element order is documented at `generate_subpower`, and
+the test suite checks it, trace for trace, against a plain Python loop.
 
 The commutator [alpha, beta] is computed by construction as the least
 congruence satisfying the term condition, by a fixpoint over class-id
@@ -81,54 +82,42 @@ LATTICE_SIZE_CAP = 10
 # ---------------------------------------------------------------------------
 # Subpower closure
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratedSet:
-    """A generated subset of A^k with one derivation trace per element.
+    """A generated subset of A^k with one derivation step per element: the
+    int64 `rows` and `steps` of one lane of `_subpower_closure`, as they are.
 
-    `trace[i]` is None for a generator and otherwise a pair
-    (operation symbol, tuple of parent element indices).  Replaying the
-    trace from the generators reproduces the element.
+    Step i is all -1 for a generator, else an index into `symbols` (the
+    operation names in `alg.operations` order) and then the parent indices,
+    -1-padded.  Replaying the steps from the generators gives the rows.
     """
-    power: int
-    elements: tuple            # tuples of length `power`, in closure order
-    trace: tuple               # parallel to elements
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.elements)})
-
-    @property
-    def index(self):
-        return self._index  # type: ignore[attr-defined]
-
-    def __contains__(self, item) -> bool:
-        return tuple(item) in self.index
+    symbols: tuple
+    rows: np.ndarray
+    steps: np.ndarray
 
     def __len__(self):
-        return len(self.elements)
-
-    def as_set(self) -> frozenset:
-        return frozenset(self.elements)
+        return len(self.rows)
 
     def terms(self, variables: dict):
         """The witness-term builder of this set: a function from element
-        index to a term over the generators, read along the trace.
+        index to a term over the generators, read along the steps.
 
         A generator that is a key of `variables` becomes that key's term;
         any other generator must be a constant tuple (c, .., c) and becomes
         Const(c).  Derived elements become applications.  All calls to one
         builder share a memo, so equal subterms are one object.
         """
+        steps = self.steps.tolist()
         memo: dict = {}
 
         def build(j):
             if j in memo:
                 return memo[j]
-            step = self.trace[j]
-            if step is not None:
-                sym, parents = step
-                t = App(sym, tuple(build(p) for p in parents))
+            o, *parents = steps[j]
+            if o >= 0:
+                t = App(self.symbols[o], tuple(build(p) for p in parents if p >= 0))
             else:
-                elem = self.elements[j]
+                elem = tuple(self.rows[j].tolist())
                 t = variables.get(elem)
                 if t is None:
                     if len(set(elem)) != 1:
@@ -364,18 +353,16 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
 
 def _generated_sets(alg: FiniteAlgebra, k: int, lanes: Sequence) -> list:
     """One traced `GeneratedSet` per generator set of `lanes`, all closed
-    together by `_subpower_closure`, with the -1 padding of the steps cut."""
-    symbols = list(alg.operations)
-    return [GeneratedSet(k, tuple(map(tuple, rows.tolist())),
-                         tuple(None if o < 0 else (symbols[o], tuple(a for a in args if a >= 0))
-                               for o, *args in steps.tolist()))
+    together by `_subpower_closure`, each holding its lane's arrays."""
+    symbols = tuple(alg.operations)
+    return [GeneratedSet(symbols, rows, steps)
             for rows, steps in _subpower_closure(alg, k, lanes)]
 
 
 def generate_subpower(alg: FiniteAlgebra, k: int,
                       generators: Sequence[tuple]) -> GeneratedSet:
     """Least subset of A^k containing `generators`, closed under all
-    operations applied coordinatewise, with a derivation trace per element.
+    operations applied coordinatewise, with a derivation step per element.
 
     Element order: the generators in the given order (duplicates dropped),
     then each semi-naive round's new tuples in ascending order.  A round
@@ -385,17 +372,12 @@ def generate_subpower(alg: FiniteAlgebra, k: int,
     combination is evaluated once.  The combinations of one operation and
     `pos` are taken in lexicographic order of their element indices, in
     boxes of at most `core.BLOCK_SIZE` evaluated at once by numpy; a new
-    tuple's trace is (symbol, argument indices) of the first combination
-    that produced it.  The set is one lane of `_subpower_closure`;
-    `d_rels` closes many lanes at once, each in this same order.
+    tuple's step is the operation number and argument indices of the first
+    combination that produced it.  The set holds the `rows` and `steps` of
+    one lane of `_subpower_closure` as they come; `d_rels` closes many
+    lanes at once, each in this same order.
     """
     return _generated_sets(alg, k, [generators])[0]
-
-
-def generate_subuniverse(alg: FiniteAlgebra, generators: Iterable[int]) -> tuple:
-    """Subuniverse of A generated by a set of elements, as a sorted tuple."""
-    rows = _subpower_closure(alg, 1, [[(g,) for g in generators]])[0][0]
-    return tuple(sorted(rows[:, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +646,7 @@ def d_rels(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> list:
     """D_{a,b} for each (a, b) of `pairs`, in order: the subuniverse of A^2
     generated by (a,b), (b,a) and the diagonal, always reflexive and
     symmetric.  Each is one lane of a single `_subpower_closure`, with the
-    elements and traces `generate_subpower` gives it alone."""
+    rows and steps `generate_subpower` gives it alone."""
     diagonal = [(c, c) for c in range(alg.size)]
     return _generated_sets(alg, 2, [[(a, b), (b, a)] + diagonal for a, b in pairs])
 

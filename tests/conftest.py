@@ -85,17 +85,28 @@ def regularized_glued(seed, block_sizes):
     return regularize(alg, sim), sim
 
 
+def decoded(gset):
+    """The rows and steps of a GeneratedSet as the (elements, trace) tuples
+    of the reference closure: trace[i] is None for a generator, else the
+    operation symbol and the tuple of parent element indices."""
+    elements = tuple(map(tuple, gset.rows.tolist()))
+    trace = tuple(None if o < 0 else (gset.symbols[o], tuple(p for p in parents if p >= 0))
+                  for o, *parents in gset.steps.tolist())
+    return elements, trace
+
+
 def reference_term(gset, i, leaf_terms):
     """Reference witness term of element i of a GeneratedSet, read along its
-    trace from `leaf_terms`, a map from generator index to term, with a
+    steps from `leaf_terms`, a map from generator index to term, with a
     fresh memo per call."""
+    steps = gset.steps.tolist()
     memo = {}
 
     def build(j):
         if j not in memo:
-            step = gset.trace[j]
-            memo[j] = (leaf_terms[j] if step is None else
-                       App(step[0], tuple(build(p) for p in step[1])))
+            o, *parents = steps[j]
+            memo[j] = (leaf_terms[j] if o < 0 else
+                       App(gset.symbols[o], tuple(build(p) for p in parents if p >= 0)))
         return memo[j]
 
     return build(i)

@@ -26,7 +26,7 @@ from smbalg.oracles import compose_relations, eval_term, smb_congruences_by_latt
 from smbalg import relations
 from smbalg.relations import GeneratedSet
 
-from conftest import reference_term, regularized_glued
+from conftest import decoded, reference_term, regularized_glued
 
 
 def test_check_smb_over_examples(e3, b2, e3_sim):
@@ -389,7 +389,7 @@ def test_verify_cg_d3_chain_replay(corpus):
     # step replays at a and b, and a D-pair's steps are shared by its chains
     for alg, a, b in regular_pairs(corpus, 6):
         res = verify_cg_d3(alg, a, b)
-        dpairs = d_rel(alg, a, b).as_set()
+        dpairs = set(decoded(d_rel(alg, a, b))[0])
         d2 = compose_relations(dpairs, dpairs)
         shared = {}
         for (c, d), steps in res.chains.items():
@@ -411,7 +411,7 @@ def test_verify_cg_d3_chain_replay(corpus):
 
 def test_verify_cg_d3_relation_matches_composition(corpus):
     for alg, a, b in regular_pairs(corpus):
-        dpairs = d_rel(alg, a, b).as_set()
+        dpairs = set(decoded(d_rel(alg, a, b))[0])
         d3 = compose_relations(compose_relations(dpairs, dpairs), dpairs)
         assert verify_cg_d3(alg, a, b).relation == d3, (alg.name, a, b)
 
@@ -420,12 +420,12 @@ def reference_d_leaves(dset, a, b):
     """Index-keyed leaves of a D-relation: the first generator (a, b) as
     Var(0), the first (b, a) as Var(1), any other (c, c) as Const(c)."""
     leaves = {}
-    for i, elem in enumerate(dset.elements):
-        if dset.trace[i] is not None:
+    for i, (elem, (o, *_)) in enumerate(zip(dset.rows.tolist(), dset.steps.tolist())):
+        if o >= 0:
             continue
-        if elem == (a, b) and Var(0) not in leaves.values():
+        if elem == [a, b] and Var(0) not in leaves.values():
             leaves[i] = Var(0)
-        elif elem == (b, a) and Var(1) not in leaves.values():
+        elif elem == [b, a] and Var(1) not in leaves.values():
             leaves[i] = Var(1)
         else:
             leaves[i] = Const(elem[0])
@@ -441,15 +441,18 @@ def test_terms_match_substituted_reference(corpus):
     for alg, a, b in regular_pairs(corpus):
         dset = d_rel(alg, a, b)
         leaves = reference_d_leaves(dset, a, b)
-        links = {pair: pair for pair in dset.elements}      # each D-pair its own chain
-        steps, = analyzer._d_pair_steps(alg, [(dset, a, b, links)])
-        polys = [tuple(step.poly for step in steps[elem]) for elem in dset.elements]
+        dpairs, trace = decoded(dset)
+        links = {pair: pair for pair in dpairs}      # each D-pair its own chain
+        index = np.full((alg.size, alg.size), -1, dtype=np.int64)
+        index[dset.rows[:, 0], dset.rows[:, 1]] = np.arange(len(dset))
+        steps, = analyzer._d_pair_steps(alg, [(dset, index, a, b, links)])
+        polys = [tuple(step.poly for step in steps[pair]) for pair in dpairs]
         for i, (left, right) in enumerate(polys):
             q = reference_term(dset, i, leaves)
             assert left == core.substitute(q, {0: Const(a), 1: Var(0)}), (alg.name, a, b, i)
             assert right == core.substitute(q, {1: Const(a)}), (alg.name, a, b, i)
-            if dset.trace[i] is not None:
-                parents = dset.trace[i][1]
+            if trace[i] is not None:
+                parents = trace[i][1]
                 for side in (0, 1):
                     assert all(arg is polys[p][side]
                                for arg, p in zip(polys[i][side].args, parents))
@@ -494,10 +497,9 @@ def test_verify_cg_d3_rejects_wrong_kernel_value(e3, monkeypatch):
 def test_verify_cg_d3_rejects_dropped_d_pair(e3, monkeypatch):
     # D_{0,1} on e3 is its five generators; without (1, 0), D^3 misses (1, 0)
     full = d_rel(e3, 0, 1)
-    assert all(t is None for t in full.trace)
-    keep = [i for i, pair in enumerate(full.elements) if pair != (1, 0)]
-    dropped = GeneratedSet(2, tuple(full.elements[i] for i in keep),
-                           tuple(full.trace[i] for i in keep))
+    assert (full.steps == -1).all()
+    keep = (full.rows != (1, 0)).any(axis=1)
+    dropped = GeneratedSet(full.symbols, full.rows[keep], full.steps[keep])
     monkeypatch.setattr(analyzer, "d_rels", lambda alg, pairs: [dropped])
     with pytest.raises(FalsificationError, match=re.escape("symmetric difference [(1, 0)]")):
         verify_cg_d3(e3, 0, 1)
@@ -537,7 +539,7 @@ def test_midpoints_chunked_match_unchunked(corpus, monkeypatch):
         pairs = [(a, b) for a in range(n) for b in range(a, n)]
         dm = np.zeros((len(pairs), n, n), dtype=bool)
         for l, dset in enumerate(analyzer.d_rels(alg, pairs)):
-            for u, v in dset.elements:
+            for u, v in dset.rows.tolist():
                 dm[l, u, v] = True
         d2 = dm @ dm
         whole = analyzer._midpoints(dm, d2)
@@ -565,9 +567,8 @@ def break_pairs(monkeypatch, cg_at=(), replay_at=()):
         out = real(alg, pairs)
         for i in cg_at:
             a, b = pairs[i]
-            keep = [j for j, pair in enumerate(out[i].elements) if pair != (b, a)]
-            out[i] = GeneratedSet(2, tuple(out[i].elements[j] for j in keep),
-                                  tuple(out[i].trace[j] for j in keep))
+            keep = (out[i].rows != (b, a)).any(axis=1)
+            out[i] = GeneratedSet(out[i].symbols, out[i].rows[keep], out[i].steps[keep])
         swapped.extend(out[i] for i in replay_at)
         return out
 

@@ -43,6 +43,13 @@ def test_table_validation():
                          ([0, np.True_], "True"), ([5, "x"], "5")):
         with pytest.raises(AlgebraError, match=rf"^table entry {bad} out of range 0\.\.1$"):
             OperationTable(1, 2, entries)
+    # a table's `array` cannot be rebound or deleted
+    t = OperationTable(2, 3, [0, 1, 2] * 3)
+    with pytest.raises(AttributeError, match="immutable"):
+        t.array = np.zeros(9, dtype=np.int64)
+    with pytest.raises(AttributeError, match="immutable"):
+        del t.array
+    assert t.entries == (0, 1, 2) * 3 and t.array.tolist() == [0, 1, 2] * 3
 
 
 def test_table_from_integer_array():
@@ -94,6 +101,30 @@ def test_operations_are_read_only():
     with pytest.raises(TypeError):
         del alg.operations["f"]
     assert alg.rename("b") == alg and dict(alg.operations) == {"f": t}
+
+
+def test_attributes_are_read_only():
+    # no attribute of a table or an algebra can be assigned or deleted after
+    # __init__, so a cached answer filed under the algebra's content key
+    # stays true: the table, the hash and the cached congruence keep
+    from smbalg import example_e3, principal_congruence
+    e3 = example_e3()
+    d = e3.op("d")
+    entries, key = d.entries, hash(e3)
+    assert str(principal_congruence(e3, 0, 2)) == "0 1 2"
+    for obj, name, value in [(d, "array", np.zeros(27, dtype=np.int64)), (d, "arity", 2),
+                             (d, "size", 2), (d, "_entries", ()), (e3, "name", "x"),
+                             (e3, "size", 2), (e3, "operations", {}), (e3, "_key", None),
+                             (e3, "_hash", 0), (d, "extra", 1), (e3, "extra", 1)]:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obj, name, value)
+        if hasattr(obj, name):
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(obj, name)
+    assert d.entries == entries and d.array.tolist() == list(entries)
+    assert (d.arity, d.size, e3.name, e3.size, hash(e3)) == (3, 3, "e3", 3, key)
+    assert dict(e3.operations) == {"wedge": e3.op("wedge"), "d": d}
+    assert str(principal_congruence(e3, 0, 2)) == "0 1 2"
 
 
 ONE_ALGEBRA = """algebra {name}
@@ -160,7 +191,8 @@ def test_oracles_stay_apart():
                        "congruence_by_alternating_closure",
                        "commutator_oracle", "literal_power",
                        "compose_relations", "eval_term",
-                       "unary_polynomials", "all_subuniverses"}
+                       "unary_polynomials", "generate_subuniverse",
+                       "all_subuniverses"}
     assert not defined & set(vars(smbalg))
 
 

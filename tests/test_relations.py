@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import random
@@ -23,7 +24,7 @@ from smbalg.constructions import (affine_block, example_b2, example_e3,
                                   example_s2)
 from smbalg.pipeline import regularize
 
-from conftest import glued, reference_term, regularized_glued
+from conftest import decoded, glued, reference_term, regularized_glued
 
 
 def nested_lists(table):
@@ -84,16 +85,44 @@ def test_generate_subpower_examples(e3, b2):
     diag3 = [(c, c) for c in range(3)]
     gen = generate_subpower(e3, 2, [(0, 1), (1, 0)] + diag3)
     expected = set(diag3) | {(0, 1), (1, 0)}
-    assert gen.as_set() == expected
-    assert gen.as_set() == brute_subpower(e3, 2, expected)
+    assert set(decoded(gen)[0]) == expected
+    assert set(decoded(gen)[0]) == brute_subpower(e3, 2, expected)
 
     gen2 = generate_subpower(b2, 2, [(c, c) for c in range(2)] + [(0, 1)])
-    assert gen2.as_set() == {(0, 0), (1, 1), (0, 1), (1, 0)}
-    assert gen2.as_set() == brute_subpower(b2, 2, [(0, 0), (1, 1), (0, 1)])
+    assert set(decoded(gen2)[0]) == {(0, 0), (1, 1), (0, 1), (1, 0)}
+    assert set(decoded(gen2)[0]) == brute_subpower(b2, 2, [(0, 0), (1, 1), (0, 1)])
 
     for entry_a in range(3):
         single = generate_subpower(e3, 1, [(entry_a,)])
-        assert single.as_set() == {(entry_a,)}
+        assert set(decoded(single)[0]) == {(entry_a,)}
+
+
+def test_generated_set_holds_the_closure_arrays(e3, monkeypatch):
+    # a GeneratedSet is the symbols and the rows and steps of its lane, the
+    # very arrays `_subpower_closure` returned, not copies
+    assert [f.name for f in dataclasses.fields(GeneratedSet)] == ["symbols", "rows", "steps"]
+    closure, returned = relations._subpower_closure, []
+
+    def spy(*args):
+        returned.append(closure(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(relations, "_subpower_closure", spy)
+    gens = [generate_subpower(e3, 2, [(0, 1), (1, 0)]), *relations.d_rels(e3, [(0, 1), (0, 2)])]
+    for gen, (rows, steps) in zip(gens, [lane for out in returned for lane in out]):
+        assert gen.rows is rows and gen.steps is steps and len(gen) == len(rows)
+        assert gen.symbols == tuple(e3.operations)
+    assert len(returned) == 2 and gens[0] == gens[0] and gens[1] != gens[2]
+
+
+def test_generate_subuniverse_is_an_oracle(e3):
+    # its one caller is `oracles.all_subuniverses`, so the library neither
+    # defines nor exports it
+    import smbalg
+    assert not hasattr(smbalg, "generate_subuniverse")
+    assert not hasattr(relations, "generate_subuniverse")
+    assert oracles.generate_subuniverse(e3, [1, 0, 1]) == (0, 1)
+    assert oracles.generate_subuniverse(e3, [2]) == (2,)
 
 
 def test_generate_subpower_validation(e3):
@@ -105,24 +134,24 @@ def test_generate_subpower_validation(e3):
 
 
 def replay(alg, gen):
-    """Every element of `gen` recomputed from its trace, in index order; a
-    parent must come before its child."""
+    """Every row of `gen` recomputed from its steps, in index order, as
+    lists; a parent must come before its child."""
     out = []
-    for elem, step in zip(gen.elements, gen.trace):
-        if step is None:
+    for elem, (o, *parents) in zip(gen.rows.tolist(), gen.steps.tolist()):
+        if o < 0:
             out.append(elem)
             continue
-        sym, parents = step
+        parents = [p for p in parents if p >= 0]
         assert all(p < len(out) for p in parents)
-        table = alg.op(sym)
-        out.append(tuple(table.apply(*(out[p][c] for p in parents))
-                         for c in range(gen.power)))
+        table = alg.op(gen.symbols[o])
+        out.append([table.apply(*(out[p][c] for p in parents))
+                    for c in range(gen.rows.shape[1])])
     return out
 
 
 def assert_matches_rounds(gen, alg, k, generators):
-    assert (gen.elements, gen.trace) == closure_in_rounds(alg, k, generators)
-    assert replay(alg, gen) == list(gen.elements)
+    assert decoded(gen) == closure_in_rounds(alg, k, generators)
+    assert replay(alg, gen) == gen.rows.tolist()
 
 
 def random_closure_cases():
@@ -154,8 +183,8 @@ def assert_closes_like_rounds(monkeypatch, alg, k, gens, blocks):
             patch.setattr(core, "BLOCK_SIZE", block)
             patch.setattr(core, "FAST_CLOSURE_SPACE_CAP", cap)
             gen = generate_subpower(alg, k, gens)
-            assert (gen.elements, gen.trace) == want, (alg.name, k, gens, block, cap)
-            assert replay(alg, gen) == list(gen.elements)
+            assert decoded(gen) == want, (alg.name, k, gens, block, cap)
+            assert replay(alg, gen) == gen.rows.tolist()
     return want
 
 
@@ -208,7 +237,7 @@ def test_generate_subpower_order_is_checked():
         mismatches = 0
         for alg, k, gens in random_closure_cases():
             gen = namespace["generate_subpower"](alg, k, gens)
-            mismatches += (gen.elements, gen.trace) != closure_in_rounds(alg, k, gens)
+            mismatches += decoded(gen) != closure_in_rounds(alg, k, gens)
         assert mismatches > 0, line
 
 
@@ -335,8 +364,8 @@ def assert_lanes_close_alone(alg, k, lanes):
     got = relations._generated_sets(alg, k, lanes)
     assert len(got) == len(lanes)
     for gens, gen in zip(lanes, got):
-        assert (gen.elements, gen.trace) == closure_in_rounds(alg, k, gens), (alg.name, k, gens)
-        assert replay(alg, gen) == list(gen.elements)
+        assert decoded(gen) == closure_in_rounds(alg, k, gens), (alg.name, k, gens)
+        assert replay(alg, gen) == gen.rows.tolist()
 
 
 def test_lanes_close_like_each_lane_alone(monkeypatch):
@@ -403,7 +432,7 @@ def test_d_rels_are_lanes(corpus):
         diag = [(c, c) for c in range(n)]
         for (a, b), gen in zip(pairs, relations.d_rels(alg, pairs)):
             want = closure_in_rounds(alg, 2, [(a, b), (b, a)] + diag)
-            assert (gen.elements, gen.trace) == want, (alg.name, a, b)
+            assert decoded(gen) == want, (alg.name, a, b)
     assert relations.d_rels(corpus[0].algebra, []) == []
 
 
@@ -581,12 +610,14 @@ def test_corpus_closures_match_bfs(corpus):
         if not entry.has("smb"):
             continue
         gens = [tuple(range(n))] + [(c,) * n for c in range(n)]
-        ref = GeneratedSet(n, *closure_in_rounds(alg, n, gens))
+        ref = generate_subpower(alg, n, gens)
+        elements, _ = want = decoded(ref)
+        assert want == closure_in_rounds(alg, n, gens)
         leaves = {0: Var(0)}
         for c in range(n):
-            leaves.setdefault(ref.index[(c,) * n], Const(c))
+            leaves.setdefault(elements.index((c,) * n), Const(c))
         assert unary_polynomials(alg) == tuple(
-            (elem, reference_term(ref, i, leaves)) for i, elem in enumerate(ref.elements))
+            (elem, reference_term(ref, i, leaves)) for i, elem in enumerate(elements))
 
 
 def test_trace_replay(corpus):
@@ -598,7 +629,7 @@ def test_trace_replay(corpus):
         for gen in (d_rel(alg, 0, alg.size - 1),
                     polynomial_image_pairs(alg, 0, alg.size - 1),
                     d_rel(alg, 0, alg.size // 2)):
-            assert replay(alg, gen) == list(gen.elements)
+            assert replay(alg, gen) == gen.rows.tolist()
 
 
 def test_size_caps(monkeypatch):
@@ -918,9 +949,9 @@ def test_push_partition(e3, e3_sim):
 
 
 def test_d_rel_examples(e3, b2):
-    assert d_rel(e3, 0, 1).as_set() == {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)}
-    assert d_rel(b2, 0, 1).as_set() == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    diag = d_rel(e3, 1, 1).as_set()
+    assert set(decoded(d_rel(e3, 0, 1))[0]) == {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)}
+    assert set(decoded(d_rel(b2, 0, 1))[0]) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    diag = set(decoded(d_rel(e3, 1, 1))[0])
     assert diag == {(c, c) for c in range(3)}
 
 
@@ -932,7 +963,7 @@ def test_d_rel_inside_principal(corpus):
         for a in range(alg.size):
             for b in range(alg.size):
                 cg = principal_congruence(alg, a, b)
-                for u, v in d_rel(alg, a, b).as_set():
+                for u, v in d_rel(alg, a, b).rows.tolist():
                     assert cg.related(u, v)
 
 
@@ -946,7 +977,7 @@ def test_one_block_malcev_reflexive_subpowers(b2):
         off = [(a, b) for a in range(n) for b in range(n) if a != b]
         for r in range(len(off) + 1):
             for extra in itertools.combinations(off, r):
-                rel = generate_subpower(alg, 2, diag + list(extra)).as_set()
+                rel = set(decoded(generate_subpower(alg, 2, diag + list(extra)))[0])
                 assert all((b_, a_) in rel for a_, b_ in rel)
                 assert all((a_, c_) in rel
                            for a_, b_ in rel for b2_, c_ in rel if b_ == b2_)
@@ -956,9 +987,9 @@ def test_compose_relations(e3, b2):
     delta = {(c, c) for c in range(3)}
     rel = {(0, 1), (2, 0)}
     assert compose_relations(delta, rel) == rel
-    de3 = d_rel(e3, 0, 1).as_set()
+    de3 = set(decoded(d_rel(e3, 0, 1))[0])
     assert compose_relations(de3, de3) == de3
-    db2 = d_rel(b2, 0, 1).as_set()
+    db2 = set(decoded(d_rel(b2, 0, 1))[0])
     assert compose_relations(db2, db2) == {(a, b) for a in range(2) for b in range(2)}
 
 
