@@ -640,66 +640,47 @@ def join_membership_chain(alg: FiniteAlgebra, sim: Partition,
                           a: int, b: int, c: int, d: int) -> JoinChain:
     """Is (c, d) in Cg(a,b) join sim, with an explicit alternating chain
     c = c0 ~ d0, c1 ~ d1, ..., ck ~ dk = d whose links {d_{i-1}, c_i} are
-    unary polynomial images of {a, b}."""
+    unary polynomial images of {a, b}.
+
+    One breadth-first search over the sim-classes: each polynomial image
+    pair (u, v) links the class of u to the class of v and back, so the
+    chain has the fewest links.  Reachability must agree with the join
+    Cg(a,b) v sim computed apart, else FalsificationError."""
     _check_elements(alg, a, b, c, d)
     _check_congruences(alg, sim)
-    cg = principal_congruence(alg, a, b)
-    member = cg.join(sim).related(c, d)
+    member = principal_congruence(alg, a, b).join(sim).related(c, d)
 
     pg = polynomial_image_pairs(alg, a, b)
-    n = alg.size
-    index = np.full((n, n), -1, dtype=np.int64)     # of (u, v) in pg.rows, or -1
-    index[pg.rows[:, 0], pg.rows[:, 1]] = np.arange(len(pg))
-    poly_adj: dict = {u: [] for u in range(n)}
-    for u, v in pg.rows.tolist():
-        poly_adj[u].append((v, (u, v)))
-        if index[v, u] < 0:
-            poly_adj[v].append((u, (u, v)))
+    ids = sim.class_ids
+    links: dict = {}                # class id -> [(u, v, row of (u, v) or (v, u))]
+    for i, (u, v) in enumerate(pg.rows.tolist()):
+        links.setdefault(ids[u], []).append((u, v, i))
+        links.setdefault(ids[v], []).append((v, u, i))
+    prev: dict = {ids[c]: None}     # class id -> the link reaching it first
+    queue = [ids[c]]
+    for k in queue:
+        for u, v, i in links.get(k, ()):
+            if ids[v] not in prev:
+                prev[ids[v]] = (u, v, i)
+                queue.append(ids[v])
 
-    prev: dict = {c: None}
-    frontier = [c]
-    while frontier and d not in prev:
-        nxt = []
-        for u in frontier:
-            for v in range(n):
-                if sim.related(u, v) and v not in prev:
-                    prev[v] = (u, "sim", None)
-                    nxt.append(v)
-            for v, oriented in sorted(poly_adj[u]):
-                if v not in prev:
-                    prev[v] = (u, "poly", oriented)
-                    nxt.append(v)
-        frontier = nxt
-
-    reachable = d in prev
-    if reachable != member:
+    if (ids[d] in prev) != member:
         raise FalsificationError(
             f"join membership and chain reachability disagree for "
             f"Cg({a},{b}) v sim at ({c},{d}) on '{alg.name}'")
     if not member:
         return JoinChain(False)
 
-    edges = []
-    node = d
-    while prev[node] is not None:
-        u, kind, oriented = prev[node]
-        edges.append((u, node, kind, oriented))
-        node = u
-    edges.reverse()
-
+    path = []
+    link = prev[ids[d]]
+    while link is not None:
+        path.append(link)
+        link = prev[ids[link[0]]]
+    path.reverse()
     term = pg.terms({(a, b): Var(0)})
-    cs, ds, steps = [c], [], []
-    current = c
-    for u, v, kind, oriented in edges:
-        if kind == "sim":
-            current = v
-        else:
-            ds.append(current)
-            steps.append((term(int(index[oriented])), (current, v)))
-            cs.append(v)
-            current = v
-    ds.append(current)
-    return JoinChain(True, tuple(cs), tuple(ds), tuple(steps))
+    return JoinChain(True, (c,) + tuple(v for _, v, _ in path),
+                     tuple(u for u, _, _ in path) + (d,),
+                     tuple((term(i), (u, v)) for u, v, i in path))
 
 
 def cgvsim_below(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> Tuple[int, int]:

@@ -74,7 +74,7 @@ import numpy as np
 from . import core
 from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
                    FiniteAlgebra, OperationTable, PreconditionError, _blocks)
-from .partitions import Partition
+from .partitions import Partition, _merged
 
 LATTICE_SIZE_CAP = 10
 
@@ -400,11 +400,11 @@ def _translations(alg: FiniteAlgebra) -> tuple:
 def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> Partition:
     """Least congruence containing the given pairs.
 
-    Quick-find over the one-step images: `label[x]` names the class of x,
-    and merging two classes relabels one of them in a single pass over the
-    list.  Whenever two classes merge, the images of the merged pair under
+    The one quick-find of `partitions._merged`, fed the one-step images:
+    whenever the classes of a pair merge, the images of that pair under
     every unary translation are queued to merge as well, unless they
-    already carry one label.
+    already carry one label.  Every given pair is range checked before
+    any merge.
     """
     n = alg.size
     maps = _translations(alg)
@@ -415,10 +415,9 @@ def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> Partitio
             raise AlgebraError(f"pair ({a}, {b}) out of range 0..{n - 1}")
     while queue:
         a, b = queue.pop()
-        keep, drop = label[a], label[b]
-        if keep == drop:
+        if label[a] == label[b]:
             continue
-        label = [keep if c == drop else c for c in label]
+        label = _merged(label, [(a, b)])
         for m in maps:
             ma, mb = m[a], m[b]
             if label[ma] != label[mb]:

@@ -624,21 +624,58 @@ def test_join_membership_chain(e3, e3_sim):
     assert not join_membership_chain(e3, e3_sim, 0, 0, 0, 2).member
 
 
+def class_distance(pg, sim, c, d):
+    """Fewest polynomial image pairs linking the sim-class of c to that of
+    d, by relaxing every pair of `pg.rows` until nothing changes."""
+    ids = sim.class_ids
+    dist = {ids[c]: 0}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in pg.rows.tolist():
+            for x, y in ((ids[u], ids[v]), (ids[v], ids[u])):
+                if x in dist and dist[x] + 1 < dist.get(y, len(ids)):
+                    dist[y] = dist[x] + 1
+                    changed = True
+    return dist.get(ids[d])
+
+
 def test_join_membership_chain_links(corpus):
-    # every polynomial link {d_{i-1}, c_i} must be a unary image of {a, b}
-    for entry in corpus:
-        if not entry.has("regular") or entry.algebra.size > 4:
-            continue
-        alg = entry.algebra
-        sim = entry.sim
+    # every polynomial link {d_{i-1}, c_i} must be a unary image of {a, b},
+    # and a chain has the fewest links between the classes of c and d
+    inputs = [(entry.algebra, entry.sim) for entry in corpus
+              if entry.has("regular") and entry.algebra.size <= 4]
+    inputs += [regularized_glued(3, (2, 2, 1)), regularized_glued(3, (2, 2, 2))]
+    for alg, sim in inputs:
         n = alg.size
-        for a, b, c, d in itertools.product(range(n), repeat=4):
-            chain = join_membership_chain(alg, sim, a, b, c, d)
-            if not chain.member:
-                continue
-            for i, (term, pair) in enumerate(chain.steps):
-                images = {eval_term(alg, term, (a,)), eval_term(alg, term, (b,))}
-                assert images == {chain.ds[i], chain.cs[i + 1]}
+        for a, b in itertools.product(range(n), repeat=2):
+            pg = relations.polynomial_image_pairs(alg, a, b)
+            for c, d in itertools.product(range(n), repeat=2):
+                chain = join_membership_chain(alg, sim, a, b, c, d)
+                if not chain.member:
+                    continue
+                assert chain.cs[0] == c and chain.ds[-1] == d
+                assert len(chain.cs) == len(chain.ds) == len(chain.steps) + 1
+                assert all(sim.related(ci, di) for ci, di in zip(chain.cs, chain.ds))
+                assert len(chain.steps) == class_distance(pg, sim, c, d)
+                for i, (term, pair) in enumerate(chain.steps):
+                    assert pair == (chain.ds[i], chain.cs[i + 1])
+                    images = {eval_term(alg, term, (a,)), eval_term(alg, term, (b,))}
+                    assert images == {chain.ds[i], chain.cs[i + 1]}
+
+
+@pytest.mark.parametrize("wrong, args, member", [
+    (Partition.one(3), (0, 0, 0, 2), False),    # no link leaves the class {0, 1}
+    (Partition.zero(3), (0, 2, 0, 2), True),    # linked by (0, 2), though 0 !~ 2
+], ids=["one", "zero"])
+def test_join_membership_chain_cross_check(monkeypatch, e3, e3_sim, wrong, args, member):
+    # reachability over the polynomial links is checked against the join
+    # Cg(a,b) v sim computed apart: a wrong principal congruence, 1_A or
+    # 0_A, makes the two disagree and raises
+    assert join_membership_chain(e3, e3_sim, *args).member == member
+    monkeypatch.setattr(analyzer, "principal_congruence", lambda alg, a, b: wrong)
+    with pytest.raises(FalsificationError, match="reachability disagree"):
+        join_membership_chain(e3, e3_sim, *args)
 
 
 def test_cgvsim_below_examples(e3):

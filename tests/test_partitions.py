@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,3 +109,24 @@ def test_all_partitions_counts():
     assert len(list(all_partitions(5))) == 52
     seen = set(all_partitions(4))
     assert len(seen) == 15
+
+
+def test_one_quick_find():
+    # join, from_pairs and congruence_generated merge classes through the
+    # one relabel comprehension `a if test else x for x in ...`, the one in
+    # partitions._merged
+    import smbalg
+    found = []
+    for path in sorted(Path(smbalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            found += [(path.stem, func.name) for node in ast.walk(func)
+                      if isinstance(node, (ast.ListComp, ast.GeneratorExp))
+                      and isinstance(node.elt, ast.IfExp)
+                      and isinstance(node.elt.orelse, ast.Name)
+                      and any(isinstance(gen.target, ast.Name)
+                              and gen.target.id == node.elt.orelse.id
+                              for gen in node.generators)]
+    assert found == [("partitions", "_merged")]
