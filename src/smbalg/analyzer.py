@@ -45,9 +45,9 @@ from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
                    Term, Var, Verdict, _term_boxes, check_identity, first_failure,
                    idempotence_violation, term_table)
 from .partitions import Partition
-from .relations import (_check_congruences, _commutator, congruence_violation,
-                        d_rels, polynomial_image_pairs, principal_congruence,
-                        quotient_algebra)
+from .relations import (_check_congruences, _commutator, _principal_table,
+                        congruence_violation, d_rels, polynomial_image_pairs,
+                        principal_congruence, quotient_algebra)
 
 WEDGE = "wedge"
 D = "d"
@@ -774,17 +774,6 @@ BICONDITIONALS = {"cgvsim": check_cgvsim, "undersim": check_undersim,
                   "commutator": commutator_below_sim}
 
 
-def _pair_groups(n: int, key) -> dict:
-    """key(a, b) -> [(a, b) first in lexicographic order, number of pairs],
-    over all pairs of {0..n-1}, in order of first appearance."""
-    groups: dict = {}
-    for a in range(n):
-        for b in range(n):
-            group = groups.setdefault(key(a, b), [(a, b), 0])
-            group[1] += 1
-    return groups
-
-
 def _relation_rows(parts) -> np.ndarray:
     """One row per partition: its relation matrix, flattened, as int64."""
     ids = np.array([p.class_ids for p in parts], dtype=np.int64)
@@ -807,24 +796,32 @@ def count_biconditional(alg: FiniteAlgebra, which: str) -> int:
 
     Each side reads (a, b) and (c, d) only through a few values, so pairs
     are grouped by exactly those values and each distinct input is
-    evaluated once.  cgvsim reads Cg(a,b) and then c and d: per distinct
-    Cg, both sides are n x n masks over (c, d).  undersim and commutator
-    read Cg_A(a,b) and Cg_Q([a],[b]) in the quotient Q = A/sim, and group
-    by the pair of both, never by Cg_A alone, since the quotient side is
-    what is under test: both sides are K x K masks over pairs of keys.
-    Groups keep the order of first appearance, so the lexicographically
-    least failing tuple pairs first members of groups; at a disagreement
-    the pointwise checker runs on it and raises its FalsificationError.
+    evaluated once; one `np.unique` over `_principal_table` indices groups
+    them.  cgvsim reads Cg(a,b) and then c and d: per distinct Cg, both
+    sides are n x n masks over (c, d).  undersim and commutator read
+    Cg_A(a,b) and Cg_Q([a],[b]) in Q = A/sim, and group by the pair of both
+    indices, never by Cg_A alone, since the quotient side is what is under
+    test: both sides are K x K masks over pairs of keys.  Groups are ordered
+    by their first pair, so the lexicographically least failing tuple pairs
+    first members of groups; at a disagreement the pointwise checker runs
+    on it and raises its FalsificationError.
     """
     if which not in BICONDITIONALS:
         raise AlgebraError(f"unknown biconditional {which!r}")
     sim, quot, cmap = _regular_context(alg)
     n = alg.size
+    parts, _, key = _principal_table(alg)
+    if which != "cgvsim":
+        qparts, _, qindex = _principal_table(quot)
+        key = key * len(qparts) + qindex[np.ix_(cmap, cmap)]
+    keys, at, counts = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(at)
+    keys, weights = keys[order].tolist(), counts[order]
+    firsts = [divmod(f, n) for f in at[order].tolist()]
     if which == "cgvsim":
-        groups = _pair_groups(n, lambda a, b: principal_congruence(alg, a, b))
         wedge = alg.op(WEDGE).array.reshape(n, n)
         true = 0
-        for cg, (first, count) in groups.items():
+        for cg, first, count in zip((parts[k] for k in keys), firsts, weights.tolist()):
             ids = np.asarray(cg.class_ids, dtype=np.int64)
             joined = np.asarray(cg.join(sim).class_ids, dtype=np.int64)
             left = joined[:, None] == joined
@@ -836,12 +833,7 @@ def count_biconditional(alg: FiniteAlgebra, which: str) -> int:
             true += count * int(left.sum())
         return true
 
-    groups = _pair_groups(n, lambda a, b: (
-        principal_congruence(alg, a, b),
-        principal_congruence(quot, cmap[a], cmap[b])))
-    keys = list(groups)
-    firsts = [first for first, _ in groups.values()]
-    weights = np.array([count for _, count in groups.values()], dtype=np.int64)
+    keys = [(parts[k // len(qparts)], qparts[k % len(qparts)]) for k in keys]
     m = quot.size
     in_q = _relation_rows([q for _, q in keys]) * ~np.eye(m, dtype=bool).ravel()
     right = in_q @ in_q.T == 0                 # Cg_Q meet Cg_Q is 0_Q

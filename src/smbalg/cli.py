@@ -14,7 +14,7 @@ import sys
 from .core import (AlgebraError, CapExceeded, FalsificationError,
                    FiniteAlgebra, PreconditionError)
 from .partitions import Partition, parse_element
-from .relations import commutator, congruence_lattice, principal_congruence
+from .relations import commutator, congruence_generated, congruence_lattice
 from .analyzer import (_regular_conditions, _smb_congruence, check_regular_base,
                        check_smb_over, count_biconditional, find_smb_congruences,
                        taylor_check, verify_cg_d3_pairs)
@@ -134,7 +134,7 @@ def _cmd_con(args) -> int:
 def _cmd_cg(args) -> int:
     alg = _load(args.file)
     a, b = (parse_element(x, "cg arguments") for x in (args.a, args.b))
-    p = principal_congruence(alg, a, b)
+    p = congruence_generated(alg, [(a, b)])   # one pair: no whole principal table
     _emit(args, _partition_payload(p), [str(p)])
     return 0
 
@@ -222,10 +222,7 @@ def _cmd_construct(args) -> int:
         _emit(args, {"name": alg.name, "output": args.output},
               [f"{alg.name} written to {args.output}"])
     else:
-        if args.json:
-            print(json.dumps({"name": alg.name, "text": text}, indent=2))
-        else:
-            sys.stdout.write(text)
+        _emit(args, {"name": alg.name, "text": text}, text.splitlines())
     return 0
 
 

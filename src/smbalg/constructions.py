@@ -294,7 +294,7 @@ def random_semilattice(size: int, rng: random.Random,
 class CorpusSpec:
     seed: int = 20240817
     max_size: int = 8
-    families: tuple = ("semilattice+d", "affine block", "glued SMB",
+    families: tuple = ("semilattice+d", "simple extension", "glued SMB",
                        "random signature")
 
 
@@ -371,7 +371,7 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list:
                 regularize(glued, sim).rename(f"{glued.name}_reg"), sim,
                 "smb", "regular", "regularized"))
 
-    if "affine block" in spec.families:
+    if "simple extension" in spec.families:
         for alg in (trivial_algebra(), example_b2(), example_s2(),
                     chain_semilattice(3), e3):
             if alg.size + 3 > spec.max_size:

@@ -50,17 +50,19 @@ The congruence layer follows R. Freese, "Computing congruences
 efficiently", Algebra Universalis 59 (2008) 337-343.  Principal
 congruences come from a quick-find union over the unary translations: a
 flat list of class labels, relabelled whole on each merge, so the inner
-loop over translations reads two labels per map.  In a finite algebra
-every congruence is a join of join-irreducible ones, and those are
-principal, so `congruence_lattice` is a breadth-first search from 0_A
-that joins each congruence found with the join-irreducible principals
-only, and reads the upper covers of theta off those same joins: they are
-the minimal elements of {theta v J} minus {theta}.  `congruence_violation`
-tests every operation and argument position at once with numpy, over the
-table of value classes.  Of the library, only the `con` command builds the
-lattice; the independent oracles that the tests compare against this
-module (the alternating-closure congruence generator and the lattice-scan
-commutator) live in `smbalg.oracles`.
+loop over translations reads two labels per map.  `_principal_table`
+generates each Cg(a, b), a < b, once per algebra, for
+`principal_congruence`, the `verify` sweeps and `congruence_lattice`.  In
+a finite algebra every congruence is a join of join-irreducible ones, and
+those are principal, so `congruence_lattice` is a breadth-first search
+from 0_A that joins each congruence found with the join-irreducible
+principals only, and reads the upper covers of theta off those same joins:
+they are the minimal elements of {theta v J} minus {theta}.
+`congruence_violation` tests every operation and argument position at once
+with numpy, over the table of value classes.  Of the library, only the
+`con` command builds the lattice; the independent oracles the tests
+compare this module with (the alternating-closure congruence generator and
+the lattice-scan commutator) live in `smbalg.oracles`.
 """
 
 from __future__ import annotations
@@ -426,9 +428,30 @@ def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> Partitio
 
 
 @lru_cache(maxsize=None)
+def _principal_table(alg: FiniteAlgebra) -> tuple:
+    """(parts, firsts, index): the distinct Cg(a, b), 0_A and then the rest
+    by first pair a < b ((0, 0) for 0_A), each generated once, and the
+    symmetric read-only int64 index with Cg(a, b) = parts[index[a, b]]."""
+    n = alg.size
+    found, firsts = {Partition.zero(n): 0}, [(0, 0)]   # Cg -> its position
+    index = np.zeros((n, n), dtype=np.int64)
+    for a in range(n):
+        for b in range(a + 1, n):
+            cg = congruence_generated(alg, [(a, b)])
+            if cg not in found:
+                found[cg] = len(firsts)
+                firsts.append((a, b))
+            index[a, b] = index[b, a] = found[cg]
+    index.flags.writeable = False
+    return tuple(found), tuple(firsts), index
+
+
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
-    """Least congruence of `alg` containing (a, b)."""
-    return congruence_generated(alg, [(a, b)])
+    """Least congruence of `alg` containing (a, b), read off `_principal_table`."""
+    if not (0 <= a < alg.size and 0 <= b < alg.size):
+        raise AlgebraError(f"pair ({a}, {b}) out of range 0..{alg.size - 1}")
+    parts, _, index = _principal_table(alg)
+    return parts[index[a, b]]
 
 
 def congruence_violation(alg: FiniteAlgebra, p: Partition) -> Optional[tuple]:
@@ -513,7 +536,8 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     Breadth-first search from 0_A: each congruence theta found is joined
     with every join-irreducible congruence J not below it.  In a finite
     algebra the join-irreducibles are principal (`_join_irreducibles`
-    picks them from the distinct nonzero Cg(a, b)), and every congruence
+    picks them from the nonzero parts of `_principal_table`, built without
+    its cache so that `con` keeps nothing), and every congruence
     is the join of those below it, so the search finds every member.  The
     upper covers of theta are the minimal elements of {theta v J} minus
     {theta}: for mu > theta some join-irreducible J <= mu is not below
@@ -528,11 +552,8 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     if n > LATTICE_SIZE_CAP:
         raise CapExceeded(
             f"congruence lattice capped at universe size {LATTICE_SIZE_CAP}, algebra has {n}")
-    principals: dict = {}      # distinct nonzero Cg(a, b) -> its first pair
-    for a in range(n):
-        for b in range(a + 1, n):
-            principals.setdefault(congruence_generated(alg, [(a, b)]), (a, b))
-    irreducibles = _join_irreducibles(principals)
+    parts, firsts, _ = _principal_table.__wrapped__(alg)   # uncached: con keeps nothing
+    irreducibles = _join_irreducibles(dict(zip(parts[1:], firsts[1:])))
     zero = Partition.zero(n)
     members = [zero]           # in discovery order
     found = {zero: 0}

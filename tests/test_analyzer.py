@@ -785,11 +785,17 @@ def test_count_biconditional_permuted_quotient(monkeypatch, alg, which):
     lambda x, y: x > y,
 ], ids=["all", "descending"])
 def test_count_biconditional_zero_quotient_congruences(monkeypatch, e3, which, broken):
-    # Cg_Q(x, y) is replaced by 0_Q
+    # Cg_Q(x, y) is replaced by 0_Q: the quotient's principal index reads 0
+    # at (x, y), for the sweep and for the pointwise checkers alike
     _, quot, _ = analyzer._regular_context(e3)
-    real = analyzer.principal_congruence
-    monkeypatch.setattr(analyzer, "principal_congruence", lambda alg, a, b: (
-        Partition.zero(alg.size) if alg is quot and broken(a, b) else real(alg, a, b)))
+    real = relations._principal_table
+    parts, firsts, index = real(quot)
+    m = quot.size
+    wrong = (parts, firsts, np.where(
+        [[broken(x, y) for y in range(m)] for x in range(m)], 0, index))
+    for mod in (analyzer, relations):
+        monkeypatch.setattr(mod, "_principal_table",
+                            lambda alg: wrong if alg is quot else real(alg))
     assert_same_first_failure(e3, which)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from smbalg import (affine_block, format_algebra, glue_layout, glue_smb,
-                    parse_algebra, principal_congruence, random_semilattice)
+                    parse_algebra, random_semilattice, relations)
 from smbalg.cli import main
 
 
@@ -74,17 +74,17 @@ def test_con_command(e3_file, capsys):
 
 
 def test_con_keeps_no_state(tmp_path, capsys):
-    """con leaves the principal-congruence cache alone, and a second run
+    """con leaves the principal table's cache alone, and a second run
     on the same file prints the same JSON."""
     alg = glue_smb(random_semilattice(3, random.Random(2022)),
                    {c: affine_block(s) for c, s in enumerate((2, 2, 3))},
                    {0: 1, 1: 3, 2: 5}, name="glued7_stateless")
     path = tmp_path / "glued7_stateless.alg"
     path.write_text(format_algebra(alg), encoding="utf-8")
-    before = principal_congruence.cache_info()
+    before = relations._principal_table.cache_info()
     assert main(["con", str(path), "--json"]) == 0
     first = capsys.readouterr().out
-    assert principal_congruence.cache_info() == before
+    assert relations._principal_table.cache_info() == before
     assert main(["con", str(path), "--json"]) == 0
     assert capsys.readouterr().out == first
     assert len(json.loads(first)["congruences"]) > 2
@@ -167,6 +167,19 @@ def test_construct_builtins(tmp_path, capsys):
     text = capsys.readouterr().out
     alg = parse_algebra(text)
     assert alg.name == "b2" and alg.size == 2
+
+
+B2_TEXT = "algebra b2\nsize 2\nop wedge 2\n0 1\n0 1\nop d 3\n0 1\n1 0\n1 0\n0 1\n"
+
+
+def test_construct_prints_exact_bytes(capfdbinary):
+    # without -o, the text form is the .alg file itself, and --json wraps it
+    # in the two-space indented object every command prints
+    assert main(["construct", "b2"]) == 0
+    assert capfdbinary.readouterr().out == B2_TEXT.encode()
+    assert main(["construct", "b2", "--json"]) == 0
+    assert capfdbinary.readouterr().out == (
+        '{\n  "name": "b2",\n  "text": "' + B2_TEXT.replace("\n", "\\n") + '"\n}\n').encode()
 
 
 def test_construct_extend(e3_file, tmp_path, capsys):

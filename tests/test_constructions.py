@@ -160,3 +160,10 @@ def test_corpus_spec_families():
     slim = build_corpus(CorpusSpec(families=("semilattice+d",)))
     assert all(not e.has("glued") or e.name in ("n4",) for e in slim)
     assert any(e.has("semilattice") for e in slim)
+    # the "simple extension" family alone gates the simple 3-point extensions
+    default = CorpusSpec().families
+    without = build_corpus(CorpusSpec(families=tuple(f for f in default if f != "simple extension")))
+    assert not any(e.has("extension") for e in without)
+    alone = build_corpus(CorpusSpec(families=("simple extension",)))
+    extensions = [e.name for e in build_corpus() if e.has("extension")]
+    assert extensions and [e.name for e in alone if e.has("extension")] == extensions

@@ -671,6 +671,36 @@ def test_principal_congruence_examples(e3):
     assert principal_congruence(e3, 1, 1).is_zero
 
 
+def test_principal_table(monkeypatch, corpus):
+    # one table per algebra: distinct parts, 0_A first, a symmetric index
+    # with a 0_A diagonal, each first pair the least a < b of its part, and
+    # one generator call per pair a < b
+    algebras = ([e.algebra for e in corpus if e.has("regular") and e.algebra.size <= 8]
+                + [regularized_glued(3, sizes)[0] for sizes in ((2, 2, 1), (2, 2, 2))])
+    real = relations.congruence_generated
+    for alg in algebras:
+        n = alg.size
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(relations, "congruence_generated",
+                      lambda alg, pairs: calls.append(pairs) or real(alg, pairs))
+            parts, firsts, index = relations._principal_table.__wrapped__(alg)
+        pairs = list(itertools.combinations(range(n), 2))
+        assert sorted(calls) == [[pair] for pair in pairs], alg.name
+        assert index.shape == (n, n) and index.dtype == np.int64
+        assert not index.flags.writeable
+        assert (index == index.T).all() and not np.diag(index).any()
+        assert parts[0].is_zero and len(set(parts)) == len(parts) == len(firsts)
+        assert set(index.ravel().tolist()) == set(range(len(parts)))
+        for a, b in itertools.product(range(n), repeat=2):
+            assert parts[index[a, b]] == real(alg, [(a, b)]), (alg.name, a, b)
+        assert firsts == ((0, 0),) + tuple(
+            next(p for p in pairs if index[p] == i) for i in range(1, len(parts)))
+        for a, b in [(-1, 0), (0, n)]:
+            with pytest.raises(AlgebraError, match=rf"^pair \({a}, {b}\) out of range 0\.\.{n - 1}$"):
+                principal_congruence(alg, a, b)
+
+
 def test_principal_congruence_oracle(corpus):
     # least congruence containing (a, b), found by scanning all partitions
     for entry in corpus:
