@@ -20,7 +20,7 @@ equational base, verifies the principal-congruence decomposition
 Cg(a,b) = D o D o D with six-step polynomial witnesses (for many generator
 pairs in one pass: one lane closure, batched matrix products and one
 term-kernel replay), and runs the congruence/commutator biconditionals
-that hold in the regular case.
+that hold in the regular case, reading A/sim off the cached `check_regular_base`.
 
 The biconditional checkers compute both sides independently and raise
 FalsificationError when they disagree, so the test suite doubles as a
@@ -126,9 +126,12 @@ class RegularityReport:
 
 @dataclass(frozen=True)
 class BaseReport:
+    """The base verdicts; when all hold, sim and A/sim too (not in as_dict)."""
     verdicts: dict             # identity name -> Verdict
     holds: bool
     recovered_sim: Optional[Partition]
+    quotient: Optional[FiniteAlgebra] = None
+    class_map: Optional[tuple] = None      # a -> the index of [a] in quotient
 
     def as_dict(self) -> dict:
         return {
@@ -313,12 +316,11 @@ def check_regular(alg: FiniteAlgebra, sim: Partition) -> RegularityReport:
     return _regular_conditions(alg, sim, _check_smb(alg, sim).class_order)
 
 
-def _regular_conditions(alg: FiniteAlgebra, sim: Partition,
-                        order: ClassOrder) -> RegularityReport:
+def _regular_conditions(alg: FiniteAlgebra, sim: Partition, order: ClassOrder,
+                        base: Optional[dict] = None) -> RegularityReport:
     """check_regular's four conditions over a sim already checked SMB,
     with the class order from its SmbReport; (iii) and (iv) are Regiii and
-    Regiv of the base."""
-    wedge = alg.op(WEDGE)
+    Regiv of the base, read from the verdicts `base` when given."""
     ids = np.asarray(sim.class_ids, dtype=np.int64)
     n = alg.size
 
@@ -327,12 +329,11 @@ def _regular_conditions(alg: FiniteAlgebra, sim: Partition,
     leq = np.array(order.leq)
     # [b] <= [a] forces a wedge b = b
     cond_ii = first_failure(leq[ids[None, :], ids[:, None]]
-                            & (wedge.array.reshape(n, n) != np.arange(n)))
+                            & (alg.op(WEDGE).array.reshape(n, n) != np.arange(n)))
 
-    cond_iii = check_identity(alg, _REGULAR_BASE["Regiii"][0])
-    cond_iv = check_identity(alg, _REGULAR_BASE["Regiv"][0])
-
-    conditions = {"i": cond_i, "ii": cond_ii, "iii": cond_iii, "iv": cond_iv}
+    if base is None:
+        base = {name: check_identity(alg, _REGULAR_BASE[name][0]) for name in ("Regiii", "Regiv")}
+    conditions = {"i": cond_i, "ii": cond_ii, "iii": base["Regiii"], "iv": base["Regiv"]}
     return RegularityReport(all(v.holds for v in conditions.values()), conditions)
 
 
@@ -381,56 +382,51 @@ def recovered_sim(alg: FiniteAlgebra) -> Partition:
 
 @lru_cache(maxsize=None)
 def check_regular_base(alg: FiniteAlgebra) -> BaseReport:
-    """Verify the twelve base identities; when they all hold, recover sim
-    from the tables and confirm the algebra really is regular SMB over it.
-
-    The identities speak of wedge and d only.  When SMB fails over the
-    recovered sim in another operation alone (one that is not idempotent
-    or not compatible with sim), PreconditionError names the rule; a
-    failure of the {wedge, d} reduct raises FalsificationError."""
+    """Check each of the twelve base identities once; when all hold, recover
+    sim from the tables, confirm regular SMB over it ((iii) and (iv) are
+    Regiii and Regiv) and build A/sim.  The identities speak of wedge and d
+    only: when SMB fails over the recovered sim in another operation alone
+    (one not idempotent or not compatible with sim), PreconditionError
+    names the rule; a failure of the {wedge, d} reduct raises FalsificationError."""
     designated_ops(alg)
     verdicts = {}
     for name, idents in _REGULAR_BASE.items():
-        verdict = Verdict(True)
-        for ident in idents:
-            verdict = check_identity(alg, ident)
-            if not verdict.holds:
+        for ident in idents:          # Mal's second only when its first holds
+            verdicts[name] = check_identity(alg, ident)
+            if not verdicts[name].holds:
                 break
-        verdicts[name] = verdict
-    holds = all(v.holds for v in verdicts.values())
-    sim = None
-    if holds:
-        sim = recovered_sim(alg)
-        smb = check_smb_over(alg, sim)
-        if not smb.verdict:
-            reduct = FiniteAlgebra(alg.name, alg.size, {WEDGE: alg.op(WEDGE), D: alg.op(D)})
-            if check_smb_over(reduct, sim).verdict:
-                raise PreconditionError(
-                    f"base identities hold on '{alg.name}' but an operation other than "
-                    f"'{WEDGE}' and '{D}' breaks SMB over the recovered sim {sim}: "
-                    f"{smb.violations[0]}")
-            raise FalsificationError(
-                f"base identities hold on '{alg.name}' but SMB fails over the "
-                f"recovered sim: {smb.violations[0]}")
-        reg = _regular_conditions(alg, sim, smb.class_order)
-        if not reg.holds:
-            bad = [k for k, v in reg.conditions.items() if not v.holds]
-            raise FalsificationError(
-                f"base identities hold on '{alg.name}' but regularity condition(s) "
-                f"{bad} fail over the recovered sim")
-    return BaseReport(verdicts, holds, sim)
+    if not all(v.holds for v in verdicts.values()):
+        return BaseReport(verdicts, False, None)
+    sim = recovered_sim(alg)
+    smb = check_smb_over(alg, sim)
+    if not smb.verdict:
+        reduct = FiniteAlgebra(alg.name, alg.size, {WEDGE: alg.op(WEDGE), D: alg.op(D)})
+        if check_smb_over(reduct, sim).verdict:
+            raise PreconditionError(
+                f"base identities hold on '{alg.name}' but an operation other than "
+                f"'{WEDGE}' and '{D}' breaks SMB over the recovered sim {sim}: "
+                f"{smb.violations[0]}")
+        raise FalsificationError(
+            f"base identities hold on '{alg.name}' but SMB fails over the "
+            f"recovered sim: {smb.violations[0]}")
+    reg = _regular_conditions(alg, sim, smb.class_order, verdicts)
+    if not reg.holds:
+        bad = [k for k, v in reg.conditions.items() if not v.holds]
+        raise FalsificationError(
+            f"base identities hold on '{alg.name}' but regularity condition(s) "
+            f"{bad} fail over the recovered sim")
+    return BaseReport(verdicts, True, sim, *quotient_algebra(alg, sim))
 
 
-@lru_cache(maxsize=None)
 def _regular_context(alg: FiniteAlgebra):
-    """(sim, quotient algebra, class map) for a regular SMB algebra."""
+    """(sim, quotient algebra, class map) for a regular SMB algebra, read
+    off its cached BaseReport; PreconditionError when the base fails."""
     base = check_regular_base(alg)
     if not base.holds:
         failing = [name for name, v in base.verdicts.items() if not v.holds]
         raise PreconditionError(
             f"'{alg.name}' does not satisfy the regular base; failing: {failing}")
-    quot, cmap = quotient_algebra(alg, base.recovered_sim)
-    return base.recovered_sim, quot, cmap
+    return base.recovered_sim, base.quotient, base.class_map
 
 
 # ---------------------------------------------------------------------------
@@ -736,14 +732,19 @@ def check_cgvsim(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> bool:
     return left
 
 
+def _quotient_meet_is_zero(quot: FiniteAlgebra, cmap: tuple, a, b, c, d) -> bool:
+    """The quotient side of check_undersim and commutator_below_sim."""
+    return principal_congruence(quot, cmap[a], cmap[b]).meet(
+        principal_congruence(quot, cmap[c], cmap[d])).is_zero
+
+
 def check_undersim(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> bool:
     """Cg(a,b) meet Cg(c,d) below sim iff the corresponding quotient
     principal congruences meet trivially."""
     sim, quot, cmap = _regular_context(alg)
     left = principal_congruence(alg, a, b).meet(
         principal_congruence(alg, c, d)).refines(sim)
-    right = principal_congruence(quot, cmap[a], cmap[b]).meet(
-        principal_congruence(quot, cmap[c], cmap[d])).is_zero
+    right = _quotient_meet_is_zero(quot, cmap, a, b, c, d)
     if left != right:
         raise FalsificationError(
             f"meet-below-sim biconditional fails at ({a},{b},{c},{d}) on "
@@ -758,8 +759,7 @@ def commutator_below_sim(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> 
     comm = _commutator(alg, principal_congruence(alg, a, b),
                        principal_congruence(alg, c, d))
     left = comm.refines(sim)
-    right = principal_congruence(quot, cmap[a], cmap[b]).meet(
-        principal_congruence(quot, cmap[c], cmap[d])).is_zero
+    right = _quotient_meet_is_zero(quot, cmap, a, b, c, d)
     if left != right:
         raise FalsificationError(
             f"commutator biconditional fails at ({a},{b},{c},{d}) on "

@@ -218,8 +218,8 @@ class PipelineResult:
 
 def run_pipeline(alg: FiniteAlgebra, w_symbol: str) -> PipelineResult:
     """All term-construction stages for one wnu operation."""
-    circ = circ_table(alg, w_symbol)
-    iterated = iterate_wnu(alg, w_symbol)
+    iterated = iterate_wnu(alg, w_symbol)        # checks that w is wnu
+    circ = _circ_of(alg.op(w_symbol))
     circ_iter = _circ_of(iterated)
     special = _special_of_circ(circ_iter)
     wedge_candidate = _term_op({"o": special}, App("o", (App("o", (_y, _x)), _y)), 2)

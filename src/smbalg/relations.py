@@ -537,7 +537,7 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     with every join-irreducible congruence J not below it.  In a finite
     algebra the join-irreducibles are principal (`_join_irreducibles`
     picks them from the nonzero parts of `_principal_table`, built without
-    its cache so that `con` keeps nothing), and every congruence
+    its cache so that `con` leaves it alone), and every congruence
     is the join of those below it, so the search finds every member.  The
     upper covers of theta are the minimal elements of {theta v J} minus
     {theta}: for mu > theta some join-irreducible J <= mu is not below
@@ -552,7 +552,7 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     if n > LATTICE_SIZE_CAP:
         raise CapExceeded(
             f"congruence lattice capped at universe size {LATTICE_SIZE_CAP}, algebra has {n}")
-    parts, firsts, _ = _principal_table.__wrapped__(alg)   # uncached: con keeps nothing
+    parts, firsts, _ = _principal_table.__wrapped__(alg)   # uncached: con keeps no table
     irreducibles = _join_irreducibles(dict(zip(parts[1:], firsts[1:])))
     zero = Partition.zero(n)
     members = [zero]           # in discovery order

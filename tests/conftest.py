@@ -42,6 +42,18 @@ def corpus():
     return build_corpus()
 
 
+def module_caches() -> dict:
+    """Every module-level cache in smbalg, by `module.name`."""
+    import importlib
+    import pkgutil
+    import smbalg
+    modules = [importlib.import_module(f"smbalg.{info.name}")
+               for info in pkgutil.iter_modules(smbalg.__path__)]
+    return {f"{mod.__name__}.{name}": val for mod in modules
+            for name, val in vars(mod).items()
+            if hasattr(val, "cache_info") and val.__module__ == mod.__name__}
+
+
 def random_term(rng: random.Random, signature: dict, nvars: int, depth: int,
                 allow_const: int = 0):
     """A random term over the signature; element literals below allow_const."""

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -16,8 +17,8 @@ from smbalg import (AlgebraError, App, ClassOrder, Const, FalsificationError,
                     congruence_violation, count_biconditional, core, d_rel,
                     find_smb_congruences,
                     glue_smb, join_membership_chain, alternating_chain_fold,
-                    principal_congruence, random_semilattice, recovered_sim,
-                    regularize, smb_axioms, taylor_check, verify_cg_d3)
+                    principal_congruence, quotient_algebra, random_semilattice,
+                    recovered_sim, regularize, smb_axioms, taylor_check, verify_cg_d3)
 from smbalg.analyzer import BASE_IDENTITY_NAMES
 from smbalg.cli import main
 from smbalg.constructions import random_algebra
@@ -346,6 +347,60 @@ def test_regular_base_other_operations(e3, e3_sim, monkeypatch):
     for alg in (e3, _with_op(e3, "f", 2, [0, 2, 0, 2, 1, 1, 0, 1, 2])):
         with pytest.raises(FalsificationError, match="SMB fails over the recovered sim"):
             check_regular_base.__wrapped__(alg)
+
+
+def test_regular_base_checks_each_identity_once(corpus, monkeypatch):
+    # twelve names, Mal bundling two: the cross-check reuses Regiii and Regiv
+    calls = []
+    real = analyzer.check_identity
+    monkeypatch.setattr(analyzer, "check_identity",
+                        lambda alg, ident: calls.append(ident) or real(alg, ident))
+    for entry in corpus:
+        if entry.has("regular"):
+            calls.clear()
+            assert check_regular_base.__wrapped__(entry.algebra).holds, entry.name
+            assert len(calls) == 13 and len(set(calls)) == 13, entry.name
+
+
+def test_regular_base_carries_the_quotient(corpus, n4):
+    for entry in corpus:
+        if entry.has("regular"):
+            base = check_regular_base(entry.algebra)
+            assert (base.quotient, base.class_map) == \
+                quotient_algebra(entry.algebra, base.recovered_sim), entry.name
+            assert set(base.as_dict()) == {"verdict", "identities", "sim"}
+    base = check_regular_base(n4)
+    assert not base.holds and base.quotient is None and base.class_map is None
+
+
+def test_witness_commands_build_the_quotient_once(tmp_path, monkeypatch, capsys):
+    alg, _ = regularized_glued(29, (2, 3, 2))
+    path = tmp_path / "regular.alg"
+    path.write_text(format_algebra(alg), encoding="utf-8")
+    check_regular_base.cache_clear()
+    calls = []
+    real = analyzer.quotient_algebra
+    monkeypatch.setattr(analyzer, "quotient_algebra",
+                        lambda *args: calls.append(args) or real(*args))
+    for which in ("cg-d3", "cgvsim", "undersim"):     # each parses the file afresh
+        assert main(["verify", which, str(path), "--json"]) == 0, which
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_regular_base_cross_check_condition_ii(e3, monkeypatch):
+    # a class order relating every pair breaks (ii) once the base holds
+    real = analyzer.check_smb_over
+
+    def everything_related(alg, sim):
+        report = real(alg, sim)
+        m = len(report.class_order.classes)
+        return dataclasses.replace(report, class_order=ClassOrder(
+            report.class_order.classes, ((True,) * m,) * m))
+
+    monkeypatch.setattr(analyzer, "check_smb_over", everything_related)
+    with pytest.raises(FalsificationError, match=r"condition\(s\) \['ii'\] fail"):
+        check_regular_base.__wrapped__(e3)
 
 
 def test_recovered_sim_matches_block_partition(corpus):

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from smbalg import (affine_block, format_algebra, glue_layout, glue_smb,
-                    parse_algebra, random_semilattice, relations)
+                    parse_algebra, random_semilattice)
 from smbalg.cli import main
+
+from conftest import module_caches
 
 
 @pytest.fixture()
@@ -74,19 +76,29 @@ def test_con_command(e3_file, capsys):
 
 
 def test_con_keeps_no_state(tmp_path, capsys):
-    """con leaves the principal table's cache alone, and a second run
-    on the same file prints the same JSON."""
+    """con leaves every module cache alone but the translations, which its
+    principal congruences read and which gain one miss for a new algebra;
+    a second run on the same file misses nowhere and prints the same JSON."""
     alg = glue_smb(random_semilattice(3, random.Random(2022)),
                    {c: affine_block(s) for c, s in enumerate((2, 2, 3))},
                    {0: 1, 1: 3, 2: 5}, name="glued7_stateless")
     path = tmp_path / "glued7_stateless.alg"
     path.write_text(format_algebra(alg), encoding="utf-8")
-    before = relations._principal_table.cache_info()
+    caches = module_caches()
+    translations = caches.pop("smbalg.relations._translations")
+
+    def infos():
+        return {name: cache.cache_info() for name, cache in caches.items()}
+
+    before, missed = infos(), translations.cache_info().misses
     assert main(["con", str(path), "--json"]) == 0
     first = capsys.readouterr().out
-    assert relations._principal_table.cache_info() == before
+    assert infos() == before
+    assert translations.cache_info().misses == missed + 1
     assert main(["con", str(path), "--json"]) == 0
     assert capsys.readouterr().out == first
+    assert infos() == before
+    assert translations.cache_info().misses == missed + 1
     assert len(json.loads(first)["congruences"]) > 2
 
 

@@ -283,6 +283,17 @@ def test_run_pipeline_diagnostics(e3):
     assert result.circ == result.circ_special == e3.op("wedge")
 
 
+def test_run_pipeline_checks_for_a_wnu_once(e3, n4, monkeypatch):
+    calls = []
+    real = pipeline._require_wnu
+    monkeypatch.setattr(pipeline, "_require_wnu",
+                        lambda alg, w: calls.append(w) or real(alg, w))
+    run_pipeline(e3, "d")
+    assert calls == ["d"]
+    with pytest.raises(PreconditionError, match="not a weak near-unanimity"):
+        run_pipeline(n4, "d")
+
+
 def test_iteration_nontrivial_case(n4, n4_sim):
     # same blocks as n4 but every cross-block d value pinned to 3: d becomes
     # wnu while the wedge stays non-regular, and iteration genuinely moves
