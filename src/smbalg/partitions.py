@@ -47,6 +47,20 @@ def _merged(label: list, pairs: Iterable[tuple]) -> list:
     return label
 
 
+def star_pairs(p: "Partition") -> tuple:
+    """The non-trivial pairs (first member of x's class, x) of p, one per
+    element that is not first in its class: `_merged` over them from the
+    zero partition gives p back.  Reads the canonical ids, in which a class
+    id equal to the number of classes seen so far starts a new class."""
+    first, pairs = [], []
+    for x, c in enumerate(p.class_ids):
+        if c == len(first):
+            first.append(x)
+        else:
+            pairs.append((first[c], x))
+    return tuple(pairs)
+
+
 @dataclass(frozen=True)
 class Partition:
     size: int
@@ -173,12 +187,9 @@ class Partition:
 
     def join(self, other: "Partition") -> "Partition":
         """Transitive closure of the union: the quick-find `_merged` from
-        the classes of self, merging each class of other into its first
-        member's class."""
+        the classes of self over the star pairs of other."""
         self._check_size(other)
-        first: dict = {}
-        pairs = ((first.setdefault(d, x), x) for x, d in enumerate(other.class_ids))
-        return Partition(self.size, tuple(_merged(list(self.class_ids), pairs)))
+        return Partition(self.size, tuple(_merged(list(self.class_ids), star_pairs(other))))
 
     def meet(self, other: "Partition") -> "Partition":
         """Common refinement."""

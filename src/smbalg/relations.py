@@ -57,7 +57,10 @@ a finite algebra every congruence is a join of join-irreducible ones, and
 those are principal, so `congruence_lattice` is a breadth-first search
 from 0_A that joins each congruence found with the join-irreducible
 principals only, and reads the upper covers of theta off those same joins:
-they are the minimal elements of {theta v J} minus {theta}.
+they are the minimal elements of {theta v J} minus {theta}.  The search
+runs on canonical class-id tuples: theta v J is the quick-find from the
+ids of theta over the star pairs of J (`partitions.star_pairs`, taken once
+per lattice), and only the finished members become `Partition`s.
 `congruence_violation` tests every operation and argument position at once
 with numpy, over the table of value classes.  Of the library, only the
 `con` command builds the lattice; the independent oracles the tests
@@ -76,7 +79,7 @@ import numpy as np
 from . import core
 from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
                    FiniteAlgebra, OperationTable, PreconditionError, _blocks)
-from .partitions import Partition, _merged
+from .partitions import Partition, _canonical, _merged, star_pairs
 
 LATTICE_SIZE_CAP = 10
 
@@ -518,14 +521,17 @@ def _join_irreducibles(principals: dict) -> dict:
 
     Every congruence strictly below a principal p is a join of principals
     strictly below p, so p is join-irreducible exactly when the join of
-    the principals strictly below it is not p itself."""
+    the principals strictly below it is not p itself.  q lies below p when
+    p relates every star pair of q, and the join merges those pairs."""
+    stars = {q: star_pairs(q) for q in principals}
     out = {}
     for p, pair in principals.items():
-        below = Partition.zero(p.size)
-        for q in principals:
-            if q is not p and q.refines(p):
-                below = below.join(q)
-        if below != p:
+        ids = p.class_ids
+        below = list(range(p.size))
+        for q, star in stars.items():
+            if q is not p and all(ids[a] == ids[b] for a, b in star):
+                below = _merged(below, star)
+        if _canonical(below) != ids:
             out[p] = pair
     return out
 
@@ -545,6 +551,9 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     of J = Cg(a, b), theta v J lies below mu exactly when mu relates a and
     b, so minimality needs no further joins.
 
+    The search runs on canonical class-id tuples: theta v J is `_merged`
+    from the ids of theta over the star pairs of J, taken once per
+    lattice, and each member becomes a `Partition` once, at the end.
     Congruences are sorted from 0_A towards 1_A by (-classes, class ids),
     and covers are sorted (i, j) index pairs.
     """
@@ -553,28 +562,29 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
         raise CapExceeded(
             f"congruence lattice capped at universe size {LATTICE_SIZE_CAP}, algebra has {n}")
     parts, firsts, _ = _principal_table.__wrapped__(alg)   # uncached: con keeps no table
-    irreducibles = _join_irreducibles(dict(zip(parts[1:], firsts[1:])))
-    zero = Partition.zero(n)
-    members = [zero]           # in discovery order
+    irreducibles = [(star_pairs(ji), a, b) for ji, (a, b)
+                    in _join_irreducibles(dict(zip(parts[1:], firsts[1:]))).items()]
+    zero = tuple(range(n))
+    members = [zero]           # class-id tuples, in discovery order
     found = {zero: 0}
     upper = []                 # discovery index -> upper covers' indices
     for theta in members:
         steps = []             # (index of theta v J, a, b) with J = Cg(a, b)
-        for ji, (a, b) in irreducibles.items():
-            if theta.related(a, b):
+        for star, a, b in irreducibles:
+            if theta[a] == theta[b]:
                 continue
-            joined = theta.join(ji)
+            joined = _canonical(_merged(list(theta), star))
             if joined not in found:
                 found[joined] = len(members)
                 members.append(joined)
             steps.append((found[joined], a, b))
         upper.append([j for j in {s[0] for s in steps}
-                      if all(k == j for k, a, b in steps if members[j].related(a, b))])
-    ordered = sorted(members, key=lambda p: (-p.num_classes, p.class_ids))
-    rank = {p: i for i, p in enumerate(ordered)}
+                      if all(k == j for k, a, b in steps if members[j][a] == members[j][b])])
+    ordered = sorted(members, key=lambda ids: (-max(ids), ids))
+    rank = {ids: i for i, ids in enumerate(ordered)}
     covers = sorted((rank[members[i]], rank[members[j]])
                     for i, ups in enumerate(upper) for j in ups)
-    return CongruenceLattice(tuple(ordered), tuple(covers))
+    return CongruenceLattice(tuple(Partition(n, ids) for ids in ordered), tuple(covers))
 
 
 # ---------------------------------------------------------------------------

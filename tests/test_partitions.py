@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smbalg import AlgebraError, Partition, all_partitions
+from smbalg.partitions import star_pairs
 
 
 def test_canonical_form():
@@ -67,6 +68,17 @@ def test_join_is_transitive_closure_of_union():
                         if (i, k) in rel and (k, j) in rel:
                             rel.add((i, j))
             assert set(p.join(q).pairs()) == rel, (p, q)
+
+
+def test_star_pairs_give_back_the_partition():
+    # one non-trivial pair (first member of x's class, x) per element that
+    # is not first in its class, and their least equivalence is p
+    for n in range(1, 7):
+        for p in all_partitions(n):
+            star = star_pairs(p)
+            assert Partition.from_pairs(n, star) == p, p
+            assert all(a < b for a, b in star), p
+            assert len(star) == n - p.num_classes, p
 
 
 def test_refines():

@@ -294,6 +294,20 @@ def test_run_pipeline_checks_for_a_wnu_once(e3, n4, monkeypatch):
         run_pipeline(n4, "d")
 
 
+def test_run_pipeline_checks_one_table_once(e3, b2, s2, corpus, monkeypatch):
+    # w is checked by _require_wnu; an iterate equal to the table before it
+    # is not checked again, and the diagnostics read iterate_wnu's check
+    n4_reg = next(e.algebra for e in corpus if e.algebra.name == "n4_reg")
+    real = pipeline.table_flags
+    for alg in (e3, b2, s2, n4_reg):
+        calls = []
+        monkeypatch.setattr(pipeline, "table_flags",
+                            lambda table: calls.append(table) or real(table))
+        result = run_pipeline(alg, "d")
+        assert calls == [alg.op("d")], alg.name
+        assert result.diagnostics["iterated_wnu"]["wnu"], alg.name
+
+
 def test_iteration_nontrivial_case(n4, n4_sim):
     # same blocks as n4 but every cross-block d value pinned to 3: d becomes
     # wnu while the wedge stays non-regular, and iteration genuinely moves

@@ -904,6 +904,28 @@ def test_tree_semilattice_lattice_size(monkeypatch):
             assert len(congruence_lattice(tree)) == 2 ** (n - 1)
 
 
+def test_congruence_lattice_builds_no_partition_joins(e3, n4, corpus, monkeypatch):
+    # the search joins, relates and compares class-id tuples; Partition's
+    # own lattice methods are left to the library's other callers
+    calls = []
+
+    def spy(name):
+        real = getattr(Partition, name)
+        return lambda self, *args: calls.append(name) or real(self, *args)
+
+    for name in ("join", "refines", "related"):
+        monkeypatch.setattr(Partition, name, spy(name))
+    algebras = [e3, n4] + [entry.algebra for entry in corpus
+                           if entry.algebra.size <= relations.LATTICE_SIZE_CAP]
+    monkeypatch.setattr(relations, "LATTICE_SIZE_CAP", 12)
+    for alg in algebras + [random_semilattice(12, random.Random(1200))]:
+        congruence_lattice(alg)
+    assert calls == []
+    zero, one = Partition.zero(3), Partition.one(3)
+    assert zero.join(one).related(0, 2) and zero.refines(one)
+    assert calls == ["join", "related", "refines"]
+
+
 def scan_violation(alg, p):
     """Reference congruence test: the row-by-row scan, returning the first
     (symbol, args, args') in symbol, argument tuple, position and class
