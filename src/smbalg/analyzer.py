@@ -46,8 +46,8 @@ from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
                    idempotence_violation, term_table)
 from .partitions import Partition
 from .relations import (_check_congruences, _commutator, _principal_table,
-                        congruence_violation, d_rels, polynomial_image_pairs,
-                        principal_congruence, quotient_algebra)
+                        _quotient, congruence_violation, d_rels,
+                        polynomial_image_pairs, principal_congruence)
 
 WEDGE = "wedge"
 D = "d"
@@ -415,7 +415,7 @@ def check_regular_base(alg: FiniteAlgebra) -> BaseReport:
         raise FalsificationError(
             f"base identities hold on '{alg.name}' but regularity condition(s) "
             f"{bad} fail over the recovered sim")
-    return BaseReport(verdicts, True, sim, *quotient_algebra(alg, sim))
+    return BaseReport(verdicts, True, sim, *_quotient(alg, sim))   # smb found sim a congruence
 
 
 def _regular_context(alg: FiniteAlgebra):

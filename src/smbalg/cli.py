@@ -13,7 +13,7 @@ import sys
 
 from .core import (AlgebraError, CapExceeded, FalsificationError,
                    FiniteAlgebra, PreconditionError)
-from .partitions import Partition, parse_element
+from .partitions import Partition, blocks_text, parse_element
 from .relations import commutator, congruence_generated, congruence_lattice
 from .analyzer import (_regular_conditions, _smb_congruence, check_regular_base,
                        check_smb_over, count_biconditional, find_smb_congruences,
@@ -44,7 +44,9 @@ def _emit(args, payload: dict, lines):
 
 
 def _partition_payload(p: Partition) -> dict:
-    return {"partition": str(p), "classes": p.json_classes()}
+    """The text form and the class lists of p, both from one `blocks` call."""
+    blocks = p.blocks()
+    return {"partition": blocks_text(blocks), "classes": [list(b) for b in blocks]}
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +119,10 @@ def _cmd_regularize(args) -> int:
 def _cmd_con(args) -> int:
     alg = _load(args.file)
     lattice = congruence_lattice(alg)
-    names = [str(p) for p in lattice.congruences]
+    members = [_partition_payload(p) for p in lattice.congruences]
+    names = [member["partition"] for member in members]
     payload = {"congruences": names,
-               "classes": [p.json_classes() for p in lattice.congruences],
+               "classes": [member["classes"] for member in members],
                "covers": [list(c) for c in lattice.covers]}
 
     def lines():               # formatted only when printed, not under --json
@@ -135,7 +138,8 @@ def _cmd_cg(args) -> int:
     alg = _load(args.file)
     a, b = (parse_element(x, "cg arguments") for x in (args.a, args.b))
     p = congruence_generated(alg, [(a, b)])   # one pair: no whole principal table
-    _emit(args, _partition_payload(p), [str(p)])
+    payload = _partition_payload(p)
+    _emit(args, payload, [payload["partition"]])
     return 0
 
 
@@ -143,8 +147,8 @@ def _cmd_commutator(args) -> int:
     alg = _load(args.file)
     p = Partition.parse(args.p1, alg.size)
     q = Partition.parse(args.p2, alg.size)
-    result = commutator(alg, p, q)
-    _emit(args, _partition_payload(result), [str(result)])
+    payload = _partition_payload(commutator(alg, p, q))
+    _emit(args, payload, [payload["partition"]])
     return 0
 
 

@@ -61,6 +61,11 @@ def star_pairs(p: "Partition") -> tuple:
     return tuple(pairs)
 
 
+def blocks_text(blocks: Iterable[Iterable[int]]) -> str:
+    """The text form `0 1 | 2` of a partition's blocks."""
+    return " | ".join(" ".join(str(x) for x in block) for block in blocks)
+
+
 @dataclass(frozen=True)
 class Partition:
     size: int
@@ -198,7 +203,7 @@ class Partition:
             zip(self.class_ids, other.class_ids)))  # type: ignore[arg-type]
 
     def __str__(self):
-        return " | ".join(" ".join(str(x) for x in block) for block in self.blocks())
+        return blocks_text(self.blocks())
 
     def json_classes(self) -> list:
         """Blocks as lists of ints, sorted by least element."""

@@ -7,7 +7,10 @@ and the binary commutator.
 One closure engine, `_subpower_closure`, closes subsets of finite
 powers in semi-naive rounds and records for each new tuple the first
 argument combination that produced it, as a step row of operation number
-and argument indices.  It takes a sequence of generator
+and argument indices.  Its one round loop is the generator
+`_closure_rounds`, which yields the rows after each round, so a caller
+can look at a closure part way and go on with it, never starting over;
+`_subpower_closure` runs it to the end.  It takes a sequence of generator
 sets, its lanes, and closes each on its own in the one round loop, so the
 fixed work of a call (set-up, sorting the new keys, round bookkeeping) is
 paid once for many small closures.  Each operation's table, weighted per
@@ -40,11 +43,18 @@ they commute with them; hence M(S, beta) is invariant too, and a round
 needs the first argument of its combinations only from the least tuple
 of each orbit, provided it adds the whole orbit of each new tuple (see
 `_subpower_closure`).  The closure refuses generators that are not
-invariant.  The public `commutator` checks its arguments are congruences;
-the library's own callers pass congruences it built to the cached
-`_commutator`.  `matrix_set` keeps the full M(alpha, beta) in the plain
-rounds, so `oracles.commutator_oracle`, which scans the congruence
-lattice against it, shares neither reduction with `commutator`.
+invariant.  After one round, the term-condition fixpoint theta over the
+matrices so far lies below [alpha, beta]; if it is not 0_A, the
+commutator finishes in A/theta, built unchecked by `_quotient`, and is
+pulled back, since C(alpha, beta; delta) holds in A exactly when
+C(alpha/theta, beta/theta; delta/theta) holds in A/theta for delta >=
+theta.  If it is 0_A, the same closure runs on to the end.  The public
+`commutator` checks its arguments are congruences; the library's own
+callers pass congruences it built to the cached `_commutator`, which also
+holds the quotient commutators of the probe.  `matrix_set` keeps the full
+M(alpha, beta) in the plain rounds, so `oracles.commutator_oracle`, which
+scans the congruence lattice against it, shares no reduction and no probe
+with `commutator`.
 
 The congruence layer follows R. Freese, "Computing congruences
 efficiently", Algebra Universalis 59 (2008) 337-343.  Principal
@@ -167,7 +177,8 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
                       group=()) -> list:
     """Least subsets of A^k containing each generator set of `lanes`,
     closed under all operations applied coordinatewise: every lane closed
-    on its own, all in one loop of semi-naive rounds.
+    on its own, all in one loop of semi-naive rounds, `_closure_rounds`,
+    run to the end.
 
     Returns one (rows, steps) per lane: its elements as an (m, k) int64
     array in the order of `generate_subpower`, and their derivation steps
@@ -212,6 +223,23 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     No steps are kept then (`steps` is None), and each round's new tuples
     come in ascending key order.
     """
+    rounds = _closure_rounds(alg, k, lanes, group)
+    while True:
+        try:
+            next(rounds)
+        except StopIteration as closed:
+            return closed.value
+
+
+def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
+    """The round loop of `_subpower_closure`, as a generator.  It yields the
+    rows of all lanes closed so far as one array, lane-major: first the
+    generators, then again after each semi-naive round that adds tuples.
+    A round that adds none ends it, and it returns the (rows, steps) per
+    lane that `_subpower_closure` returns.  The arguments are checked at
+    the first `next`.  For one lane, each yield is a prefix of the lane's
+    final rows and the last yield is all of them, so a caller may read a
+    round, stop or go on, and never starts over."""
     if k < 1:
         raise AlgebraError(f"power must be >= 1, got {k}")
     n = alg.size
@@ -291,6 +319,7 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
                     traces[lane].append(steps[lo:hi])
                 total[lane] += hi - lo
         rows = np.concatenate([chunk for part in parts for chunk in part])
+        yield rows
         columns = np.ascontiguousarray(rows.T)
         spans = []             # (lane, its head columns, its columns) if it grew
         start = 0
@@ -605,6 +634,11 @@ def quotient_algebra(alg: FiniteAlgebra, theta: Partition) -> Tuple[FiniteAlgebr
     representatives, which the congruence property makes well defined.
     """
     _check_congruences(alg, theta)
+    return _quotient(alg, theta)
+
+
+def _quotient(alg: FiniteAlgebra, theta: Partition) -> Tuple[FiniteAlgebra, tuple]:
+    """`quotient_algebra` for a partition known to be a congruence."""
     ids = np.asarray(theta.class_ids)
     reps = [block[0] for block in theta.blocks()]
     m = theta.num_classes
@@ -702,11 +736,13 @@ def polynomial_image_pairs(alg: FiniteAlgebra, a: int, b: int) -> GeneratedSet:
 _KLEIN_GROUP = ((0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0))
 
 
-def _matrix_closure(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
-                    beta: Partition, group=()) -> np.ndarray:
-    """Closure in A^4 of the rows (a, a, b, b) for each given alpha-pair
-    and (c, d, c, d) for every beta-pair, as an (m, 4) int64 array.  A^4
-    must fit in core.FAST_CLOSURE_SPACE_CAP, which is checked first.
+def _matrix_rounds(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
+                   beta: Partition, group=()):
+    """The rounds of the closure in A^4 of the rows (a, a, b, b) for each
+    given alpha-pair and (c, d, c, d) for every beta-pair: the
+    `_closure_rounds` generator of one lane, whose last yield is the
+    closure as an (m, 4) int64 array.  A^4 must fit in
+    core.FAST_CLOSURE_SPACE_CAP, which is checked first.
 
     With `group` = _KLEIN_GROUP the closure runs over orbit
     representatives.  That is exact when the alpha-pairs are symmetric:
@@ -721,7 +757,15 @@ def _matrix_closure(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
         raise CapExceeded(f"A^4 has {n ** 4} tuples, beyond the closure cap")
     gens = [(a, a, b, b) for a, b in alpha_pairs]
     gens += [(c, d, c, d) for c, d in beta.pairs()]
-    return _subpower_closure(alg, 4, [gens], group)[0][0]
+    return _closure_rounds(alg, 4, [gens], group)
+
+
+def _matrix_closure(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
+                    beta: Partition, group=()) -> np.ndarray:
+    """The closure of `_matrix_rounds`, its last yield."""
+    for rows in _matrix_rounds(alg, alpha_pairs, beta, group):
+        pass
+    return rows
 
 
 def matrix_set(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> np.ndarray:
@@ -808,10 +852,12 @@ def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partiti
     the diagonal, so a centre with a smaller one-step count tends to close
     fewer matrices.  As S and beta are symmetric, M(S, beta) is invariant
     under the fixed Klein group of row and column swaps of every matrix, so
-    `_matrix_closure` closes it over _KLEIN_GROUP orbit representatives:
+    `_matrix_rounds` closes it over _KLEIN_GROUP orbit representatives:
     the same set, with about a third of the argument combinations evaluated.
-    Guaranteed to lie below alpha meet beta; a violation of that bound is
-    raised loudly.
+    After one round it probes: the fixpoint theta over the matrices so far
+    lies below [alpha, beta], and when it is not 0_A the commutator is
+    finished in A/theta (see `_commutator`).  Guaranteed to lie below alpha
+    meet beta; a violation of that bound is raised loudly.
 
     alpha and beta are checked to be congruences first; the library's own
     callers, which pass congruences it built, call the cached `_commutator`.
@@ -822,10 +868,35 @@ def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partiti
 
 @lru_cache(maxsize=None)
 def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
-    """`commutator` for two partitions known to be congruences."""
-    pairs = _spanning_pairs(alg, alpha)
-    matrices = _matrix_closure(alg, pairs, beta, _KLEIN_GROUP)
-    result = _term_condition_fixpoint(alg, matrices)
+    """`commutator` for two partitions known to be congruences, probed
+    after one round of the closure of M(S, beta).
+
+    theta, the term-condition fixpoint over the matrices of that round,
+    lies below [alpha, beta], since the term condition over all of
+    M(S, beta) implies it over any subset.  If that round added no matrix,
+    theta is the answer.  If theta is 0_A, the same closure runs on to
+    the end.  Otherwise, since C(alpha, beta; delta) holds in A exactly when
+    C(alpha/theta, beta/theta; delta/theta) holds in A/theta for every
+    delta >= theta, [alpha, beta] is the preimage of the cached
+    [alpha/theta, beta/theta] of A/theta, which many pairs of one algebra
+    share.  theta is a congruence by construction, so A/theta is built
+    unchecked.
+    """
+    rounds = _matrix_rounds(alg, _spanning_pairs(alg, alpha), beta, _KLEIN_GROUP)
+    generators = next(rounds)
+    matrices = next(rounds, generators)        # one round on, if it adds any
+    theta = _term_condition_fixpoint(alg, matrices)
+    if matrices is generators:                 # closed: theta is the answer
+        result = theta
+    elif theta.is_zero:                        # the same closure, to the end
+        for matrices in rounds:
+            pass
+        result = _term_condition_fixpoint(alg, matrices)
+    else:                                      # finish in A/theta, pull back
+        quot, cmap = _quotient(alg, theta)
+        inner = _commutator(quot, push_partition(theta, cmap, quot.size, alpha),
+                            push_partition(theta, cmap, quot.size, beta))
+        result = Partition(alg.size, tuple(inner.class_ids[c] for c in cmap))
     if not result.refines(alpha.meet(beta)):
         raise FalsificationError(
             f"commutator bound failed on {alg.name}: [{alpha}, {beta}] = {result} "

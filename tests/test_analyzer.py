@@ -373,14 +373,29 @@ def test_regular_base_carries_the_quotient(corpus, n4):
     assert not base.holds and base.quotient is None and base.class_map is None
 
 
+def test_regular_base_checks_sim_once(corpus, monkeypatch):
+    # check_smb_over finds the recovered sim a congruence, and A/sim is
+    # built from it unchecked: one congruence_violation call per base
+    calls = []
+    for mod in (analyzer, relations):
+        real = mod.congruence_violation
+        monkeypatch.setattr(mod, "congruence_violation",
+                            lambda *args, _real=real: calls.append(args) or _real(*args))
+    regular = [entry.algebra for entry in corpus if entry.has("regular")]
+    for alg in regular + [regularized_glued(15, (2, 2, 2, 1))[0]]:
+        calls.clear()
+        base = check_regular_base.__wrapped__(alg)
+        assert base.holds and calls == [(alg, base.recovered_sim)], alg.name
+
+
 def test_witness_commands_build_the_quotient_once(tmp_path, monkeypatch, capsys):
     alg, _ = regularized_glued(29, (2, 3, 2))
     path = tmp_path / "regular.alg"
     path.write_text(format_algebra(alg), encoding="utf-8")
     check_regular_base.cache_clear()
     calls = []
-    real = analyzer.quotient_algebra
-    monkeypatch.setattr(analyzer, "quotient_algebra",
+    real = analyzer._quotient
+    monkeypatch.setattr(analyzer, "_quotient",
                         lambda *args: calls.append(args) or real(*args))
     for which in ("cg-d3", "cgvsim", "undersim"):     # each parses the file afresh
         assert main(["verify", which, str(path), "--json"]) == 0, which

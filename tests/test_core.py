@@ -207,7 +207,7 @@ def test_library_never_reaches_the_oracles():
 
 def test_one_closure_loop():
     # the boxes of every subpower closure, traced or orbit-reduced, are
-    # evaluated in the one round loop of relations._subpower_closure
+    # evaluated in the one round loop, the generator relations._closure_rounds
     import smbalg
 
     def calls(tree):
@@ -223,7 +223,7 @@ def test_one_closure_loop():
                     if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and calls(func)]
     # a call inside a nested function would list the nested one too
-    assert (total, callers) == (1, [("relations", "_subpower_closure")])
+    assert (total, callers) == (1, [("relations", "_closure_rounds")])
 
 
 def test_eval_term_examples(e3):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import itertools
 import random
@@ -6,8 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from smbalg import (AlgebraError, CapExceeded, FiniteAlgebra, OperationTable,
-                    Partition, PreconditionError, all_partitions,
+from smbalg import (AlgebraError, CapExceeded, FalsificationError, FiniteAlgebra,
+                    OperationTable, Partition, PreconditionError, all_partitions,
                     commutator, congruence_generated, congruence_lattice,
                     congruence_violation, d_rel,
                     generate_subpower, is_abelian, is_congruence, matrix_set,
@@ -222,7 +223,7 @@ def test_generate_subpower_order_is_checked():
     # traces a tuple to the last combination producing it for an operation
     # and position, not the first, and one that unravels a combination's
     # flat index with the first argument fastest, not the last
-    source = inspect.getsource(relations._subpower_closure)
+    source = inspect.getsource(relations._closure_rounds)
     for line, mutant in [
             ("keys, first = np.unique(np.concatenate(got), return_index=True)",
              "keys, first = np.unique(np.concatenate(got)[::-1], return_index=True); "
@@ -232,6 +233,7 @@ def test_generate_subpower_order_is_checked():
         assert broken != source
         namespace = dict(vars(relations))
         exec(broken, namespace)
+        exec(inspect.getsource(relations._subpower_closure), namespace)
         exec(inspect.getsource(relations._generated_sets), namespace)
         exec(inspect.getsource(relations.generate_subpower), namespace)
         mismatches = 0
@@ -523,12 +525,13 @@ def test_symmetric_closure_is_checked():
     # two broken copies must each fail the test above: one that leaves a
     # box's new tuples unclosed under the group, and one that takes the
     # transpose (m11, m21, m12, m22) for the column swap
-    source = inspect.getsource(relations._subpower_closure)
+    source = inspect.getsource(relations._closure_rounds)
     line = "keys = np.unique(images, return_index=True)[0]"
     broken = source.replace(line, "pass")
     assert broken != source
     namespace = dict(vars(relations))
     exec(broken, namespace)
+    exec(inspect.getsource(relations._subpower_closure), namespace)
     cases = list(symmetric_closure_cases())
     assert symmetric_mismatches(namespace["_subpower_closure"],
                                 relations._KLEIN_GROUP, cases) > 0
@@ -559,6 +562,42 @@ def test_klein_path_keeps_the_plain_order():
         (rows, steps), = relations._subpower_closure(alg, 4, [gens], relations._KLEIN_GROUP)
         assert rows.tolist() == relations._subpower_closure(alg, 4, [gens])[0][0].tolist()
         assert steps is None
+
+
+def read_round_by_round(alg, k, lanes, group=()):
+    """The yields of `_closure_rounds`, one `next` at a time, and its
+    return value."""
+    rounds, seen = relations._closure_rounds(alg, k, lanes, group), []
+    while True:
+        try:
+            seen.append(next(rounds))
+        except StopIteration as closed:
+            return seen, closed.value
+
+
+def test_closure_rounds_resume_like_one_go():
+    # read a round at a time, the generator returns the rows and steps of
+    # _subpower_closure in one go, traced, over many lanes and under the
+    # Klein group; each yield holds all rows so far, lane-major, and one
+    # lane's yields grow as prefixes of its final rows
+    cases = [(alg, k, [gens], ()) for alg, k, gens in random_closure_cases()]
+    cases += [(alg, k, lanes, ()) for alg, k, lanes in lane_cases()]
+    cases += [(alg, 4, [gens], relations._KLEIN_GROUP)
+              for alg, gens in symmetric_closure_cases()]
+    resumed = 0
+    for alg, k, lanes, group in cases:
+        seen, got = read_round_by_round(alg, k, lanes, group)
+        want = relations._subpower_closure(alg, k, lanes, group)
+        assert len(got) == len(want) == len(lanes)
+        for (rows, steps), (want_rows, want_steps) in zip(got, want):
+            assert rows.tolist() == want_rows.tolist()
+            assert (steps is None if group else steps.tolist() == want_steps.tolist())
+        assert seen[-1].tolist() == np.concatenate([rows for rows, _ in got]).tolist()
+        assert [len(s) for s in seen] == sorted({len(s) for s in seen})
+        if len(lanes) == 1:
+            assert all(s.tolist() == seen[-1][:len(s)].tolist() for s in seen)
+        resumed += len(seen) > 2
+    assert resumed > 50
 
 
 def test_group_closure_takes_one_lane(e3, e3_sim):
@@ -1227,13 +1266,13 @@ def test_only_commutator_closes_over_orbits(e3, e3_sim, monkeypatch):
     # matrix_set, which the oracle reads, stays on the plain rounds, so the
     # oracle shares no orbit map with the commutator it checks
     seen = []
-    closure = relations._subpower_closure
+    rounds = relations._closure_rounds
 
     def spy(alg, k, gens, group=()):
         seen.append(group)
-        return closure(alg, k, gens, group)
+        return rounds(alg, k, gens, group)
 
-    monkeypatch.setattr(relations, "_subpower_closure", spy)
+    monkeypatch.setattr(relations, "_closure_rounds", spy)
     matrix_set(e3, e3_sim, e3_sim)
     commutator_oracle(e3, e3_sim, e3_sim)
     relations._commutator.__wrapped__(e3, e3_sim, e3_sim)
@@ -1384,6 +1423,156 @@ def test_commutator_is_order_sensitive(e3, e3_sim):
     assert commutator(e3, one3, e3_sim) == e3_sim
     assert commutator_oracle(e3, e3_sim, one3).is_zero
     assert commutator_oracle(e3, one3, e3_sim) == e3_sim
+
+
+def planted_algebra(rng, n, signature):
+    """A random algebra on n elements with a random partition planted as a
+    congruence: each operation maps classes to classes by a random table,
+    each value a random member of its class.  Its congruence lattice is
+    richer than that of a plain random algebra."""
+    ids = Partition(n, tuple(rng.randrange(n - 1) for _ in range(n))).class_ids
+    m = max(ids) + 1
+    members = [[x for x in range(n) if ids[x] == c] for c in range(m)]
+    ops = {}
+    for sym, arity in signature.items():
+        on_classes = [rng.randrange(m) for _ in range(m ** arity)]
+        values = []
+        for args in itertools.product(range(n), repeat=arity):
+            at = 0
+            for x in args:
+                at = at * m + ids[x]
+            values.append(rng.choice(members[on_classes[at]]))
+        ops[sym] = OperationTable(arity, n, values)
+    return FiniteAlgebra(f"planted{n}", n, ops)
+
+
+# A 5-element groupoid on which one round of M(alpha, 1_A) is not enough:
+# for alpha = 0 3 | 1 2 | 4 the probe finds 0 | 1 2 | 3 | 4, and the
+# commutator in the quotient by it, pulled back, is alpha itself.
+ONE_ROUND_SHORT = FiniteAlgebra("one_round_short", 5, {"f": OperationTable(
+    2, 5, [2, 3, 3, 1, 2, 0, 1, 2, 3, 0, 0, 1, 2, 3, 0, 1, 0, 0, 1, 2, 1, 4, 4, 1, 1])})
+
+
+@functools.lru_cache(maxsize=None)
+def probe_oracle_cases():
+    """Every ordered pair of congruences of `ONE_ROUND_SHORT` and of 12
+    seeded planted algebras with n = 3-5 in four signatures, with the
+    oracle's commutator of each."""
+    rng = random.Random(3232)
+    signatures = ({"f": 2}, {"f": 2, "u": 1}, {"t": 3}, {"f": 2, "g": 2})
+    algebras = [ONE_ROUND_SHORT] + [planted_algebra(rng, 3 + i % 3, signatures[i % 4])
+                                    for i in range(12)]
+    return tuple((alg, alpha, beta, commutator_oracle(alg, alpha, beta)) for alg in algebras
+                 for alpha, beta in itertools.product(congruence_lattice(alg), repeat=2))
+
+
+def unprobed_commutator(alg, alpha, beta):
+    """The commutator without the probe: the term-condition fixpoint over
+    the whole orbit-reduced closure of M(S, beta)."""
+    matrices = relations._matrix_closure(alg, relations._spanning_pairs(alg, alpha),
+                                         beta, relations._KLEIN_GROUP)
+    return relations._term_condition_fixpoint(alg, matrices)
+
+
+def probe_mismatches(commutator_body, cases):
+    """How many (alg, alpha, beta, want) cases a `_commutator` body gets
+    wrong, a raised error included."""
+    bad = 0
+    for alg, alpha, beta, want in cases:
+        try:
+            bad += commutator_body(alg, alpha, beta) != want
+        except (AlgebraError, FalsificationError):
+            bad += 1
+    return bad
+
+
+def test_probing_commutator_matches_oracle():
+    # random algebras with n = 3-5 and a planted congruence: the probe
+    # recurses on many pairs, and on ONE_ROUND_SHORT its theta lies strictly
+    # below the commutator, so the pull-back is needed
+    cases = probe_oracle_cases()
+    quotients = []
+    real = relations._quotient
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "_quotient",
+                      lambda alg, theta: quotients.append((alg, theta)) or real(alg, theta))
+        assert probe_mismatches(relations._commutator.__wrapped__, cases) == 0
+    assert len(cases) > 150 and len(quotients) > 40
+    alpha, one = Partition.parse("0 3 | 1 2 | 4", 5), Partition.one(5)
+    rounds = relations._matrix_rounds(ONE_ROUND_SHORT, relations._spanning_pairs(
+        ONE_ROUND_SHORT, alpha), one, relations._KLEIN_GROUP)
+    next(rounds)
+    theta = relations._term_condition_fixpoint(ONE_ROUND_SHORT, next(rounds))
+    assert theta == Partition.parse("0 | 1 2 | 3 | 4", 5)
+    assert (ONE_ROUND_SHORT, theta) in quotients
+    assert (ONE_ROUND_SHORT, alpha, one, alpha) in cases
+
+
+def test_probing_commutator_matches_the_unprobed_path(corpus):
+    # the corpus, every ordered pair of its lattices up to size 5, then the
+    # commutator ladder's shapes and regularized glued algebras up to n = 10
+    # on sim, 1_A and the distinct principal congruences
+    cases = [(entry.algebra, alpha, beta) for entry in corpus if entry.algebra.size <= 5
+             for alpha, beta in itertools.product(congruence_lattice(entry.algebra), repeat=2)]
+    for seed, sizes in [(3, (2, 1, 1)), (3, (2, 2, 1)), (3, (2, 2, 2)),
+                        (1, (2, 2, 2, 2)), (2, (3, 3, 2, 2))]:
+        alg, sim = regularized_glued(seed, sizes)
+        n = alg.size
+        args = [sim, Partition.one(n)]
+        args += [p for p in relations._principal_table(alg)[0][1:] if p not in args]
+        cases += [(alg, alpha, beta) for alpha, beta in itertools.product(args, repeat=2)]
+    assert len(cases) > 1000 and max(alg.size for alg, _, _ in cases) == 10
+    for alg, alpha, beta in cases:
+        assert relations._commutator.__wrapped__(alg, alpha, beta) == \
+            unprobed_commutator(alg, alpha, beta), (alg.name, alpha, beta)
+
+
+def test_probing_commutator_is_checked():
+    # two broken copies of _commutator must each fail the oracle test: one
+    # that probes with alpha meet beta, a congruence not below [alpha, beta]
+    # in general, and one that returns the probe's theta, skipping the
+    # commutator of A/theta and its pull-back
+    source = inspect.getsource(relations._commutator)
+    cases = probe_oracle_cases()
+    for line, mutant in [
+            ("theta = _term_condition_fixpoint(alg, matrices)",
+             "theta = alpha.meet(beta)"),
+            ("result = Partition(alg.size, tuple(inner.class_ids[c] for c in cmap))",
+             "result = theta")]:
+        broken = source.replace(line, mutant)
+        assert broken != source
+        namespace = dict(vars(relations))
+        exec(broken, namespace)
+        assert probe_mismatches(namespace["_commutator"], cases) > 0, line
+
+
+def test_probing_commutator_cache_entries(e3):
+    # a probing call adds its own entry and one per quotient it recurses
+    # into, and a repeated call adds none
+    seen = []
+    real = relations._commutator
+    real.cache_clear()
+
+    def entries(alg, alpha, beta):
+        """The (size, alpha, beta) of each `_commutator` call `commutator`
+        makes, and how many cache entries they add."""
+        seen.clear()
+        before = real.cache_info().currsize
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(relations, "_commutator", lambda *args: seen.append(
+                (args[0].size, *map(str, args[1:]))) or real(*args))
+            commutator(alg, Partition.parse(alpha, alg.size), Partition.parse(beta, alg.size))
+        return list(seen), real.cache_info().currsize - before
+
+    # the pull-back: A/theta has size 4, and one round is enough there
+    assert entries(ONE_ROUND_SHORT, "0 3 | 1 2 | 4", "0 1 2 3 4") == (
+        [(5, "0 3 | 1 2 | 4", "0 1 2 3 4"), (4, "0 2 | 1 | 3", "0 1 2 3")], 2)
+    assert entries(ONE_ROUND_SHORT, "0 3 | 1 2 | 4", "0 1 2 3 4") == (
+        [(5, "0 3 | 1 2 | 4", "0 1 2 3 4")], 0)
+    # theta = 0_A: the same closure runs on, in A alone
+    assert entries(e3, "0 1 | 2", "0 1 | 2") == ([(3, "0 1 | 2", "0 1 | 2")], 1)
+    # theta = [1_A, 1_A] = 1_A: the quotient is the one-element algebra
+    assert entries(e3, "0 1 2", "0 1 2") == ([(3, "0 1 2", "0 1 2"), (1, "0", "0")], 2)
 
 
 def test_congruence_closure_random_differential():
