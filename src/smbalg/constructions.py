@@ -266,8 +266,7 @@ def exhaustive_enumerate(n: int, signature: Mapping[str, int]) -> Iterator[Finit
         yield FiniteAlgebra(f"enum{n}_{i}", n, ops)
 
 
-def random_semilattice(size: int, rng: random.Random,
-                       name: Optional[str] = None) -> FiniteAlgebra:
+def random_semilattice(size: int, rng: random.Random) -> FiniteAlgebra:
     """A meet-semilattice from a random rooted tree (root 0 is the least
     element; meets are deepest common ancestors)."""
     parents = [None] + [rng.randrange(i) for i in range(1, size)]
@@ -284,7 +283,7 @@ def random_semilattice(size: int, rng: random.Random,
             wedge.append(next(x for x in anc[a] if x in bs))
     table = OperationTable(2, size, wedge)
     d = materialize_term(FiniteAlgebra("tree", size, {WEDGE: table}), _MEET3, 3)
-    return FiniteAlgebra(name or f"tree{size}", size, {WEDGE: table, D: d})
+    return FiniteAlgebra(f"tree{size}", size, {WEDGE: table, D: d})
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +293,6 @@ def random_semilattice(size: int, rng: random.Random,
 class CorpusSpec:
     seed: int = 20240817
     max_size: int = 8
-    families: tuple = ("semilattice+d", "simple extension", "glued SMB",
-                       "random signature")
 
 
 @dataclass(frozen=True)
@@ -345,43 +342,39 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list:
     entries.append(_entry(regularize(n4, n4_sim()), n4_sim(),
                           "smb", "regular", "regularized"))
 
-    if "semilattice+d" in spec.families:
-        s2 = example_s2()
-        entries.append(_entry(s2, zero_sim(s2), "smb", "regular", "semilattice"))
-        for k in range(3, min(4, spec.max_size) + 1):
-            alg = chain_semilattice(k)
-            entries.append(_entry(alg, zero_sim(alg), "smb", "regular", "semilattice"))
-        for size in range(5, spec.max_size + 1):
-            alg = random_semilattice(size, rng)
-            entries.append(_entry(alg, zero_sim(alg), "smb", "regular", "semilattice"))
+    s2 = example_s2()
+    entries.append(_entry(s2, zero_sim(s2), "smb", "regular", "semilattice"))
+    for k in range(3, min(4, spec.max_size) + 1):
+        alg = chain_semilattice(k)
+        entries.append(_entry(alg, zero_sim(alg), "smb", "regular", "semilattice"))
+    for size in range(5, spec.max_size + 1):
+        alg = random_semilattice(size, rng)
+        entries.append(_entry(alg, zero_sim(alg), "smb", "regular", "semilattice"))
 
-    if "glued SMB" in spec.families:
-        for i, (tree_size, block_sizes) in enumerate(_GLUE_LAYOUTS):
-            if sum(block_sizes) > spec.max_size:
-                continue
-            sl = random_semilattice(tree_size, rng)
-            blocks = {c: affine_block(s) for c, s in enumerate(block_sizes)}
-            sim = glue_layout(sl, blocks)
-            offsets = [sum(block_sizes[:c]) for c in range(tree_size)]
-            reps = {c: offsets[c] + rng.randrange(block_sizes[c])
-                    for c in range(tree_size)}
-            glued = glue_smb(sl, blocks, reps, name=f"glued{sum(block_sizes)}_{i}")
-            entries.append(_entry(glued, sim, "smb", "glued"))
-            entries.append(_entry(
-                regularize(glued, sim).rename(f"{glued.name}_reg"), sim,
-                "smb", "regular", "regularized"))
+    for i, (tree_size, block_sizes) in enumerate(_GLUE_LAYOUTS):
+        if sum(block_sizes) > spec.max_size:
+            continue
+        sl = random_semilattice(tree_size, rng)
+        blocks = {c: affine_block(s) for c, s in enumerate(block_sizes)}
+        sim = glue_layout(sl, blocks)
+        offsets = [sum(block_sizes[:c]) for c in range(tree_size)]
+        reps = {c: offsets[c] + rng.randrange(block_sizes[c])
+                for c in range(tree_size)}
+        glued = glue_smb(sl, blocks, reps, name=f"glued{sum(block_sizes)}_{i}")
+        entries.append(_entry(glued, sim, "smb", "glued"))
+        entries.append(_entry(
+            regularize(glued, sim).rename(f"{glued.name}_reg"), sim,
+            "smb", "regular", "regularized"))
 
-    if "simple extension" in spec.families:
-        for alg in (trivial_algebra(), example_b2(), example_s2(),
-                    chain_semilattice(3), e3):
-            if alg.size + 3 > spec.max_size:
-                continue
-            ext = extend_simple_type5(alg, D)
-            entries.append(_entry(ext, None, "extension", "simple"))
+    for alg in (trivial_algebra(), example_b2(), example_s2(),
+                chain_semilattice(3), e3):
+        if alg.size + 3 > spec.max_size:
+            continue
+        ext = extend_simple_type5(alg, D)
+        entries.append(_entry(ext, None, "extension", "simple"))
 
-    if "random signature" in spec.families:
-        for i, n in enumerate((3, 3, 4)):
-            alg = random_algebra(n, {WEDGE: 2, D: 3}, rng.randrange(1 << 30))
-            entries.append(_entry(alg, None, "random"))
+    for i, n in enumerate((3, 3, 4)):
+        alg = random_algebra(n, {WEDGE: 2, D: 3}, rng.randrange(1 << 30))
+        entries.append(_entry(alg, None, "random"))
 
     return entries

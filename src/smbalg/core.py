@@ -271,15 +271,6 @@ def term_variables(term: Term) -> frozenset:
     return frozenset(out)
 
 
-def substitute(term: Term, mapping: Mapping[int, Term]) -> Term:
-    """Replace Var(i) by mapping[i] where present; other leaves unchanged."""
-    if isinstance(term, Var):
-        return mapping.get(term.index, term)
-    if isinstance(term, Const):
-        return term
-    return App(term.symbol, tuple(substitute(a, mapping) for a in term.args))
-
-
 def _compile(alg: FiniteAlgebra, terms: Sequence[Term], nvars: int) -> tuple:
     """Validate `terms` for an assignment of length `nvars` and list their
     distinct subterms, children first.

@@ -25,6 +25,8 @@ re-export any of them; import them from `smbalg.oracles`.
                                   node, against the numpy kernel
                                   `core.term_table` and the chain replay of
                                   `analyzer.verify_cg_d3_pairs`
+  substitute                      variables replaced node by node, against
+                                  the witness terms of `GeneratedSet.terms`
   unary_polynomials               every unary polynomial with a witnessing
                                   term, as the subuniverse of A^A generated
                                   by the identity and the constant maps
@@ -40,7 +42,7 @@ only: a size-5 algebra can have 629 unary polynomials.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -183,6 +185,15 @@ def eval_term(alg: FiniteAlgebra, term: Term, assignment: Sequence[int]) -> int:
         return val
 
     return ev(term)
+
+
+def substitute(term: Term, mapping: Mapping[int, Term]) -> Term:
+    """Replace Var(i) by mapping[i] where present; other leaves unchanged."""
+    if isinstance(term, Var):
+        return mapping.get(term.index, term)
+    if isinstance(term, Const):
+        return term
+    return App(term.symbol, tuple(substitute(a, mapping) for a in term.args))
 
 
 def unary_polynomials(alg: FiniteAlgebra) -> tuple:

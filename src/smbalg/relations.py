@@ -51,10 +51,11 @@ C(alpha/theta, beta/theta; delta/theta) holds in A/theta for delta >=
 theta.  If it is 0_A, the same closure runs on to the end.  The public
 `commutator` checks its arguments are congruences; the library's own
 callers pass congruences it built to the cached `_commutator`, which also
-holds the quotient commutators of the probe.  `matrix_set` keeps the full
-M(alpha, beta) in the plain rounds, so `oracles.commutator_oracle`, which
-scans the congruence lattice against it, shares no reduction and no probe
-with `commutator`.
+holds the quotient commutators of the probe.  Its rows come from
+`_matrix_rounds`, which `_commutator` alone calls.  `matrix_set` builds
+the full M(alpha, beta) from its own rows and closes it in the plain
+rounds, so `oracles.commutator_oracle`, which scans the congruence lattice
+against it, shares only the closure engine with `commutator`.
 
 The congruence layer follows R. Freese, "Computing congruences
 efficiently", Algebra Universalis 59 (2008) 337-343.  Principal
@@ -737,44 +738,42 @@ _KLEIN_GROUP = ((0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0))
 
 
 def _matrix_rounds(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
-                   beta: Partition, group=()):
+                   beta: Partition):
     """The rounds of the closure in A^4 of the rows (a, a, b, b) for each
-    given alpha-pair and (c, d, c, d) for every beta-pair: the
-    `_closure_rounds` generator of one lane, whose last yield is the
-    closure as an (m, 4) int64 array.  A^4 must fit in
+    given alpha-pair and (c, d, c, d) for every beta-pair, over
+    _KLEIN_GROUP orbit representatives: the `_closure_rounds` generator of
+    one lane, whose last yield is the closure as an (m, 4) int64 array.
+    `_commutator` reads it round by round.  A^4 must fit in
     core.FAST_CLOSURE_SPACE_CAP, which is checked first.
 
-    With `group` = _KLEIN_GROUP the closure runs over orbit
-    representatives.  That is exact when the alpha-pairs are symmetric:
-    the row swap maps (a, a, b, b) to (b, b, a, a) and fixes (c, d, c, d),
-    the column swap fixes (a, a, b, b) and maps (c, d, c, d) to
-    (d, c, d, c), and beta is symmetric, so the generator set is invariant,
-    and so is its closure, since operations act coordinatewise.  A
-    one-directional pair set is refused with AlgebraError, never closed as
-    the orbits of its generators."""
+    The orbit reduction is exact when the alpha-pairs are symmetric: the
+    row swap maps (a, a, b, b) to (b, b, a, a) and fixes (c, d, c, d), the
+    column swap fixes (a, a, b, b) and maps (c, d, c, d) to (d, c, d, c),
+    and beta is symmetric, so the generator set is invariant, and so is its
+    closure, since operations act coordinatewise.  A one-directional pair
+    set is refused with AlgebraError, never closed as the orbits of its
+    generators."""
     n = alg.size
     if n ** 4 > core.FAST_CLOSURE_SPACE_CAP:
         raise CapExceeded(f"A^4 has {n ** 4} tuples, beyond the closure cap")
     gens = [(a, a, b, b) for a, b in alpha_pairs]
     gens += [(c, d, c, d) for c, d in beta.pairs()]
-    return _closure_rounds(alg, 4, [gens], group)
-
-
-def _matrix_closure(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
-                    beta: Partition, group=()) -> np.ndarray:
-    """The closure of `_matrix_rounds`, its last yield."""
-    for rows in _matrix_rounds(alg, alpha_pairs, beta, group):
-        pass
-    return rows
+    return _closure_rounds(alg, 4, [gens], _KLEIN_GROUP)
 
 
 def matrix_set(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> np.ndarray:
-    """M(alpha, beta): rows (m11, m12, m21, m22) read as 2x2 matrices,
-    generated from alpha-pairs duplicated as rows and beta-pairs duplicated
-    as columns.  The closure's (m, 4) int64 array, closed by the plain
-    semi-naive rounds: `oracles.commutator_oracle` reads it, and so stays
-    independent of the orbit reduction that `commutator` uses."""
-    return _matrix_closure(alg, alpha.pairs(), beta)
+    """M(alpha, beta) as an (m, 4) int64 array of 2x2 matrices (m11, m12,
+    m21, m22): the plain `_subpower_closure` of (a, a, b, b) per alpha-pair
+    and (c, d, c, d) per beta-pair.  It builds its own rows, so
+    `oracles.commutator_oracle`, which reads it, shares only the closure
+    engine with `commutator`: no spanning set, orbit reduction or probe."""
+    n = alg.size
+    if n ** 4 > core.FAST_CLOSURE_SPACE_CAP:
+        raise CapExceeded(f"A^4 has {n ** 4} tuples, beyond the closure cap")
+    gens = [(a, a, b, b) for a, b in alpha.pairs()]
+    gens += [(c, d, c, d) for c, d in beta.pairs()]
+    (rows, _), = _subpower_closure(alg, 4, [gens])
+    return rows
 
 
 def _spanning_pairs(alg: FiniteAlgebra, p: Partition) -> list:
@@ -809,7 +808,7 @@ def _spanning_pairs(alg: FiniteAlgebra, p: Partition) -> list:
 
 
 def _check_congruences(alg: FiniteAlgebra, *parts: Partition):
-    for p in parts:
+    for p in dict.fromkeys(parts):      # each distinct partition once, in order
         bad = congruence_violation(alg, p)
         if bad is not None:
             raise PreconditionError(
@@ -882,7 +881,7 @@ def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partit
     share.  theta is a congruence by construction, so A/theta is built
     unchecked.
     """
-    rounds = _matrix_rounds(alg, _spanning_pairs(alg, alpha), beta, _KLEIN_GROUP)
+    rounds = _matrix_rounds(alg, _spanning_pairs(alg, alpha), beta)
     generators = next(rounds)
     matrices = next(rounds, generators)        # one round on, if it adds any
     theta = _term_condition_fixpoint(alg, matrices)

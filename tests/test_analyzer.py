@@ -23,7 +23,8 @@ from smbalg.analyzer import BASE_IDENTITY_NAMES
 from smbalg.cli import main
 from smbalg.constructions import random_algebra
 from smbalg.dsl import format_algebra
-from smbalg.oracles import compose_relations, eval_term, smb_congruences_by_lattice
+from smbalg.oracles import (compose_relations, eval_term, smb_congruences_by_lattice,
+                            substitute)
 from smbalg import relations
 from smbalg.relations import GeneratedSet
 
@@ -519,8 +520,8 @@ def test_terms_match_substituted_reference(corpus):
         polys = [tuple(step.poly for step in steps[pair]) for pair in dpairs]
         for i, (left, right) in enumerate(polys):
             q = reference_term(dset, i, leaves)
-            assert left == core.substitute(q, {0: Const(a), 1: Var(0)}), (alg.name, a, b, i)
-            assert right == core.substitute(q, {1: Const(a)}), (alg.name, a, b, i)
+            assert left == substitute(q, {0: Const(a), 1: Var(0)}), (alg.name, a, b, i)
+            assert right == substitute(q, {1: Const(a)}), (alg.name, a, b, i)
             if trace[i] is not None:
                 parents = trace[i][1]
                 for side in (0, 1):

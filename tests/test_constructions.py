@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from smbalg import (AlgebraError, CorpusSpec, FiniteAlgebra, OperationTable,
+from smbalg import (AlgebraError, FiniteAlgebra, OperationTable,
                     Partition, affine_block, build_corpus, chain_semilattice,
                     check_regular, check_regular_base, check_smb_over,
                     classify_operation, congruence_lattice,
@@ -155,15 +155,3 @@ def test_corpus_shape(corpus):
         assert not check_regular(e.algebra, e.sim).holds
     assert len([e for e in corpus if e.has("extension")]) >= 5
 
-
-def test_corpus_spec_families():
-    slim = build_corpus(CorpusSpec(families=("semilattice+d",)))
-    assert all(not e.has("glued") or e.name in ("n4",) for e in slim)
-    assert any(e.has("semilattice") for e in slim)
-    # the "simple extension" family alone gates the simple 3-point extensions
-    default = CorpusSpec().families
-    without = build_corpus(CorpusSpec(families=tuple(f for f in default if f != "simple extension")))
-    assert not any(e.has("extension") for e in without)
-    alone = build_corpus(CorpusSpec(families=("simple extension",)))
-    extensions = [e.name for e in build_corpus() if e.has("extension")]
-    assert extensions and [e.name for e in alone if e.has("extension")] == extensions

@@ -9,8 +9,8 @@ import pytest
 from smbalg import (AlgebraError, App, Const, FiniteAlgebra, Identity,
                     OperationTable, Quasiidentity, Var, check_identity,
                     check_quasiidentity, classify_operation, materialize_term,
-                    substitute, table_flags, term_table)
-from smbalg.oracles import eval_term
+                    table_flags, term_table)
+from smbalg.oracles import eval_term, substitute
 from conftest import module_caches, random_term
 
 W = lambda a, b: App("wedge", (a, b))
@@ -182,7 +182,7 @@ def test_oracles_stay_apart():
     assert defined == {"smb_congruences_by_lattice",
                        "congruence_by_alternating_closure",
                        "commutator_oracle", "literal_power",
-                       "compose_relations", "eval_term",
+                       "compose_relations", "eval_term", "substitute",
                        "unary_polynomials", "generate_subuniverse",
                        "all_subuniverses"}
     assert not defined & set(vars(smbalg))

@@ -33,6 +33,14 @@ def nested_lists(table):
     return table.array.reshape((table.size,) * table.arity).tolist()
 
 
+def klein_matrices(alg, alpha_pairs, beta):
+    """The Klein-orbit closure of M(alpha_pairs, beta): `_matrix_rounds`
+    drained to its last yield."""
+    for rows in relations._matrix_rounds(alg, alpha_pairs, beta):
+        pass
+    return rows
+
+
 def closure_in_rounds(alg, k, generators):
     """Reference traced closure in the element order of `generate_subpower`:
     the generators in order (duplicates dropped), then rounds.  A round
@@ -321,7 +329,9 @@ def test_boxes_keep_rows_and_keys_within_block_size(monkeypatch):
     n, block = alg.size, 64
     gens = [(0, 4), (4, 0)] + [(c, c) for c in range(n)]
     pairs = relations._spanning_pairs(alg, principal_congruence(alg, 0, 1))
-    plain = relations._matrix_closure(alg, pairs, Partition.one(n)).tolist()
+    matrix_gens = ([(a, a, b, b) for a, b in pairs]
+                   + [(c, d, c, d) for c, d in Partition.one(n).pairs()])
+    (plain, _), = relations._subpower_closure(alg, 4, [matrix_gens])
     kernel, calls = relations._apply_block, []
 
     def spy(tables, heads, columns, box, n):
@@ -334,8 +344,7 @@ def test_boxes_keep_rows_and_keys_within_block_size(monkeypatch):
     monkeypatch.setattr(relations, "_apply_block", spy)
     assert_matches_rounds(generate_subpower(alg, 2, gens), alg, 2, gens)
     traced = len(calls)
-    assert relations._matrix_closure(alg, pairs, Partition.one(n),
-                                     relations._KLEIN_GROUP).tolist() == plain
+    assert klein_matrices(alg, pairs, Partition.one(n)).tolist() == plain.tolist()
     assert any(short for _, _, short in calls[:traced])
     assert any(short for _, _, short in calls[traced:])
     assert max(values for values, _, _ in calls) <= block
@@ -550,7 +559,7 @@ def test_symmetric_closure_refuses_non_invariant_generators(e3, e3_sim):
     with pytest.raises(AlgebraError, match="not invariant"):
         relations._subpower_closure(e3, 4, [gens], relations._KLEIN_GROUP)
     with pytest.raises(AlgebraError, match="not invariant"):
-        relations._matrix_closure(e3, one_way, e3_sim, relations._KLEIN_GROUP)
+        klein_matrices(e3, one_way, e3_sim)
 
 
 def test_klein_path_keeps_the_plain_order():
@@ -687,10 +696,13 @@ def test_size_caps(monkeypatch):
     # cap is checked before the generators are read
     with pytest.raises(CapExceeded, match="int64"):
         generate_subpower(chain_semilattice(2), 64, [(0,) * 64])
-    # matrix sets span A^4: 50**4 tuples are refused before the closure runs
+    # matrix sets span A^4: 50**4 tuples are refused before the closure
+    # runs, by the commutator and by the oracle's matrix_set alike
     one = Partition.one(50)
     with pytest.raises(CapExceeded, match="closure cap"):
         commutator(chain_semilattice(50), one, one)
+    with pytest.raises(CapExceeded, match="closure cap"):
+        matrix_set(chain_semilattice(50), one, one)
 
 
 def test_closure_cap_is_read_from_core(monkeypatch, e3):
@@ -1263,19 +1275,28 @@ def test_matrix_set_structure(e3, e3_sim):
 
 
 def test_only_commutator_closes_over_orbits(e3, e3_sim, monkeypatch):
-    # matrix_set, which the oracle reads, stays on the plain rounds, so the
-    # oracle shares no orbit map with the commutator it checks
-    seen = []
-    rounds = relations._closure_rounds
+    # matrix_set, which the oracle reads, builds its own rows and stays on
+    # the plain rounds, so the oracle shares no builder and no orbit map
+    # with the commutator it checks; _commutator reaches the round loop
+    # through _matrix_rounds, under the Klein group
+    seen, built = [], []
+    rounds, matrix_rounds = relations._closure_rounds, relations._matrix_rounds
 
     def spy(alg, k, gens, group=()):
         seen.append(group)
         return rounds(alg, k, gens, group)
 
+    def builder_spy(*args):
+        built.append(args)
+        return matrix_rounds(*args)
+
     monkeypatch.setattr(relations, "_closure_rounds", spy)
+    monkeypatch.setattr(relations, "_matrix_rounds", builder_spy)
     matrix_set(e3, e3_sim, e3_sim)
     commutator_oracle(e3, e3_sim, e3_sim)
+    assert built == []
     relations._commutator.__wrapped__(e3, e3_sim, e3_sim)
+    assert len(built) == 1
     assert seen == [(), (), relations._KLEIN_GROUP]
 
 
@@ -1295,6 +1316,26 @@ def test_commutator_rejects_non_congruence(e3):
             r"^partition 0 \| 1 2 is not a congruence of e3: operation '\w+' "
             r"separates \(.*\) and \(.*\)$")):
         commutator(e3, Partition(3, (0, 1, 1)), Partition.one(3))
+
+
+def test_commutator_checks_each_partition_once(e3, e3_sim, monkeypatch):
+    # [alpha, alpha] and is_abelian check alpha once, [alpha, beta] checks
+    # both, and of two non-congruences the first one is named
+    calls = []
+    real = relations.congruence_violation
+    monkeypatch.setattr(relations, "congruence_violation",
+                        lambda alg, p: calls.append(p) or real(alg, p))
+    one = Partition.one(3)
+    commutator(e3, e3_sim, e3_sim)
+    assert calls == [e3_sim]
+    calls.clear()
+    is_abelian(e3, e3_sim)
+    assert calls == [e3_sim]
+    calls.clear()
+    commutator(e3, e3_sim, one)
+    assert calls == [e3_sim, one]
+    with pytest.raises(PreconditionError, match=r"^partition 0 \| 1 2 is not"):
+        commutator(e3, Partition(3, (0, 1, 1)), Partition(3, (0, 1, 0)))
 
 
 def test_commutator_oracle_spot(e3, s2, e3_sim):
@@ -1365,7 +1406,7 @@ def test_spanning_pairs_centre_keeps_closure_small():
     one = Partition.one(n)
 
     def closed(alg, pairs):
-        return len(relations._matrix_closure(alg, pairs, one, relations._KLEIN_GROUP))
+        return len(klein_matrices(alg, pairs, one))
 
     def star(block, centre):
         return [pair for x in block if x != centre
@@ -1469,8 +1510,7 @@ def probe_oracle_cases():
 def unprobed_commutator(alg, alpha, beta):
     """The commutator without the probe: the term-condition fixpoint over
     the whole orbit-reduced closure of M(S, beta)."""
-    matrices = relations._matrix_closure(alg, relations._spanning_pairs(alg, alpha),
-                                         beta, relations._KLEIN_GROUP)
+    matrices = klein_matrices(alg, relations._spanning_pairs(alg, alpha), beta)
     return relations._term_condition_fixpoint(alg, matrices)
 
 
@@ -1500,7 +1540,7 @@ def test_probing_commutator_matches_oracle():
     assert len(cases) > 150 and len(quotients) > 40
     alpha, one = Partition.parse("0 3 | 1 2 | 4", 5), Partition.one(5)
     rounds = relations._matrix_rounds(ONE_ROUND_SHORT, relations._spanning_pairs(
-        ONE_ROUND_SHORT, alpha), one, relations._KLEIN_GROUP)
+        ONE_ROUND_SHORT, alpha), one)
     next(rounds)
     theta = relations._term_condition_fixpoint(ONE_ROUND_SHORT, next(rounds))
     assert theta == Partition.parse("0 | 1 2 | 3 | 4", 5)

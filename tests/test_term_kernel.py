@@ -19,12 +19,12 @@ from smbalg import (App, CapExceeded, Const, FiniteAlgebra, Identity,
                     OperationTable, Quasiidentity, Var, Verdict, check_identity,
                     check_quasiidentity, check_regular, check_smb_over,
                     find_smb_congruences, materialize_term,
-                    random_algebra, regularize, smb_axioms, substitute,
+                    random_algebra, regularize, smb_axioms,
                     table_flags, term_table, term_variables)
 from smbalg.analyzer import regular_base_identities
 from smbalg import core
 from smbalg.core import idempotence_violation
-from smbalg.oracles import eval_term
+from smbalg.oracles import eval_term, substitute
 from conftest import random_term
 
 SMALL_BLOCK = 100        # cuts 3-variable boxes from n = 5 and 6-variable ones from n = 3
