@@ -23,7 +23,8 @@ from typing import Dict, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .core import (AlgebraError, FalsificationError, FiniteAlgebra,
+from . import core
+from .core import (AlgebraError, CapExceeded, FalsificationError, FiniteAlgebra,
                    OperationTable, materialize_term, table_flags, term_table,
                    App, Var)
 from .partitions import Partition
@@ -175,9 +176,15 @@ def extend_simple_type5(alg: FiniteAlgebra, w_symbol: str) -> FiniteAlgebra:
     Fresh elements are appended after the original universe in the order
     (zero, s, top).  Nearly unanimous means exactly one dissident
     coordinate; the absorbing rule takes precedence.  Both the wnu check
-    and the simplicity of the result are verified.
+    and the simplicity of the result are verified.  The (n + 3)^k entries
+    are built one at a time, so CapExceeded is raised before any work when
+    they are more than core.FAST_CLOSURE_SPACE_CAP.
     """
     w = alg.op(w_symbol)
+    if (alg.size + 3) ** w.arity > core.FAST_CLOSURE_SPACE_CAP:
+        raise CapExceeded(f"the extension's arity-{w.arity} table on {alg.size + 3} "
+                          f"elements has {(alg.size + 3) ** w.arity} entries, beyond "
+                          f"the closure cap")
     if not table_flags(w).wnu:
         raise AlgebraError(
             f"operation '{w_symbol}' of '{alg.name}' is not a wnu operation")

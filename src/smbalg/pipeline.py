@@ -37,7 +37,7 @@ from .partitions import Partition
 from .analyzer import (ClassOrder, SmbReport, WEDGE, D, _check_smb,
                        check_regular_base, find_smb_congruences,
                        regular_base_identities, wedge_conditions)
-from .relations import (_check_congruences, congruence_violation, is_abelian,
+from .relations import (_check_congruences, _commutator, congruence_violation,
                         principal_congruence)
 
 ITERATION_ENTRY_CAP = 1_000_000
@@ -181,6 +181,12 @@ def class_order_from_circ(alg: FiniteAlgebra, circ: OperationTable,
     chosen, which is surfaced as RepresentativeInconsistency.
     """
     _check_congruences(alg, sim)
+    return _class_order_from_circ(alg, circ, sim)
+
+
+def _class_order_from_circ(alg: FiniteAlgebra, circ: OperationTable,
+                           sim: Partition) -> Tuple[ClassOrder, OrderDiagnostics]:
+    """`class_order_from_circ` for a sim known to be a congruence."""
     if circ.size != alg.size:
         raise AlgebraError("circ table size does not match the algebra")
     bad = congruence_violation(FiniteAlgebra("circ", alg.size, {"circ": circ}), sim)
@@ -254,7 +260,7 @@ def semilattice_term(alg: FiniteAlgebra, w_symbol: str,
 
     A failing conclusion under established hypotheses raises
     FalsificationError; with hypotheses not established the failure is
-    only reported.
+    only reported.  sim is checked to be a congruence once, first.
     """
     _check_congruences(alg, sim)
     result = run_pipeline(alg, w_symbol)
@@ -266,9 +272,9 @@ def semilattice_term(alg: FiniteAlgebra, w_symbol: str,
     maximal = (not sim.is_one) and all(
         sim.join(principal_congruence(alg, a, b)).is_one
         for a, b in itertools.combinations(reps, 2))
-    _, diag = class_order_from_circ(alg, result.circ_iterated, sim)
+    _, diag = _class_order_from_circ(alg, result.circ_iterated, sim)
     hypotheses = {
-        "sim_abelian": is_abelian(alg, sim),
+        "sim_abelian": _commutator(alg, sim, sim).is_zero,
         "sim_maximal": maximal,
         "greatest_class_exists": diag.has_greatest,
     }

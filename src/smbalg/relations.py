@@ -203,11 +203,10 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     is shorter than k * n, so `_blocks` charges the last range as at least
     k * n long and keeps both within BLOCK_SIZE.  A box's keys come in
     lexicographic order of the combination, last argument fastest, and are
-    filtered against the known ones at once.  The new keys of all lanes are
-    sorted together once per operation and argument position, where a
-    key's first occurrence gives its step, its flat index unravelled
-    against its box, and once per round, where each lane takes its slice
-    of rows and steps.
+    filtered against the known ones at once; each new key's step is its
+    flat index unravelled against its box.  The new keys of all lanes are
+    sorted together once per round, where a key's first occurrence gives
+    its step and each lane takes its slice of rows and steps.
 
     `group` is a closed group G of coordinate permutations, identity
     first (in practice `_KLEIN_GROUP`), and takes one lane only: g moves
@@ -271,9 +270,7 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
         raise AlgebraError(f"generators have entries outside 0..{n - 1}")
 
     weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    keys = gens @ weights
-    if ends:
-        keys += np.repeat(np.array(offsets), sizes)
+    keys = gens @ weights + np.repeat(np.array(offsets), sizes)
     known, first = np.unique(keys, return_index=True)
     if len(offsets) * space <= core.FAST_CLOSURE_SPACE_CAP:
         visited = np.zeros(len(offsets) * space, dtype=bool)
@@ -294,7 +291,7 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
 
     def lane_bounds(keys):
         """Where each lane's run starts and ends in the sorted `keys`."""
-        return [0, *(np.searchsorted(keys, ends).tolist() if ends else []), len(keys)]
+        return [0, *np.searchsorted(keys, ends).tolist(), len(keys)]
 
     traced = not group
     first.sort()
@@ -333,7 +330,6 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
         found, found_steps = [], []
         for o, (arity, tables) in enumerate(ops):
             for pos in range(arity):
-                got, got_at, got_box = [], [], []
                 for lane, head_columns, lane_columns in spans:
                     bounds = ([(0, old[lane])] * pos + [(old[lane], total[lane])]
                               + [(0, total[lane])] * (arity - 1 - pos))
@@ -347,32 +343,23 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
                             continue
                         if traced:
                             keys += offsets[lane]
-                            got.append(keys)
-                            got_at.append(at)
-                            got_box.append(box)
+                            step = np.full((len(at), width), -1, dtype=np.int64)
+                            step[:, 0] = o
+                            for i in reversed(range(arity)):   # box[i] is (lo, hi)
+                                at, step[:, 1 + i] = np.divmod(at, box[i][1] - box[i][0])
+                            step[:, 1:1 + arity] += [lo for lo, _ in box]
+                            found_steps.append(step)
                         else:    # whole orbits, so later boxes see them as known
-                            keys = np.unique(keys, return_index=True)[0]
-                            images = (keys[:, None] // weights % n) @ orbit.T
                             # return_index, since plain np.unique imports numpy.ma
-                            keys = np.unique(images, return_index=True)[0]
-                            found.append(keys)
+                            keys = np.unique(keys, return_index=True)[0]
+                            keys = ((keys[:, None] // weights % n) @ orbit.T).ravel()
+                        found.append(keys)
                         if visited is not None:
                             visited[keys] = True
-                if got:
-                    # boxes were gathered in processing order, so the first
-                    # occurrence of a key carries its first producing combination
-                    keys, first = np.unique(np.concatenate(got), return_index=True)
-                    at = np.concatenate(got_at)[first]
-                    box = np.repeat(got_box, [len(g) for g in got], axis=0)[first]
-                    step = np.full((len(keys), width), -1, dtype=np.int64)
-                    step[:, 0] = o
-                    for i in reversed(range(arity)):   # box[:, i] is (lo, hi)
-                        at, step[:, 1 + i] = np.divmod(at, box[:, i, 1] - box[:, i, 0])
-                    step[:, 1:1 + arity] += box[:, :, 0]
-                    found.append(keys)
-                    found_steps.append(step)
         if not found:
             break
+        # boxes were gathered in processing order, so the first occurrence
+        # of a key carries its first producing combination
         keys, first = np.unique(np.concatenate(found), return_index=True)
         new, cut = keys[:, None] // weights % n, lane_bounds(keys)
         if traced:

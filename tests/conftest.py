@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
 
-from smbalg import (App, Const, Var, affine_block, build_corpus, example_b2,
-                    example_e3, example_n4, example_s2, glue_layout, glue_smb,
-                    Partition, random_semilattice, regularize, term_variables)
+from smbalg import (App, Const, FiniteAlgebra, OperationTable, Var, affine_block,
+                    build_corpus, example_b2, example_e3, example_n4, example_s2,
+                    glue_layout, glue_smb, Partition, random_semilattice,
+                    regularize, term_variables)
 
 
 @pytest.fixture(scope="session")
@@ -89,6 +91,13 @@ def glued(seed, block_sizes):
     offsets = [sum(block_sizes[:c]) for c in range(len(block_sizes))]
     reps = {c: offsets[c] + rng.randrange(s) for c, s in enumerate(block_sizes)}
     return glue_smb(sl, blocks, reps), glue_layout(sl, blocks)
+
+
+def parity_algebra(arity):
+    """The 2-element algebra of w = x_1 + .. + x_arity mod 2, a wnu for odd
+    arity."""
+    entries = [sum(args) % 2 for args in itertools.product(range(2), repeat=arity)]
+    return FiniteAlgebra(f"par{arity}", 2, {"w": OperationTable(arity, 2, entries)})
 
 
 def regularized_glued(seed, block_sizes):

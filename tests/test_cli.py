@@ -9,7 +9,7 @@ from smbalg import (affine_block, format_algebra, glue_layout, glue_smb,
                     parse_algebra, random_semilattice)
 from smbalg.cli import main
 
-from conftest import module_caches
+from conftest import module_caches, parity_algebra
 
 
 @pytest.fixture()
@@ -199,6 +199,13 @@ def test_construct_extend(e3_file, tmp_path, capsys):
     assert main(["construct", "extend", e3_file, "d", "-o", str(out_path)]) == 0
     ext = parse_algebra(out_path.read_text())
     assert ext.size == 6 and "v" in ext.operations
+
+
+def test_construct_extend_above_cap_exit(tmp_path, capsys):
+    path = tmp_path / "par11.alg"
+    path.write_text(format_algebra(parity_algebra(11)))
+    assert main(["construct", "extend", str(path), "w"]) == 2
+    assert "closure cap" in capsys.readouterr().err
 
 
 def test_corpus_command(capsys):

@@ -2,15 +2,17 @@ import itertools
 
 import pytest
 
-from smbalg import (AlgebraError, FiniteAlgebra, OperationTable,
+from smbalg import (AlgebraError, CapExceeded, FiniteAlgebra, OperationTable,
                     Partition, affine_block, build_corpus, chain_semilattice,
                     check_regular, check_regular_base, check_smb_over,
                     classify_operation, congruence_lattice,
                     exhaustive_enumerate, extend_simple_type5, glue_layout,
                     glue_smb, random_algebra, random_semilattice,
                     trivial_algebra)
-from smbalg import relations
+from smbalg import constructions, relations
 from smbalg.oracles import unary_polynomials
+
+from conftest import parity_algebra
 
 
 def test_example_e3_facts(e3, e3_sim):
@@ -106,6 +108,16 @@ def test_extension_rejects_bad_input(n4, s2):
         extend_simple_type5(n4, "d")
     with pytest.raises(AlgebraError, match="arity"):
         extend_simple_type5(s2, "wedge")
+
+
+def test_extension_above_closure_cap(monkeypatch):
+    # 5**11 = 48.8 M entries, built one at a time: refused before any work,
+    # even before the wnu check
+    def no_work(table):
+        raise AssertionError("the table was checked")
+    monkeypatch.setattr(constructions, "table_flags", no_work)
+    with pytest.raises(CapExceeded, match="closure cap"):
+        extend_simple_type5(parity_algebra(11), "w")
 
 
 def test_random_algebra_reproducible():

@@ -13,7 +13,7 @@ from smbalg import (CapExceeded, FalsificationError, FiniteAlgebra, OperationTab
                     classify_operation, congruence_lattice, idempotent_power,
                     iterate_wnu, regularize, run_pipeline, semilattice_term,
                     special_circ)
-from smbalg import pipeline
+from smbalg import pipeline, relations
 from smbalg.oracles import literal_power
 from smbalg.constructions import random_algebra, trivial_algebra
 
@@ -251,6 +251,18 @@ def test_semilattice_term_examples(e3, b2, e3_sim):
     res2 = semilattice_term(b2, "d", Partition.one(2))
     assert res2.table.entries == (0, 1, 0, 1)
     assert res2.conclusion_holds
+
+
+def test_semilattice_term_checks_sim_once(e3, e3_sim, monkeypatch):
+    # its own first line checks sim; the class order and the abelian test
+    # read it unchecked
+    calls = []
+    for mod in (pipeline, relations):
+        real = mod.congruence_violation
+        monkeypatch.setattr(mod, "congruence_violation",
+                            lambda *args, _real=real: calls.append(args) or _real(*args))
+    semilattice_term(e3, "d", e3_sim)
+    assert [args for args in calls if args[0] is e3] == [(e3, e3_sim)]
 
 
 def test_sim_maximal_matches_lattice(corpus):

@@ -228,14 +228,14 @@ def test_generate_subpower_matches_rounds(e3, b2, monkeypatch):
 
 def test_generate_subpower_order_is_checked():
     # two broken copies must each fail the differential test above: one that
-    # traces a tuple to the last combination producing it for an operation
-    # and position, not the first, and one that unravels a combination's
-    # flat index with the first argument fastest, not the last
+    # traces a tuple to the last combination producing it in its round, not
+    # the first, and one that unravels a combination's flat index with the
+    # first argument fastest, not the last
     source = inspect.getsource(relations._closure_rounds)
     for line, mutant in [
-            ("keys, first = np.unique(np.concatenate(got), return_index=True)",
-             "keys, first = np.unique(np.concatenate(got)[::-1], return_index=True); "
-             "first = sum(map(len, got)) - 1 - first"),
+            ("keys, first = np.unique(np.concatenate(found), return_index=True)",
+             "keys, first = np.unique(np.concatenate(found)[::-1], return_index=True); "
+             "first = sum(map(len, found)) - 1 - first"),
             ("for i in reversed(range(arity)):", "for i in range(arity):")]:
         broken = source.replace(line, mutant)
         assert broken != source
@@ -535,7 +535,7 @@ def test_symmetric_closure_is_checked():
     # box's new tuples unclosed under the group, and one that takes the
     # transpose (m11, m21, m12, m22) for the column swap
     source = inspect.getsource(relations._closure_rounds)
-    line = "keys = np.unique(images, return_index=True)[0]"
+    line = "keys = ((keys[:, None] // weights % n) @ orbit.T).ravel()"
     broken = source.replace(line, "pass")
     assert broken != source
     namespace = dict(vars(relations))
