@@ -19,7 +19,9 @@ Besides recognition, the module checks regularity and its twelve-identity
 equational base, verifies the principal-congruence decomposition
 Cg(a,b) = D o D o D with six-step polynomial witnesses (for many generator
 pairs in one pass: one lane closure, batched matrix products and one
-term-kernel replay), and runs the congruence/commutator biconditionals
+replay of the derivation arrays, which is all the CLI runs; library
+callers also get the chains, built as terms and replayed in one
+term-kernel pass), and runs the congruence/commutator biconditionals
 that hold in the regular case, reading A/sim off the cached `check_regular_base`.
 
 The biconditional checkers compute both sides independently and raise
@@ -47,7 +49,7 @@ from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
 from .partitions import Partition
 from .relations import (_check_congruences, _commutator, _principal_table,
                         _quotient, congruence_violation, d_rels,
-                        polynomial_image_pairs, principal_congruence)
+                        polynomial_image_pairs, principal_congruence, replay_steps)
 
 WEDGE = "wedge"
 D = "d"
@@ -475,26 +477,28 @@ class CgD3Result:
 
 
 def _d_pair_steps(alg: FiniteAlgebra, lanes: list) -> list:
-    """For each (dset, index, a, b, links) of `lanes`, the two chain steps
-    of each D-pair (u, v) = (q(a, b), q(b, a)) = dset.rows[index[u, v]] in
-    `links`: q(a, x) from u to mid = q(a, a) and q(x, a) from mid to v.
+    """For each (dset, index, mid, a, b, links) of `lanes`, the two chain
+    steps of each D-pair (u, v) = (q(a, b), q(b, a)) = dset.rows[index[u, v]]
+    in `links`: q(a, x) from u to m = mid[u, v] and q(x, a) from m to v,
+    where mid holds the midpoints q(a, a) that `_check_cg_d3` replayed.
 
     The step polynomials come straight from two term builders of `dset`:
     one reads the generator (a, b) as a and (b, a) as x, the other (a, b)
     as x and (b, a) as a; when a = b the (a, b) entry, written last, wins.
     The step polynomials of all lanes are evaluated in one pass of the term
-    kernel and replayed at their lane's a and b; links[(u, v)] is the first
-    chain (c, d) through the pair, named when one of its steps fails to
-    replay.  The first failing step in lane, link and step order raises."""
+    kernel, and each must take its two ends at its lane's a and b;
+    links[(u, v)] is the first chain (c, d) through the pair, named when one
+    of its steps fails to.  The first failing step in lane, link and step
+    order raises."""
     polys, points, ends, named = [], [], [], []
-    for dset, index, a, b, links in lanes:
+    for dset, index, mid, a, b, links in lanes:
         left = dset.terms({(b, a): Var(0), (a, b): Const(a)})
         right = dset.terms({(b, a): Const(a), (a, b): Var(0)})
         for pair, chain in links.items():
             i = int(index[pair])
             polys += [left(i), right(i)]
             points.append((a, b))
-            ends.append(pair)
+            ends.append((pair[0], mid[pair], pair[1]))
             named.append(chain)
     images = np.empty((len(polys), alg.size), dtype=np.int64)
     (_, values), = _term_boxes(alg, polys, 1)
@@ -502,8 +506,7 @@ def _d_pair_steps(alg: FiniteAlgebra, lanes: list) -> list:
         images[i] = val
     points = np.array(points, dtype=np.int64).reshape(-1, 2).repeat(2, axis=0)
     at = np.take_along_axis(images, points, axis=1)   # each poly at its a and b
-    u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
-    mid = at[0::2, 0]
+    u, mid, v = np.array(ends, dtype=np.int64).reshape(-1, 3).T
     lo = np.stack([u, mid], axis=1).ravel()           # the left step, then the right
     hi = np.stack([mid, v], axis=1).ravel()
     ok = ((at[:, 0] == lo) & (at[:, 1] == hi)) | ((at[:, 0] == hi) & (at[:, 1] == lo))
@@ -539,33 +542,36 @@ def _midpoints(dm: np.ndarray, d2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return e2.reshape(lanes, n, n), e4.reshape(lanes, n, n)
 
 
-def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
-    """For each generator pair (a, b) of `pairs`, in order, confirm
-    Cg(a,b) = D_{a,b} composed with itself three times, and build a
-    six-step polynomial chain for every related pair; one `CgD3Result`
-    per pair.
+def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
+    """The array check of `verify_cg_d3_pairs`, which builds no term:
+    (cgs, dsets, index, mid, chains, unequal) for the generator pairs, in
+    order, up to the first pair whose D^3 differs from Cg(a, b): `unequal`
+    is None, or the FalsificationError for that pair, which the caller
+    raises once it is done with the pairs before it.
 
     The D-relations come from one lane closure (`d_rels`).  Each D is an
-    n x n array of indices into its rows, -1 off D, read as a boolean
-    matrix; D^2 and D^3 are batched boolean matrix products over the
-    stack of all pairs, and every D^3 must equal the relation of Cg(a,b).
-    The chain for (c, d) runs c D e2 D e4 D d, with one rule for every
-    pair: e4 is the least element with D^2[c, e4] and D[e4, d], and e2 the
-    least with D[c, e2] and D[e2, e4] (`_midpoints`, batched).  Each link
-    (u, v) is a D-pair, with a term q over the generators (a, b) and
-    (b, a), and gives two steps (see `_d_pair_steps`).  The steps of the
-    distinct D-pairs the chains of each generator pair use are built and
-    replayed for all pairs together, in one term-kernel pass, and every
-    chain through a D-pair shares the same two ChainStep objects.
+    n x n array of indices into its rows, -1 off D (the stack is `index`),
+    read as a boolean matrix; D^2 and D^3 are batched boolean matrix
+    products over the stack of all pairs, and every D^3 must equal the
+    relation of Cg(a,b) (`cgs`).  The chain for (c, d) runs c D e2 D e4 D d,
+    with one rule for every pair: e4 is the least element with D^2[c, e4]
+    and D[e4, d], and e2 the least with D[c, e2] and D[e2, e4] (`_midpoints`,
+    batched); `chains` has one row (pair, c, e2, e4, d) per related pair
+    (c, d) of each Cg(a, b), in pair order and then lexicographic.
 
-    Requires the regular base; inequality of the two sides, or a step that
-    fails to replay, raises FalsificationError for the first failing
-    generator pair, and within one pair the inequality first.
+    Each element (u, v) of D is (q(a, b), q(b, a)) for the term q its steps
+    spell over the generators (a, b) and (b, a) and constants (c, c).  The
+    steps of all D-relations are replayed together (`relations.replay_steps`)
+    at three leaf assignments: the generators' first coordinates, which must
+    give u, their second coordinates, which must give v, and (a, b) and
+    (b, a) read as a and (c, c) as c, which gives mid[pair, u, v] = q(a, a)
+    (-1 off D).  FalsificationError is raised for the first failing pair
+    before `unequal`, and within one pair in this order: a step reads a
+    parent not evaluated before it, a generator is not (a, b), (b, a) or
+    diagonal, a step does not replay, or a link (c, e2), (e2, e4) or
+    (e4, d) of a chain is not a D-pair.  Requires the regular base.
     """
     _regular_context(alg)
-    pairs = list(pairs)
-    if not pairs:
-        return []
     n = alg.size
     cgs = [principal_congruence(alg, a, b) for a, b in pairs]
     dsets = d_rels(alg, pairs)
@@ -575,36 +581,93 @@ def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
     dm = index >= 0
     d2 = dm @ dm
     d3 = d2 @ dm
-    in_cg = _relation_rows(cgs).reshape(len(pairs), n, n)
+    ids = np.array([cg.class_ids for cg in cgs], dtype=np.int64).reshape(-1, n)
+    in_cg = ids[:, :, None] == ids[:, None, :]
     differ = (in_cg != d3).any(axis=(1, 2))
     held = int(np.argmax(differ)) if differ.any() else len(pairs)   # pairs before a failure
 
     e2, e4 = _midpoints(dm[:held], d2[:held])
-    lanes, walks = [], []
-    for l in range(held):
-        cs, ds = np.nonzero(in_cg[l])
-        links: dict = {}       # D-pair -> first chain through it
-        walk = {}
-        for c, m2, m4, d in zip(cs.tolist(), e2[l, cs, ds].tolist(),
-                                e4[l, cs, ds].tolist(), ds.tolist()):
-            chain = walk[(c, d)] = ((c, m2), (m2, m4), (m4, d))
-            for pair in chain:
-                links.setdefault(pair, (c, d))
-        a, b = pairs[l]
-        lanes.append((dsets[l], index[l], a, b, links))
-        walks.append(walk)
-    steps = _d_pair_steps(alg, lanes)         # raises for an earlier pair first
+    ls, cs, ds = np.nonzero(in_cg[:held])
+    chains = np.stack([ls, cs, e2[ls, cs, ds], e4[ls, cs, ds], ds], axis=1)
+    mid = np.full((held, n, n), -1, dtype=np.int64)
+    if held:
+        sizes = [len(dset) for dset in dsets[:held]]
+        lane = np.repeat(np.arange(held), sizes)
+        u, v = np.concatenate([dset.rows for dset in dsets[:held]]).T
+        a, b = np.array(pairs[:held], dtype=np.int64)[lane].T
+        ends = ((u == a) & (v == b)) | ((u == b) & (v == a))
+        values, late = replay_steps(alg, dsets[:held], np.stack([u, v, np.where(ends, a, u)]))
+        stray = np.concatenate([dset.steps[:, 0] < 0 for dset in dsets[:held]]) & ~ends & (u != v)
+        wrong = (values[0] != u) | (values[1] != v)
+        mid[lane, u, v] = values[2]
+        _, c, m2, m4, d = chains.T
+        off = ~(dm[ls, c, m2] & dm[ls, m2, m4] & dm[ls, m4, d])
+        failing = np.concatenate([lane[late | stray | wrong], ls[off]])
+        if len(failing):
+            l = int(failing.min())
+            a, b = pairs[l]
+            for flags, what in ((late, "reads a parent not evaluated before it"),
+                                (stray, f"is a generator but not ({a},{b}), ({b},{a}) "
+                                        f"or diagonal"),
+                                (wrong, "does not replay: its step gives ({},{})")):
+                hit = np.flatnonzero(flags & (lane == l))
+                if len(hit):
+                    i = int(hit[0])
+                    raise FalsificationError(
+                        f"element ({u[i]},{v[i]}) of D_({a},{b}) on '{alg.name}' "
+                        + what.format(values[0, i], values[1, i]))
+            _, c, m2, m4, d = chains[np.flatnonzero(off & (ls == l))[0]].tolist()
+            raise FalsificationError(
+                f"witness chain for ({c},{d}) leaves D_({a},{b}) on '{alg.name}': "
+                f"its links are ({c},{m2}), ({m2},{m4}) and ({m4},{d})")
+    unequal = None
     if held < len(pairs):
         a, b = pairs[held]
         diff = [tuple(p) for p in np.argwhere(in_cg[held] != d3[held])[:4].tolist()]
-        raise FalsificationError(
+        unequal = FalsificationError(
             f"Cg({a},{b}) and the triple D-composition differ on '{alg.name}': "
             f"symmetric difference {diff}")
+    return cgs, dsets, index, mid, chains, unequal
+
+
+def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
+    """For each generator pair (a, b) of `pairs`, in order, confirm
+    Cg(a,b) = D_{a,b} composed with itself three times, and build a
+    six-step polynomial chain for every related pair; one `CgD3Result`
+    per pair.
+
+    This is the array check `_check_cg_d3` plus the chains: the check
+    confirms D^3 = Cg, replays every D-relation's steps and finds each
+    chain c D e2 D e4 D d and the midpoint of each D-pair.  Each link
+    (u, v) of a chain then gives two steps, built as terms over the
+    generators (a, b) and (b, a) (see `_d_pair_steps`).  The steps of the
+    distinct D-pairs the chains of each generator pair use are built and
+    replayed for all pairs together, in one term-kernel pass, against the
+    replayed midpoints, and every chain through a D-pair shares the same
+    two ChainStep objects.
+
+    Requires the regular base; inequality of the two sides, a failure of
+    the array check, or a step polynomial that fails to replay raises
+    FalsificationError for the first failing generator pair, and within
+    one pair the inequality first.
+    """
+    pairs = list(pairs)
+    cgs, dsets, index, mid, chains, unequal = _check_cg_d3(alg, pairs)
+    walks = [{} for _ in pairs]         # per pair: (c, d) -> its three links
+    links = [{} for _ in pairs]         # per pair: D-pair -> first chain through it
+    for l, c, m2, m4, d in chains.tolist():
+        chain = walks[l][(c, d)] = ((c, m2), (m2, m4), (m4, d))
+        for pair in chain:
+            links[l].setdefault(pair, (c, d))
+    held = len(mid)                     # the pairs before `unequal`
+    steps = _d_pair_steps(alg, [(dsets[l], index[l], mid[l], a, b, links[l])
+                                for l, (a, b) in enumerate(pairs[:held])])
+    if unequal is not None:
+        raise unequal
     out = []
-    for (a, b), cg, relation, walk, step in zip(pairs, cgs, d3, walks, steps):
-        chains = {cd: step[p1] + step[p2] + step[p3] for cd, (p1, p2, p3) in walk.items()}
-        out.append(CgD3Result(a, b, cg, frozenset(map(tuple, np.argwhere(relation).tolist())),
-                              chains))
+    for (a, b), cg, walk, step in zip(pairs, cgs, walks, steps):
+        linked = {cd: step[p1] + step[p2] + step[p3] for cd, (p1, p2, p3) in walk.items()}
+        out.append(CgD3Result(a, b, cg, frozenset(linked), linked))
     return out
 
 

@@ -24,7 +24,9 @@ leading combination and coordinate and indexing it by the last argument.
 in a `GeneratedSet`, and `d_rels` those of one lane per generator pair;
 these sets are used wherever witnesses must be replayed (D-relations,
 polynomial image pairs, and `oracles.unary_polynomials`), and their
-`terms` builder is the one place a trace becomes a term.  A caller that
+`terms` builder is the one place a trace becomes a term.  `replay_steps`
+is the one place library code replays the step arrays themselves, of
+many sets at once and without terms.  A caller that
 looks elements up builds its own index over the rows.  The commutator's
 matrix sets in A^4 and `oracles.generate_subuniverse` take the int64 rows
 directly.  The element order is documented at `generate_subpower`, and
@@ -144,6 +146,47 @@ class GeneratedSet:
             return t
 
         return build
+
+
+def replay_steps(alg: FiniteAlgebra, sets: Sequence[GeneratedSet],
+                 leaves: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Replay the steps of `sets`, concatenated, at j leaf assignments
+    without building terms: (values, late), the (j, m) int64 values of the
+    m elements and the (m,) flags of the derived elements with a parent that
+    is not an earlier element of the same set.
+
+    `leaves` is (j, m) and is read at the generators only.  The elements of
+    all sets are evaluated together, one derivation level at a time, from
+    the plain tables of `alg.operations`.  A late element and every element
+    derived from one is not evaluated and keeps the value -1.
+    """
+    sizes = [len(s) for s in sets]
+    steps = np.concatenate([s.steps for s in sets])
+    m, width = steps.shape
+    tables = list(alg.operations.values())
+    op, parents = steps[:, 0], steps[:, 1:]
+    arity = np.array([0] + [t.arity for t in tables])[op + 1]     # 0 for a generator
+    used = np.arange(width - 1) < arity[:, None]
+    offset = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)[:, None]
+    late = (used & ((parents < 0) | (parents >= np.arange(m)[:, None] - offset))).any(axis=1)
+    parents = np.where(used, parents + offset, m)      # an unused slot reads m, done
+    values = np.where(op < 0, leaves, -1)
+    done = np.append(op < 0, True)
+    pending = np.flatnonzero((op >= 0) & ~late)
+    n = alg.size
+    while len(pending):
+        ready = done[parents[pending]].all(axis=1)
+        if not ready.any():
+            break
+        now, pending = pending[ready], pending[~ready]
+        for o, table in enumerate(tables):
+            sel = now[op[now] == o]
+            index = 0
+            for slot in range(table.arity):
+                index = index * n + values[:, parents[sel, slot]]
+            values[:, sel] = table.array[index]
+        done[now] = True
+    return values, late
 
 
 def _apply_block(tables: np.ndarray, heads: np.ndarray, columns: np.ndarray,
@@ -345,9 +388,8 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
                             keys += offsets[lane]
                             step = np.full((len(at), width), -1, dtype=np.int64)
                             step[:, 0] = o
-                            for i in reversed(range(arity)):   # box[i] is (lo, hi)
-                                at, step[:, 1 + i] = np.divmod(at, box[i][1] - box[i][0])
-                            step[:, 1:1 + arity] += [lo for lo, _ in box]
+                            at = np.unravel_index(at, [hi - lo for lo, hi in box])
+                            step[:, 1:1 + arity] = np.stack(at, axis=1) + [lo for lo, _ in box]
                             found_steps.append(step)
                         else:    # whole orbits, so later boxes see them as known
                             # return_index, since plain np.unique imports numpy.ma
@@ -425,8 +467,9 @@ def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> Partitio
     The one quick-find of `partitions._merged`, fed the one-step images:
     whenever the classes of a pair merge, the images of that pair under
     every unary translation are queued to merge as well, unless they
-    already carry one label.  Every given pair is range checked before
-    any merge.
+    already carry one label.  Once one class is left nothing can merge, so
+    the queue is dropped.  Every given pair is range checked before any
+    merge.
     """
     n = alg.size
     maps = _translations(alg)
@@ -435,11 +478,15 @@ def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> Partitio
     for a, b in queue:
         if not (0 <= a < n and 0 <= b < n):
             raise AlgebraError(f"pair ({a}, {b}) out of range 0..{n - 1}")
+    classes = n
     while queue:
         a, b = queue.pop()
         if label[a] == label[b]:
             continue
         label = _merged(label, [(a, b)])
+        classes -= 1
+        if classes == 1:
+            break
         for m in maps:
             ma, mb = m[a], m[b]
             if label[ma] != label[mb]:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 import re
 import sys
@@ -516,7 +517,8 @@ def test_terms_match_substituted_reference(corpus):
         links = {pair: pair for pair in dpairs}      # each D-pair its own chain
         index = np.full((alg.size, alg.size), -1, dtype=np.int64)
         index[dset.rows[:, 0], dset.rows[:, 1]] = np.arange(len(dset))
-        steps, = analyzer._d_pair_steps(alg, [(dset, index, a, b, links)])
+        mid = analyzer._check_cg_d3(alg, [(a, b)])[3][0]     # replayed midpoints
+        steps, = analyzer._d_pair_steps(alg, [(dset, index, mid, a, b, links)])
         polys = [tuple(step.poly for step in steps[pair]) for pair in dpairs]
         for i, (left, right) in enumerate(polys):
             q = reference_term(dset, i, leaves)
@@ -674,6 +676,122 @@ def test_verify_cg_d3_pairs_error_order(e3, monkeypatch):
             with pytest.raises(FalsificationError, match=re.escape(message)):
                 analyzer.verify_cg_d3_pairs(e3, pairs)
     assert len(analyzer.verify_cg_d3_pairs(e3, pairs)) == 2
+
+
+def cg_d3_algebras(corpus):
+    """The regular corpus, `regularized_shapes()` and a 10-element tree."""
+    return ([e.algebra for e in corpus if e.has("regular")] + regularized_shapes()
+            + [random_semilattice(10, random.Random(10))])
+
+
+def verify_cg_d3_cli(alg, path, capsys) -> tuple:
+    """(exit code, stdout, stderr) of `verify cg-d3 --json` on alg, written to path."""
+    path.write_text(format_algebra(alg), encoding="utf-8")
+    code = main(["verify", "cg-d3", str(path), "--json"])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_cli_cg_d3_counts_the_library_chains(corpus, tmp_path, capsys):
+    # the array check's count is the number of chains the library builds
+    for alg in cg_d3_algebras(corpus):
+        n = alg.size
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+        want = sum(len(result.chains) for result in analyzer.verify_cg_d3_pairs(alg, pairs))
+        code, out, _ = verify_cg_d3_cli(alg, tmp_path / "a.alg", capsys)
+        assert (code, json.loads(out)) == (0, {"verdict": True, "pairs": want}), alg.name
+
+
+def test_cli_cg_d3_builds_no_terms(corpus, tmp_path, monkeypatch, capsys):
+    # with the base checked beforehand, the command builds and evaluates no
+    # term; the library path, spied the same way, does
+    calls = []
+    terms, boxes = GeneratedSet.terms, core._term_boxes
+    monkeypatch.setattr(GeneratedSet, "terms",
+                        lambda *args: calls.append("terms") or terms(*args))
+    for module in (core, analyzer):
+        monkeypatch.setattr(module, "_term_boxes",
+                            lambda *args: calls.append("boxes") or boxes(*args))
+    for alg in cg_d3_algebras(corpus)[-2:]:
+        check_regular_base(alg)
+        calls.clear()
+        assert verify_cg_d3_cli(alg, tmp_path / "a.alg", capsys)[0] == 0
+        assert calls == [], alg.name
+        analyzer.verify_cg_d3_pairs(alg, [(0, 1)])
+        assert set(calls) == {"terms", "boxes"}
+
+
+def misreport_one_value(patch):
+    """The replay gives the first derived element a wrong first coordinate."""
+    real = analyzer.replay_steps
+
+    def replay_steps(alg, sets, leaves):
+        values, late = real(alg, sets, leaves)
+        i = np.flatnonzero(np.concatenate([s.steps[:, 0] for s in sets]) >= 0)[0]
+        values[0, i] = (values[0, i] + 1) % alg.size
+        return values, late
+
+    patch.setattr(analyzer, "replay_steps", replay_steps)
+
+
+def rewrite_step(patch, step):
+    """D_(0,2) of e3 gets `step` for its element 5, (1, 2), derived from
+    elements 0, 0 and 3 at the parent."""
+    real = analyzer.d_rels
+
+    def d_rels(alg, pairs):
+        out = real(alg, pairs)
+        l = list(pairs).index((0, 2))
+        steps = out[l].steps.copy()
+        steps[5] = step
+        out[l] = GeneratedSet(out[l].symbols, out[l].rows, steps)
+        return out
+
+    patch.setattr(analyzer, "d_rels", d_rels)
+
+
+def parent_after_child(patch):
+    rewrite_step(patch, [0, 0, 6, 3])
+
+
+def derived_as_generator(patch):
+    rewrite_step(patch, [-1, -1, -1, -1])
+
+
+def link_off_d(patch):
+    """Every e2 midpoint moves up by one, mod n."""
+    real = analyzer._midpoints
+
+    def midpoints(dm, d2):
+        e2, e4 = real(dm, d2)
+        return (e2 + 1) % dm.shape[1], e4
+
+    patch.setattr(analyzer, "_midpoints", midpoints)
+
+
+def test_cg_d3_replay_mutants_exit_3(e3, tmp_path, monkeypatch, capsys):
+    # each broken replay raises FalsificationError, in the command (exit 3)
+    # and in the library
+    cases = [
+        (misreport_one_value,
+         "element (1,2) of D_(0,2) on 'e3' does not replay: its step gives (2,2)"),
+        (parent_after_child,
+         "element (1,2) of D_(0,2) on 'e3' reads a parent not evaluated before it"),
+        (derived_as_generator,
+         "element (1,2) of D_(0,2) on 'e3' is a generator but not (0,2), (2,0) or diagonal"),
+        (link_off_d,
+         "witness chain for (0,0) leaves D_(0,0) on 'e3': its links are (0,1), (1,0) "
+         "and (0,0)"),
+    ]
+    pairs = [(a, b) for a in range(3) for b in range(a, 3)]
+    for mutate, message in cases:
+        with monkeypatch.context() as patch:
+            mutate(patch)
+            code, out, err = verify_cg_d3_cli(e3, tmp_path / "e3.alg", capsys)
+            assert (code, out, err) == (3, "", f"falsification: {message}\n")
+            with pytest.raises(FalsificationError, match=re.escape(message)):
+                analyzer.verify_cg_d3_pairs(e3, pairs)
+    assert verify_cg_d3_cli(e3, tmp_path / "e3.alg", capsys)[0] == 0
 
 
 def test_verify_cg_d3_needs_regular(n4):

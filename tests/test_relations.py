@@ -226,6 +226,53 @@ def test_generate_subpower_matches_rounds(e3, b2, monkeypatch):
     assert sorted(map(tuple, mats.tolist())) == sorted(want[0])
 
 
+def replay_at(alg, gen, leaf):
+    """The value of every element of `gen` when each generator i takes
+    leaf[i], recomputed from the steps in index order."""
+    out = []
+    for i, (o, *parents) in enumerate(gen.steps.tolist()):
+        out.append(leaf[i] if o < 0 else
+                   alg.op(gen.symbols[o]).apply(*(out[p] for p in parents if p >= 0)))
+    return out
+
+
+def test_replay_steps_matches_python_replay(corpus):
+    # one call replays many sets at once: at each coordinate it gives the
+    # rows, and at random leaves it agrees with the loop in index order
+    rng = random.Random(3434)
+    cases = [(alg, [generate_subpower(alg, k, gens)]) for alg, k, gens in random_closure_cases()]
+    for entry in corpus:
+        if 2 <= entry.algebra.size <= 4:
+            alg = entry.algebra
+            cases.append((alg, relations.d_rels(alg, itertools.combinations(range(alg.size), 2))))
+    for alg, sets in cases:
+        rows = np.concatenate([s.rows for s in sets])
+        leaf = [rng.randrange(alg.size) for _ in rows]
+        values, late = relations.replay_steps(alg, sets, np.vstack([rows.T, [leaf]]))
+        assert not late.any()
+        assert np.array_equal(values[:-1], rows.T), alg.name
+        want = [v for s, start in zip(sets, np.cumsum([0] + [len(s) for s in sets]))
+                for v in replay_at(alg, s, leaf[start:start + len(s)])]
+        assert values[-1].tolist() == want, alg.name
+
+
+def test_replay_steps_flags_a_late_parent(e3):
+    # an element that reads itself is late, and it and every element derived
+    # from it keep -1; the rest still replay
+    gen = generate_subpower(e3, 2, [(0, 1), (1, 2)])
+    derived = np.flatnonzero(gen.steps[:, 0] >= 0)
+    i = int(derived[0])
+    steps = gen.steps.copy()
+    steps[i, 1] = i
+    broken = GeneratedSet(gen.symbols, gen.rows, steps)
+    values, late = relations.replay_steps(e3, [gen, broken], np.concatenate([gen.rows.T] * 2, 1))
+    assert late.tolist() == [False] * len(gen) + [j == i for j in range(len(gen))]
+    assert np.array_equal(values[:, :len(gen)], gen.rows.T)
+    unreached = values[0, len(gen):] < 0
+    assert unreached[i] and (unreached == (values[1, len(gen):] < 0)).all()
+    assert np.array_equal(values[:, len(gen):][:, ~unreached], gen.rows.T[:, ~unreached])
+
+
 def test_generate_subpower_order_is_checked():
     # two broken copies must each fail the differential test above: one that
     # traces a tuple to the last combination producing it in its round, not
@@ -236,7 +283,8 @@ def test_generate_subpower_order_is_checked():
             ("keys, first = np.unique(np.concatenate(found), return_index=True)",
              "keys, first = np.unique(np.concatenate(found)[::-1], return_index=True); "
              "first = sum(map(len, found)) - 1 - first"),
-            ("for i in reversed(range(arity)):", "for i in range(arity):")]:
+            ("at = np.unravel_index(at, [hi - lo for lo, hi in box])",
+             "at = np.unravel_index(at, [hi - lo for lo, hi in box], order=\"F\")")]:
         broken = source.replace(line, mutant)
         assert broken != source
         namespace = dict(vars(relations))
@@ -1635,6 +1683,22 @@ def test_correspondence_above_sim(e3, e3_sim):
     above = [p for p in congruence_lattice(e3) if e3_sim.refines(p)]
     pushed = {push_partition(e3_sim, cmap, quot.size, p) for p in above}
     assert pushed == set(congruence_lattice(quot).congruences)
+
+
+def test_congruence_generated_stops_at_one_class(e3, monkeypatch):
+    # the three pairs of e3 give 1_A after two merges; the translations are
+    # read after the first merge only, since nothing can merge after the second
+    maps = relations._translations(e3)
+    reads = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    monkeypatch.setattr(relations, "_translations", lambda alg: Counted(maps))
+    assert congruence_generated(e3, [(0, 2), (0, 1), (1, 2)]).is_one
+    assert len(reads) == 1
 
 
 def test_congruence_generated_multi(e3):
