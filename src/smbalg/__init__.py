@@ -3,9 +3,9 @@
 from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
                    FiniteAlgebra, Identity, OperationFlags, OperationTable,
                    PreconditionError, Quasiidentity, Term, Var, Verdict,
-                   check_identity, check_quasiidentity, classify_operation,
-                   materialize_term, table_flags, term_table,
-                   term_variables)
+                   check_identities, check_identity, check_quasiidentity,
+                   classify_operation, materialize_term, table_flags,
+                   term_table, term_variables)
 from .partitions import Partition, all_partitions
 from .relations import (CongruenceLattice, GeneratedSet, commutator,
                         congruence_generated, congruence_lattice,

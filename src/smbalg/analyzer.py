@@ -35,8 +35,8 @@ lexicographically least failing tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,8 +44,8 @@ import numpy as np
 from . import core
 from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
                    Identity, OperationTable, PreconditionError, Quasiidentity,
-                   Term, Var, Verdict, _term_boxes, check_identity, first_failure,
-                   idempotence_violation, term_table)
+                   Term, Var, Verdict, _compile, _identity_program, _least_failures,
+                   _term_boxes, check_identities, first_failure, idempotence_violation)
 from .partitions import Partition
 from .relations import (_check_congruences, _commutator, _principal_table,
                         _quotient, congruence_violation, d_rels,
@@ -128,12 +128,27 @@ class RegularityReport:
 
 @dataclass(frozen=True)
 class BaseReport:
-    """The base verdicts; when all hold, sim and A/sim too (not in as_dict)."""
+    """The base verdicts; when all hold, sim too, and A/sim with its class
+    map, built from `algebra` on first read (none of them in as_dict)."""
     verdicts: dict             # identity name -> Verdict
     holds: bool
     recovered_sim: Optional[Partition]
-    quotient: Optional[FiniteAlgebra] = None
-    class_map: Optional[tuple] = None      # a -> the index of [a] in quotient
+    algebra: Optional[FiniteAlgebra] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _sim_quotient(self) -> tuple:
+        if self.recovered_sim is None:
+            return None, None
+        return _quotient(self.algebra, self.recovered_sim)   # smb found sim a congruence
+
+    @property
+    def quotient(self) -> Optional[FiniteAlgebra]:
+        return self._sim_quotient[0]
+
+    @property
+    def class_map(self) -> Optional[tuple]:
+        """a -> the index of [a] in quotient."""
+        return self._sim_quotient[1]
 
     def as_dict(self) -> dict:
         return {
@@ -322,20 +337,20 @@ def _regular_conditions(alg: FiniteAlgebra, sim: Partition, order: ClassOrder,
                         base: Optional[dict] = None) -> RegularityReport:
     """check_regular's four conditions over a sim already checked SMB,
     with the class order from its SmbReport; (iii) and (iv) are Regiii and
-    Regiv of the base, read from the verdicts `base` when given."""
+    Regiv of the base, read from the verdicts `base` when given and else
+    found in the one kernel pass that checks (i)."""
     ids = np.asarray(sim.class_ids, dtype=np.int64)
     n = alg.size
-
-    cond_i = first_failure(ids[term_table(alg, _d(_x, _y, _z), 3)]
-                           != ids[term_table(alg, _w(_w(_x, _y), _z), 3)])
+    program = _CONDITIONS if base is None else _CONDITION_I
+    masks = ((box, [ids[d] != ids[w], *map(np.not_equal, sides[::2], sides[1::2])])
+             for box, (d, w, *sides) in _term_boxes(alg, program))
+    cond_i, *rest = _least_failures(masks, program.side_spans())
     leq = np.array(order.leq)
     # [b] <= [a] forces a wedge b = b
     cond_ii = first_failure(leq[ids[None, :], ids[:, None]]
                             & (alg.op(WEDGE).array.reshape(n, n) != np.arange(n)))
-
-    if base is None:
-        base = {name: check_identity(alg, _REGULAR_BASE[name][0]) for name in ("Regiii", "Regiv")}
-    conditions = {"i": cond_i, "ii": cond_ii, "iii": base["Regiii"], "iv": base["Regiv"]}
+    cond_iii, cond_iv = rest or (base["Regiii"], base["Regiv"])
+    conditions = {"i": cond_i, "ii": cond_ii, "iii": cond_iii, "iv": cond_iv}
     return RegularityReport(all(v.holds for v in conditions.values()), conditions)
 
 
@@ -356,6 +371,16 @@ _REGULAR_BASE = {
     "Regiv": (Identity(_w(_w(_x, _y), _y), _w(_x, _y)),),
 }
 BASE_IDENTITY_NAMES = tuple(_REGULAR_BASE)
+# The fixed identity sets, compiled once at import over wedge/2 and d/3
+# with no literal, so binding them to an algebra that passed designated_ops
+# cannot fail: the flattened base, and condition (i)'s two terms (both
+# subterms of Regi1 and Regi2) alone and with Regiii and Regiv.
+_BASE_PROGRAM = _identity_program([i for idents in _REGULAR_BASE.values() for i in idents])
+_COND_I_TERMS = (_d(_x, _y, _z), _w(_w(_x, _y), _z))
+_CONDITION_I = _compile(_COND_I_TERMS, 3)
+_CONDITIONS = _compile(_COND_I_TERMS + tuple(t for name in ("Regiii", "Regiv")
+                                             for ident in _REGULAR_BASE[name]
+                                             for t in (ident.lhs, ident.rhs)), 3)
 
 
 def regular_base_identities() -> dict:
@@ -384,18 +409,21 @@ def recovered_sim(alg: FiniteAlgebra) -> Partition:
 
 @lru_cache(maxsize=None)
 def check_regular_base(alg: FiniteAlgebra) -> BaseReport:
-    """Check each of the twelve base identities once; when all hold, recover
-    sim from the tables, confirm regular SMB over it ((iii) and (iv) are
-    Regiii and Regiv) and build A/sim.  The identities speak of wedge and d
+    """Check the thirteen identities of the twelve-name base in one kernel
+    pass; when all hold, recover sim from the tables and confirm regular
+    SMB over it ((iii) and (iv) are Regiii and Regiv).  A/sim is built on
+    the report's first read of it.  The identities speak of wedge and d
     only: when SMB fails over the recovered sim in another operation alone
     (one not idempotent or not compatible with sim), PreconditionError
     names the rule; a failure of the {wedge, d} reduct raises FalsificationError."""
     designated_ops(alg)
+    found = iter(check_identities(alg, _BASE_PROGRAM))
     verdicts = {}
     for name, idents in _REGULAR_BASE.items():
-        for ident in idents:          # Mal's second only when its first holds
-            verdicts[name] = check_identity(alg, ident)
-            if not verdicts[name].holds:
+        # Mal's verdict is its first failing identity, else its last
+        for verdict in [next(found) for _ in idents]:
+            verdicts[name] = verdict
+            if not verdict.holds:
                 break
     if not all(v.holds for v in verdicts.values()):
         return BaseReport(verdicts, False, None)
@@ -417,7 +445,7 @@ def check_regular_base(alg: FiniteAlgebra) -> BaseReport:
         raise FalsificationError(
             f"base identities hold on '{alg.name}' but regularity condition(s) "
             f"{bad} fail over the recovered sim")
-    return BaseReport(verdicts, True, sim, *_quotient(alg, sim))   # smb found sim a congruence
+    return BaseReport(verdicts, True, sim, alg)
 
 
 def _regular_context(alg: FiniteAlgebra):
@@ -444,16 +472,19 @@ class TaylorReport:
                 "checks": {label: v.as_dict() for label, v in self.checks}}
 
 
+# the three instances, compiled once like the base
+_TAYLOR_LABELS = ("t(x,y,x,y,x,y)", "t(y,x,y,x,x,y)", "t(x,y,y,x,y,x)")
+_TAYLOR_PROGRAM = _identity_program([
+    Identity(_d(_w(_x, _y), _w(_x, _y), _w(_x, _y)), _w(_x, _y)),
+    Identity(_d(_w(_y, _x), _w(_y, _x), _w(_x, _y)), _w(_x, _y)),
+    Identity(_d(_w(_x, _y), _w(_y, _x), _w(_y, _x)), _w(_x, _y))])
+
+
 def taylor_check(alg: FiniteAlgebra) -> TaylorReport:
     """Check the six-variable term t = d(x1^x2, x3^x4, x5^x6) against the
     three two-variable instances that must all equal x^y."""
     designated_ops(alg)
-    xy, yx = _w(_x, _y), _w(_y, _x)
-    checks = (
-        ("t(x,y,x,y,x,y)", check_identity(alg, Identity(_d(xy, xy, xy), xy))),
-        ("t(y,x,y,x,x,y)", check_identity(alg, Identity(_d(yx, yx, xy), xy))),
-        ("t(x,y,y,x,y,x)", check_identity(alg, Identity(_d(xy, yx, yx), xy))),
-    )
+    checks = tuple(zip(_TAYLOR_LABELS, check_identities(alg, _TAYLOR_PROGRAM)))
     return TaylorReport(all(v.holds for _, v in checks), checks)
 
 
@@ -501,7 +532,7 @@ def _d_pair_steps(alg: FiniteAlgebra, lanes: list) -> list:
             ends.append((pair[0], mid[pair], pair[1]))
             named.append(chain)
     images = np.empty((len(polys), alg.size), dtype=np.int64)
-    (_, values), = _term_boxes(alg, polys, 1)
+    (_, values), = _term_boxes(alg, _compile(polys, 1))
     for i, val in enumerate(values):
         images[i] = val
     points = np.array(points, dtype=np.int64).reshape(-1, 2).repeat(2, axis=0)

@@ -4,15 +4,23 @@ Every value here is immutable after construction and every operation is a
 pure function, so results can be cached and evaluated in parallel without
 any shared mutable state.
 
-Terms have one evaluator, the numpy kernel `term_table`: `_compile`
-validates symbols, arities, literals and variables and lists the distinct
-subterms children first, and each is evaluated once over all n**nvars
-assignments by broadcasting (variable i is an index range along axis i),
-in boxes of at most `BLOCK_SIZE` assignments cut by `_blocks` and visited
-in lexicographic order.  Identities, quasi-identities, `materialize_term`,
-the operation flags and the witness chains of `analyzer.verify_cg_d3_pairs`
-(the one-variable polynomials of all generator pairs in a single
-`_term_boxes` pass) run on it.
+Terms have one evaluator, the numpy kernel `_term_boxes`.  It works in
+two steps.  `_compile` turns terms into a program that needs no algebra:
+the distinct subterms children first, each application keyed by its
+symbol, with the symbol and arity checks and literals listed in the
+order one walk meets them.  `_term_boxes` binds an algebra's tables by
+symbol (`_bind`, which raises the first failing check) and evaluates each
+step once over all n**nvars assignments by broadcasting (variable i is an
+index range along axis i), in boxes of at most `BLOCK_SIZE` assignments
+cut by `_blocks` and visited in lexicographic order.
+`check_identities` tests a whole set of identities in one pass, each
+against its own variables; `check_identity` is its one-identity case.
+The fixed sets of `analyzer` (the regular base, the regularity
+conditions, the Taylor instances) are compiled once at import and only
+bound per call; ad hoc terms compile per call.  `term_table`,
+`materialize_term`, quasi-identities, the operation flags and the witness
+chains of `analyzer.verify_cg_d3_pairs` (the one-variable polynomials of
+all generator pairs in a single pass) run on the same kernel.
 The pointwise pure-Python evaluator is the tests' reference for it and
 lives in `smbalg.oracles`.
 """
@@ -271,51 +279,101 @@ def term_variables(term: Term) -> frozenset:
     return frozenset(out)
 
 
-def _compile(alg: FiniteAlgebra, terms: Sequence[Term], nvars: int) -> tuple:
-    """Validate `terms` for an assignment of length `nvars` and list their
-    distinct subterms, children first.
+@dataclass(frozen=True)
+class _Program:
+    """Terms compiled for an assignment of length `nvars`, with no algebra.
 
-    Returns (steps, roots).  A step is a Var or Const leaf, or (table,
-    child step indices) for an application; equal subterms share one step,
-    and roots[i] is the step of terms[i].  Each node is validated when it
-    is first met, an application before its arguments, depth first and
-    left to right: symbol and arity, a variable's index, a literal's range.
+    steps lists the distinct subterms children first: a Var or Const leaf,
+    or (symbol, child step indices) for an application; roots[i] is the
+    step of terms[i] and spans[i] is 1 + its largest variable index (0
+    when it has none).  checks holds what only an algebra can decide, an
+    application's (symbol, argument count) and each literal, in the order
+    their nodes were first met; error is the first fault that needs no
+    algebra, or None.
+    """
+    nvars: int
+    steps: tuple
+    roots: tuple
+    spans: tuple
+    checks: tuple
+    error: Optional[str]
+
+    def side_spans(self) -> list:
+        """The span of each identity when terms 2i and 2i + 1 are its sides."""
+        return [max(self.spans[i:i + 2]) for i in range(0, len(self.roots), 2)]
+
+
+def _compile(terms: Sequence[Term], nvars: int) -> _Program:
+    """List the distinct subterms of `terms` for an assignment of length
+    `nvars`, children first, and what binding to an algebra must check.
+
+    Nodes are met depth first and left to right, an application before its
+    arguments; equal subterms share one step.  Nothing is raised here: a
+    variable outside the assignment or a node that is not a term ends the
+    walk as the program's error, which `_bind` raises after the checks met
+    before it, so every term is validated in the order of one walk.
     """
     steps: list = []
+    spans: list = []
     slots: dict = {}           # structural key -> step index
     memo: dict = {}            # id(node) -> step index
+    checks: dict = {}          # first met first; a repeat checks nothing new
 
     def visit(t):
         slot = memo.get(id(t))
         if slot is None:
             if isinstance(t, App):
-                table = alg.op(t.symbol)
-                if len(t.args) != table.arity:
-                    raise AlgebraError(
-                        f"operation '{t.symbol}' of arity {table.arity} applied to "
-                        f"{len(t.args)} arguments")
+                checks[(t.symbol, len(t.args))] = None
                 children = tuple([visit(a) for a in t.args])
-                key, step = (t.symbol, children), (table, children)
+                key, span = (t.symbol, children), max([spans[c] for c in children], default=0)
             else:
                 if isinstance(t, Var):
                     if not 0 <= t.index < nvars:
                         raise AlgebraError(
                             f"assignment of length {nvars} does not cover variable {t.index}")
+                    span = t.index + 1
                 elif isinstance(t, Const):
-                    if not 0 <= t.value < alg.size:
-                        raise AlgebraError(
-                            f"element literal {t.value} out of range 0..{alg.size - 1}")
+                    checks[t] = None
+                    span = 0
                 else:
                     raise AlgebraError(f"not a term node: {t!r}")
-                key = step = t
+                key = t
             slot = slots.get(key)
             if slot is None:
                 slot = slots[key] = len(steps)
-                steps.append(step)
+                steps.append(key)
+                spans.append(span)
             memo[id(t)] = slot
         return slot
 
-    return steps, [visit(t) for t in terms]
+    try:
+        roots, error = [visit(t) for t in terms], None
+    except AlgebraError as exc:
+        roots, error = [], str(exc)
+    return _Program(nvars, tuple(steps), tuple(roots), tuple(spans[r] for r in roots),
+                    tuple(checks), error)
+
+
+def _bind(alg: FiniteAlgebra, program: _Program) -> dict:
+    """The table array of each symbol `program` applies, after its checks
+    against `alg` in their order; the first to fail, or else the program's
+    own error, raises AlgebraError."""
+    tables = {}
+    for check in program.checks:
+        if isinstance(check, Const):
+            if not 0 <= check.value < alg.size:
+                raise AlgebraError(
+                    f"element literal {check.value} out of range 0..{alg.size - 1}")
+            continue
+        symbol, nargs = check
+        table = alg.op(symbol)
+        if nargs != table.arity:
+            raise AlgebraError(
+                f"operation '{symbol}' of arity {table.arity} applied to {nargs} arguments")
+        tables[symbol] = table.array
+    if program.error is not None:
+        raise AlgebraError(program.error)
+    return tables
 
 
 def _blocks(bounds: list, width: int = 1):
@@ -352,23 +410,25 @@ def _blocks(bounds: list, width: int = 1):
                    + bounds[cut + 1:])
 
 
-def _term_boxes(alg: FiniteAlgebra, terms: Sequence[Term], nvars: int):
-    """Yield (box, values) for the boxes of all n**nvars assignments in
-    lexicographic order; values[i] holds terms[i] over the box, with
-    nvars axes (length one along a variable the term does not use) or
-    none for a constant.
+def _term_boxes(alg: FiniteAlgebra, program: _Program):
+    """Yield (box, values) for the boxes of all n**nvars assignments of
+    `program` in lexicographic order, once `_bind` has checked it against
+    `alg`; values[i] holds the i-th compiled term over the box, with nvars
+    axes (length one along a variable the term does not use) or none for a
+    constant.
 
     Variable i is its index range laid along axis i, so an application's
     table index `acc * n + child` broadcasts only over the axes its
     arguments use.
     """
+    nvars = program.nvars
     if nvars > MAX_VARIABLES:
         raise CapExceeded(f"{nvars} variables are beyond the cap of {MAX_VARIABLES}")
-    steps, roots = _compile(alg, terms, nvars)
+    tables = _bind(alg, program)
     n = alg.size
     for box in _blocks([(0, n)] * nvars):
         values = []
-        for step in steps:
+        for step in program.steps:
             if isinstance(step, Var):
                 lo, hi = box[step.index]
                 axis = [1] * nvars
@@ -377,13 +437,13 @@ def _term_boxes(alg: FiniteAlgebra, terms: Sequence[Term], nvars: int):
             elif isinstance(step, Const):
                 val = np.int64(step.value)
             else:
-                table, (first, *rest) = step
+                symbol, (first, *rest) = step
                 acc = values[first]
                 for c in rest:
                     acc = acc * n + values[c]
-                val = table.array[acc]
+                val = tables[symbol][acc]
             values.append(val)
-        yield box, [values[r] for r in roots]
+        yield box, [values[r] for r in program.roots]
 
 
 def term_table(alg: FiniteAlgebra, term: Term, nvars: int) -> np.ndarray:
@@ -399,7 +459,7 @@ def term_table(alg: FiniteAlgebra, term: Term, nvars: int) -> np.ndarray:
             f"a table of {nvars} variables over {n} elements is beyond the cap "
             f"of {FAST_CLOSURE_SPACE_CAP} entries and {MAX_VARIABLES} variables")
     out = np.empty((n,) * nvars, dtype=np.int64)
-    for box, (values,) in _term_boxes(alg, [term], nvars):
+    for box, (values,) in _term_boxes(alg, _compile([term], nvars)):
         out[tuple(slice(lo, hi) for lo, hi in box)] = values
     return out
 
@@ -469,10 +529,51 @@ def first_failure(bad: np.ndarray, box: Optional[Sequence] = None) -> Verdict:
     return Verdict(False, tuple(int(i) + lo for i, lo in zip(at, lows)))
 
 
+def _least_failures(boxes: Iterable, widths: Sequence[int]) -> list:
+    """One Verdict per check: `boxes` yields (box, masks) in the order of
+    `_term_boxes`, masks[i] True where check i fails over the box.  Verdict
+    i holds, or fails at the least failing assignment cut to its first
+    widths[i] variables; the boxes stop once every check has failed."""
+    found = [None] * len(widths)
+    for box, masks in boxes:
+        for i, bad in enumerate(masks):
+            if found[i] is None:
+                verdict = first_failure(bad, box)
+                if not verdict.holds:
+                    found[i] = verdict.witness[:widths[i]]
+        if None not in found:
+            break
+    return [Verdict(True) if w is None else Verdict(False, w) for w in found]
+
+
+def _identity_program(identities: Sequence[Identity]) -> _Program:
+    """The sides of `identities`, lhs then rhs of each, compiled over the
+    largest variable count among them."""
+    terms = [t for ident in identities for t in (ident.lhs, ident.rhs)]
+    variables = frozenset().union(*map(term_variables, terms))
+    return _compile(terms, max(variables) + 1 if variables else 0)
+
+
+def check_identities(alg: FiniteAlgebra, identities) -> list:
+    """Exhaustively test identities in one kernel pass over the assignments
+    of the largest variable count among them.  Verdict i is the one
+    check_identity gives identities[i]: it holds, or fails at the
+    lexicographically least failing assignment of its own variables
+    0..v-1, v being 1 + its largest variable index.
+
+    `identities` may also be the program `_identity_program` compiled from
+    them, so that a fixed set is compiled once."""
+    program = identities if isinstance(identities, _Program) else _identity_program(identities)
+    sides = range(0, len(program.roots), 2)
+    masks = ((box, [values[i] != values[i + 1] for i in sides])
+             for box, values in _term_boxes(alg, program))
+    return _least_failures(masks, program.side_spans())
+
+
 def check_identity(alg: FiniteAlgebra, ident: Identity) -> Verdict:
     """Exhaustively test an identity; on failure the witness is the
     lexicographically least failing assignment."""
-    return check_quasiidentity(alg, Quasiidentity((), ident))
+    return check_identities(alg, [ident])[0]
 
 
 def check_quasiidentity(alg: FiniteAlgebra, quasi: Quasiidentity) -> Verdict:
@@ -480,15 +581,16 @@ def check_quasiidentity(alg: FiniteAlgebra, quasi: Quasiidentity) -> Verdict:
     variables = quasi.variables()
     nvars = max(variables) + 1 if variables else 0
     idents = (*quasi.premises, quasi.conclusion)
-    terms = [t for ident in idents for t in (ident.lhs, ident.rhs)]
-    for box, values in _term_boxes(alg, terms, nvars):
+    program = _compile([t for ident in idents for t in (ident.lhs, ident.rhs)], nvars)
+
+    def failing(values):
         bad = values[-2] != values[-1]
         for lhs, rhs in zip(values[:-2:2], values[1:-2:2]):
             bad = bad & (lhs == rhs)
-        verdict = first_failure(bad, box)
-        if not verdict.holds:
-            return verdict
-    return Verdict(True)
+        return bad
+
+    masks = ((box, [failing(values)]) for box, values in _term_boxes(alg, program))
+    return _least_failures(masks, [nvars])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -516,22 +618,26 @@ def table_flags(table: OperationTable) -> OperationFlags:
     alg = FiniteAlgebra("table", table.size, {"w": table})
     x, y = Var(0), Var(1)
 
-    def holds(lhs: Term, rhs: Term) -> bool:
-        return check_identity(alg, Identity(lhs, rhs)).holds
-
     def w(*args: Term) -> Term:
         return App("w", args)
 
     def dissident(pos: int) -> Term:      # w(x, ..., x) with y at pos
         return w(*(y if i == pos else x for i in range(k)))
 
+    # weak near-unanimity: idempotent and all one-dissident patterns agree;
+    # x o y := w(x, ..., x, y) is special when x o (x o y) = x o y
+    laws = [Identity(dissident(0), dissident(pos)) for pos in range(1, k)]
+    laws.append(Identity(w(*[x] * (k - 1), dissident(k - 1)), dissident(k - 1)))
+    if k == 3:
+        laws += [Identity(w(x, y, y), x), Identity(w(y, y, x), x)]
+    elif k == 2:
+        laws.append(Identity(w(x, y), y))
     idem = idempotence_violation(table) is None
-    # weak near-unanimity: idempotent and all one-dissident patterns agree
-    wnu = idem and all(holds(dissident(0), dissident(pos)) for pos in range(1, k))
-    # x o y := w(x, ..., x, y); special when x o (x o y) = x o y
-    special = wnu and holds(w(*[x] * (k - 1), dissident(k - 1)), dissident(k - 1))
-    malcev = k == 3 and holds(w(x, y, y), x) and holds(w(y, y, x), x)
-    second_proj = k == 2 and holds(w(x, y), y)
+    holds = [v.holds for v in check_identities(alg, laws)]
+    wnu = idem and all(holds[:k - 1])
+    special = wnu and holds[k - 1]
+    malcev = k == 3 and all(holds[k:])
+    second_proj = k == 2 and holds[k]
     return OperationFlags(idem, wnu, special, malcev, second_proj)
 
 

@@ -352,16 +352,25 @@ def test_regular_base_other_operations(e3, e3_sim, monkeypatch):
 
 
 def test_regular_base_checks_each_identity_once(corpus, monkeypatch):
-    # twelve names, Mal bundling two: the cross-check reuses Regiii and Regiv
-    calls = []
-    real = analyzer.check_identity
-    monkeypatch.setattr(analyzer, "check_identity",
-                        lambda alg, ident: calls.append(ident) or real(alg, ident))
+    # twelve names, Mal bundling two: all thirteen identities in one kernel
+    # pass, and the cross-check reuses Regiii and Regiv, so its own pass
+    # holds only the two terms of condition (i)
+    identities = [i for idents in analyzer.regular_base_identities().values() for i in idents]
+    assert len(set(identities)) == 13
+    x, y, z = Var(0), Var(1), Var(2)
+    base = core._identity_program(identities)
+    assert len(base.roots) == 26
+    cond_i = core._compile([App("d", (x, y, z)), App("wedge", (App("wedge", (x, y)), z))], 3)
+    passes = []
+    real = core._term_boxes
+    for module in (core, analyzer):
+        monkeypatch.setattr(module, "_term_boxes",
+                            lambda alg, program: passes.append(program) or real(alg, program))
     for entry in corpus:
         if entry.has("regular"):
-            calls.clear()
+            passes.clear()
             assert check_regular_base.__wrapped__(entry.algebra).holds, entry.name
-            assert len(calls) == 13 and len(set(calls)) == 13, entry.name
+            assert passes == [base, cond_i], entry.name
 
 
 def test_regular_base_carries_the_quotient(corpus, n4):
@@ -557,11 +566,13 @@ def test_verify_cg_d3_rejects_wrong_mid(e3, monkeypatch):
 
 
 def test_verify_cg_d3_rejects_wrong_kernel_value(e3, monkeypatch):
-    # the kernel misreports one step polynomial: the first D-pair's q(a, x)
-    def off_by_one(alg, terms, nvars):
-        for box, values in core._term_boxes(alg, terms, nvars):
+    # the kernel misreports one step polynomial: the first D-pair's q(a, x);
+    # the base is checked beforehand, so only the chain replay reads it
+    def off_by_one(alg, program):
+        for box, values in core._term_boxes(alg, program):
             yield box, [(values[0] + 1) % alg.size, *values[1:]]
 
+    check_regular_base(e3)
     monkeypatch.setattr(analyzer, "_term_boxes", off_by_one)
     with pytest.raises(FalsificationError, match="does not replay"):
         verify_cg_d3(e3, 0, 1)

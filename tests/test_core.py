@@ -246,6 +246,16 @@ def test_eval_term_errors(e3, evaluate):
         evaluate(e3, W(x, y), (0,))
     with pytest.raises(AlgebraError, match="literal 5"):
         evaluate(e3, Const(5), ())
+    # the first faulty node met, depth first, decides: an application
+    # before its arguments, and arguments left to right
+    with pytest.raises(AlgebraError, match="unknown operation 'f'"):
+        evaluate(e3, App("f", (Var(3),)), (0,))
+    with pytest.raises(AlgebraError, match="arity 3 applied to 2"):
+        evaluate(e3, App("d", (Const(5), x)), (0,))
+    with pytest.raises(AlgebraError, match="literal 5"):
+        evaluate(e3, D(Const(5), App("f", (x,)), x), (0,))
+    with pytest.raises(AlgebraError, match="does not cover variable 1"):
+        evaluate(e3, W(y, App("f", (x,))), (0,))
 
 
 def test_materialize_examples(e3):

@@ -3,7 +3,8 @@
 The reference functions below are the per-assignment Python loops that
 `check_identity`, `check_quasiidentity`, `table_flags`, `check_regular`
 and `regularize` ran before the kernel; every verdict, witness and table
-must agree with them.  Each comparison runs at the default block size and
+must agree with them, and so must `check_identities` on each algebra's
+identities at once.  Each comparison runs at the default block size and
 with `core.BLOCK_SIZE` patched small, so the cut path of `_blocks` and
 the box offsets of the witnesses are exercised.
 """
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 from smbalg import (App, CapExceeded, Const, FiniteAlgebra, Identity,
-                    OperationTable, Quasiidentity, Var, Verdict, check_identity,
-                    check_quasiidentity, check_regular, check_smb_over,
+                    OperationTable, Quasiidentity, Var, Verdict, check_identities,
+                    check_identity, check_quasiidentity, check_regular, check_smb_over,
                     find_smb_congruences, materialize_term,
                     random_algebra, regularize, smb_axioms,
                     table_flags, term_table, term_variables)
@@ -193,13 +194,27 @@ def verdict_mismatches(cases) -> int:
     return bad
 
 
+def batched_mismatches(cases) -> int:
+    """The identities of each algebra checked together by check_identities,
+    against the same per-identity references."""
+    bad = 0
+    for alg, group in itertools.groupby(cases, key=lambda case: case[0]):
+        laws, expected = zip(*[(law, v) for _, law, v in group if isinstance(law, Identity)])
+        bad += sum(got != want for got, want in zip(check_identities(alg, laws), expected))
+    return bad
+
+
 @pytest.mark.parametrize("block", [SMALL_BLOCK, core.BLOCK_SIZE])
 def test_identity_verdicts_match_loop(reference_verdicts, monkeypatch, block):
     monkeypatch.setattr(core, "BLOCK_SIZE", block)
     verdicts = [expected for _, _, expected in reference_verdicts]
     assert sum(v.holds for v in verdicts) > 0 and sum(not v.holds for v in verdicts) > 0
     assert sum(len(v.witness or ()) == 6 for v in verdicts) > 0
+    # each algebra's batch mixes failing identities of one, two and three variables
+    assert {len(v.witness) for _, law, v in reference_verdicts
+            if isinstance(law, Identity) and not v.holds} >= {1, 2, 3}
     assert verdict_mismatches(reference_verdicts) == 0
+    assert batched_mismatches(reference_verdicts) == 0
 
 
 def test_identity_witness_order_is_checked(reference_verdicts, monkeypatch):
