@@ -4,13 +4,11 @@ from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
                    FiniteAlgebra, Identity, OperationFlags, OperationTable,
                    PreconditionError, Quasiidentity, Term, Var, Verdict,
                    check_identities, check_identity, check_quasiidentity,
-                   classify_operation, materialize_term, table_flags,
-                   term_table, term_variables)
+                   materialize_term, table_flags, term_table, term_variables)
 from .partitions import Partition, all_partitions
 from .relations import (CongruenceLattice, GeneratedSet, commutator,
                         congruence_generated, congruence_lattice,
-                        congruence_violation, d_rel, d_rels,
-                        generate_subpower, is_abelian, is_congruence,
+                        congruence_violation, d_rels, generate_subpower,
                         matrix_set, polynomial_image_pairs,
                         principal_congruence, product_algebra, push_partition,
                         quotient_algebra, subalgebra)
@@ -20,7 +18,7 @@ from .analyzer import (BaseReport, ClassOrder, RegularityReport, SmbReport,
                        cgvsim_below, commutator_below_sim,
                        count_biconditional, find_smb_congruences,
                        join_membership_chain, alternating_chain_fold,
-                       recovered_sim, smb_axioms, taylor_check, verify_cg_d3,
+                       recovered_sim, smb_axioms, taylor_check,
                        verify_cg_d3_pairs)
 from .pipeline import (PipelineResult, RepresentativeInconsistency,
                        circ_table, class_order_from_circ, idempotent_power,

@@ -702,12 +702,6 @@ def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
     return out
 
 
-def verify_cg_d3(alg: FiniteAlgebra, a: int, b: int) -> CgD3Result:
-    """Confirm Cg(a,b) = D o D o D for one generator pair: the one-pair
-    call of `verify_cg_d3_pairs`."""
-    return verify_cg_d3_pairs(alg, [(a, b)])[0]
-
-
 # ---------------------------------------------------------------------------
 # Join membership chains
 

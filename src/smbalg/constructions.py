@@ -331,7 +331,8 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list:
     Tags: smb (with sim the witness partition), regular, semilattice,
     glued, regularized, extension, random, simple.  Every glued entry has
     a nonsingleton bottom block below another class, which guarantees it
-    is SMB but not regular; its regularization is included as well.
+    is SMB but not regular; its regularization is included as well.  No
+    entry has more than spec.max_size elements.
     """
     rng = random.Random(spec.seed)
     entries = []
@@ -384,4 +385,6 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list:
         alg = random_algebra(n, {WEDGE: 2, D: 3}, rng.randrange(1 << 30))
         entries.append(_entry(alg, None, "random"))
 
-    return entries
+    # the fixed examples and random algebras are built whatever max_size is;
+    # they drop out here, after every rng draw, so the draws stay the same
+    return [e for e in entries if e.algebra.size <= spec.max_size]

@@ -11,8 +11,10 @@ symbol, with the symbol and arity checks and literals listed in the
 order one walk meets them.  `_term_boxes` binds an algebra's tables by
 symbol (`_bind`, which raises the first failing check) and evaluates each
 step once over all n**nvars assignments by broadcasting (variable i is an
-index range along axis i), in boxes of at most `BLOCK_SIZE` assignments
-cut by `_blocks` and visited in lexicographic order.
+index range along axis i), in boxes cut by `_blocks` and visited in
+lexicographic order.  A box holds one array per step, so it is bounded in
+step values: at most `BLOCK_SIZE` of them over all steps, or one row of
+the last variable where that alone is more, however large the term.
 `check_identities` tests a whole set of identities in one pass, each
 against its own variables; `check_identity` is its one-identity case.
 The fixed sets of `analyzer` (the regular base, the regularity
@@ -35,9 +37,10 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 BLOCK_SIZE = 1 << 20                # combinations a numpy kernel evaluates at once
-# Largest table a term may fill and largest A^4 a matrix closure may span; a
-# subpower closure of a power no larger finds known tuples in a bitmap, else by
-# binary search in the sorted keys.  All three read it here, at call time.
+# The one table-size cap: largest table a term may fill or `iterate_wnu` may
+# iterate and largest A^4 a matrix closure may span; a subpower closure of a
+# power no larger finds known tuples in a bitmap, else by binary search in the
+# sorted keys.  All read it here, at call time.
 FAST_CLOSURE_SPACE_CAP = 6_000_000
 MAX_VARIABLES = 32                  # one array axis per variable; numpy 1.x has 32
 _INTEGER = (int, np.integer)        # what a table entry may be; bool is an int
@@ -419,14 +422,15 @@ def _term_boxes(alg: FiniteAlgebra, program: _Program):
 
     Variable i is its index range laid along axis i, so an application's
     table index `acc * n + child` broadcasts only over the axes its
-    arguments use.
+    arguments use.  Every step keeps its array for the box, so `_blocks`
+    charges each assignment once per step.
     """
     nvars = program.nvars
     if nvars > MAX_VARIABLES:
         raise CapExceeded(f"{nvars} variables are beyond the cap of {MAX_VARIABLES}")
     tables = _bind(alg, program)
     n = alg.size
-    for box in _blocks([(0, n)] * nvars):
+    for box in _blocks([(0, n)] * nvars, n * len(program.steps)):
         values = []
         for step in program.steps:
             if isinstance(step, Var):
@@ -639,8 +643,3 @@ def table_flags(table: OperationTable) -> OperationFlags:
     malcev = k == 3 and all(holds[k:])
     second_proj = k == 2 and holds[k]
     return OperationFlags(idem, wnu, special, malcev, second_proj)
-
-
-def classify_operation(alg: FiniteAlgebra, symbol: str) -> OperationFlags:
-    return table_flags(alg.op(symbol))
-

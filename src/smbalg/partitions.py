@@ -94,13 +94,15 @@ class Partition:
 
     @staticmethod
     def from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
+        """The partition of {0..n-1} into `blocks`, which must list every
+        element once; the one place block lists are checked."""
         ids = [-1] * n
         for i, block in enumerate(blocks):
             for x in block:
                 if not 0 <= x < n:
                     raise AlgebraError(f"element {x} out of range 0..{n - 1}")
                 if ids[x] != -1:
-                    raise AlgebraError(f"element {x} appears in two blocks")
+                    raise AlgebraError(f"element {x} listed twice in the blocks")
                 ids[x] = i
         if -1 in ids:
             raise AlgebraError(f"element {ids.index(-1)} missing from the blocks")
@@ -114,25 +116,15 @@ class Partition:
 
     @staticmethod
     def parse(text: str, n: int) -> "Partition":
-        """Parse the `0 1 | 2` text form; every element must be listed once."""
-        ids = [-1] * n
-        nclasses = 0
+        """Parse the `0 1 | 2` text form; `from_blocks` checks that every
+        element is listed once."""
+        blocks = []
         for part in text.split("|"):
             members = part.split()
             if not members:
                 raise AlgebraError(f"empty class in partition text {text!r}")
-            for tok in members:
-                x = parse_element(tok, "partition text")
-                if not 0 <= x < n:
-                    raise AlgebraError(f"element {x} out of range 0..{n - 1}")
-                if ids[x] != -1:
-                    raise AlgebraError(f"element {x} listed twice in partition text")
-                ids[x] = nclasses
-            nclasses += 1
-        if -1 in ids:
-            raise AlgebraError(
-                f"element {ids.index(-1)} missing from partition text {text!r}")
-        return Partition(n, tuple(ids))
+            blocks.append([parse_element(tok, "partition text") for tok in members])
+        return Partition.from_blocks(n, blocks)
 
     # -- queries -----------------------------------------------------------
 

@@ -29,6 +29,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import core
 from .core import (AlgebraError, App, CapExceeded, FalsificationError,
                    FiniteAlgebra, Identity, OperationTable, PreconditionError,
                    Term, Var, check_identity, first_failure,
@@ -39,8 +40,6 @@ from .analyzer import (ClassOrder, SmbReport, WEDGE, D, _check_smb,
                        regular_base_identities, wedge_conditions)
 from .relations import (_check_congruences, _commutator, congruence_violation,
                         principal_congruence)
-
-ITERATION_ENTRY_CAP = 1_000_000
 
 _x, _y = Var(0), Var(1)
 
@@ -109,15 +108,19 @@ def iterate_wnu(alg: FiniteAlgebra, w_symbol: str) -> OperationTable:
     w_{i+1}(xs) = w_i(w_i(xs) o x_1, ..., w_i(xs) o x_n).
 
     Each iterate is verified to stay wnu; losing the property would be an
-    internal falsification.  Stops early at a table fixpoint.
+    internal falsification.  Stops early at a table fixpoint.  Raises
+    CapExceeded before any iteration when the table has more entries than
+    `core.FAST_CLOSURE_SPACE_CAP`, the cap every iterate's `term_table`
+    holds it to.
     """
     table = _require_wnu(alg, w_symbol)
     n = alg.size
     k = table.arity
-    if n ** k > ITERATION_ENTRY_CAP:
+    cap = core.FAST_CLOSURE_SPACE_CAP
+    if n ** k > cap:
         raise CapExceeded(
             f"iterating an arity-{k} table on {n} elements needs {n ** k} "
-            f"entries, above the cap {ITERATION_ENTRY_CAP}")
+            f"entries, above the cap {cap}")
     xs = tuple(Var(i) for i in range(k))
     m = App("w", xs)
     step = App("w", tuple(App("o", (m, x)) for x in xs))

@@ -18,8 +18,11 @@ coordinate, is laid out once per call as rows of n values, one row per
 combination of the leading arguments.  The argument combinations of a
 round are cut into boxes by `_blocks`, which the term kernel of `core`
 shares, so that neither the gathered rows nor the keys of a box exceed
-`core.BLOCK_SIZE`; `_apply_block` evaluates a box by gathering one row per
-leading combination and coordinate and indexing it by the last argument.
+`core.BLOCK_SIZE` (the term kernel bounds its boxes the same way, in the
+values of all its steps); `_apply_block` evaluates a box by gathering one
+row per leading combination and coordinate and indexing it by the last
+argument.  The one table-size cap, `core.FAST_CLOSURE_SPACE_CAP`, is read
+at call time: it picks the bitmap over sorted keys and bounds A^4.
 `generate_subpower` wraps the rows and steps of one lane, as they come,
 in a `GeneratedSet`, and `d_rels` those of one lane per generator pair;
 these sets are used wherever witnesses must be replayed (D-relations,
@@ -557,10 +560,6 @@ def congruence_violation(alg: FiniteAlgebra, p: Partition) -> Optional[tuple]:
     return None
 
 
-def is_congruence(alg: FiniteAlgebra, p: Partition) -> bool:
-    return congruence_violation(alg, p) is None
-
-
 @dataclass(frozen=True)
 class CongruenceLattice:
     """Con(alg): all congruences plus the covering relation by inclusion."""
@@ -750,11 +749,6 @@ def d_rels(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> list:
     return _generated_sets(alg, 2, [[(a, b), (b, a)] + diagonal for a, b in pairs])
 
 
-def d_rel(alg: FiniteAlgebra, a: int, b: int) -> GeneratedSet:
-    """D_{a,b}, the one-pair call of `d_rels`."""
-    return d_rels(alg, [(a, b)])[0]
-
-
 def polynomial_image_pairs(alg: FiniteAlgebra, a: int, b: int) -> GeneratedSet:
     """{(p(a), p(b)) : p a unary polynomial}, as the subuniverse of A^2
     generated by (a,b) and the diagonal."""
@@ -935,8 +929,3 @@ def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partit
             f"commutator bound failed on {alg.name}: [{alpha}, {beta}] = {result} "
             f"is not below the meet")
     return result
-
-
-def is_abelian(alg: FiniteAlgebra, alpha: Partition) -> bool:
-    """Whether [alpha, alpha] is the identity congruence."""
-    return commutator(alg, alpha, alpha).is_zero

@@ -15,11 +15,12 @@ from smbalg import (AlgebraError, App, ClassOrder, Const, FalsificationError,
                     check_identity, check_quasiidentity, check_regular,
                     check_regular_base, check_smb_over, check_undersim,
                     cgvsim_below, commutator_below_sim, congruence_lattice,
-                    congruence_violation, count_biconditional, core, d_rel,
+                    congruence_violation, count_biconditional, core, d_rels,
                     find_smb_congruences,
                     glue_smb, join_membership_chain, alternating_chain_fold,
                     principal_congruence, quotient_algebra, random_semilattice,
-                    recovered_sim, regularize, smb_axioms, taylor_check, verify_cg_d3)
+                    recovered_sim, regularize, smb_axioms, taylor_check,
+                    verify_cg_d3_pairs)
 from smbalg.analyzer import BASE_IDENTITY_NAMES
 from smbalg.cli import main
 from smbalg.constructions import random_algebra
@@ -443,12 +444,12 @@ def test_taylor_check(e3, b2, n4):
 
 
 def test_verify_cg_d3_examples(e3, e3_sim):
-    res = verify_cg_d3(e3, 0, 1)
+    res = verify_cg_d3_pairs(e3, [(0, 1)])[0]
     assert res.relation == frozenset(e3_sim.pairs())
     assert set(res.chains) == set(e3_sim.pairs())
-    res2 = verify_cg_d3(e3, 0, 2)
+    res2 = verify_cg_d3_pairs(e3, [(0, 2)])[0]
     assert res2.cg.is_one and len(res2.chains) == 9
-    res3 = verify_cg_d3(e3, 1, 1)
+    res3 = verify_cg_d3_pairs(e3, [(1, 1)])[0]
     assert res3.cg.is_zero
     for (c, d), steps in res3.chains.items():
         assert c == d and len(steps) == 6
@@ -469,8 +470,8 @@ def test_verify_cg_d3_chain_replay(corpus):
     # each chain links c to d through D-pairs at the least midpoints, each
     # step replays at a and b, and a D-pair's steps are shared by its chains
     for alg, a, b in regular_pairs(corpus, 6):
-        res = verify_cg_d3(alg, a, b)
-        dpairs = set(decoded(d_rel(alg, a, b))[0])
+        res = verify_cg_d3_pairs(alg, [(a, b)])[0]
+        dpairs = set(decoded(d_rels(alg, [(a, b)])[0])[0])
         d2 = compose_relations(dpairs, dpairs)
         shared = {}
         for (c, d), steps in res.chains.items():
@@ -492,9 +493,9 @@ def test_verify_cg_d3_chain_replay(corpus):
 
 def test_verify_cg_d3_relation_matches_composition(corpus):
     for alg, a, b in regular_pairs(corpus):
-        dpairs = set(decoded(d_rel(alg, a, b))[0])
+        dpairs = set(decoded(d_rels(alg, [(a, b)])[0])[0])
         d3 = compose_relations(compose_relations(dpairs, dpairs), dpairs)
-        assert verify_cg_d3(alg, a, b).relation == d3, (alg.name, a, b)
+        assert verify_cg_d3_pairs(alg, [(a, b)])[0].relation == d3, (alg.name, a, b)
 
 
 def reference_d_leaves(dset, a, b):
@@ -514,13 +515,13 @@ def reference_d_leaves(dset, a, b):
 
 
 def test_terms_match_substituted_reference(corpus):
-    # the step polynomials q(a, x) and q(x, a) of verify_cg_d3, for every
+    # the step polynomials q(a, x) and q(x, a) of verify_cg_d3_pairs, for every
     # element of every D-relation of the regular corpus, against the term
     # over Var(0) = (a, b) and Var(1) = (b, a) with the variables
     # substituted; each builder's subterms are one object across its calls
     elements = repeated = 0
     for alg, a, b in regular_pairs(corpus):
-        dset = d_rel(alg, a, b)
+        dset = d_rels(alg, [(a, b)])[0]
         leaves = reference_d_leaves(dset, a, b)
         dpairs, trace = decoded(dset)
         links = {pair: pair for pair in dpairs}      # each D-pair its own chain
@@ -545,7 +546,7 @@ def test_terms_match_substituted_reference(corpus):
 
 def test_terms_refuse_unnamed_generators(e3):
     # a generator that is neither named nor constant has no leaf term
-    dset = d_rel(e3, 0, 2)
+    dset = d_rels(e3, [(0, 2)])[0]
     assert dset.terms({(0, 2): Var(0), (2, 0): Var(1)})(0) == Var(0)
     with pytest.raises(AlgebraError, match="no leaf term supplied for generator index 1"):
         dset.terms({(0, 2): Var(0)})(1)
@@ -562,7 +563,7 @@ def test_verify_cg_d3_rejects_wrong_mid(e3, monkeypatch):
 
     monkeypatch.setattr(GeneratedSet, "terms", swapped)
     with pytest.raises(FalsificationError, match="does not replay"):
-        verify_cg_d3(e3, 0, 1)
+        verify_cg_d3_pairs(e3, [(0, 1)])[0]
 
 
 def test_verify_cg_d3_rejects_wrong_kernel_value(e3, monkeypatch):
@@ -575,18 +576,18 @@ def test_verify_cg_d3_rejects_wrong_kernel_value(e3, monkeypatch):
     check_regular_base(e3)
     monkeypatch.setattr(analyzer, "_term_boxes", off_by_one)
     with pytest.raises(FalsificationError, match="does not replay"):
-        verify_cg_d3(e3, 0, 1)
+        verify_cg_d3_pairs(e3, [(0, 1)])[0]
 
 
 def test_verify_cg_d3_rejects_dropped_d_pair(e3, monkeypatch):
     # D_{0,1} on e3 is its five generators; without (1, 0), D^3 misses (1, 0)
-    full = d_rel(e3, 0, 1)
+    full = d_rels(e3, [(0, 1)])[0]
     assert (full.steps == -1).all()
     keep = (full.rows != (1, 0)).any(axis=1)
     dropped = GeneratedSet(full.symbols, full.rows[keep], full.steps[keep])
     monkeypatch.setattr(analyzer, "d_rels", lambda alg, pairs: [dropped])
     with pytest.raises(FalsificationError, match=re.escape("symmetric difference [(1, 0)]")):
-        verify_cg_d3(e3, 0, 1)
+        verify_cg_d3_pairs(e3, [(0, 1)])[0]
 
 
 def regularized_shapes():
@@ -606,7 +607,7 @@ def test_verify_cg_d3_pairs_match_one_pair_calls(corpus):
         results = analyzer.verify_cg_d3_pairs(alg, pairs)
         assert len(results) == len(pairs)
         for (a, b), res in zip(pairs, results):
-            one = verify_cg_d3(alg, a, b)
+            one = verify_cg_d3_pairs(alg, [(a, b)])[0]
             assert (res.a, res.b, res.cg, res.relation) == (one.a, one.b, one.cg, one.relation)
             assert res.chains == one.chains, (alg.name, a, b)
             total += len(res.chains)
@@ -807,7 +808,7 @@ def test_cg_d3_replay_mutants_exit_3(e3, tmp_path, monkeypatch, capsys):
 
 def test_verify_cg_d3_needs_regular(n4):
     with pytest.raises(PreconditionError, match="regular base"):
-        verify_cg_d3(n4, 0, 1)
+        verify_cg_d3_pairs(n4, [(0, 1)])[0]
 
 
 def test_join_membership_chain(e3, e3_sim):

@@ -2,13 +2,12 @@ import itertools
 
 import pytest
 
-from smbalg import (AlgebraError, CapExceeded, FiniteAlgebra, OperationTable,
-                    Partition, affine_block, build_corpus, chain_semilattice,
-                    check_regular, check_regular_base, check_smb_over,
-                    classify_operation, congruence_lattice,
-                    exhaustive_enumerate, extend_simple_type5, glue_layout,
-                    glue_smb, random_algebra, random_semilattice,
-                    trivial_algebra)
+from smbalg import (AlgebraError, CapExceeded, CorpusSpec, FiniteAlgebra,
+                    OperationTable, Partition, affine_block, build_corpus,
+                    chain_semilattice, check_regular, check_regular_base,
+                    check_smb_over, congruence_lattice, exhaustive_enumerate,
+                    extend_simple_type5, glue_layout, glue_smb, random_algebra,
+                    random_semilattice, table_flags, trivial_algebra)
 from smbalg import constructions, relations
 from smbalg.oracles import unary_polynomials
 
@@ -30,7 +29,7 @@ def test_n4_is_glued_and_not_regular(n4, n4_sim):
     assert check_smb_over(n4, n4_sim).verdict
     assert not check_regular(n4, n4_sim).holds
     assert n4.op("wedge").apply(0, 2) == 3
-    assert not classify_operation(n4, "d").wnu
+    assert not table_flags(n4.op("d")).wnu
 
 
 def test_glue_one_block_is_b2(b2):
@@ -154,6 +153,16 @@ def test_corpus_deterministic(corpus):
     assert [e.name for e in again] == [e.name for e in corpus]
     assert all(x.algebra == y.algebra for x, y in zip(again, corpus))
     assert all(x.tags == y.tags for x, y in zip(again, corpus))
+
+
+@pytest.mark.parametrize("max_size", [1, 2, 3, 4])
+def test_corpus_max_size_bounds_every_entry(max_size):
+    # the fixed examples and the random algebras are built at every
+    # max_size; none above it is listed
+    entries = build_corpus(CorpusSpec(max_size=max_size))
+    assert entries
+    assert all(e.algebra.size <= max_size for e in entries), \
+        [(e.name, e.algebra.size) for e in entries if e.algebra.size > max_size]
 
 
 def test_corpus_shape(corpus):

@@ -8,7 +8,7 @@ import pytest
 
 from smbalg import (AlgebraError, App, Const, FiniteAlgebra, Identity,
                     OperationTable, Quasiidentity, Var, check_identity,
-                    check_quasiidentity, classify_operation, materialize_term,
+                    check_quasiidentity, materialize_term,
                     table_flags, term_table)
 from smbalg.oracles import eval_term, substitute
 from conftest import module_caches, random_term
@@ -303,11 +303,11 @@ def test_check_quasiidentity(e3, n4):
 
 
 def test_classify_operation(e3, b2):
-    flags = classify_operation(e3, "d")
+    flags = table_flags(e3.op("d"))
     assert (flags.idempotent, flags.wnu, flags.malcev, flags.special_wnu) == \
         (True, True, False, True)
-    assert classify_operation(b2, "d").malcev
-    wflags = classify_operation(b2, "wedge")
+    assert table_flags(b2.op("d")).malcev
+    wflags = table_flags(b2.op("wedge"))
     assert wflags.second_projection and not wflags.wnu
 
 

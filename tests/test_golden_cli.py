@@ -24,8 +24,8 @@ import io
 import json
 import pathlib
 
-from smbalg import (Partition, build_corpus, classify_operation,
-                    format_algebra, random_algebra)
+from smbalg import (Partition, build_corpus, format_algebra,
+                    random_algebra, table_flags)
 from smbalg.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
@@ -76,7 +76,7 @@ def cli_digests(workdir: pathlib.Path) -> dict:
         output = workdir / f"{alg.name}.regularized.alg"
         path.write_text(format_algebra(alg), encoding="utf-8")
         commands = dict(COMMANDS)
-        if alg.has_op("d") and classify_operation(alg, "d").wnu:
+        if alg.has_op("d") and table_flags(alg.op("d")).wnu:
             commands.update(PIPELINE)
         words = {"FILE": str(path), "OUT": str(output)}
         if sim is not None:

@@ -10,10 +10,10 @@ from smbalg import (CapExceeded, FalsificationError, FiniteAlgebra, OperationTab
                     PipelineResult, PreconditionError,
                     RepresentativeInconsistency, all_partitions,
                     check_regular_base, circ_table, class_order_from_circ,
-                    classify_operation, congruence_lattice, idempotent_power,
+                    congruence_lattice, idempotent_power,
                     iterate_wnu, regularize, run_pipeline, semilattice_term,
-                    special_circ)
-from smbalg import pipeline, relations
+                    special_circ, table_flags)
+from smbalg import core, pipeline, relations
 from smbalg.oracles import literal_power
 from smbalg.constructions import random_algebra, trivial_algebra
 
@@ -25,7 +25,7 @@ def test_circ_table_examples(e3, b2, corpus):
         if not entry.has("smb"):
             continue
         alg = entry.algebra
-        if not classify_operation(alg, "d").wnu:
+        if not table_flags(alg.op("d")).wnu:
             continue
         circ = circ_table(alg, "d")
         assert all(circ.apply(a, a) == a for a in range(alg.size))
@@ -44,7 +44,7 @@ def test_iterate_wnu_examples(e3, b2):
 
 
 def test_iterate_wnu_entry_cap(e3, monkeypatch):
-    monkeypatch.setattr(pipeline, "ITERATION_ENTRY_CAP", 10)
+    monkeypatch.setattr(core, "FAST_CLOSURE_SPACE_CAP", 10)
     with pytest.raises(CapExceeded, match="above the cap 10"):
         iterate_wnu(e3, "d")
 
@@ -273,7 +273,7 @@ def test_sim_maximal_matches_lattice(corpus):
     for entry in corpus:
         alg = entry.algebra
         if entry.sim is None or not alg.has_op("d", 3) \
-                or not classify_operation(alg, "d").wnu:
+                or not table_flags(alg.op("d")).wnu:
             continue
         lattice = congruence_lattice(alg)
         for sim in (entry.sim,) + lattice.congruences:
@@ -323,7 +323,7 @@ def test_run_pipeline_checks_one_table_once(e3, b2, s2, corpus, monkeypatch):
 def test_iteration_nontrivial_case(n4, n4_sim):
     # same blocks as n4 but every cross-block d value pinned to 3: d becomes
     # wnu while the wedge stays non-regular, and iteration genuinely moves
-    from smbalg import FiniteAlgebra, check_smb_over, classify_operation, table_flags
+    from smbalg import FiniteAlgebra, check_smb_over, table_flags
     d4 = n4.op("d")
     entries = []
     for a, b, c in itertools.product(range(4), repeat=3):
@@ -332,7 +332,7 @@ def test_iteration_nontrivial_case(n4, n4_sim):
     alg = FiniteAlgebra("n4w", 4, {"wedge": n4.op("wedge"),
                                    "d": OperationTable(3, 4, entries)})
     assert check_smb_over(alg, n4_sim).verdict
-    assert classify_operation(alg, "d").wnu
+    assert table_flags(alg.op("d")).wnu
     iterated = iterate_wnu(alg, "d")
     assert iterated != alg.op("d")
     assert alg.op("d").apply(2, 0, 0) == 3 and iterated.apply(2, 0, 0) == 2
@@ -373,7 +373,7 @@ def _pipeline_cases(corpus):
         if not entry.has("smb") or entry.algebra.size > 6:
             continue
         alg = entry.algebra
-        if not classify_operation(alg, "d").wnu:
+        if not table_flags(alg.op("d")).wnu:
             continue
         yield entry, run_pipeline(alg, "d")
 

@@ -12,6 +12,7 @@ the box offsets of the witnesses are exercised.
 import inspect
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,33 @@ def test_operation_table_array(e3):
     assert array.dtype == np.int64 and tuple(array.tolist()) == table.entries
     with pytest.raises(ValueError):
         array[0] = 1
+
+
+def test_term_table_memory_bounded_in_step_values():
+    # a chain of 99 applications over 3 variables, 102 distinct subterms, at
+    # n = 100: one box of all 10**6 assignments would hold 102 arrays of
+    # 10**6 values (over 800 MB); the boxes are cut so that all step values
+    # of a box fit in BLOCK_SIZE, and the table still equals a plain fold
+    n = 100
+    alg = random_algebra(n, {"f": 2}, 17)
+    xs = [Var(i) for i in range(3)]
+    term = xs[0]
+    for i in range(1, 100):
+        term = App("f", (term, xs[i % 3]))
+    f = alg.op("f").array
+    axes = [np.arange(n).reshape([n if j == i else 1 for j in range(3)]) for i in range(3)]
+    expected = axes[0]
+    for i in range(1, 100):
+        expected = f[expected * n + axes[i % 3]]
+    assert len(core._compile([term], 3).steps) == 102
+    tracemalloc.start()
+    try:
+        table = term_table(alg, term, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table, expected)
+    assert peak < 4 * core.BLOCK_SIZE * 8, peak
 
 
 def test_term_table_cap(e3):
