@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .core import (AlgebraError, CapExceeded, FalsificationError,
                    FiniteAlgebra, PreconditionError)
@@ -35,9 +37,50 @@ def _load(path: str) -> FiniteAlgebra:
     return parse_algebra(text)
 
 
+def _json_text(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)`, with every line after the first
+    indented by `indent` more.  Strings, ints, bools, None, lists, tuples
+    and dicts with `str` keys are written here; a list of only ints, only
+    strings or only int lists is written without a call per item.
+    Any other value, and a dict with any other key, is `json.dumps`'s own
+    text."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(str, value)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, value)
+        elif kinds == {list} and set(map(type, chain.from_iterable(value))) == {int}:
+            leaf = inner + "  "       # int lists, such as `con`'s classes
+            sep = ",\n" + leaf
+            items = [f"[\n{leaf}{sep.join(map(str, v))}\n{inner}]" if v else "[]"
+                     for v in value]
+        else:
+            items = (_json_text(v, inner) for v in value)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if kind is dict and set(map(type, value)) == {str}:
+        inner = indent + "  "
+        return "{\n" + ",\n".join(
+            f"{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+            for k, v in value.items()) + f"\n{indent}}}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
 def _emit(args, payload: dict, lines):
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         for line in lines:
             print(line)

@@ -92,7 +92,9 @@ class OperationTable(_Frozen):
 
     `array` is read-only and views one `bytes` buffer, its `base`, which
     equality and hashing read; `entries`, the values as a tuple of Python
-    ints for pure-Python loops, is made from it on first read.
+    ints for pure-Python loops, is made from it on first read.  An arity
+    above MAX_VARIABLES is refused, since a table is reshaped to one axis
+    per argument.
     """
 
     __slots__ = ("arity", "size", "array", "_entries")
@@ -100,6 +102,9 @@ class OperationTable(_Frozen):
     def __init__(self, arity: int, size: int, entries: Sequence[int]):
         if arity < 1:
             raise AlgebraError(f"operation arity must be >= 1, got {arity}")
+        if arity > MAX_VARIABLES:
+            raise CapExceeded(
+                f"operation arity {arity} is beyond the cap of {MAX_VARIABLES}")
         if size < 1:
             raise AlgebraError(f"algebra size must be >= 1, got {size}")
         integers = (isinstance(entries, np.ndarray) and entries.ndim == 1

@@ -9,6 +9,15 @@ The algebra grammar is line oriented:
     derive NAME ARITY = TERM
     # comment
 
+A table is read line by line: each line of it must be all decimal
+digits (other scripts' digits are rewritten in ASCII), and its tokens
+are kept as text.  When the table is complete they are converted in one
+`np.fromstring` call and range-checked on the array, which
+`OperationTable` takes as it is.  Before any error inside a table (too
+many entries, too few, a line that is not entries) the lines read so far
+are range-checked first, so the first entry out of range is reported at
+its own line and column, as if each line were checked as it is read.
+
 Terms are identifiers with parentheses and commas; element literals are
 written @k.  Variables are identifiers bound by first use and mapped to
 indices in order of appearance.
@@ -19,8 +28,11 @@ from __future__ import annotations
 import re
 from typing import List, Tuple
 
-from .core import (AlgebraError, App, Const, FiniteAlgebra, Identity,
-                   OperationTable, Quasiidentity, Term, Var, materialize_term)
+import numpy as np
+
+from .core import (MAX_VARIABLES, AlgebraError, App, Const, FiniteAlgebra,
+                   Identity, OperationTable, Quasiidentity, Term, Var,
+                   materialize_term)
 
 
 class ParseError(ValueError):
@@ -187,44 +199,68 @@ def format_term(term: Term) -> str:
 # ---------------------------------------------------------------------------
 # Algebra files
 
+def _read_table(lines, size: int, need: int, header_line: int) -> np.ndarray:
+    """The `need` entries of one table, read from `lines`, an iterator of
+    (line number, line) pairs, up to the table's last line.  Too many
+    entries, too few, or a line that is not entries is a ParseError, raised
+    after the entries read so far are range-checked."""
+    tokens_so_far: List[str] = []
+    starts: List[Tuple[int, int]] = []     # (first token index, line number)
+    for lineno, line in lines:
+        body = line.split("#", 1)[0]
+        tokens = body.split()
+        if not tokens:
+            continue
+        if not "".join(tokens).isdecimal():
+            break
+        if not body.isascii():              # other decimal digits, e.g. U+FF11
+            tokens = ["".join(str(int(c)) for c in t) for t in tokens]
+        starts.append((len(tokens_so_far), lineno))
+        tokens_so_far += tokens
+        if len(tokens_so_far) >= need:
+            entries = _table_entries(tokens_so_far, starts, size)
+            if len(tokens_so_far) > need:
+                raise ParseError(lineno, 1,
+                                 f"expected {need} entries, got {len(tokens_so_far)}")
+            return entries
+    _table_entries(tokens_so_far, starts, size)
+    raise ParseError(header_line, 1,
+                     f"expected {need} entries, got {len(tokens_so_far)}")
+
+
+def _table_entries(tokens: List[str], starts: List[Tuple[int, int]],
+                   size: int) -> np.ndarray:
+    """The entries read so far, as one int64 array, or a ParseError at the
+    first one out of range.
+
+    `tokens` are ASCII digit strings and `starts` holds (index of its
+    first token, line number) for each line they came from.  A token past
+    int64 parses as the int64 maximum (strtoll saturates), so it is out of
+    range too, and the message quotes its text.
+    """
+    values = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ")
+    if values.size and values.max() >= size:
+        at = int(np.argmax(values >= size))
+        first, lineno = next(start for start in reversed(starts) if start[0] <= at)
+        raise ParseError(lineno, at - first + 1,
+                         f"entry {tokens[at].lstrip('0') or '0'} "
+                         f"out of range 0..{size - 1}")
+    return values
+
+
 def parse_algebra(text: str) -> FiniteAlgebra:
-    lines = text.splitlines()
     name = None
     size = None
     ops: List[Tuple[str, OperationTable]] = []
     symbols = set()
 
-    # pending table entries being collected
-    collecting = None   # (symbol, arity, entries, header_line)
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        body = lines[i].split("#", 1)[0]
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, line in lines:
+        body = line.split("#", 1)[0]
         tokens = body.split()
-        i += 1
         if not tokens:
             continue
         head = tokens[0]
-
-        if collecting is not None:
-            sym, arity, entries, header_line = collecting
-            need = size ** arity
-            if all(map(str.isdecimal, tokens)):
-                values = list(map(int, tokens))
-                if max(values) >= size:
-                    col = next(c for c, v in enumerate(values) if v >= size)
-                    raise ParseError(lineno, col + 1,
-                                     f"entry {values[col]} out of range 0..{size - 1}")
-                entries += values
-                if len(entries) > need:
-                    raise ParseError(lineno, 1,
-                                     f"expected {need} entries, got {len(entries)}")
-                if len(entries) == need:
-                    ops.append((sym, OperationTable(arity, size, entries)))
-                    collecting = None
-                continue
-            raise ParseError(header_line, 1,
-                             f"expected {need} entries, got {len(entries)}")
 
         if head == "algebra":
             if name is not None:
@@ -248,10 +284,14 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             sym, arity = tokens[1], int(tokens[2])
             if arity < 1:
                 raise ParseError(lineno, 1, f"arity must be >= 1, got {arity}")
+            if arity > MAX_VARIABLES:        # before size ** arity is computed
+                raise ParseError(lineno, 1, f"arity {arity} is beyond the cap "
+                                            f"of {MAX_VARIABLES}")
             if sym in symbols:
                 raise ParseError(lineno, 1, f"duplicate operation symbol '{sym}'")
             symbols.add(sym)
-            collecting = (sym, arity, [], lineno)
+            entries = _read_table(lines, size, size ** arity, lineno)
+            ops.append((sym, OperationTable(arity, size, entries)))
         elif head == "derive":
             if size is None:
                 raise ParseError(lineno, 1, "'derive' before 'size'")
@@ -278,10 +318,6 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         else:
             raise ParseError(lineno, 1, f"unknown directive '{head}'")
 
-    if collecting is not None:
-        sym, arity, entries, header_line = collecting
-        raise ParseError(header_line, 1,
-                         f"expected {size ** arity} entries, got {len(entries)}")
     if name is None:
         raise ParseError(1, 1, "missing 'algebra NAME' line")
     if size is None:
@@ -293,8 +329,9 @@ def parse_algebra(text: str) -> FiniteAlgebra:
 
 def format_algebra(alg: FiniteAlgebra) -> str:
     lines = [f"algebra {alg.name}", f"size {alg.size}"]
+    names = [str(v) for v in range(alg.size)]
     for sym, table in alg.operations.items():
         lines.append(f"op {sym} {table.arity}")
-        for row in table.rows():
-            lines.append(" ".join(str(v) for v in row))
+        words = map(names.__getitem__, table.entries)
+        lines += map(" ".join, zip(*[words] * alg.size))   # rows of n entries
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ import pytest
 
 from smbalg import (affine_block, format_algebra, glue_layout, glue_smb,
                     parse_algebra, random_semilattice)
-from smbalg.cli import main
+from smbalg.cli import _json_text, main
 
 from conftest import module_caches, parity_algebra
 
@@ -233,6 +233,57 @@ def test_json_flag_before_subcommand(e3_file, capsys):
     assert payload["partition"] == "0 1 | 2"
 
 
+def _random_payload(rng, depth=0):
+    """A nested value of the kinds `json.dumps` takes: scalars, strings
+    with quotes, escapes and non-ASCII text, int and string lists, lists
+    of int lists (some empty), tuples, and dicts, a few with a float or a
+    non-`str` key."""
+    leaves = [0, -1, 7, -(2 ** 70), 2 ** 64 + 3, True, False, None, 1.5, -0.0,
+              "", "x", 'q"uo\\te', "tab\tnew\nline\x00\x1f", "é ü ž ∧ 😀"]
+    roll = rng.random()
+    if depth >= 4 or roll < 0.25:
+        return rng.choice(leaves)
+    if roll < 0.4:
+        return [rng.randrange(-3, 300) for _ in range(rng.randrange(4))]
+    if roll < 0.5:
+        return [[rng.randrange(12) for _ in range(rng.randrange(3))]
+                for _ in range(rng.randrange(4))]
+    if roll < 0.6:
+        return tuple(rng.choice(leaves[10:]) for _ in range(rng.randrange(4)))
+    if roll < 0.8:
+        return [_random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+    keys = ["verdict", "sim", "é", 'k"ey', "a\nb"]
+    if rng.random() < 0.15:
+        keys.append(rng.choice([1, 2.5, None, True]))
+    return {rng.choice(keys): _random_payload(rng, depth + 1)
+            for _ in range(rng.randrange(4))}
+
+
+def test_json_text_matches_json_dumps():
+    # the --json writer prints exactly what json.dumps(payload, indent=2) does
+    rng = random.Random(37)
+    payloads = [_random_payload(rng) for _ in range(3000)]
+    payloads += [{}, [], (), {"a": {}, "b": [], "c": ()}, [[], [1], []],
+                 [[0, 1], [2]], [{"name": "e3", "size": 3}], -5, 2.5,
+                 {1: "int key"}, {"x": 1, 2: "mixed keys"}, {"f": float("nan")},
+                 {"text": format_algebra(parse_algebra(B2_TEXT))}]
+    kinds = {type(p) for p in payloads}
+    assert {dict, list, tuple, int, float, bool, str, type(None)} <= kinds
+    for payload in payloads:
+        assert _json_text(payload) == json.dumps(payload, indent=2), payload
+
+
+@pytest.mark.parametrize("argv", [
+    ["con", "{e3}"], ["corpus", "--max-size", "4"], ["pipeline", "{e3}", "d"],
+    ["construct", "b2"], ["check-smb", "{e3}", "--sim", "0 2 | 1"],
+    ["verify-base", "{e3}"],
+])
+def test_json_output_is_json_dumps_text(e3_file, capsys, argv):
+    main(["--json"] + [a.format(e3=e3_file) for a in argv])
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_json_output_deterministic(e3_file, capsys):
     main(["verify-base", e3_file, "--json"])
     first = capsys.readouterr().out
@@ -290,6 +341,25 @@ def test_large_derive_exit(tmp_path, capsys, arity):
     assert main(["con", str(big)]) == 2
     assert time.perf_counter() - start < 1.0
     assert "beyond the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-smb", "{file}"], ["verify-base", "{file}"], ["check-regular", "{file}"],
+    ["verify", "cg-d3", "{file}"], ["regularize", "{file}", "-o", "{out}"],
+    ["con", "{file}"],
+])
+def test_arity_beyond_the_cap_exit(tmp_path, capsys, argv):
+    # one array axis per argument: arity 32 loads, 33 and 70 are refused
+    for arity in (32, 33, 70):
+        path = tmp_path / f"arity{arity}.alg"
+        path.write_text("algebra a\nsize 1\nop wedge 2\n0\nop d 3\n0\n"
+                        f"op f {arity}\n0\n")
+        rc = main([a.format(file=path, out=tmp_path / "out.alg") for a in argv])
+        err = capsys.readouterr().err
+        if arity == 32:
+            assert rc == 0
+        else:
+            assert rc == 2 and f"arity {arity} is beyond the cap of 32" in err
 
 
 def test_recognition_beyond_the_lattice_cap(tmp_path, capsys):

@@ -10,6 +10,7 @@ from smbalg import (AlgebraError, App, Const, FiniteAlgebra, Identity,
                     OperationTable, Quasiidentity, Var, check_identity,
                     check_quasiidentity, materialize_term,
                     table_flags, term_table)
+from smbalg.core import MAX_VARIABLES, CapExceeded
 from smbalg.oracles import eval_term, substitute
 from conftest import module_caches, random_term
 
@@ -31,6 +32,12 @@ def test_table_validation():
         OperationTable(1, 2, [0, 2])
     with pytest.raises(AlgebraError):
         OperationTable(0, 2, [])
+    # one array axis per argument: an arity above MAX_VARIABLES is refused
+    # before size ** arity is computed
+    assert OperationTable(MAX_VARIABLES, 1, [0]).arity == MAX_VARIABLES
+    for arity in (MAX_VARIABLES + 1, 70, 10 ** 9):
+        with pytest.raises(CapExceeded, match=f"arity {arity} is beyond the cap"):
+            OperationTable(arity, 2, [0])
     # any sequence of integers: a generator, bools, numpy integer scalars;
     # entries are Python ints whatever came in
     for entries in ((v % 2 for v in range(4)), [False, True, False, True],

@@ -131,3 +131,61 @@ def test_parse_rejects_garbage():
         parse_algebra("algebra a\n")
     with pytest.raises(ParseError, match="unexpected character"):
         parse_term("wedge(x, !)")
+
+
+def test_parse_full_width_digits():
+    # decimal digits other than ASCII read as `int` reads them
+    alg = parse_algebra("algebra a\nsize 2\nop f 2\n０ １\n１ ０１\n")
+    assert alg.op("f").entries == (0, 1, 1, 1)
+    assert alg == parse_algebra("algebra a\nsize 2\nop f 2\n0 1\n1 01\n")
+
+
+def test_parse_entry_past_int64():
+    with pytest.raises(ParseError) as err:
+        parse_algebra("algebra a\nsize 2\nop f 2\n0 1\n1 99999999999999999999999\n")
+    assert (err.value.line, err.value.col) == (5, 2)
+    assert err.value.reason == "entry 99999999999999999999999 out of range 0..1"
+    with pytest.raises(ParseError) as err:
+        parse_algebra("algebra a\nsize 2\nop f 1\n0 0018446744073709551617\n")
+    assert (err.value.line, err.value.col) == (4, 2)
+    assert err.value.reason == "entry 18446744073709551617 out of range 0..1"
+
+
+def test_parse_entry_past_int_digit_limit():
+    # an entry longer than `int` converts (4300 digits) is a parse error too,
+    # in ASCII and in full-width digits
+    for one in ("1", "１"):
+        with pytest.raises(ParseError) as err:
+            parse_algebra(f"algebra a\nsize 2\nop f 1\n0 {one * 5000}\n")
+        assert (err.value.line, err.value.col) == (4, 2)
+        assert err.value.reason == f"entry {'1' * 5000} out of range 0..1"
+
+
+@pytest.mark.parametrize("text, where, entry", [
+    # before a line that makes the table too long
+    ("op f 1\n5\n0 1\n", (4, 1), 5),
+    ("op f 2\n0 1\n1 0 3 9\n", (5, 3), 3),
+    # before a directive or a line that is not entries
+    ("op f 2\n0 1\n7\nop g 1\n0 1\n", (5, 1), 7),
+    ("op f 2\n1 0 1 1\nop g 1\n0\n1 1 0 2\n", (7, 4), 2),
+    ("op f 2\n0 2\nx y\n", (4, 2), 2),
+    # before the end of the file
+    ("op f 3\n0 1\n1 # a comment\n1 00000000000000000000000000003\n", (6, 2), 3),
+    ("op f 3\n0 1\n\n0 1 0 4\n", (6, 4), 4),
+])
+def test_parse_first_out_of_range_wins(text, where, entry):
+    with pytest.raises(ParseError) as err:
+        parse_algebra("algebra a\nsize 2\n" + text)
+    assert (err.value.line, err.value.col) == where
+    assert err.value.reason == f"entry {entry} out of range 0..1"
+
+
+def test_parse_table_split_by_comments():
+    whole = parse_algebra("algebra a\nsize 3\nop f 2\n0 1 2 1 1 2 2 2 2\n"
+                          "op g 1\n2 0 1\n")
+    split = parse_algebra("algebra a\nsize 3\nop f 2   # comment\n"
+                          "# a comment line\n0 1\n\n   \n2 1 1 # row\n"
+                          "2\t2\n# again\n\n2 2\nop g 1\n2\n\n0 1 # last\n")
+    assert split == whole
+    assert [t.entries for t in split.operations.values()] == \
+        [t.entries for t in whole.operations.values()]
