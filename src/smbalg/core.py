@@ -30,6 +30,7 @@ lives in `smbalg.oracles`.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -57,6 +58,14 @@ class PreconditionError(AlgebraError):
 class CapExceeded(RuntimeError):
     """A size cap would be exceeded; raised before the work starts, never
     by silent truncation."""
+
+
+def fits_int(digits: str) -> bool:
+    """Whether `int` converts `digits`, a string of decimal digits: it
+    refuses more digits than `sys.get_int_max_str_digits()` (0: no limit),
+    leading zeros included."""
+    limit = sys.get_int_max_str_digits()
+    return not limit or len(digits) <= limit
 
 
 class FalsificationError(RuntimeError):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import (MAX_VARIABLES, AlgebraError, App, Const, FiniteAlgebra,
                    Identity, OperationTable, Quasiidentity, Term, Var,
-                   materialize_term)
+                   fits_int, materialize_term)
 
 
 class ParseError(ValueError):
@@ -41,6 +41,19 @@ class ParseError(ValueError):
         self.col = col
         self.reason = reason
         super().__init__(f"line {line}, column {col}: {reason}")
+
+
+def _number(digits: str, line: int, col: int) -> int:
+    """`digits`, a string of decimal digits at (line, col), as an int; a
+    ParseError there when it has more digits than `int` converts."""
+    if not fits_int(digits):
+        raise ParseError(line, col, f"a number of {len(digits)} digits is out of range")
+    return int(digits)
+
+
+def _column(body: str, index: int) -> int:
+    """The column of the whitespace-separated token `index` of `body`."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", body)][index]
 
 
 _TOKEN_RE = re.compile(r"\s*(->|[A-Za-z_][A-Za-z0-9_]*|@?\d+|[(),=&|])")
@@ -62,9 +75,9 @@ def _tokenize(text: str, line: int = 1):
             tok = m.group(1)
             col = pos + 1
             if tok.startswith("@"):
-                tokens.append(("const", int(tok[1:]), lineno, col))
+                tokens.append(("const", _number(tok[1:], lineno, col + 1), lineno, col))
             elif tok.isdecimal():
-                tokens.append(("int", int(tok), lineno, col))
+                tokens.append(("int", _number(tok, lineno, col), lineno, col))
             elif tok[0].isalpha() or tok[0] == "_":
                 tokens.append(("name", tok, lineno, col))
             else:
@@ -273,15 +286,17 @@ def parse_algebra(text: str) -> FiniteAlgebra:
                 raise ParseError(lineno, 1, "'size' before 'algebra'")
             if size is not None:
                 raise ParseError(lineno, 1, "duplicate 'size' line")
-            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(lineno, 1, "usage: size N with N >= 1")
-            size = int(tokens[1])
+            size = _number(tokens[1], lineno, _column(body, 1))
+            if size < 1:
+                raise ParseError(lineno, 1, "usage: size N with N >= 1")
         elif head == "op":
             if size is None:
                 raise ParseError(lineno, 1, "'op' before 'size'")
             if len(tokens) != 3 or not tokens[2].isdecimal():
                 raise ParseError(lineno, 1, "usage: op NAME ARITY")
-            sym, arity = tokens[1], int(tokens[2])
+            sym, arity = tokens[1], _number(tokens[2], lineno, _column(body, 2))
             if arity < 1:
                 raise ParseError(lineno, 1, f"arity must be >= 1, got {arity}")
             if arity > MAX_VARIABLES:        # before size ** arity is computed
@@ -299,7 +314,8 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s+(\d+)\s*=\s*(.+)$", rest)
             if not m:
                 raise ParseError(lineno, 1, "usage: derive NAME ARITY = TERM")
-            sym, arity, term_text = m.group(1), int(m.group(2)), m.group(3)
+            sym, term_text = m.group(1), m.group(3)
+            arity = _number(m.group(2), lineno, len(body) - len(rest) + m.start(2) + 1)
             if arity < 1:
                 raise ParseError(lineno, 1, f"arity must be >= 1, got {arity}")
             if sym in symbols:

@@ -11,14 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import AlgebraError
+from .core import AlgebraError, fits_int
 
 
 def parse_element(token: str, where: str) -> int:
     """An element written in decimal digits, as `.alg` files write it; any
-    other spelling `int` takes (a sign, `_`, spaces) is a bad element."""
+    other spelling `int` takes (a sign, `_`, spaces) is a bad element, and
+    one of more digits than `int` converts is out of range."""
     if not token.isdecimal():
         raise AlgebraError(f"bad element {token!r} in {where}")
+    if not fits_int(token):
+        raise AlgebraError(f"element of {len(token)} digits in {where} is out of range")
     return int(token)
 
 

@@ -19,10 +19,12 @@ combination of the leading arguments.  The argument combinations of a
 round are cut into boxes by `_blocks`, which the term kernel of `core`
 shares, so that neither the gathered rows nor the keys of a box exceed
 `core.BLOCK_SIZE` (the term kernel bounds its boxes the same way, in the
-values of all its steps); `_apply_block` evaluates a box by gathering one
-row per leading combination and coordinate and indexing it by the last
-argument.  The one table-size cap, `core.FAST_CLOSURE_SPACE_CAP`, is read
-at call time: it picks the bitmap over sorted keys and bounds A^4.
+values of all its steps); the lanes that grew alike in the last round
+share each box, stacked along one more range, and `_apply_block`
+evaluates a box by gathering one row per leading combination, lane and
+coordinate and indexing it by the last argument.  The one table-size
+cap, `core.FAST_CLOSURE_SPACE_CAP`, is read at call time: it picks the
+bitmap over sorted keys and bounds A^4.
 `generate_subpower` wraps the rows and steps of one lane, as they come,
 in a `GeneratedSet`, and `d_rels` those of one lane per generator pair;
 these sets are used wherever witnesses must be replayed (D-relations,
@@ -194,29 +196,38 @@ def replay_steps(alg: FiniteAlgebra, sets: Sequence[GeneratedSet],
 
 def _apply_block(tables: np.ndarray, heads: np.ndarray, columns: np.ndarray,
                  box: list, n: int) -> np.ndarray:
-    """Keys of op(x_1, .., x_r) for x_1 over the rows in box[0] of `heads`
-    and x_i, i > 1, over the element rows in box[i], in lexicographic
-    order of the combination (last argument fastest).
+    """Keys of op(x_1, .., x_r) in every lane of box[-2], for x_1 over the
+    rows in box[0] of that lane's `heads`, x_i, 1 < i < r, over its element
+    rows in box[i - 1] and x_r over box[-1] (for r = 1, x_1 is the last
+    argument, read in `heads`), in lexicographic order of (x_1, ..,
+    x_(r-1), lane, x_r): the lane counts as one more leading argument,
+    just before the last.
 
-    `tables[c]` is the operation table times the weight of coordinate c,
-    laid out as n**(r-1) rows of n values, one row per combination of the
-    leading arguments.  For each coordinate the leading arguments' columns
-    pick one row per leading combination, the last argument's column
-    indexes into those rows, and the k coordinates are summed.  A box
-    with L leading combinations gathers k * n * L row values, which
-    `_subpower_closure` keeps within BLOCK_SIZE along with its keys.
+    `heads` and `columns` are (k, rows, lanes), the rows of lanes of one
+    shape side by side.  `tables[c]` is the operation table times the
+    weight of coordinate c, laid out as n**(r-1) rows of n values, one row
+    per combination of the leading arguments.  For each coordinate the
+    leading arguments' columns pick one row per leading combination and
+    lane; the rows of the lanes lie side by side, so the last argument's
+    column plus n times its lane indexes into them; and the k coordinates
+    are summed.  A box with L leading combinations and lanes gathers
+    k * n * L row values, which `_subpower_closure` keeps within BLOCK_SIZE
+    along with its keys.
     """
-    *lead, (lo, hi) = box
-    if lead:        # (k, leading combinations): the row each one picks
-        at = heads[:, lead[0][0]:lead[0][1]]
-        for a, b in lead[1:]:
-            at = (at[:, :, None] * n + columns[:, None, a:b]).reshape(len(columns), -1)
-        last = columns[:, lo:hi]
+    *lead, (a, b), (lo, hi) = box
+    if lead:        # (k, leading combinations, lanes): the row each one picks
+        at = heads[:, lead[0][0]:lead[0][1], a:b]
+        for c, d in lead[1:]:
+            at = (at[:, :, None] * n + columns[:, None, c:d, a:b]).reshape(len(at), -1, b - a)
+        last = columns[:, lo:hi, a:b]
     else:
-        at, last = np.zeros((len(heads), 1), dtype=np.int64), heads[:, lo:hi]
+        at, last = np.zeros((len(heads), 1, b - a), dtype=np.int64), heads[:, lo:hi, a:b]
+    if b - a > 1:   # lane l's n row values come l-th; one lane needs no shift
+        last = last + np.arange(0, (b - a) * n, n)
+    last = last.transpose(0, 2, 1).reshape(len(last), -1)
     key = 0
-    for table, row, col in zip(tables, at, last):
-        key += table[row][:, col]
+    for table, row, col in zip(tables, at, last):     # take copies whole rows
+        key += table.take(row, axis=0).reshape(len(row), -1)[:, col]
     return key.ravel()
 
 
@@ -241,18 +252,26 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     most core.FAST_CLOSURE_SPACE_CAP keys, and by binary search in the sorted
     known keys above it.  Each round lays every lane's rows out in one
     contiguous run, so a lane's argument combinations are a product of
-    index ranges, cut into boxes by `_blocks` and evaluated by
-    `_apply_block`.  Each operation's weighted tables are laid out once per
-    call as (k, n**(r-1), n): for coordinate c, one row of n values per
-    combination of the r - 1 leading arguments.  A box gathers k * n row
-    values per leading combination, more than its keys when the last range
-    is shorter than k * n, so `_blocks` charges the last range as at least
-    k * n long and keeps both within BLOCK_SIZE.  A box's keys come in
-    lexicographic order of the combination, last argument fastest, and are
-    filtered against the known ones at once; each new key's step is its
-    flat index unravelled against its box.  The new keys of all lanes are
-    sorted together once per round, where a key's first occurrence gives
-    its step and each lane takes its slice of rows and steps.
+    index ranges.  Lanes that grew to the same (old, total) row counts have
+    the same ranges, so their columns are stacked, and for each operation
+    and argument position one product covers all of them, with the lane
+    range just before the last argument; it is cut into boxes by `_blocks`
+    and evaluated by `_apply_block`.  Lanes of other shapes are never padded
+    into a box, so every combination evaluated is one its lane needs.  Each
+    operation's weighted tables are laid out once per call as (k, n**(r-1),
+    n): for coordinate c, one row of n values per combination of the r - 1
+    leading arguments.  A box gathers k * n row values per leading
+    combination and lane, more than its keys when the last range is shorter
+    than k * n, so `_blocks` charges the last range as at least k * n long
+    and keeps both within BLOCK_SIZE.  A box's keys come in lexicographic
+    order of the combination and lane (lane just before the last argument),
+    get their lane's offset, and are filtered against the known ones at
+    once; each new key's step is its flat index unravelled against its box,
+    lane dropped.  Within one lane the combinations still come in the order
+    of `generate_subpower`, and keys of different lanes never collide, so
+    when the new keys of all lanes are sorted together once per round, a
+    key's first occurrence gives the step it has in its lane alone, and
+    each lane takes its slice of rows and steps.
 
     `group` is a closed group G of coordinate permutations, identity
     first (in practice `_KLEIN_GROUP`), and takes one lane only: g moves
@@ -308,7 +327,7 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
         if lane.ndim != 2 or lane.shape[1] != k or lane.dtype.kind not in "iu":
             raise AlgebraError(f"generators must be tuples of {k} integers")
         gens.append(lane)
-    offsets = [lane * space for lane in range(len(gens))]
+    offsets = np.array([lane * space for lane in range(len(gens))], dtype=np.int64)
     ends = offsets[1:]                   # where each lane's keys end
     sizes = [len(lane) for lane in gens]
     gens = np.concatenate(gens).astype(np.int64, copy=False)
@@ -316,7 +335,7 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
         raise AlgebraError(f"generators have entries outside 0..{n - 1}")
 
     weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    keys = gens @ weights + np.repeat(np.array(offsets), sizes)
+    keys = gens @ weights + np.repeat(offsets, sizes)
     known, first = np.unique(keys, return_index=True)
     if len(offsets) * space <= core.FAST_CLOSURE_SPACE_CAP:
         visited = np.zeros(len(offsets) * space, dtype=bool)
@@ -324,10 +343,9 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
     else:
         visited = None
 
-    def unseen(keys, off):
+    def unseen(keys):
         if visited is not None:
-            return ~visited[off:off + space][keys]
-        keys = keys + off
+            return ~visited[keys]
         return known[np.minimum(np.searchsorted(known, keys), len(known) - 1)] != keys
 
     def least(new):
@@ -351,7 +369,7 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
     steps = np.full((len(new), width), -1, dtype=np.int64)    # the generators'
     if not traced:
         orbit = weights[np.array(group)]
-        if unseen((new @ orbit.T).ravel(), 0).any():
+        if unseen((new @ orbit.T).ravel()).any():
             raise AlgebraError(f"generators are not invariant under the group {group}")
         heads, heads_old = least(new), 0
     while True:
@@ -365,34 +383,46 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
         rows = np.concatenate([chunk for part in parts for chunk in part])
         yield rows
         columns = np.ascontiguousarray(rows.T)
-        spans = []             # (lane, its head columns, its columns) if it grew
+        shapes = {}            # (old, total) -> (lane, first row) of the lanes that grew so
         start = 0
         for lane, size in enumerate(total):
             if size > old[lane]:
-                lane_columns = columns[:, start:start + size]
-                spans.append((lane, lane_columns if traced else lane_columns[:, heads],
-                              lane_columns))
+                shapes.setdefault((old[lane], size), []).append((lane, start))
             start += size
+        groups = []            # per shape: its lanes' key offsets and columns
+        for (was, size), grown in shapes.items():
+            if len(grown) == 1:         # a lone lane's columns are a view
+                (lane, start), = grown
+                stack = columns[:, start:start + size, None]
+                lane_keys = offsets[lane:lane + 1, None]
+            else:
+                grown = np.array(grown)
+                stack = columns[:, grown[:, 1] + np.arange(size)[:, None]]
+                lane_keys = offsets[grown[:, :1]]
+            groups.append((was, size, lane_keys, stack if traced else stack[:, heads], stack))
         found, found_steps = [], []
         for o, (arity, tables) in enumerate(ops):
             for pos in range(arity):
-                for lane, head_columns, lane_columns in spans:
-                    bounds = ([(0, old[lane])] * pos + [(old[lane], total[lane])]
-                              + [(0, total[lane])] * (arity - 1 - pos))
+                for was, size, lane_keys, head_columns, stack in groups:
+                    bounds = [(0, was)] * pos + [(was, size)] + [(0, size)] * (arity - 1 - pos)
                     if not traced:
                         bounds[0] = (0, heads_old) if pos else (heads_old, len(heads))
+                    bounds.insert(-1, (0, len(lane_keys)))   # the lanes, before the last argument
                     for box in _blocks(bounds, k * n):
-                        keys = _apply_block(tables, head_columns, lane_columns, box, n)
-                        at = unseen(keys, offsets[lane]).nonzero()[0]
+                        keys = _apply_block(tables, head_columns, stack, box, n)
+                        (a, b), (lo, hi) = box[-2:]
+                        by_lane = keys.reshape(-1, b - a, hi - lo)
+                        by_lane += lane_keys[a:b]
+                        at = unseen(keys).nonzero()[0]
                         keys = keys[at]      # lets the whole box go before the next
                         if not len(at):
                             continue
                         if traced:
-                            keys += offsets[lane]
                             step = np.full((len(at), width), -1, dtype=np.int64)
                             step[:, 0] = o
-                            at = np.unravel_index(at, [hi - lo for lo, hi in box])
-                            step[:, 1:1 + arity] = np.stack(at, axis=1) + [lo for lo, _ in box]
+                            *lead, _, end = np.unravel_index(at, [hi - lo for lo, hi in box])
+                            step[:, 1:1 + arity] = (np.stack([*lead, end], axis=1)
+                                                    + [lo for lo, _ in box[:-2] + box[-1:]])
                             found_steps.append(step)
                         else:    # whole orbits, so later boxes see them as known
                             # return_index, since plain np.unique imports numpy.ma

@@ -313,6 +313,30 @@ def test_non_decimal_elements_exit(e3_file, capsys, argv):
     assert "bad element" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    f"algebra x\nsize {'1' * 5000}\nop f 1\n0\n",
+    f"algebra x\nsize 2\nop f {'1' * 5000}\n0 1\n",
+    f"algebra x\nsize 2\nop f 1\n1 0\nderive g {'1' * 5000} = f(x)\n",
+    f"algebra x\nsize 2\nop f 1\n1 0\nderive g 1 = f(@{'1' * 5000})\n",
+])
+def test_long_numbers_in_file_exit(tmp_path, capsys, text):
+    # more digits than `int` converts: a parse error, not a traceback
+    bad = tmp_path / "long.alg"
+    bad.write_text(text)
+    assert main(["check-smb", str(bad)]) == 2
+    assert "digits is out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cg", "{file}", "0", "1" * 5000],
+    ["check-smb", "{file}", "--sim", f"0 1 | {'2' * 5000}"],
+    ["commutator", "{file}", f"0 {'0' * 4999}1 | 2", "0 1 2"],
+])
+def test_long_elements_exit(e3_file, capsys, argv):
+    assert main([a.format(file=e3_file) for a in argv]) == 2
+    assert "5000 digits" in capsys.readouterr().err
+
+
 def test_non_utf8_file_exit(tmp_path, capsys):
     bad = tmp_path / "latin1.alg"
     bad.write_bytes("algebra café\nsize 1\nop f 1\n0\n".encode("latin-1"))

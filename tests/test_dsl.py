@@ -161,6 +161,27 @@ def test_parse_entry_past_int_digit_limit():
         assert err.value.reason == f"entry {'1' * 5000} out of range 0..1"
 
 
+LONG = "1" * 5000      # more digits than `int` converts (4300)
+
+
+@pytest.mark.parametrize("text, where, digits", [
+    (f"algebra a\nsize {LONG}\n", (2, 6), 5000),
+    (f"algebra a\nsize  0{LONG}\nop f 1\n0\n", (2, 7), 5001),   # zeros count
+    (f"algebra a\nsize 2\nop f {LONG}\n0 1\n", (3, 6), 5000),
+    (f"algebra a\nsize 2\nop f 1\n1 0\nderive  g {LONG} = f(x)\n", (5, 11), 5000),
+    # term literals, at their columns in the term text
+    (f"algebra a\nsize 2\nop f 1\n1 0\nderive g 1 = f(@{LONG})\n", (5, 4), 5000),
+    (f"algebra a\nsize 2\nop f 1\n1 0\nderive g 1 = f({LONG})\n", (5, 3), 5000),
+])
+def test_parse_number_past_int_digit_limit(text, where, digits):
+    # a size, an arity or a term literal longer than `int` converts is a
+    # parse error at the number, not a ValueError from `int`
+    with pytest.raises(ParseError) as err:
+        parse_algebra(text)
+    assert (err.value.line, err.value.col) == where
+    assert err.value.reason == f"a number of {digits} digits is out of range"
+
+
 @pytest.mark.parametrize("text, where, entry", [
     # before a line that makes the table too long
     ("op f 1\n5\n0 1\n", (4, 1), 5),

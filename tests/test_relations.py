@@ -273,45 +273,61 @@ def test_replay_steps_flags_a_late_parent(e3):
     assert np.array_equal(values[:, len(gen):][:, ~unreached], gen.rows.T[:, ~unreached])
 
 
+def d_rel_lanes(alg):
+    """The generator sets of the D-relations of all pairs a <= b of `alg`,
+    as `d_rels` lays them out: many lanes of one shape."""
+    diagonal = [(c, c) for c in range(alg.size)]
+    return [[(a, b), (b, a)] + diagonal
+            for a, b in itertools.combinations_with_replacement(range(alg.size), 2)]
+
+
 def test_generate_subpower_order_is_checked():
-    # two broken copies must each fail the differential test above: one that
-    # traces a tuple to the last combination producing it in its round, not
-    # the first, and one that unravels a combination's flat index with the
-    # first argument fastest, not the last
+    # three broken copies must each fail the differential tests above, on
+    # single lanes, the lane cases below and the D-relations of an algebra
+    # of size 5: one that traces a tuple to the last combination producing
+    # it in its round, not the first, one that unravels a combination's flat
+    # index with the first argument fastest, not the last, and one that
+    # unravels it with the lane fastest, not the last argument
     source = inspect.getsource(relations._closure_rounds)
+    decode = "*lead, _, end = np.unravel_index(at, [hi - lo for lo, hi in box])"
+    cases = [(alg, k, [gens]) for alg, k, gens in random_closure_cases()] + list(lane_cases())
+    d_alg, _ = regularized_glued(3, (2, 2, 1))
+    cases.append((d_alg, 2, d_rel_lanes(d_alg)))
+    want = [[closure_in_rounds(alg, k, gens) for gens in lanes] for alg, k, lanes in cases]
     for line, mutant in [
             ("keys, first = np.unique(np.concatenate(found), return_index=True)",
              "keys, first = np.unique(np.concatenate(found)[::-1], return_index=True); "
              "first = sum(map(len, found)) - 1 - first"),
-            ("at = np.unravel_index(at, [hi - lo for lo, hi in box])",
-             "at = np.unravel_index(at, [hi - lo for lo, hi in box], order=\"F\")")]:
+            (decode, decode.replace("in box])", "in box], order=\"F\")")),
+            (decode, "*lead, end, _ = np.unravel_index("
+                     "at, [hi - lo for lo, hi in box[:-2] + box[:-3:-1]])")]:
         broken = source.replace(line, mutant)
         assert broken != source
         namespace = dict(vars(relations))
         exec(broken, namespace)
         exec(inspect.getsource(relations._subpower_closure), namespace)
         exec(inspect.getsource(relations._generated_sets), namespace)
-        exec(inspect.getsource(relations.generate_subpower), namespace)
         mismatches = 0
-        for alg, k, gens in random_closure_cases():
-            gen = namespace["generate_subpower"](alg, k, gens)
-            mismatches += decoded(gen) != closure_in_rounds(alg, k, gens)
-        assert mismatches > 0, line
+        for (alg, k, lanes), wanted in zip(cases, want):
+            got = namespace["_generated_sets"](alg, k, lanes)
+            mismatches += sum(decoded(gen) != w for gen, w in zip(got, wanted))
+        assert mismatches > 0, mutant
 
 
 def kernel_cases():
-    """Seeded random tables of arity 1-3 for k = 1, 2 and 4, each with k
-    element columns of 4-8 rows, argument 0 over a sorted subset of those
-    rows that leaves out row 0 (so never a prefix, as the orbit
-    representatives under `_KLEIN_GROUP`), and index ranges that start
-    past 0: (table, k, n, head columns, columns, bounds)."""
+    """Seeded random tables of arity 1-3 for k = 1, 2 and 4, each with 1 or
+    3 lanes of k element columns of 4-8 rows, argument 0 over a sorted
+    subset of those rows that leaves out row 0 (so never a prefix, as the
+    orbit representatives under `_KLEIN_GROUP`), and index ranges that
+    start past 0: (table, k, n, head columns, columns, bounds), the columns
+    (k, rows, lanes) as `_closure_rounds` stacks them."""
     rng = random.Random(2323)
-    for arity, k, n in itertools.product((1, 2, 3), (1, 2, 4), (2, 3, 5)):
+    for arity, k, n, lanes in itertools.product((1, 2, 3), (1, 2, 4), (2, 3, 5), (1, 3)):
         for _ in range(2):
             table = OperationTable(arity, n, [rng.randrange(n) for _ in range(n ** arity)])
             rows = rng.randrange(4, 9)
-            columns = np.array([[rng.randrange(n) for _ in range(rows)] for _ in range(k)],
-                               dtype=np.int64)
+            columns = np.array([[[rng.randrange(n) for _ in range(lanes)] for _ in range(rows)]
+                                for _ in range(k)], dtype=np.int64)
             heads = sorted(rng.sample(range(1, rows), rng.randrange(2, rows)))
             bounds = []
             for size in [len(heads)] + [rows] * (arity - 1):
@@ -321,12 +337,15 @@ def kernel_cases():
 
 
 def kernel_reference(table, k, n, heads, columns, bounds):
-    """The keys of the box `bounds`, one combination at a time in
-    lexicographic order: argument 0 from `heads`, the others from
-    `columns`, coordinate c weighted by n**(k - 1 - c)."""
+    """The keys of the box `bounds` in every lane, one combination at a
+    time in lexicographic order of the leading arguments, the lane and the
+    last argument: argument 0 from `heads`, the others from `columns`,
+    coordinate c weighted by n**(k - 1 - c)."""
     keys = []
-    for combo in itertools.product(*(range(lo, hi) for lo, hi in bounds)):
-        args = [heads[:, combo[0]]] + [columns[:, i] for i in combo[1:]]
+    ranges = [range(lo, hi) for lo, hi in bounds]
+    for *lead, lane, end in itertools.product(*ranges[:-1], range(heads.shape[2]), ranges[-1]):
+        combo = lead + [end]
+        args = [heads[:, combo[0], lane]] + [columns[:, i, lane] for i in combo[1:]]
         keys.append(sum(n ** (k - 1 - c) * table.apply(*(int(a[c]) for a in args))
                         for c in range(k)))
     return keys
@@ -334,16 +353,17 @@ def kernel_reference(table, k, n, heads, columns, bounds):
 
 def kernel_mismatches(kernel, monkeypatch):
     """Cases where the keys of `kernel` over the boxes that `_blocks` cuts
-    (each table laid out as `_subpower_closure` lays it out), taken in
-    box order, differ from the reference; with whole boxes and with boxes
-    of at most 6 combinations."""
+    (each table laid out as `_subpower_closure` lays it out, the lanes just
+    before the last argument), taken in box order, differ from the
+    reference; with whole boxes and with boxes of at most 6 combinations."""
     bad = cut = 0
     for block in (6, 1 << 20):
         monkeypatch.setattr(core, "BLOCK_SIZE", block)
         for table, k, n, heads, columns, bounds in kernel_cases():
             weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
             tables = (weights[:, None] * table.array).reshape(k, -1, n)
-            boxes = list(core._blocks(bounds, k * n))
+            lanes = [(0, columns.shape[2])]
+            boxes = list(core._blocks(bounds[:-1] + lanes + bounds[-1:], k * n))
             cut += len(boxes) > 1
             got = [key for box in boxes
                    for key in kernel(tables, heads, columns, box, n).tolist()]
@@ -370,9 +390,11 @@ def test_apply_block_order_is_checked(monkeypatch):
 def test_boxes_keep_rows_and_keys_within_block_size(monkeypatch):
     # under a small BLOCK_SIZE, on closures whose semi-naive last range is
     # at times shorter than n, no kernel call gathers more than BLOCK_SIZE
-    # row values (k * n per leading combination) or keys, and the closures
-    # stay exact: the traced D_{0,4} in A^2 and the Klein-orbit closure of
-    # M(Cg(0, 1), 1_A) in A^4, on a regularized glued algebra of size 5
+    # row values (k * n per leading combination and lane) or keys, and the
+    # closures stay exact: the traced D_{0,4} in A^2, the Klein-orbit
+    # closure of M(Cg(0, 1), 1_A) in A^4 and the D-relations of all pairs,
+    # whose lanes of one shape share boxes, on a regularized glued algebra
+    # of size 5
     alg, _ = regularized_glued(3, (2, 2, 1))
     n, block = alg.size, 64
     gens = [(0, 4), (4, 0)] + [(c, c) for c in range(n)]
@@ -380,12 +402,14 @@ def test_boxes_keep_rows_and_keys_within_block_size(monkeypatch):
     matrix_gens = ([(a, a, b, b) for a, b in pairs]
                    + [(c, d, c, d) for c, d in Partition.one(n).pairs()])
     (plain, _), = relations._subpower_closure(alg, 4, [matrix_gens])
+    lanes = d_rel_lanes(alg)
+    want = [closure_in_rounds(alg, 2, gens) for gens in lanes]
     kernel, calls = relations._apply_block, []
 
     def spy(tables, heads, columns, box, n):
         lead = int(np.prod([hi - lo for lo, hi in box[:-1]]))
         last = box[-1][1] - box[-1][0]
-        calls.append((lead * len(tables) * n, lead * last, last < n))
+        calls.append((lead * len(tables) * n, lead * last, last < n, box[-2][1] - box[-2][0]))
         return kernel(tables, heads, columns, box, n)
 
     monkeypatch.setattr(core, "BLOCK_SIZE", block)
@@ -393,10 +417,45 @@ def test_boxes_keep_rows_and_keys_within_block_size(monkeypatch):
     assert_matches_rounds(generate_subpower(alg, 2, gens), alg, 2, gens)
     traced = len(calls)
     assert klein_matrices(alg, pairs, Partition.one(n)).tolist() == plain.tolist()
-    assert any(short for _, _, short in calls[:traced])
-    assert any(short for _, _, short in calls[traced:])
-    assert max(values for values, _, _ in calls) <= block
-    assert max(keys for _, keys, _ in calls) <= block
+    klein = len(calls)
+    assert [decoded(gen) for gen in d_rels(alg, [lane[0] for lane in lanes])] == want
+    assert any(short for _, _, short, _ in calls[:traced])
+    assert any(short for _, _, short, _ in calls[traced:klein])
+    assert max(stacked for *_, stacked in calls[klein:]) > 1
+    assert max(values for values, *_ in calls) <= block
+    assert max(keys for _, keys, *_ in calls) <= block
+
+
+def test_one_kernel_call_per_lane_shape(monkeypatch):
+    # d_rels over all pairs a <= b of a regularized glued algebra of size 8:
+    # in each round, one `_apply_block` call per operation, argument
+    # position and (old, total) row counts of the lanes that grew, since no
+    # box is cut (while old is 0, only position 0 has combinations); the
+    # counts are those of each lane closed alone
+    alg, _ = regularized_glued(3, (3, 3, 2))
+    lanes = d_rel_lanes(alg)
+    grew = []                    # per lane: its (old, total) in each round
+    for lane in lanes:
+        sizes = [len(rows) for rows in relations._closure_rounds(alg, 2, [lane])]
+        grew.append(list(zip([0] + sizes, sizes)))
+    arities = [t.arity for t in alg.operations.values()]
+
+    def boxes(shapes):
+        return sum(arity if old else 1 for old, _ in shapes for arity in arities)
+
+    want = [boxes({shapes[r] for shapes in grew if r < len(shapes)})
+            for r in range(max(map(len, grew)))]
+    kernel, calls = relations._apply_block, []
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(relations, "_apply_block", spy)
+    ends = [len(calls) for _ in relations._closure_rounds(alg, 2, lanes)]
+    assert np.diff(ends + [len(calls)]).tolist() == want
+    # one box per lane, as each lane's own closure makes, would be 6 times as many
+    assert 6 * len(calls) < sum(boxes(shapes) for shapes in grew)
 
 
 def lane_cases():
