@@ -18,10 +18,10 @@ oracle in `smbalg.oracles`, for the tests.
 Besides recognition, the module checks regularity and its twelve-identity
 equational base, verifies the principal-congruence decomposition
 Cg(a,b) = D o D o D with six-step polynomial witnesses (for many generator
-pairs in one pass: one lane closure, batched matrix products and one
-replay of the derivation arrays, which is all the CLI runs; library
-callers also get the chains, built as terms and replayed in one
-term-kernel pass), and runs the congruence/commutator biconditionals
+pairs in one pass: one lane closure, one batched D^2 for the chain
+midpoints and one replay of the derivation arrays, which is all the CLI
+runs; library callers also get the chains, built as terms and replayed
+in one term-kernel pass), and runs the congruence/commutator biconditionals
 that hold in the regular case, reading A/sim off the cached `check_regular_base`.
 
 The biconditional checkers compute both sides independently and raise
@@ -575,20 +575,25 @@ def _midpoints(dm: np.ndarray, d2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
     """The array check of `verify_cg_d3_pairs`, which builds no term:
-    (cgs, dsets, index, mid, chains, unequal) for the generator pairs, in
-    order, up to the first pair whose D^3 differs from Cg(a, b): `unequal`
-    is None, or the FalsificationError for that pair, which the caller
-    raises once it is done with the pairs before it.
+    (cgs, dsets, index, mid, chains) for the generator pairs, in order.
 
     The D-relations come from one lane closure (`d_rels`).  Each D is an
     n x n array of indices into its rows, -1 off D (the stack is `index`),
-    read as a boolean matrix; D^2 and D^3 are batched boolean matrix
-    products over the stack of all pairs, and every D^3 must equal the
-    relation of Cg(a,b) (`cgs`).  The chain for (c, d) runs c D e2 D e4 D d,
-    with one rule for every pair: e4 is the least element with D^2[c, e4]
-    and D[e4, d], and e2 the least with D[c, e2] and D[e2, e4] (`_midpoints`,
-    batched); `chains` has one row (pair, c, e2, e4, d) per related pair
-    (c, d) of each Cg(a, b), in pair order and then lexicographic.
+    read as a boolean matrix.  Every element (u, v) of D must lie in
+    Cg(a, b) (`cgs`), and every related pair (c, d) of Cg(a, b) gets a
+    chain c D e2 D e4 D d whose three links must be D-pairs, with one rule
+    for every pair: e4 is the least element with D^2[c, e4] and D[e4, d],
+    and e2 the least with D[c, e2] and D[e2, e4] (`_midpoints`, by argmax
+    over the stack of all D and its batched D^2).  `chains` has one row
+    (pair, c, e2, e4, d) per related pair (c, d) of each Cg(a, b), in pair
+    order and then lexicographic.
+
+    That decides Cg = D o D o D without a D^3: Cg is transitive, so D
+    within Cg gives D^3 within Cg, and a chain through D for every pair of
+    Cg gives Cg within D^3, whatever the argmax picked.  A pair of Cg with
+    no witness shows up as a link off D.  D^2 is computed only for
+    `_midpoints`; the tests compare the relation with an independent D^3
+    (`oracles.compose_relations`).
 
     Each element (u, v) of D is (q(a, b), q(b, a)) for the term q its steps
     spell over the generators (a, b) and (b, a) and constants (c, c).  The
@@ -596,11 +601,12 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
     at three leaf assignments: the generators' first coordinates, which must
     give u, their second coordinates, which must give v, and (a, b) and
     (b, a) read as a and (c, c) as c, which gives mid[pair, u, v] = q(a, a)
-    (-1 off D).  FalsificationError is raised for the first failing pair
-    before `unequal`, and within one pair in this order: a step reads a
-    parent not evaluated before it, a generator is not (a, b), (b, a) or
-    diagonal, a step does not replay, or a link (c, e2), (e2, e4) or
-    (e4, d) of a chain is not a D-pair.  Requires the regular base.
+    (-1 off D).  FalsificationError is raised for the first failing pair,
+    and within one pair in this order: a step reads a parent not evaluated
+    before it, a generator is not (a, b), (b, a) or diagonal, a step does
+    not replay, an element of D is not in Cg(a, b), or a link (c, e2),
+    (e2, e4) or (e4, d) of a chain is not a D-pair.  Requires the regular
+    base.
     """
     _regular_context(alg)
     n = alg.size
@@ -610,37 +616,32 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
     for l, dset in enumerate(dsets):
         index[l, dset.rows[:, 0], dset.rows[:, 1]] = np.arange(len(dset))
     dm = index >= 0
-    d2 = dm @ dm
-    d3 = d2 @ dm
     ids = np.array([cg.class_ids for cg in cgs], dtype=np.int64).reshape(-1, n)
-    in_cg = ids[:, :, None] == ids[:, None, :]
-    differ = (in_cg != d3).any(axis=(1, 2))
-    held = int(np.argmax(differ)) if differ.any() else len(pairs)   # pairs before a failure
-
-    e2, e4 = _midpoints(dm[:held], d2[:held])
-    ls, cs, ds = np.nonzero(in_cg[:held])
+    e2, e4 = _midpoints(dm, dm @ dm)
+    ls, cs, ds = np.nonzero(ids[:, :, None] == ids[:, None, :])
     chains = np.stack([ls, cs, e2[ls, cs, ds], e4[ls, cs, ds], ds], axis=1)
-    mid = np.full((held, n, n), -1, dtype=np.int64)
-    if held:
-        sizes = [len(dset) for dset in dsets[:held]]
-        lane = np.repeat(np.arange(held), sizes)
-        u, v = np.concatenate([dset.rows for dset in dsets[:held]]).T
-        a, b = np.array(pairs[:held], dtype=np.int64)[lane].T
+    mid = np.full((len(pairs), n, n), -1, dtype=np.int64)
+    if pairs:
+        lane = np.repeat(np.arange(len(pairs)), [len(dset) for dset in dsets])
+        u, v = np.concatenate([dset.rows for dset in dsets]).T
+        a, b = np.array(pairs, dtype=np.int64)[lane].T
         ends = ((u == a) & (v == b)) | ((u == b) & (v == a))
-        values, late = replay_steps(alg, dsets[:held], np.stack([u, v, np.where(ends, a, u)]))
-        stray = np.concatenate([dset.steps[:, 0] < 0 for dset in dsets[:held]]) & ~ends & (u != v)
+        values, late = replay_steps(alg, dsets, np.stack([u, v, np.where(ends, a, u)]))
+        stray = np.concatenate([dset.steps[:, 0] < 0 for dset in dsets]) & ~ends & (u != v)
         wrong = (values[0] != u) | (values[1] != v)
+        outside = ids[lane, u] != ids[lane, v]
         mid[lane, u, v] = values[2]
         _, c, m2, m4, d = chains.T
         off = ~(dm[ls, c, m2] & dm[ls, m2, m4] & dm[ls, m4, d])
-        failing = np.concatenate([lane[late | stray | wrong], ls[off]])
+        failing = np.concatenate([lane[late | stray | wrong | outside], ls[off]])
         if len(failing):
             l = int(failing.min())
             a, b = pairs[l]
             for flags, what in ((late, "reads a parent not evaluated before it"),
                                 (stray, f"is a generator but not ({a},{b}), ({b},{a}) "
                                         f"or diagonal"),
-                                (wrong, "does not replay: its step gives ({},{})")):
+                                (wrong, "does not replay: its step gives ({},{})"),
+                                (outside, f"is not in Cg({a},{b})")):
                 hit = np.flatnonzero(flags & (lane == l))
                 if len(hit):
                     i = int(hit[0])
@@ -651,14 +652,7 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
             raise FalsificationError(
                 f"witness chain for ({c},{d}) leaves D_({a},{b}) on '{alg.name}': "
                 f"its links are ({c},{m2}), ({m2},{m4}) and ({m4},{d})")
-    unequal = None
-    if held < len(pairs):
-        a, b = pairs[held]
-        diff = [tuple(p) for p in np.argwhere(in_cg[held] != d3[held])[:4].tolist()]
-        unequal = FalsificationError(
-            f"Cg({a},{b}) and the triple D-composition differ on '{alg.name}': "
-            f"symmetric difference {diff}")
-    return cgs, dsets, index, mid, chains, unequal
+    return cgs, dsets, index, mid, chains
 
 
 def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
@@ -668,33 +662,30 @@ def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
     per pair.
 
     This is the array check `_check_cg_d3` plus the chains: the check
-    confirms D^3 = Cg, replays every D-relation's steps and finds each
-    chain c D e2 D e4 D d and the midpoint of each D-pair.  Each link
-    (u, v) of a chain then gives two steps, built as terms over the
+    puts D within Cg, replays every D-relation's steps and finds each
+    chain c D e2 D e4 D d through D and the midpoint of each D-pair.  Each
+    link (u, v) of a chain then gives two steps, built as terms over the
     generators (a, b) and (b, a) (see `_d_pair_steps`).  The steps of the
     distinct D-pairs the chains of each generator pair use are built and
     replayed for all pairs together, in one term-kernel pass, against the
     replayed midpoints, and every chain through a D-pair shares the same
     two ChainStep objects.
 
-    Requires the regular base; inequality of the two sides, a failure of
-    the array check, or a step polynomial that fails to replay raises
-    FalsificationError for the first failing generator pair, and within
-    one pair the inequality first.
+    Requires the regular base.  FalsificationError is raised for the
+    first generator pair that fails the array check; when every pair
+    passes it, for the first pair with a step polynomial that fails to
+    replay.
     """
     pairs = list(pairs)
-    cgs, dsets, index, mid, chains, unequal = _check_cg_d3(alg, pairs)
+    cgs, dsets, index, mid, chains = _check_cg_d3(alg, pairs)
     walks = [{} for _ in pairs]         # per pair: (c, d) -> its three links
     links = [{} for _ in pairs]         # per pair: D-pair -> first chain through it
     for l, c, m2, m4, d in chains.tolist():
         chain = walks[l][(c, d)] = ((c, m2), (m2, m4), (m4, d))
         for pair in chain:
             links[l].setdefault(pair, (c, d))
-    held = len(mid)                     # the pairs before `unequal`
     steps = _d_pair_steps(alg, [(dsets[l], index[l], mid[l], a, b, links[l])
-                                for l, (a, b) in enumerate(pairs[:held])])
-    if unequal is not None:
-        raise unequal
+                                for l, (a, b) in enumerate(pairs)])
     out = []
     for (a, b), cg, walk, step in zip(pairs, cgs, walks, steps):
         linked = {cd: step[p1] + step[p2] + step[p3] for cd, (p1, p2, p3) in walk.items()}

@@ -62,9 +62,9 @@ class CapExceeded(RuntimeError):
 
 def fits_int(digits: str) -> bool:
     """Whether `int` converts `digits`, a string of decimal digits: it
-    refuses more digits than `sys.get_int_max_str_digits()` (0: no limit),
-    leading zeros included."""
-    limit = sys.get_int_max_str_digits()
+    refuses more digits than `sys.get_int_max_str_digits()` (0: no limit,
+    as on Pythons before 3.10.7, which lack it), leading zeros included."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     return not limit or len(digits) <= limit
 
 
@@ -642,8 +642,9 @@ def table_flags(table: OperationTable) -> OperationFlags:
     def dissident(pos: int) -> Term:      # w(x, ..., x) with y at pos
         return w(*(y if i == pos else x for i in range(k)))
 
-    # weak near-unanimity: idempotent and all one-dissident patterns agree;
-    # x o y := w(x, ..., x, y) is special when x o (x o y) = x o y
+    # weak near-unanimity: arity at least 2, idempotent, and all
+    # one-dissident patterns agree; x o y := w(x, ..., x, y) is special
+    # when x o (x o y) = x o y
     laws = [Identity(dissident(0), dissident(pos)) for pos in range(1, k)]
     laws.append(Identity(w(*[x] * (k - 1), dissident(k - 1)), dissident(k - 1)))
     if k == 3:
@@ -652,7 +653,7 @@ def table_flags(table: OperationTable) -> OperationFlags:
         laws.append(Identity(w(x, y), y))
     idem = idempotence_violation(table) is None
     holds = [v.holds for v in check_identities(alg, laws)]
-    wnu = idem and all(holds[:k - 1])
+    wnu = idem and k > 1 and all(holds[:k - 1])
     special = wnu and holds[k - 1]
     malcev = k == 3 and all(holds[k:])
     second_proj = k == 2 and holds[k]

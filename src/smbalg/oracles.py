@@ -19,7 +19,7 @@ re-export any of them; import them from `smbalg.oracles`.
   literal_power                   literal composition, against
                                   `pipeline.idempotent_power`
   compose_relations               set-based composition of binary relations,
-                                  against the boolean matrix products in
+                                  against the relation D o D o D of
                                   `analyzer.verify_cg_d3_pairs`
   eval_term                       pointwise evaluation of a term, node by
                                   node, against the numpy kernel

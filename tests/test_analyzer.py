@@ -580,14 +580,50 @@ def test_verify_cg_d3_rejects_wrong_kernel_value(e3, monkeypatch):
 
 
 def test_verify_cg_d3_rejects_dropped_d_pair(e3, monkeypatch):
-    # D_{0,1} on e3 is its five generators; without (1, 0), D^3 misses (1, 0)
+    # D_{0,1} on e3 is its five generators; without (1, 0), D^3 misses (1, 0),
+    # so the chain for (1, 0) of Cg(0,1) has a link off D
     full = d_rels(e3, [(0, 1)])[0]
     assert (full.steps == -1).all()
     keep = (full.rows != (1, 0)).any(axis=1)
     dropped = GeneratedSet(full.symbols, full.rows[keep], full.steps[keep])
     monkeypatch.setattr(analyzer, "d_rels", lambda alg, pairs: [dropped])
-    with pytest.raises(FalsificationError, match=re.escape("symmetric difference [(1, 0)]")):
+    message = ("witness chain for (1,0) leaves D_(0,1) on 'e3': its links are (1,0), (0,0) "
+               "and (0,0)")
+    with pytest.raises(FalsificationError, match=re.escape(message)):
         verify_cg_d3_pairs(e3, [(0, 1)])[0]
+
+
+def patch_cg(patch, pair, cg):
+    """`analyzer.principal_congruence` answers `cg` for the generator pair
+    `pair` and the true congruence for every other pair."""
+    real = analyzer.principal_congruence
+    patch.setattr(analyzer, "principal_congruence",
+                  lambda alg, a, b: cg if (a, b) == pair else real(alg, a, b))
+
+
+def assert_cg_d3_falsified(e3, tmp_path, capsys, pair, message):
+    """`verify cg-d3` on e3 exits 3 with `message`, and the library call on
+    `pair` alone raises it."""
+    code, out, err = verify_cg_d3_cli(e3, tmp_path / "e3.alg", capsys)
+    assert (code, out, err) == (3, "", f"falsification: {message}\n")
+    with pytest.raises(FalsificationError, match=re.escape(message)):
+        analyzer.verify_cg_d3_pairs(e3, [pair])
+
+
+def test_verify_cg_d3_rejects_cg_below_d(e3, tmp_path, monkeypatch, capsys):
+    # Cg(0,1) read as 0_A: D_(0,1) holds (0,1), which is not in it
+    patch_cg(monkeypatch, (0, 1), Partition.zero(3))
+    assert_cg_d3_falsified(e3, tmp_path, capsys, (0, 1),
+                           "element (0,1) of D_(0,1) on 'e3' is not in Cg(0,1)")
+
+
+def test_verify_cg_d3_rejects_cg_above_d3(e3, tmp_path, monkeypatch, capsys):
+    # Cg(0,0) read as 1_A: D_(0,0) is the diagonal, so no chain through it
+    # links two distinct elements
+    patch_cg(monkeypatch, (0, 0), Partition.one(3))
+    assert_cg_d3_falsified(e3, tmp_path, capsys, (0, 0),
+                           "witness chain for (0,1) leaves D_(0,0) on 'e3': its links "
+                           "are (0,0), (0,0) and (0,1)")
 
 
 def regularized_shapes():
@@ -642,9 +678,9 @@ def test_midpoints_chunked_match_unchunked(corpus, monkeypatch):
 
 def break_pairs(monkeypatch, cg_at=(), replay_at=()):
     """Patch `analyzer.d_rels`: the D-relation D_{a,b} at each index in
-    `cg_at` loses its generator (b, a), so its D^3 misses it, and the two step
-    builders of each index in `replay_at` swap their variables, so its
-    first step does not replay."""
+    `cg_at` loses its generator (b, a), so its array check fails, and the
+    two step builders of each index in `replay_at` swap their variables,
+    so its first step does not replay."""
     real, terms = analyzer.d_rels, GeneratedSet.terms
     swapped = []
 
@@ -668,17 +704,18 @@ def break_pairs(monkeypatch, cg_at=(), replay_at=()):
 
 
 def test_verify_cg_d3_pairs_error_order(e3, monkeypatch):
-    # the first failing pair in the given order raises, and within one
-    # pair the D^3 check comes before the replay, as in a loop of one-pair
-    # calls; a D-relation whose D^3 fails never has its traces read
+    # an array failure of any pair comes before a chain-term failure of any
+    # pair, and among failures of one kind the first pair in the given
+    # order raises; dropping a row of D_(0,2) shifts the parent indices of
+    # its later steps, so one of them does not replay
     pairs = [(0, 1), (0, 2)]
     cases = [
-        ([1], [0], "witness chain for (0,1) does not replay: step 0-0 has "
-                   "polynomial images [0, 1]"),
-        ([0], [1], "Cg(0,1) and the triple D-composition differ on 'e3': "
-                   "symmetric difference [(1, 0)]"),
-        ([1], [1], "Cg(0,2) and the triple D-composition differ on 'e3': "
-                   "symmetric difference [(1, 0), (2, 0)]"),
+        ([1], [0], "element (1,2) of D_(0,2) on 'e3' does not replay: its step "
+                   "gives (2,2)"),
+        ([0], [1], "witness chain for (1,0) leaves D_(0,1) on 'e3': its links are "
+                   "(1,0), (0,0) and (0,0)"),
+        ([1], [1], "element (1,2) of D_(0,2) on 'e3' does not replay: its step "
+                   "gives (2,2)"),
         ([], [1], "witness chain for (0,1) does not replay: step 0-0 has "
                   "polynomial images [0, 2]"),
     ]

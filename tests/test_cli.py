@@ -166,12 +166,19 @@ def test_other_operations(e3_file, tmp_path, capsys):
     assert main(["verify-base", str(kept)]) == 0
 
 
-def test_pipeline_command(e3_file, capsys):
+def test_pipeline_command(e3_file, tmp_path, capsys):
     assert main(["pipeline", e3_file, "d", "--sim", "0 1 | 2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["stages"]["circ"]["entries"] == [0, 1, 2, 0, 1, 2, 2, 2, 2]
     assert payload["semilattice_term"]["conclusion_holds"]
     assert main(["pipeline", e3_file, "nope"]) == 2
+    # the identity map is idempotent, but a wnu has arity at least 2
+    unary = tmp_path / "unary.alg"
+    unary.write_text("algebra unary\nsize 3\nop f 1\n0 1 2\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["pipeline", str(unary), "f"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "is not a weak near-unanimity operation" in err
 
 
 def test_construct_builtins(tmp_path, capsys):

@@ -324,11 +324,18 @@ def test_non_idempotent_flags():
     assert not flags.idempotent and not flags.wnu
 
 
+def test_unary_operation_is_not_a_wnu():
+    # a wnu has arity at least 2; the identity map on 3 elements is
+    # idempotent and has no dissident pattern to disagree
+    flags = table_flags(OperationTable(1, 3, [0, 1, 2]))
+    assert flags.idempotent and not flags.wnu and not flags.special_wnu
+
+
 def test_wnu_circ_convention(corpus):
     # for a wnu w, w(y, x, ..., x) agrees with x o y := w(x, ..., x, y)
     for entry in corpus:
         for sym, table in entry.algebra.operations.items():
-            if not table_flags(table).wnu or table.arity < 2:
+            if not table_flags(table).wnu:
                 continue
             k = table.arity
             for a in range(table.size):

@@ -1,8 +1,11 @@
+import sys
+
 import pytest
 
 from smbalg import (App, Const, Identity, Var, format_algebra, format_term,
                     parse_algebra, parse_identity, parse_quasiidentity,
                     parse_term, ParseError)
+from smbalg.core import fits_int
 
 E3_TEXT = """\
 # the three-element example
@@ -159,6 +162,13 @@ def test_parse_entry_past_int_digit_limit():
             parse_algebra(f"algebra a\nsize 2\nop f 1\n0 {one * 5000}\n")
         assert (err.value.line, err.value.col) == (4, 2)
         assert err.value.reason == f"entry {'1' * 5000} out of range 0..1"
+
+
+def test_parse_without_int_digit_limit(monkeypatch, e3):
+    # Pythons before 3.10.7 have no `sys.get_int_max_str_digits`, and no limit
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert parse_algebra(E3_TEXT) == e3
+    assert fits_int("9" * 5000)
 
 
 LONG = "1" * 5000      # more digits than `int` converts (4300)

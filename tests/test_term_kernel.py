@@ -29,7 +29,7 @@ from smbalg.core import idempotence_violation
 from smbalg.oracles import eval_term, substitute
 from conftest import random_term
 
-SMALL_BLOCK = 100        # cuts 3-variable boxes from n = 5 and 6-variable ones from n = 3
+SMALL_BLOCK = 100        # cuts most term boxes: each is charged n values per program step
 
 
 def _var_count(variables):
@@ -68,8 +68,8 @@ def table_flags_loop(table):
     k = table.arity
     entries = table.entries
     idem = idempotence_violation(table) is None
-    wnu = idem
-    if wnu and k >= 2:
+    wnu = idem and k >= 2       # a wnu has arity at least 2
+    if wnu:
         for x in range(n):
             for y in range(n):
                 base = [x] * k
@@ -205,8 +205,12 @@ def batched_mismatches(cases) -> int:
     return bad
 
 
-@pytest.mark.parametrize("block", [SMALL_BLOCK, core.BLOCK_SIZE])
+# 4000 still cuts over a hundred of the one-law programs into several boxes
+# (a box is charged n values per step), and some least failing assignments
+# lie past the first box; SMALL_BLOCK cuts far more, for several times the time
+@pytest.mark.parametrize("block", [4000, core.BLOCK_SIZE])
 def test_identity_verdicts_match_loop(reference_verdicts, monkeypatch, block):
+    cut = block < core.BLOCK_SIZE
     monkeypatch.setattr(core, "BLOCK_SIZE", block)
     verdicts = [expected for _, _, expected in reference_verdicts]
     assert sum(v.holds for v in verdicts) > 0 and sum(not v.holds for v in verdicts) > 0
@@ -214,8 +218,22 @@ def test_identity_verdicts_match_loop(reference_verdicts, monkeypatch, block):
     # each algebra's batch mixes failing identities of one, two and three variables
     assert {len(v.witness) for _, law, v in reference_verdicts
             if isinstance(law, Identity) and not v.holds} >= {1, 2, 3}
+    seen = []       # the boxes each kernel pass reads, one list per pass
+    real = core._term_boxes
+
+    def term_boxes(alg, program):
+        seen.append([])
+        for box, values in real(alg, program):
+            seen[-1].append(box)
+            yield box, values
+
+    monkeypatch.setattr(core, "_term_boxes", term_boxes)
     assert verdict_mismatches(reference_verdicts) == 0
     assert batched_mismatches(reference_verdicts) == 0
+    if cut:         # one pass per law first, then one per algebra
+        assert any(len(boxes) > 1 for boxes in seen)
+        assert any(not v.holds and any(not lo <= w < hi for w, (lo, hi) in zip(v.witness, boxes[0]))
+                   for boxes, (_, _, v) in zip(seen, reference_verdicts))
 
 
 def test_identity_witness_order_is_checked(reference_verdicts, monkeypatch):
