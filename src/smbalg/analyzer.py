@@ -19,10 +19,11 @@ Besides recognition, the module checks regularity and its twelve-identity
 equational base, verifies the principal-congruence decomposition
 Cg(a,b) = D o D o D with six-step polynomial witnesses (for many generator
 pairs in one pass: one lane closure, one batched D^2 for the chain
-midpoints and one replay of the derivation arrays, which is all the CLI
-runs; library callers also get the chains, built as terms and replayed
-in one term-kernel pass), and runs the congruence/commutator biconditionals
-that hold in the regular case, reading A/sim off the cached `check_regular_base`.
+midpoints and one check of every derivation step, which is all the CLI
+runs; library callers also get the chains, built as terms and replayed in
+one term-kernel pass, the library's one evaluator of derivations), and
+runs the congruence/commutator biconditionals that hold in the regular
+case, reading A/sim off the cached `check_regular_base`.
 
 The biconditional checkers compute both sides independently and raise
 FalsificationError when they disagree, so the test suite doubles as a
@@ -49,7 +50,7 @@ from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
 from .partitions import Partition
 from .relations import (_check_congruences, _commutator, _principal_table,
                         _quotient, congruence_violation, d_rels,
-                        polynomial_image_pairs, principal_congruence, replay_steps)
+                        polynomial_image_pairs, principal_congruence, step_values)
 
 WEDGE = "wedge"
 D = "d"
@@ -508,28 +509,29 @@ class CgD3Result:
 
 
 def _d_pair_steps(alg: FiniteAlgebra, lanes: list) -> list:
-    """For each (dset, index, mid, a, b, links) of `lanes`, the two chain
-    steps of each D-pair (u, v) = (q(a, b), q(b, a)) = dset.rows[index[u, v]]
-    in `links`: q(a, x) from u to m = mid[u, v] and q(x, a) from m to v,
-    where mid holds the midpoints q(a, a) that `_check_cg_d3` replayed.
+    """For each (dset, index, a, b, links) of `lanes`, the two chain steps
+    of each D-pair (u, v) = (q(a, b), q(b, a)) = dset.rows[index[u, v]] in
+    `links`: q(a, x) from u to m and q(x, a) from m to v, where m = q(a, a)
+    is the left step's value at a.
 
     The step polynomials come straight from two term builders of `dset`:
     one reads the generator (a, b) as a and (b, a) as x, the other (a, b)
     as x and (b, a) as a; when a = b the (a, b) entry, written last, wins.
     The step polynomials of all lanes are evaluated in one pass of the term
-    kernel, and each must take its two ends at its lane's a and b;
+    kernel, and each must take its two ends at its lane's a and b, in
+    either order; that alone puts u, m and v in one class of Cg(a, b).
     links[(u, v)] is the first chain (c, d) through the pair, named when one
     of its steps fails to.  The first failing step in lane, link and step
     order raises."""
     polys, points, ends, named = [], [], [], []
-    for dset, index, mid, a, b, links in lanes:
+    for dset, index, a, b, links in lanes:
         left = dset.terms({(b, a): Var(0), (a, b): Const(a)})
         right = dset.terms({(b, a): Const(a), (a, b): Var(0)})
         for pair, chain in links.items():
             i = int(index[pair])
             polys += [left(i), right(i)]
             points.append((a, b))
-            ends.append((pair[0], mid[pair], pair[1]))
+            ends.append(pair)
             named.append(chain)
     images = np.empty((len(polys), alg.size), dtype=np.int64)
     (_, values), = _term_boxes(alg, _compile(polys, 1))
@@ -537,7 +539,8 @@ def _d_pair_steps(alg: FiniteAlgebra, lanes: list) -> list:
         images[i] = val
     points = np.array(points, dtype=np.int64).reshape(-1, 2).repeat(2, axis=0)
     at = np.take_along_axis(images, points, axis=1)   # each poly at its a and b
-    u, mid, v = np.array(ends, dtype=np.int64).reshape(-1, 3).T
+    u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    mid = at[::2, 0]                                  # the left step at a
     lo = np.stack([u, mid], axis=1).ravel()           # the left step, then the right
     hi = np.stack([mid, v], axis=1).ravel()
     ok = ((at[:, 0] == lo) & (at[:, 1] == hi)) | ((at[:, 0] == hi) & (at[:, 1] == lo))
@@ -552,30 +555,27 @@ def _d_pair_steps(alg: FiniteAlgebra, lanes: list) -> list:
              for pair, m in zip(links, mids)} for *_, links in lanes]
 
 
-def _midpoints(dm: np.ndarray, d2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(e2, e4) for a stack of D matrices `dm` and their squares `d2`:
-    e4[l, c, d] is the least e with D^2[c, e] and D[e, d], and e2[l, c, d]
-    the least e with D[c, e] and D[e, e4], in D = dm[l] (0 where there is
-    none).  Taken by argmax over the (lane, c) rows, a chunk of rows at a
-    time, so no chunk holds more than `core.BLOCK_SIZE` booleans unless
-    one row alone does."""
-    lanes, n, _ = dm.shape
-    dm_rows, d2_rows = dm.reshape(-1, n), d2.reshape(-1, n)
-    dm_t = dm.transpose(0, 2, 1)
-    e2, e4 = np.empty((2, lanes * n, n), dtype=np.intp)
-    step = max(1, core.BLOCK_SIZE // (n * n))
-    for lo in range(0, lanes * n, step):
-        hi = min(lo + step, lanes * n)
-        lane = np.arange(lo, hi) // n
-        e4[lo:hi] = np.argmax(d2_rows[lo:hi, :, None] & dm[lane], axis=1)
-        e2[lo:hi] = np.argmax(dm_rows[lo:hi, None, :] & dm_t[lane[:, None], e4[lo:hi]],
-                              axis=2)
-    return e2.reshape(lanes, n, n), e4.reshape(lanes, n, n)
+def _midpoints(dm: np.ndarray, d2: np.ndarray, ls: np.ndarray, cs: np.ndarray,
+               ds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(e2, e4) at the pairs (c, d) = (cs[i], ds[i]) of D = dm[ls[i]], for a
+    stack of D matrices `dm` and their squares `d2`: e4[i] is the least e
+    with D^2[c, e] and D[e, d], and e2[i] the least e with D[c, e] and
+    D[e, e4[i]] (0 where there is none).  Taken by argmax over chunks of
+    pairs cut by `core._blocks`, so no chunk holds more than
+    `core.BLOCK_SIZE` booleans unless one pair's n alone do."""
+    e2, e4 = np.empty((2, len(ls)), dtype=np.intp)
+    # a box that cuts one pair's n candidates repeats that pair's range
+    chunks = dict.fromkeys(box[0] for box in core._blocks([(0, len(ls)), (0, dm.shape[1])]))
+    for lo, hi in chunks:
+        l, c, d = ls[lo:hi], cs[lo:hi], ds[lo:hi]
+        e4[lo:hi] = np.argmax(d2[l, c] & dm[l, :, d], axis=1)
+        e2[lo:hi] = np.argmax(dm[l, c] & dm[l, :, e4[lo:hi]], axis=1)
+    return e2, e4
 
 
 def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
     """The array check of `verify_cg_d3_pairs`, which builds no term:
-    (cgs, dsets, index, mid, chains) for the generator pairs, in order.
+    (cgs, dsets, index, chains) for the generator pairs, in order.
 
     The D-relations come from one lane closure (`d_rels`).  Each D is an
     n x n array of indices into its rows, -1 off D (the stack is `index`),
@@ -584,9 +584,9 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
     chain c D e2 D e4 D d whose three links must be D-pairs, with one rule
     for every pair: e4 is the least element with D^2[c, e4] and D[e4, d],
     and e2 the least with D[c, e2] and D[e2, e4] (`_midpoints`, by argmax
-    over the stack of all D and its batched D^2).  `chains` has one row
-    (pair, c, e2, e4, d) per related pair (c, d) of each Cg(a, b), in pair
-    order and then lexicographic.
+    at the related pairs over the stack of all D and its batched D^2).
+    `chains` has one row (pair, c, e2, e4, d) per related pair (c, d) of
+    each Cg(a, b), in pair order and then lexicographic.
 
     That decides Cg = D o D o D without a D^3: Cg is transitive, so D
     within Cg gives D^3 within Cg, and a chain through D for every pair of
@@ -596,17 +596,18 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
     (`oracles.compose_relations`).
 
     Each element (u, v) of D is (q(a, b), q(b, a)) for the term q its steps
-    spell over the generators (a, b) and (b, a) and constants (c, c).  The
-    steps of all D-relations are replayed together (`relations.replay_steps`)
-    at three leaf assignments: the generators' first coordinates, which must
-    give u, their second coordinates, which must give v, and (a, b) and
-    (b, a) read as a and (c, c) as c, which gives mid[pair, u, v] = q(a, a)
-    (-1 off D).  FalsificationError is raised for the first failing pair,
-    and within one pair in this order: a step reads a parent not evaluated
-    before it, a generator is not (a, b), (b, a) or diagonal, a step does
-    not replay, an element of D is not in Cg(a, b), or a link (c, e2),
-    (e2, e4) or (e4, d) of a chain is not a D-pair.  Requires the regular
-    base.
+    spell over the generators (a, b) and (b, a) and constants (c, c).  Each
+    step of all D-relations is applied once to its parents' rows
+    (`relations.step_values`) and must give its element's row.  The
+    messages are a replay's: a late element and those derived from it share
+    its lane, whose late check comes first, and in a lane without one the
+    first element whose step does not give its row is the first a replay
+    gets wrong, with the same value.  FalsificationError is raised for the
+    first failing pair, and within one pair in this order: a step reads a
+    parent not evaluated before it, a generator is not (a, b), (b, a) or
+    diagonal, a step does not replay, an element of D is not in Cg(a, b),
+    or a link (c, e2), (e2, e4) or (e4, d) of a chain is not a D-pair.
+    Requires the regular base.
     """
     _regular_context(alg)
     n = alg.size
@@ -617,22 +618,19 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
         index[l, dset.rows[:, 0], dset.rows[:, 1]] = np.arange(len(dset))
     dm = index >= 0
     ids = np.array([cg.class_ids for cg in cgs], dtype=np.int64).reshape(-1, n)
-    e2, e4 = _midpoints(dm, dm @ dm)
     ls, cs, ds = np.nonzero(ids[:, :, None] == ids[:, None, :])
-    chains = np.stack([ls, cs, e2[ls, cs, ds], e4[ls, cs, ds], ds], axis=1)
-    mid = np.full((len(pairs), n, n), -1, dtype=np.int64)
+    e2, e4 = _midpoints(dm, dm @ dm, ls, cs, ds)
+    chains = np.stack([ls, cs, e2, e4, ds], axis=1)
     if pairs:
         lane = np.repeat(np.arange(len(pairs)), [len(dset) for dset in dsets])
         u, v = np.concatenate([dset.rows for dset in dsets]).T
         a, b = np.array(pairs, dtype=np.int64)[lane].T
         ends = ((u == a) & (v == b)) | ((u == b) & (v == a))
-        values, late = replay_steps(alg, dsets, np.stack([u, v, np.where(ends, a, u)]))
+        gives, late = step_values(alg, dsets)
         stray = np.concatenate([dset.steps[:, 0] < 0 for dset in dsets]) & ~ends & (u != v)
-        wrong = (values[0] != u) | (values[1] != v)
+        wrong = (gives[:, 0] != u) | (gives[:, 1] != v)
         outside = ids[lane, u] != ids[lane, v]
-        mid[lane, u, v] = values[2]
-        _, c, m2, m4, d = chains.T
-        off = ~(dm[ls, c, m2] & dm[ls, m2, m4] & dm[ls, m4, d])
+        off = ~(dm[ls, cs, e2] & dm[ls, e2, e4] & dm[ls, e4, ds])
         failing = np.concatenate([lane[late | stray | wrong | outside], ls[off]])
         if len(failing):
             l = int(failing.min())
@@ -647,12 +645,12 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
                     i = int(hit[0])
                     raise FalsificationError(
                         f"element ({u[i]},{v[i]}) of D_({a},{b}) on '{alg.name}' "
-                        + what.format(values[0, i], values[1, i]))
+                        + what.format(*gives[i]))
             _, c, m2, m4, d = chains[np.flatnonzero(off & (ls == l))[0]].tolist()
             raise FalsificationError(
                 f"witness chain for ({c},{d}) leaves D_({a},{b}) on '{alg.name}': "
                 f"its links are ({c},{m2}), ({m2},{m4}) and ({m4},{d})")
-    return cgs, dsets, index, mid, chains
+    return cgs, dsets, index, chains
 
 
 def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
@@ -662,14 +660,13 @@ def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
     per pair.
 
     This is the array check `_check_cg_d3` plus the chains: the check
-    puts D within Cg, replays every D-relation's steps and finds each
-    chain c D e2 D e4 D d through D and the midpoint of each D-pair.  Each
-    link (u, v) of a chain then gives two steps, built as terms over the
-    generators (a, b) and (b, a) (see `_d_pair_steps`).  The steps of the
+    puts D within Cg, checks every D-relation's steps and finds each chain
+    c D e2 D e4 D d through D.  Each link (u, v) of a chain then gives two
+    steps, built as terms over the generators (a, b) and (b, a), which
+    meet at the midpoint q(a, a) (see `_d_pair_steps`).  The steps of the
     distinct D-pairs the chains of each generator pair use are built and
-    replayed for all pairs together, in one term-kernel pass, against the
-    replayed midpoints, and every chain through a D-pair shares the same
-    two ChainStep objects.
+    replayed for all pairs together, in one term-kernel pass, and every
+    chain through a D-pair shares the same two ChainStep objects.
 
     Requires the regular base.  FalsificationError is raised for the
     first generator pair that fails the array check; when every pair
@@ -677,14 +674,14 @@ def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
     replay.
     """
     pairs = list(pairs)
-    cgs, dsets, index, mid, chains = _check_cg_d3(alg, pairs)
+    cgs, dsets, index, chains = _check_cg_d3(alg, pairs)
     walks = [{} for _ in pairs]         # per pair: (c, d) -> its three links
     links = [{} for _ in pairs]         # per pair: D-pair -> first chain through it
     for l, c, m2, m4, d in chains.tolist():
         chain = walks[l][(c, d)] = ((c, m2), (m2, m4), (m4, d))
         for pair in chain:
             links[l].setdefault(pair, (c, d))
-    steps = _d_pair_steps(alg, [(dsets[l], index[l], mid[l], a, b, links[l])
+    steps = _d_pair_steps(alg, [(dsets[l], index[l], a, b, links[l])
                                 for l, (a, b) in enumerate(pairs)])
     out = []
     for (a, b), cg, walk, step in zip(pairs, cgs, walks, steps):
@@ -762,8 +759,10 @@ def cgvsim_below(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> Tuple[in
     """From a chain witnessing (c,d) in Cg(a,b) join sim, produce (e, f) with
     (c,e), (d,f) in Cg(a,b), e ~ f, and the class of e below both [c] and [d].
 
-    Built by left-nested wedge folds over the chain; all three properties
-    are verified and a violation raises FalsificationError.
+    Built by wedge folds that take each next element of the chain on the
+    left, e = c_k^(..^(c_1^c_0)) and f = d_0^(d_1^(..^d_k)); left-nested
+    folds break the properties on some regular algebras.  All three
+    properties are verified and a violation raises FalsificationError.
     """
     _check_elements(alg, a, b, c, d)
     sim, _, _ = _regular_context(alg)

@@ -261,6 +261,8 @@ def _cmd_construct(args) -> int:
         if args.file is None or args.w is None:
             raise PreconditionError("construct extend needs FILE and W")
         alg = extend_simple_type5(_load(args.file), args.w)
+    elif args.file is not None or args.w is not None:
+        raise PreconditionError(f"construct {args.what} takes no FILE or W; write it with -o OUT")
     else:
         alg = BUILTINS[args.what]()
     text = format_algebra(alg)

@@ -29,10 +29,10 @@ bitmap over sorted keys and bounds A^4.
 in a `GeneratedSet`, and `d_rels` those of one lane per generator pair;
 these sets are used wherever witnesses must be replayed (D-relations,
 polynomial image pairs, and `oracles.unary_polynomials`), and their
-`terms` builder is the one place a trace becomes a term.  `replay_steps`
-is the one place library code replays the step arrays themselves, of
-many sets at once and without terms.  A caller that
-looks elements up builds its own index over the rows.  The commutator's
+`terms` builder is the one place a trace becomes a term.  `step_values`
+is the one place library code evaluates the step arrays themselves, each
+step of many sets once and without terms.  A caller that looks elements
+up builds its own index over the rows.  The commutator's
 matrix sets in A^4 and `oracles.generate_subuniverse` take the int64 rows
 directly.  The element order is documented at `generate_subpower`, and
 the test suite checks it, trace for trace, against a plain Python loop.
@@ -153,45 +153,35 @@ class GeneratedSet:
         return build
 
 
-def replay_steps(alg: FiniteAlgebra, sets: Sequence[GeneratedSet],
-                 leaves: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Replay the steps of `sets`, concatenated, at j leaf assignments
-    without building terms: (values, late), the (j, m) int64 values of the
-    m elements and the (m,) flags of the derived elements with a parent that
-    is not an earlier element of the same set.
-
-    `leaves` is (j, m) and is read at the generators only.  The elements of
-    all sets are evaluated together, one derivation level at a time, from
-    the plain tables of `alg.operations`.  A late element and every element
-    derived from one is not evaluated and keeps the value -1.
+def step_values(alg: FiniteAlgebra, sets: Sequence[GeneratedSet]) -> Tuple[np.ndarray, np.ndarray]:
+    """(gives, late) for the m elements of `sets`, concatenated: the (m, k)
+    row each derivation step gives, applied once from the plain tables to
+    the rows its parents name, and the (m,) flags of the derived elements
+    with a parent that is not an earlier element of the same set.  A
+    generator gives its own row, and so does a late element.  A set with no
+    late element is generated by its generators exactly when every element
+    gives its own row: by induction on the index, the first element that
+    does not is the first one a replay from the generators gets wrong, with
+    the same value.
     """
     sizes = [len(s) for s in sets]
+    rows = np.concatenate([s.rows for s in sets])
     steps = np.concatenate([s.steps for s in sets])
     m, width = steps.shape
     tables = list(alg.operations.values())
     op, parents = steps[:, 0], steps[:, 1:]
     arity = np.array([0] + [t.arity for t in tables])[op + 1]     # 0 for a generator
     used = np.arange(width - 1) < arity[:, None]
-    offset = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)[:, None]
-    late = (used & ((parents < 0) | (parents >= np.arange(m)[:, None] - offset))).any(axis=1)
-    parents = np.where(used, parents + offset, m)      # an unused slot reads m, done
-    values = np.where(op < 0, leaves, -1)
-    done = np.append(op < 0, True)
-    pending = np.flatnonzero((op >= 0) & ~late)
-    n = alg.size
-    while len(pending):
-        ready = done[parents[pending]].all(axis=1)
-        if not ready.any():
-            break
-        now, pending = pending[ready], pending[~ready]
-        for o, table in enumerate(tables):
-            sel = now[op[now] == o]
-            index = 0
-            for slot in range(table.arity):
-                index = index * n + values[:, parents[sel, slot]]
-            values[:, sel] = table.array[index]
-        done[now] = True
-    return values, late
+    offset = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    late = (used & ((parents < 0) | (parents >= (np.arange(m) - offset)[:, None]))).any(axis=1)
+    gives = rows.copy()
+    for o, table in enumerate(tables):
+        sel = np.flatnonzero((op == o) & ~late)
+        index = 0
+        for slot in range(table.arity):
+            index = index * alg.size + rows[parents[sel, slot] + offset[sel]]
+        gives[sel] = table.array[index]
+    return gives, late
 
 
 def _apply_block(tables: np.ndarray, heads: np.ndarray, columns: np.ndarray,

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -527,8 +528,7 @@ def test_terms_match_substituted_reference(corpus):
         links = {pair: pair for pair in dpairs}      # each D-pair its own chain
         index = np.full((alg.size, alg.size), -1, dtype=np.int64)
         index[dset.rows[:, 0], dset.rows[:, 1]] = np.arange(len(dset))
-        mid = analyzer._check_cg_d3(alg, [(a, b)])[3][0]     # replayed midpoints
-        steps, = analyzer._d_pair_steps(alg, [(dset, index, mid, a, b, links)])
+        steps, = analyzer._d_pair_steps(alg, [(dset, index, a, b, links)])
         polys = [tuple(step.poly for step in steps[pair]) for pair in dpairs]
         for i, (left, right) in enumerate(polys):
             q = reference_term(dset, i, leaves)
@@ -652,9 +652,10 @@ def test_verify_cg_d3_pairs_match_one_pair_calls(corpus):
 
 
 def test_midpoints_chunked_match_unchunked(corpus, monkeypatch):
-    # the least midpoints of every D-relation stack, in chunks of at most
-    # one (pair, c) row or a few rows, equal those of one whole chunk and
-    # the per-pair rule of the chain replay test
+    # the least midpoints at the related pairs of every D-relation stack,
+    # in chunks of less than one pair's n candidates, of one pair or of a
+    # few pairs, equal those of one whole chunk and the per-pair rule of
+    # the chain replay test
     for alg in [e.algebra for e in corpus if e.has("regular")][:6] + regularized_shapes()[:1]:
         n = alg.size
         pairs = [(a, b) for a in range(n) for b in range(a, n)]
@@ -663,17 +664,18 @@ def test_midpoints_chunked_match_unchunked(corpus, monkeypatch):
             for u, v in dset.rows.tolist():
                 dm[l, u, v] = True
         d2 = dm @ dm
-        whole = analyzer._midpoints(dm, d2)
-        for block in (1, n * n, 3 * n * n + 1):
+        ids = np.array([principal_congruence(alg, a, b).class_ids for a, b in pairs])
+        related = np.nonzero(ids[:, :, None] == ids[:, None, :])
+        whole = analyzer._midpoints(dm, d2, *related)
+        for block in (1, n, 3 * n + 1):
             with monkeypatch.context() as patch:
                 patch.setattr(core, "BLOCK_SIZE", block)
-                chunked = analyzer._midpoints(dm, d2)
+                chunked = analyzer._midpoints(dm, d2, *related)
             assert all(np.array_equal(x, y) for x, y in zip(whole, chunked)), (alg.name, block)
-        e2, e4 = whole
-        for l, c, d in zip(*np.nonzero(d2 @ dm)):
-            m4 = min(e for e in range(n) if d2[l, c, e] and dm[l, e, d])
-            m2 = min(e for e in range(n) if dm[l, c, e] and dm[l, e, m4])
-            assert (e2[l, c, d], e4[l, c, d]) == (m2, m4)
+        for l, c, d, m2, m4 in zip(*related, *whole):
+            want4 = min(e for e in range(n) if d2[l, c, e] and dm[l, e, d])
+            want2 = min(e for e in range(n) if dm[l, c, e] and dm[l, e, want4])
+            assert (m2, m4) == (want2, want4)
 
 
 def break_pairs(monkeypatch, cg_at=(), replay_at=()):
@@ -771,16 +773,16 @@ def test_cli_cg_d3_builds_no_terms(corpus, tmp_path, monkeypatch, capsys):
 
 
 def misreport_one_value(patch):
-    """The replay gives the first derived element a wrong first coordinate."""
-    real = analyzer.replay_steps
+    """The first derived element's step gives a wrong first coordinate."""
+    real = analyzer.step_values
 
-    def replay_steps(alg, sets, leaves):
-        values, late = real(alg, sets, leaves)
+    def step_values(alg, sets):
+        gives, late = real(alg, sets)
         i = np.flatnonzero(np.concatenate([s.steps[:, 0] for s in sets]) >= 0)[0]
-        values[0, i] = (values[0, i] + 1) % alg.size
-        return values, late
+        gives[i, 0] = (gives[i, 0] + 1) % alg.size
+        return gives, late
 
-    patch.setattr(analyzer, "replay_steps", replay_steps)
+    patch.setattr(analyzer, "step_values", step_values)
 
 
 def rewrite_step(patch, step):
@@ -811,8 +813,8 @@ def link_off_d(patch):
     """Every e2 midpoint moves up by one, mod n."""
     real = analyzer._midpoints
 
-    def midpoints(dm, d2):
-        e2, e4 = real(dm, d2)
+    def midpoints(dm, d2, *related):
+        e2, e4 = real(dm, d2, *related)
         return (e2 + 1) % dm.shape[1], e4
 
     patch.setattr(analyzer, "_midpoints", midpoints)
@@ -924,6 +926,52 @@ def test_cgvsim_below_examples(e3):
     assert e == 2 and f == 2
     with pytest.raises(PreconditionError, match="not in Cg"):
         cgvsim_below(e3, 0, 0, 0, 2)
+
+
+def fold_witnesses(alg, chain, right):
+    """(e, f) folded with wedge over a join chain: each next element the
+    left argument, e = c_k^(..^c_0) and f = d_0^(..^d_k), when `right`,
+    else the left-nested e = (c_0^..)^c_k and f = (d_k^..)^d_0."""
+    wedge = alg.op("wedge").apply
+    step = (lambda acc, x: wedge(x, acc)) if right else wedge
+    return (functools.reduce(step, chain.cs[1:], chain.cs[0]),
+            functools.reduce(step, reversed(chain.ds[:-1]), chain.ds[-1]))
+
+
+def lowers(alg, sim, cg, c, d, e, f):
+    """(c, e) and (d, f) in cg, e ~ f, and [e] below both [c] and [d]."""
+    ids, wedge = sim.class_ids, alg.op("wedge").apply
+    return (cg.related(c, e) and cg.related(d, f) and sim.related(e, f)
+            and ids[wedge(e, c)] == ids[e] == ids[wedge(e, d)])
+
+
+def test_cgvsim_below_sweep(corpus, monkeypatch):
+    # every (a, b, c, d) with (c, d) in Cg(a, b) v sim on the regularized
+    # corpus up to n = 5: the witnesses are the folds with each next element
+    # on the left over the chain the function read, and have the lowering
+    # properties, checked here apart; the left-nested folds break them
+    # somewhere, so the nesting is tested
+    chains, real = [], analyzer.join_membership_chain
+    monkeypatch.setattr(analyzer, "join_membership_chain",
+                        lambda *args: chains.append(real(*args)) or chains[-1])
+    tuples = broken = 0
+    for entry in corpus:
+        alg, sim = entry.algebra, entry.sim
+        if not (entry.has("regularized") and alg.size <= 5):
+            continue
+        for a, b in itertools.product(range(alg.size), repeat=2):
+            cg = principal_congruence(alg, a, b)
+            join = cg.join(sim)
+            for c, d in itertools.product(range(alg.size), repeat=2):
+                if not join.related(c, d):
+                    continue
+                e, f = cgvsim_below(alg, a, b, c, d)
+                chain = chains[-1]
+                assert (e, f) == fold_witnesses(alg, chain, True), (alg.name, a, b, c, d)
+                assert lowers(alg, sim, cg, c, d, e, f), (alg.name, a, b, c, d)
+                broken += not lowers(alg, sim, cg, c, d, *fold_witnesses(alg, chain, False))
+                tuples += 1
+    assert tuples == 2575 and broken > 0
 
 
 def test_check_cgvsim_examples(e3):

@@ -215,6 +215,16 @@ def test_construct_extend_above_cap_exit(tmp_path, capsys):
     assert "closure cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("what, extra", [("e3", ["copy.alg"]), ("n4", ["a", "b"])])
+def test_construct_builtin_refuses_file_and_w(tmp_path, capsys, what, extra):
+    # a built-in takes no FILE or W: exit 2 before any output, and no file
+    # is written
+    assert main(["construct", what, *(str(tmp_path / x) for x in extra)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: construct {what} takes no FILE or W; write it with -o OUT\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_corpus_command(capsys):
     assert main(["corpus", "--max-size", "5", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

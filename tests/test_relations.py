@@ -236,41 +236,58 @@ def replay_at(alg, gen, leaf):
     return out
 
 
-def test_replay_steps_matches_python_replay(corpus):
-    # one call replays many sets at once: at each coordinate it gives the
-    # rows, and at random leaves it agrees with the loop in index order
+def test_step_values_matches_python_replay(corpus):
+    # one call checks the steps of many sets at once: every element gives
+    # its own row; with one row entry of each set perturbed, the first
+    # element of a set that does not give its row is the first one a replay
+    # from its generators gets wrong, with the same value
     rng = random.Random(3434)
     cases = [(alg, [generate_subpower(alg, k, gens)]) for alg, k, gens in random_closure_cases()]
     for entry in corpus:
         if 2 <= entry.algebra.size <= 4:
             alg = entry.algebra
             cases.append((alg, relations.d_rels(alg, itertools.combinations(range(alg.size), 2))))
+    caught = 0
     for alg, sets in cases:
-        rows = np.concatenate([s.rows for s in sets])
-        leaf = [rng.randrange(alg.size) for _ in rows]
-        values, late = relations.replay_steps(alg, sets, np.vstack([rows.T, [leaf]]))
+        gives, late = relations.step_values(alg, sets)
         assert not late.any()
-        assert np.array_equal(values[:-1], rows.T), alg.name
-        want = [v for s, start in zip(sets, np.cumsum([0] + [len(s) for s in sets]))
-                for v in replay_at(alg, s, leaf[start:start + len(s)])]
-        assert values[-1].tolist() == want, alg.name
+        assert np.array_equal(gives, np.concatenate([s.rows for s in sets])), alg.name
+        broken = []
+        for s in sets:
+            rows = s.rows.copy()
+            i, c = rng.randrange(len(s)), rng.randrange(rows.shape[1])
+            rows[i, c] = (rows[i, c] + rng.randrange(1, alg.size)) % alg.size
+            broken.append(GeneratedSet(s.symbols, rows, s.steps))
+        gives, late = relations.step_values(alg, broken)
+        assert not late.any()
+        starts = np.cumsum([0] + [len(s) for s in broken])
+        for s, start in zip(broken, starts):
+            replayed = np.array([replay_at(alg, s, s.rows[:, c])
+                                 for c in range(s.rows.shape[1])]).T
+            flagged = np.flatnonzero((gives[start:start + len(s)] != s.rows).any(axis=1))
+            replay_wrong = np.flatnonzero((replayed != s.rows).any(axis=1))
+            assert flagged[:1].tolist() == replay_wrong[:1].tolist(), alg.name
+            if len(flagged):
+                j = flagged[0]
+                assert gives[start + j].tolist() == replayed[j].tolist(), alg.name
+                caught += 1
+    assert caught > 10
 
 
-def test_replay_steps_flags_a_late_parent(e3):
-    # an element that reads itself is late, and it and every element derived
-    # from it keep -1; the rest still replay
+def test_step_values_flags_a_late_element(e3):
+    # an element that reads itself or a parent past its set's end is late
+    # and gives its own row; the other elements are checked as they are
     gen = generate_subpower(e3, 2, [(0, 1), (1, 2)])
     derived = np.flatnonzero(gen.steps[:, 0] >= 0)
     i = int(derived[0])
-    steps = gen.steps.copy()
-    steps[i, 1] = i
-    broken = GeneratedSet(gen.symbols, gen.rows, steps)
-    values, late = relations.replay_steps(e3, [gen, broken], np.concatenate([gen.rows.T] * 2, 1))
-    assert late.tolist() == [False] * len(gen) + [j == i for j in range(len(gen))]
-    assert np.array_equal(values[:, :len(gen)], gen.rows.T)
-    unreached = values[0, len(gen):] < 0
-    assert unreached[i] and (unreached == (values[1, len(gen):] < 0)).all()
-    assert np.array_equal(values[:, len(gen):][:, ~unreached], gen.rows.T[:, ~unreached])
+    broken = []
+    for parent in (i, len(gen)):
+        steps = gen.steps.copy()
+        steps[i, 1] = parent
+        broken.append(GeneratedSet(gen.symbols, gen.rows, steps))
+    gives, late = relations.step_values(e3, [gen] + broken)
+    assert late.tolist() == [False] * len(gen) + [j == i for j in range(len(gen))] * 2
+    assert np.array_equal(gives, np.concatenate([gen.rows] * 3))
 
 
 def d_rel_lanes(alg):
