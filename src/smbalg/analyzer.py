@@ -833,6 +833,7 @@ def check_undersim(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> bool:
 def commutator_below_sim(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> bool:
     """[Cg(a,b), Cg(c,d)] below sim iff the quotient commutator vanishes;
     the quotient side uses that commutator equals meet there."""
+    core.check_power(alg.size, 4, "A^4")
     sim, quot, cmap = _regular_context(alg)
     comm = _commutator(alg, principal_congruence(alg, a, b),
                        principal_congruence(alg, c, d))
@@ -886,6 +887,8 @@ def count_biconditional(alg: FiniteAlgebra, which: str) -> int:
     """
     if which not in BICONDITIONALS:
         raise AlgebraError(f"unknown biconditional {which!r}")
+    if which == "commutator":
+        core.check_power(alg.size, 4, "A^4")
     sim, quot, cmap = _regular_context(alg)
     n = alg.size
     parts, _, key = _principal_table(alg)

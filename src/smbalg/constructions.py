@@ -24,7 +24,7 @@ from typing import Dict, Iterator, Mapping, Optional
 import numpy as np
 
 from . import core
-from .core import (AlgebraError, CapExceeded, FalsificationError, FiniteAlgebra,
+from .core import (AlgebraError, FalsificationError, FiniteAlgebra,
                    OperationTable, materialize_term, table_flags, term_table,
                    App, Var)
 from .partitions import Partition
@@ -176,15 +176,11 @@ def extend_simple_type5(alg: FiniteAlgebra, w_symbol: str) -> FiniteAlgebra:
     Fresh elements are appended after the original universe in the order
     (zero, s, top).  Nearly unanimous means exactly one dissident
     coordinate; the absorbing rule takes precedence.  Both the wnu check
-    and the simplicity of the result are verified.  The (n + 3)^k entries
-    are built one at a time, so CapExceeded is raised before any work when
-    they are more than core.FAST_CLOSURE_SPACE_CAP.
+    and the simplicity of the result are verified.  The (n + 3)^k entries,
+    built one at a time, are held to the cap first, before the wnu check.
     """
     w = alg.op(w_symbol)
-    if (alg.size + 3) ** w.arity > core.FAST_CLOSURE_SPACE_CAP:
-        raise CapExceeded(f"the extension's arity-{w.arity} table on {alg.size + 3} "
-                          f"elements has {(alg.size + 3) ** w.arity} entries, beyond "
-                          f"the closure cap")
+    core.check_power(alg.size + 3, w.arity, "the extension's table")
     if not table_flags(w).wnu:
         raise AlgebraError(
             f"operation '{w_symbol}' of '{alg.name}' is not a wnu operation")
@@ -258,13 +254,11 @@ def random_algebra(n: int, signature: Mapping[str, int], seed: int) -> FiniteAlg
 def exhaustive_enumerate(n: int, signature: Mapping[str, int]) -> Iterator[FiniteAlgebra]:
     """Every algebra of the signature on {0..n-1}; refuses when the stream
     would be infeasibly large."""
-    total = 1
-    for arity in signature.values():
-        total *= n ** (n ** arity)
-    if total > 1_000_000:
-        raise AlgebraError(
-            f"infeasible enumeration request: {total} algebras of signature "
-            f"{dict(signature)} on {n} elements")
+    cut = (1_000_000).bit_length() + 1      # exponents cut as in core.check_power
+    exponent = sum(n ** min(arity, cut) for arity in signature.values())
+    if n ** min(exponent, cut) > 1_000_000:     # n ** exponent algebras
+        raise AlgebraError(f"infeasible enumeration request: more than 1000000 "
+                           f"algebras of signature {dict(signature)} on {n} elements")
     syms = list(signature.items())
     spaces = [itertools.product(range(n), repeat=n ** arity) for _, arity in syms]
     for i, combo in enumerate(itertools.product(*spaces)):

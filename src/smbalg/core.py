@@ -38,10 +38,10 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 BLOCK_SIZE = 1 << 20                # combinations a numpy kernel evaluates at once
-# The one table-size cap: largest table a term may fill or `iterate_wnu` may
-# iterate and largest A^4 a matrix closure may span; a subpower closure of a
-# power no larger finds known tuples in a bitmap, else by binary search in the
-# sorted keys.  All read it here, at call time.
+# The one table-size cap, `check_power`'s default: largest table a term may
+# fill and largest A^4 a matrix closure may span.  A subpower closure whose
+# keys fit under it finds known tuples in a bitmap, else by binary search in
+# the sorted keys.  Both read it here, at call time.
 FAST_CLOSURE_SPACE_CAP = 6_000_000
 MAX_VARIABLES = 32                  # one array axis per variable; numpy 1.x has 32
 _INTEGER = (int, np.integer)        # what a table entry may be; bool is an int
@@ -58,6 +58,16 @@ class PreconditionError(AlgebraError):
 class CapExceeded(RuntimeError):
     """A size cap would be exceeded; raised before the work starts, never
     by silent truncation."""
+
+
+def check_power(n: int, k: int, what: str, limit: Optional[int] = None):
+    """Raise CapExceeded when `what`, of n**k entries, is over `limit`
+    (FAST_CLOSURE_SPACE_CAP, read at call time, by default).  For n >= 2,
+    n**k is over it once k passes its bit length, so no power past that is
+    formed, and the message names n and k, never n**k."""
+    limit = FAST_CLOSURE_SPACE_CAP if limit is None else limit
+    if n ** min(k, limit.bit_length() + 1) > limit:
+        raise CapExceeded(f"{what} would have {n}^{k} entries, beyond the cap of {limit}")
 
 
 def fits_int(digits: str) -> bool:
@@ -468,14 +478,13 @@ def term_table(alg: FiniteAlgebra, term: Term, nvars: int) -> np.ndarray:
     """The values of `term` at all n**nvars assignments, as an int64 array
     of shape (n,) * nvars indexed by the assignment.
 
-    Raises CapExceeded before any work when the table would have more than
-    FAST_CLOSURE_SPACE_CAP entries or MAX_VARIABLES axes.
+    Raises CapExceeded before any work past MAX_VARIABLES axes, which
+    numpy refuses even at n = 1, or when `check_power` refuses n**nvars.
     """
     n = alg.size
-    if nvars > MAX_VARIABLES or n ** nvars > FAST_CLOSURE_SPACE_CAP:
-        raise CapExceeded(
-            f"a table of {nvars} variables over {n} elements is beyond the cap "
-            f"of {FAST_CLOSURE_SPACE_CAP} entries and {MAX_VARIABLES} variables")
+    if nvars > MAX_VARIABLES:
+        raise CapExceeded(f"{nvars} variables are beyond the cap of {MAX_VARIABLES}")
+    check_power(n, nvars, "the term's table")
     out = np.empty((n,) * nvars, dtype=np.int64)
     for box, (values,) in _term_boxes(alg, _compile([term], nvars)):
         out[tuple(slice(lo, hi) for lo, hi in box)] = values

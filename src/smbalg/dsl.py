@@ -30,9 +30,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import (MAX_VARIABLES, AlgebraError, App, Const, FiniteAlgebra,
-                   Identity, OperationTable, Quasiidentity, Term, Var,
-                   fits_int, materialize_term)
+from .core import (MAX_VARIABLES, AlgebraError, App, CapExceeded, Const,
+                   FiniteAlgebra, Identity, OperationTable, Quasiidentity, Term,
+                   Var, check_power, fits_int, materialize_term)
 
 
 class ParseError(ValueError):
@@ -302,6 +302,10 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             if arity > MAX_VARIABLES:        # before size ** arity is computed
                 raise ParseError(lineno, 1, f"arity {arity} is beyond the cap "
                                             f"of {MAX_VARIABLES}")
+            try:                             # so is a count past int64
+                check_power(size, arity, f"operation '{sym}'", 1 << 63)
+            except CapExceeded as exc:
+                raise ParseError(lineno, 1, str(exc)) from None
             if sym in symbols:
                 raise ParseError(lineno, 1, f"duplicate operation symbol '{sym}'")
             symbols.add(sym)

@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import core
-from .core import (AlgebraError, App, CapExceeded, FalsificationError,
+from .core import (AlgebraError, App, FalsificationError,
                    FiniteAlgebra, Identity, OperationTable, PreconditionError,
                    Term, Var, check_identity, first_failure,
                    idempotence_violation, materialize_term, table_flags)
@@ -108,19 +108,13 @@ def iterate_wnu(alg: FiniteAlgebra, w_symbol: str) -> OperationTable:
     w_{i+1}(xs) = w_i(w_i(xs) o x_1, ..., w_i(xs) o x_n).
 
     Each iterate is verified to stay wnu; losing the property would be an
-    internal falsification.  Stops early at a table fixpoint.  Raises
-    CapExceeded before any iteration when the table has more entries than
-    `core.FAST_CLOSURE_SPACE_CAP`, the cap every iterate's `term_table`
-    holds it to.
+    internal falsification.  Stops early at a table fixpoint.  The first
+    iterate's `term_table` raises CapExceeded before it fills a table over
+    the cap; only the wnu check and the binary circ, n^2 each, come first.
     """
     table = _require_wnu(alg, w_symbol)
     n = alg.size
     k = table.arity
-    cap = core.FAST_CLOSURE_SPACE_CAP
-    if n ** k > cap:
-        raise CapExceeded(
-            f"iterating an arity-{k} table on {n} elements needs {n ** k} "
-            f"entries, above the cap {cap}")
     xs = tuple(Var(i) for i in range(k))
     m = App("w", xs)
     step = App("w", tuple(App("o", (m, x)) for x in xs))
@@ -253,6 +247,7 @@ class SemilatticeTermResult:
     hypotheses: dict
     hypotheses_established: bool
     conclusion_holds: bool
+    pipeline: PipelineResult           # the run the table was taken from
 
 
 def semilattice_term(alg: FiniteAlgebra, w_symbol: str,
@@ -263,8 +258,9 @@ def semilattice_term(alg: FiniteAlgebra, w_symbol: str,
 
     A failing conclusion under established hypotheses raises
     FalsificationError; with hypotheses not established the failure is
-    only reported.  sim is checked to be a congruence once, first.
+    only reported.  Checks the A^4 cap first, then that sim is a congruence.
     """
+    core.check_power(alg.size, 4, "A^4")
     _check_congruences(alg, sim)
     result = run_pipeline(alg, w_symbol)
 
@@ -294,7 +290,7 @@ def semilattice_term(alg: FiniteAlgebra, w_symbol: str,
             f"semilattice-term conclusion fails on '{alg.name}' although the "
             f"surrogate hypotheses hold: {report.violations[0]}")
     return SemilatticeTermResult(result.wedge_candidate, report, hypotheses,
-                                 established, report.verdict)
+                                 established, report.verdict, result)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ shares, so that neither the gathered rows nor the keys of a box exceed
 values of all its steps); the lanes that grew alike in the last round
 share each box, stacked along one more range, and `_apply_block`
 evaluates a box by gathering one row per leading combination, lane and
-coordinate and indexing it by the last argument.  The one table-size
-cap, `core.FAST_CLOSURE_SPACE_CAP`, is read at call time: it picks the
-bitmap over sorted keys and bounds A^4.
+coordinate and indexing it by the last argument.  `core.check_power`
+holds the int64 keys and A^4 to their caps before any work; the closure
+reads `core.FAST_CLOSURE_SPACE_CAP` only to pick the bitmap over sorted keys.
 `generate_subpower` wraps the rows and steps of one lane, as they come,
 in a `GeneratedSet`, and `d_rels` those of one lane per generator pair;
 these sets are used wherever witnesses must be replayed (D-relations,
@@ -237,7 +237,7 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     -1.  Each lane's elements and steps are those it has when closed alone.
 
     A tuple's key in lane l is l * n**k plus its base-n value, so
-    len(lanes) * n**k must fit in int64, which is checked before any work.
+    len(lanes) * n**k must fit in int64; `core.check_power` checks it first.
     Keys already known are found in one `visited` bitmap when there are at
     most core.FAST_CLOSURE_SPACE_CAP keys, and by binary search in the sorted
     known keys above it.  Each round lays every lane's rows out in one
@@ -297,15 +297,13 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
     round, stop or go on, and never starts over."""
     if k < 1:
         raise AlgebraError(f"power must be >= 1, got {k}")
-    n = alg.size
-    space = n ** k
-    if len(lanes) * space > 1 << 63:
-        raise CapExceeded(f"{len(lanes)} lane(s) of A^{k} hold {len(lanes) * space} "
-                          f"tuples, beyond the int64 key range")
     if group and len(lanes) != 1:
         raise AlgebraError("a closure under a group takes exactly one lane")
     if not len(lanes):
         return []
+    n = alg.size
+    core.check_power(n, k, "each lane of int64 keys", (1 << 63) // len(lanes))
+    space = n ** k
     gens = []
     for lane in lanes:
         try:
@@ -791,8 +789,8 @@ def _matrix_rounds(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
     given alpha-pair and (c, d, c, d) for every beta-pair, over
     _KLEIN_GROUP orbit representatives: the `_closure_rounds` generator of
     one lane, whose last yield is the closure as an (m, 4) int64 array.
-    `_commutator` reads it round by round.  A^4 must fit in
-    core.FAST_CLOSURE_SPACE_CAP, which is checked first.
+    `_commutator` reads it round by round, once it has checked A^4
+    against the cap.
 
     The orbit reduction is exact when the alpha-pairs are symmetric: the
     row swap maps (a, a, b, b) to (b, b, a, a) and fixes (c, d, c, d), the
@@ -801,9 +799,6 @@ def _matrix_rounds(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
     closure, since operations act coordinatewise.  A one-directional pair
     set is refused with AlgebraError, never closed as the orbits of its
     generators."""
-    n = alg.size
-    if n ** 4 > core.FAST_CLOSURE_SPACE_CAP:
-        raise CapExceeded(f"A^4 has {n ** 4} tuples, beyond the closure cap")
     gens = [(a, a, b, b) for a, b in alpha_pairs]
     gens += [(c, d, c, d) for c, d in beta.pairs()]
     return _closure_rounds(alg, 4, [gens], _KLEIN_GROUP)
@@ -815,9 +810,7 @@ def matrix_set(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> np.ndar
     and (c, d, c, d) per beta-pair.  It builds its own rows, so
     `oracles.commutator_oracle`, which reads it, shares only the closure
     engine with `commutator`: no spanning set, orbit reduction or probe."""
-    n = alg.size
-    if n ** 4 > core.FAST_CLOSURE_SPACE_CAP:
-        raise CapExceeded(f"A^4 has {n ** 4} tuples, beyond the closure cap")
+    core.check_power(alg.size, 4, "A^4")
     gens = [(a, a, b, b) for a, b in alpha.pairs()]
     gens += [(c, d, c, d) for c, d in beta.pairs()]
     (rows, _), = _subpower_closure(alg, 4, [gens])
@@ -927,8 +920,9 @@ def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partit
     delta >= theta, [alpha, beta] is the preimage of the cached
     [alpha/theta, beta/theta] of A/theta, which many pairs of one algebra
     share.  theta is a congruence by construction, so A/theta is built
-    unchecked.
+    unchecked.  A^4 is checked against the cap before any work.
     """
+    core.check_power(alg.size, 4, "A^4")
     rounds = _matrix_rounds(alg, _spanning_pairs(alg, alpha), beta)
     generators = next(rounds)
     matrices = next(rounds, generators)        # one round on, if it adds any

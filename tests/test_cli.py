@@ -212,7 +212,7 @@ def test_construct_extend_above_cap_exit(tmp_path, capsys):
     path = tmp_path / "par11.alg"
     path.write_text(format_algebra(parity_algebra(11)))
     assert main(["construct", "extend", str(path), "w"]) == 2
-    assert "closure cap" in capsys.readouterr().err
+    assert "beyond the cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("what, extra", [("e3", ["copy.alg"]), ("n4", ["a", "b"])])
@@ -382,6 +382,47 @@ def test_large_derive_exit(tmp_path, capsys, arity):
     assert main(["con", str(big)]) == 2
     assert time.perf_counter() - start < 1.0
     assert "beyond the cap" in capsys.readouterr().err
+
+
+def test_table_past_int64_exit(tmp_path, capsys):
+    # a 3000-digit size converts, but its square has more digits than str
+    # prints: the op line is refused before the power is formed
+    bad = tmp_path / "huge.alg"
+    bad.write_text(f"algebra a\nsize {'1' * 3000}\nop f 2\n0 1\n")
+    start = time.perf_counter()
+    assert main(["check-smb", str(bad)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "line 3" in err and "Traceback" not in err
+
+
+def test_a4_refused_before_any_work(e3_file, monkeypatch, capsys):
+    # 3**4 = 81 entries over a cap of 80: `verify commutator` and `pipeline
+    # --sim` exit 2 before a regular base, a principal table or a pipeline
+    # stage is computed
+    from smbalg import analyzer, core, pipeline
+    calls = []
+    for module, name in ((analyzer, "_regular_context"),
+                         (analyzer, "_principal_table"), (pipeline, "iterate_wnu")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    monkeypatch.setattr(core, "FAST_CLOSURE_SPACE_CAP", 80)
+    for argv in (["verify", "commutator", e3_file],
+                 ["pipeline", e3_file, "d", "--sim", "0 1 | 2"]):
+        assert main(argv) == 2
+        assert "A^4 would have 3^4 entries, beyond the cap of 80" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_pipeline_sim_runs_the_pipeline_once(e3_file, monkeypatch, capsys):
+    from smbalg import pipeline
+    calls = []
+    real = pipeline.iterate_wnu
+    monkeypatch.setattr(pipeline, "iterate_wnu", lambda *a: calls.append(a) or real(*a))
+    assert main(["--json", "pipeline", e3_file, "d", "--sim", "0 1 | 2"]) == 0
+    assert "semilattice_term" in json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from smbalg import (AlgebraError, App, Const, FiniteAlgebra, Identity,
                     OperationTable, Quasiidentity, Var, check_identity,
                     check_quasiidentity, materialize_term,
                     table_flags, term_table)
-from smbalg.core import MAX_VARIABLES, CapExceeded
+from smbalg import core
+from smbalg.core import MAX_VARIABLES, CapExceeded, check_power
 from smbalg.oracles import eval_term, substitute
 from conftest import module_caches, random_term
 
@@ -210,6 +212,56 @@ def test_library_never_reaches_the_oracles():
                         value == "eval_term" or "oracles" in value.split(".")):
                     offences.append((path.name, getattr(node, "lineno", None), value))
     assert offences == []
+
+
+def test_check_power_is_exact(monkeypatch):
+    # raises exactly when n**k > limit, though n**k is formed only up to
+    # the limit's bit length; the default limit is read at call time
+    for limit in (0, 1, 5, 80, 2 ** 63):
+        for n in range(1, 7):
+            for k in range(70):
+                over = n ** k > limit
+                try:
+                    check_power(n, k, "it", limit)
+                except CapExceeded as exc:
+                    assert over and str(exc) == (
+                        f"it would have {n}^{k} entries, beyond the cap of {limit}")
+                else:
+                    assert not over
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"2\^1000000000000000000 entries"):
+        check_power(2, 10 ** 18, "it", 2 ** 63)
+    assert time.perf_counter() - start < 1.0
+    check_power(3, 4, "A^4")
+    monkeypatch.setattr(core, "FAST_CLOSURE_SPACE_CAP", 80)
+    with pytest.raises(CapExceeded, match="beyond the cap of 80"):
+        check_power(3, 4, "A^4")
+
+
+def test_one_owner_of_the_size_cap():
+    # only core decides a size cap: outside core.py, FAST_CLOSURE_SPACE_CAP
+    # is named only where relations._closure_rounds picks the bitmap, and
+    # pipeline and constructions raise no CapExceeded of their own
+    import smbalg
+    from smbalg import constructions, pipeline
+
+    def names(tree):
+        return sum(getattr(node, field, None) == "FAST_CLOSURE_SPACE_CAP"
+                   for node in ast.walk(tree) for field in ("id", "attr", "name"))
+
+    total, owners = 0, []
+    for path in sorted(Path(smbalg.__file__).parent.glob("*.py")):
+        if path.stem == "core":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        total += names(tree)
+        owners += [(path.stem, func.name, names(func)) for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and names(func)]
+    # every naming lies in that one function, which nests none that names it
+    assert total and owners == [("relations", "_closure_rounds", total)]
+    assert not hasattr(pipeline, "CapExceeded")
+    assert not hasattr(constructions, "CapExceeded")
 
 
 def test_one_closure_loop():

@@ -45,7 +45,7 @@ def test_iterate_wnu_examples(e3, b2):
 
 def test_iterate_wnu_entry_cap(e3, monkeypatch):
     monkeypatch.setattr(core, "FAST_CLOSURE_SPACE_CAP", 10)
-    with pytest.raises(CapExceeded, match="above the cap 10"):
+    with pytest.raises(CapExceeded, match="beyond the cap of 10"):
         iterate_wnu(e3, "d")
 
 

@@ -3,6 +3,7 @@ import functools
 import inspect
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -804,7 +805,7 @@ def test_trace_replay(corpus):
             assert replay(alg, gen) == gen.rows.tolist()
 
 
-def test_size_caps(monkeypatch):
+def test_size_caps(monkeypatch, e3):
     from smbalg import CapExceeded, chain_semilattice
     generated = []
     with monkeypatch.context() as mp:
@@ -820,12 +821,18 @@ def test_size_caps(monkeypatch):
     # cap is checked before the generators are read
     with pytest.raises(CapExceeded, match="int64"):
         generate_subpower(chain_semilattice(2), 64, [(0,) * 64])
+    # a huge power is refused at once: 3**k is never formed, nor printed
+    for k in (10 ** 5, 10 ** 9):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="int64"):
+            generate_subpower(e3, k, [(0,)])
+        assert time.perf_counter() - start < 1.0
     # matrix sets span A^4: 50**4 tuples are refused before the closure
     # runs, by the commutator and by the oracle's matrix_set alike
     one = Partition.one(50)
-    with pytest.raises(CapExceeded, match="closure cap"):
+    with pytest.raises(CapExceeded, match=r"A\^4 would have 50\^4 entries, beyond the cap"):
         commutator(chain_semilattice(50), one, one)
-    with pytest.raises(CapExceeded, match="closure cap"):
+    with pytest.raises(CapExceeded, match=r"A\^4 would have 50\^4 entries, beyond the cap"):
         matrix_set(chain_semilattice(50), one, one)
 
 
@@ -836,7 +843,7 @@ def test_closure_cap_is_read_from_core(monkeypatch, e3):
     one = Partition.one(3)
     assert commutator(e3, one, one).is_one
     monkeypatch.setattr(core, "FAST_CLOSURE_SPACE_CAP", 0)
-    with pytest.raises(CapExceeded, match="closure cap"):
+    with pytest.raises(CapExceeded, match="beyond the cap of 0"):
         commutator(e3, one, one)
 
 
