@@ -708,19 +708,23 @@ class JoinChain:
     steps: Optional[tuple] = None   # (term, (u, v)) linking ds[i-1] to cs[i]
 
 
-def join_membership_chain(alg: FiniteAlgebra, sim: Partition,
-                          a: int, b: int, c: int, d: int) -> JoinChain:
-    """Is (c, d) in Cg(a,b) join sim, with an explicit alternating chain
+def join_membership_chain(alg: FiniteAlgebra, sim: Partition, a: int, b: int,
+                          pairs: Sequence[tuple]) -> list:
+    """For each (c, d) of `pairs`, in order, one JoinChain: is (c, d) in
+    Cg(a,b) join sim, with an explicit alternating chain
     c = c0 ~ d0, c1 ~ d1, ..., ck ~ dk = d whose links {d_{i-1}, c_i} are
     unary polynomial images of {a, b}.
 
-    One breadth-first search over the sim-classes: each polynomial image
-    pair (u, v) links the class of u to the class of v and back, so the
-    chain has the fewest links.  Reachability must agree with the join
-    Cg(a,b) v sim computed apart, else FalsificationError."""
-    _check_elements(alg, a, b, c, d)
+    The polynomial image pairs of {a, b} are closed, and sim checked,
+    once for all pairs.  One breadth-first search over the sim-classes
+    per class of c: each polynomial image pair (u, v) links the class of
+    u to the class of v and back, so every chain has the fewest links.
+    Reachability must agree with the join Cg(a,b) v sim computed apart,
+    else FalsificationError."""
+    pairs = list(pairs)
+    _check_elements(alg, a, b, *(x for pair in pairs for x in pair))
     _check_congruences(alg, sim)
-    member = principal_congruence(alg, a, b).join(sim).related(c, d)
+    join = principal_congruence(alg, a, b).join(sim)
 
     pg = polynomial_image_pairs(alg, a, b)
     ids = sim.class_ids
@@ -728,66 +732,80 @@ def join_membership_chain(alg: FiniteAlgebra, sim: Partition,
     for i, (u, v) in enumerate(pg.rows.tolist()):
         links.setdefault(ids[u], []).append((u, v, i))
         links.setdefault(ids[v], []).append((v, u, i))
-    prev: dict = {ids[c]: None}     # class id -> the link reaching it first
-    queue = [ids[c]]
-    for k in queue:
-        for u, v, i in links.get(k, ()):
-            if ids[v] not in prev:
-                prev[ids[v]] = (u, v, i)
-                queue.append(ids[v])
-
-    if (ids[d] in prev) != member:
-        raise FalsificationError(
-            f"join membership and chain reachability disagree for "
-            f"Cg({a},{b}) v sim at ({c},{d}) on '{alg.name}'")
-    if not member:
-        return JoinChain(False)
-
-    path = []
-    link = prev[ids[d]]
-    while link is not None:
-        path.append(link)
-        link = prev[ids[link[0]]]
-    path.reverse()
+    searches: dict = {}             # class id of c -> {class id: the link reaching it first}
     term = pg.terms({(a, b): Var(0)})
-    return JoinChain(True, (c,) + tuple(v for _, v, _ in path),
-                     tuple(u for u, _, _ in path) + (d,),
-                     tuple((term(i), (u, v)) for u, v, i in path))
+    out = []
+    for c, d in pairs:
+        prev = searches.get(ids[c])
+        if prev is None:
+            prev = searches[ids[c]] = {ids[c]: None}
+            queue = [ids[c]]
+            for k in queue:
+                for u, v, i in links.get(k, ()):
+                    if ids[v] not in prev:
+                        prev[ids[v]] = (u, v, i)
+                        queue.append(ids[v])
+
+        member = join.related(c, d)
+        if (ids[d] in prev) != member:
+            raise FalsificationError(
+                f"join membership and chain reachability disagree for "
+                f"Cg({a},{b}) v sim at ({c},{d}) on '{alg.name}'")
+        if not member:
+            out.append(JoinChain(False))
+            continue
+
+        path = []
+        link = prev[ids[d]]
+        while link is not None:
+            path.append(link)
+            link = prev[ids[link[0]]]
+        path.reverse()
+        out.append(JoinChain(True, (c,) + tuple(v for _, v, _ in path),
+                             tuple(u for u, _, _ in path) + (d,),
+                             tuple((term(i), (u, v)) for u, v, i in path)))
+    return out
 
 
-def cgvsim_below(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> Tuple[int, int]:
-    """From a chain witnessing (c,d) in Cg(a,b) join sim, produce (e, f) with
-    (c,e), (d,f) in Cg(a,b), e ~ f, and the class of e below both [c] and [d].
+def cgvsim_below(alg: FiniteAlgebra, a: int, b: int, pairs: Sequence[tuple]) -> list:
+    """For each (c, d) of `pairs`, in order, from a chain witnessing (c,d)
+    in Cg(a,b) join sim, produce (e, f) with (c,e), (d,f) in Cg(a,b), e ~ f,
+    and the class of e below both [c] and [d].  The chains come from one
+    `join_membership_chain` call for all pairs.
 
     Built by wedge folds that take each next element of the chain on the
     left, e = c_k^(..^(c_1^c_0)) and f = d_0^(d_1^(..^d_k)); left-nested
     folds break the properties on some regular algebras.  All three
     properties are verified and a violation raises FalsificationError.
+    A pair outside the join raises PreconditionError.
     """
-    _check_elements(alg, a, b, c, d)
+    pairs = list(pairs)
+    _check_elements(alg, a, b, *(x for pair in pairs for x in pair))
     sim, _, _ = _regular_context(alg)
-    chain = join_membership_chain(alg, sim, a, b, c, d)
-    if not chain.member:
-        raise PreconditionError(
-            f"({c},{d}) is not in Cg({a},{b}) join sim on '{alg.name}'")
+    chains = join_membership_chain(alg, sim, a, b, pairs)
     wedge = alg.op(WEDGE)
-
-    e = chain.cs[0]
-    for cl in chain.cs[1:]:
-        e = wedge.apply(cl, e)
-    f = chain.ds[-1]
-    for dl in reversed(chain.ds[:-1]):
-        f = wedge.apply(dl, f)
-
     cg = principal_congruence(alg, a, b)
     ids = sim.class_ids
-    wcd = wedge.apply(c, d)
-    below = ids[wedge.apply(e, wcd)] == ids[e]
-    if not (cg.related(c, e) and cg.related(d, f) and sim.related(e, f) and below):
-        raise FalsificationError(
-            f"fold witnesses (e,f)=({e},{f}) violate the lowering properties "
-            f"for ({a},{b},{c},{d}) on '{alg.name}'")
-    return e, f
+    out = []
+    for (c, d), chain in zip(pairs, chains):
+        if not chain.member:
+            raise PreconditionError(
+                f"({c},{d}) is not in Cg({a},{b}) join sim on '{alg.name}'")
+        e = chain.cs[0]
+        for cl in chain.cs[1:]:
+            e = wedge.apply(cl, e)
+        f = chain.ds[-1]
+        for dl in reversed(chain.ds[:-1]):
+            f = wedge.apply(dl, f)
+
+        wcd = wedge.apply(c, d)
+        below = ids[wedge.apply(e, wcd)] == ids[e]
+        if not (cg.related(c, e) and cg.related(d, f) and sim.related(e, f) and below):
+            raise FalsificationError(
+                f"fold witnesses (e,f)=({e},{f}) violate the lowering properties "
+                f"for ({a},{b},{c},{d}) on '{alg.name}'")
+        out.append((e, f))
+    return out
 
 
 def check_cgvsim(alg: FiniteAlgebra, a: int, b: int, c: int, d: int) -> bool:

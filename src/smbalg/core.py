@@ -70,6 +70,17 @@ def check_power(n: int, k: int, what: str, limit: Optional[int] = None):
         raise CapExceeded(f"{what} would have {n}^{k} entries, beyond the cap of {limit}")
 
 
+def _power_text(n: int, k: int) -> str:
+    """n**k for a message: in decimal below 2**63, else as n^k, and with n
+    named by its bit length when it has more digits than `str` prints."""
+    if n ** min(k, 64) < 1 << 63:
+        return str(n ** k)
+    try:
+        return f"{n}^{k}"
+    except ValueError:
+        return f"({n.bit_length()}-bit number)^{k}"
+
+
 def fits_int(digits: str) -> bool:
     """Whether `int` converts `digits`, a string of decimal digits: it
     refuses more digits than `sys.get_int_max_str_digits()` (0: no limit,
@@ -130,9 +141,9 @@ class OperationTable(_Frozen):
                     and entries.dtype.kind in "iu")
         if not integers:
             entries = tuple(entries)
-        expected = size ** arity
-        if len(entries) != expected:
-            raise AlgebraError(f"expected {expected} entries, got {len(entries)}")
+        count = len(entries)
+        if size ** min(arity, count.bit_length() + 1) != count:   # exact, as in check_power
+            raise AlgebraError(f"expected {_power_text(size, arity)} entries, got {count}")
         if integers:
             valid = entries.min() >= 0 and entries.max() < size
         else:

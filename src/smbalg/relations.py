@@ -50,8 +50,10 @@ they commute with them; hence M(S, beta) is invariant too, and a round
 needs the first argument of its combinations only from the least tuple
 of each orbit, provided it adds the whole orbit of each new tuple (see
 `_subpower_closure`).  The closure refuses generators that are not
-invariant.  After one round, the term-condition fixpoint theta over the
-matrices so far lies below [alpha, beta]; if it is not 0_A, the
+invariant.  The answer lies between theta and alpha meet beta, so a zero
+meet is returned with no closure.  After one round, the term-condition
+fixpoint theta over the matrices so far lies below [alpha, beta]; if it
+equals the meet it is the answer, and if it is neither that nor 0_A, the
 commutator finishes in A/theta, built unchecked by `_quotient`, and is
 pulled back, since C(alpha, beta; delta) holds in A exactly when
 C(alpha/theta, beta/theta; delta/theta) holds in A/theta for delta >=
@@ -894,10 +896,14 @@ def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partiti
     under the fixed Klein group of row and column swaps of every matrix, so
     `_matrix_rounds` closes it over _KLEIN_GROUP orbit representatives:
     the same set, with about a third of the argument combinations evaluated.
-    After one round it probes: the fixpoint theta over the matrices so far
-    lies below [alpha, beta], and when it is not 0_A the commutator is
-    finished in A/theta (see `_commutator`).  Guaranteed to lie below alpha
-    meet beta; a violation of that bound is raised loudly.
+    The answer lies between two bounds, theta <= [alpha, beta] <= alpha
+    meet beta: C(alpha, beta; alpha) and C(alpha, beta; beta) always hold
+    and C(alpha, beta; .) is closed under meets, so a zero meet is the
+    answer before any closure.  Otherwise, after one round, it probes: the
+    fixpoint theta over the matrices so far is the lower bound, the answer
+    when it reaches the meet, and when it is neither that nor 0_A the
+    commutator is finished in A/theta (see `_commutator`).  A result not
+    below alpha meet beta is raised loudly.
 
     alpha and beta are checked to be congruences first; the library's own
     callers, which pass congruences it built, call the cached `_commutator`.
@@ -908,14 +914,16 @@ def commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partiti
 
 @lru_cache(maxsize=None)
 def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partition:
-    """`commutator` for two partitions known to be congruences, probed
-    after one round of the closure of M(S, beta).
+    """`commutator` for two partitions known to be congruences, decided
+    between its bounds theta <= [alpha, beta] <= alpha meet beta.
 
-    theta, the term-condition fixpoint over the matrices of that round,
-    lies below [alpha, beta], since the term condition over all of
-    M(S, beta) implies it over any subset.  If that round added no matrix,
-    theta is the answer.  If theta is 0_A, the same closure runs on to
-    the end.  Otherwise, since C(alpha, beta; delta) holds in A exactly when
+    When alpha meet beta is 0_A, it is the answer, with no closure.
+    Otherwise theta, the term-condition fixpoint over the matrices of one
+    round of the closure of M(S, beta), lies below [alpha, beta], since the
+    term condition over all of M(S, beta) implies it over any subset.  If
+    that round added no matrix, or theta equals alpha meet beta, theta is
+    the answer.  If theta is 0_A, the same closure runs on to the end.
+    Otherwise, since C(alpha, beta; delta) holds in A exactly when
     C(alpha/theta, beta/theta; delta/theta) holds in A/theta for every
     delta >= theta, [alpha, beta] is the preimage of the cached
     [alpha/theta, beta/theta] of A/theta, which many pairs of one algebra
@@ -923,11 +931,14 @@ def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partit
     unchecked.  A^4 is checked against the cap before any work.
     """
     core.check_power(alg.size, 4, "A^4")
+    meet = alpha.meet(beta)
+    if meet.is_zero:                           # the upper bound is 0_A
+        return meet
     rounds = _matrix_rounds(alg, _spanning_pairs(alg, alpha), beta)
     generators = next(rounds)
     matrices = next(rounds, generators)        # one round on, if it adds any
     theta = _term_condition_fixpoint(alg, matrices)
-    if matrices is generators:                 # closed: theta is the answer
+    if matrices is generators or theta == meet:    # theta is the answer
         result = theta
     elif theta.is_zero:                        # the same closure, to the end
         for matrices in rounds:
@@ -938,7 +949,7 @@ def _commutator(alg: FiniteAlgebra, alpha: Partition, beta: Partition) -> Partit
         inner = _commutator(quot, push_partition(theta, cmap, quot.size, alpha),
                             push_partition(theta, cmap, quot.size, beta))
         result = Partition(alg.size, tuple(inner.class_ids[c] for c in cmap))
-    if not result.refines(alpha.meet(beta)):
+    if not result.refines(meet):
         raise FalsificationError(
             f"commutator bound failed on {alg.name}: [{alpha}, {beta}] = {result} "
             f"is not below the meet")

@@ -851,17 +851,39 @@ def test_verify_cg_d3_needs_regular(n4):
 
 
 def test_join_membership_chain(e3, e3_sim):
-    chain = join_membership_chain(e3, e3_sim, 0, 1, 1, 0)
+    chain, trivial = join_membership_chain(e3, e3_sim, 0, 1, [(1, 0), (2, 2)])
     assert chain.member
     assert chain.cs[0] == 1 and chain.ds[-1] == 0
     assert len(chain.cs) == len(chain.ds)
     for ci, di in zip(chain.cs, chain.ds):
         assert e3_sim.related(ci, di)
 
-    trivial = join_membership_chain(e3, e3_sim, 0, 1, 2, 2)
     assert trivial.member and trivial.cs == (2,) and trivial.ds == (2,)
 
-    assert not join_membership_chain(e3, e3_sim, 0, 0, 0, 2).member
+    assert [c.member for c in join_membership_chain(e3, e3_sim, 0, 0, [(0, 2)])] == [False]
+    assert join_membership_chain(e3, e3_sim, 0, 1, []) == []
+
+
+def test_join_chains_close_once_per_generator_pair(monkeypatch, corpus):
+    # the polynomial image pairs of {a, b} are closed, and sim checked, once
+    # for all pairs (c, d) of one (a, b), and each chain equals the one a
+    # call for its pair alone gives
+    calls = {"polynomial_image_pairs": 0, "_check_congruences": 0}
+    for name in calls:
+        real = getattr(analyzer, name)
+        monkeypatch.setattr(analyzer, name, lambda *args, real=real, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or real(*args))
+    entry = next(entry for entry in corpus if entry.has("regularized") and entry.algebra.size == 5)
+    alg, sim = entry.algebra, entry.sim
+    pairs = list(itertools.product(range(alg.size), repeat=2))
+    for a, b in [(0, 1), (3, 2)]:
+        chains = join_membership_chain(alg, sim, a, b, pairs)
+        assert calls == {"polynomial_image_pairs": 1, "_check_congruences": 1}
+        members = [pair for pair, chain in zip(pairs, chains) if chain.member]
+        assert len(cgvsim_below(alg, a, b, members)) == len(members) > alg.size
+        assert calls == {"polynomial_image_pairs": 2, "_check_congruences": 2}
+        assert chains == [join_membership_chain(alg, sim, a, b, [pair])[0] for pair in pairs]
+        calls.update(dict.fromkeys(calls, 0))
 
 
 def class_distance(pg, sim, c, d):
@@ -888,10 +910,10 @@ def test_join_membership_chain_links(corpus):
     inputs += [regularized_glued(3, (2, 2, 1)), regularized_glued(3, (2, 2, 2))]
     for alg, sim in inputs:
         n = alg.size
-        for a, b in itertools.product(range(n), repeat=2):
+        pairs = list(itertools.product(range(n), repeat=2))
+        for a, b in pairs:
             pg = relations.polynomial_image_pairs(alg, a, b)
-            for c, d in itertools.product(range(n), repeat=2):
-                chain = join_membership_chain(alg, sim, a, b, c, d)
+            for (c, d), chain in zip(pairs, join_membership_chain(alg, sim, a, b, pairs)):
                 if not chain.member:
                     continue
                 assert chain.cs[0] == c and chain.ds[-1] == d
@@ -912,20 +934,19 @@ def test_join_membership_chain_cross_check(monkeypatch, e3, e3_sim, wrong, args,
     # reachability over the polynomial links is checked against the join
     # Cg(a,b) v sim computed apart: a wrong principal congruence, 1_A or
     # 0_A, makes the two disagree and raises
-    assert join_membership_chain(e3, e3_sim, *args).member == member
+    a, b, c, d = args
+    assert join_membership_chain(e3, e3_sim, a, b, [(c, d)])[0].member == member
     monkeypatch.setattr(analyzer, "principal_congruence", lambda alg, a, b: wrong)
     with pytest.raises(FalsificationError, match="reachability disagree"):
-        join_membership_chain(e3, e3_sim, *args)
+        join_membership_chain(e3, e3_sim, a, b, [(c, d)])
 
 
 def test_cgvsim_below_examples(e3):
-    assert cgvsim_below(e3, 0, 1, 2, 2) == (2, 2)
-    e, f = cgvsim_below(e3, 0, 1, 0, 1)
-    assert e in (0, 1) and f in (0, 1)
-    e, f = cgvsim_below(e3, 0, 2, 1, 2)
-    assert e == 2 and f == 2
-    with pytest.raises(PreconditionError, match="not in Cg"):
-        cgvsim_below(e3, 0, 0, 0, 2)
+    (e, f), same = cgvsim_below(e3, 0, 1, [(0, 1), (2, 2)])
+    assert e in (0, 1) and f in (0, 1) and same == (2, 2)
+    assert cgvsim_below(e3, 0, 2, [(1, 2)]) == [(2, 2)]
+    with pytest.raises(PreconditionError, match=r"\(0,2\) is not in Cg\(0,0\)"):
+        cgvsim_below(e3, 0, 0, [(0, 0), (0, 2)])
 
 
 def fold_witnesses(alg, chain, right):
@@ -947,10 +968,10 @@ def lowers(alg, sim, cg, c, d, e, f):
 
 def test_cgvsim_below_sweep(corpus, monkeypatch):
     # every (a, b, c, d) with (c, d) in Cg(a, b) v sim on the regularized
-    # corpus up to n = 5: the witnesses are the folds with each next element
-    # on the left over the chain the function read, and have the lowering
-    # properties, checked here apart; the left-nested folds break them
-    # somewhere, so the nesting is tested
+    # corpus up to n = 5, one call per (a, b): the witnesses are the folds
+    # with each next element on the left over the chains the function read,
+    # and have the lowering properties, checked here apart; the left-nested
+    # folds break them somewhere, so the nesting is tested
     chains, real = [], analyzer.join_membership_chain
     monkeypatch.setattr(analyzer, "join_membership_chain",
                         lambda *args: chains.append(real(*args)) or chains[-1])
@@ -962,11 +983,11 @@ def test_cgvsim_below_sweep(corpus, monkeypatch):
         for a, b in itertools.product(range(alg.size), repeat=2):
             cg = principal_congruence(alg, a, b)
             join = cg.join(sim)
-            for c, d in itertools.product(range(alg.size), repeat=2):
-                if not join.related(c, d):
-                    continue
-                e, f = cgvsim_below(alg, a, b, c, d)
-                chain = chains[-1]
+            pairs = [(c, d) for c, d in itertools.product(range(alg.size), repeat=2)
+                     if join.related(c, d)]
+            witnesses = cgvsim_below(alg, a, b, pairs)
+            assert len(witnesses) == len(chains[-1]) == len(pairs)
+            for (c, d), (e, f), chain in zip(pairs, witnesses, chains[-1]):
                 assert (e, f) == fold_witnesses(alg, chain, True), (alg.name, a, b, c, d)
                 assert lowers(alg, sim, cg, c, d, e, f), (alg.name, a, b, c, d)
                 broken += not lowers(alg, sim, cg, c, d, *fold_witnesses(alg, chain, False))
@@ -983,8 +1004,8 @@ def test_check_cgvsim_examples(e3):
 @pytest.mark.parametrize("bad", [-1, 3])      # -1 and n, e3 has 3 elements
 @pytest.mark.parametrize("call", [
     lambda alg, sim, x: check_cgvsim(alg, 0, 1, x, 0),
-    lambda alg, sim, x: cgvsim_below(alg, 0, 1, 0, x),
-    lambda alg, sim, x: join_membership_chain(alg, sim, 0, 1, x, 0),
+    lambda alg, sim, x: cgvsim_below(alg, 0, 1, [(0, x)]),
+    lambda alg, sim, x: join_membership_chain(alg, sim, 0, 1, [(0, 0), (x, 0)]),
     lambda alg, sim, x: alternating_chain_fold(alg, sim, Partition.one(3), [0, 1, x, 0]),
 ], ids=["check_cgvsim", "cgvsim_below", "join_membership_chain",
         "alternating_chain_fold"])

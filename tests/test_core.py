@@ -21,6 +21,19 @@ D = lambda a, b, c: App("d", (a, b, c))
 x, y, z = Var(0), Var(1), Var(2)
 
 
+def test_table_count_past_printable_ints():
+    # the entry count is decided without printing size ** arity, which has
+    # more digits than `str` prints; the message names size and arity
+    with pytest.raises(AlgebraError, match=r"expected 10{3000}\^2 entries, got 1$"):
+        OperationTable(2, 10 ** 3000, [0])
+    with pytest.raises(AlgebraError, match=r"expected \(16610-bit number\)\^1 entries"):
+        OperationTable(1, 10 ** 5000, [0])
+    with pytest.raises(AlgebraError, match="expected 4611686018427387904 entries, got 1"):
+        OperationTable(31, 4, [0])
+    with pytest.raises(AlgebraError, match=r"expected 4\^32 entries, got 1"):
+        OperationTable(32, 4, [0])
+
+
 def test_table_index_last_argument_fastest():
     t = OperationTable(3, 3, [v % 3 for v in range(27)])
     assert t.index((1, 2, 0)) == (1 * 3 + 2) * 3 + 0

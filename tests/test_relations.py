@@ -1622,13 +1622,15 @@ ONE_ROUND_SHORT = FiniteAlgebra("one_round_short", 5, {"f": OperationTable(
 
 @functools.lru_cache(maxsize=None)
 def probe_oracle_cases():
-    """Every ordered pair of congruences of `ONE_ROUND_SHORT` and of 12
-    seeded planted algebras with n = 3-5 in four signatures, with the
-    oracle's commutator of each."""
+    """Every ordered pair of congruences of `ONE_ROUND_SHORT`, of 12 seeded
+    planted algebras with n = 3-5 in four signatures and of two regularized
+    glued algebras (n = 4 and 5, on which many probes stop strictly between
+    0_A and alpha meet beta), with the oracle's commutator of each."""
     rng = random.Random(3232)
     signatures = ({"f": 2}, {"f": 2, "u": 1}, {"t": 3}, {"f": 2, "g": 2})
     algebras = [ONE_ROUND_SHORT] + [planted_algebra(rng, 3 + i % 3, signatures[i % 4])
                                     for i in range(12)]
+    algebras += [regularized_glued(3, sizes)[0] for sizes in ((2, 1, 1), (2, 2, 1))]
     return tuple((alg, alpha, beta, commutator_oracle(alg, alpha, beta)) for alg in algebras
                  for alpha, beta in itertools.product(congruence_lattice(alg), repeat=2))
 
@@ -1653,9 +1655,10 @@ def probe_mismatches(commutator_body, cases):
 
 
 def test_probing_commutator_matches_oracle():
-    # random algebras with n = 3-5 and a planted congruence: the probe
-    # recurses on many pairs, and on ONE_ROUND_SHORT its theta lies strictly
-    # below the commutator, so the pull-back is needed
+    # random algebras with n = 3-5 and a planted congruence, and two
+    # regularized glued algebras: the probe recurses on many pairs, those
+    # with 0_A < theta < alpha meet beta, and on ONE_ROUND_SHORT its theta
+    # lies strictly below the commutator, so the pull-back is needed
     cases = probe_oracle_cases()
     quotients = []
     real = relations._quotient
@@ -1737,8 +1740,44 @@ def test_probing_commutator_cache_entries(e3):
         [(5, "0 3 | 1 2 | 4", "0 1 2 3 4")], 0)
     # theta = 0_A: the same closure runs on, in A alone
     assert entries(e3, "0 1 | 2", "0 1 | 2") == ([(3, "0 1 | 2", "0 1 | 2")], 1)
-    # theta = [1_A, 1_A] = 1_A: the quotient is the one-element algebra
-    assert entries(e3, "0 1 2", "0 1 2") == ([(3, "0 1 2", "0 1 2"), (1, "0", "0")], 2)
+    # theta = 1_A = alpha meet beta: the answer, with no quotient
+    assert entries(e3, "0 1 2", "0 1 2") == ([(3, "0 1 2", "0 1 2")], 1)
+
+
+def spied_commutator(alg, alpha, beta, name):
+    """`_commutator`'s answer, uncached, and how many calls it made to the
+    `relations` function `name`."""
+    calls = []
+    real = getattr(relations, name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, name, lambda *args: calls.append(args) or real(*args))
+        result = relations._commutator.__wrapped__(alg, alpha, beta)
+    return result, len(calls)
+
+
+def test_commutator_of_a_zero_meet_closes_nothing(e3):
+    # [alpha, beta] <= alpha meet beta, so a zero meet is the answer before
+    # any closure: on e3, and on two principal congruences of a glued
+    # algebra that meet in 0_A
+    alg, _ = regularized_glued(3, (2, 2, 1))
+    principals = dict.fromkeys(relations._principal_table(alg)[0][1:])
+    apart = [(p, q) for p, q in itertools.combinations(principals, 2)
+             if p.meet(q).is_zero and not (p.is_zero or q.is_zero)]
+    assert apart
+    cases = [(e3, Partition.parse("0 1 | 2", 3), Partition.zero(3)), (alg, *apart[0])]
+    for alg, alpha, beta in cases:
+        assert commutator_oracle(alg, alpha, beta).is_zero
+        for args in ((alpha, beta), (beta, alpha)):
+            result, rounds = spied_commutator(alg, *args, "_matrix_rounds")
+            assert result.is_zero and rounds == 0, (alg.name, *args)
+
+
+def test_commutator_reaching_the_meet_builds_no_quotient(e3):
+    # on e3, one round of M(1_A, 1_A) gives theta = 1_A = alpha meet beta,
+    # the answer, so A/theta is never built
+    one = Partition.one(3)
+    assert spied_commutator(e3, one, one, "_quotient") == (one, 0)
+    assert spied_commutator(e3, one, one, "_matrix_rounds") == (one, 1)
 
 
 def test_congruence_closure_random_differential():
