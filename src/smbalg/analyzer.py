@@ -99,6 +99,14 @@ class ClassOrder:
         strays = lower.astype(np.int64) @ ~leq     # [(i, j), k]: lower bounds l, not l <= k
         return bool((lower & (strays == 0)).any(axis=1).all())
 
+    def is_partial_order(self) -> bool:
+        """leq is reflexive and antisymmetric (leq & leq.T is the identity)
+        and transitive."""
+        m = len(self.classes)
+        leq = np.array(self.leq, dtype=bool).reshape(m, m)
+        return bool(((leq & leq.T) == np.eye(m, dtype=bool)).all()
+                    and not _intransitive(leq).any())
+
 
 @dataclass(frozen=True)
 class SmbReport:
@@ -272,6 +280,12 @@ def _check_smb(alg: FiniteAlgebra, sim: Partition) -> SmbReport:
     return report
 
 
+def _intransitive(related: np.ndarray) -> np.ndarray:
+    """The n x n x n cube, True at (a, b, c) when a R b, b R c and not a R c,
+    of the relation R given as an n x n boolean matrix."""
+    return related[:, :, None] & related[None] & ~related[:, None, :]
+
+
 def _wedge_relation(wedge: OperationTable) -> Tuple[Verdict, Optional[Partition]]:
     """R = {(a, b) : a^b = b and b^a = a}, symmetric by definition and
     reflexive when wedge is idempotent.  Returns (transitive, R): when R
@@ -280,7 +294,7 @@ def _wedge_relation(wedge: OperationTable) -> Tuple[Verdict, Optional[Partition]
     n = wedge.size
     table = wedge.array.reshape(n, n)
     related = (table == np.arange(n)) & (table.T == np.arange(n)[:, None])
-    transitive = first_failure(related[:, :, None] & related[None] & ~related[:, None, :])
+    transitive = first_failure(_intransitive(related))
     if not transitive.holds:
         return transitive, None
     return transitive, Partition.from_pairs(n, np.argwhere(related).tolist())

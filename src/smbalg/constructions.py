@@ -326,8 +326,10 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list:
     glued, regularized, extension, random, simple.  Every glued entry has
     a nonsingleton bottom block below another class, which guarantees it
     is SMB but not regular; its regularization is included as well.  No
-    entry has more than spec.max_size elements.
+    entry has more than spec.max_size elements.  A max_size whose random
+    semilattice's d table would pass the cap raises CapExceeded first.
     """
+    core.check_power(spec.max_size, 3, "a corpus semilattice's d table")
     rng = random.Random(spec.seed)
     entries = []
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -155,25 +155,12 @@ def _special_of_circ(circ: OperationTable) -> OperationTable:
 # ---------------------------------------------------------------------------
 # Class order
 
-@dataclass(frozen=True)
-class OrderDiagnostics:
-    reflexive: bool
-    antisymmetric: bool
-    transitive: bool
-    has_least: bool
-    has_greatest: bool
-    glb_closed: bool
-
-    @property
-    def is_partial_order(self) -> bool:
-        return self.reflexive and self.antisymmetric and self.transitive
-
-
 def class_order_from_circ(alg: FiniteAlgebra, circ: OperationTable,
-                          sim: Partition) -> Tuple[ClassOrder, OrderDiagnostics]:
-    """Order the sim-classes by [x] <= [y] iff (y o x) ~ x.
+                          sim: Partition) -> ClassOrder:
+    """Order the sim-classes by [x] <= [y] iff (y o x) ~ x, as a ClassOrder.
 
-    sim must be a congruence of the algebra and circ must be compatible
+    circ must be a binary table on the algebra's universe (else
+    AlgebraError), sim a congruence of the algebra, and circ compatible
     with sim; otherwise the comparison would depend on the representatives
     chosen, which is surfaced as RepresentativeInconsistency.
     """
@@ -182,10 +169,12 @@ def class_order_from_circ(alg: FiniteAlgebra, circ: OperationTable,
 
 
 def _class_order_from_circ(alg: FiniteAlgebra, circ: OperationTable,
-                           sim: Partition) -> Tuple[ClassOrder, OrderDiagnostics]:
+                           sim: Partition) -> ClassOrder:
     """`class_order_from_circ` for a sim known to be a congruence."""
     if circ.size != alg.size:
         raise AlgebraError("circ table size does not match the algebra")
+    if circ.arity != 2:
+        raise AlgebraError(f"circ must be binary, got arity {circ.arity}")
     bad = congruence_violation(FiniteAlgebra("circ", alg.size, {"circ": circ}), sim)
     if bad is not None:
         raise RepresentativeInconsistency(
@@ -193,17 +182,7 @@ def _class_order_from_circ(alg: FiniteAlgebra, circ: OperationTable,
     # [x] <= [y] iff (y o x) ~ x: the order read off the transposed circ
     n = alg.size
     transposed = OperationTable(2, n, circ.array.reshape(n, n).T.ravel())
-    _, _, order = wedge_conditions(transposed, sim)
-    m = len(order.classes)
-    leq = np.array(order.leq)
-    reflexive = bool(leq.diagonal().all())
-    antisymmetric = not (leq & leq.T & ~np.eye(m, dtype=bool)).any()
-    transitive = not (leq[:, :, None] & leq[None] & ~leq[:, None, :]).any()
-    diag = OrderDiagnostics(
-        reflexive, antisymmetric, transitive,
-        order.least() is not None, order.greatest() is not None,
-        order.glb_closed())
-    return order, diag
+    return wedge_conditions(transposed, sim)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +250,11 @@ def semilattice_term(alg: FiniteAlgebra, w_symbol: str,
     maximal = (not sim.is_one) and all(
         sim.join(principal_congruence(alg, a, b)).is_one
         for a, b in itertools.combinations(reps, 2))
-    _, diag = _class_order_from_circ(alg, result.circ_iterated, sim)
+    order = _class_order_from_circ(alg, result.circ_iterated, sim)
     hypotheses = {
         "sim_abelian": _commutator(alg, sim, sim).is_zero,
         "sim_maximal": maximal,
-        "greatest_class_exists": diag.has_greatest,
+        "greatest_class_exists": order.greatest() is not None,
     }
     established = all(hypotheses.values())
 

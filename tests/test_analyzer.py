@@ -208,8 +208,8 @@ def test_class_order_from_smb(e3, e3_sim):
 
 
 def _order_queries_loop(m, pairs):
-    """Reference: (least, greatest, glb_closed) of the relation `pairs`
-    on range(m) by the loop definitions."""
+    """Reference: (least, greatest, glb_closed, is_partial_order) of the
+    relation `pairs` on range(m) by the loop definitions."""
     least = next((i for i in range(m) if all((i, j) in pairs for j in range(m))), None)
     greatest = next((j for j in range(m) if all((i, j) in pairs for i in range(m))), None)
 
@@ -218,7 +218,10 @@ def _order_queries_loop(m, pairs):
         return next((k for k in lower if all((l, k) in pairs for l in lower)), None)
 
     closed = all(glb(i, j) is not None for i in range(m) for j in range(m))
-    return least, greatest, closed
+    partial = (all((i, i) in pairs for i in range(m))
+               and all(i == j for i, j in pairs if (j, i) in pairs)
+               and all((i, k) in pairs for i, j in pairs for jj, k in pairs if j == jj))
+    return least, greatest, closed, partial
 
 
 def test_class_order_queries_match_loops():
@@ -237,9 +240,10 @@ def test_class_order_queries_match_loops():
         order = ClassOrder(tuple((i,) for i in range(m)), tuple(map(tuple, leq.tolist())))
         assert all(order.le(i, j) == ((i, j) in pairs) for i in range(m) for j in range(m))
         expected = _order_queries_loop(m, pairs)
-        assert (order.least(), order.greatest(), order.glb_closed()) == expected, leq
-        seen.add(expected[2])
-    assert seen == {True, False}
+        assert (order.least(), order.greatest(), order.glb_closed(),
+                order.is_partial_order()) == expected, leq
+        seen.add(expected[2:])
+    assert {closed for closed, _ in seen} == {partial for _, partial in seen} == {True, False}
 
 
 def test_find_smb_congruences(e3, b2, s2, e3_sim):

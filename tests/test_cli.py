@@ -384,6 +384,15 @@ def test_large_derive_exit(tmp_path, capsys, arity):
     assert "beyond the cap" in capsys.readouterr().err
 
 
+def test_corpus_past_the_cap_exit(capsys):
+    # a size-190 semilattice's d table would have 190^3 entries: refused
+    # before the first entry is built
+    start = time.perf_counter()
+    assert main(["corpus", "--max-size", "190"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "190^3 entries, beyond the cap" in capsys.readouterr().err
+
+
 def test_table_past_int64_exit(tmp_path, capsys):
     # a 3000-digit size converts, but its square has more digits than str
     # prints: the op line is refused before the power is formed

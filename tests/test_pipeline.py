@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smbalg import (CapExceeded, FalsificationError, FiniteAlgebra, OperationTable, Partition,
+from smbalg import (AlgebraError, CapExceeded, ClassOrder, FalsificationError,
+                    FiniteAlgebra, OperationTable, Partition,
                     PipelineResult, PreconditionError,
                     RepresentativeInconsistency, all_partitions,
                     check_regular_base, circ_table, class_order_from_circ,
@@ -103,17 +104,17 @@ def test_idempotent_power_is_idempotent(values):
 
 
 def test_class_order_examples(e3, s2, b2, e3_sim):
-    order, diag = class_order_from_circ(e3, e3.op("wedge"), e3_sim)
+    order = class_order_from_circ(e3, e3.op("wedge"), e3_sim)
     assert order.classes == ((0, 1), (2,))
     assert order.least() == 1 and order.greatest() == 0
-    assert diag.is_partial_order and diag.glb_closed
+    assert order.is_partial_order() and order.glb_closed()
 
-    order2, _ = class_order_from_circ(b2, circ_table(b2, "d"), Partition.one(2))
+    order2 = class_order_from_circ(b2, circ_table(b2, "d"), Partition.one(2))
     assert len(order2.classes) == 1 and order2.least() == 0
 
-    order3, diag3 = class_order_from_circ(s2, s2.op("wedge"), Partition.zero(2))
+    order3 = class_order_from_circ(s2, s2.op("wedge"), Partition.zero(2))
     assert order3.le(0, 1) and not order3.le(1, 0)  # the chain order 0 < 1
-    assert diag3.has_least and diag3.has_greatest
+    assert order3.least() is not None and order3.greatest() is not None
 
 
 def test_class_order_representative_inconsistency(e3, e3_sim):
@@ -121,6 +122,12 @@ def test_class_order_representative_inconsistency(e3, e3_sim):
     bad = OperationTable(2, 3, [0, 0, 0, 2, 2, 2, 0, 1, 2])
     with pytest.raises(RepresentativeInconsistency):
         class_order_from_circ(e3, bad, e3_sim)
+
+
+def test_class_order_refuses_a_table_not_binary(e3, e3_sim):
+    # the ternary d has 27 entries, not the 9 of a binary table on e3
+    with pytest.raises(AlgebraError, match="circ must be binary, got arity 3"):
+        class_order_from_circ(e3, e3.op("d"), e3_sim)
 
 
 def _projection_algebra(n):
@@ -233,7 +240,7 @@ def test_class_order_from_circ_matches_scan(corpus):
                 with pytest.raises(RepresentativeInconsistency):
                     class_order_from_circ(alg, circ, sim)
                 continue
-            order, _ = class_order_from_circ(alg, circ, sim)
+            order = class_order_from_circ(alg, circ, sim)
             ids = sim.class_ids
             reps = [blk[0] for blk in sim.blocks()]
             m = len(reps)
@@ -263,6 +270,17 @@ def test_semilattice_term_checks_sim_once(e3, e3_sim, monkeypatch):
                             lambda *args, _real=real: calls.append(args) or _real(*args))
     semilattice_term(e3, "d", e3_sim)
     assert [args for args in calls if args[0] is e3] == [(e3, e3_sim)]
+
+
+def test_semilattice_term_reads_only_the_greatest_class(e3, e3_sim, monkeypatch):
+    # of the class order's queries, the hypotheses need only greatest()
+    calls = []
+    for name in ("glb_closed", "is_partial_order"):
+        monkeypatch.setattr(ClassOrder, name,
+                            lambda self, _name=name: calls.append(_name))
+    res = semilattice_term(e3, "d", e3_sim)
+    assert res.hypotheses["greatest_class_exists"]
+    assert calls == []
 
 
 def test_sim_maximal_matches_lattice(corpus):
@@ -381,7 +399,7 @@ def _pipeline_cases(corpus):
 def test_cover_pairs_behave_like_meets(corpus):
     for entry, result in _pipeline_cases(corpus):
         alg, sim = entry.algebra, entry.sim
-        order, _ = class_order_from_circ(alg, result.circ_iterated, sim)
+        order = class_order_from_circ(alg, result.circ_iterated, sim)
         classes = order.classes
         m = len(classes)
         ids = sim.class_ids
@@ -402,7 +420,7 @@ def test_cover_pairs_behave_like_meets(corpus):
 def test_chain_unions_are_closed(corpus):
     for entry, result in _pipeline_cases(corpus):
         alg, sim = entry.algebra, entry.sim
-        order, _ = class_order_from_circ(alg, result.circ_iterated, sim)
+        order = class_order_from_circ(alg, result.circ_iterated, sim)
         classes = order.classes
         m = len(classes)
         w = result.iterated_wnu
@@ -418,7 +436,7 @@ def test_strict_pairs_land_in_interval(corpus):
     # for y < x the class of x o y lies in [[y], [x])
     for entry, result in _pipeline_cases(corpus):
         alg, sim = entry.algebra, entry.sim
-        order, _ = class_order_from_circ(alg, result.circ_iterated, sim)
+        order = class_order_from_circ(alg, result.circ_iterated, sim)
         classes = order.classes
         ids = sim.class_ids
         circ = result.circ_iterated
@@ -437,7 +455,7 @@ def test_special_absorption_pairs(corpus):
     # with the special circ, [x] and [x o y] form a closed meet-behaving pair
     for entry, result in _pipeline_cases(corpus):
         alg, sim = entry.algebra, entry.sim
-        order, _ = class_order_from_circ(alg, result.circ_special, sim)
+        order = class_order_from_circ(alg, result.circ_special, sim)
         classes = order.classes
         ids = sim.class_ids
         sp = result.circ_special
