@@ -575,12 +575,12 @@ def _midpoints(dm: np.ndarray, d2: np.ndarray, ls: np.ndarray, cs: np.ndarray,
     stack of D matrices `dm` and their squares `d2`: e4[i] is the least e
     with D^2[c, e] and D[e, d], and e2[i] the least e with D[c, e] and
     D[e, e4[i]] (0 where there is none).  Taken by argmax over chunks of
-    pairs cut by `core._blocks`, so no chunk holds more than
-    `core.BLOCK_SIZE` booleans unless one pair's n alone do."""
+    `core.BLOCK_SIZE // n` pairs (at least one), so no chunk holds more
+    than `core.BLOCK_SIZE` booleans unless one pair's n alone do."""
     e2, e4 = np.empty((2, len(ls)), dtype=np.intp)
-    # a box that cuts one pair's n candidates repeats that pair's range
-    chunks = dict.fromkeys(box[0] for box in core._blocks([(0, len(ls)), (0, dm.shape[1])]))
-    for lo, hi in chunks:
+    step = max(1, core.BLOCK_SIZE // dm.shape[1])
+    for lo in range(0, len(ls), step):
+        hi = lo + step
         l, c, d = ls[lo:hi], cs[lo:hi], ds[lo:hi]
         e4[lo:hi] = np.argmax(d2[l, c] & dm[l, :, d], axis=1)
         e2[lo:hi] = np.argmax(dm[l, c] & dm[l, :, e4[lo:hi]], axis=1)

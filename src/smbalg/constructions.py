@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -177,7 +177,7 @@ def extend_simple_type5(alg: FiniteAlgebra, w_symbol: str) -> FiniteAlgebra:
     (zero, s, top).  Nearly unanimous means exactly one dissident
     coordinate; the absorbing rule takes precedence.  Both the wnu check
     and the simplicity of the result are verified.  The (n + 3)^k entries,
-    built one at a time, are held to the cap first, before the wnu check.
+    filled by pattern, are held to the cap first, before the wnu check.
     """
     w = alg.op(w_symbol)
     core.check_power(alg.size + 3, w.arity, "the extension's table")
@@ -205,26 +205,18 @@ def extend_simple_type5(alg: FiniteAlgebra, w_symbol: str) -> FiniteAlgebra:
             return top             # t < n
         return s                   # r < n, t == top
 
-    entries = []
-    for args in itertools.product(range(size), repeat=k):
-        first = args[0]
-        if all(a == first for a in args):
-            entries.append(first)
-        elif zero in args:
-            entries.append(zero)
-        elif all(a < n for a in args):
-            entries.append(w.entries[w.index(args)])
-        else:
-            counts: Dict[int, int] = {}
-            for a in args:
-                counts[a] = counts.get(a, 0) + 1
-            if len(counts) == 2 and max(counts.values()) == k - 1:
-                (r, t) = sorted(counts, key=counts.get, reverse=True)
-                entries.append(circ(r, t))
-            else:
-                entries.append(zero)
+    # later writes take precedence: zero (a zero argument, or no pattern),
+    # then w on the original block, the nearly unanimous tuples through s
+    # or top, and the unanimous diagonal
+    v = np.full((size,) * k, zero, dtype=np.int64)
+    v[(slice(0, n),) * k] = w.array.reshape((n,) * k)
+    for r, t in itertools.permutations([*range(n), s, top], 2):
+        if {r, t} & {s, top}:
+            for i in range(k):
+                v[(r,) * i + (t,) + (r,) * (k - 1 - i)] = circ(r, t)
+    v[(np.arange(size),) * k] = np.arange(size)
     out = FiniteAlgebra(f"{alg.name}_ext", size,
-                        {"v": OperationTable(k, size, entries)})
+                        {"v": OperationTable(k, size, v.ravel())})
 
     if not table_flags(out.op("v")).wnu:
         raise FalsificationError(
@@ -242,7 +234,10 @@ def extend_simple_type5(alg: FiniteAlgebra, w_symbol: str) -> FiniteAlgebra:
 # Random and exhaustive streams
 
 def random_algebra(n: int, signature: Mapping[str, int], seed: int) -> FiniteAlgebra:
-    """A reproducible random algebra for the given signature."""
+    """A reproducible random algebra for the given signature; every
+    operation is held to the cap before the first draw."""
+    for sym, arity in signature.items():
+        core.check_power(n, arity, f"operation '{sym}'")
     rng = random.Random(seed)
     ops = {}
     for sym, arity in signature.items():
@@ -269,20 +264,20 @@ def exhaustive_enumerate(n: int, signature: Mapping[str, int]) -> Iterator[Finit
 
 def random_semilattice(size: int, rng: random.Random) -> FiniteAlgebra:
     """A meet-semilattice from a random rooted tree (root 0 is the least
-    element; meets are deepest common ancestors)."""
-    parents = [None] + [rng.randrange(i) for i in range(1, size)]
-    anc = []
-    for i in range(size):
-        path = [i]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]])
-        anc.append(path)
-    wedge = []
-    for a in range(size):
-        for b in range(size):
-            bs = set(anc[b])
-            wedge.append(next(x for x in anc[a] if x in bs))
-    table = OperationTable(2, size, wedge)
+    element; meets are deepest common ancestors).
+
+    Every parent precedes its child, so an element's ancestors are its
+    parent's and itself, and for b < a the meet of a and b is b when b is
+    an ancestor of a, else the meet of a's parent and b."""
+    if size < 1:
+        raise AlgebraError(f"algebra size must be >= 1, got {size}")
+    anc = np.eye(size, dtype=bool)
+    meet = np.diag(np.arange(size))
+    for a in range(1, size):
+        parent = rng.randrange(a)
+        anc[a] |= anc[parent]
+        meet[a, :a] = meet[:a, a] = np.where(anc[a, :a], np.arange(a), meet[parent, :a])
+    table = OperationTable(2, size, meet.ravel())
     d = materialize_term(FiniteAlgebra("tree", size, {WEDGE: table}), _MEET3, 3)
     return FiniteAlgebra(f"tree{size}", size, {WEDGE: table, D: d})
 
@@ -326,9 +321,12 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list:
     glued, regularized, extension, random, simple.  Every glued entry has
     a nonsingleton bottom block below another class, which guarantees it
     is SMB but not regular; its regularization is included as well.  No
-    entry has more than spec.max_size elements.  A max_size whose random
-    semilattice's d table would pass the cap raises CapExceeded first.
+    entry has more than spec.max_size elements.  A max_size below 1 raises
+    AlgebraError, and one whose random semilattice's d table would pass
+    the cap raises CapExceeded, both before any work.
     """
+    if spec.max_size < 1:
+        raise AlgebraError(f"corpus max size must be >= 1, got {spec.max_size}")
     core.check_power(spec.max_size, 3, "a corpus semilattice's d table")
     rng = random.Random(spec.seed)
     entries = []

@@ -393,6 +393,13 @@ def test_corpus_past_the_cap_exit(capsys):
     assert "190^3 entries, beyond the cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_size", ["0", "-5"])
+def test_corpus_below_one_exit(max_size, capsys):
+    # no corpus entry has fewer than one element: refused, not an empty list
+    assert main(["corpus", "--max-size", max_size]) == 2
+    assert f"corpus max size must be >= 1, got {max_size}" in capsys.readouterr().err
+
+
 def test_table_past_int64_exit(tmp_path, capsys):
     # a 3000-digit size converts, but its square has more digits than str
     # prints: the op line is refused before the power is formed

@@ -1,12 +1,16 @@
+import collections
+import inspect
 import itertools
+import random
 import time
 
 import pytest
 
-from smbalg import (AlgebraError, CapExceeded, CorpusSpec, FiniteAlgebra,
-                    OperationTable, Partition, affine_block, build_corpus,
-                    chain_semilattice, check_regular, check_regular_base,
-                    check_smb_over, congruence_lattice, exhaustive_enumerate,
+from smbalg import (AlgebraError, CapExceeded, CorpusSpec, FalsificationError,
+                    FiniteAlgebra, OperationTable, Partition, affine_block,
+                    build_corpus, chain_semilattice, check_regular,
+                    check_regular_base, check_smb_over, congruence_lattice,
+                    example_b2, example_e3, example_s2, exhaustive_enumerate,
                     extend_simple_type5, glue_layout, glue_smb, random_algebra,
                     random_semilattice, table_flags, trivial_algebra)
 from smbalg import constructions, relations
@@ -111,8 +115,8 @@ def test_extension_rejects_bad_input(n4, s2):
 
 
 def test_extension_above_closure_cap(monkeypatch):
-    # 5**11 = 48.8 M entries, built one at a time: refused before any work,
-    # even before the wnu check
+    # 5**11 = 48.8 M entries: refused before the table is filled, even
+    # before the wnu check
     def no_work(table):
         raise AssertionError("the table was checked")
     monkeypatch.setattr(constructions, "table_flags", no_work)
@@ -120,11 +124,155 @@ def test_extension_above_closure_cap(monkeypatch):
         extend_simple_type5(parity_algebra(11), "w")
 
 
+def extension_reference(w):
+    """The simple extension's table for the wnu table `w`, one argument
+    tuple at a time: the unanimous value, zero for a zero argument, w on
+    the original block, circ on the other nearly unanimous tuples and zero
+    elsewhere."""
+    n, k = w.size, w.arity
+    zero, s, top = n, n + 1, n + 2
+
+    def circ(r, t):
+        if r == s:
+            return (t + 1 if t + 1 < n else top) if t < n else zero
+        if t == s:
+            return (r + 1 if r + 1 < n else top) if r < n else 0
+        return top if r == top else s
+
+    entries = []
+    for args in itertools.product(range(n + 3), repeat=k):
+        counts = collections.Counter(args)
+        if len(counts) == 1:
+            entries.append(args[0])
+        elif zero in counts:
+            entries.append(zero)
+        elif max(args) < n:
+            entries.append(w.apply(*args))
+        elif len(counts) == 2 and max(counts.values()) == k - 1:
+            (r, _), (t, _) = counts.most_common()
+            entries.append(circ(r, t))
+        else:
+            entries.append(zero)
+    return tuple(entries)
+
+
+def random_wnu(n, k, seed):
+    """An idempotent k-ary wnu on n elements: one random binary table on
+    the one-dissident patterns and random values elsewhere."""
+    rng = random.Random(seed)
+    binary = [rng.randrange(n) for _ in range(n * n)]
+    entries = []
+    for args in itertools.product(range(n), repeat=k):
+        counts = collections.Counter(args)
+        if len(counts) == 1:
+            entries.append(args[0])
+        elif len(counts) == 2 and max(counts.values()) == k - 1:
+            (r, _), (t, _) = counts.most_common()
+            entries.append(binary[r * n + t])
+        else:
+            entries.append(rng.randrange(n))
+    return FiniteAlgebra(f"wnu{n}_{k}_{seed}", n, {"w": OperationTable(k, n, entries)})
+
+
+@pytest.fixture(scope="module")
+def extension_cases():
+    """(algebra, wnu symbol, reference table): the corpus inputs and e3,
+    and 60 random wnu tables covering n = 1..5 and arity 3 and 4."""
+    inputs = [(alg, "d") for alg in (trivial_algebra(), example_b2(), example_s2(),
+                                      chain_semilattice(3), example_e3())]
+    inputs += [(random_wnu(1 + seed % 5, 3 + seed % 2, seed), "w") for seed in range(60)]
+    return [(alg, sym, extension_reference(alg.op(sym))) for alg, sym in inputs]
+
+
+def extension_mismatches(extend, cases):
+    """The names of the cases whose table from `extend` is not the
+    reference, or on which it raises FalsificationError."""
+    bad = []
+    for alg, sym, want in cases:
+        try:
+            got = extend(alg, sym).op("v").entries
+        except FalsificationError:
+            got = None
+        if got != want:
+            bad.append(alg.name)
+    return bad
+
+
+def test_extension_matches_reference(extension_cases):
+    shapes = {(alg.size, alg.op(sym).arity) for alg, sym, _ in extension_cases}
+    assert shapes >= set(itertools.product(range(1, 6), (3, 4)))
+    assert extension_mismatches(extend_simple_type5, extension_cases) == []
+
+
+def test_extension_fill_is_checked(extension_cases):
+    # two broken copies must each fail the comparison above: one that
+    # writes the dissident only at the last position, and one that also
+    # fills the nearly unanimous tuples through zero
+    source = inspect.getsource(constructions.extend_simple_type5)
+    for line, mutant in [("for i in range(k):", "for i in range(k - 1, k):"),
+                         ("[*range(n), s, top]", "range(size)")]:
+        broken = source.replace(line, mutant)
+        assert broken != source
+        namespace = dict(vars(constructions))
+        exec(broken, namespace)
+        assert extension_mismatches(namespace["extend_simple_type5"], extension_cases), mutant
+
+
+def semilattice_reference(size, rng):
+    """The wedge table of `random_semilattice` from each element's path to
+    the root, one pair at a time."""
+    parents = [None] + [rng.randrange(i) for i in range(1, size)]
+    paths = []
+    for i in range(size):
+        path = [i]
+        while parents[path[-1]] is not None:
+            path.append(parents[path[-1]])
+        paths.append(path)
+    return tuple(next(x for x in paths[a] if x in set(paths[b]))
+                 for a in range(size) for b in range(size))
+
+
+def test_random_semilattice_matches_reference():
+    # the same table from the same draws, and no other draw
+    for seed in range(4):
+        for size in range(1, 70):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = random_semilattice(size, rng).op("wedge").entries
+            assert got == semilattice_reference(size, ref), (seed, size)
+            assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_random_semilattice_size_below_one(size):
+    with pytest.raises(AlgebraError, match=f"algebra size must be >= 1, got {size}"):
+        random_semilattice(size, random.Random(0))
+
+
 def test_random_algebra_reproducible():
     a = random_algebra(3, {"wedge": 2, "d": 3}, 42)
     b = random_algebra(3, {"wedge": 2, "d": 3}, 42)
     c = random_algebra(3, {"wedge": 2, "d": 3}, 43)
     assert a == b and a != c
+
+
+def test_random_algebra_draws(monkeypatch):
+    # the entries are the seeded draws, in signature order; an operation
+    # past the cap is refused before the first draw
+    rng = random.Random(7)
+    want = [[rng.randrange(3) for _ in range(3 ** arity)] for arity in (2, 3)]
+    alg = random_algebra(3, {"wedge": 2, "d": 3}, 7)
+    assert [list(alg.op(sym).entries) for sym in ("wedge", "d")] == want
+    real, draws = random.Random.randrange, []
+
+    def spy(self, *args):
+        draws.append(args)
+        if len(draws) > 1000:
+            raise AssertionError("random_algebra drew before the size check")
+        return real(self, *args)
+    monkeypatch.setattr(random.Random, "randrange", spy)
+    with pytest.raises(CapExceeded, match="operation 'w' would have 2\\^33 entries"):
+        random_algebra(2, {"f": 2, "w": 33}, 0)
+    assert draws == []
 
 
 def test_exhaustive_enumerate():
@@ -141,8 +289,7 @@ def test_exhaustive_enumerate():
 
 
 def test_random_semilattice_is_semilattice():
-    import random as _random
-    rng = _random.Random(3)
+    rng = random.Random(3)
     for size in (2, 4, 6):
         sl = random_semilattice(size, rng)
         w = sl.op("wedge")

@@ -5,11 +5,11 @@ The inputs are every corpus entry with n <= 6 and three seeded random
 {wedge/2, d/3} algebras; the non-SMB inputs pin the failing witnesses.
 Each key is "<algebra>/<command>" and each value "<exit code>:<sha256 of
 stdout>", with the work directory in stdout read as WORKDIR.  `pipeline d`
-runs only where d is a wnu, and on those SMB entries `pipeline d --sim
-SIM` too.  The SMB entries also run `cg` on 0 and n-1, `commutator` on
-(1_A, 1_A) and (sim, 1_A), `regularize`, whose written file has its own
-key "<algebra>/regularize-file" (the sha256 of the file, or "missing"),
-and `verify cg-d3|cgvsim|undersim|commutator`.
+and `construct extend FILE d` run only where d is a wnu, and on those SMB
+entries `pipeline d --sim SIM` too.  The SMB entries also run `cg` on 0
+and n-1, `commutator` on (1_A, 1_A) and (sim, 1_A), `regularize`, whose
+written file has its own key "<algebra>/regularize-file" (the sha256 of
+the file, or "missing"), and `verify cg-d3|cgvsim|undersim|commutator`.
 
 The digests in golden_cli.json were recorded from a known-good build with
 
@@ -37,7 +37,10 @@ COMMANDS = {
     "verify-taylor": ["verify", "taylor", "FILE"],
     "con": ["con", "FILE"],
 }
-PIPELINE = {"pipeline-d": ["pipeline", "FILE", "d"]}
+WNU_COMMANDS = {
+    "pipeline-d": ["pipeline", "FILE", "d"],
+    "construct-extend": ["construct", "extend", "FILE", "d"],
+}
 PIPELINE_SIM = {"pipeline-d-sim": ["pipeline", "FILE", "d", "--sim", "SIM"]}
 SMB_COMMANDS = {
     "cg": ["cg", "FILE", "0", "LAST"],
@@ -80,7 +83,7 @@ def cli_digests(workdir: pathlib.Path) -> dict:
         commands = dict(COMMANDS)
         wnu = alg.has_op("d") and table_flags(alg.op("d")).wnu
         if wnu:
-            commands.update(PIPELINE)
+            commands.update(WNU_COMMANDS)
         words = {"FILE": str(path), "OUT": str(output)}
         if sim is not None:
             commands.update(SMB_COMMANDS)
