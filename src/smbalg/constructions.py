@@ -29,7 +29,7 @@ from .core import (AlgebraError, FalsificationError, FiniteAlgebra,
                    App, Var)
 from .partitions import Partition
 from .analyzer import WEDGE, D, check_smb_over, wedge_conditions
-from .relations import principal_congruence
+from .relations import congruence_generated
 from .pipeline import regularize
 
 _MEET3 = App(WEDGE, (App(WEDGE, (Var(0), Var(1))), Var(2)))     # (x ^ y) ^ z
@@ -67,8 +67,7 @@ def example_e3() -> FiniteAlgebra:
             for z in range(3):
                 entries.append(2 if 2 in (x, y, z) else (x + y + z) % 2)
     d = OperationTable(3, 3, entries)
-    alg = FiniteAlgebra("e3", 3, {D: d})
-    wedge = materialize_term(alg, App(D, (Var(0), Var(0), Var(1))), 2)
+    wedge = OperationTable(2, 3, core._circ(d).ravel())     # d(x, x, y)
     return FiniteAlgebra("e3", 3, {D: d, WEDGE: wedge})
 
 
@@ -86,6 +85,8 @@ def glue_layout(semilattice: FiniteAlgebra,
                 blocks: Mapping[int, FiniteAlgebra]) -> Partition:
     """The block partition of the glued universe (blocks are laid out in
     semilattice-element order)."""
+    if set(blocks) != set(range(semilattice.size)):
+        raise AlgebraError("blocks must be indexed by the semilattice elements")
     sizes = [blocks[c].size for c in range(semilattice.size)]
     ids = []
     for c, s in enumerate(sizes):
@@ -113,8 +114,7 @@ def glue_smb(semilattice: FiniteAlgebra,
     if not_semilattice:
         rule, witness = not_semilattice[0]
         raise AlgebraError(f"not a semilattice: {rule} fails at {witness}")
-    if set(blocks) != set(range(m)):
-        raise AlgebraError("blocks must be indexed by the semilattice elements")
+    sim = glue_layout(semilattice, blocks)
     sizes = [blocks[c].size for c in range(m)]
     offsets = np.cumsum([0] + sizes[:-1]).tolist()
     if reps is None:
@@ -143,7 +143,6 @@ def glue_smb(semilattice: FiniteAlgebra,
         WEDGE: wedge,
         D: OperationTable(3, n, d.ravel()),
     })
-    sim = glue_layout(semilattice, blocks)
     report = check_smb_over(out, sim)
     if not report.verdict:
         raise FalsificationError(
@@ -223,7 +222,7 @@ def extend_simple_type5(alg: FiniteAlgebra, w_symbol: str) -> FiniteAlgebra:
             f"extension of '{alg.name}' did not produce a wnu operation")
     # simple: every principal congruence is 1_A (size >= 4, so 0_A != 1_A)
     for a, b in itertools.combinations(range(size), 2):
-        cg = principal_congruence(out, a, b)
+        cg = congruence_generated(out, [(a, b)])
         if not cg.is_one:
             raise FalsificationError(
                 f"extension of '{alg.name}' is not simple: Cg({a}, {b}) = {cg}")

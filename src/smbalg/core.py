@@ -20,9 +20,10 @@ against its own variables; `check_identity` is its one-identity case.
 The fixed sets of `analyzer` (the regular base, the regularity
 conditions, the Taylor instances) are compiled once at import and only
 bound per call; ad hoc terms compile per call.  `term_table`,
-`materialize_term`, quasi-identities, the operation flags and the witness
-chains of `analyzer.verify_cg_d3_pairs` (the one-variable polynomials of
-all generator pairs in a single pass) run on the same kernel.
+`materialize_term`, quasi-identities and the witness chains of
+`analyzer.verify_cg_d3_pairs` (the one-variable polynomials of all
+generator pairs in a single pass) run on the same kernel; the flags and
+the circ of one table are read off its array.
 The pointwise pure-Python evaluator is the tests' reference for it and
 lives in `smbalg.oracles`.
 """
@@ -650,31 +651,24 @@ class OperationFlags:
     second_projection: bool
 
 
+def _circ(table: OperationTable) -> np.ndarray:
+    """x o y = w(x, ..., x, y) as the n x n array at [x, y] (w's values at arity 1)."""
+    n, k = table.size, table.arity
+    x = np.arange(n)[:, None]
+    return table.array.reshape((n,) * k)[(x,) * (k - 1) + (np.arange(n),)]
+
+
 def table_flags(table: OperationTable) -> OperationFlags:
-    """Exhaustive truth values of the defining identity sets for one table."""
-    k = table.arity
-    alg = FiniteAlgebra("table", table.size, {"w": table})
-    x, y = Var(0), Var(1)
-
-    def w(*args: Term) -> Term:
-        return App("w", args)
-
-    def dissident(pos: int) -> Term:      # w(x, ..., x) with y at pos
-        return w(*(y if i == pos else x for i in range(k)))
-
-    # weak near-unanimity: arity at least 2, idempotent, and all
-    # one-dissident patterns agree; x o y := w(x, ..., x, y) is special
-    # when x o (x o y) = x o y
-    laws = [Identity(dissident(0), dissident(pos)) for pos in range(1, k)]
-    laws.append(Identity(w(*[x] * (k - 1), dissident(k - 1)), dissident(k - 1)))
-    if k == 3:
-        laws += [Identity(w(x, y, y), x), Identity(w(y, y, x), x)]
-    elif k == 2:
-        laws.append(Identity(w(x, y), y))
+    """Exhaustive truth values of the defining laws of one table, read off its array."""
+    n, k = table.size, table.arity
+    values, circ = table.array.reshape((n,) * k), _circ(table)
+    x, y = np.arange(n)[:, None], np.arange(n)
     idem = idempotence_violation(table) is None
-    holds = [v.holds for v in check_identities(alg, laws)]
-    wnu = idem and k > 1 and all(holds[:k - 1])
-    special = wnu and holds[k - 1]
-    malcev = k == 3 and all(holds[k:])
-    second_proj = k == 2 and holds[k]
+    # a wnu: arity >= 2, idempotent, every one-dissident pattern equal to
+    # x o y; special when x o (x o y) = x o y
+    wnu = idem and k > 1 and all(np.array_equal(values[(x,) * i + (y,) + (x,) * (k - 1 - i)], circ)
+                                 for i in range(k - 1))
+    special = wnu and np.array_equal(circ[x, circ], circ)
+    malcev = k == 3 and bool((values[x, y, y] == x).all() and (values[y, y, x] == x).all())
+    second_proj = k == 2 and bool((values == y).all())
     return OperationFlags(idem, wnu, special, malcev, second_proj)

@@ -352,6 +352,6 @@ def format_algebra(alg: FiniteAlgebra) -> str:
     names = [str(v) for v in range(alg.size)]
     for sym, table in alg.operations.items():
         lines.append(f"op {sym} {table.arity}")
-        words = map(names.__getitem__, table.entries)
+        words = map(names.__getitem__, table.array.tolist())
         lines += map(" ".join, zip(*[words] * alg.size))   # rows of n entries
     return "\n".join(lines) + "\n"

@@ -206,9 +206,10 @@ class Partition:
 
 
 def all_partitions(n: int):
-    """Every partition of {0..n-1}, in a deterministic order."""
+    """Every partition of {0..n-1}, in a deterministic order; n >= 1."""
+    one = Partition.one(n)      # refuses n < 1 before anything is yielded
     if n == 1:
-        yield Partition.one(1)
+        yield one
         return
     # grow by assigning each element to an existing class or a new one
     def rec(prefix, nclasses):

@@ -31,15 +31,15 @@ import numpy as np
 
 from . import core
 from .core import (AlgebraError, App, FalsificationError,
-                   FiniteAlgebra, Identity, OperationTable, PreconditionError,
-                   Term, Var, check_identity, first_failure,
+                   FiniteAlgebra, OperationTable, PreconditionError,
+                   Term, Var, first_failure,
                    idempotence_violation, materialize_term, table_flags)
 from .partitions import Partition
 from .analyzer import (ClassOrder, SmbReport, WEDGE, D, _check_smb,
                        check_regular_base, find_smb_congruences,
                        regular_base_identities, wedge_conditions)
-from .relations import (_check_congruences, _commutator, congruence_violation,
-                        principal_congruence)
+from .relations import (_check_congruences, _commutator, congruence_generated,
+                        congruence_violation)
 
 _x, _y = Var(0), Var(1)
 
@@ -56,11 +56,15 @@ def idempotent_power(f: Sequence[int]) -> tuple:
     """The unique idempotent in {f, f^2, f^3, ...}.
 
     Equals the |A|!-fold composition of f with itself, computed by fast
-    exponentiation instead of literal iteration.
+    exponentiation instead of literal iteration.  f must map {0..len(f)-1}
+    into itself; the first entry that does not is refused.
     """
     n = len(f)
-    exponent = math.factorial(n)
     base = tuple(f)
+    bad = next((x for x, v in enumerate(base) if not 0 <= v < n), None)
+    if bad is not None:
+        raise AlgebraError(f"not a self-map of 0..{n - 1}: f({bad}) = {base[bad]}")
+    exponent = math.factorial(n)
     result = None
     while exponent:
         if exponent & 1:
@@ -95,7 +99,7 @@ def _term_op(ops: dict, term: Term, arity: int) -> OperationTable:
 
 def _circ_of(table: OperationTable) -> OperationTable:
     """x o y = w(x, ..., x, y) for a wnu table w."""
-    return _term_op({"w": table}, App("w", (_x,) * (table.arity - 1) + (_y,)), 2)
+    return OperationTable(2, table.size, core._circ(table).ravel())
 
 
 def circ_table(alg: FiniteAlgebra, w_symbol: str) -> OperationTable:
@@ -143,10 +147,10 @@ def special_circ(alg: FiniteAlgebra, w_symbol: str) -> OperationTable:
 
 def _special_of_circ(circ: OperationTable) -> OperationTable:
     n = circ.size
-    out = OperationTable(2, n, [v for row in circ.rows() for v in idempotent_power(row)])
-    xy = App("o", (_x, _y))
-    absorbing = check_identity(FiniteAlgebra("special", n, {"o": out}),
-                               Identity(App("o", (_x, xy)), xy))
+    rows = circ.array.reshape(n, n).tolist()
+    out = OperationTable(2, n, [v for row in rows for v in idempotent_power(row)])
+    t = out.array.reshape(n, n)
+    absorbing = first_failure(t[np.arange(n)[:, None], t] != t)    # x o (x o y) != x o y
     if not absorbing.holds:
         raise FalsificationError(f"special circ is not absorbing at {absorbing.witness}")
     return out
@@ -248,7 +252,7 @@ def semilattice_term(alg: FiniteAlgebra, w_symbol: str,
     # join is 1_A
     reps = [blk[0] for blk in sim.blocks()]
     maximal = (not sim.is_one) and all(
-        sim.join(principal_congruence(alg, a, b)).is_one
+        sim.join(congruence_generated(alg, [(a, b)])).is_one
         for a, b in itertools.combinations(reps, 2))
     order = _class_order_from_circ(alg, result.circ_iterated, sim)
     hypotheses = {

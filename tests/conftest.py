@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from smbalg import (App, Const, FiniteAlgebra, OperationTable, Var, affine_block,
                     build_corpus, example_b2, example_e3, example_n4, example_s2,
                     glue_layout, glue_smb, Partition, random_semilattice,
                     regularize, term_variables)
+from smbalg.oracles import literal_power
 
 
 @pytest.fixture(scope="session")
@@ -98,6 +101,21 @@ def parity_algebra(arity):
     arity."""
     entries = [sum(args) % 2 for args in itertools.product(range(2), repeat=arity)]
     return FiniteAlgebra(f"par{arity}", 2, {"w": OperationTable(arity, 2, entries)})
+
+
+def planted_wnu(rng, n, k, special):
+    """A random wnu of arity k >= 3 on n elements: one random binary g with
+    g(x, x) = x on every one-dissident pattern, so w is idempotent with
+    circ g, and random values elsewhere.  With `special`, each row of g is
+    its own idempotent power, so that x o (x o y) = x o y."""
+    g = [[x if x == y else rng.randrange(n) for y in range(n)] for x in range(n)]
+    if special:
+        g = [literal_power(row, math.factorial(n)) for row in g]
+    values = np.array([rng.randrange(n) for _ in range(n ** k)]).reshape((n,) * k)
+    for x, y in itertools.product(range(n), repeat=2):
+        for i in range(k):
+            values[(x,) * i + (y,) + (x,) * (k - 1 - i)] = g[x][y]
+    return OperationTable(k, n, values.ravel())
 
 
 def regularized_glued(seed, block_sizes):

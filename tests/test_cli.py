@@ -208,6 +208,32 @@ def test_construct_extend(e3_file, tmp_path, capsys):
     assert ext.size == 6 and "v" in ext.operations
 
 
+def test_extend_and_pipeline_sim_leave_the_principal_table_alone(e3_file, tmp_path, capsys):
+    # the extension's simplicity and the maximality of sim each generate
+    # only the congruences they read, and cache none
+    from smbalg import relations
+    table = relations._principal_table
+    table.cache_clear()
+    assert main(["construct", "extend", e3_file, "d", "-o", str(tmp_path / "ext.alg")]) == 0
+    assert table.cache_info().currsize == 0
+    capsys.readouterr()
+    assert main(["--json", "pipeline", e3_file, "d", "--sim", "0 1 | 2"]) == 0
+    assert json.loads(capsys.readouterr().out)["semilattice_term"]["hypotheses"]["sim_maximal"]
+    assert table.cache_info().currsize == 0
+
+
+def test_regularize_output_keeps_no_entries_tuple(n4_file, tmp_path):
+    # the written algebra is the one check_regular_base caches: formatting
+    # it leaves no tuple of Python ints on its tables
+    from smbalg import check_regular_base
+    check_regular_base.cache_clear()
+    out = tmp_path / "n4_reg.alg"
+    assert main(["regularize", n4_file, "-o", str(out)]) == 0
+    report = check_regular_base(parse_algebra(out.read_text(encoding="utf-8")))
+    assert report.holds
+    assert all(t._entries is None for t in report.algebra.operations.values())
+
+
 def test_construct_extend_above_cap_exit(tmp_path, capsys):
     path = tmp_path / "par11.alg"
     path.write_text(format_algebra(parity_algebra(11)))

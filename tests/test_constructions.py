@@ -73,6 +73,20 @@ def test_glue_layout():
     assert glue_layout(sl, blocks) == Partition(5, (0, 0, 1, 1, 1))
 
 
+def test_glue_layout_refuses_blocks_off_the_semilattice():
+    # one check for both: glue_smb makes it after the semilattice check and
+    # before the representatives
+    sl = chain_semilattice(2)
+    for blocks in ({0: affine_block(2)}, {0: affine_block(2), 2: affine_block(1)}):
+        with pytest.raises(AlgebraError, match="blocks must be indexed by the semilattice"):
+            glue_layout(sl, blocks)
+        with pytest.raises(AlgebraError, match="blocks must be indexed by the semilattice"):
+            glue_smb(sl, blocks, reps={})
+    bad_sl = FiniteAlgebra("b", 2, {"wedge": OperationTable(2, 2, [0, 1, 0, 1])})
+    with pytest.raises(AlgebraError, match="not a semilattice"):
+        glue_smb(bad_sl, {0: affine_block(1)})
+
+
 def test_extension_examples(b2):
     ext1 = extend_simple_type5(trivial_algebra(), "d")
     assert ext1.size == 4

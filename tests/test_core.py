@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import random
 import time
@@ -14,7 +15,7 @@ from smbalg import (AlgebraError, App, Const, FiniteAlgebra, Identity,
 from smbalg import core
 from smbalg.core import MAX_VARIABLES, CapExceeded, check_power
 from smbalg.oracles import eval_term, substitute
-from conftest import module_caches, random_term
+from conftest import module_caches, planted_wnu, random_term
 
 W = lambda a, b: App("wedge", (a, b))
 D = lambda a, b, c: App("d", (a, b, c))
@@ -407,6 +408,102 @@ def test_wnu_circ_convention(corpus):
                 for b in range(table.size):
                     assert table.apply(*((b,) + (a,) * (k - 1))) == \
                         table.apply(*((a,) * (k - 1) + (b,)))
+
+
+def compiled_flags(table):
+    """The operation flags as identities over a one-operation algebra,
+    checked on the term kernel: the reference for `table_flags`."""
+    k = table.arity
+    alg = FiniteAlgebra("table", table.size, {"w": table})
+
+    def w(*args):
+        return App("w", args)
+
+    def dissident(pos):      # w(x, ..., x) with y at pos
+        return w(*(y if i == pos else x for i in range(k)))
+
+    laws = [Identity(dissident(0), dissident(pos)) for pos in range(1, k)]
+    laws.append(Identity(w(*[x] * (k - 1), dissident(k - 1)), dissident(k - 1)))
+    if k == 3:
+        laws += [Identity(w(x, y, y), x), Identity(w(y, y, x), x)]
+    elif k == 2:
+        laws.append(Identity(w(x, y), y))
+    idem = core.idempotence_violation(table) is None
+    holds = [v.holds for v in core.check_identities(alg, laws)]
+    wnu = idem and k > 1 and all(holds[:k - 1])
+    return core.OperationFlags(idem, wnu, wnu and holds[k - 1],
+                               k == 3 and all(holds[k:]), k == 2 and holds[k])
+
+
+def flag_tables(corpus):
+    """Every corpus table; 600 seeded random tables with n and arity in
+    1..4, half of them made idempotent; 160 planted wnus of arity 3 and 4,
+    every other one special, each with a copy whose middle dissident
+    pattern disagrees at one pair."""
+    tables = [t for entry in corpus for t in entry.algebra.operations.values()]
+    rng = random.Random(45)
+    for i in range(600):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        values = np.array([rng.randrange(n) for _ in range(n ** k)])
+        if i % 2:
+            values[::sum(n ** j for j in range(k))] = np.arange(n)
+        tables.append(OperationTable(k, n, values))
+    for i in range(160):
+        n, k = rng.randint(2, 4), rng.choice((3, 4))
+        w = planted_wnu(rng, n, k, special=i % 2 == 0)
+        a, b = rng.sample(range(n), 2)
+        pos = rng.randrange(1, k - 1)
+        near = w.array.reshape((n,) * k).copy()
+        at = (a,) * pos + (b,) + (a,) * (k - 1 - pos)
+        near[at] = (near[at] + 1) % n
+        tables += [w, OperationTable(k, n, near.ravel())]
+    return tables
+
+
+def _first_dissident_only(table):
+    """A broken table_flags: the wnu test reads only the dissident at 0."""
+    flags = table_flags(table)
+    n, k = table.size, table.arity
+    if not flags.idempotent or k < 2:
+        return flags
+    values = table.array.reshape((n,) * k)
+    xs, ys = np.arange(n)[:, None], np.arange(n)
+    circ = core._circ(table)
+    wnu = np.array_equal(values[(ys,) + (xs,) * (k - 1)], circ)
+    return dataclasses.replace(flags, wnu=wnu,
+                               special_wnu=wnu and np.array_equal(circ[xs, circ], circ))
+
+
+def _special_is_wnu(table):
+    """A broken table_flags: every wnu counts as special."""
+    flags = table_flags(table)
+    return dataclasses.replace(flags, special_wnu=flags.wnu)
+
+
+def test_table_flags_match_the_compiled_laws(corpus):
+    tables = flag_tables(corpus)
+    expected = [compiled_flags(t) for t in tables]
+    assert len(tables) > 900
+    assert sum(f.wnu for f in expected) > 100
+    assert 50 < sum(f.special_wnu for f in expected) < sum(f.wnu for f in expected)
+
+    def mismatches(flags):
+        return sum(flags(t) != want for t, want in zip(tables, expected))
+
+    assert mismatches(table_flags) == 0
+    assert all(type(v) is bool for t in tables for v in dataclasses.astuple(table_flags(t)))
+    assert mismatches(_first_dissident_only) > 0
+    assert mismatches(_special_is_wnu) > 0
+
+
+def test_table_flags_build_no_algebra(e3, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("table_flags built an algebra or compiled a term")
+
+    monkeypatch.setattr(core, "FiniteAlgebra", refused)
+    monkeypatch.setattr(core, "_compile", refused)
+    flags = table_flags(e3.op("d"))
+    assert flags.wnu and flags.special_wnu and not flags.malcev
 
 
 def test_materialize_round_trip(corpus):

@@ -102,6 +102,15 @@ def test_round_trip_corpus(corpus):
         assert again.name == entry.algebra.name
 
 
+def test_format_algebra_keeps_no_entries_tuple(corpus):
+    # the text is read off each table's array: no tuple of Python ints is
+    # made and kept on the table
+    for entry in corpus[:10]:
+        alg = parse_algebra(format_algebra(entry.algebra))
+        assert format_algebra(alg) == format_algebra(entry.algebra)
+        assert all(t._entries is None for t in alg.operations.values())
+
+
 def test_round_trip_random_algebras():
     from hypothesis import given, settings
     from hypothesis import strategies as st

@@ -123,6 +123,12 @@ def test_all_partitions_counts():
     assert len(seen) == 15
 
 
+def test_all_partitions_refuses_an_empty_universe():
+    for n in (0, -1):
+        with pytest.raises(AlgebraError, match=f"partition size must be >= 1, got {n}$"):
+            next(all_partitions(n))
+
+
 def test_one_quick_find():
     # join, from_pairs and congruence_generated merge classes through the
     # one relabel comprehension `a if test else x for x in ...`, the one in

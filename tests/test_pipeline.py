@@ -1,22 +1,24 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smbalg import (AlgebraError, CapExceeded, ClassOrder, FalsificationError,
+from smbalg import (AlgebraError, App, CapExceeded, ClassOrder, FalsificationError,
                     FiniteAlgebra, OperationTable, Partition,
                     PipelineResult, PreconditionError,
                     RepresentativeInconsistency, all_partitions,
                     check_regular_base, circ_table, class_order_from_circ,
                     congruence_lattice, idempotent_power,
                     iterate_wnu, regularize, run_pipeline, semilattice_term,
-                    special_circ, table_flags)
+                    materialize_term, special_circ, table_flags, Var)
 from smbalg import core, pipeline, relations
 from smbalg.oracles import literal_power
 from smbalg.constructions import random_algebra, trivial_algebra
+from conftest import planted_wnu
 
 
 def test_circ_table_examples(e3, b2, corpus):
@@ -84,6 +86,50 @@ def test_special_circ_absorption(corpus):
                 for b in range(n):
                     ab = sp.apply(a, b)
                     assert sp.apply(a, ab) == ab
+
+
+def test_circ_of_matches_the_term(corpus):
+    # x o y = w(x, ..., x, y), read off the array, equals the term's table
+    for entry in corpus:
+        for sym, table in entry.algebra.operations.items():
+            if not table_flags(table).wnu:
+                continue
+            term = App(sym, (Var(0),) * (table.arity - 1) + (Var(1),))
+            assert pipeline._circ_of(table) == materialize_term(entry.algebra, term, 2)
+
+
+def test_e3_wedge_is_d_xxy(e3):
+    d_xxy = App("d", (Var(0), Var(0), Var(1)))
+    assert e3.op("wedge") == materialize_term(e3, d_xxy, 2)
+
+
+def test_special_of_circ_refuses_a_circ_that_is_not_absorbing(monkeypatch):
+    # with the idempotent powers skipped, the absorption check sees the
+    # planted circ itself and names its least pair (x, y) with
+    # x o (x o y) != x o y
+    rng = random.Random(45)
+    n = 4
+    while True:
+        w = planted_wnu(rng, n, 3, special=False)
+        c = [[w.apply(a, a, b) for b in range(n)] for a in range(n)]
+        bad = [(a, b) for a in range(n) for b in range(n) if c[a][c[a][b]] != c[a][b]]
+        if bad:
+            break
+    monkeypatch.setattr(pipeline, "idempotent_power", tuple)
+    with pytest.raises(FalsificationError,
+                       match=re.escape(f"special circ is not absorbing at {bad[0]}") + "$"):
+        pipeline._special_of_circ(pipeline._circ_of(w))
+
+
+def test_idempotent_power_refuses_a_map_out_of_range():
+    # a negative entry would count from the end, a large one past it
+    with pytest.raises(AlgebraError, match=r"f\(0\) = -1$"):
+        idempotent_power((-1, 0))
+    with pytest.raises(AlgebraError, match=r"f\(0\) = 2$"):
+        idempotent_power((2, 0))
+    with pytest.raises(AlgebraError, match=r"f\(2\) = 4$"):
+        idempotent_power([0, 1, 4, 7])
+    assert idempotent_power(()) == ()
 
 
 def test_idempotent_power_matches_literal():
@@ -311,6 +357,9 @@ def test_run_pipeline_diagnostics(e3):
     assert result.diagnostics["iterated_wnu"]["wnu"]
     assert result.diagnostics["iterated_wnu"]["fixpoint"]
     assert result.circ == result.circ_special == e3.op("wedge")
+    # the binary stages keep no tuple of Python ints on their tables
+    assert all(t._entries is None for t in (result.circ, result.circ_iterated,
+                                            result.circ_special, result.wedge_candidate))
 
 
 def test_run_pipeline_checks_for_a_wnu_once(e3, n4, monkeypatch):
