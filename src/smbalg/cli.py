@@ -37,16 +37,23 @@ def _load(path: str) -> FiniteAlgebra:
     return parse_algebra(text)
 
 
+class _Json(str):
+    """A value's JSON text, already laid out as `_json_text` lays it out at
+    its place in the output; `_json_text` copies it as it is."""
+
+
 def _json_text(value, indent: str = "") -> str:
     """`json.dumps(value, indent=2)`, with every line after the first
     indented by `indent` more.  Strings, ints, bools, None, lists, tuples
     and dicts with `str` keys are written here; a list of only ints, only
-    strings or only int lists is written without a call per item.
-    Any other value, and a dict with any other key, is `json.dumps`'s own
-    text."""
+    strings, only int lists or only `_Json` texts is written without a call
+    per item.  Any other value, and a dict with any other key, is
+    `json.dumps`'s own text."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
+    if kind is _Json:
+        return value
     if kind is int:
         return str(value)
     if value is None:
@@ -62,6 +69,8 @@ def _json_text(value, indent: str = "") -> str:
             items = map(str, value)
         elif kinds == {str}:
             items = map(encode_basestring_ascii, value)
+        elif kinds == {_Json}:
+            items = value
         elif kinds == {list} and set(map(type, chain.from_iterable(value))) == {int}:
             leaf = inner + "  "       # int lists, such as `con`'s classes
             sep = ",\n" + leaf
@@ -162,10 +171,22 @@ def _cmd_regularize(args) -> int:
 def _cmd_con(args) -> int:
     alg = _load(args.file)
     lattice = congruence_lattice(alg)
-    members = [_partition_payload(p) for p in lattice.congruences]
-    names = [member["partition"] for member in members]
-    payload = {"congruences": names,
-               "classes": [member["classes"] for member in members],
+    # the layout of `_json_text`, written here once per distinct block and
+    # once per member: a member sits two levels into the payload, a block three
+    outer, inner = "    ", "      "
+    known = {}                 # block -> its text and its JSON, once per lattice
+    names, classes = [], []
+    for p in lattice.congruences:
+        found = []
+        for block in p.blocks():
+            got = known.get(block)
+            if got is None:
+                got = known[block] = (" ".join(map(str, block)), _json_text(list(block), inner))
+            found.append(got)
+        texts, written = zip(*found)
+        names.append(" | ".join(texts))
+        classes.append(_Json(f"[\n{inner}" + f",\n{inner}".join(written) + f"\n{outer}]"))
+    payload = {"congruences": names, "classes": classes,
                "covers": [list(c) for c in lattice.covers]}
 
     def lines():               # formatted only when printed, not under --json

@@ -35,17 +35,20 @@ def _canonical(ids: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def _merged(label: list, pairs: Iterable[tuple]) -> list:
+def _merged(label: Sequence[int], pairs: Iterable[tuple]) -> list:
     """Quick-find: `label[x]` names the class of x, and merging the classes
-    of a pair relabels one of them in a single pass over the list.  Returns
-    the labels after every pair is merged; AlgebraError names the first
-    pair out of range."""
+    of a pair relabels the one with the larger label to the smaller, in a
+    single pass over the list; so labels that name each class by its least
+    element still do after the merge.  Returns the labels after every pair
+    is merged; AlgebraError names the first pair out of range."""
     n = len(label)
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise AlgebraError(f"pair ({a}, {b}) out of range 0..{n - 1}")
         keep, drop = label[a], label[b]
         if keep != drop:
+            if drop < keep:
+                keep, drop = drop, keep
             label = [keep if c == drop else c for c in label]
     return label
 

@@ -67,20 +67,28 @@ rounds, so `oracles.commutator_oracle`, which scans the congruence lattice
 against it, shares only the closure engine with `commutator`.
 
 The congruence layer follows R. Freese, "Computing congruences
-efficiently", Algebra Universalis 59 (2008) 337-343.  Principal
-congruences come from a quick-find union over the unary translations: a
-flat list of class labels, relabelled whole on each merge, so the inner
-loop over translations reads two labels per map.  `_principal_table`
-generates each Cg(a, b), a < b, once per algebra, for
-`principal_congruence`, the `verify` sweeps and `congruence_lattice`.  In
-a finite algebra every congruence is a join of join-irreducible ones, and
-those are principal, so `congruence_lattice` is a breadth-first search
-from 0_A that joins each congruence found with the join-irreducible
-principals only, and reads the upper covers of theta off those same joins:
-they are the minimal elements of {theta v J} minus {theta}.  The search
-runs on canonical class-id tuples: theta v J is the quick-find from the
-ids of theta over the star pairs of J (`partitions.star_pairs`, taken once
-per lattice), and only the finished members become `Partition`s.
+efficiently", Algebra Universalis 59 (2008) 337-343.  The congruence
+generated by explicit pairs, `congruence_generated`, is a quick-find
+union over the unary translations: a flat list of class labels,
+relabelled whole on each merge, so the inner loop over translations reads
+two labels per map.  `_principal_table` builds every Cg(a, b), a < b, of
+an algebra at once, for `principal_congruence`, the `verify` sweeps and
+`congruence_lattice`: by Mal'cev's lemma Cg(a, b) is the equivalence
+generated by the pairs reachable from {a, b} in the one-step pair graph,
+where each translation f leads from {x, y} to {f(x), f(y)}, so one
+breadth-first pass over that graph, in chunks of sources, and `_classes`
+on what each source reaches give the whole table.  In a finite algebra
+every congruence is a join of join-irreducible ones, and those are
+principal; `_join_irreducibles` reads them off the table's index, and
+`congruence_lattice` is a breadth-first search from 0_A that joins each
+congruence found with the join-irreducible principals only, and reads the
+upper covers of theta off those same joins: they are the minimal elements
+of {theta v J} minus {theta}.  The search runs on tuples naming each
+element by the least element of its class: theta v J is the quick-find
+from theta over the star pairs of J (`partitions.star_pairs`, taken once
+per lattice), which keeps that form, each member carries the
+join-irreducibles below it as bits, and only the finished members become
+`Partition`s.
 `congruence_violation` tests every operation and argument position at once
 with numpy, over the table of value classes.  Of the library, only the
 `con` command builds the lattice; the independent oracles the tests
@@ -99,7 +107,7 @@ import numpy as np
 from . import core
 from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
                    FiniteAlgebra, OperationTable, PreconditionError, _blocks)
-from .partitions import Partition, _canonical, _merged, star_pairs
+from .partitions import Partition, _merged, star_pairs
 
 LATTICE_SIZE_CAP = 10
 
@@ -517,23 +525,106 @@ def congruence_generated(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> Partitio
     return Partition(n, tuple(label))
 
 
+def _classes(rel: np.ndarray) -> np.ndarray:
+    """The classes of the equivalence each rel[i] generates, rel a stack of
+    reflexive, symmetric n x n bool matrices: a (len(rel), n) array naming
+    every element by the least element of its class.  Each round gives every
+    element the least label among its related elements and then the label
+    of that label; labels never exceed their element, so the rounds end,
+    and when one changes nothing every class carries its least element."""
+    n = rel.shape[-1]
+    label = np.arange(n, dtype=np.min_scalar_type(n))
+    at = np.arange(len(rel))[:, None]
+    while True:
+        low = np.where(rel, label[..., None, :], n).min(axis=2)
+        low = low[at, low]
+        if (low == label).all():
+            return low
+        label = low
+
+
+def _pair_successors(alg: FiniteAlgebra, a: np.ndarray, b: np.ndarray, upper: np.ndarray,
+                     budget: int) -> np.ndarray:
+    """The one-step pair graph of `alg` on grid ids x * n + y: row a * n + b
+    of the result lists the distinct pairs {f(a), f(b)}, x < y, over the
+    unary translations f, for each pair a < b given, padded with 0, the id
+    of (0, 0); other rows are padding.  `upper` marks the pairs x < y of the
+    grid.  The images of at most `budget` combinations of a translation and
+    a pair are marked at once."""
+    n = alg.size
+    maps = np.array(_translations(alg), dtype=np.int32).reshape(-1, n)
+    step = max(1, budget // max(len(maps), n * n))
+    node, succ = [], []
+    for lo in range(0, len(a), step):
+        image = maps[:, a[lo:lo + step]] * np.int32(n)
+        image += maps[:, b[lo:lo + step]]
+        hit = np.zeros((image.shape[1], n, n), dtype=bool)
+        hit.reshape(len(hit), -1)[np.arange(len(hit)), image] = True
+        hit |= hit.transpose(0, 2, 1)
+        hit &= upper
+        i, j = np.nonzero(hit.reshape(len(hit), -1))
+        node.append(a[lo + i] * n + b[lo + i])
+        succ.append(j)
+    node, succ = np.concatenate(node), np.concatenate(succ)
+    column = np.arange(len(node)) - np.searchsorted(node, node)   # node ids come sorted
+    out = np.zeros((n * n, column.max(initial=0) + 1), dtype=np.int32)
+    out[node, column] = succ
+    return out
+
+
 @lru_cache(maxsize=None)
 def _principal_table(alg: FiniteAlgebra) -> tuple:
     """(parts, firsts, index): the distinct Cg(a, b), 0_A and then the rest
-    by first pair a < b ((0, 0) for 0_A), each generated once, and the
-    symmetric read-only int64 index with Cg(a, b) = parts[index[a, b]]."""
+    by first pair a < b ((0, 0) for 0_A), and the symmetric read-only int64
+    index with Cg(a, b) = parts[index[a, b]].
+
+    By Mal'cev's lemma Cg(a, b) is the equivalence generated by the pairs
+    {p(a), p(b)} over the unary polynomials p, which are the compositions
+    of the basic translations: the pairs reachable from {a, b} in the
+    one-step pair graph of `_pair_successors`.  The sources are searched
+    breadth first in chunks, on one bitmap over the n x n grid per source
+    with the diagonal marked from the start, so images that collapse are
+    never new; each bitmap, made symmetric, is then the relation whose
+    `_classes` give Cg(a, b).  A chunk's bitmaps, the successor lists one
+    pass gathers and the marks of the pair graph each hold at most
+    `core.BLOCK_SIZE // 16` entries, which keeps the table's peak memory to
+    a few megabytes beyond its result."""
     n = alg.size
-    found, firsts = {Partition.zero(n): 0}, [(0, 0)]   # Cg -> its position
+    budget = core.BLOCK_SIZE // 16
+    upper = np.less.outer(range(n), range(n))
+    a, b = np.nonzero(upper)
+    pairs = a * n + b
+    found, firsts = {tuple(range(n)): 0}, [(0, 0)]   # least-element labels -> position
     index = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(a + 1, n):
-            cg = congruence_generated(alg, [(a, b)])
-            if cg not in found:
-                found[cg] = len(firsts)
-                firsts.append((a, b))
-            index[a, b] = index[b, a] = found[cg]
+    if len(pairs):
+        succ = _pair_successors(alg, a, b, upper, budget)
+        chunk, piece = max(1, budget // (n * n)), max(1, budget // succ.shape[1])
+        labels = []
+        for lo in range(0, len(pairs), chunk):
+            sources = pairs[lo:lo + chunk]
+            seen = np.zeros((len(sources), n, n), dtype=bool)
+            flat = seen.reshape(len(sources), -1)
+            flat[:, ::n + 1] = True
+            row, node = np.arange(len(sources)), sources
+            flat[row, node] = True
+            while len(row):
+                new = np.zeros_like(flat)
+                for i in range(0, len(row), piece):
+                    new[row[i:i + piece, None], succ[node[i:i + piece]]] = True
+                np.greater(new, flat, out=new)
+                flat |= new
+                row, node = np.nonzero(new)
+            seen |= seen.transpose(0, 2, 1)
+            labels += map(tuple, _classes(seen).tolist())
+        at = []
+        for pair, label in zip(zip(a.tolist(), b.tolist()), labels):
+            if label not in found:
+                found[label] = len(firsts)
+                firsts.append(pair)
+            at.append(found[label])
+        index[a, b] = index[b, a] = at
     index.flags.writeable = False
-    return tuple(found), tuple(firsts), index
+    return tuple(Partition(n, label) for label in found), tuple(firsts), index
 
 
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
@@ -599,24 +690,25 @@ class CongruenceLattice:
         return self.congruences.index(p)
 
 
-def _join_irreducibles(principals: dict) -> dict:
-    """The join-irreducible members of {Cg(a, b) -> (a, b)}, in its order.
+def _join_irreducibles(parts: tuple, firsts: tuple, index: np.ndarray) -> dict:
+    """The join-irreducible members of the principal table (parts, firsts,
+    index), as {J: its first pair} in table order.
 
-    Every congruence strictly below a principal p is a join of principals
-    strictly below p, so p is join-irreducible exactly when the join of
-    the principals strictly below it is not p itself.  q lies below p when
-    p relates every star pair of q, and the join merges those pairs."""
-    stars = {q: star_pairs(q) for q in principals}
-    out = {}
-    for p, pair in principals.items():
-        ids = p.class_ids
-        below = list(range(p.size))
-        for q, star in stars.items():
-            if q is not p and all(ids[a] == ids[b] for a, b in star):
-                below = _merged(below, star)
-        if _canonical(below) != ids:
-            out[p] = pair
-    return out
+    Every principal below J = Cg(a, b) is Cg(x, y) for a pair (x, y) of J,
+    so the principals strictly below J are those of the pairs S of J whose
+    own index is not J's.  Each of them lies in S and the diagonal, so their
+    join is the equivalence S generates, and J is join-irreducible exactly
+    when that does not relate a and b.  One `_classes` reads it for every J
+    at once."""
+    n = len(index)
+    ids = np.array([p.class_ids for p in parts[1:]], dtype=np.int64).reshape(-1, n)
+    rest = ids[:, :, None] == ids[:, None, :]
+    rest &= index != np.arange(1, len(parts))[:, None, None]
+    classes = _classes(rest)
+    at = np.arange(len(ids))
+    a, b = np.array(firsts[1:], dtype=np.int64).reshape(-1, 2).T
+    keep = np.flatnonzero(classes[at, a] != classes[at, b]) + 1
+    return {parts[j]: firsts[j] for j in keep.tolist()}
 
 
 def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
@@ -625,49 +717,52 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     Breadth-first search from 0_A: each congruence theta found is joined
     with every join-irreducible congruence J not below it.  In a finite
     algebra the join-irreducibles are principal (`_join_irreducibles`
-    picks them from the nonzero parts of `_principal_table`, built without
-    its cache so that `con` leaves it alone), and every congruence
-    is the join of those below it, so the search finds every member.  The
-    upper covers of theta are the minimal elements of {theta v J} minus
-    {theta}: for mu > theta some join-irreducible J <= mu is not below
-    theta, and then theta < theta v J <= mu.  With (a, b) the first pair
-    of J = Cg(a, b), theta v J lies below mu exactly when mu relates a and
-    b, so minimality needs no further joins.
+    picks them out of `_principal_table`, built without its cache so that
+    `con` leaves it alone), and every congruence is the join of those below
+    it, so the search finds every member.  The upper covers of theta are
+    the minimal elements of {theta v J} minus {theta}: for mu > theta some
+    join-irreducible J <= mu is not below theta, and then theta < theta v J
+    <= mu.  So mu = theta v J is a cover exactly when every J' below mu and
+    not below theta gives theta v J' = mu; each member keeps the set of
+    join-irreducibles below it as the bits of an int, so that test is one
+    comparison of bits per join found.
 
-    The search runs on canonical class-id tuples: theta v J is `_merged`
-    from the ids of theta over the star pairs of J, taken once per
-    lattice, and each member becomes a `Partition` once, at the end.
-    Congruences are sorted from 0_A towards 1_A by (-classes, class ids),
-    and covers are sorted (i, j) index pairs.
+    The search runs on tuples that name each element by the least element
+    of its class.  `_merged` relabels the larger of two labels, so theta v J,
+    `_merged` from theta over the star pairs of J (taken once per lattice),
+    is again in that form and needs no renaming; each member becomes a
+    `Partition` once, at the end.  Congruences are sorted from 0_A towards
+    1_A by (-classes, class ids), and covers are sorted (i, j) index pairs.
     """
     n = alg.size
     if n > LATTICE_SIZE_CAP:
         raise CapExceeded(
             f"congruence lattice capped at universe size {LATTICE_SIZE_CAP}, algebra has {n}")
-    parts, firsts, _ = _principal_table.__wrapped__(alg)   # uncached: con keeps no table
-    irreducibles = [(star_pairs(ji), a, b) for ji, (a, b)
-                    in _join_irreducibles(dict(zip(parts[1:], firsts[1:]))).items()]
+    table = _principal_table.__wrapped__(alg)   # uncached: con keeps no table
+    irreducibles = [(1 << i, star_pairs(ji), a, b)
+                    for i, (ji, (a, b)) in enumerate(_join_irreducibles(*table).items())]
     zero = tuple(range(n))
-    members = [zero]           # class-id tuples, in discovery order
+    members = [zero]           # least-element labels, in discovery order
     found = {zero: 0}
-    upper = []                 # discovery index -> upper covers' indices
-    for theta in members:
-        steps = []             # (index of theta v J, a, b) with J = Cg(a, b)
-        for star, a, b in irreducibles:
-            if theta[a] == theta[b]:
-                continue
-            joined = _canonical(_merged(list(theta), star))
-            if joined not in found:
-                found[joined] = len(members)
-                members.append(joined)
-            steps.append((found[joined], a, b))
-        upper.append([j for j in {s[0] for s in steps}
-                      if all(k == j for k, a, b in steps if members[j][a] == members[j][b])])
-    ordered = sorted(members, key=lambda ids: (-max(ids), ids))
-    rank = {ids: i for i, ids in enumerate(ordered)}
-    covers = sorted((rank[members[i]], rank[members[j]])
-                    for i, ups in enumerate(upper) for j in ups)
-    return CongruenceLattice(tuple(Partition(n, ids) for ids in ordered), tuple(covers))
+    below = [0]                # per member: the bits of the irreducibles below it
+    upper = []                 # per member: its upper covers' indices
+    for theta, under in zip(members, below):
+        joins = {}             # index of theta v J -> bits of the J that give it
+        for bit, star, a, b in irreducibles:
+            if theta[a] != theta[b]:
+                joined = tuple(_merged(theta, star))
+                j = found.get(joined)
+                if j is None:
+                    j = found[joined] = len(members)
+                    members.append(joined)
+                    below.append(sum(k for k, _, x, y in irreducibles if joined[x] == joined[y]))
+                joins[j] = joins.get(j, 0) | bit
+        upper.append([j for j, bits in joins.items() if below[j] & ~under == bits])
+    parts = [Partition(n, label) for label in members]
+    order = sorted(range(len(parts)), key=lambda i: (-parts[i].num_classes, parts[i].class_ids))
+    rank = {i: r for r, i in enumerate(order)}
+    covers = sorted((rank[i], rank[j]) for i, ups in enumerate(upper) for j in ups)
+    return CongruenceLattice(tuple(parts[i] for i in order), tuple(covers))
 
 
 # ---------------------------------------------------------------------------

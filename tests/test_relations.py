@@ -4,6 +4,7 @@ import inspect
 import itertools
 import random
 import time
+import types
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from smbalg.oracles import (all_subuniverses, commutator_oracle,
                             congruence_by_alternating_closure, eval_term,
                             unary_polynomials)
 from smbalg.relations import GeneratedSet
-from smbalg.constructions import (affine_block, example_b2, example_e3,
-                                  example_s2)
+from smbalg.constructions import (affine_block, chain_semilattice, example_b2,
+                                  example_e3, example_s2)
 from smbalg.pipeline import regularize
 
 from conftest import decoded, glued, reference_term, regularized_glued
@@ -853,34 +854,88 @@ def test_principal_congruence_examples(e3):
     assert principal_congruence(e3, 1, 1).is_zero
 
 
-def test_principal_table(monkeypatch, corpus):
+def table_algebras(corpus):
+    """The corpus, seeded random {wedge, d} algebras up to 12 elements, whose
+    pair graphs are deep, regularized glued algebras up to 16 elements,
+    chain_semilattice(12), a 1-element algebra and a unary one."""
+    return ([e.algebra for e in corpus]
+            + [random_algebra(n, {"wedge": 2, "d": 3}, seed)
+               for n in range(2, 13) for seed in range(2)]
+            + [regularized_glued(3, sizes)[0]
+               for sizes in ((2, 2, 1), (2, 2, 2), (3, 3, 2), (4, 4, 4, 4))]
+            + [chain_semilattice(12),
+               FiniteAlgebra("point", 1, {"f": OperationTable(1, 1, [0])}),
+               FiniteAlgebra("unary", 6, {"f": OperationTable(1, 6, [1, 2, 0, 4, 3, 3])})])
+
+
+def assert_principal_table(alg, table):
     # one table per algebra: distinct parts, 0_A first, a symmetric index
     # with a 0_A diagonal, each first pair the least a < b of its part, and
-    # one generator call per pair a < b
-    algebras = ([e.algebra for e in corpus if e.has("regular") and e.algebra.size <= 8]
-                + [regularized_glued(3, sizes)[0] for sizes in ((2, 2, 1), (2, 2, 2))])
-    real = relations.congruence_generated
+    # every entry the congruence_generated of its pair
+    n = alg.size
+    parts, firsts, index = table
+    pairs = list(itertools.combinations(range(n), 2))
+    assert index.shape == (n, n) and index.dtype == np.int64
+    assert not index.flags.writeable
+    assert (index == index.T).all() and not np.diag(index).any()
+    assert parts[0].is_zero and len(set(parts)) == len(parts) == len(firsts)
+    assert set(index.ravel().tolist()) == set(range(len(parts)))
+    for a, b in itertools.product(range(n), repeat=2):
+        assert parts[index[a, b]] == congruence_generated(alg, [(a, b)]), (alg.name, a, b)
+    assert firsts == ((0, 0),) + tuple(
+        next(p for p in pairs if index[p] == i) for i in range(1, len(parts)))
+
+
+def test_principal_table(monkeypatch, corpus):
+    algebras = table_algebras(corpus)
     for alg in algebras:
+        assert_principal_table(alg, relations._principal_table.__wrapped__(alg))
         n = alg.size
-        calls = []
-        with monkeypatch.context() as m:
-            m.setattr(relations, "congruence_generated",
-                      lambda alg, pairs: calls.append(pairs) or real(alg, pairs))
-            parts, firsts, index = relations._principal_table.__wrapped__(alg)
-        pairs = list(itertools.combinations(range(n), 2))
-        assert sorted(calls) == [[pair] for pair in pairs], alg.name
-        assert index.shape == (n, n) and index.dtype == np.int64
-        assert not index.flags.writeable
-        assert (index == index.T).all() and not np.diag(index).any()
-        assert parts[0].is_zero and len(set(parts)) == len(parts) == len(firsts)
-        assert set(index.ravel().tolist()) == set(range(len(parts)))
-        for a, b in itertools.product(range(n), repeat=2):
-            assert parts[index[a, b]] == real(alg, [(a, b)]), (alg.name, a, b)
-        assert firsts == ((0, 0),) + tuple(
-            next(p for p in pairs if index[p] == i) for i in range(1, len(parts)))
         for a, b in [(-1, 0), (0, n)]:
             with pytest.raises(AlgebraError, match=rf"^pair \({a}, {b}\) out of range 0\.\.{n - 1}$"):
                 principal_congruence(alg, a, b)
+    # again with small chunks: one `_classes` per chunk of sources, and some
+    # algebra searches its pairs in several chunks of more than one source
+    chunks = []
+    real = relations._classes
+    monkeypatch.setattr(relations, "_classes", lambda rel: chunks.append(len(rel)) or real(rel))
+    monkeypatch.setattr(core, "BLOCK_SIZE", 16 * 100)
+    crossed = False
+    for alg in algebras:
+        chunks.clear()
+        assert_principal_table(alg, relations._principal_table.__wrapped__(alg))
+        crossed |= len(chunks) > 1 and max(chunks) > 1
+    assert crossed
+
+
+def test_principal_table_search_is_checked(corpus):
+    # a copy of the table whose search keeps only its first step, so that
+    # pairs two or more steps away are lost, must fail the test above
+    stepped = []           # each chunk's bitmap, held so that `is` tells them apart
+
+    class FirstStepOnly:
+        """numpy, except that `greater`, which the search calls once a step
+        to keep the new marks only, keeps none after a chunk's first step."""
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def greater(new, flat, out):
+            np.greater(new, flat, out=out)
+            if any(f is flat for f in stepped):
+                out[...] = False
+            else:
+                stepped.append(flat)
+
+    build = types.FunctionType(relations._principal_table.__wrapped__.__code__,
+                               dict(vars(relations), np=FirstStepOnly()))
+    for alg in table_algebras(corpus):
+        try:
+            assert_principal_table(alg, build(alg))
+        except AssertionError:
+            break
+    else:
+        pytest.fail("a search that keeps only its first step went unnoticed")
 
 
 def test_principal_congruence_oracle(corpus):
@@ -1046,22 +1101,20 @@ def test_join_irreducible_filter_is_exact(e3, n4, corpus, monkeypatch):
     one lower cover, and dropping any one of them is caught by the
     differential test."""
     for alg in brute_force_algebras(e3, n4, corpus):
-        n = alg.size
-        principals = {}
-        for a in range(n):
-            for b in range(a + 1, n):
-                principals.setdefault(principal_congruence(alg, a, b), (a, b))
         members = congruence_lattice(alg).congruences
         lower = [0] * len(members)
         for _, j in definitional_covers(members):
             lower[j] += 1
         irreducible = {members[j] for j, k in enumerate(lower) if k == 1}
-        assert set(relations._join_irreducibles(principals)) == irreducible, alg.name
+        parts, firsts, _ = table = relations._principal_table(alg)
+        found = relations._join_irreducibles(*table)
+        assert set(found) == irreducible, alg.name
+        assert list(found.items()) == [(p, f) for p, f in zip(parts, firsts) if p in found]
 
     keep = relations._join_irreducibles
 
-    def drop_last(principals):
-        out = keep(principals)
+    def drop_last(*table):
+        out = keep(*table)
         if out:
             out.popitem()
         return out

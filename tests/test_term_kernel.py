@@ -9,10 +9,10 @@ with `core.BLOCK_SIZE` patched small, so the cut path of `_blocks` and
 the box offsets of the witnesses are exercised.
 """
 
-import inspect
 import itertools
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -237,14 +237,22 @@ def test_identity_verdicts_match_loop(reference_verdicts, monkeypatch, block):
 
 
 def test_identity_witness_order_is_checked(reference_verdicts, monkeypatch):
-    # a copy that reports the last failing assignment of a box instead of
-    # the first must fail the differential test above
-    source = inspect.getsource(core.first_failure)
-    broken = source.replace("np.argmax(bad)", "bad.size - 1 - np.argmax(bad.ravel()[::-1])")
-    assert broken != source
-    namespace = dict(vars(core))
-    exec(broken, namespace)
-    monkeypatch.setattr(core, "first_failure", namespace["first_failure"])
+    # a copy of first_failure, built from its imported code, that reports
+    # the last failing assignment of a box instead of the first must fail
+    # the differential test above
+    class LastHit:
+        """numpy, except that `argmax` of a box's bad mask gives its last hit."""
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def argmax(bad):
+            return bad.size - 1 - np.argmax(bad.ravel()[::-1])
+
+    real = core.first_failure
+    broken = types.FunctionType(real.__code__, dict(vars(core), np=LastHit()),
+                                real.__name__, real.__defaults__)
+    monkeypatch.setattr(core, "first_failure", broken)
     assert verdict_mismatches(reference_verdicts) > 0
 
 
