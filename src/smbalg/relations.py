@@ -67,28 +67,29 @@ rounds, so `oracles.commutator_oracle`, which scans the congruence lattice
 against it, shares only the closure engine with `commutator`.
 
 The congruence layer follows R. Freese, "Computing congruences
-efficiently", Algebra Universalis 59 (2008) 337-343.  The congruence
-generated by explicit pairs, `congruence_generated`, is a quick-find
-union over the unary translations: a flat list of class labels,
-relabelled whole on each merge, so the inner loop over translations reads
-two labels per map.  `_principal_table` builds every Cg(a, b), a < b, of
-an algebra at once, for `principal_congruence`, the `verify` sweeps and
-`congruence_lattice`: by Mal'cev's lemma Cg(a, b) is the equivalence
-generated by the pairs reachable from {a, b} in the one-step pair graph,
-where each translation f leads from {x, y} to {f(x), f(y)}, so one
-breadth-first pass over that graph, in chunks of sources, and `_classes`
-on what each source reaches give the whole table.  In a finite algebra
-every congruence is a join of join-irreducible ones, and those are
-principal; `_join_irreducibles` reads them off the table's index, and
-`congruence_lattice` is a breadth-first search from 0_A that joins each
-congruence found with the join-irreducible principals only, and reads the
-upper covers of theta off those same joins: they are the minimal elements
-of {theta v J} minus {theta}.  The search runs on tuples naming each
-element by the least element of its class: theta v J is the quick-find
-from theta over the star pairs of J (`partitions.star_pairs`, taken once
-per lattice), which keeps that form, each member carries the
-join-irreducibles below it as bits, and only the finished members become
-`Partition`s.
+efficiently", Algebra Universalis 59 (2008) 337-343, one engine per job.
+`congruence_generated` gives the congruence of explicit pairs (for `cg`,
+the term-condition fixpoint and `pipeline`) by a quick-find union over
+the cached unary translations: a flat list of class labels, relabelled
+whole on each merge, so the inner loop reads two labels per map.
+`_principal_table` builds every Cg(a, b), a < b, of an algebra at once
+(for `principal_congruence`, the `verify` sweeps, `congruence_lattice`
+and the simple extension) from the translations read once, uncached: by
+Mal'cev's lemma Cg(a, b) is the equivalence generated by the pairs
+reachable from {a, b} in the one-step pair graph, where each translation
+f leads from {x, y} to {f(x), f(y)}, so one breadth-first pass over it, in
+chunks of sources, and `_classes` on what each source reaches give the
+whole table.  In a finite algebra every congruence is a join of
+join-irreducible ones, and those are principal; `_join_irreducibles` reads
+them off the table's index, and `congruence_lattice` is a breadth-first
+search from 0_A that joins each congruence found with the join-irreducible
+principals only, and reads the upper covers of theta off those same joins:
+they are the minimal elements of {theta v J} minus {theta}.  The search
+runs on tuples naming each element by the least element of its class:
+theta v J is the quick-find from theta over the star pairs of J
+(`partitions.star_pairs`, taken once per lattice), which keeps that form,
+each member carries the join-irreducibles below it as bits, and only the
+finished members become `Partition`s.
 `congruence_violation` tests every operation and argument position at once
 with numpy, over the table of value classes.  Of the library, only the
 `con` command builds the lattice; the independent oracles the tests
@@ -552,7 +553,7 @@ def _pair_successors(alg: FiniteAlgebra, a: np.ndarray, b: np.ndarray, upper: np
     grid.  The images of at most `budget` combinations of a translation and
     a pair are marked at once."""
     n = alg.size
-    maps = np.array(_translations(alg), dtype=np.int32).reshape(-1, n)
+    maps = np.array(_translations.__wrapped__(alg), dtype=np.int32).reshape(-1, n)
     step = max(1, budget // max(len(maps), n * n))
     node, succ = [], []
     for lo in range(0, len(a), step):
@@ -616,13 +617,11 @@ def _principal_table(alg: FiniteAlgebra) -> tuple:
                 row, node = np.nonzero(new)
             seen |= seen.transpose(0, 2, 1)
             labels += map(tuple, _classes(seen).tolist())
-        at = []
         for pair, label in zip(zip(a.tolist(), b.tolist()), labels):
             if label not in found:
                 found[label] = len(firsts)
                 firsts.append(pair)
-            at.append(found[label])
-        index[a, b] = index[b, a] = at
+        index[a, b] = index[b, a] = [found[label] for label in labels]
     index.flags.writeable = False
     return tuple(Partition(n, label) for label in found), tuple(firsts), index
 

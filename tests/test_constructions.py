@@ -3,6 +3,7 @@ import inspect
 import itertools
 import random
 import time
+import types
 
 import pytest
 
@@ -119,6 +120,43 @@ def test_extension_above_lattice_cap(monkeypatch):
     assert ext.size == 11
     monkeypatch.setattr(relations, "LATTICE_SIZE_CAP", 11)
     assert len(congruence_lattice(ext)) == 2
+
+
+def test_extension_names_the_first_pair_that_is_not_simple(monkeypatch):
+    # plant the principal table of the non-simple chain on four elements
+    # under the extension of the one-element algebra: the message names the
+    # least pair whose Cg is not 1_A, (0, 1) here, where the next part's
+    # pair or the last failing pair would be another
+    planted = chain_semilattice(4)
+    failing = [(a, b) for a, b in itertools.combinations(range(4), 2)
+               if not relations.congruence_generated(planted, [(a, b)]).is_one]
+    assert failing[:2] == [(0, 1), (0, 2)] and failing[-1] == (2, 3)
+    a, b = failing[0]
+    read = []
+
+    def table(alg):
+        read.append(alg.size)
+        return relations._principal_table.__wrapped__(planted)
+    monkeypatch.setattr(constructions, "_principal_table",
+                        types.SimpleNamespace(__wrapped__=table))
+    cg = relations.congruence_generated(planted, [(a, b)])
+    with pytest.raises(FalsificationError) as err:
+        extend_simple_type5(trivial_algebra(), "d")
+    assert str(err.value) == f"extension of 'one' is not simple: Cg({a}, {b}) = {cg}"
+    assert read == [4]
+
+
+def test_extension_generates_no_pair_congruence(monkeypatch, b2):
+    # simplicity is read off one principal table, never pair by pair
+    calls = []
+
+    def spy(alg, pairs):
+        calls.append(pairs)
+        raise AssertionError("congruence_generated was called")
+    monkeypatch.setattr(relations, "congruence_generated", spy)
+    monkeypatch.setattr(constructions, "congruence_generated", spy, raising=False)
+    assert extend_simple_type5(b2, "d").size == 5
+    assert calls == []
 
 
 def test_extension_rejects_bad_input(n4, s2):
