@@ -3,8 +3,8 @@
 from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
                    FiniteAlgebra, Identity, OperationFlags, OperationTable,
                    PreconditionError, Quasiidentity, Term, Var, Verdict,
-                   check_identities, check_identity, check_quasiidentity,
-                   materialize_term, table_flags, term_table, term_variables)
+                   check_identities, materialize_term, table_flags,
+                   term_table, term_variables)
 from .partitions import Partition, all_partitions
 from .relations import (CongruenceLattice, GeneratedSet, commutator,
                         congruence_generated, congruence_lattice,

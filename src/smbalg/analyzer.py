@@ -359,7 +359,7 @@ def _regular_conditions(alg: FiniteAlgebra, sim: Partition, order: ClassOrder,
     program = _CONDITIONS if base is None else _CONDITION_I
     masks = ((box, [ids[d] != ids[w], *map(np.not_equal, sides[::2], sides[1::2])])
              for box, (d, w, *sides) in _term_boxes(alg, program))
-    cond_i, *rest = _least_failures(masks, program.side_spans())
+    cond_i, *rest = _least_failures(masks, program.side_spans)
     leq = np.array(order.leq)
     # [b] <= [a] forces a wedge b = b
     cond_ii = first_failure(leq[ids[None, :], ids[:, None]]

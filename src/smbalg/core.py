@@ -15,24 +15,25 @@ index range along axis i), in boxes cut by `_blocks` and visited in
 lexicographic order.  A box holds one array per step, so it is bounded in
 step values: at most `BLOCK_SIZE` of them over all steps, or one row of
 the last variable where that alone is more, however large the term.
-`check_identities` tests a whole set of identities in one pass, each
-against its own variables; `check_identity` is its one-identity case.
-The fixed sets of `analyzer` (the regular base, the regularity
-conditions, the Taylor instances) are compiled once at import and only
-bound per call; ad hoc terms compile per call.  `term_table`,
-`materialize_term`, quasi-identities and the witness chains of
-`analyzer.verify_cg_d3_pairs` (the one-variable polynomials of all
-generator pairs in a single pass) run on the same kernel; the flags and
-the circ of one table are read off its array.
+`check_identities` is the one law checker: it tests a whole batch of
+identities and quasi-identities (an identity is a law with no premises)
+in one pass, each against its own variables.  The fixed sets of
+`analyzer` (the regular base, the regularity conditions, the Taylor
+instances) are compiled once at import and only bound per call; ad hoc
+laws and terms compile per call.  `term_table`, `materialize_term` and
+the witness chains of `analyzer.verify_cg_d3_pairs` (the one-variable
+polynomials of all generator pairs in a single pass) run on the same
+kernel; the flags and the circ of one table are read off its array.
 The pointwise pure-Python evaluator is the tests' reference for it and
 lives in `smbalg.oracles`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -328,7 +329,8 @@ class _Program:
     when it has none).  checks holds what only an algebra can decide, an
     application's (symbol, argument count) and each literal, in the order
     their nodes were first met; error is the first fault that needs no
-    algebra, or None.
+    algebra, or None.  sides[i], set by `_identity_program`, is how many
+    consecutive terms law i has; with none recorded, each law is a pair.
     """
     nvars: int
     steps: tuple
@@ -336,10 +338,14 @@ class _Program:
     spans: tuple
     checks: tuple
     error: Optional[str]
+    sides: tuple = ()
 
+    @functools.cached_property
     def side_spans(self) -> list:
-        """The span of each identity when terms 2i and 2i + 1 are its sides."""
-        return [max(self.spans[i:i + 2]) for i in range(0, len(self.roots), 2)]
+        """The span of each law, the largest span among its sides."""
+        sides = self.sides or (2,) * (len(self.roots) // 2)
+        ends = itertools.accumulate(sides)
+        return [max(self.spans[end - k:end], default=0) for k, end in zip(sides, ends)]
 
 
 def _compile(terms: Sequence[Term], nvars: int) -> _Program:
@@ -585,51 +591,39 @@ def _least_failures(boxes: Iterable, widths: Sequence[int]) -> list:
     return [Verdict(True) if w is None else Verdict(False, w) for w in found]
 
 
-def _identity_program(identities: Sequence[Identity]) -> _Program:
-    """The sides of `identities`, lhs then rhs of each, compiled over the
-    largest variable count among them."""
-    terms = [t for ident in identities for t in (ident.lhs, ident.rhs)]
+def _identity_program(laws: Sequence) -> _Program:
+    """The sides of `laws` compiled over the largest variable count among
+    them: for each law its premises, then its conclusion, lhs before rhs,
+    with the number of sides of each law recorded."""
+    equations = [(*law.premises, law.conclusion) if isinstance(law, Quasiidentity) else (law,)
+                 for law in laws]
+    terms = [t for eqs in equations for eq in eqs for t in (eq.lhs, eq.rhs)]
     variables = frozenset().union(*map(term_variables, terms))
-    return _compile(terms, max(variables) + 1 if variables else 0)
+    return replace(_compile(terms, max(variables) + 1 if variables else 0),
+                   sides=tuple(2 * len(eqs) for eqs in equations))
 
 
-def check_identities(alg: FiniteAlgebra, identities) -> list:
-    """Exhaustively test identities in one kernel pass over the assignments
-    of the largest variable count among them.  Verdict i is the one
-    check_identity gives identities[i]: it holds, or fails at the
-    lexicographically least failing assignment of its own variables
-    0..v-1, v being 1 + its largest variable index.
+def check_identities(alg: FiniteAlgebra, laws) -> list:
+    """Exhaustively test identities and quasi-identities in one kernel
+    pass over the assignments of the largest variable count among them.
+    Verdict i holds, or fails at the lexicographically least assignment of
+    law i's own variables 0..v-1 (v = 1 + its largest variable index) at
+    which every premise holds and the conclusion does not.  One law is
+    `check_identities(alg, [law])[0]`.
 
-    `identities` may also be the program `_identity_program` compiled from
-    them, so that a fixed set is compiled once."""
-    program = identities if isinstance(identities, _Program) else _identity_program(identities)
-    sides = range(0, len(program.roots), 2)
-    masks = ((box, [values[i] != values[i + 1] for i in sides])
-             for box, values in _term_boxes(alg, program))
-    return _least_failures(masks, program.side_spans())
+    `laws` may also be the program `_identity_program` compiled from them,
+    so that a fixed set is compiled once."""
+    program = laws if isinstance(laws, _Program) else _identity_program(laws)
 
+    def failing(values):        # law by law: every premise holds, the conclusion does not
+        for k, end in zip(program.sides, itertools.accumulate(program.sides)):
+            bad = values[end - 2] != values[end - 1]
+            for i in range(end - k, end - 2, 2):
+                bad = bad & (values[i] == values[i + 1])
+            yield bad
 
-def check_identity(alg: FiniteAlgebra, ident: Identity) -> Verdict:
-    """Exhaustively test an identity; on failure the witness is the
-    lexicographically least failing assignment."""
-    return check_identities(alg, [ident])[0]
-
-
-def check_quasiidentity(alg: FiniteAlgebra, quasi: Quasiidentity) -> Verdict:
-    """Like check_identity, with premises filtering the assignments."""
-    variables = quasi.variables()
-    nvars = max(variables) + 1 if variables else 0
-    idents = (*quasi.premises, quasi.conclusion)
-    program = _compile([t for ident in idents for t in (ident.lhs, ident.rhs)], nvars)
-
-    def failing(values):
-        bad = values[-2] != values[-1]
-        for lhs, rhs in zip(values[:-2:2], values[1:-2:2]):
-            bad = bad & (lhs == rhs)
-        return bad
-
-    masks = ((box, [failing(values)]) for box, values in _term_boxes(alg, program))
-    return _least_failures(masks, [nvars])[0]
+    masks = ((box, list(failing(values))) for box, values in _term_boxes(alg, program))
+    return _least_failures(masks, program.side_spans)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from smbalg import (AlgebraError, App, Const, FiniteAlgebra, Identity,
-                    OperationTable, Quasiidentity, Var, check_identity,
-                    check_quasiidentity, materialize_term,
-                    table_flags, term_table)
+                    OperationTable, Quasiidentity, Var, check_identities,
+                    materialize_term, table_flags, term_table)
 from smbalg import core
 from smbalg.core import MAX_VARIABLES, CapExceeded, check_power
 from smbalg.oracles import eval_term, substitute
@@ -344,35 +343,35 @@ def test_materialize_examples(e3):
 
 def test_check_identity_examples(e3, s2):
     regiv = Identity(W(W(x, y), y), W(x, y))
-    verdict = check_identity(e3, regiv)
+    verdict = check_identities(e3, [regiv])[0]
     assert verdict.holds
     # independent scan over all nine assignments
     for a, b in itertools.product(range(3), repeat=2):
         assert eval_term(e3, regiv.lhs, (a, b)) == eval_term(e3, regiv.rhs, (a, b))
-    bad = check_identity(e3, Identity(D(x, y, z), x))
+    bad = check_identities(e3, [Identity(D(x, y, z), x)])[0]
     # d(0,0,1) = 1 != 0 already fails, and precedes (0,1,0) lexicographically
     assert not bad.holds and bad.witness == (0, 0, 1)
     assert eval_term(e3, D(x, y, z), (0, 1, 0)) == 1  # the larger witness also fails
     comm = Identity(W(W(x, y), W(y, x)), W(y, x))
-    assert check_identity(s2, comm).holds
+    assert check_identities(s2, [comm])[0].holds
 
 
 def test_check_identity_least_witness(b2):
     # wedge on b2 is the second projection, so x = x^y first fails at (0, 1)
-    verdict = check_identity(b2, Identity(x, W(x, y)))
+    verdict = check_identities(b2, [Identity(x, W(x, y))])[0]
     assert verdict.witness == (0, 1)
 
 
 def test_check_quasiidentity(e3, n4):
     from smbalg import smb_axioms
     _, quasis = smb_axioms()
-    assert check_quasiidentity(e3, quasis["wedge-compat-1"]).holds
-    assert check_quasiidentity(n4, quasis["d-compat-1"]).holds
-    assert check_quasiidentity(n4, quasis["d-compat-2"]).holds
+    assert check_identities(e3, [quasis["wedge-compat-1"]])[0].holds
+    assert check_identities(n4, [quasis["d-compat-1"]])[0].holds
+    assert check_identities(n4, [quasis["d-compat-2"]])[0].holds
     vacuous = Quasiidentity(
         (Identity(x, Const(0)), Identity(x, Const(1))),
         Identity(x, y))
-    assert check_quasiidentity(e3, vacuous).holds
+    assert check_identities(e3, [vacuous])[0].holds
 
 
 def test_classify_operation(e3, b2):

@@ -1,14 +1,16 @@
 """The numpy term kernel against the pointwise loops it replaced.
 
 The reference functions below are the per-assignment Python loops that
-`check_identity`, `check_quasiidentity`, `table_flags`, `check_regular`
+the identity and quasi-identity checks, `table_flags`, `check_regular`
 and `regularize` ran before the kernel; every verdict, witness and table
-must agree with them, and so must `check_identities` on each algebra's
-identities at once.  Each comparison runs at the default block size and
-with `core.BLOCK_SIZE` patched small, so the cut path of `_blocks` and
-the box offsets of the witnesses are exercised.
+must agree with them.  `check_identities`, the one law checker, is
+compared one law per call and with each algebra's identities and
+quasi-identities in one batch.  Each comparison runs at the default
+block size and with `core.BLOCK_SIZE` patched small, so the cut path of
+`_blocks` and the box offsets of the witnesses are exercised.
 """
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -19,7 +21,7 @@ import pytest
 
 from smbalg import (App, CapExceeded, Const, FiniteAlgebra, Identity,
                     OperationTable, Quasiidentity, Var, Verdict, check_identities,
-                    check_identity, check_quasiidentity, check_regular, check_smb_over,
+                    check_regular, check_smb_over,
                     find_smb_congruences, materialize_term,
                     random_algebra, regularize, smb_axioms,
                     table_flags, term_table, term_variables)
@@ -185,24 +187,25 @@ def reference_verdicts(corpus):
 
 
 def verdict_mismatches(cases) -> int:
-    bad = 0
-    for alg, law, expected in cases:
-        if isinstance(law, Quasiidentity):
-            got = check_quasiidentity(alg, law)
-        else:
-            got = check_identity(alg, law)
-        bad += got != expected
-    return bad
+    """Each law checked alone by check_identities, against its reference."""
+    return sum(check_identities(alg, [law])[0] != expected for alg, law, expected in cases)
 
 
 def batched_mismatches(cases) -> int:
-    """The identities of each algebra checked together by check_identities,
-    against the same per-identity references."""
+    """The identities and quasi-identities of each algebra checked together
+    by check_identities, against the same per-law references."""
     bad = 0
     for alg, group in itertools.groupby(cases, key=lambda case: case[0]):
-        laws, expected = zip(*[(law, v) for _, law, v in group if isinstance(law, Identity)])
+        _, laws, expected = zip(*group)
         bad += sum(got != want for got, want in zip(check_identities(alg, laws), expected))
     return bad
+
+
+def premise_free_mismatches(cases) -> int:
+    """Each identity wrapped as a quasi-identity with no premises, against
+    the identity's own reference."""
+    return sum(check_identities(alg, [Quasiidentity((), law)])[0] != expected
+               for alg, law, expected in cases if isinstance(law, Identity))
 
 
 # 4000 still cuts over a hundred of the one-law programs into several boxes
@@ -215,9 +218,12 @@ def test_identity_verdicts_match_loop(reference_verdicts, monkeypatch, block):
     verdicts = [expected for _, _, expected in reference_verdicts]
     assert sum(v.holds for v in verdicts) > 0 and sum(not v.holds for v in verdicts) > 0
     assert sum(len(v.witness or ()) == 6 for v in verdicts) > 0
-    # each algebra's batch mixes failing identities of one, two and three variables
+    # each algebra's batch mixes failing identities of one, two and three
+    # variables, and on n <= 4 quasi-identities of six, some failing
     assert {len(v.witness) for _, law, v in reference_verdicts
             if isinstance(law, Identity) and not v.holds} >= {1, 2, 3}
+    assert any(isinstance(law, Quasiidentity) and not v.holds
+               for _, law, v in reference_verdicts)
     seen = []       # the boxes each kernel pass reads, one list per pass
     real = core._term_boxes
 
@@ -230,6 +236,7 @@ def test_identity_verdicts_match_loop(reference_verdicts, monkeypatch, block):
     monkeypatch.setattr(core, "_term_boxes", term_boxes)
     assert verdict_mismatches(reference_verdicts) == 0
     assert batched_mismatches(reference_verdicts) == 0
+    assert premise_free_mismatches(reference_verdicts) == 0
     if cut:         # one pass per law first, then one per algebra
         assert any(len(boxes) > 1 for boxes in seen)
         assert any(not v.holds and any(not lo <= w < hi for w, (lo, hi) in zip(v.witness, boxes[0]))
@@ -254,6 +261,32 @@ def test_identity_witness_order_is_checked(reference_verdicts, monkeypatch):
                                 real.__name__, real.__defaults__)
     monkeypatch.setattr(core, "first_failure", broken)
     assert verdict_mismatches(reference_verdicts) > 0
+
+
+def test_premises_and_witness_widths_are_checked(reference_verdicts, monkeypatch):
+    # two copies of check_identities, built from its imported code, each
+    # compiling the laws with one fault, must fail the differential test:
+    # one drops every premise, the other cuts every witness to the batch's
+    # largest variable count instead of the law's own
+    real, compile_laws = core.check_identities, core._identity_program
+
+    def without_premises(laws):
+        return compile_laws([getattr(law, "conclusion", law) for law in laws])
+
+    def batch_widths(laws):
+        program = compile_laws(laws)
+        return dataclasses.replace(program, spans=(program.nvars,) * len(program.spans))
+
+    def broken(compiled):
+        return types.FunctionType(real.__code__, dict(vars(core), _identity_program=compiled),
+                                  real.__name__, real.__defaults__)
+
+    # the mismatch counters read check_identities from this module
+    monkeypatch.setitem(globals(), "check_identities", broken(without_premises))
+    assert verdict_mismatches(reference_verdicts) > 0
+    assert batched_mismatches(reference_verdicts) > 0
+    monkeypatch.setitem(globals(), "check_identities", broken(batch_widths))
+    assert batched_mismatches(reference_verdicts) > 0
 
 
 @pytest.mark.parametrize("block", [SMALL_BLOCK, core.BLOCK_SIZE])
@@ -387,5 +420,5 @@ def test_term_table_cap(e3):
     with pytest.raises(CapExceeded):
         term_table(one, x, 40)
     with pytest.raises(CapExceeded):
-        check_identity(one, Identity(Var(39), x))
-    assert check_identity(one, Identity(Var(31), x)).holds
+        check_identities(one, [Identity(Var(39), x)])
+    assert check_identities(one, [Identity(Var(31), x)])[0].holds
