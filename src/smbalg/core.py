@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -41,9 +41,10 @@ import numpy as np
 
 BLOCK_SIZE = 1 << 20                # combinations a numpy kernel evaluates at once
 # The one table-size cap, `check_power`'s default: largest table a term may
-# fill and largest A^4 a matrix closure may span.  A subpower closure whose
-# keys fit under it finds known tuples in a bitmap, else by binary search in
-# the sorted keys.  Both read it here, at call time.
+# fill and largest A^4 a matrix closure may span.  8 times it, the bytes of
+# the largest int64 table it admits, bounds the one-byte flags of a subpower
+# closure's bitmap of known tuples: a lane with more keys is refused, and
+# lanes close in chunks that fit it.  All read it here, at call time.
 FAST_CLOSURE_SPACE_CAP = 6_000_000
 MAX_VARIABLES = 32                  # one array axis per variable; numpy 1.x has 32
 _INTEGER = (int, np.integer)        # what a table entry may be; bool is an int
@@ -348,7 +349,7 @@ class _Program:
         return [max(self.spans[end - k:end], default=0) for k, end in zip(sides, ends)]
 
 
-def _compile(terms: Sequence[Term], nvars: int) -> _Program:
+def _compile(terms: Sequence[Term], nvars: int, sides: tuple = ()) -> _Program:
     """List the distinct subterms of `terms` for an assignment of length
     `nvars`, children first, and what binding to an algebra must check.
 
@@ -396,7 +397,7 @@ def _compile(terms: Sequence[Term], nvars: int) -> _Program:
     except AlgebraError as exc:
         roots, error = [], str(exc)
     return _Program(nvars, tuple(steps), tuple(roots), tuple(spans[r] for r in roots),
-                    tuple(checks), error)
+                    tuple(checks), error, sides)
 
 
 def _bind(alg: FiniteAlgebra, program: _Program) -> dict:
@@ -599,8 +600,8 @@ def _identity_program(laws: Sequence) -> _Program:
                  for law in laws]
     terms = [t for eqs in equations for eq in eqs for t in (eq.lhs, eq.rhs)]
     variables = frozenset().union(*map(term_variables, terms))
-    return replace(_compile(terms, max(variables) + 1 if variables else 0),
-                   sides=tuple(2 * len(eqs) for eqs in equations))
+    return _compile(terms, max(variables) + 1 if variables else 0,
+                    tuple(2 * len(eqs) for eqs in equations))
 
 
 def check_identities(alg: FiniteAlgebra, laws) -> list:

@@ -12,19 +12,20 @@ and argument indices.  Its one round loop is the generator
 can look at a closure part way and go on with it, never starting over;
 `_subpower_closure` runs it to the end.  It takes a sequence of generator
 sets, its lanes, and closes each on its own in the one round loop, so the
-fixed work of a call (set-up, sorting the new keys, round bookkeeping) is
-paid once for many small closures.  Each operation's table, weighted per
-coordinate, is laid out once per call as rows of n values, one row per
-combination of the leading arguments.  The argument combinations of a
-round are cut into boxes by `_blocks`, which the term kernel of `core`
-shares, so that neither the gathered rows nor the keys of a box exceed
-`core.BLOCK_SIZE` (the term kernel bounds its boxes the same way, in the
-values of all its steps); the lanes that grew alike in the last round
-share each box, stacked along one more range, and `_apply_block`
-evaluates a box by gathering one row per leading combination, lane and
-coordinate and indexing it by the last argument.  `core.check_power`
-holds the int64 keys and A^4 to their caps before any work; the closure
-reads `core.FAST_CLOSURE_SPACE_CAP` only to pick the bitmap over sorted keys.
+fixed work (set-up, sorting the new keys, round bookkeeping) is paid once
+for many small closures.  Each operation's table, weighted per
+coordinate, is laid out as rows of n values, one row per combination of
+the leading arguments.  The argument combinations of a round are cut into
+boxes by `_blocks`, which the term kernel of `core` shares, so that
+neither the gathered rows nor the keys of a box exceed `core.BLOCK_SIZE`
+(the term kernel bounds its boxes the same way, in the values of all its
+steps); the lanes that grew alike in the last round share each box,
+stacked along one more range, and `_apply_block` evaluates a box by
+gathering one row per leading combination, lane and coordinate and
+indexing it by the last argument.  Known tuples are marked in a bitmap,
+one byte per key: `core.check_power` refuses a lane of more than 8 *
+`core.FAST_CLOSURE_SPACE_CAP` keys before any work, and the lanes close
+in consecutive chunks that each fit one bitmap.
 `generate_subpower` wraps the rows and steps of one lane, as they come,
 in a `GeneratedSet`, and `d_rels` those of one lane per generator pair;
 these sets are used wherever witnesses must be replayed (D-relations,
@@ -236,8 +237,8 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
                       group=()) -> list:
     """Least subsets of A^k containing each generator set of `lanes`,
     closed under all operations applied coordinatewise: every lane closed
-    on its own, all in one loop of semi-naive rounds, `_closure_rounds`,
-    run to the end.
+    on its own, in one loop of semi-naive rounds per chunk of lanes,
+    `_closure_rounds`, run to the end.
 
     Returns one (rows, steps) per lane: its elements as an (m, k) int64
     array in the order of `generate_subpower`, and their derivation steps
@@ -247,32 +248,33 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     indices into the lane's rows, padded with -1; a generator's row is all
     -1.  Each lane's elements and steps are those it has when closed alone.
 
-    A tuple's key in lane l is l * n**k plus its base-n value, so
-    len(lanes) * n**k must fit in int64; `core.check_power` checks it first.
-    Keys already known are found in one `visited` bitmap when there are at
-    most core.FAST_CLOSURE_SPACE_CAP keys, and by binary search in the sorted
-    known keys above it.  Each round lays every lane's rows out in one
-    contiguous run, so a lane's argument combinations are a product of
-    index ranges.  Lanes that grew to the same (old, total) row counts have
-    the same ranges, so their columns are stacked, and for each operation
-    and argument position one product covers all of them, with the lane
-    range just before the last argument; it is cut into boxes by `_blocks`
-    and evaluated by `_apply_block`.  Lanes of other shapes are never padded
-    into a box, so every combination evaluated is one its lane needs.  Each
-    operation's weighted tables are laid out once per call as (k, n**(r-1),
-    n): for coordinate c, one row of n values per combination of the r - 1
-    leading arguments.  A box gathers k * n row values per leading
-    combination and lane, more than its keys when the last range is shorter
-    than k * n, so `_blocks` charges the last range as at least k * n long
-    and keeps both within BLOCK_SIZE.  A box's keys come in lexicographic
-    order of the combination and lane (lane just before the last argument),
-    get their lane's offset, and are filtered against the known ones at
-    once; each new key's step is its flat index unravelled against its box,
-    lane dropped.  Within one lane the combinations still come in the order
-    of `generate_subpower`, and keys of different lanes never collide, so
-    when the new keys of all lanes are sorted together once per round, a
-    key's first occurrence gives the step it has in its lane alone, and
-    each lane takes its slice of rows and steps.
+    Known tuples are marked in a bitmap, one byte per key; a lane of more
+    than 8 * core.FAST_CLOSURE_SPACE_CAP keys is refused (CapExceeded)
+    before any generator is read.  The lanes close in consecutive chunks
+    that each fit one bitmap, unchanged since lanes are independent, and a
+    tuple's key in lane l of its chunk is l * n**k plus its base-n value.
+    Each round lays every lane's rows out in one contiguous run, so a lane's
+    argument combinations are a product of index ranges.  Lanes of a chunk
+    that grew to the same (old, total) row counts have the same ranges, so
+    their columns are stacked, and for each operation and argument position
+    one product covers all of them, with the lane range just before the last
+    argument; it is cut into boxes by `_blocks` and evaluated by
+    `_apply_block`.  Lanes of other shapes are never padded into a box, so
+    every combination evaluated is one its lane needs.  Each operation's
+    weighted tables are laid out once per chunk as (k, n**(r-1), n): for
+    coordinate c, one row of n values per combination of the r - 1 leading
+    arguments.  A box gathers k * n row values per leading combination and
+    lane, more than its keys when the last range is shorter than k * n, so
+    `_blocks` charges the last range as at least k * n long and keeps both
+    within BLOCK_SIZE.  A box's keys come in lexicographic order of the
+    combination and lane (lane just before the last argument), get their
+    lane's offset, and are filtered against the known ones at once; each new
+    key's step is its flat index unravelled against its box, lane dropped.
+    Within one lane the combinations still come in the order of
+    `generate_subpower`, and keys of different lanes never collide, so when
+    the new keys of all lanes are sorted together once per round, a key's
+    first occurrence gives the step it has in its lane alone, and each lane
+    takes its slice of rows and steps.
 
     `group` is a closed group G of coordinate permutations, identity
     first (in practice `_KLEIN_GROUP`), and takes one lane only: g moves
@@ -305,7 +307,8 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
     lane that `_subpower_closure` returns.  The arguments are checked at
     the first `next`.  For one lane, each yield is a prefix of the lane's
     final rows and the last yield is all of them, so a caller may read a
-    round, stop or go on, and never starts over."""
+    round, stop or go on, and never starts over.  Lanes past one bitmap
+    close in chunks, each a call of its own whose yields pass through."""
     if k < 1:
         raise AlgebraError(f"power must be >= 1, got {k}")
     if group and len(lanes) != 1:
@@ -313,7 +316,8 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
     if not len(lanes):
         return []
     n = alg.size
-    core.check_power(n, k, "each lane of int64 keys", (1 << 63) // len(lanes))
+    bitmap = 8 * core.FAST_CLOSURE_SPACE_CAP     # a flag per byte of a cap-sized int64 table
+    core.check_power(n, k, "each lane's bitmap of known keys", bitmap)
     space = n ** k
     gens = []
     for lane in lanes:
@@ -326,26 +330,22 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
         if lane.ndim != 2 or lane.shape[1] != k or lane.dtype.kind not in "iu":
             raise AlgebraError(f"generators must be tuples of {k} integers")
         gens.append(lane)
-    offsets = np.array([lane * space for lane in range(len(gens))], dtype=np.int64)
-    ends = offsets[1:]                   # where each lane's keys end
-    sizes = [len(lane) for lane in gens]
-    gens = np.concatenate(gens).astype(np.int64, copy=False)
+    lanes, sizes = gens, [len(lane) for lane in gens]
+    gens = np.concatenate(lanes).astype(np.int64, copy=False)
     if gens.min() < 0 or gens.max() >= n:
         raise AlgebraError(f"generators have entries outside 0..{n - 1}")
+    chunk = bitmap // space
+    if len(lanes) > chunk:              # consecutive chunks, each in one bitmap
+        closed = []
+        for start in range(0, len(lanes), chunk):
+            closed += yield from _closure_rounds(alg, k, lanes[start:start + chunk])
+        return closed
+    offsets = space * np.arange(len(lanes), dtype=np.int64)
 
     weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    keys = gens @ weights + np.repeat(offsets, sizes)
-    known, first = np.unique(keys, return_index=True)
-    if len(offsets) * space <= core.FAST_CLOSURE_SPACE_CAP:
-        visited = np.zeros(len(offsets) * space, dtype=bool)
-        visited[known] = True
-    else:
-        visited = None
-
-    def unseen(keys):
-        if visited is not None:
-            return ~visited[keys]
-        return known[np.minimum(np.searchsorted(known, keys), len(known) - 1)] != keys
+    keys, first = np.unique(gens @ weights + np.repeat(offsets, sizes), return_index=True)
+    visited = np.zeros(len(lanes) * space, dtype=bool)
+    visited[keys] = True
 
     def least(new):
         """Indices of the rows of `new` that are least in their G-orbit."""
@@ -354,11 +354,11 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
 
     def lane_bounds(keys):
         """Where each lane's run starts and ends in the sorted `keys`."""
-        return [0, *np.searchsorted(keys, ends).tolist(), len(keys)]
+        return [0, *np.searchsorted(keys, offsets[1:]).tolist(), len(keys)]
 
     traced = not group
     first.sort()
-    new, cut = gens[first], lane_bounds(known)   # lane-major, like the lanes
+    new, cut = gens[first], lane_bounds(keys)    # lane-major, like the lanes
     ops = [(t.arity, (weights[:, None] * t.array).reshape(k, -1, n))
            for t in alg.operations.values()]
     width = 1 + max((arity for arity, _ in ops), default=0)
@@ -368,7 +368,7 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
     steps = np.full((len(new), width), -1, dtype=np.int64)    # the generators'
     if not traced:
         orbit = weights[np.array(group)]
-        if unseen((new @ orbit.T).ravel()).any():
+        if not visited[(new @ orbit.T).ravel()].all():
             raise AlgebraError(f"generators are not invariant under the group {group}")
         heads, heads_old = least(new), 0
     while True:
@@ -412,7 +412,7 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
                         (a, b), (lo, hi) = box[-2:]
                         by_lane = keys.reshape(-1, b - a, hi - lo)
                         by_lane += lane_keys[a:b]
-                        at = unseen(keys).nonzero()[0]
+                        at = (~visited[keys]).nonzero()[0]
                         keys = keys[at]      # lets the whole box go before the next
                         if not len(at):
                             continue
@@ -428,8 +428,7 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
                             keys = np.unique(keys, return_index=True)[0]
                             keys = ((keys[:, None] // weights % n) @ orbit.T).ravel()
                         found.append(keys)
-                        if visited is not None:
-                            visited[keys] = True
+                        visited[keys] = True
         if not found:
             break
         # boxes were gathered in processing order, so the first occurrence
@@ -441,8 +440,6 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
         else:
             heads_old = len(heads)
             heads = np.concatenate([heads, total[0] + least(new)])
-        if visited is None:
-            known = np.sort(np.concatenate([known, keys]))
     return [(np.concatenate(part), np.concatenate(trace) if traced else None)
             for part, trace in zip(parts, traces)]
 
@@ -471,7 +468,8 @@ def generate_subpower(alg: FiniteAlgebra, k: int,
     tuple's step is the operation number and argument indices of the first
     combination that produced it.  The set holds the `rows` and `steps` of
     one lane of `_subpower_closure` as they come; `d_rels` closes many
-    lanes at once, each in this same order.
+    lanes at once, each in this same order.  A power whose n**k bitmap
+    flags exceed 8 * `core.FAST_CLOSURE_SPACE_CAP` raises CapExceeded first.
     """
     return _generated_sets(alg, k, [generators])[0]
 

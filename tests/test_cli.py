@@ -457,6 +457,31 @@ def test_a4_refused_before_any_work(e3_file, monkeypatch, capsys):
     assert calls == []
 
 
+def test_cg_d3_json_does_not_depend_on_chunks(tmp_path, monkeypatch, capsys):
+    # `verify cg-d3` closes the D-relations of the 36 pairs a <= b of a
+    # regularized glued algebra of size 8 in one lane closure; with the cap
+    # patched so that one bitmap holds 5 lanes, or 1, they close in 8 or 36
+    # chunks, and the JSON is byte for byte that of one chunk
+    from smbalg import core, regularize, relations
+    sl = random_semilattice(3, random.Random(3))
+    blocks = {0: affine_block(3), 1: affine_block(3), 2: affine_block(2)}
+    alg = regularize(glue_smb(sl, blocks), glue_layout(sl, blocks))
+    path = tmp_path / "glued8_reg.alg"
+    path.write_text(format_algebra(alg), encoding="utf-8")
+    rounds, calls = relations._closure_rounds, []
+    monkeypatch.setattr(relations, "_closure_rounds",
+                        lambda *a: calls.append(len(a[2])) or rounds(*a))
+    assert main(["--json", "verify", "cg-d3", str(path)]) == 0
+    whole = capsys.readouterr().out
+    assert calls == [36] and json.loads(whole)["verdict"] is True
+    for cap, chunks in ((40, 8), (8, 36)):
+        calls.clear()
+        monkeypatch.setattr(core, "FAST_CLOSURE_SPACE_CAP", cap)
+        assert main(["--json", "verify", "cg-d3", str(path)]) == 0
+        assert capsys.readouterr().out == whole
+        assert len(calls) == 1 + chunks
+
+
 def test_pipeline_sim_runs_the_pipeline_once(e3_file, monkeypatch, capsys):
     from smbalg import pipeline
     calls = []

@@ -185,29 +185,27 @@ def random_closure_cases():
 
 def assert_closes_like_rounds(monkeypatch, alg, k, gens, blocks):
     """Elements and traces equal the reference tuple for tuple, and every
-    trace replays, for each block bound with the visited bitmap and with
-    the sorted keys (the cap patched to 0)."""
+    trace replays, for each block bound."""
     want = closure_in_rounds(alg, k, gens)
-    caps = (core.FAST_CLOSURE_SPACE_CAP, 0)
     with monkeypatch.context() as patch:
-        for block, cap in itertools.product(blocks, caps):
+        for block in blocks:
             patch.setattr(core, "BLOCK_SIZE", block)
-            patch.setattr(core, "FAST_CLOSURE_SPACE_CAP", cap)
             gen = generate_subpower(alg, k, gens)
-            assert decoded(gen) == want, (alg.name, k, gens, block, cap)
+            assert decoded(gen) == want, (alg.name, k, gens, block)
             assert replay(alg, gen) == gen.rows.tolist()
     return want
 
 
 def test_generate_subpower_matches_rounds(e3, b2, monkeypatch):
     # blocks of at most 5 or 7 combinations take the cut path of `_blocks`;
-    # the power-63 case has keys up to 2**63 - 1
+    # a power-63 lane is past the bitmap: refused before the generators are
+    # read
     cases = list(random_closure_cases())
     assert len(cases) > 50
-    wide = [(1,) * 63, (0,) * 63, (1, 0) * 31 + (1,), (0, 1) * 31 + (0,)]
+    with pytest.raises(CapExceeded, match=r"bitmap of known keys would have 2\^63 entries"):
+        generate_subpower(b2, 63, "not read")
     diag3 = [(c, c) for c in range(3)]
     cases += [
-        (b2, 63, wide),
         (e3, 2, [(0, 1), (1, 0)] + diag3),
         (b2, 2, [(0, 1), (0, 0), (1, 1)]),
         (e3, 4, [(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 0, 1), (2, 2, 2, 2),
@@ -506,17 +504,86 @@ def assert_lanes_close_alone(alg, k, lanes):
 
 
 def test_lanes_close_like_each_lane_alone(monkeypatch):
-    # with the visited bitmap and with the sorted keys (the cap patched to
-    # 0), in whole boxes and in boxes of at most 5 combinations
+    # in whole boxes and in boxes of at most 5 combinations
     cases = list(lane_cases())
     assert len(cases) == 24 and any(len(set(map(tuple, lane))) < len(lane)
                                     for _, _, lanes in cases for lane in lanes)
-    for block, cap in itertools.product((5, 1 << 20), (core.FAST_CLOSURE_SPACE_CAP, 0)):
+    for block in (5, 1 << 20):
         with monkeypatch.context() as patch:
             patch.setattr(core, "BLOCK_SIZE", block)
-            patch.setattr(core, "FAST_CLOSURE_SPACE_CAP", cap)
             for alg, k, lanes in cases:
                 assert_lanes_close_alone(alg, k, lanes)
+
+
+def chunk_cases():
+    """The lane cases with at least 8 keys a lane, and the D-relations of
+    all pairs of a regularized glued algebra of size 5 with the lane of
+    (0, 3) given four times in a row, so that chunks of 1, 2 and 3 lanes
+    each cut inside lanes that grow alike: (algebra, k, lanes, reference
+    closure of each lane alone)."""
+    cases = [(alg, k, lanes) for alg, k, lanes in lane_cases() if alg.size ** k >= 8]
+    alg, _ = regularized_glued(3, (2, 2, 1))
+    lanes = d_rel_lanes(alg)
+    cases.append((alg, 2, lanes[:3] + [lanes[3]] * 4 + lanes[4:]))
+    return [(alg, k, lanes, [closure_in_rounds(alg, k, gens) for gens in lanes])
+            for alg, k, lanes in cases]
+
+
+def chunked_mismatches(generated_sets, cases, monkeypatch):
+    """Lanes that `generated_sets` closes unlike each lane alone, a lane
+    missing or to spare counting once, with the cap patched so that one
+    bitmap holds 1, 2 or 3 lanes."""
+    bad = 0
+    for per in (1, 2, 3):
+        for alg, k, lanes, want in cases:
+            space = alg.size ** k
+            monkeypatch.setattr(core, "FAST_CLOSURE_SPACE_CAP", -(-per * space // 8))
+            assert 8 * core.FAST_CLOSURE_SPACE_CAP // space == per
+            got = generated_sets(alg, k, lanes)
+            bad += abs(len(got) - len(lanes))
+            bad += sum(decoded(gen) != w for gen, w in zip(got, want))
+    return bad
+
+
+def test_chunks_close_like_each_lane_alone(monkeypatch):
+    # lanes past one bitmap close chunk by chunk, each chunk by a call of
+    # its own, and every lane comes out as it does alone
+    cases = chunk_cases()
+    assert len(cases) == 13
+    rounds, calls = relations._closure_rounds, []
+
+    def spy(alg, k, lanes, group=()):
+        calls.append(len(lanes))
+        return rounds(alg, k, lanes, group)
+
+    monkeypatch.setattr(relations, "_closure_rounds", spy)
+    assert chunked_mismatches(relations._generated_sets, cases, monkeypatch) == 0
+    want = []                   # lanes per call: the whole call, then its chunks
+    for per in (1, 2, 3):
+        for _, _, lanes, _ in cases:
+            want.append(len(lanes))
+            if len(lanes) > per:
+                want += [len(lanes[at:at + per]) for at in range(0, len(lanes), per)]
+    assert calls == want and want.count(1) > 40
+
+
+def test_chunk_boundaries_are_checked(monkeypatch):
+    # two broken copies must each fail the test above: one that starts each
+    # chunk after the first one lane early, so that lane closes twice, and
+    # one that skips the lane after each chunk
+    source = inspect.getsource(relations._closure_rounds)
+    cases = chunk_cases()
+    for line, mutant in [
+            ("lanes[start:start + chunk]",
+             "lanes[start - (start > 0):start - (start > 0) + chunk]"),
+            ("range(0, len(lanes), chunk)", "range(0, len(lanes), chunk + 1)")]:
+        broken = source.replace(line, mutant)
+        assert broken != source
+        namespace = dict(vars(relations))
+        exec(broken, namespace)
+        exec(inspect.getsource(relations._subpower_closure), namespace)
+        exec(inspect.getsource(relations._generated_sets), namespace)
+        assert chunked_mismatches(namespace["_generated_sets"], cases, monkeypatch) > 0, mutant
 
 
 def assert_steps_derive_rows(alg, k, lanes):
@@ -545,14 +612,12 @@ def assert_steps_derive_rows(alg, k, lanes):
 
 
 def test_steps_derive_their_rows(monkeypatch):
-    # with the visited bitmap and with the sorted keys (the cap patched to
-    # 0), in whole boxes and in boxes of at most 5 combinations
+    # in whole boxes and in boxes of at most 5 combinations
     cases = list(lane_cases())
     cases += [(alg, k, [gens]) for alg, k, gens in random_closure_cases()]
-    for block, cap in itertools.product((5, 1 << 20), (core.FAST_CLOSURE_SPACE_CAP, 0)):
+    for block in (5, 1 << 20):
         with monkeypatch.context() as patch:
             patch.setattr(core, "BLOCK_SIZE", block)
-            patch.setattr(core, "FAST_CLOSURE_SPACE_CAP", cap)
             for alg, k, lanes in cases:
                 assert_steps_derive_rows(alg, k, lanes)
 
@@ -573,17 +638,23 @@ def test_d_rels_are_lanes(corpus):
     assert relations.d_rels(corpus[0].algebra, []) == []
 
 
-def test_lane_keys_fit_int64(b2):
-    # lane l's keys are l * n**k plus the tuple's value: three lanes of
-    # 2**62 tuples do not fit in int64, refused before the generators are
-    # read; two lanes do
+def test_lane_past_the_bitmap_is_refused(b2, monkeypatch):
+    # a lane's bitmap holds one byte per key, at most 8 times the cap: lanes
+    # of 2**62 keys are refused before the generators are read, however few
+    # there are; with the cap patched to 1, lanes of 2**3 keys exactly fill
+    # it and close one per chunk
     from smbalg import chain_semilattice
     chain = chain_semilattice(2)
-    with pytest.raises(CapExceeded, match="int64"):
+    message = (r"each lane's bitmap of known keys would have 2\^62 entries, "
+               rf"beyond the cap of {8 * core.FAST_CLOSURE_SPACE_CAP}$")
+    with pytest.raises(CapExceeded, match=message):
         relations._subpower_closure(chain, 62, [[(0,) * 62], [(1,) * 62], "not read"])
-    wide = [(1, 0) * 31, (0, 1) * 31]
-    lanes = [wide, [(0,) * 62, (1,) * 62]]
-    assert_lanes_close_alone(b2, 62, lanes)
+    with pytest.raises(CapExceeded, match=message):
+        relations._subpower_closure(b2, 62, [[(1, 0) * 31, (0, 1) * 31]])
+    monkeypatch.setattr(core, "FAST_CLOSURE_SPACE_CAP", 1)
+    assert_lanes_close_alone(b2, 3, [[(1, 0, 1)], [(0, 1, 0), (1, 1, 0)], [(0, 0, 0)]])
+    with pytest.raises(CapExceeded, match=r"2\^4 entries, beyond the cap of 8$"):
+        relations._subpower_closure(b2, 4, ["not read"])
 
 
 def test_lane_validation(e3):
@@ -646,14 +717,11 @@ def symmetric_mismatches(closure, group, cases):
     return bad
 
 
-def test_symmetric_closure_matches_plain(monkeypatch):
-    # over Klein-orbit representatives, with the visited bitmap and with the
-    # sorted keys (the cap patched to 0), the closure is the plain one
+def test_symmetric_closure_matches_plain():
+    # over Klein-orbit representatives the closure is the plain one
     cases = list(symmetric_closure_cases())
     closure = relations._subpower_closure
     assert symmetric_mismatches(closure, relations._KLEIN_GROUP, cases) == 0
-    monkeypatch.setattr(core, "FAST_CLOSURE_SPACE_CAP", 0)
-    assert symmetric_mismatches(closure, relations._KLEIN_GROUP, cases[:30]) == 0
 
 
 def test_symmetric_closure_is_checked():
@@ -818,14 +886,14 @@ def test_size_caps(monkeypatch, e3):
         unary_polynomials(chain_semilattice(9))
     with pytest.raises(CapExceeded, match="subuniverse"):
         all_subuniverses(chain_semilattice(oracles.SUBUNIVERSE_SIZE_CAP + 1))
-    # keys are base-n integers: 2**64 tuples do not fit in int64, and the
-    # cap is checked before the generators are read
-    with pytest.raises(CapExceeded, match="int64"):
+    # known keys are one-byte flags: 2**64 of them are past the bitmap's
+    # bound, and the bound is checked before the generators are read
+    with pytest.raises(CapExceeded, match="bitmap of known keys"):
         generate_subpower(chain_semilattice(2), 64, [(0,) * 64])
     # a huge power is refused at once: 3**k is never formed, nor printed
     for k in (10 ** 5, 10 ** 9):
         start = time.perf_counter()
-        with pytest.raises(CapExceeded, match="int64"):
+        with pytest.raises(CapExceeded, match="bitmap of known keys"):
             generate_subpower(e3, k, [(0,)])
         assert time.perf_counter() - start < 1.0
     # matrix sets span A^4: 50**4 tuples are refused before the closure
