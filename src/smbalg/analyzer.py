@@ -297,7 +297,7 @@ def _wedge_relation(wedge: OperationTable) -> Tuple[Verdict, Optional[Partition]
     transitive = first_failure(_intransitive(related))
     if not transitive.holds:
         return transitive, None
-    return transitive, Partition.from_pairs(n, np.argwhere(related).tolist())
+    return transitive, Partition(n, tuple((related | np.eye(n, dtype=bool)).argmax(1).tolist()))
 
 
 def find_smb_congruences(alg: FiniteAlgebra) -> list:
@@ -523,10 +523,10 @@ class CgD3Result:
 
 
 def _d_pair_steps(alg: FiniteAlgebra, lanes: list) -> list:
-    """For each (dset, index, a, b, links) of `lanes`, the two chain steps
-    of each D-pair (u, v) = (q(a, b), q(b, a)) = dset.rows[index[u, v]] in
-    `links`: q(a, x) from u to m and q(x, a) from m to v, where m = q(a, a)
-    is the left step's value at a.
+    """For each (dset, a, b, links) of `lanes`, the two chain steps of each
+    D-pair (u, v) = (q(a, b), q(b, a)) in `links`, a row of `dset` found
+    through an n x n index of its rows: q(a, x) from u to m and q(x, a)
+    from m to v, where m = q(a, a) is the left step's value at a.
 
     The step polynomials come straight from two term builders of `dset`:
     one reads the generator (a, b) as a and (b, a) as x, the other (a, b)
@@ -538,9 +538,11 @@ def _d_pair_steps(alg: FiniteAlgebra, lanes: list) -> list:
     of its steps fails to.  The first failing step in lane, link and step
     order raises."""
     polys, points, ends, named = [], [], [], []
-    for dset, index, a, b, links in lanes:
+    for dset, a, b, links in lanes:
         left = dset.terms({(b, a): Var(0), (a, b): Const(a)})
         right = dset.terms({(b, a): Const(a), (a, b): Var(0)})
+        index = np.zeros((alg.size, alg.size), dtype=np.int64)
+        index[dset.rows[:, 0], dset.rows[:, 1]] = np.arange(len(dset))
         for pair, chain in links.items():
             i = int(index[pair])
             polys += [left(i), right(i)]
@@ -589,18 +591,18 @@ def _midpoints(dm: np.ndarray, d2: np.ndarray, ls: np.ndarray, cs: np.ndarray,
 
 def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
     """The array check of `verify_cg_d3_pairs`, which builds no term:
-    (cgs, dsets, index, chains) for the generator pairs, in order.
+    (cgs, dsets, chains) for the generator pairs, in order.
 
     The D-relations come from one lane closure (`d_rels`).  Each D is an
-    n x n array of indices into its rows, -1 off D (the stack is `index`),
-    read as a boolean matrix.  Every element (u, v) of D must lie in
-    Cg(a, b) (`cgs`), and every related pair (c, d) of Cg(a, b) gets a
-    chain c D e2 D e4 D d whose three links must be D-pairs, with one rule
-    for every pair: e4 is the least element with D^2[c, e4] and D[e4, d],
-    and e2 the least with D[c, e2] and D[e2, e4] (`_midpoints`, by argmax
-    at the related pairs over the stack of all D and its batched D^2).
-    `chains` has one row (pair, c, e2, e4, d) per related pair (c, d) of
-    each Cg(a, b), in pair order and then lexicographic.
+    n x n boolean matrix set at its rows, one layer of a (pairs, n, n)
+    stack.  Every element (u, v) of D must lie in Cg(a, b) (`cgs`), and
+    every related pair (c, d) of Cg(a, b) gets a chain c D e2 D e4 D d
+    whose three links must be D-pairs, with one rule for every pair: e4 is
+    the least element with D^2[c, e4] and D[e4, d], and e2 the least with
+    D[c, e2] and D[e2, e4] (`_midpoints`, by argmax at the related pairs
+    over the stack and its batched D^2).  `chains` is five columns (pair,
+    c, e2, e4, d), one entry per related pair (c, d) of each Cg(a, b), in
+    pair order and then lexicographic.
 
     That decides Cg = D o D o D without a D^3: Cg is transitive, so D
     within Cg gives D^3 within Cg, and a chain through D for every pair of
@@ -627,14 +629,12 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
     n = alg.size
     cgs = [principal_congruence(alg, a, b) for a, b in pairs]
     dsets = d_rels(alg, pairs)
-    index = np.full((len(pairs), n, n), -1, dtype=np.int64)
+    dm = np.zeros((len(pairs), n, n), dtype=bool)
     for l, dset in enumerate(dsets):
-        index[l, dset.rows[:, 0], dset.rows[:, 1]] = np.arange(len(dset))
-    dm = index >= 0
+        dm[l, dset.rows[:, 0], dset.rows[:, 1]] = True
     ids = np.array([cg.class_ids for cg in cgs], dtype=np.int64).reshape(-1, n)
     ls, cs, ds = np.nonzero(ids[:, :, None] == ids[:, None, :])
     e2, e4 = _midpoints(dm, dm @ dm, ls, cs, ds)
-    chains = np.stack([ls, cs, e2, e4, ds], axis=1)
     if pairs:
         lane = np.repeat(np.arange(len(pairs)), [len(dset) for dset in dsets])
         u, v = np.concatenate([dset.rows for dset in dsets]).T
@@ -660,11 +660,11 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
                     raise FalsificationError(
                         f"element ({u[i]},{v[i]}) of D_({a},{b}) on '{alg.name}' "
                         + what.format(*gives[i]))
-            _, c, m2, m4, d = chains[np.flatnonzero(off & (ls == l))[0]].tolist()
+            c, m2, m4, d = (int(col[off & (ls == l)][0]) for col in (cs, e2, e4, ds))
             raise FalsificationError(
                 f"witness chain for ({c},{d}) leaves D_({a},{b}) on '{alg.name}': "
                 f"its links are ({c},{m2}), ({m2},{m4}) and ({m4},{d})")
-    return cgs, dsets, index, chains
+    return cgs, dsets, (ls, cs, e2, e4, ds)
 
 
 def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
@@ -680,7 +680,8 @@ def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
     meet at the midpoint q(a, a) (see `_d_pair_steps`).  The steps of the
     distinct D-pairs the chains of each generator pair use are built and
     replayed for all pairs together, in one term-kernel pass, and every
-    chain through a D-pair shares the same two ChainStep objects.
+    chain through a D-pair shares the same two ChainStep objects.  Each
+    result's chains are read straight from the check's columns.
 
     Requires the regular base.  FalsificationError is raised for the
     first generator pair that fails the array check; when every pair
@@ -688,20 +689,17 @@ def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
     replay.
     """
     pairs = list(pairs)
-    cgs, dsets, index, chains = _check_cg_d3(alg, pairs)
-    walks = [{} for _ in pairs]         # per pair: (c, d) -> its three links
+    cgs, dsets, chains = _check_cg_d3(alg, pairs)
     links = [{} for _ in pairs]         # per pair: D-pair -> first chain through it
-    for l, c, m2, m4, d in chains.tolist():
-        chain = walks[l][(c, d)] = ((c, m2), (m2, m4), (m4, d))
-        for pair in chain:
+    for l, c, m2, m4, d in zip(*(col.tolist() for col in chains)):
+        for pair in ((c, m2), (m2, m4), (m4, d)):
             links[l].setdefault(pair, (c, d))
-    steps = _d_pair_steps(alg, [(dsets[l], index[l], a, b, links[l])
-                                for l, (a, b) in enumerate(pairs)])
-    out = []
-    for (a, b), cg, walk, step in zip(pairs, cgs, walks, steps):
-        linked = {cd: step[p1] + step[p2] + step[p3] for cd, (p1, p2, p3) in walk.items()}
-        out.append(CgD3Result(a, b, cg, frozenset(linked), linked))
-    return out
+    steps = _d_pair_steps(alg, [(dset, a, b, link)
+                                for dset, (a, b), link in zip(dsets, pairs, links)])
+    linked = [{} for _ in pairs]        # per pair: (c, d) -> its six steps
+    for l, c, m2, m4, d in zip(*(col.tolist() for col in chains)):
+        linked[l][c, d] = steps[l][c, m2] + steps[l][m2, m4] + steps[l][m4, d]
+    return [CgD3Result(a, b, cg, frozenset(ch), ch) for (a, b), cg, ch in zip(pairs, cgs, linked)]
 
 
 # ---------------------------------------------------------------------------

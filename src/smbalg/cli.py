@@ -2,13 +2,15 @@
 
 Exit codes: 0 verdict holds / success, 1 verdict fails (report printed),
 2 usage or parse error, 3 internal falsification (a checked mathematical
-guarantee failed; must never happen on valid regular SMB inputs).
+guarantee failed; must never happen on valid regular SMB inputs), 141
+stdout closed by its reader (128 + SIGPIPE; nothing is printed to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -88,11 +90,8 @@ def _json_text(value, indent: str = "") -> str:
 
 
 def _emit(args, payload: dict, lines):
-    if args.json:
-        print(_json_text(payload))
-    else:
-        for line in lines:
-            print(line)
+    """Print the payload's JSON or the text lines, flushed: a closed stdout raises here."""
+    print(_json_text(payload) if args.json else "\n".join(lines), flush=True)
 
 
 def _partition_payload(p: Partition) -> dict:
@@ -229,7 +228,7 @@ def _cmd_verify(args) -> int:
     if args.which == "cg-d3":
         pairs = [(a, b) for a in range(n) for b in range(a, n)]
         *_, chains = _check_cg_d3(alg, pairs)    # builds no terms
-        checked = len(chains)
+        checked = len(chains[0])
         _emit(args, {"verdict": True, "pairs": checked},
               [f"cg-d3: holds for all generator pairs ({checked} chains checked)"])
         return 0
@@ -405,6 +404,9 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:     # Python's recipe: devnull on stdout, the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from smbalg import (AlgebraError, App, ClassOrder, Const, FalsificationError,
                     FiniteAlgebra, OperationTable, Partition, PreconditionError,
                     SmbReport, Var, affine_block, all_partitions, analyzer,
-                    check_cgvsim, check_identities, check_regular,
+                    chain_semilattice, check_cgvsim, check_identities, check_regular,
                     check_regular_base, check_smb_over, check_undersim,
                     cgvsim_below, commutator_below_sim, congruence_lattice,
                     congruence_violation, count_biconditional, core, d_rels,
@@ -529,9 +530,7 @@ def test_terms_match_substituted_reference(corpus):
         leaves = reference_d_leaves(dset, a, b)
         dpairs, trace = decoded(dset)
         links = {pair: pair for pair in dpairs}      # each D-pair its own chain
-        index = np.full((alg.size, alg.size), -1, dtype=np.int64)
-        index[dset.rows[:, 0], dset.rows[:, 1]] = np.arange(len(dset))
-        steps, = analyzer._d_pair_steps(alg, [(dset, index, a, b, links)])
+        steps, = analyzer._d_pair_steps(alg, [(dset, a, b, links)])
         polys = [tuple(step.poly for step in steps[pair]) for pair in dpairs]
         for i, (left, right) in enumerate(polys):
             q = reference_term(dset, i, leaves)
@@ -773,6 +772,28 @@ def test_cli_cg_d3_builds_no_terms(corpus, tmp_path, monkeypatch, capsys):
         assert calls == [], alg.name
         analyzer.verify_cg_d3_pairs(alg, [(0, 1)])
         assert set(calls) == {"terms", "boxes"}
+
+
+def test_check_cg_d3_keeps_each_array_once(monkeypatch):
+    # D as one boolean stack and the chains as their five columns: on
+    # chain_semilattice(30) (465 pairs, 85,870 chains) the check peaks at
+    # 7.1 MiB; with an int64 index stack and a stacked copy of the chains it
+    # peaked at 13.6 MiB.  The D-relations are computed beforehand and the
+    # caches warmed, so the closure's boxes do not set the peak
+    n = 30
+    alg = chain_semilattice(n)
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    dsets = d_rels(alg, pairs)
+    monkeypatch.setattr(analyzer, "d_rels", lambda *_: dsets)
+    analyzer._check_cg_d3(alg, pairs)
+    tracemalloc.start()
+    try:
+        *_, chains = analyzer._check_cg_d3(alg, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, peak
+    assert len(chains[0]) == 85870
 
 
 def misreport_one_value(patch):

@@ -1,10 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import smbalg
 from smbalg import (affine_block, format_algebra, glue_layout, glue_smb,
                     parse_algebra, random_semilattice)
 from smbalg.cli import _json_text, main
@@ -268,6 +272,32 @@ def test_parse_error_exit(tmp_path, capsys):
 
 def test_missing_file(capsys):
     assert main(["con", "/nonexistent/x.alg"]) == 2
+
+
+def test_closed_stdout_exits_141(tmp_path):
+    # the CLI as a process with buffered stdout, writing to a pipe whose
+    # reader closed before it starts: exit 128 + SIGPIPE with nothing on
+    # stderr, in JSON and text mode; a missing FILE or an unwritable -o OUT
+    # is still a file error, exit 2
+    env = dict(os.environ, PYTHONPATH=str(Path(smbalg.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+
+    def run(*argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run([sys.executable, "-W", "error", "-m", "smbalg.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+
+    for argv in (["--json", "corpus", "--max-size", "4"], ["construct", "e3"]):
+        proc = run(*argv)
+        assert (proc.returncode, proc.stderr) == (141, b""), argv
+    for argv in (["check-smb", str(tmp_path / "missing.alg")],
+                 ["construct", "e3", "-o", str(tmp_path / "missing" / "e3.alg")]):
+        proc = run(*argv)
+        assert proc.returncode == 2 and b"No such file" in proc.stderr, argv
 
 
 def test_json_flag_before_subcommand(e3_file, capsys):
