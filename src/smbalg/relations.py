@@ -26,6 +26,9 @@ indexing it by the last argument.  Known tuples are marked in a bitmap,
 one byte per key: `core.check_power` refuses a lane of more than 8 *
 `core.FAST_CLOSURE_SPACE_CAP` keys before any work, and the lanes close
 in consecutive chunks that each fit one bitmap.
+A traced call of many lanes evaluates a row set that several lanes hold
+by its first lane, and the rest only while that one grows, so lanes that
+close to the same set pay for the last round, which finds nothing, once.
 `generate_subpower` wraps the rows and steps of one lane, as they come,
 in a `GeneratedSet`, and `d_rels` those of one lane per generator pair;
 these sets are used wherever witnesses must be replayed (D-relations,
@@ -276,6 +279,13 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
     first occurrence gives the step it has in its lane alone, and each lane
     takes its slice of rows and steps.
 
+    A traced call of many lanes evaluates each distinct row set once where
+    it can (see `_closure_rounds`): of the lanes that grew to equal row
+    sets, the first is evaluated, and the others only if it finds new
+    tuples; a lane whose rows equal a set the call has shown closed is not
+    evaluated at all.  A lane left out would have found nothing, so every
+    lane still has the rows and steps it has alone.
+
     `group` is a closed group G of coordinate permutations, identity
     first (in practice `_KLEIN_GROUP`), and takes one lane only: g moves
     coordinate c to position g[c], so column g of `rows @ weights[group].T`
@@ -308,7 +318,23 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
     the first `next`.  For one lane, each yield is a prefix of the lane's
     final rows and the last yield is all of them, so a caller may read a
     round, stop or go on, and never starts over.  Lanes past one bitmap
-    close in chunks, each a call of its own whose yields pass through."""
+    close in chunks, each a call of its own whose yields pass through.
+
+    In a traced call of more than one lane, each round starts by keying
+    every lane that grew by its row set, which is its slice of the bitmap,
+    packed to bits.  Lanes whose set the call has shown closed are
+    dropped; of the rest, the first lane of each distinct set is
+    evaluated, and the others only if it found new tuples, each then in
+    its own order, since its steps depend on its own rows.  A first lane
+    that finds nothing shows its set R closed, and so every lane holding R
+    finds nothing: with N its rows of the last round, every combination
+    within R minus N was evaluated in an earlier round, with its value in
+    R, and every combination touching N gave a known key, so f(R^r) lies
+    in R for every operation f of arity r, whatever a lane's split into
+    old and new rows.  A round that does find tuples finds the same set
+    f(R^r) minus R in every lane holding R, with steps of its own, so no
+    lane copies another.  One-lane calls and calls under a group skip the
+    keying."""
     if k < 1:
         raise AlgebraError(f"power must be >= 1, got {k}")
     if group and len(lanes) != 1:
@@ -357,6 +383,7 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
         return [0, *np.searchsorted(keys, offsets[1:]).tolist(), len(keys)]
 
     traced = not group
+    closed = set()         # packed row sets shown closed: their lanes find nothing
     first.sort()
     new, cut = gens[first], lane_bounds(keys)    # lane-major, like the lanes
     ops = [(t.arity, (weights[:, None] * t.array).reshape(k, -1, n))
@@ -382,53 +409,76 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
         rows = np.concatenate([chunk for part in parts for chunk in part])
         yield rows
         columns = np.ascontiguousarray(rows.T)
-        shapes = {}            # (old, total) -> (lane, first row) of the lanes that grew so
-        start = 0
+        todo, start = [], 0    # (lane, first row) of the lanes to evaluate
         for lane, size in enumerate(total):
             if size > old[lane]:
-                shapes.setdefault((old[lane], size), []).append((lane, start))
+                todo.append((lane, start))
             start += size
-        groups = []            # per shape: its lanes' key offsets and columns
-        for (was, size), grown in shapes.items():
-            if len(grown) == 1:         # a lone lane's columns are a view
-                (lane, start), = grown
-                stack = columns[:, start:start + size, None]
-                lane_keys = offsets[lane:lane + 1, None]
-            else:
-                grown = np.array(grown)
-                stack = columns[:, grown[:, 1] + np.arange(size)[:, None]]
-                lane_keys = offsets[grown[:, :1]]
-            groups.append((was, size, lane_keys, stack if traced else stack[:, heads], stack))
+        sets = {}              # packed row set -> (lane, first row) of the lanes that hold it
+        if traced and len(offsets) > 1:
+            grown = [lane for lane, _ in todo]
+            flags = np.packbits(visited.reshape(len(offsets), space)[grown], axis=1)
+            for row, flag in zip(todo, flags):
+                sets.setdefault(flag.tobytes(), []).append(row)
+            todo = [same[0] for key, same in sets.items() if key not in closed]
         found, found_steps = [], []
-        for o, (arity, tables) in enumerate(ops):
-            for pos in range(arity):
-                for was, size, lane_keys, head_columns, stack in groups:
-                    bounds = [(0, was)] * pos + [(was, size)] + [(0, size)] * (arity - 1 - pos)
-                    if not traced:
-                        bounds[0] = (0, heads_old) if pos else (heads_old, len(heads))
-                    bounds.insert(-1, (0, len(lane_keys)))   # the lanes, before the last argument
-                    for box in _blocks(bounds, k * n):
-                        keys = _apply_block(tables, head_columns, stack, box, n)
-                        (a, b), (lo, hi) = box[-2:]
-                        by_lane = keys.reshape(-1, b - a, hi - lo)
-                        by_lane += lane_keys[a:b]
-                        at = (~visited[keys]).nonzero()[0]
-                        keys = keys[at]      # lets the whole box go before the next
-                        if not len(at):
-                            continue
-                        if traced:
-                            step = np.full((len(at), width), -1, dtype=np.int64)
-                            step[:, 0] = o
-                            *lead, _, end = np.unravel_index(at, [hi - lo for lo, hi in box])
-                            step[:, 1:1 + arity] = (np.stack([*lead, end], axis=1)
-                                                    + [lo for lo, _ in box[:-2] + box[-1:]])
-                            found_steps.append(step)
-                        else:    # whole orbits, so later boxes see them as known
-                            # return_index, since plain np.unique imports numpy.ma
-                            keys = np.unique(keys, return_index=True)[0]
-                            keys = ((keys[:, None] // weights % n) @ orbit.T).ravel()
-                        found.append(keys)
-                        visited[keys] = True
+        while todo:            # the first lane of each row set, then its duplicates
+            shapes = {}        # (old, total) -> (lane, first row) of the lanes that grew so
+            for lane, start in todo:
+                shapes.setdefault((old[lane], total[lane]), []).append((lane, start))
+            groups = []        # per shape: its lanes' key offsets and columns
+            for (was, size), same in shapes.items():
+                if len(same) == 1:      # a lone lane's columns are a view
+                    (lane, start), = same
+                    stack = columns[:, start:start + size, None]
+                    lane_keys = offsets[lane:lane + 1, None]
+                else:
+                    same = np.array(same)
+                    stack = columns[:, same[:, 1] + np.arange(size)[:, None]]
+                    lane_keys = offsets[same[:, :1]]
+                head_columns = stack if traced else stack[:, heads]
+                groups.append((was, size, lane_keys, head_columns, stack))
+            for o, (arity, tables) in enumerate(ops):
+                for pos in range(arity):
+                    for was, size, lane_keys, head_columns, stack in groups:
+                        bounds = [(0, was)] * pos + [(was, size)] + [(0, size)] * (arity - 1 - pos)
+                        if not traced:
+                            bounds[0] = (0, heads_old) if pos else (heads_old, len(heads))
+                        # the lanes, before the last argument
+                        bounds.insert(-1, (0, len(lane_keys)))
+                        for box in _blocks(bounds, k * n):
+                            keys = _apply_block(tables, head_columns, stack, box, n)
+                            (a, b), (lo, hi) = box[-2:]
+                            by_lane = keys.reshape(-1, b - a, hi - lo)
+                            by_lane += lane_keys[a:b]
+                            at = (~visited[keys]).nonzero()[0]
+                            keys = keys[at]      # lets the whole box go before the next
+                            if not len(at):
+                                continue
+                            if traced:
+                                step = np.full((len(at), width), -1, dtype=np.int64)
+                                step[:, 0] = o
+                                *lead, _, end = np.unravel_index(at, [hi - lo for lo, hi in box])
+                                step[:, 1:1 + arity] = (np.stack([*lead, end], axis=1)
+                                                        + [lo for lo, _ in box[:-2] + box[-1:]])
+                                found_steps.append(step)
+                            else:    # whole orbits, so later boxes see them as known
+                                # return_index, since plain np.unique imports numpy.ma
+                                keys = np.unique(keys, return_index=True)[0]
+                                keys = ((keys[:, None] // weights % n) @ orbit.T).ravel()
+                            found.append(keys)
+                            visited[keys] = True
+            todo = []
+            if sets:           # a first lane that found nothing holds a closed set
+                grew = np.zeros(len(offsets), dtype=bool)
+                if found:
+                    grew[np.concatenate(found) // space] = True
+                for key, ((lane, _), *rest) in sets.items():
+                    if grew[lane]:
+                        todo += rest
+                    else:
+                        closed.add(key)
+                sets = {}
         if not found:
             break
         # boxes were gathered in processing order, so the first occurrence
@@ -856,7 +906,11 @@ def d_rels(alg: FiniteAlgebra, pairs: Iterable[tuple]) -> list:
     """D_{a,b} for each (a, b) of `pairs`, in order: the subuniverse of A^2
     generated by (a,b), (b,a) and the diagonal, always reflexive and
     symmetric.  Each is one lane of a single `_subpower_closure`, with the
-    rows and steps `generate_subpower` gives it alone."""
+    rows and steps `generate_subpower` gives it alone.  On a regularized
+    glued algebra many pairs close to the same D-relation, and the last
+    round, which finds nothing, is evaluated once per distinct relation:
+    a lane whose rows equal a set shown closed is not evaluated
+    (`_closure_rounds`)."""
     diagonal = [(c, c) for c in range(alg.size)]
     return _generated_sets(alg, 2, [[(a, b), (b, a)] + diagonal for a, b in pairs])
 

@@ -8,6 +8,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smbalg import (AlgebraError, CapExceeded, FalsificationError, FiniteAlgebra,
                     OperationTable, Partition, PreconditionError, all_partitions,
@@ -473,6 +475,84 @@ def test_one_kernel_call_per_lane_shape(monkeypatch):
     assert np.diff(ends + [len(calls)]).tolist() == want
     # one box per lane, as each lane's own closure makes, would be 6 times as many
     assert 6 * len(calls) < sum(boxes(shapes) for shapes in grew)
+
+
+def test_equal_row_sets_close_once(monkeypatch):
+    # a lane whose rows equal those of a lane the call has shown closed
+    # evaluates nothing: the D-relations of all pairs a <= b of a
+    # regularized glued algebra of size 8 evaluate fewer than half the keys
+    # of their lanes closed one at a time, and m copies of one generator
+    # set, in either order, evaluate each round's keys m times but those of
+    # the last round, which finds nothing, once
+    alg, _ = regularized_glued(3, (3, 3, 2))
+    pairs = list(itertools.combinations_with_replacement(range(alg.size), 2))
+    kernel, counts = relations._apply_block, []
+
+    def spy(*args):
+        keys = kernel(*args)
+        counts.append(len(keys))
+        return keys
+
+    def round_keys(lanes):
+        """The keys each round of the lanes' closure evaluates."""
+        counts.clear()
+        ends = [sum(counts) for _ in relations._closure_rounds(alg, 2, lanes)]
+        return np.diff(ends + [sum(counts)]).tolist()
+
+    monkeypatch.setattr(relations, "_apply_block", spy)
+    alone = [decoded(d_rels(alg, [pair])[0]) for pair in pairs]
+    each = sum(counts)
+    counts.clear()
+    assert [decoded(gen) for gen in d_rels(alg, pairs)] == alone
+    assert 2 * sum(counts) < each
+    gens = [(4, 0), (0, 4), (4, 4)]      # two rounds that grow, then the last
+    one = round_keys([gens])
+    assert len(one) > 2 and one[-1] > 0
+    for m in (2, 3, 5):
+        lanes = [gens if i % 2 else gens[::-1] for i in range(m)]
+        assert round_keys(lanes) == [m * keys for keys in one[:-1]] + one[-1:]
+    # a lane that grows into a set another lane showed closed in an
+    # earlier round evaluates nothing in its last round
+    closure = relations._subpower_closure(alg, 2, [gens])[0][0].tolist()[::-1]
+    (closed,) = round_keys([closure])
+    assert round_keys([closure, gens]) == [closed + one[0], *one[1:-1], 0]
+
+
+LANE_ORDERS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@functools.lru_cache(maxsize=None)
+def glued_ladder():
+    """Regularized glued algebras of sizes 5 to 12."""
+    return [regularized_glued(seed, sizes)[0] for seed, sizes in
+            [(1, (2, 2, 1)), (3, (3, 3, 2)), (2, (3, 2, 2, 1)), (3, (3, 3, 3, 3))]]
+
+
+@LANE_ORDERS
+@given(data=st.data())
+def test_repeated_generator_sets_close_like_each_lane_alone(corpus, data):
+    # lanes that repeat, permute or reverse one another's generator sets
+    # hold equal row sets round by round, with rows in their own order;
+    # each has the rows and steps of its own one-lane closure, and so does
+    # each D-relation of d_rels(alg, [(a, b), (b, a)]), whose two equal
+    # sets grow until the last round
+    alg = data.draw(st.sampled_from([e.algebra for e in corpus] + glued_ladder()))
+    n = alg.size
+    k = data.draw(st.integers(1, 3 if n <= 5 else 2))
+    row = st.tuples(*[st.integers(0, n - 1)] * k)
+    bases = data.draw(st.lists(st.lists(row, min_size=1, max_size=4), min_size=1, max_size=3))
+    lanes = []
+    for _ in range(data.draw(st.integers(2, 6))):
+        gens = data.draw(st.sampled_from(bases))
+        lanes.append(data.draw(st.sampled_from([gens, gens[::-1]]) | st.permutations(gens)))
+    pairs = [data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))]
+    pairs.append(pairs[0][::-1])
+    got = relations._subpower_closure(alg, k, lanes)
+    for gens, (rows, steps) in zip(lanes, got):
+        (want_rows, want_steps), = relations._subpower_closure(alg, k, [gens])
+        assert (rows.tolist(), steps.tolist()) == (want_rows.tolist(), want_steps.tolist())
+    assert ([decoded(gen) for gen in d_rels(alg, pairs)]
+            == [decoded(d_rels(alg, [pair])[0]) for pair in pairs])
 
 
 def lane_cases():
