@@ -48,7 +48,7 @@ from .core import (AlgebraError, App, Const, FalsificationError, FiniteAlgebra,
                    Term, Var, Verdict, _compile, _identity_program, _least_failures,
                    _term_boxes, check_identities, first_failure, idempotence_violation)
 from .partitions import Partition
-from .relations import (_check_congruences, _commutator, _principal_table,
+from .relations import (_check_congruences, _classes, _commutator, _principal_table,
                         _quotient, congruence_violation, d_rels,
                         polynomial_image_pairs, principal_congruence, step_values)
 
@@ -590,12 +590,13 @@ def _midpoints(dm: np.ndarray, d2: np.ndarray, ls: np.ndarray, cs: np.ndarray,
 
 
 def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
-    """The array check of `verify_cg_d3_pairs`, which builds no term:
-    (cgs, dsets, chains) for the generator pairs, in order.
+    """The array check of `verify_cg_d3_pairs`, which builds no term and no
+    `Partition`: (dsets, chains) for the generator pairs (in range), in order.
 
     The D-relations come from one lane closure (`d_rels`).  Each D is an
     n x n boolean matrix set at its rows, one layer of a (pairs, n, n)
-    stack.  Every element (u, v) of D must lie in Cg(a, b) (`cgs`), and
+    stack.  Every element (u, v) of D must lie in Cg(a, b), the row
+    labels[index[a, b]] of `_principal_table`, and
     every related pair (c, d) of Cg(a, b) gets a chain c D e2 D e4 D d
     whose three links must be D-pairs, with one rule for every pair: e4 is
     the least element with D^2[c, e4] and D[e4, d], and e2 the least with
@@ -608,8 +609,7 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
     within Cg gives D^3 within Cg, and a chain through D for every pair of
     Cg gives Cg within D^3, whatever the argmax picked.  A pair of Cg with
     no witness shows up as a link off D.  D^2 is computed only for
-    `_midpoints`; the tests compare the relation with an independent D^3
-    (`oracles.compose_relations`).
+    `_midpoints`; the tests compare with a D^3 of `oracles.compose_relations`.
 
     Each element (u, v) of D is (q(a, b), q(b, a)) for the term q its steps
     spell over the generators (a, b) and (b, a) and constants (c, c).  Each
@@ -627,12 +627,12 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
     """
     _regular_context(alg)
     n = alg.size
-    cgs = [principal_congruence(alg, a, b) for a, b in pairs]
+    labels, _, index = _principal_table(alg)
+    ids = labels[index[tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)]]
     dsets = d_rels(alg, pairs)
     dm = np.zeros((len(pairs), n, n), dtype=bool)
     for l, dset in enumerate(dsets):
         dm[l, dset.rows[:, 0], dset.rows[:, 1]] = True
-    ids = np.array([cg.class_ids for cg in cgs], dtype=np.int64).reshape(-1, n)
     ls, cs, ds = np.nonzero(ids[:, :, None] == ids[:, None, :])
     e2, e4 = _midpoints(dm, dm @ dm, ls, cs, ds)
     if pairs:
@@ -664,7 +664,7 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
             raise FalsificationError(
                 f"witness chain for ({c},{d}) leaves D_({a},{b}) on '{alg.name}': "
                 f"its links are ({c},{m2}), ({m2},{m4}) and ({m4},{d})")
-    return cgs, dsets, (ls, cs, e2, e4, ds)
+    return dsets, (ls, cs, e2, e4, ds)
 
 
 def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
@@ -683,13 +683,15 @@ def verify_cg_d3_pairs(alg: FiniteAlgebra, pairs: Sequence[tuple]) -> list:
     chain through a D-pair shares the same two ChainStep objects.  Each
     result's chains are read straight from the check's columns.
 
-    Requires the regular base.  FalsificationError is raised for the
-    first generator pair that fails the array check; when every pair
-    passes it, for the first pair with a step polynomial that fails to
-    replay.
+    Requires the regular base, and then pairs in range (`principal_congruence`
+    gives each result's Cg).  FalsificationError is raised for the first
+    generator pair that fails the array check; when every pair passes it,
+    for the first pair with a step polynomial that fails to replay.
     """
     pairs = list(pairs)
-    cgs, dsets, chains = _check_cg_d3(alg, pairs)
+    _regular_context(alg)
+    cgs = [principal_congruence(alg, a, b) for a, b in pairs]
+    dsets, chains = _check_cg_d3(alg, pairs)
     links = [{} for _ in pairs]         # per pair: D-pair -> first chain through it
     for l, c, m2, m4, d in zip(*(col.tolist() for col in chains)):
         for pair in ((c, m2), (m2, m4), (m4, d)):
@@ -883,10 +885,9 @@ BICONDITIONALS = {"cgvsim": check_cgvsim, "undersim": check_undersim,
                   "commutator": commutator_below_sim}
 
 
-def _relation_rows(parts) -> np.ndarray:
-    """One row per partition: its relation matrix, flattened, as int64."""
-    ids = np.array([p.class_ids for p in parts], dtype=np.int64)
-    return (ids[:, :, None] == ids[:, None, :]).reshape(len(parts), -1).astype(np.int64)
+def _relation_rows(labels: np.ndarray) -> np.ndarray:
+    """Each label row's relation matrix, flattened, as float64 for BLAS (exact: counts <= n^2)."""
+    return (labels[:, :, None] == labels[:, None, :]).reshape(len(labels), -1).astype(np.float64)
 
 
 def _disagreement(alg: FiniteAlgebra, which: str, tup: tuple):
@@ -904,16 +905,16 @@ def count_biconditional(alg: FiniteAlgebra, which: str) -> int:
     compared on every tuple, as the pointwise checkers in BICONDITIONALS do.
 
     Each side reads (a, b) and (c, d) only through a few values, so pairs
-    are grouped by exactly those values and each distinct input is
-    evaluated once; one `np.unique` over `_principal_table` indices groups
-    them.  cgvsim reads Cg(a,b) and then c and d: per distinct Cg, both
-    sides are n x n masks over (c, d).  undersim and commutator read
-    Cg_A(a,b) and Cg_Q([a],[b]) in Q = A/sim, and group by the pair of both
-    indices, never by Cg_A alone, since the quotient side is what is under
-    test: both sides are K x K masks over pairs of keys.  Groups are ordered
-    by their first pair, so the lexicographically least failing tuple pairs
-    first members of groups; at a disagreement the pointwise checker runs
-    on it and raises its FalsificationError.
+    are grouped by exactly those values (one `np.unique` over
+    `_principal_table` indices) and each distinct input is evaluated once,
+    on the table's rows.  cgvsim reads Cg(a,b), then c and d: both sides
+    are n x n masks over (c, d), Cg v sim by `_classes` over chunks of at
+    most `core.BLOCK_SIZE // n^2` rows.  undersim and commutator read
+    Cg_A(a,b) and Cg_Q([a],[b]) in Q = A/sim and group by both indices, as
+    the quotient side is under test: both sides are K x K masks over pairs
+    of keys.  Groups are ordered by first pair, so the lexicographically
+    least failing tuple pairs first members of groups; the pointwise
+    checker runs on it and raises its FalsificationError.
     """
     if which not in BICONDITIONALS:
         raise AlgebraError(f"unknown biconditional {which!r}")
@@ -921,44 +922,45 @@ def count_biconditional(alg: FiniteAlgebra, which: str) -> int:
         core.check_power(alg.size, 4, "A^4")
     sim, quot, cmap = _regular_context(alg)
     n = alg.size
-    parts, _, key = _principal_table(alg)
+    labels, _, key = _principal_table(alg)
     if which != "cgvsim":
-        qparts, _, qindex = _principal_table(quot)
-        key = key * len(qparts) + qindex[np.ix_(cmap, cmap)]
+        qlabels, _, qindex = _principal_table(quot)
+        key = key * len(qlabels) + qindex[np.ix_(cmap, cmap)]
     keys, at, counts = np.unique(key, return_index=True, return_counts=True)
     order = np.argsort(at)
-    keys, weights = keys[order].tolist(), counts[order]
+    keys, weights = keys[order], counts[order]
     firsts = [divmod(f, n) for f in at[order].tolist()]
+    in_sim = np.equal.outer(sim.class_ids, sim.class_ids)
     if which == "cgvsim":
         wedge = alg.op(WEDGE).array.reshape(n, n)
-        true = 0
-        for cg, first, count in zip((parts[k] for k in keys), firsts, weights.tolist()):
-            ids = np.asarray(cg.class_ids, dtype=np.int64)
-            joined = np.asarray(cg.join(sim).class_ids, dtype=np.int64)
-            left = joined[:, None] == joined
-            # (c, d^c) and (d, c^d) in Cg(a,b), at [c, d]
-            right = (ids[:, None] == ids[wedge.T]) & (ids == ids[wedge])
+        true, step = 0, max(1, core.BLOCK_SIZE // n ** 2)
+        for lo in range(0, len(keys), step):
+            ids = labels[keys[lo:lo + step]]
+            cg = ids[:, :, None] == ids[:, None, :]
+            joined = _classes(cg | in_sim)
+            left = joined[:, :, None] == joined[:, None, :]
+            # (c, d^c) and (d, c^d) in Cg(a,b), at [group, c, d]
+            right = cg[:, np.arange(n)[:, None], wedge.T] & cg[:, np.arange(n), wedge]
             bad = np.argwhere(left != right)
             if len(bad):
-                _disagreement(alg, which, first + tuple(bad[0].tolist()))
-            true += count * int(left.sum())
+                _disagreement(alg, which, firsts[lo + bad[0, 0]] + tuple(bad[0, 1:].tolist()))
+            true += int(weights[lo:lo + step] @ left.sum(axis=(1, 2)))
         return true
 
-    keys = [(parts[k // len(qparts)], qparts[k % len(qparts)]) for k in keys]
-    m = quot.size
-    in_q = _relation_rows([q for _, q in keys]) * ~np.eye(m, dtype=bool).ravel()
+    rows, qrows = np.divmod(keys, len(qlabels))
+    in_q = _relation_rows(qlabels[qrows]) * ~np.eye(quot.size, dtype=bool).ravel()
     right = in_q @ in_q.T == 0                 # Cg_Q meet Cg_Q is 0_Q
     if which == "undersim":
-        in_a = _relation_rows([p for p, _ in keys])
-        outside_sim = 1 - _relation_rows([sim])[0]
-        left = (in_a * outside_sim) @ in_a.T == 0    # Cg meet Cg below sim
+        in_a = _relation_rows(labels[rows])
+        left = (in_a * ~in_sim.ravel()) @ in_a.T == 0    # Cg meet Cg below sim
     else:
         # compared pair by pair in the order of their least tuples, so a
         # commutator that raises for a later pair cannot hide a disagreement
+        cgs = [Partition(n, tuple(row)) for row in labels.tolist()]    # every row is a key's
         left = np.empty_like(right)
-        for i, (p, _) in enumerate(keys):
-            for j, (q, _) in enumerate(keys):
-                left[i, j] = _commutator(alg, p, q).refines(sim)
+        for i, p in enumerate(rows.tolist()):
+            for j, q in enumerate(rows.tolist()):
+                left[i, j] = _commutator(alg, cgs[p], cgs[q]).refines(sim)
                 if left[i, j] != right[i, j]:
                     _disagreement(alg, which, firsts[i] + firsts[j])
     bad = np.argwhere(left != right)

@@ -220,13 +220,13 @@ def extend_simple_type5(alg: FiniteAlgebra, w_symbol: str) -> FiniteAlgebra:
     if not table_flags(out.op("v")).wnu:
         raise FalsificationError(
             f"extension of '{alg.name}' did not produce a wnu operation")
-    # simple: every Cg(a, b) is 1_A (size >= 4, so 0_A != 1_A); the parts
-    # come by first pair, so the first that is not 1_A has the least pair
-    parts, firsts, _ = _principal_table.__wrapped__(out)   # uncached: read once
-    for (a, b), cg in zip(firsts[1:], parts[1:]):
-        if not cg.is_one:
-            raise FalsificationError(
-                f"extension of '{alg.name}' is not simple: Cg({a}, {b}) = {cg}")
+    # simple: every Cg(a, b) is 1_A, all labels 0 (size >= 4, so 0_A != 1_A);
+    # the rows come by first pair, so the first that is not 1_A has the least pair
+    labels, firsts, _ = _principal_table.__wrapped__(out)   # uncached: read once
+    for (a, b), row in zip(firsts[1:], labels[1:]):
+        if row.any():
+            raise FalsificationError(f"extension of '{alg.name}' is not simple: "
+                                     f"Cg({a}, {b}) = {Partition(len(row), tuple(row.tolist()))}")
     return out
 
 

@@ -76,24 +76,24 @@ efficiently", Algebra Universalis 59 (2008) 337-343, one engine per job.
 the term-condition fixpoint and `pipeline`) by a quick-find union over
 the cached unary translations: a flat list of class labels, relabelled
 whole on each merge, so the inner loop reads two labels per map.
-`_principal_table` builds every Cg(a, b), a < b, of an algebra at once
-(for `principal_congruence`, the `verify` sweeps, `congruence_lattice`
-and the simple extension) from the translations read once, uncached: by
-Mal'cev's lemma Cg(a, b) is the equivalence generated by the pairs
-reachable from {a, b} in the one-step pair graph, where each translation
-f leads from {x, y} to {f(x), f(y)}, so one breadth-first pass over it, in
-chunks of sources, and `_classes` on what each source reaches give the
-whole table.  In a finite algebra every congruence is a join of
-join-irreducible ones, and those are principal; `_join_irreducibles` reads
-them off the table's index, and `congruence_lattice` is a breadth-first
-search from 0_A that joins each congruence found with the join-irreducible
-principals only, and reads the upper covers of theta off those same joins:
-they are the minimal elements of {theta v J} minus {theta}.  The search
-runs on tuples naming each element by the least element of its class:
-theta v J is the quick-find from theta over the star pairs of J
-(`partitions.star_pairs`, taken once per lattice), which keeps that form,
-each member carries the join-irreducibles below it as bits, and only the
-finished members become `Partition`s.
+`_principal_table` builds every Cg(a, b), a < b, of an algebra at once,
+as one int64 array of rows naming each element by the least element of
+its class, from the translations read once, uncached: by Mal'cev's lemma
+Cg(a, b) is the equivalence generated by the pairs reachable from {a, b}
+in the one-step pair graph, where each translation f leads from {x, y} to
+{f(x), f(y)}, so one breadth-first pass over it, in chunks of sources, and
+`_classes` on what each source reaches give the whole table.  Its readers
+take rows; a `Partition` is made of one only where a caller needs it.  In a
+finite algebra every congruence is a join of join-irreducible ones, and
+those are principal; `_join_irreducibles` picks their rows out of the
+table, and `congruence_lattice` is a breadth-first search from 0_A that
+joins each congruence found with the join-irreducible principals only,
+and reads the upper covers of theta off those same joins: they are the
+minimal elements of {theta v J} minus {theta}.  The search runs on label
+tuples: theta v J is the quick-find from theta over the star pairs
+(row[x], x) of J's row, which keeps that form; each member carries the
+join-irreducibles below it as bits, and only the finished members become
+`Partition`s.
 `congruence_violation` tests every operation and argument position at once
 with numpy, over the table of value classes.  Of the library, only the
 `con` command builds the lattice; the independent oracles the tests
@@ -112,7 +112,7 @@ import numpy as np
 from . import core
 from .core import (AlgebraError, App, CapExceeded, Const, FalsificationError,
                    FiniteAlgebra, OperationTable, PreconditionError, _blocks)
-from .partitions import Partition, _merged, star_pairs
+from .partitions import Partition, _merged
 
 LATTICE_SIZE_CAP = 10
 
@@ -623,9 +623,9 @@ def _pair_successors(alg: FiniteAlgebra, a: np.ndarray, b: np.ndarray, upper: np
 
 @lru_cache(maxsize=None)
 def _principal_table(alg: FiniteAlgebra) -> tuple:
-    """(parts, firsts, index): the distinct Cg(a, b), 0_A and then the rest
-    by first pair a < b ((0, 0) for 0_A), and the symmetric read-only int64
-    index with Cg(a, b) = parts[index[a, b]].
+    """(labels, firsts, index): the distinct Cg(a, b) as read-only int64 rows of
+    least-element labels, 0_A and then by first pair a < b ((0, 0) for 0_A),
+    and the symmetric read-only int64 index with Cg(a, b) = labels[index[a, b]].
 
     By Mal'cev's lemma Cg(a, b) is the equivalence generated by the pairs
     {p(a), p(b)} over the unary polynomials p, which are the compositions
@@ -648,7 +648,7 @@ def _principal_table(alg: FiniteAlgebra) -> tuple:
     if len(pairs):
         succ = _pair_successors(alg, a, b, upper, budget)
         chunk, piece = max(1, budget // (n * n)), max(1, budget // succ.shape[1])
-        labels = []
+        got = []               # per pair a < b: its least-element labels
         for lo in range(0, len(pairs), chunk):
             sources = pairs[lo:lo + chunk]
             seen = np.zeros((len(sources), n, n), dtype=bool)
@@ -664,22 +664,23 @@ def _principal_table(alg: FiniteAlgebra) -> tuple:
                 flat |= new
                 row, node = np.nonzero(new)
             seen |= seen.transpose(0, 2, 1)
-            labels += map(tuple, _classes(seen).tolist())
-        for pair, label in zip(zip(a.tolist(), b.tolist()), labels):
+            got += map(tuple, _classes(seen).tolist())
+        for pair, label in zip(zip(a.tolist(), b.tolist()), got):
             if label not in found:
                 found[label] = len(firsts)
                 firsts.append(pair)
-        index[a, b] = index[b, a] = [found[label] for label in labels]
-    index.flags.writeable = False
-    return tuple(Partition(n, label) for label in found), tuple(firsts), index
+        index[a, b] = index[b, a] = [found[label] for label in got]
+    labels = np.array(list(found), dtype=np.int64).reshape(-1, n)
+    labels.flags.writeable = index.flags.writeable = False
+    return labels, tuple(firsts), index
 
 
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
-    """Least congruence of `alg` containing (a, b), read off `_principal_table`."""
+    """Least congruence of `alg` containing (a, b): a new `Partition` of its table row."""
     if not (0 <= a < alg.size and 0 <= b < alg.size):
         raise AlgebraError(f"pair ({a}, {b}) out of range 0..{alg.size - 1}")
-    parts, _, index = _principal_table(alg)
-    return parts[index[a, b]]
+    labels, _, index = _principal_table(alg)
+    return Partition(alg.size, tuple(labels[index[a, b]].tolist()))
 
 
 def congruence_violation(alg: FiniteAlgebra, p: Partition) -> Optional[tuple]:
@@ -737,9 +738,9 @@ class CongruenceLattice:
         return self.congruences.index(p)
 
 
-def _join_irreducibles(parts: tuple, firsts: tuple, index: np.ndarray) -> dict:
-    """The join-irreducible members of the principal table (parts, firsts,
-    index), as {J: its first pair} in table order.
+def _join_irreducibles(labels: np.ndarray, firsts: tuple, index: np.ndarray) -> list:
+    """The positions of the join-irreducible rows of the principal table
+    (labels, firsts, index), in table order.
 
     Every principal below J = Cg(a, b) is Cg(x, y) for a pair (x, y) of J,
     so the principals strictly below J are those of the pairs S of J whose
@@ -747,15 +748,12 @@ def _join_irreducibles(parts: tuple, firsts: tuple, index: np.ndarray) -> dict:
     join is the equivalence S generates, and J is join-irreducible exactly
     when that does not relate a and b.  One `_classes` reads it for every J
     at once."""
-    n = len(index)
-    ids = np.array([p.class_ids for p in parts[1:]], dtype=np.int64).reshape(-1, n)
-    rest = ids[:, :, None] == ids[:, None, :]
-    rest &= index != np.arange(1, len(parts))[:, None, None]
+    rest = labels[1:, :, None] == labels[1:, None, :]
+    rest &= index != np.arange(1, len(labels))[:, None, None]
     classes = _classes(rest)
-    at = np.arange(len(ids))
+    at = np.arange(len(rest))
     a, b = np.array(firsts[1:], dtype=np.int64).reshape(-1, 2).T
-    keep = np.flatnonzero(classes[at, a] != classes[at, b]) + 1
-    return {parts[j]: firsts[j] for j in keep.tolist()}
+    return (np.flatnonzero(classes[at, a] != classes[at, b]) + 1).tolist()
 
 
 def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
@@ -763,8 +761,8 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
 
     Breadth-first search from 0_A: each congruence theta found is joined
     with every join-irreducible congruence J not below it.  In a finite
-    algebra the join-irreducibles are principal (`_join_irreducibles`
-    picks them out of `_principal_table`, built without its cache so that
+    algebra the join-irreducibles are principal (`_join_irreducibles` picks
+    their rows out of `_principal_table`, built without its cache so that
     `con` leaves it alone), and every congruence is the join of those below
     it, so the search finds every member.  The upper covers of theta are
     the minimal elements of {theta v J} minus {theta}: for mu > theta some
@@ -774,20 +772,20 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     join-irreducibles below it as the bits of an int, so that test is one
     comparison of bits per join found.
 
-    The search runs on tuples that name each element by the least element
-    of its class.  `_merged` relabels the larger of two labels, so theta v J,
-    `_merged` from theta over the star pairs of J (taken once per lattice),
-    is again in that form and needs no renaming; each member becomes a
-    `Partition` once, at the end.  Congruences are sorted from 0_A towards
-    1_A by (-classes, class ids), and covers are sorted (i, j) index pairs.
+    The search runs on the table's least-element labels.  `_merged`
+    relabels the larger of two labels, so theta v J, `_merged` from theta
+    over the star pairs (row[x], x), row[x] != x, of J's row (as
+    `partitions.star_pairs` orders them), keeps that form; each member
+    becomes a `Partition` once, at the end.  Congruences are sorted from 0_A
+    towards 1_A by (-classes, class ids), and covers are sorted (i, j) pairs.
     """
     n = alg.size
     if n > LATTICE_SIZE_CAP:
         raise CapExceeded(
             f"congruence lattice capped at universe size {LATTICE_SIZE_CAP}, algebra has {n}")
-    table = _principal_table.__wrapped__(alg)   # uncached: con keeps no table
-    irreducibles = [(1 << i, star_pairs(ji), a, b)
-                    for i, (ji, (a, b)) in enumerate(_join_irreducibles(*table).items())]
+    labels, firsts, index = _principal_table.__wrapped__(alg)   # uncached: con keeps no table
+    irreducibles = [(1 << i, [(r, x) for x, r in enumerate(labels[j].tolist()) if r != x],
+                     *firsts[j]) for i, j in enumerate(_join_irreducibles(labels, firsts, index))]
     zero = tuple(range(n))
     members = [zero]           # least-element labels, in discovery order
     found = {zero: 0}

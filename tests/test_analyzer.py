@@ -596,11 +596,16 @@ def test_verify_cg_d3_rejects_dropped_d_pair(e3, monkeypatch):
 
 
 def patch_cg(patch, pair, cg):
-    """`analyzer.principal_congruence` answers `cg` for the generator pair
-    `pair` and the true congruence for every other pair."""
-    real = analyzer.principal_congruence
-    patch.setattr(analyzer, "principal_congruence",
-                  lambda alg, a, b: cg if (a, b) == pair else real(alg, a, b))
+    """`analyzer._principal_table` reads `cg` for the generator pair `pair`,
+    as one more row, and the true congruence for every other pair."""
+    real = analyzer._principal_table
+
+    def planted(alg):
+        labels, firsts, index = real(alg)
+        index = index.copy()
+        index[pair] = index[pair[::-1]] = len(labels)
+        return np.vstack([labels, cg.class_ids]), firsts, index
+    patch.setattr(analyzer, "_principal_table", planted)
 
 
 def assert_cg_d3_falsified(e3, tmp_path, capsys, pair, message):
@@ -788,7 +793,7 @@ def test_check_cg_d3_keeps_each_array_once(monkeypatch):
     analyzer._check_cg_d3(alg, pairs)
     tracemalloc.start()
     try:
-        *_, chains = analyzer._check_cg_d3(alg, pairs)
+        _, chains = analyzer._check_cg_d3(alg, pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1120,9 +1125,9 @@ def test_count_biconditional_zero_quotient_congruences(monkeypatch, e3, which, b
     # at (x, y), for the sweep and for the pointwise checkers alike
     _, quot, _ = analyzer._regular_context(e3)
     real = relations._principal_table
-    parts, firsts, index = real(quot)
+    labels, firsts, index = real(quot)
     m = quot.size
-    wrong = (parts, firsts, np.where(
+    wrong = (labels, firsts, np.where(
         [[broken(x, y) for y in range(m)] for x in range(m)], 0, index))
     for mod in (analyzer, relations):
         monkeypatch.setattr(mod, "_principal_table",
@@ -1180,6 +1185,75 @@ def test_count_biconditional_raises_without_pointwise(monkeypatch, e3):
 def test_count_biconditional_unknown_law(e3):
     with pytest.raises(AlgebraError, match="unknown biconditional"):
         count_biconditional(e3, "taylor")
+
+
+def test_count_biconditional_cgvsim_in_chunks(monkeypatch):
+    # with a small block the cgvsim sweep joins its table rows with sim in
+    # chunks of two rows: the count is the pointwise one, and a wrong join
+    # planted where it first shows in a later chunk, in the sweep's
+    # `_classes` and in `Partition.join` alike, raises the pointwise
+    # checker's message at the least failing tuple
+    alg = regularized_glued(18, (3, 2, 2, 1))[0]
+    n = alg.size
+    want = pointwise_count(alg, "cgvsim")
+    monkeypatch.setattr(core, "BLOCK_SIZE", 2 * n * n)
+    chunks = []
+    real = analyzer._classes
+    monkeypatch.setattr(analyzer, "_classes", lambda rel: chunks.append(real(rel)) or chunks[-1])
+    assert count_biconditional(alg, "cgvsim") == want
+    assert len(chunks) >= 3 and {len(chunk) for chunk in chunks[:-1]} == {2}
+    earlier = [row for chunk in chunks[:2] for row in chunk.tolist()]
+    target = next(row for chunk in chunks[2:] for row in chunk.tolist()
+                  if row not in earlier and any(row))
+    join = Partition.join
+
+    def planted_classes(rel):
+        out = real(rel)
+        out[(out == target).all(axis=1)] = 0
+        return out
+    monkeypatch.setattr(analyzer, "_classes", planted_classes)
+    monkeypatch.setattr(Partition, "join", lambda p, q: Partition.one(n)
+                        if join(p, q) == Partition(n, tuple(target)) else join(p, q))
+    assert_same_first_failure(alg, "cgvsim")
+
+
+def test_count_biconditional_cgvsim_memory_is_bounded(monkeypatch):
+    # the Cg v sim stack is cut into chunks of at most BLOCK_SIZE // n^2
+    # rows: on chain_semilattice(30), 436 rows of 30 x 30, the sweep peaks
+    # near 0.22 MiB with a block of 2^14; over all rows at once it peaked
+    # at 2.0 MiB.  The regular base and the table are cached beforehand
+    alg = chain_semilattice(30)
+    want = count_biconditional(alg, "cgvsim")
+    monkeypatch.setattr(core, "BLOCK_SIZE", 1 << 14)
+    tracemalloc.start()
+    try:
+        assert count_biconditional(alg, "cgvsim") == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * core.BLOCK_SIZE, peak
+
+
+def test_table_readers_make_no_partition(monkeypatch):
+    # the principal table is label rows: building it, the cg-d3 check and
+    # the cgvsim and undersim sweeps read the rows and make no Partition
+    # once the regular base and the tables are cached
+    made = []
+    init = Partition.__post_init__
+    monkeypatch.setattr(Partition, "__post_init__", lambda p: made.append(p) or init(p))
+    for alg in (regularized_glued(18, (3, 2, 2, 1))[0], chain_semilattice(12)):
+        n = alg.size
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+        _, quot, _ = analyzer._regular_context(alg)
+        for table in (alg, quot):
+            relations._principal_table(table)
+        made.clear()
+        relations._principal_table.__wrapped__(alg)
+        analyzer._check_cg_d3(alg, pairs)
+        count_biconditional(alg, "cgvsim")
+        count_biconditional(alg, "undersim")
+        assert made == [], alg.name
+    assert Partition.zero(2) and len(made) == 1
 
 
 def test_alternating_chain_fold_trivial(e3, e3_sim):

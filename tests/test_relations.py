@@ -1017,16 +1017,21 @@ def table_algebras(corpus):
 
 
 def assert_principal_table(alg, table):
-    # one table per algebra: distinct parts, 0_A first, a symmetric index
-    # with a 0_A diagonal, each first pair the least a < b of its part, and
-    # every entry the congruence_generated of its pair
+    # one table per algebra: distinct read-only int64 rows of least-element
+    # labels, 0_A first, a symmetric index with a 0_A diagonal, each first
+    # pair the least a < b of its row, and every row, made a Partition, the
+    # congruence_generated of its pair
     n = alg.size
-    parts, firsts, index = table
+    labels, firsts, index = table
     pairs = list(itertools.combinations(range(n), 2))
-    assert index.shape == (n, n) and index.dtype == np.int64
-    assert not index.flags.writeable
+    assert labels.shape == (len(firsts), n) and index.shape == (n, n)
+    assert labels.dtype == index.dtype == np.int64
+    assert not labels.flags.writeable and not index.flags.writeable
     assert (index == index.T).all() and not np.diag(index).any()
-    assert parts[0].is_zero and len(set(parts)) == len(parts) == len(firsts)
+    assert labels[0].tolist() == list(range(n))
+    parts = [Partition(n, tuple(row)) for row in labels.tolist()]
+    assert len(set(parts)) == len(parts)
+    assert labels.tolist() == [[min(p.block_of(x)) for x in range(n)] for p in parts]
     assert set(index.ravel().tolist()) == set(range(len(parts)))
     for a, b in itertools.product(range(n), repeat=2):
         assert parts[index[a, b]] == congruence_generated(alg, [(a, b)]), (alg.name, a, b)
@@ -1254,20 +1259,13 @@ def test_join_irreducible_filter_is_exact(e3, n4, corpus, monkeypatch):
         for _, j in definitional_covers(members):
             lower[j] += 1
         irreducible = {members[j] for j, k in enumerate(lower) if k == 1}
-        parts, firsts, _ = table = relations._principal_table(alg)
+        labels, *_ = table = relations._principal_table(alg)
         found = relations._join_irreducibles(*table)
-        assert set(found) == irreducible, alg.name
-        assert list(found.items()) == [(p, f) for p, f in zip(parts, firsts) if p in found]
+        assert found == sorted(set(found)) and 0 not in found, alg.name    # table order
+        assert {Partition(alg.size, tuple(labels[j])) for j in found} == irreducible, alg.name
 
     keep = relations._join_irreducibles
-
-    def drop_last(*table):
-        out = keep(*table)
-        if out:
-            out.popitem()
-        return out
-
-    monkeypatch.setattr(relations, "_join_irreducibles", drop_last)
+    monkeypatch.setattr(relations, "_join_irreducibles", lambda *table: keep(*table)[:-1])
     for alg in differential_algebras(e3, n4, corpus):
         try:
             assert_lattice_is_reference(alg)
@@ -1889,7 +1887,8 @@ def test_probing_commutator_matches_the_unprobed_path(corpus):
         alg, sim = regularized_glued(seed, sizes)
         n = alg.size
         args = [sim, Partition.one(n)]
-        args += [p for p in relations._principal_table(alg)[0][1:] if p not in args]
+        principals = (Partition(n, tuple(row)) for row in relations._principal_table(alg)[0][1:])
+        args += [p for p in principals if p not in args]
         cases += [(alg, alpha, beta) for alpha, beta in itertools.product(args, repeat=2)]
     assert len(cases) > 1000 and max(alg.size for alg, _, _ in cases) == 10
     for alg, alpha, beta in cases:
@@ -1961,7 +1960,7 @@ def test_commutator_of_a_zero_meet_closes_nothing(e3):
     # any closure: on e3, and on two principal congruences of a glued
     # algebra that meet in 0_A
     alg, _ = regularized_glued(3, (2, 2, 1))
-    principals = dict.fromkeys(relations._principal_table(alg)[0][1:])
+    principals = [Partition(alg.size, tuple(row)) for row in relations._principal_table(alg)[0][1:]]
     apart = [(p, q) for p, q in itertools.combinations(principals, 2)
              if p.meet(q).is_zero and not (p.is_zero or q.is_zero)]
     assert apart
