@@ -571,6 +571,24 @@ def _d_pair_steps(alg: FiniteAlgebra, lanes: list) -> list:
              for pair, m in zip(links, mids)} for *_, links in lanes]
 
 
+def _related_pairs(ids: np.ndarray) -> tuple:
+    """(ls, cs, ds): every (l, c, d) with ids[l, c] == ids[l, d], in the
+    order of `np.nonzero`, with l in the type `core.int_dtype` picks for the
+    rows of `ids` and c, d in the one it picks for its n columns.
+    `np.nonzero` runs on at most `core.BLOCK_SIZE // n**2` rows at a time
+    (at least one), so its intp columns never hold more than one chunk."""
+    m, n = ids.shape
+    related = ids[:, :, None] == ids[:, None, :]
+    ls = np.empty(np.count_nonzero(related), dtype=core.int_dtype(m))
+    cs, ds = np.empty((2, len(ls)), dtype=core.int_dtype(n))
+    at, step = 0, max(1, core.BLOCK_SIZE // (n * n))
+    for lo in range(0, m, step):
+        l, c, d = np.nonzero(related[lo:lo + step])
+        ls[at:at + len(l)], cs[at:at + len(l)], ds[at:at + len(l)] = l + lo, c, d
+        at += len(l)
+    return ls, cs, ds
+
+
 def _midpoints(dm: np.ndarray, d2: np.ndarray, ls: np.ndarray, cs: np.ndarray,
                ds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(e2, e4) at the pairs (c, d) = (cs[i], ds[i]) of D = dm[ls[i]], for a
@@ -579,7 +597,7 @@ def _midpoints(dm: np.ndarray, d2: np.ndarray, ls: np.ndarray, cs: np.ndarray,
     D[e, e4[i]] (0 where there is none).  Taken by argmax over chunks of
     `core.BLOCK_SIZE // n` pairs (at least one), so no chunk holds more
     than `core.BLOCK_SIZE` booleans unless one pair's n alone do."""
-    e2, e4 = np.empty((2, len(ls)), dtype=np.intp)
+    e2, e4 = np.empty((2, len(ls)), dtype=core.int_dtype(dm.shape[1]))
     step = max(1, core.BLOCK_SIZE // dm.shape[1])
     for lo in range(0, len(ls), step):
         hi = lo + step
@@ -603,7 +621,9 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
     D[c, e2] and D[e2, e4] (`_midpoints`, by argmax at the related pairs
     over the stack and its batched D^2).  `chains` is five columns (pair,
     c, e2, e4, d), one entry per related pair (c, d) of each Cg(a, b), in
-    pair order and then lexicographic.
+    pair order and then lexicographic; the pair column takes the type
+    `core.int_dtype` picks for the pair count and the others the one for n
+    (`_related_pairs`), int16 up to 32,767 pairs and elements.
 
     That decides Cg = D o D o D without a D^3: Cg is transitive, so D
     within Cg gives D^3 within Cg, and a chain through D for every pair of
@@ -633,7 +653,7 @@ def _check_cg_d3(alg: FiniteAlgebra, pairs: list) -> tuple:
     dm = np.zeros((len(pairs), n, n), dtype=bool)
     for l, dset in enumerate(dsets):
         dm[l, dset.rows[:, 0], dset.rows[:, 1]] = True
-    ls, cs, ds = np.nonzero(ids[:, :, None] == ids[:, None, :])
+    ls, cs, ds = _related_pairs(ids)
     e2, e4 = _midpoints(dm, dm @ dm, ls, cs, ds)
     if pairs:
         lane = np.repeat(np.arange(len(pairs)), [len(dset) for dset in dsets])

@@ -24,6 +24,9 @@ laws and terms compile per call.  `term_table`, `materialize_term` and
 the witness chains of `analyzer.verify_cg_d3_pairs` (the one-variable
 polynomials of all generator pairs in a single pass) run on the same
 kernel; the flags and the circ of one table are read off its array.
+`int_dtype` is the one place the library picks a narrow integer type, from
+a bound its caller has proved; the term kernel and the public arrays stay
+int64.
 The pointwise pure-Python evaluator is the tests' reference for it and
 lives in `smbalg.oracles`.
 """
@@ -71,6 +74,24 @@ def check_power(n: int, k: int, what: str, limit: Optional[int] = None):
     limit = FAST_CLOSURE_SPACE_CAP if limit is None else limit
     if n ** min(k, limit.bit_length() + 1) > limit:
         raise CapExceeded(f"{what} would have {n}^{k} entries, beyond the cap of {limit}")
+
+
+# The integer types of bounded arrays, narrowest first; `int_dtype` alone
+# reads it.
+_INT_TYPES = (np.int16, np.int32, np.int64)
+
+
+def int_dtype(bound: int) -> np.dtype:
+    """The narrowest of `_INT_TYPES` (int16, int32, int64) that holds every
+    value from -1 to `bound`: the one place the library picks a narrow
+    integer type.  numpy's arithmetic in that type wraps silently, so
+    `bound` must be one the caller has proved of every value the array, and
+    every sum or product formed in its type, can take.  A bound past int64
+    raises CapExceeded."""
+    for dtype in _INT_TYPES:
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise CapExceeded(f"a bound of {int(bound).bit_length()} bits is past int64")
 
 
 def _power_text(n: int, k: int) -> str:

@@ -25,7 +25,9 @@ gathering one row per leading combination, lane and coordinate and
 indexing it by the last argument.  Known tuples are marked in a bitmap,
 one byte per key: `core.check_power` refuses a lane of more than 8 *
 `core.FAST_CLOSURE_SPACE_CAP` keys before any work, and the lanes close
-in consecutive chunks that each fit one bitmap.
+in consecutive chunks that each fit one bitmap.  The round loop keeps its
+keys, rows and steps in the narrow types `core.int_dtype` picks for their
+proved bounds (the bitmap keeps keys within int32); a closure returns int64.
 A traced call of many lanes evaluates a row set that several lanes hold
 by its first lane, and the rest only while that one grows, so lanes that
 close to the same set pay for the last round, which finds nothing, once.
@@ -217,11 +219,13 @@ def _apply_block(tables: np.ndarray, heads: np.ndarray, columns: np.ndarray,
     column plus n times its lane indexes into them; and the k coordinates
     are summed.  A box with L leading combinations and lanes gathers
     k * n * L row values, which `_subpower_closure` keeps within BLOCK_SIZE
-    along with its keys.
+    along with its keys.  The keys come in the type of `tables`; the
+    leading combinations, which reach n**(r-1), are formed in int64 from
+    the narrow `heads` and `columns`.
     """
     *lead, (a, b), (lo, hi) = box
-    if lead:        # (k, leading combinations, lanes): the row each one picks
-        at = heads[:, lead[0][0]:lead[0][1], a:b]
+    if lead:        # (k, leading combinations, lanes): the row each one picks, of n**(r-1)
+        at = heads[:, lead[0][0]:lead[0][1], a:b].astype(np.int64)
         for c, d in lead[1:]:
             at = (at[:, :, None] * n + columns[:, None, c:d, a:b]).reshape(len(at), -1, b - a)
         last = columns[:, lo:hi, a:b]
@@ -311,8 +315,9 @@ def _subpower_closure(alg: FiniteAlgebra, k: int, lanes: Sequence,
 
 def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
     """The round loop of `_subpower_closure`, as a generator.  It yields the
-    rows of all lanes closed so far as one array, lane-major: first the
-    generators, then again after each semi-naive round that adds tuples.
+    rows of all lanes closed so far as one array of `core.int_dtype(n)`,
+    lane-major: first the generators, then again after each semi-naive
+    round that adds tuples.
     A round that adds none ends it, and it returns the (rows, steps) per
     lane that `_subpower_closure` returns.  The arguments are checked at
     the first `next`.  For one lane, each yield is a prefix of the lane's
@@ -334,7 +339,18 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
     old and new rows.  A round that does find tuples finds the same set
     f(R^r) minus R in every lane holding R, with steps of its own, so no
     lane copies another.  One-lane calls and calls under a group skip the
-    keying."""
+    keying.
+
+    Each integer array takes the type `core.int_dtype` picks for its proved
+    bound, and only after the bound holds: the keys, weighted tables and
+    lane offsets of a chunk take the one for its last key, lanes x n**k - 1,
+    which each is at most (a key sums k weighted table entries below n**k
+    and its lane's offset); the rows and their columns the one for n; a
+    box's step rows the one for its lanes' row count and the operation
+    count.  The tables are weighted in int64 and then cast, and the keys are
+    decoded back to rows through the int64 weights, so no product is formed
+    in a narrow type.  The leading combinations of a box, which reach
+    n**(r-1), are int64 (`_apply_block`)."""
     if k < 1:
         raise AlgebraError(f"power must be >= 1, got {k}")
     if group and len(lanes) != 1:
@@ -366,7 +382,8 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
         for start in range(0, len(lanes), chunk):
             closed += yield from _closure_rounds(alg, k, lanes[start:start + chunk])
         return closed
-    offsets = space * np.arange(len(lanes), dtype=np.int64)
+    key_type, row_type = core.int_dtype(len(lanes) * space - 1), core.int_dtype(n)
+    offsets = (space * np.arange(len(lanes))).astype(key_type)
 
     weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     keys, first = np.unique(gens @ weights + np.repeat(offsets, sizes), return_index=True)
@@ -385,8 +402,8 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
     traced = not group
     closed = set()         # packed row sets shown closed: their lanes find nothing
     first.sort()
-    new, cut = gens[first], lane_bounds(keys)    # lane-major, like the lanes
-    ops = [(t.arity, (weights[:, None] * t.array).reshape(k, -1, n))
+    new, cut = gens[first].astype(row_type), lane_bounds(keys)    # lane-major, like the lanes
+    ops = [(t.arity, (weights[:, None] * t.array).astype(key_type).reshape(k, -1, n))
            for t in alg.operations.values()]
     width = 1 + max((arity for arity, _ in ops), default=0)
     parts = [[] for _ in offsets]        # per lane: its rows, round by round
@@ -456,7 +473,8 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
                             if not len(at):
                                 continue
                             if traced:
-                                step = np.full((len(at), width), -1, dtype=np.int64)
+                                step = np.full((len(at), width), -1,
+                                               dtype=core.int_dtype(max(size, len(ops))))
                                 step[:, 0] = o
                                 *lead, _, end = np.unravel_index(at, [hi - lo for lo, hi in box])
                                 step[:, 1:1 + arity] = (np.stack([*lead, end], axis=1)
@@ -484,13 +502,14 @@ def _closure_rounds(alg: FiniteAlgebra, k: int, lanes: Sequence, group=()):
         # boxes were gathered in processing order, so the first occurrence
         # of a key carries its first producing combination
         keys, first = np.unique(np.concatenate(found), return_index=True)
-        new, cut = keys[:, None] // weights % n, lane_bounds(keys)
+        new, cut = (keys[:, None] // weights % n).astype(row_type), lane_bounds(keys)
         if traced:
             steps = np.concatenate(found_steps)[first]
         else:
             heads_old = len(heads)
             heads = np.concatenate([heads, total[0] + least(new)])
-    return [(np.concatenate(part), np.concatenate(trace) if traced else None)
+    return [(np.concatenate(part, dtype=np.int64),
+             np.concatenate(trace, dtype=np.int64) if traced else None)
             for part, trace in zip(parts, traces)]
 
 
@@ -580,9 +599,11 @@ def _classes(rel: np.ndarray) -> np.ndarray:
     every element by the least element of its class.  Each round gives every
     element the least label among its related elements and then the label
     of that label; labels never exceed their element, so the rounds end,
-    and when one changes nothing every class carries its least element."""
+    and when one changes nothing every class carries its least element.
+    The labels, and the n that stands for no related element, take the
+    type `core.int_dtype` picks for n."""
     n = rel.shape[-1]
-    label = np.arange(n, dtype=np.min_scalar_type(n))
+    label = np.arange(n, dtype=core.int_dtype(n))
     at = np.arange(len(rel))[:, None]
     while True:
         low = np.where(rel, label[..., None, :], n).min(axis=2)
@@ -599,13 +620,16 @@ def _pair_successors(alg: FiniteAlgebra, a: np.ndarray, b: np.ndarray, upper: np
     unary translations f, for each pair a < b given, padded with 0, the id
     of (0, 0); other rows are padding.  `upper` marks the pairs x < y of the
     grid.  The images of at most `budget` combinations of a translation and
-    a pair are marked at once."""
+    a pair are marked at once.  Grid ids are below n * n, so the maps, the
+    images x * n + y and the lists take the type `core.int_dtype` picks for
+    it."""
     n = alg.size
-    maps = np.array(_translations.__wrapped__(alg), dtype=np.int32).reshape(-1, n)
+    grid = core.int_dtype(n * n)
+    maps = np.array(_translations.__wrapped__(alg), dtype=grid).reshape(-1, n)
     step = max(1, budget // max(len(maps), n * n))
     node, succ = [], []
     for lo in range(0, len(a), step):
-        image = maps[:, a[lo:lo + step]] * np.int32(n)
+        image = maps[:, a[lo:lo + step]] * n
         image += maps[:, b[lo:lo + step]]
         hit = np.zeros((image.shape[1], n, n), dtype=bool)
         hit.reshape(len(hit), -1)[np.arange(len(hit)), image] = True
@@ -616,7 +640,7 @@ def _pair_successors(alg: FiniteAlgebra, a: np.ndarray, b: np.ndarray, upper: np
         succ.append(j)
     node, succ = np.concatenate(node), np.concatenate(succ)
     column = np.arange(len(node)) - np.searchsorted(node, node)   # node ids come sorted
-    out = np.zeros((n * n, column.max(initial=0) + 1), dtype=np.int32)
+    out = np.zeros((n * n, column.max(initial=0) + 1), dtype=grid)
     out[node, column] = succ
     return out
 
@@ -934,7 +958,8 @@ def _matrix_rounds(alg: FiniteAlgebra, alpha_pairs: Iterable[tuple],
     """The rounds of the closure in A^4 of the rows (a, a, b, b) for each
     given alpha-pair and (c, d, c, d) for every beta-pair, over
     _KLEIN_GROUP orbit representatives: the `_closure_rounds` generator of
-    one lane, whose last yield is the closure as an (m, 4) int64 array.
+    one lane, whose last yield is the closure as an (m, 4) array of
+    `core.int_dtype(n)`.
     `_commutator` reads it round by round, once it has checked A^4
     against the cap.
 

@@ -780,11 +780,12 @@ def test_cli_cg_d3_builds_no_terms(corpus, tmp_path, monkeypatch, capsys):
 
 
 def test_check_cg_d3_keeps_each_array_once(monkeypatch):
-    # D as one boolean stack and the chains as their five columns: on
+    # D as one boolean stack and the chains as five int16 columns: on
     # chain_semilattice(30) (465 pairs, 85,870 chains) the check peaks at
-    # 7.1 MiB; with an int64 index stack and a stacked copy of the chains it
-    # peaked at 13.6 MiB.  The D-relations are computed beforehand and the
-    # caches warmed, so the closure's boxes do not set the peak
+    # 4.6 MiB; with intp chain columns it peaked at 7.1 MiB, and with an
+    # int64 index stack and a stacked copy of the chains at 13.6 MiB.  The
+    # D-relations are computed beforehand and the caches warmed, so the
+    # closure's boxes do not set the peak
     n = 30
     alg = chain_semilattice(n)
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
@@ -797,7 +798,7 @@ def test_check_cg_d3_keeps_each_array_once(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20, peak
+    assert peak < 6 * 2 ** 20, peak
     assert len(chains[0]) == 85870
 
 

@@ -277,6 +277,42 @@ def test_one_owner_of_the_size_cap():
     assert not hasattr(constructions, "CapExceeded")
 
 
+def test_int_dtype_is_the_narrowest_that_holds_the_bound():
+    # every value from -1 to the bound, each type up to its largest value
+    for bound, want in [(-1, np.int16), (0, np.int16), (2 ** 15 - 1, np.int16),
+                        (2 ** 15, np.int32), (2 ** 31 - 1, np.int32),
+                        (2 ** 31, np.int64), (2 ** 63 - 1, np.int64)]:
+        got = core.int_dtype(bound)
+        assert got == np.dtype(want), bound
+        assert np.array([-1, bound], dtype=got).tolist() == [-1, bound]
+    with pytest.raises(CapExceeded, match="a bound of 64 bits is past int64$"):
+        core.int_dtype(2 ** 63)
+
+
+def test_one_chooser_of_narrow_integers():
+    # only core.int_dtype (and the ladder it reads) names a narrow integer
+    # type, as a numpy attribute or as a string, or asks numpy for one
+    import smbalg
+    narrow = {"int8", "int16", "int32", "intp", "uint8", "uint16", "uint32", "uint64",
+              "uintp", "min_scalar_type", "i1", "i2", "i4", "u1", "u2", "u4", "u8"}
+    offences = []
+    for path in sorted(Path(smbalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.stem == "core":
+            for node in tree.body:
+                if (isinstance(node, ast.FunctionDef) and node.name == "int_dtype"
+                        or isinstance(node, ast.Assign)
+                        and [getattr(t, "id", None) for t in node.targets] == ["_INT_TYPES"]):
+                    allowed |= set(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            names = [getattr(node, field, None) for field in ("attr", "id", "name", "value")]
+            if id(node) not in allowed and narrow & {v for v in names if isinstance(v, str)}:
+                offences.append((path.name, node.lineno))
+    assert offences == []
+    assert core._INT_TYPES == (np.int16, np.int32, np.int64)
+
+
 def test_one_closure_loop():
     # the boxes of every subpower closure, traced or orbit-reduced, are
     # evaluated in the one round loop, the generator relations._closure_rounds

@@ -737,6 +737,58 @@ def test_lane_past_the_bitmap_is_refused(b2, monkeypatch):
         relations._subpower_closure(b2, 4, ["not read"])
 
 
+def narrow_key_mismatches(subpower_closure, monkeypatch):
+    """With int8 first on `core._INT_TYPES`, close two small calls whose
+    last key sits at int8's largest value, 127 (two lanes of 8^2 keys), and
+    one past it, 128 (three lanes of 43 keys), and count the lanes whose
+    rows or steps differ from the int64 path's.  Returns (mismatches, the
+    key types the calls chose)."""
+    cases = [(chain_semilattice(8), 2, [[(0, 7), (7, 0)], [(3, 5), (6, 6), (5, 3)]]),
+             (chain_semilattice(43), 1, [[(0,), (3,)], [(40,), (5,)], [(42,), (1,), (41,)]])]
+    want, keys, bad = [], [], 0
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_INT_TYPES", (np.int64,))
+        for alg, k, lanes in cases:
+            want.append(relations._subpower_closure(alg, k, lanes))
+    chooser = core.int_dtype
+
+    def spy(bound):
+        if bound in (127, 128):
+            keys.append(chooser(bound))
+        return chooser(bound)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_INT_TYPES", (np.int8, np.int16, np.int32, np.int64))
+        patch.setattr(core, "int_dtype", spy)
+        for (alg, k, lanes), closed in zip(cases, want):
+            for (rows, steps), (rows0, steps0) in zip(subpower_closure(alg, k, lanes), closed):
+                assert rows.dtype == steps.dtype == np.int64
+                bad += not (np.array_equal(rows, rows0) and np.array_equal(steps, steps0))
+    return bad, keys
+
+
+def test_keys_take_the_type_their_bound_allows(monkeypatch):
+    # the closure's keys take the narrowest type that holds its last key,
+    # lanes x n**k - 1: int8 at 127 and int16 one past it, each giving the
+    # int64 path's rows and steps
+    bad, keys = narrow_key_mismatches(relations._subpower_closure, monkeypatch)
+    assert bad == 0 and keys == [np.dtype(np.int8), np.dtype(np.int16)]
+
+
+def test_narrow_keys_are_checked(monkeypatch):
+    # copies that cast the keys without the bound, or with one lane's bound
+    # only, must fail the test above
+    source = inspect.getsource(relations._closure_rounds)
+    line = "core.int_dtype(len(lanes) * space - 1)"
+    for mutant in ("core.int_dtype(0)", "core.int_dtype(space - 1)"):
+        broken = source.replace(line, mutant)
+        assert broken != source
+        namespace = dict(vars(relations))
+        exec(broken, namespace)
+        exec(inspect.getsource(relations._subpower_closure), namespace)
+        assert narrow_key_mismatches(namespace["_subpower_closure"], monkeypatch)[0] > 0, mutant
+
+
 def test_lane_validation(e3):
     with pytest.raises(AlgebraError, match="at least one generator"):
         relations._subpower_closure(e3, 2, [[(0, 1)], []])
