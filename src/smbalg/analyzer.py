@@ -575,15 +575,15 @@ def _related_pairs(ids: np.ndarray) -> tuple:
     """(ls, cs, ds): every (l, c, d) with ids[l, c] == ids[l, d], in the
     order of `np.nonzero`, with l in the type `core.int_dtype` picks for the
     rows of `ids` and c, d in the one it picks for its n columns.
-    `np.nonzero` runs on at most `core.BLOCK_SIZE // n**2` rows at a time
-    (at least one), so its intp columns never hold more than one chunk."""
+    `np.nonzero` runs on one `core.chunks` slice of the n x n rows at a
+    time, so its intp columns never hold more than one chunk."""
     m, n = ids.shape
     related = ids[:, :, None] == ids[:, None, :]
     ls = np.empty(np.count_nonzero(related), dtype=core.int_dtype(m))
     cs, ds = np.empty((2, len(ls)), dtype=core.int_dtype(n))
-    at, step = 0, max(1, core.BLOCK_SIZE // (n * n))
-    for lo in range(0, m, step):
-        l, c, d = np.nonzero(related[lo:lo + step])
+    at = 0
+    for lo, hi in core.chunks(m, n * n):
+        l, c, d = np.nonzero(related[lo:hi])
         ls[at:at + len(l)], cs[at:at + len(l)], ds[at:at + len(l)] = l + lo, c, d
         at += len(l)
     return ls, cs, ds
@@ -594,13 +594,10 @@ def _midpoints(dm: np.ndarray, d2: np.ndarray, ls: np.ndarray, cs: np.ndarray,
     """(e2, e4) at the pairs (c, d) = (cs[i], ds[i]) of D = dm[ls[i]], for a
     stack of D matrices `dm` and their squares `d2`: e4[i] is the least e
     with D^2[c, e] and D[e, d], and e2[i] the least e with D[c, e] and
-    D[e, e4[i]] (0 where there is none).  Taken by argmax over chunks of
-    `core.BLOCK_SIZE // n` pairs (at least one), so no chunk holds more
-    than `core.BLOCK_SIZE` booleans unless one pair's n alone do."""
+    D[e, e4[i]] (0 where there is none).  Taken by argmax over the
+    `core.chunks` of the pairs, n booleans each."""
     e2, e4 = np.empty((2, len(ls)), dtype=core.int_dtype(dm.shape[1]))
-    step = max(1, core.BLOCK_SIZE // dm.shape[1])
-    for lo in range(0, len(ls), step):
-        hi = lo + step
+    for lo, hi in core.chunks(len(ls), dm.shape[1]):
         l, c, d = ls[lo:hi], cs[lo:hi], ds[lo:hi]
         e4[lo:hi] = np.argmax(d2[l, c] & dm[l, :, d], axis=1)
         e2[lo:hi] = np.argmax(dm[l, c] & dm[l, :, e4[lo:hi]], axis=1)
@@ -928,8 +925,8 @@ def count_biconditional(alg: FiniteAlgebra, which: str) -> int:
     are grouped by exactly those values (one `np.unique` over
     `_principal_table` indices) and each distinct input is evaluated once,
     on the table's rows.  cgvsim reads Cg(a,b), then c and d: both sides
-    are n x n masks over (c, d), Cg v sim by `_classes` over chunks of at
-    most `core.BLOCK_SIZE // n^2` rows.  undersim and commutator read
+    are n x n masks over (c, d), Cg v sim by `_classes` over the
+    `core.chunks` of the keys, n^2 values each.  undersim and commutator read
     Cg_A(a,b) and Cg_Q([a],[b]) in Q = A/sim and group by both indices, as
     the quotient side is under test: both sides are K x K masks over pairs
     of keys.  Groups are ordered by first pair, so the lexicographically
@@ -953,9 +950,9 @@ def count_biconditional(alg: FiniteAlgebra, which: str) -> int:
     in_sim = np.equal.outer(sim.class_ids, sim.class_ids)
     if which == "cgvsim":
         wedge = alg.op(WEDGE).array.reshape(n, n)
-        true, step = 0, max(1, core.BLOCK_SIZE // n ** 2)
-        for lo in range(0, len(keys), step):
-            ids = labels[keys[lo:lo + step]]
+        true = 0
+        for lo, hi in core.chunks(len(keys), n * n):
+            ids = labels[keys[lo:hi]]
             cg = ids[:, :, None] == ids[:, None, :]
             joined = _classes(cg | in_sim)
             left = joined[:, :, None] == joined[:, None, :]
@@ -964,7 +961,7 @@ def count_biconditional(alg: FiniteAlgebra, which: str) -> int:
             bad = np.argwhere(left != right)
             if len(bad):
                 _disagreement(alg, which, firsts[lo + bad[0, 0]] + tuple(bad[0, 1:].tolist()))
-            true += int(weights[lo:lo + step] @ left.sum(axis=(1, 2)))
+            true += int(weights[lo:hi] @ left.sum(axis=(1, 2)))
         return true
 
     rows, qrows = np.divmod(keys, len(qlabels))

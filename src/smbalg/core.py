@@ -24,9 +24,10 @@ laws and terms compile per call.  `term_table`, `materialize_term` and
 the witness chains of `analyzer.verify_cg_d3_pairs` (the one-variable
 polynomials of all generator pairs in a single pass) run on the same
 kernel; the flags and the circ of one table are read off its array.
-`int_dtype` is the one place the library picks a narrow integer type, from
-a bound its caller has proved; the term kernel and the public arrays stay
-int64.
+One rule per resource, each read at call time: `check_power` caps tables
+and powers, `int_dtype` picks a narrow integer type from a bound its
+caller has proved (the term kernel and the public arrays stay int64),
+and `chunks` cuts every chunked numpy pass to `BLOCK_SIZE` values.
 The pointwise pure-Python evaluator is the tests' reference for it and
 lives in `smbalg.oracles`.
 """
@@ -475,6 +476,14 @@ def _blocks(bounds: list, width: int = 1):
         for start in range(lo, hi, step):
             yield ([(h, h + 1) for h in head] + [(start, min(start + step, hi))]
                    + bounds[cut + 1:])
+
+
+def chunks(count: int, size: int):
+    """The (lo, hi) slices of range(count), in order, each of as many items
+    of `size` values as BLOCK_SIZE holds (at least one): `_blocks` on one
+    range, the one cut of every chunked numpy pass."""
+    for (lo, hi), _ in _blocks([(0, count), (0, 1)], size):
+        yield lo, hi
 
 
 def _term_boxes(alg: FiniteAlgebra, program: _Program):

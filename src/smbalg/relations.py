@@ -613,24 +613,23 @@ def _classes(rel: np.ndarray) -> np.ndarray:
         label = low
 
 
-def _pair_successors(alg: FiniteAlgebra, a: np.ndarray, b: np.ndarray, upper: np.ndarray,
-                     budget: int) -> np.ndarray:
+def _pair_successors(alg: FiniteAlgebra, a: np.ndarray, b: np.ndarray,
+                     upper: np.ndarray) -> np.ndarray:
     """The one-step pair graph of `alg` on grid ids x * n + y: row a * n + b
     of the result lists the distinct pairs {f(a), f(b)}, x < y, over the
     unary translations f, for each pair a < b given, padded with 0, the id
     of (0, 0); other rows are padding.  `upper` marks the pairs x < y of the
-    grid.  The images of at most `budget` combinations of a translation and
-    a pair are marked at once.  Grid ids are below n * n, so the maps, the
-    images x * n + y and the lists take the type `core.int_dtype` picks for
-    it."""
+    grid.  The pairs are marked in `core.chunks`, each pair weighing 16
+    entries per translation or grid cell (see `_principal_table`).  Grid
+    ids are below n * n, so the maps, the images x * n + y and the lists
+    take the type `core.int_dtype` picks for it."""
     n = alg.size
     grid = core.int_dtype(n * n)
     maps = np.array(_translations.__wrapped__(alg), dtype=grid).reshape(-1, n)
-    step = max(1, budget // max(len(maps), n * n))
     node, succ = [], []
-    for lo in range(0, len(a), step):
-        image = maps[:, a[lo:lo + step]] * n
-        image += maps[:, b[lo:lo + step]]
+    for lo, hi in core.chunks(len(a), 16 * max(len(maps), n * n)):
+        image = maps[:, a[lo:hi]] * n
+        image += maps[:, b[lo:hi]]
         hit = np.zeros((image.shape[1], n, n), dtype=bool)
         hit.reshape(len(hit), -1)[np.arange(len(hit)), image] = True
         hit |= hit.transpose(0, 2, 1)
@@ -658,23 +657,23 @@ def _principal_table(alg: FiniteAlgebra) -> tuple:
     breadth first in chunks, on one bitmap over the n x n grid per source
     with the diagonal marked from the start, so images that collapse are
     never new; each bitmap, made symmetric, is then the relation whose
-    `_classes` give Cg(a, b).  A chunk's bitmaps, the successor lists one
-    pass gathers and the marks of the pair graph each hold at most
-    `core.BLOCK_SIZE // 16` entries, which keeps the table's peak memory to
-    a few megabytes beyond its result."""
+    `_classes` give Cg(a, b).  The sources, the frontier pieces that
+    gather successor lists and the marks of the pair graph are cut by
+    `core.chunks` with a weight of 16 per entry, which keeps the table's
+    peak memory to a few megabytes beyond its result."""
     n = alg.size
-    budget = core.BLOCK_SIZE // 16
     upper = np.less.outer(range(n), range(n))
     a, b = np.nonzero(upper)
     pairs = a * n + b
     found, firsts = {tuple(range(n)): 0}, [(0, 0)]   # least-element labels -> position
     index = np.zeros((n, n), dtype=np.int64)
     if len(pairs):
-        succ = _pair_successors(alg, a, b, upper, budget)
-        chunk, piece = max(1, budget // (n * n)), max(1, budget // succ.shape[1])
+        succ = _pair_successors(alg, a, b, upper)
         got = []               # per pair a < b: its least-element labels
-        for lo in range(0, len(pairs), chunk):
-            sources = pairs[lo:lo + chunk]
+        # 16 per entry, here and in _pair_successors: a weight of 4 peaked
+        # 4.8 MB higher on random_algebra(20)
+        for lo, hi in core.chunks(len(pairs), 16 * n * n):
+            sources = pairs[lo:hi]
             seen = np.zeros((len(sources), n, n), dtype=bool)
             flat = seen.reshape(len(sources), -1)
             flat[:, ::n + 1] = True
@@ -682,8 +681,8 @@ def _principal_table(alg: FiniteAlgebra) -> tuple:
             flat[row, node] = True
             while len(row):
                 new = np.zeros_like(flat)
-                for i in range(0, len(row), piece):
-                    new[row[i:i + piece, None], succ[node[i:i + piece]]] = True
+                for i, j in core.chunks(len(row), 16 * succ.shape[1]):
+                    new[row[i:j, None], succ[node[i:j]]] = True
                 np.greater(new, flat, out=new)
                 flat |= new
                 row, node = np.nonzero(new)

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import itertools
 import random
 import time
@@ -11,7 +12,7 @@ import pytest
 from smbalg import (AlgebraError, App, Const, FiniteAlgebra, Identity,
                     OperationTable, Quasiidentity, Var, check_identities,
                     materialize_term, table_flags, term_table)
-from smbalg import core
+from smbalg import core, relations
 from smbalg.core import MAX_VARIABLES, CapExceeded, check_power
 from smbalg.oracles import eval_term, substitute
 from conftest import module_caches, planted_wnu, random_term
@@ -311,6 +312,35 @@ def test_one_chooser_of_narrow_integers():
                 offences.append((path.name, node.lineno))
     assert offences == []
     assert core._INT_TYPES == (np.int16, np.int32, np.int64)
+
+
+@pytest.mark.parametrize("block", [1 << 20, 1000])
+def test_chunks_cut_by_the_block_size(monkeypatch, block):
+    # contiguous slices that cover range(count), each of max(1, BLOCK_SIZE
+    # // size) items but the last, with BLOCK_SIZE read at call time
+    monkeypatch.setattr(core, "BLOCK_SIZE", block)
+    for count in (0, 1, 7, 1000, 5000):
+        for size in (1, 3, 16 * 59 * 59, block, block + 1, 10 * block):
+            got = list(core.chunks(count, size))
+            step = max(1, block // size)
+            assert got == [(lo, min(lo + step, count)) for lo in range(0, count, step)], \
+                (count, size)
+    assert list(core.chunks(0, 1)) == []
+    assert list(core.chunks(3, block + 1)) == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_only_core_reads_the_block_size():
+    # how much one numpy pass holds is decided in core alone (`_blocks` and
+    # `chunks`); docstrings may name BLOCK_SIZE, code elsewhere may not
+    import smbalg
+    reads = []
+    for path in sorted(Path(smbalg.__file__).parent.glob("*.py")):
+        if path.stem != "core":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            reads += [(path.name, node.lineno) for node in ast.walk(tree)
+                      if "BLOCK_SIZE" in [getattr(node, f, None) for f in ("attr", "id", "name")]]
+    assert reads == []
+    assert "budget" not in inspect.signature(relations._pair_successors).parameters
 
 
 def test_one_closure_loop():

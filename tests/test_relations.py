@@ -4,6 +4,7 @@ import inspect
 import itertools
 import random
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -1111,6 +1112,21 @@ def test_principal_table(monkeypatch, corpus):
         assert_principal_table(alg, relations._principal_table.__wrapped__(alg))
         crossed |= len(chunks) > 1 and max(chunks) > 1
     assert crossed
+
+
+def test_principal_table_memory_is_bounded():
+    # the table search charges 16 per entry of its chunks: on a random
+    # 20-element algebra it peaks at 1.63 MiB beyond its warm-up, and at
+    # 2.34 MiB with a weight of 4 (a copy that drops the weight fails here)
+    alg = random_algebra(20, {"wedge": 2, "d": 3}, 1)
+    relations._principal_table.__wrapped__(alg)
+    tracemalloc.start()
+    try:
+        relations._principal_table.__wrapped__(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_principal_table_search_is_checked(corpus):

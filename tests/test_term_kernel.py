@@ -12,6 +12,7 @@ block size and with `core.BLOCK_SIZE` patched small, so the cut path of
 
 import dataclasses
 import itertools
+import operator
 import random
 import tracemalloc
 import types
@@ -38,29 +39,40 @@ def _var_count(variables):
     return max(variables) + 1 if variables else 0
 
 
+def term_function(alg, term):
+    """`term` over `alg` as a plain Python function of an assignment, one
+    closure per node, built once: it reads the tables' entries as
+    `eval_term` does, without re-walking the term at each assignment."""
+    if isinstance(term, Var):
+        return operator.itemgetter(term.index)
+    if isinstance(term, Const):
+        return lambda args, value=term.value: value
+    table = alg.op(term.symbol)
+    assert table.arity == len(term.args), term
+    n, entries = alg.size, table.entries
+    subs = [term_function(alg, arg) for arg in term.args]
+
+    def apply(args):
+        idx = 0
+        for sub in subs:
+            idx = idx * n + sub(args)
+        return entries[idx]
+    return apply
+
+
 def check_identity_loop(alg, ident):
-    nvars = _var_count(ident.variables())
-    if nvars == 0:
-        ok = eval_term(alg, ident.lhs, ()) == eval_term(alg, ident.rhs, ())
-        return Verdict(ok, None if ok else ())
-    for args in itertools.product(range(alg.size), repeat=nvars):
-        if eval_term(alg, ident.lhs, args) != eval_term(alg, ident.rhs, args):
+    lhs, rhs = term_function(alg, ident.lhs), term_function(alg, ident.rhs)
+    for args in itertools.product(range(alg.size), repeat=_var_count(ident.variables())):
+        if lhs(args) != rhs(args):
             return Verdict(False, args)
     return Verdict(True)
 
 
 def check_quasiidentity_loop(alg, quasi):
-    nvars = _var_count(quasi.variables())
-    for args in itertools.product(range(alg.size), repeat=max(nvars, 0)):
-        ok = True
-        for prem in quasi.premises:
-            if eval_term(alg, prem.lhs, args) != eval_term(alg, prem.rhs, args):
-                ok = False
-                break
-        if not ok:
-            continue
-        concl = quasi.conclusion
-        if eval_term(alg, concl.lhs, args) != eval_term(alg, concl.rhs, args):
+    premises = [(term_function(alg, p.lhs), term_function(alg, p.rhs)) for p in quasi.premises]
+    lhs, rhs = term_function(alg, quasi.conclusion.lhs), term_function(alg, quasi.conclusion.rhs)
+    for args in itertools.product(range(alg.size), repeat=_var_count(quasi.variables())):
+        if all(p(args) == q(args) for p, q in premises) and lhs(args) != rhs(args):
             return Verdict(False, args)
     return Verdict(True)
 
